@@ -165,32 +165,74 @@ def eigenbasis(ws: WeightSystem, path: Path) -> list[EigenVectorSpec]:
 
 
 class _StationaryCache:
-    """mu and 1/G only depend on (range letter, generation) on a stationary
-    diagram; memoizing them collapses most of the DFS arithmetic."""
+    """Memo of the terms of the eigenvalue formula on a stationary diagram.
+
+    mu(gamma) and G(gamma) depend only on the range vertex r(gamma) and the
+    generation n, so they are kept per (r(gamma), n), and so are the two
+    terms the spectrum and dense walks add up:
+
+    - the final term -mu(gamma) * G(gamma)^-1, keyed by (r(gamma), n);
+    - the step term (mu(gamma e) - mu(gamma)) * G(gamma)^-1, keyed by
+      (r(gamma), n, r(gamma e)).
+
+    The empty path uses the key (-1, 0).  Each entry is computed once, from
+    the same operands combined in the same order as the direct formula in
+    `eigenvalue`, so the memoized walks give the same scalars, bit for bit
+    on the approximate backend and exactly on the exact ones.
+    """
 
     def __init__(self, ws: WeightSystem, s):
         self.ws = ws
         self.s = s
         self._mu: dict[tuple[int, int], object] = {}
+        self._g: dict[tuple[int, int], object] = {}
         self._inv_g: dict[tuple[int, int], object] = {}
+        self._final: dict[tuple[int, int], object] = {}
+        self._step: dict[tuple[int, int, int], object] = {}
+
+    def _key(self, path: Path) -> tuple[int, int]:
+        if path.root is None:
+            return (-1, 0)
+        return (self.ws.diagram.path_range(path), path.generation)
 
     def mu_at(self, path: Path):
-        if path.root is None:
-            return self.ws.backend.one
-        key = (self.ws.diagram.path_range(path), path.generation)
+        key = self._key(path)
         val = self._mu.get(key)
         if val is None:
             val = mu(self.ws, path)
             self._mu[key] = val
         return val
 
+    def g_at(self, path: Path):
+        key = self._key(path)
+        val = self._g.get(key)
+        if val is None:
+            val = g_value(self.ws, path, self.s)
+            self._g[key] = val
+        return val
+
     def inv_g_at(self, path: Path):
-        key = (-1, 0) if path.root is None else \
-            (self.ws.diagram.path_range(path), path.generation)
+        key = self._key(path)
         val = self._inv_g.get(key)
         if val is None:
-            val = _invert(g_value(self.ws, path, self.s))
+            val = _invert(self.g_at(path))
             self._inv_g[key] = val
+        return val
+
+    def final_at(self, path: Path):
+        key = self._key(path)
+        val = self._final.get(key)
+        if val is None:
+            val = _neg(_mul(self.mu_at(path), self.inv_g_at(path)))
+            self._final[key] = val
+        return val
+
+    def step_at(self, path: Path, child: Path):
+        key = self._key(path) + (self.ws.diagram.path_range(child),)
+        val = self._step.get(key)
+        if val is None:
+            val = _mul(self.mu_at(child) - self.mu_at(path), self.inv_g_at(path))
+            self._step[key] = val
         return val
 
 
@@ -215,16 +257,12 @@ def full_spectrum(ws: WeightSystem, depth: int, s,
 
     cache = _StationaryCache(ws, Fraction(s))
     root_has_split = len(diagram.root_edges) >= 2
-    inv_g_root = cache.inv_g_at(EMPTY_PATH) if root_has_split else None
-    mu_root = ws.backend.one
 
     def visit(path: Path, partial, depth_left: int) -> None:
         ext = extensions(diagram, path)
         n_ext = len(ext)
-        m_here = cache.mu_at(path)
         if n_ext >= 2:
-            inv_g = cache.inv_g_at(path)
-            val = _add(partial, _neg(_mul(m_here, inv_g)))
+            val = _add(partial, cache.final_at(path))
             records.append(SpectralRecord("path", path, path.generation,
                                           val, to_float(val), n_ext - 1))
         if depth_left == 0:
@@ -232,8 +270,7 @@ def full_spectrum(ws: WeightSystem, depth: int, s,
         for e in ext:
             child = child_path(diagram, path, e)
             if n_ext >= 2:
-                inc = cache.mu_at(child) - m_here
-                child_partial = _add(partial, _mul(inc, inv_g))
+                child_partial = _add(partial, cache.step_at(path, child))
             else:
                 child_partial = partial
             visit(child, child_partial, depth_left - 1)
@@ -241,7 +278,7 @@ def full_spectrum(ws: WeightSystem, depth: int, s,
     for ri in range(len(diagram.root_edges)):
         first = Path(ri)
         if root_has_split:
-            partial = _mul(cache.mu_at(first) - mu_root, inv_g_root)
+            partial = cache.step_at(EMPTY_PATH, first)
         else:
             partial = ws.backend.zero
         visit(first, partial, depth - 1)
@@ -313,7 +350,8 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     diagram = ws.diagram
     exact = _dense_exactness(ws, s)
 
-    mu_full = tuple(mu(ws, p) for p in table.paths)
+    cache = _StationaryCache(ws, s)
+    mu_full = tuple(cache.mu_at(p) for p in table.paths)
     # subtree sizes: number of generation-n paths below a generation-k vertex
     a = [list(row) for row in diagram.matrix]
     sizes = {n: [1] * diagram.n_letters}
@@ -327,15 +365,15 @@ def dense_restriction(ws: WeightSystem, n: int, s,
         matrix = np.zeros((size, size))
         mu_col = np.array([to_float(m) for m in mu_full])
 
-    def fill_block(rows: tuple[int, int], cols: tuple[int, int], g_here):
+    def fill_block(rows: tuple[int, int], cols: tuple[int, int], meet: Path):
         if exact:
-            inv_g = _invert(g_here)
+            inv_g = cache.inv_g_at(meet)
             for j in range(cols[0], cols[1]):
                 v = _mul(mu_col[j], inv_g)
                 for i in range(rows[0], rows[1]):
                     matrix[i][j] = v
         else:
-            gf = to_float(g_here)
+            gf = to_float(cache.g_at(meet))
             matrix[rows[0]:rows[1], cols[0]:cols[1]] = \
                 (mu_col[cols[0]:cols[1]] / gf)[None, :]
 
@@ -354,16 +392,13 @@ def dense_restriction(ws: WeightSystem, n: int, s,
         for w in widths:
             bounds.append(bounds[-1] + w)
         if len(ext) >= 2:
-            g_here = g_value(ws, path, s)
-            m_here = mu(ws, path)
             for i in range(len(children)):
                 for j in range(len(children)):
                     if i != j:
                         fill_block((bounds[i], bounds[i + 1]),
-                                   (bounds[j], bounds[j + 1]), g_here)
+                                   (bounds[j], bounds[j + 1]), path)
             for i, child in enumerate(children):
-                inc = mu(ws, child) - m_here
-                walk(child, bounds[i], _add(partial, _mul(inc, _invert(g_here))))
+                walk(child, bounds[i], _add(partial, cache.step_at(path, child)))
         else:
             walk(children[0], lo, partial)
 

@@ -14,6 +14,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_sign,
+    mpf_sub,
+    round_nearest,
+)
+from mpmath.libmp import to_float as mpf_to_float
 
 LT, EQ, GT = -1, 0, 1
 
@@ -216,87 +231,146 @@ class QuadraticNumber:
         return f"QuadraticNumber({self.a}, {self.b}, sqrt{self.disc})"
 
 
-@dataclass(frozen=True)
 class ApproxReal:
-    """A real value carried at a declared binary precision (>= 53 bits)."""
+    """A real value carried at a declared binary precision (>= 53 bits).
 
-    value: mpmath.mpf
-    precision: int
+    The value is held as a raw ``mpmath.libmp`` tuple, and arithmetic calls
+    the libmp kernels directly with round-to-nearest at the lower precision of
+    the two operands.  These are the calls ``mpmath.mpf`` makes under
+    ``mpmath.workprec``, so the bits are the same, without the cost of
+    switching the global context on every operation.  Instances are
+    immutable: memo tables share them between records.
+    """
 
-    def __post_init__(self):
-        if self.precision < MIN_PRECISION:
+    __slots__ = ("_mpf", "precision")
+
+    def __init__(self, value: mpmath.mpf, precision: int):
+        if precision < MIN_PRECISION:
             raise ValueError(f"precision must be >= {MIN_PRECISION} bits")
+        _setattr(self, "_mpf", value._mpf_)
+        _setattr(self, "precision", precision)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ApproxReal is immutable")
+
+    @property
+    def value(self) -> mpmath.mpf:
+        return mpmath.mp.make_mpf(self._mpf)
 
     @staticmethod
     def make(x, precision: int) -> "ApproxReal":
+        if precision < MIN_PRECISION:
+            raise ValueError(f"precision must be >= {MIN_PRECISION} bits")
+        if isinstance(x, ApproxReal):
+            return _approx(mpf_pos(x._mpf, precision, _ROUND), precision)
+        raw = _operand(x, precision)
+        if raw is not None:
+            return _approx(raw, precision)
         with mpmath.workprec(precision):
-            if isinstance(x, ApproxReal):
-                v = +x.value
-            elif isinstance(x, Fraction):
-                v = mpmath.mpf(x.numerator) / x.denominator
-            elif isinstance(x, QuadraticNumber):
+            if isinstance(x, QuadraticNumber):
                 v = (mpmath.mpf(x.a.numerator) / x.a.denominator
                      + (mpmath.mpf(x.b.numerator) / x.b.denominator) * mpmath.sqrt(x.disc))
             else:
                 v = mpmath.mpf(x)
         return ApproxReal(v, precision)
 
-    def _bin(self, other, op):
+    def _bin(self, other, op, reflected: bool = False):
+        """op(self, other), or op(other, self) when reflected, for a libmp
+        kernel op(x, y, prec, rounding)."""
         if isinstance(other, ApproxReal):
             prec = min(self.precision, other.precision)
-            y = other.value
-        elif isinstance(other, (int, float, Fraction)):
-            prec = self.precision
-            with mpmath.workprec(prec):
-                y = mpmath.mpf(other.numerator) / other.denominator \
-                    if isinstance(other, Fraction) else mpmath.mpf(other)
+            y = other._mpf
         else:
-            return NotImplemented
-        with mpmath.workprec(prec):
-            return ApproxReal(op(self.value, y), prec)
+            prec = self.precision
+            y = _operand(other, prec)
+            if y is None:
+                return NotImplemented
+        if reflected:
+            return _approx(op(y, self._mpf, prec, _ROUND), prec)
+        return _approx(op(self._mpf, y, prec, _ROUND), prec)
 
     def __add__(self, other):
-        return self._bin(other, lambda x, y: x + y)
+        return self._bin(other, mpf_add)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return self._bin(other, mpf_add, reflected=True)
 
     def __sub__(self, other):
-        return self._bin(other, lambda x, y: x - y)
+        return self._bin(other, mpf_sub)
 
     def __rsub__(self, other):
-        return self._bin(other, lambda x, y: y - x)
+        return self._bin(other, mpf_sub, reflected=True)
 
     def __mul__(self, other):
-        return self._bin(other, lambda x, y: x * y)
+        return self._bin(other, mpf_mul)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return self._bin(other, mpf_mul, reflected=True)
 
     def __truediv__(self, other):
-        return self._bin(other, lambda x, y: x / y)
+        return self._bin(other, mpf_div)
 
     def __rtruediv__(self, other):
-        return self._bin(other, lambda x, y: y / x)
+        return self._bin(other, mpf_div, reflected=True)
 
     def __neg__(self):
-        return ApproxReal(-self.value, self.precision)
+        return _approx(mpf_neg(self._mpf, mpmath.mp.prec, _ROUND), self.precision)
 
     def __pow__(self, k):
         if isinstance(k, int):
-            with mpmath.workprec(self.precision):
-                return ApproxReal(self.value ** k, self.precision)
+            return _approx(mpf_pow_int(self._mpf, k, self.precision, _ROUND), self.precision)
         return NotImplemented
 
+    def __eq__(self, other):
+        if other.__class__ is not ApproxReal:
+            return NotImplemented
+        return self._mpf == other._mpf and self.precision == other.precision
+
+    def __hash__(self):
+        return hash((self._mpf, self.precision))
+
+    def __reduce__(self):
+        return _approx, (self._mpf, self.precision)
+
     def sign(self) -> int:
-        return (self.value > 0) - (self.value < 0)
+        return mpf_sign(self._mpf)
 
     def is_zero(self) -> bool:
-        return self.value == 0
+        return self._mpf == fzero
 
     def __float__(self) -> float:
-        return float(self.value)
+        return mpf_to_float(self._mpf, False, _ROUND)
 
     def __repr__(self) -> str:
         return f"ApproxReal({mpmath.nstr(self.value, 20)}, prec={self.precision})"
+
+
+_ROUND = round_nearest      # the rounding mpmath.workprec leaves in force
+_setattr = object.__setattr__
+_new = object.__new__
+
+
+def _approx(raw: tuple, precision: int) -> ApproxReal:
+    """An ApproxReal from a libmp result, skipping the constructor's check:
+    the precision comes from operands that already passed it."""
+    out = _new(ApproxReal)
+    _setattr(out, "_mpf", raw)
+    _setattr(out, "precision", precision)
+    return out
+
+
+def _operand(x, precision: int) -> tuple | None:
+    """x as a libmp value rounded to precision bits, as mpmath.mpf(x) gives it
+    under workprec(precision) (a Fraction as numerator / denominator); None
+    unless x is an int, float or Fraction."""
+    if isinstance(x, int):
+        return from_int(x, precision, _ROUND)
+    if isinstance(x, float):
+        return from_float(x, precision, _ROUND)
+    if isinstance(x, Fraction):
+        return mpf_div(from_int(x.numerator, precision, _ROUND), from_int(x.denominator),
+                       precision, _ROUND)
+    return None
 
 
 Scalar = Fraction | QuadraticNumber | ApproxReal
