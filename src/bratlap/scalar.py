@@ -314,7 +314,7 @@ class ApproxReal:
         return self._bin(other, mpf_div, reflected=True)
 
     def __neg__(self):
-        return _approx(mpf_neg(self._mpf, mpmath.mp.prec, _ROUND), self.precision)
+        return _approx(mpf_neg(self._mpf), self.precision)     # exact: no rounding
 
     def __pow__(self, k):
         if isinstance(k, int):

@@ -21,7 +21,8 @@ from bratlap.laplacian import (
     verify_spectrum,
 )
 from bratlap.measure import WeightSystem, perron
-from bratlap.scalar import ApproxBackend, QuadraticBackend, RationalBackend
+from bratlap.presets import load_preset
+from bratlap.scalar import ApproxBackend, QuadraticBackend, RationalBackend, embed_real
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -251,3 +252,17 @@ def test_verify_deep_generations():
         for n in (4, 5):
             report = verify_spectrum(ws, n, s)
             assert report.ok, report.lines()
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_approx_spectrum_keeps_declared_precision(s):
+    """Penrose on approx:200 against its exact Q(sqrt5) twin embedded at 200
+    bits: every record agrees to 2^-180 relative, so no step of the walk,
+    negation included, rounds to double precision."""
+    approx = full_spectrum(load_preset("penrose", backend="approx:200").weight_system, 3, s)
+    exact = full_spectrum(load_preset("penrose", backend="quadratic:5").weight_system, 3, s)
+    assert [r.path for r in approx] == [r.path for r in exact]
+    for ra, rq in zip(approx, exact):
+        twin = embed_real(rq.value, 200)
+        assert ra.value.precision == 200
+        assert abs(float(ra.value - twin)) <= 2.0 ** -180 * abs(float(twin)), ra.path
