@@ -266,3 +266,26 @@ def test_approx_spectrum_keeps_declared_precision(s):
         twin = embed_real(rq.value, 200)
         assert ra.value.precision == 200
         assert abs(float(ra.value - twin)) <= 2.0 ** -180 * abs(float(twin)), ra.path
+
+
+@pytest.mark.parametrize("name,backend,depth,slots", [
+    ("thue-morse", "rational", 7, None),
+    ("dyadic-odometer", "rational", 8, None),
+    ("fibonacci", "quadratic:5", 8, None),
+    # the 20 root slots of penrose are copies of one subtree: slot 1 already
+    # reads every memo entry that slot 0 filled, and the direct formula on
+    # all 2862 records would take about 15 s
+    ("penrose", "quadratic:5", 5, (0, 1)),
+])
+@pytest.mark.parametrize("s", [1, 2])
+def test_memoized_spectrum_equals_direct_formula(name, backend, depth, slots, s):
+    ws = load_preset(name, backend=backend).weight_system
+    checked = 0
+    for rec in full_spectrum(ws, depth, s):
+        if rec.label == "zero" or (slots and rec.path and rec.path.root not in slots):
+            continue
+        direct = eigenvalue(ws, rec.path or EMPTY_PATH, s)
+        assert type(rec.value) is type(direct.value), rec.path
+        assert rec.value == direct.value, rec.path
+        checked += 1
+    assert checked > 20

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -15,6 +16,7 @@ from bratlap.scalar import (
     EQ,
     GT,
     LT,
+    MIN_PRECISION,
     ExactnessError,
     QuadraticBackend,
     RationalBackend,
@@ -184,3 +186,54 @@ def test_approx_precision_tracking():
     assert (x * y).precision == 90
     with pytest.raises(ValueError):
         ApproxReal.make(1.0, 20)
+
+
+plain_numbers = st.one_of(
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(max_denominator=10 ** 12),
+)
+precisions = st.integers(min_value=MIN_PRECISION, max_value=400)
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _under_workprec(op, lhs, rhs, prec):
+    """op evaluated on mpmath.mpf values inside mpmath.workprec(prec), with
+    plain operands converted as mpmath.mpf does (a Fraction as numerator /
+    denominator): the reference the libmp-level operators must match."""
+    with mpmath.workprec(prec):
+        def conv(v):
+            if isinstance(v, ApproxReal):
+                return v.value
+            if isinstance(v, Fraction):
+                return mpmath.mpf(v.numerator) / v.denominator
+            return mpmath.mpf(v)
+        return op(conv(lhs), conv(rhs))._mpf_
+
+
+def _is_zero_operand(v):
+    return v.is_zero() if isinstance(v, ApproxReal) else v == 0
+
+
+@given(plain_numbers, precisions, st.one_of(plain_numbers, st.tuples(plain_numbers, precisions)),
+       st.sampled_from(ARITHMETIC), st.integers(min_value=-3, max_value=3))
+@settings(max_examples=400, deadline=None)
+def test_approx_operators_bit_identical_to_workprec(a, prec_a, other, op, k):
+    x = ApproxReal.make(a, prec_a)
+    if isinstance(other, tuple):
+        y = ApproxReal.make(*other)
+        prec = min(prec_a, other[1])
+    else:
+        y = other
+        prec = prec_a
+    # forward, then reflected (for a plain number y, y op x is x's __r*__)
+    for lhs, rhs in ((x, y), (y, x)):
+        if op is operator.truediv and _is_zero_operand(rhs):
+            continue
+        got = op(lhs, rhs)
+        assert got.precision == prec
+        assert got.value._mpf_ == _under_workprec(op, lhs, rhs, prec)
+    with mpmath.workprec(prec_a):
+        assert (-x).value._mpf_ == (-x.value)._mpf_
+        if k >= 0 or not x.is_zero():
+            assert (x ** k).value._mpf_ == (x.value ** k)._mpf_
