@@ -23,7 +23,7 @@ from . import asymptotics, cuntz, laplacian
 from .diagram import DiagramError, load_diagram_file
 from .measure import MeasureError, WeightSystem, perron, zeta_partial
 from .presets import PRESETS, load_preset, preset_names
-from .scalar import ApproxReal, parse_backend
+from .scalar import MIN_PRECISION, ApproxReal, parse_backend
 
 DEFAULT_PRECISION_ENV = "BRATLAP_PRECISION"
 
@@ -79,6 +79,21 @@ class _Emitter:
                 self.out.write(",".join(str(v) for v in row) + "\n")
 
 
+def _precision_bits(text: str) -> int:
+    """argparse type of --precision, whose default is read from
+    $BRATLAP_PRECISION: a bad value of either is a usage error."""
+    try:
+        bits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"precision must be an integer number of bits, got {text!r} "
+            f"(from --precision or ${DEFAULT_PRECISION_ENV})") from None
+    if bits < MIN_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"precision must be >= {MIN_PRECISION} bits, got {bits}")
+    return bits
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bratlap",
@@ -92,8 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend",
                        help="rational | quadratic:D | approx:BITS "
                             "(default: preset recommendation)")
-        p.add_argument("--precision", type=int,
-                       default=int(os.environ.get(DEFAULT_PRECISION_ENV, "212")),
+        # argparse runs a string default through the type when the flag is
+        # absent, so a bad $BRATLAP_PRECISION exits like a bad flag
+        p.add_argument("--precision", type=_precision_bits,
+                       default=os.environ.get(DEFAULT_PRECISION_ENV, "212"),
                        help="bits used when exact arithmetic must fall back")
         if depth_default is not None:
             p.add_argument("--depth", type=int, default=depth_default)

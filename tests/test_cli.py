@@ -67,6 +67,21 @@ def test_usage_error_bad_backend():
     assert exc.value.code == 2
 
 
+def test_usage_error_bad_precision_environment(monkeypatch, capsys):
+    monkeypatch.setenv("BRATLAP_PRECISION", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["presets"])
+    assert exc.value.code == 2
+    assert "BRATLAP_PRECISION" in capsys.readouterr().err
+
+
+def test_usage_error_precision_below_minimum(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--preset", "fibonacci", "--s", "1/2", "--precision", "10"])
+    assert exc.value.code == 2
+    assert ">= 53 bits" in capsys.readouterr().err
+
+
 def test_ck_check_exit_zero(capsys):
     code, out = run_cli(["ck-check", "--preset", "thue-morse", "--depth", "4"], capsys)
     assert code == 0
