@@ -387,12 +387,6 @@ def embed_real(x, precision: int = MIN_PRECISION) -> ApproxReal:
     return ApproxReal.make(x, precision)
 
 
-def quad_mul(x: QuadraticNumber, y: QuadraticNumber) -> QuadraticNumber:
-    if x.disc != y.disc:
-        raise ValueError(f"mismatched discriminants {x.disc} and {y.disc}")
-    return x * y
-
-
 def to_float(x) -> float:
     """Float value of any scalar, regardless of backend."""
     if isinstance(x, (Fraction, QuadraticNumber, ApproxReal)):
