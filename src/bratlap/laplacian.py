@@ -195,45 +195,32 @@ class _StationaryCache:
             return (-1, 0)
         return (self.ws.diagram.path_range(path), path.generation)
 
-    def mu_at(self, path: Path):
-        key = self._key(path)
-        val = self._mu.get(key)
+    @staticmethod
+    def _memo(table: dict, key: tuple, compute):
+        val = table.get(key)
         if val is None:
-            val = mu(self.ws, path)
-            self._mu[key] = val
+            val = table[key] = compute()
         return val
+
+    def mu_at(self, path: Path):
+        return self._memo(self._mu, self._key(path), lambda: mu(self.ws, path))
 
     def g_at(self, path: Path):
-        key = self._key(path)
-        val = self._g.get(key)
-        if val is None:
-            val = g_value(self.ws, path, self.s)
-            self._g[key] = val
-        return val
+        return self._memo(self._g, self._key(path),
+                          lambda: g_value(self.ws, path, self.s))
 
     def inv_g_at(self, path: Path):
-        key = self._key(path)
-        val = self._inv_g.get(key)
-        if val is None:
-            val = _invert(self.g_at(path))
-            self._inv_g[key] = val
-        return val
+        return self._memo(self._inv_g, self._key(path),
+                          lambda: _invert(self.g_at(path)))
 
     def final_at(self, path: Path):
-        key = self._key(path)
-        val = self._final.get(key)
-        if val is None:
-            val = _neg(_mul(self.mu_at(path), self.inv_g_at(path)))
-            self._final[key] = val
-        return val
+        return self._memo(self._final, self._key(path),
+                          lambda: _neg(_mul(self.mu_at(path), self.inv_g_at(path))))
 
     def step_at(self, path: Path, child: Path):
-        key = self._key(path) + (self.ws.diagram.path_range(child),)
-        val = self._step.get(key)
-        if val is None:
-            val = _mul(self.mu_at(child) - self.mu_at(path), self.inv_g_at(path))
-            self._step[key] = val
-        return val
+        return self._memo(
+            self._step, self._key(path) + (self.ws.diagram.path_range(child),),
+            lambda: _mul(self.mu_at(child) - self.mu_at(path), self.inv_g_at(path)))
 
 
 def full_spectrum(ws: WeightSystem, depth: int, s,
