@@ -95,25 +95,25 @@ class QuadraticNumber:
                 raise ValueError(f"mismatched discriminants {self.disc} and {other.disc}")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(_as_fraction(other), Fraction(0), self.disc)
+            return _quad(_as_fraction(other), Fraction(0), self.disc)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadraticNumber(self.a + o.a, self.b + o.b, self.disc)
+        return _quad(self.a + o.a, self.b + o.b, self.disc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.disc)
+        return _quad(-self.a, -self.b, self.disc)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadraticNumber(self.a - o.a, self.b - o.b, self.disc)
+        return _quad(self.a - o.a, self.b - o.b, self.disc)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -125,7 +125,7 @@ class QuadraticNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadraticNumber(
+        return _quad(
             self.a * o.a + self.b * o.b * self.disc,
             self.a * o.b + self.b * o.a,
             self.disc,
@@ -137,7 +137,7 @@ class QuadraticNumber:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in quadratic field")
-        return QuadraticNumber(self.a / n, -self.b / n, self.disc)
+        return _quad(self.a / n, -self.b / n, self.disc)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -156,7 +156,7 @@ class QuadraticNumber:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = QuadraticNumber(Fraction(1), Fraction(0), self.disc)
+        out = _quad(Fraction(1), Fraction(0), self.disc)
         base = self
         while k:
             if k & 1:
@@ -166,7 +166,7 @@ class QuadraticNumber:
         return out
 
     def conjugate(self) -> "QuadraticNumber":
-        return QuadraticNumber(self.a, -self.b, self.disc)
+        return _quad(self.a, -self.b, self.disc)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.b * self.b * self.disc
@@ -356,6 +356,17 @@ def _approx(raw: tuple, precision: int) -> ApproxReal:
     out = _new(ApproxReal)
     _setattr(out, "_mpf", raw)
     _setattr(out, "precision", precision)
+    return out
+
+
+def _quad(a: Fraction, b: Fraction, disc: int) -> QuadraticNumber:
+    """A QuadraticNumber from arithmetic on validated operands, skipping
+    __post_init__: the parts are already Fractions and disc already passed
+    the square-free check."""
+    out = _new(QuadraticNumber)
+    _setattr(out, "a", a)
+    _setattr(out, "b", b)
+    _setattr(out, "disc", disc)
     return out
 
 

@@ -19,6 +19,7 @@ from bratlap.scalar import (
     MIN_PRECISION,
     ExactnessError,
     QuadraticBackend,
+    QuadraticNumber,
     RationalBackend,
     compare,
     embed_real,
@@ -154,6 +155,11 @@ def test_field_axioms_quadratic(a1, b1, a2, b2, a3, b3):
     assert x + y == y + x and x * y == y * x
     if not y.is_zero():
         assert (x / y) * y == x
+    # results skip the constructor's checks, so they must come out as the
+    # constructor would have made them
+    for r in (x + y, x - y, -x, x * y, x * 2, 1 - x, x ** 3, x.conjugate()):
+        assert type(r.a) is Fraction and type(r.b) is Fraction and r.disc == 5
+        assert hash(r) == hash(QuadraticNumber(r.a, r.b, 5))
 
 
 @given(small_fracs, small_fracs, small_fracs, small_fracs)
