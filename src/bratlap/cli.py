@@ -3,7 +3,11 @@
 Every command emits CSV (default) or JSON on stdout or to --output; floats are
 printed with 17 significant digits and exact scalars additionally as canonical
 strings in the field declared by the header.  Output is byte-identical across
-runs and across --parallel settings.
+runs and across --parallel settings, except for the float digits that come
+from the eigensolver (numpy.linalg.eigvalsh): the `verify` max deviation and
+the `dense` spectrum.  Their last digits depend on the BLAS build and its
+thread count, and so can the `verify` verdict when a deviation sits at the
+tolerance.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -262,6 +266,11 @@ def cmd_dense(args, parser) -> int:
         op = laplacian.dense_restriction(ws, depth, s)
     except laplacian.LaplacianError as exc:
         parser.error(str(exc))
+    try:
+        eigs = laplacian.dense_spectrum(op)
+    except laplacian.SlotSymmetryError as exc:
+        print(f"bratlap dense: slot symmetry: {exc}", file=sys.stderr)
+        return 1
     m = op.as_float()
     out, close = _open_output(args)
     em = _Emitter("dense", _config_dict(args, backend, dim), args.format, out)
@@ -269,7 +278,6 @@ def cmd_dense(args, parser) -> int:
                [[i] + [_fmt(v) for v in m[i]] for i in range(len(op.table))],
                comments=["paths: " + " ".join(diagram.format_path(p)
                                               for p in op.table.paths)])
-    eigs = np.sort(np.linalg.eigvalsh(op.symmetrized()))
     em.section("spectrum", ["index", "eigenvalue"],
                [[i, _fmt(v)] for i, v in enumerate(eigs)])
     em.summary({"size": len(op.table), "exact": op.exact})

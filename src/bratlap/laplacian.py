@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -283,7 +284,11 @@ def spectrum_multiset(records: list[SpectralRecord]) -> list[float]:
 @dataclass
 class DenseOperator:
     """Matrix of Delta_s restricted to the generation-n cylinder functions,
-    rows and columns in path-table order."""
+    rows and columns in path-table order.
+
+    The table is in root-edge order: vertex by vertex, and within a vertex
+    slot by slot, the paths under root edge (v, k) fill one contiguous range
+    of width slot_widths[v]."""
 
     generation: int
     s: Fraction
@@ -291,6 +296,8 @@ class DenseOperator:
     matrix: object              # numpy array (float mode) or nested tuples of scalars
     mu_values: tuple
     exact: bool
+    symmetry_order: int
+    slot_widths: tuple[int, ...]
 
     def as_float(self) -> np.ndarray:
         if isinstance(self.matrix, np.ndarray):
@@ -392,7 +399,68 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     walk(EMPTY_PATH, 0, ws.backend.zero)
     if exact:
         matrix = tuple(tuple(row) for row in matrix)
-    return DenseOperator(n, s, table, matrix, mu_full, exact)
+    return DenseOperator(n, s, table, matrix, mu_full, exact,
+                         diagram.symmetry_order, tuple(sizes[1]))
+
+
+class SlotSymmetryError(LaplacianError):
+    """The symmetrized dense operator is not invariant under the root-slot
+    permutations, so its block split would not be exact."""
+
+
+def dense_spectrum(op: DenseOperator) -> np.ndarray:
+    """Sorted eigenvalues of op.symmetrized(), one eigvalsh per block of its
+    root-slot decomposition.
+
+    Permuting the g root slots of a vertex maps the path space onto itself
+    and keeps every measure and every meet, so S = op.symmetrized() commutes
+    with it.  With R[v][k] the range of root edge (v, k), the orthogonal change
+    of basis to slot sums and slot differences splits S exactly into
+    - the slot-symmetric block B[(v,.), (w,.)] = sum_k S[R[v][0], R[w][k]], of
+      dimension sum_v N_v = |Pi_n| / g, and
+    - per vertex v the difference block S[R[v][0], R[v][0]] - S[R[v][0], R[v][1]],
+      whose eigenvalues are repeated g - 1 times.
+    With g = 1 the symmetric block is S itself and there is no difference
+    block.  The invariance is checked first, with exact float equality (the
+    memo keys entries by range vertex and generation, so slot copies agree
+    bit for bit); SlotSymmetryError is raised when a copy differs.
+    """
+    sym_op = op.symmetrized()
+    g = op.symmetry_order
+    widths = op.slot_widths
+    starts = np.cumsum((0,) + tuple(g * w for w in widths))
+    offsets = np.cumsum((0,) + widths)
+    vertex_pairs = list(product(range(len(widths)), repeat=2))
+
+    def slab(v: int, w: int) -> np.ndarray:
+        """Rows of vertex v, columns of vertex w, as a (g, N_v, g, N_w) view."""
+        return sym_op[starts[v]:starts[v + 1], starts[w]:starts[w + 1]] \
+            .reshape(g, widths[v], g, widths[w])
+
+    for v, w in vertex_pairs:
+        copies = slab(v, w)
+        for k, l in product(range(g), repeat=2):
+            ref = copies[0, :, int(v == w and k != l), :]
+            if not np.array_equal(copies[k, :, l, :], ref):
+                raise SlotSymmetryError(
+                    f"rows of root edge ({v}, {k}) against columns of root "
+                    f"edge ({w}, {l}) differ from their slot copy")
+
+    block = np.empty((offsets[-1], offsets[-1]))
+    for v, w in vertex_pairs:
+        copies = slab(v, w)
+        # summed onto the first copy, so with g = 1 the block is S bit for bit
+        target = block[offsets[v]:offsets[v + 1], offsets[w]:offsets[w + 1]]
+        target[...] = copies[0, :, 0, :]
+        for l in range(1, g):
+            target += copies[0, :, l, :]
+    parts = [np.linalg.eigvalsh(block)]
+    if g > 1:
+        for v in range(len(widths)):
+            own = slab(v, v)
+            diff = own[0, :, 0, :] - own[0, :, 1, :]
+            parts.append(np.repeat(np.linalg.eigvalsh(diff), g - 1))
+    return np.sort(np.concatenate(parts))
 
 
 def expand_eigenvector(ws: WeightSystem, table: PathTable,
@@ -466,14 +534,18 @@ def verify_spectrum(ws: WeightSystem, n: int, s, tol: float = 1e-8,
     if not counting_ok:
         mismatches.append(f"multiplicity {len(expected)} != |Pi_n| = {size}")
 
-    eigs = np.sort(np.linalg.eigvalsh(op.symmetrized()))
     max_dev = float("inf")
-    if counting_ok:
-        max_dev = float(np.max(np.abs(eigs - np.array(expected))))
-        if max_dev > tol:
-            k = int(np.argmax(np.abs(eigs - np.array(expected))))
-            mismatches.append(
-                f"eigenvalue #{k}: dense {eigs[k]:.12g} vs closed-form {expected[k]:.12g}")
+    try:
+        eigs = dense_spectrum(op)
+    except SlotSymmetryError as exc:
+        mismatches.append(f"slot symmetry: {exc}")
+    else:
+        if counting_ok:
+            max_dev = float(np.max(np.abs(eigs - np.array(expected))))
+            if max_dev > tol:
+                k = int(np.argmax(np.abs(eigs - np.array(expected))))
+                mismatches.append(f"eigenvalue #{k}: dense {eigs[k]:.12g} "
+                                  f"vs closed-form {expected[k]:.12g}")
 
     exact_checked = op.exact
     exact_ok: bool | None = None

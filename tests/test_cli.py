@@ -168,3 +168,20 @@ def test_strip_command_penrose_uses_exact_coordinates(capsys):
     summary = json.loads(out.splitlines()[-1].split("# summary ")[1])
     assert summary["pisot"] is True
     assert float(summary["max_distance"]) <= float(summary["bound"])
+
+
+def test_dense_broken_slot_symmetry_exits_one(monkeypatch, capsys):
+    from bratlap import laplacian
+    build = laplacian.dense_restriction
+
+    def perturbed(*args, **kwargs):
+        op = build(*args, **kwargs)
+        op.matrix[0, 0] += 1.0
+        return op
+
+    monkeypatch.setattr(laplacian, "dense_restriction", perturbed)
+    code = main(["dense", "--preset", "penrose", "--depth", "2", "--s", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "slot symmetry" in captured.err

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from bratlap.diagram import EMPTY_PATH, Path, build_diagram, enumerate_paths
+from bratlap import laplacian
 from bratlap.laplacian import (
     LaplacianError,
     dense_restriction,
+    dense_spectrum,
     eigenbasis,
     eigenvalue,
     expand_eigenvector,
@@ -245,6 +247,58 @@ def test_verify_penrose_approx():
     assert report.ok
     assert not report.exact_checked
     assert report.max_abs_deviation < 1e-8
+
+
+# three letters, g = 3, parallel edges: the slot split away from the presets
+TRI_A = ((2, 1, 0), (0, 1, 1), (1, 0, 1))
+
+
+def tri_ws(g=3):
+    d = build_diagram(TRI_A, symmetry_order=g)
+    return WeightSystem(d, perron(TRI_A, ApproxBackend(100), symmetry_order=g))
+
+
+@pytest.mark.parametrize("system", ["penrose", "ammann-a2", "tri-g3", "fibonacci"])
+@pytest.mark.parametrize("s", [Fraction(1, 2), 1, 2])
+def test_slot_split_spectrum_equals_full_eigvalsh(system, s):
+    """The block split agrees with one eigvalsh on the whole symmetrized
+    operator; with g = 1 the single block is that operator, bit for bit."""
+    ws = tri_ws() if system == "tri-g3" else load_preset(system).weight_system
+    for n in range(2, 6):
+        op = dense_restriction(ws, n, s)
+        full = np.sort(np.linalg.eigvalsh(op.symmetrized()))
+        split = dense_spectrum(op)
+        if ws.diagram.symmetry_order == 1:
+            assert np.array_equal(split, full), n
+        else:
+            assert split.shape == full.shape
+            assert np.max(np.abs(split - full)) <= 1e-12 * np.max(np.abs(full)), n
+
+
+def test_verify_reports_broken_slot_symmetry(monkeypatch):
+    """One entry of one slot copy perturbed by a relative 1e-15 is caught by
+    the exact invariance check, not absorbed into the float tolerance."""
+    def perturbed(*args, **kwargs):
+        op = dense_restriction(*args, **kwargs)
+        width = op.slot_widths[0]
+        op.matrix[width, width] *= 1 + 1e-15     # vertex 0, slot 1, diagonal
+        return op
+
+    monkeypatch.setattr(laplacian, "dense_restriction", perturbed)
+    report = verify_spectrum(penrose_ws(), 3, 2)
+    assert not report.ok
+    assert any(m.startswith("slot symmetry:") for m in report.mismatches)
+    assert report.lines()[0].endswith("FAIL")
+    assert any("mismatch: slot symmetry" in line for line in report.lines())
+
+
+def test_verify_ammann_depth7_half_passes():
+    """One eigvalsh on the whole 2440-dim operator missed the 1e-8 tolerance
+    here (3.4e-8); the slot blocks are solved to well inside it."""
+    ws = load_preset("ammann-a2", backend="approx:200").weight_system
+    report = verify_spectrum(ws, 7, Fraction(1, 2))
+    assert report.ok, report.lines()
+    assert report.dense_size == 2440
 
 
 def test_verify_deep_generations():
