@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from bratlap import laplacian
 from bratlap.cli import main
 
 
@@ -171,7 +172,6 @@ def test_strip_command_penrose_uses_exact_coordinates(capsys):
 
 
 def test_dense_broken_slot_symmetry_exits_one(monkeypatch, capsys):
-    from bratlap import laplacian
     build = laplacian.dense_restriction
 
     def perturbed(*args, **kwargs):

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bratlap.diagram import EMPTY_PATH, Path, build_diagram, enumerate_paths
 from bratlap import laplacian
+from bratlap.diagram import EMPTY_PATH, Path, build_diagram, enumerate_paths
 from bratlap.laplacian import (
     LaplacianError,
     dense_restriction,
@@ -253,9 +253,9 @@ def test_verify_penrose_approx():
 TRI_A = ((2, 1, 0), (0, 1, 1), (1, 0, 1))
 
 
-def tri_ws(g=3):
-    d = build_diagram(TRI_A, symmetry_order=g)
-    return WeightSystem(d, perron(TRI_A, ApproxBackend(100), symmetry_order=g))
+def tri_ws():
+    d = build_diagram(TRI_A, symmetry_order=3)
+    return WeightSystem(d, perron(TRI_A, ApproxBackend(100), symmetry_order=3))
 
 
 @pytest.mark.parametrize("system", ["penrose", "ammann-a2", "tri-g3", "fibonacci"])
