@@ -27,7 +27,13 @@ from .laplacian import (
     full_spectrum,
     g_value,
 )
-from .measure import DEFAULT_APPROX_BITS, WeightSystem, mu
+from .measure import (
+    DEFAULT_APPROX_BITS,
+    MeasureError,
+    WeightSystem,
+    _exact_theta,
+    mu,
+)
 from .scalar import (
     ApproxBackend,
     ApproxReal,
@@ -244,16 +250,6 @@ def _self_calibrate(table: AffineMapTable) -> int:
     return checks
 
 
-def _prepend(diagram: BratteliDiagram, edge_index: int, path: Path) -> Path | None:
-    """Like path_shift_down but also accepts generation-1 paths (seed step)."""
-    e = diagram.edges[edge_index]
-    first_vertex = diagram.root_edges[path.root].vertex
-    if e.target != first_vertex:
-        return None
-    slot = diagram.root_edges[path.root].slot
-    return Path(diagram.root_edge_index(e.source, slot), (edge_index,) + path.edges)
-
-
 def seed_records(ws: WeightSystem, s) -> list[SpectralRecord]:
     """Zero, root, and generation-1 records: the finite data the recursion grows from."""
     return full_spectrum(ws, 1, s)
@@ -266,9 +262,14 @@ def recursive_spectrum(table: AffineMapTable, seeds: list[SpectralRecord],
     each record of generation n+1 is u_e applied to a generation-n record.
 
     With an embedding, lattice coordinates are accumulated alongside the
-    recursion via coords(u_e x) = C coords(x) + coords(beta_e)."""
+    recursion via coords(u_e x) = C coords(x) + coords(beta_e).
+
+    A record's value and coordinates depend only on its seed's value and
+    coordinates and on the sequence of betas applied, not on its root slot or
+    on which of two parallel edges it took.  So each generation computes every
+    distinct step (parent state, beta) once, and the records that reach the
+    same state share its value, float value and coordinate objects."""
     diagram = table.diagram
-    ws = table.ws
     out = list(seeds)
     if embedding is not None:
         out = [_with_coords(rec, embedding) for rec in out]
@@ -278,32 +279,58 @@ def recursive_spectrum(table: AffineMapTable, seeds: list[SpectralRecord],
     beta_coords = None
     if embedding is not None:
         beta_coords = [lattice_coords(embedding, b) for b in table.betas]
-        cmat = [[Fraction(v) for v in row] for row in embedding.matrix]
+        # the nonzero integer entries of each row of C
+        rows = [[(j, c) for j, c in enumerate(row) if c] for row in embedding.matrix]
+    # edges into each vertex, with the class of their beta: equal betas
+    # (parallel edges, edges from the same source) are one step
+    classes: dict = {}
+    into: list[list[tuple[int, int, int]]] = [[] for _ in diagram.letters]
+    for ei, (e, beta) in enumerate(zip(diagram.edges, table.betas)):
+        cls = classes.setdefault((type(beta), beta), len(classes))
+        into[e.target].append((ei, e.source, cls))
 
-    level = [rec for rec in out if rec.label == "path" and rec.generation == 1]
+    # a state is (value, value_float, coords); the generation-1 seeds are
+    # interned by value and coordinates, so the g root slots share one
+    index: dict = {}
+    states: list[tuple] = []
+    level: list[tuple[SpectralRecord, int]] = []
+    for rec in out:
+        if rec.label == "path" and rec.generation == 1:
+            key = (type(rec.value), rec.value, rec.coords)
+            if key not in index:
+                index[key] = len(states)
+                states.append((rec.value, rec.value_float, rec.coords))
+            level.append((rec, index[key]))
     produced = len(out)
     for gen in range(2, depth + 1):
-        nxt: list[SpectralRecord] = []
-        for rec in level:
-            for ei in range(len(diagram.edges)):
-                shifted = _prepend(diagram, ei, rec.path)
-                if shifted is None:
-                    continue
-                val = table.apply(ei, rec.value)
-                coords = None
-                if embedding is not None:
-                    coords = tuple(
-                        sum(cmat[i][j] * rec.coords[j] for j in range(len(cmat)))
-                        + beta_coords[ei][i]
-                        for i in range(len(cmat)))
-                nxt.append(SpectralRecord("path", shifted, gen, val,
-                                          to_float(val), rec.multiplicity, coords))
-        nxt.sort(key=lambda r: (r.path.root, r.path.edges))
+        steps: dict[tuple[int, int], int] = {}
+        new_states: list[tuple] = []
+        nxt: list[tuple[SpectralRecord, int]] = []
+        for rec, state in level:
+            root = diagram.root_edges[rec.path.root]
+            for ei, source, cls in into[root.vertex]:
+                step = steps.get((state, cls))
+                if step is None:
+                    step = steps[(state, cls)] = len(new_states)
+                    value, _, coords = states[state]
+                    val = table.apply(ei, value)
+                    if embedding is not None:
+                        coords = tuple(
+                            sum((coords[j] if c == 1 else coords[j] * c
+                                 for j, c in row), b)
+                            for row, b in zip(rows, beta_coords[ei]))
+                    new_states.append((val, to_float(val), coords))
+                val, val_float, coords = new_states[step]
+                shifted = Path(diagram.root_edge_index(source, root.slot),
+                               (ei,) + rec.path.edges)
+                nxt.append((SpectralRecord("path", shifted, gen, val, val_float,
+                                           rec.multiplicity, coords), step))
+        nxt.sort(key=lambda pair: (pair[0].path.root, pair[0].path.edges))
         produced += len(nxt)
         if produced > cap:
             raise CuntzError(f"recursion exceeded the {cap}-record cap")
-        out.extend(nxt)
-        level = nxt
+        out.extend(rec for rec, _ in nxt)
+        level, states = nxt, new_states
     return out
 
 
@@ -386,10 +413,9 @@ def companion_embedding(matrix, dimension: int,
     basis_value = None
     if field_backend is not None:
         try:
-            from .measure import _exact_theta
             theta_exact = _exact_theta(tuple(tuple(r) for r in matrix), field_backend)
             basis_value = field_backend.pow_fraction(theta_exact, Fraction(1, d_prime))
-        except Exception:
+        except (MeasureError, ExactnessError):
             basis_value = None
 
     eigs = np.linalg.eigvals(np.array(cmat, float))
@@ -518,11 +544,18 @@ def strip_check(embedding: CompanionData, records: list[SpectralRecord],
     distances: list[tuple[str, float]] = []
     max_dist = 0.0
     diagram = table.diagram
+    # records of one recursion state share their coords tuple, and `records`
+    # keeps it alive, so its id is a safe key; coordinates expanded here are
+    # temporaries and are not memoized
+    by_coords: dict[int, float] = {}
     for rec in records:
-        coords = rec.coords
-        if coords is None:
-            coords = lattice_coords(embedding, rec.value)
-        dist = embedding.distance_to_unstable(coords)
+        if rec.coords is None:
+            dist = embedding.distance_to_unstable(lattice_coords(embedding, rec.value))
+        else:
+            dist = by_coords.get(id(rec.coords))
+            if dist is None:
+                dist = by_coords[id(rec.coords)] = \
+                    embedding.distance_to_unstable(rec.coords)
         label = rec.label if rec.path is None else diagram.format_path(rec.path)
         distances.append((label, dist))
         per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)

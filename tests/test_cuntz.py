@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from bratlap import cuntz
 from bratlap.cuntz import (
     CuntzError,
     affine_table,
@@ -32,6 +34,7 @@ PHI = Q5.make((Fraction(1, 2), Fraction(1, 2)))
 FIB_A = ((1, 1), (1, 0))
 TM_A = ((1, 1), (1, 1))
 PEN_A = ((2, 1), (1, 1))
+FIB_CONJ_A = ((2, 1), (1, 1))
 
 
 def fib_ws():
@@ -220,12 +223,29 @@ def test_lattice_coords_examples():
     assert lattice_coords(emb_fib, lam0) == (Fraction(-1), Fraction(-2))
 
 
-def test_coords_recursion_homomorphism():
-    ws = fib_ws()
-    table = affine_table(ws, 1)
-    emb = companion_embedding(FIB_A, 1, field_backend=Q5)
-    records = recursive_spectrum(table, seed_records(ws, 1), 6, embedding=emb)
+def fib_conj_ws():
+    return WeightSystem(build_diagram(FIB_CONJ_A), perron(FIB_CONJ_A, Q5))
+
+
+# fibonacci repeats no step; penrose repeats each step across its 20 root
+# slots; fibonacci-conjugate across its two parallel a -> a edges
+@pytest.mark.parametrize("ws_factory, matrix, dim, s, depth", [
+    (fib_ws, FIB_A, 1, 1, 6),
+    (penrose_ws, PEN_A, 2, 2, 5),
+    (fib_conj_ws, FIB_CONJ_A, 1, 1, 6),
+], ids=["fibonacci", "penrose", "fibonacci-conjugate"])
+def test_coords_recursion_homomorphism(ws_factory, matrix, dim, s, depth):
+    ws = ws_factory()
+    table = affine_table(ws, s)
+    emb = companion_embedding(matrix, dim, field_backend=Q5)
+    records = recursive_spectrum(table, seed_records(ws, s), depth, embedding=emb)
+    direct = {(r.label, r.path): r for r in full_spectrum(ws, depth, s)}
+    # the same records as the direct formula, path by path
+    assert len(records) == len(direct)
     for rec in records:
+        ref = direct[(rec.label, rec.path)]
+        assert (rec.path, rec.value, rec.value_float) == \
+            (ref.path, ref.value, ref.value_float)
         assert rec.coords is not None
         assert reconstruct_from_coords(emb, rec.coords) == \
             pytest.approx(rec.value_float, abs=1e-9)
@@ -273,11 +293,49 @@ def test_strip_penrose_bounded():
     assert report.pisot
 
 
+def test_strip_distances_equal_unmemoized():
+    ws = penrose_ws()
+    table = affine_table(ws, 2)
+    emb = companion_embedding(PEN_A, 2, field_backend=Q5)
+    seeds = seed_records(ws, 2)
+    records = recursive_spectrum(table, seeds, 5, embedding=emb)
+    # every third record carries no coordinates, so strip_check expands them
+    # itself into temporaries, between records that share coordinate tuples
+    mixed = [dataclasses.replace(rec, coords=None) if k % 3 == 0 else rec
+             for k, rec in enumerate(records)]
+    assert any(rec.coords is None for rec in mixed)
+    for recs in (records, mixed):
+        report = strip_check(emb, recs, table, seeds)
+        assert len(report.distances) == len(recs)
+        for rec, (label, dist) in zip(recs, report.distances):
+            expected = emb.distance_to_unstable(lattice_coords(emb, rec.value))
+            assert dist == expected, label
+
+
+def test_companion_embedding_field_mismatch_falls_back_to_numeric():
+    # theta of the Fibonacci matrix lives in Q(sqrt5), not Q(sqrt2): MeasureError
+    emb = companion_embedding(FIB_A, 1, field_backend=QuadraticBackend(2))
+    assert emb.basis_value is None
+    assert emb.action_verified == "numeric"
+    # theta^(1/3) is not in Q(sqrt5): ExactnessError
+    emb3 = companion_embedding(FIB_A, 3, field_backend=Q5)
+    assert emb3.basis_value is None
+    assert emb3.action_verified == "numeric"
+
+
+def test_companion_embedding_propagates_unexpected_errors(monkeypatch):
+    def broken(matrix, backend):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(cuntz, "_exact_theta", broken)
+    with pytest.raises(ZeroDivisionError):
+        companion_embedding(FIB_A, 1, field_backend=Q5)
+
+
 def test_strip_refuses_non_hyperbolic():
     ws = fib_ws()
     table = affine_table(ws, 1)
     emb = companion_embedding(FIB_A, 1, field_backend=Q5)
-    import dataclasses
     broken = dataclasses.replace(emb, hyperbolic=False)
     with pytest.raises(CuntzError):
         strip_check(broken, [], table, [])
