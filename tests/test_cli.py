@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bratlap import laplacian
 from bratlap.cli import main
+from bratlap.presets import preset_names
 
 
 def run_cli(argv, capsys):
@@ -185,3 +190,24 @@ def test_dense_broken_slot_symmetry_exits_one(monkeypatch, capsys):
     assert code == 1
     assert captured.out == ""
     assert "slot symmetry" in captured.err
+
+
+@given(preset=st.sampled_from(preset_names()),
+       depth=st.integers(0, 6),
+       s=st.sampled_from(["-1", "0", "1/2", "1", "2", "3"]),
+       backend=st.sampled_from([None, "rational", "quadratic:5", "approx:64"]))
+@settings(max_examples=60, deadline=None)
+def test_strip_exit_codes(preset, depth, s, backend):
+    # strip either succeeds or refuses its input as a usage error: it has no
+    # verification to fail, and no input may end in a traceback
+    argv = ["strip", "--preset", preset, "--depth", str(depth), "--s", s]
+    if backend is not None:
+        argv += ["--backend", backend]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), argv
+    assert "Traceback" not in err.getvalue()
