@@ -281,8 +281,8 @@ def recursive_spectrum(table: AffineMapTable, seeds: list[SpectralRecord],
         beta_coords = [lattice_coords(embedding, b) for b in table.betas]
         # the nonzero integer entries of each row of C
         rows = [[(j, c) for j, c in enumerate(row) if c] for row in embedding.matrix]
-    # edges into each vertex, with the class of their beta: equal betas
-    # (parallel edges, edges from the same source) are one step
+    # edges into each vertex, with the class of their beta: edges with equal
+    # betas, such as parallel edges, make the same step
     classes: dict = {}
     into: list[list[tuple[int, int, int]]] = [[] for _ in diagram.letters]
     for ei, (e, beta) in enumerate(zip(diagram.edges, table.betas)):
