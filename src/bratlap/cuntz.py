@@ -13,29 +13,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import _linalg
 from .diagram import EMPTY_PATH, BratteliDiagram, Path, enumerate_paths
-from .laplacian import (
-    SpectralRecord,
-    _add,
-    _invert,
-    _mul,
-    _neg,
-    full_spectrum,
-    g_value,
-)
-from .measure import (
-    DEFAULT_APPROX_BITS,
-    MeasureError,
-    WeightSystem,
-    _exact_theta,
-    mu,
-)
+from .laplacian import SpectralRecord, full_spectrum, g_value
+from .measure import MeasureError, WeightSystem, _exact_theta, _power, mu
 from .scalar import (
-    ApproxBackend,
     ApproxReal,
     ExactnessError,
     QuadraticBackend,
@@ -148,29 +132,13 @@ class AffineMapTable:
         return self.ws.diagram
 
     def apply(self, edge_index: int, value):
-        return _add(_mul(self.lam, value), self.betas[edge_index])
-
-    def apply_float(self, edge_index: int, value: float) -> float:
-        return self.lam_float * value + self.betas_float[edge_index]
+        return self.lam * value + self.betas[edge_index]
 
 
 def _lambda_scalar(ws: WeightSystem, s: Fraction):
     """Lambda_s = theta^((d+2-s)/d), exact whenever the power stays in the field."""
     d = ws.dimension
-    expo = Fraction(d + 2 - s)
-    if expo.denominator == 1 and ws.perron.inflation_exact:
-        return ws.perron.inflation_power(expo.numerator)
-    if ws.backend.is_exact:
-        try:
-            return ws.backend.pow_fraction(ws.perron.theta, expo / d)
-        except ExactnessError:
-            pass
-    bits = ws.backend.precision if isinstance(ws.backend, ApproxBackend) \
-        else DEFAULT_APPROX_BITS
-    with mpmath.workprec(bits):
-        tf = ApproxReal.make(ws.perron.theta, bits)
-        ev = mpmath.mpf((expo / d).numerator) / (expo / d).denominator
-        return ApproxReal(mpmath.power(tf.value, ev), bits)
+    return _power(ws.backend, ws.perron.theta, (d + 2 - s) / d, ws.approx_bits)
 
 
 def affine_table(ws: WeightSystem, s, validate: bool = True) -> AffineMapTable:
@@ -187,7 +155,7 @@ def affine_table(ws: WeightSystem, s, validate: bool = True) -> AffineMapTable:
     zero = ws.backend.zero
 
     root_split = len(diagram.root_edges) >= 2
-    inv_g_root = _invert(g_value(ws, EMPTY_PATH, s)) if root_split else None
+    inv_g_root = 1 / g_value(ws, EMPTY_PATH, s) if root_split else None
     one = ws.backend.one
 
     betas = []
@@ -196,13 +164,13 @@ def affine_table(ws: WeightSystem, s, validate: bool = True) -> AffineMapTable:
         eps_prime = Path(diagram.root_edge_index(e.source))
         beta = zero
         if root_split:
-            term1 = _neg(_mul(lam, _mul(mu(ws, eps) - one, inv_g_root)))
-            term2 = _mul(mu(ws, eps_prime) - one, inv_g_root)
-            beta = _add(term1, term2)
+            term1 = -(lam * ((mu(ws, eps) - one) * inv_g_root))
+            term2 = (mu(ws, eps_prime) - one) * inv_g_root
+            beta = term1 + term2
         if len(diagram.out_edges[e.source]) >= 2:
             extended = eps_prime.child(edge_index)
             inc = mu(ws, extended) - mu(ws, eps_prime)
-            beta = _add(beta, _mul(inc, _invert(g_value(ws, eps_prime, s))))
+            beta = beta + inc * (1 / g_value(ws, eps_prime, s))
         betas.append(beta)
 
     table = AffineMapTable(ws, s, lam, to_float(lam), tuple(betas),

@@ -27,7 +27,7 @@ from .diagram import (
     predicted_path_count,
 )
 from .measure import WeightSystem, diam_power, mu
-from .scalar import ApproxReal, to_float
+from .scalar import to_float
 
 DEFAULT_DENSE_CAP = 4096
 
@@ -41,14 +41,6 @@ def child_path(diagram: BratteliDiagram, path: Path, ext_index: int) -> Path:
     if path.root is None:
         return Path(ext_index)
     return path.child(ext_index)
-
-
-def _mul(x, y):
-    if isinstance(x, ApproxReal) and not isinstance(y, ApproxReal):
-        y = ApproxReal.make(y, x.precision)
-    elif isinstance(y, ApproxReal) and not isinstance(x, ApproxReal):
-        x = ApproxReal.make(x, y.precision)
-    return x * y
 
 
 def g_value(ws: WeightSystem, path: Path, s):
@@ -66,10 +58,7 @@ def g_value(ws: WeightSystem, path: Path, s):
     for m in measures[1:]:
         sumsq = sumsq + m * m
     pair_sum = total * total - sumsq
-    dpow = diam_power(ws, path, 2 - s)
-    half = ws.backend.one / 2 if not isinstance(dpow, ApproxReal) else \
-        ApproxReal.make(Fraction(1, 2), dpow.precision)
-    return _mul(_mul(half, dpow), pair_sum)
+    return Fraction(1, 2) * diam_power(ws, path, 2 - s) * pair_sum
 
 
 @dataclass(frozen=True)
@@ -108,31 +97,12 @@ def eigenvalue(ws: WeightSystem, path: Path, s) -> SpectralRecord:
         if len(extensions(diagram, pref)) < 2:
             continue
         inc = mu(ws, path.prefix(k + 1)) - mu(ws, pref)
-        term = _mul(inc, _invert(g_value(ws, pref, s)))
-        acc = _add(acc, term)
-    final = _mul(mu(ws, path), _invert(g_value(ws, path, s)))
-    val = _add(acc, _neg(final))
+        acc = acc + inc * (1 / g_value(ws, pref, s))
+    final = mu(ws, path) * (1 / g_value(ws, path, s))
+    val = acc - final
     return SpectralRecord("path" if path.generation else "root",
                           path if path.generation else None,
                           path.generation, val, to_float(val), n_ext - 1)
-
-
-def _invert(x):
-    if isinstance(x, ApproxReal):
-        return ApproxReal.make(1, x.precision) / x
-    return 1 / x
-
-
-def _neg(x):
-    return -x
-
-
-def _add(x, y):
-    if isinstance(x, ApproxReal) and not isinstance(y, ApproxReal):
-        y = ApproxReal.make(y, x.precision)
-    elif isinstance(y, ApproxReal) and not isinstance(x, ApproxReal):
-        x = ApproxReal.make(x, y.precision)
-    return x + y
 
 
 def zero_record(ws: WeightSystem) -> SpectralRecord:
@@ -145,7 +115,7 @@ def root_record(ws: WeightSystem, s) -> SpectralRecord | None:
     n0 = len(ws.diagram.root_edges)
     if n0 < 2:
         return None
-    val = _neg(_invert(g_value(ws, EMPTY_PATH, s)))
+    val = -(1 / g_value(ws, EMPTY_PATH, s))
     return SpectralRecord("root", None, 0, val, to_float(val), n0 - 1)
 
 
@@ -161,7 +131,7 @@ def eigenbasis(ws: WeightSystem, path: Path) -> list[EigenVectorSpec]:
     for other in ext[1:]:
         mu_other = mu(ws, child_path(diagram, path, other))
         specs.append(EigenVectorSpec(path, anchor, other,
-                                     _invert(mu_anchor), _neg(_invert(mu_other))))
+                                     1 / mu_anchor, -(1 / mu_other)))
     return specs
 
 
@@ -212,16 +182,16 @@ class _StationaryCache:
 
     def inv_g_at(self, path: Path):
         return self._memo(self._inv_g, self._key(path),
-                          lambda: _invert(self.g_at(path)))
+                          lambda: 1 / self.g_at(path))
 
     def final_at(self, path: Path):
         return self._memo(self._final, self._key(path),
-                          lambda: _neg(_mul(self.mu_at(path), self.inv_g_at(path))))
+                          lambda: -(self.mu_at(path) * self.inv_g_at(path)))
 
     def step_at(self, path: Path, child: Path):
         return self._memo(
             self._step, self._key(path) + (self.ws.diagram.path_range(child),),
-            lambda: _mul(self.mu_at(child) - self.mu_at(path), self.inv_g_at(path)))
+            lambda: (self.mu_at(child) - self.mu_at(path)) * self.inv_g_at(path))
 
 
 def full_spectrum(ws: WeightSystem, depth: int, s,
@@ -250,7 +220,7 @@ def full_spectrum(ws: WeightSystem, depth: int, s,
         ext = extensions(diagram, path)
         n_ext = len(ext)
         if n_ext >= 2:
-            val = _add(partial, cache.final_at(path))
+            val = partial + cache.final_at(path)
             records.append(SpectralRecord("path", path, path.generation,
                                           val, to_float(val), n_ext - 1))
         if depth_left == 0:
@@ -258,7 +228,7 @@ def full_spectrum(ws: WeightSystem, depth: int, s,
         for e in ext:
             child = child_path(diagram, path, e)
             if n_ext >= 2:
-                child_partial = _add(partial, cache.step_at(path, child))
+                child_partial = partial + cache.step_at(path, child)
             else:
                 child_partial = partial
             visit(child, child_partial, depth_left - 1)
@@ -363,7 +333,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
         if exact:
             inv_g = cache.inv_g_at(meet)
             for j in range(cols[0], cols[1]):
-                v = _mul(mu_col[j], inv_g)
+                v = mu_col[j] * inv_g
                 for i in range(rows[0], rows[1]):
                     matrix[i][j] = v
         else:
@@ -392,7 +362,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
                         fill_block((bounds[i], bounds[i + 1]),
                                    (bounds[j], bounds[j + 1]), path)
             for i, child in enumerate(children):
-                walk(child, bounds[i], _add(partial, cache.step_at(path, child)))
+                walk(child, bounds[i], partial + cache.step_at(path, child))
         else:
             walk(children[0], lo, partial)
 

@@ -68,9 +68,7 @@ class PerronData:
             if k >= 0:
                 self._inflation_pows[k] = self.inflation ** k
             else:
-                one = 1 if not isinstance(self.inflation, ApproxReal) else \
-                    ApproxReal.make(1, self.inflation.precision)
-                self._inflation_pows[k] = (one / self.inflation) ** (-k)
+                self._inflation_pows[k] = (1 / self.inflation) ** (-k)
         return self._inflation_pows[k]
 
 
@@ -202,17 +200,8 @@ def perron(matrix, backend: Backend, symmetry_order: int = 1,
         dot = dot + x * y
     vl = tuple(x * (backend.one / dot) for x in vl)
 
-    if dimension == 1 or not backend.is_exact:
-        inflation = theta if dimension == 1 else \
-            backend.pow_fraction(theta, Fraction(1, dimension))
-    else:
-        try:
-            inflation = backend.pow_fraction(theta, Fraction(1, dimension))
-        except ExactnessError:
-            tf = ApproxReal.make(theta, DEFAULT_APPROX_BITS)
-            with mpmath.workprec(DEFAULT_APPROX_BITS):
-                inflation = ApproxReal(
-                    mpmath.power(tf.value, mpmath.mpf(1) / dimension), DEFAULT_APPROX_BITS)
+    inflation = theta if dimension == 1 else \
+        _power(backend, theta, Fraction(1, dimension), DEFAULT_APPROX_BITS)
     inflation_exact = backend.is_exact and not isinstance(inflation, ApproxReal)
 
     return PerronData(backend, rows, theta, v, vl, dimension, symmetry_order,
@@ -270,10 +259,21 @@ def weight(ws: WeightSystem, path: Path):
     return diam_power(ws, path, Fraction(1))
 
 
-def _approx_pow(x: ApproxReal, e: Fraction) -> ApproxReal:
-    with mpmath.workprec(x.precision):
+def _power(backend: Backend, base, e: Fraction, bits: int):
+    """base^e: exact when the backend's field holds it, else an ApproxReal at
+    the given bits, or at the base's own precision when the base is already
+    approximate.  This is the one place where an exact computation falls
+    back to approximate scalars."""
+    if not isinstance(base, ApproxReal):
+        try:
+            return backend.pow_fraction(base, e)
+        except ExactnessError:
+            base = ApproxReal.make(base, bits)
+    if e.denominator == 1:
+        return base ** e.numerator
+    with mpmath.workprec(base.precision):
         ev = mpmath.mpf(e.numerator) / e.denominator
-        return ApproxReal(mpmath.power(x.value, ev), x.precision)
+        return ApproxReal(mpmath.power(base.value, ev), base.precision)
 
 
 def diam_power(ws: WeightSystem, path: Path, expo: Fraction):
@@ -283,27 +283,13 @@ def diam_power(ws: WeightSystem, path: Path, expo: Fraction):
     if expo == 0:
         return ws.backend.one
     if ws.mode == "measure_root":
-        base = mu(ws, path)
-        e = expo / ws.dimension
-    else:
-        if path.root is None:
-            return ws.backend.one
-        a = ws.diagram.path_range(path)
-        base = ws.backend.make(ws.base_weights[a]) * \
-            ws.perron.inflation_power(1 - path.generation)
-        e = expo
-        if isinstance(base, ApproxReal):
-            return _approx_pow(base, e)
-    if e.denominator == 1:
-        if isinstance(base, ApproxReal):
-            return base ** e.numerator
-        return ws.backend.pow_fraction(base, e)
-    if ws.backend.is_exact:
-        try:
-            return ws.backend.pow_fraction(base, e)
-        except ExactnessError:
-            return _approx_pow(ws.backend.embed(base, ws.approx_bits), e)
-    return _approx_pow(base, e)
+        return _power(ws.backend, mu(ws, path), expo / ws.dimension, ws.approx_bits)
+    if path.root is None:
+        return ws.backend.one
+    a = ws.diagram.path_range(path)
+    base = ws.backend.make(ws.base_weights[a]) * \
+        ws.perron.inflation_power(1 - path.generation)
+    return _power(ws.backend, base, expo, ws.approx_bits)
 
 
 def ultrametric_distance(ws: WeightSystem, x: Path, y: Path):

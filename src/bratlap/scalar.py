@@ -25,6 +25,7 @@ from mpmath.libmp import (
     mpf_pos,
     mpf_pow_int,
     mpf_sign,
+    mpf_sqrt,
     mpf_sub,
     round_nearest,
 )
@@ -267,12 +268,7 @@ class ApproxReal:
         if raw is not None:
             return _approx(raw, precision)
         with mpmath.workprec(precision):
-            if isinstance(x, QuadraticNumber):
-                v = (mpmath.mpf(x.a.numerator) / x.a.denominator
-                     + (mpmath.mpf(x.b.numerator) / x.b.denominator) * mpmath.sqrt(x.disc))
-            else:
-                v = mpmath.mpf(x)
-        return ApproxReal(v, precision)
+            return ApproxReal(mpmath.mpf(x), precision)
 
     def _bin(self, other, op, reflected: bool = False):
         """op(self, other), or op(other, self) when reflected, for a libmp
@@ -372,14 +368,20 @@ def _quad(a: Fraction, b: Fraction, disc: int) -> QuadraticNumber:
 
 def _operand(x, precision: int) -> tuple | None:
     """x as a libmp value rounded to precision bits, as mpmath.mpf(x) gives it
-    under workprec(precision) (a Fraction as numerator / denominator); None
-    unless x is an int, float or Fraction."""
+    under workprec(precision) (a Fraction as numerator / denominator, and
+    a + b*sqrt(D) as a + b * mpmath.sqrt(D)); None unless x is an int, float,
+    Fraction or QuadraticNumber."""
     if isinstance(x, int):
         return from_int(x, precision, _ROUND)
     if isinstance(x, float):
         return from_float(x, precision, _ROUND)
     if isinstance(x, Fraction):
         return mpf_div(from_int(x.numerator, precision, _ROUND), from_int(x.denominator),
+                       precision, _ROUND)
+    if isinstance(x, QuadraticNumber):
+        root = mpf_sqrt(from_int(x.disc), precision, _ROUND)
+        return mpf_add(_operand(x.a, precision),
+                       mpf_mul(_operand(x.b, precision), root, precision, _ROUND),
                        precision, _ROUND)
     return None
 

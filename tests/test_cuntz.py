@@ -141,6 +141,16 @@ def test_affine_table_fibonacci_conjugate_scaling():
     assert table.lam == PHI ** 4       # theta^2 with theta = phi^2
 
 
+def test_lambda_fallback_uses_configured_precision():
+    # Lambda_{1/2} = 2^(5/2) leaves Q, so it falls back at the weight
+    # system's precision, as the betas do
+    ws = WeightSystem(build_diagram(TM_A, letters=("0", "1")), perron(TM_A, RAT),
+                      approx_bits=100)
+    table = affine_table(ws, Fraction(1, 2))
+    assert table.lam.precision == ws.approx_bits == 100
+    assert {b.precision for b in table.betas} == {100}
+
+
 def test_affine_table_penrose():
     table = affine_table(penrose_ws(), 2)
     assert table.lam == PHI * PHI

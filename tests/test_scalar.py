@@ -198,6 +198,12 @@ plain_numbers = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.fractions(max_denominator=10 ** 12),
 )
+quadratic_numbers = st.builds(
+    QuadraticNumber,
+    st.fractions(max_denominator=10 ** 12),
+    st.fractions(max_denominator=10 ** 12),
+    st.sampled_from([2, 5]),
+)
 precisions = st.integers(min_value=MIN_PRECISION, max_value=400)
 ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
 
@@ -205,11 +211,14 @@ ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
 def _under_workprec(op, lhs, rhs, prec):
     """op evaluated on mpmath.mpf values inside mpmath.workprec(prec), with
     plain operands converted as mpmath.mpf does (a Fraction as numerator /
-    denominator): the reference the libmp-level operators must match."""
+    denominator) and a QuadraticNumber as ApproxReal.make converts it: the
+    reference the libmp-level operators must match."""
     with mpmath.workprec(prec):
         def conv(v):
             if isinstance(v, ApproxReal):
                 return v.value
+            if isinstance(v, QuadraticNumber):
+                return ApproxReal.make(v, prec).value
             if isinstance(v, Fraction):
                 return mpmath.mpf(v.numerator) / v.denominator
             return mpmath.mpf(v)
@@ -217,10 +226,11 @@ def _under_workprec(op, lhs, rhs, prec):
 
 
 def _is_zero_operand(v):
-    return v.is_zero() if isinstance(v, ApproxReal) else v == 0
+    return v.is_zero() if isinstance(v, (ApproxReal, QuadraticNumber)) else v == 0
 
 
-@given(plain_numbers, precisions, st.one_of(plain_numbers, st.tuples(plain_numbers, precisions)),
+@given(plain_numbers, precisions,
+       st.one_of(plain_numbers, quadratic_numbers, st.tuples(plain_numbers, precisions)),
        st.sampled_from(ARITHMETIC), st.integers(min_value=-3, max_value=3))
 @settings(max_examples=400, deadline=None)
 def test_approx_operators_bit_identical_to_workprec(a, prec_a, other, op, k):
@@ -231,7 +241,8 @@ def test_approx_operators_bit_identical_to_workprec(a, prec_a, other, op, k):
     else:
         y = other
         prec = prec_a
-    # forward, then reflected (for a plain number y, y op x is x's __r*__)
+    # forward, then reflected (for a plain number or a QuadraticNumber y,
+    # y op x is x's __r*__)
     for lhs, rhs in ((x, y), (y, x)):
         if op is operator.truediv and _is_zero_operand(rhs):
             continue
