@@ -226,7 +226,15 @@ class QuadraticNumber:
         return None
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.disc)
+        x = float(self.a)
+        y = float(self.b) * math.sqrt(self.disc)
+        if x > 0 > y or y > 0 > x:
+            # x + y cancels; norm / (a - b*sqrt(D)), the same number, does not
+            try:
+                return float(self.norm()) / (x - y)
+            except OverflowError:       # the norm is beyond the float range
+                pass
+        return x + y
 
     def __repr__(self) -> str:
         return f"QuadraticNumber({self.a}, {self.b}, sqrt{self.disc})"

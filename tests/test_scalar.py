@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -62,6 +63,24 @@ def test_mismatched_discriminants_rejected():
 def test_embed_phi_53_bits():
     e = embed_real(PHI, 53)
     assert float(e) == pytest.approx(1.618033988749895, abs=4e-16)
+
+
+def _assert_float_accurate(x):
+    ref = float(ApproxReal.make(x, 400))
+    assert abs(float(x) - ref) <= 4e-16 * abs(ref), x
+
+
+def test_float_of_cancelling_parts_is_accurate():
+    # phi^-n = a + b*sqrt5 with a and b of opposite signs and |a| ~ phi^n / 2:
+    # adding the two parts in floats loses about n*log10(phi) digits
+    for n in range(41):
+        _assert_float_accurate(PHI ** -n)
+    root2 = QuadraticBackend(2).make((1, 1))
+    for n in range(1, 41):
+        _assert_float_accurate(root2 ** -n)
+        _assert_float_accurate(Fraction(3, 7) * root2 ** -n - Fraction(1, 10 ** 9))
+    # a norm beyond the float range falls back to adding the parts
+    assert float(Q5.make((10 ** 200, -10 ** 200))) == 1e200 - 1e200 * math.sqrt(5)
 
 
 def test_embed_exact_cases():
