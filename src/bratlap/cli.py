@@ -420,6 +420,11 @@ def cmd_strip(args, parser) -> int:
     try:
         table, seeds = _table_and_seeds(coord_ws, s)
         field_backend = coord_backend if getattr(coord_backend, "disc", None) else None
+        constants = (table.lam, *table.betas, *(rec.value for rec in seeds))
+        if any(isinstance(x, ApproxReal) for x in constants):
+            field = f"Q(sqrt{field_backend.disc})" if field_backend else "Q"
+            parser.error(f"strip needs exact coordinates, but at s={s} the "
+                         f"recursion constants leave {field}")
         emb = cuntz.companion_embedding(diagram.matrix, dim,
                                         field_backend=field_backend)
         records = cuntz.recursive_spectrum(table, seeds, depth, embedding=emb)
