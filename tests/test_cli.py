@@ -7,7 +7,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bratlap import laplacian
@@ -192,6 +192,28 @@ def test_dense_broken_slot_symmetry_exits_one(monkeypatch, capsys):
     assert "slot symmetry" in captured.err
 
 
+@pytest.mark.parametrize("preset", ["penrose", "ammann-a2"])
+def test_strip_refusal_names_s_and_field(preset, capsys):
+    # at s=1 (2-s)/d = 1/2 takes some betas out of Q(sqrt5)
+    with pytest.raises(SystemExit) as exc:
+        main(["strip", "--preset", preset, "--depth", "4", "--s", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "s=1" in err and "Q(sqrt5)" in err
+    assert "accumulate" not in err
+
+
+def _exit_code(argv):
+    """main's exit code and stderr; any exception but SystemExit escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
 @given(preset=st.sampled_from(preset_names()),
        depth=st.integers(0, 6),
        s=st.sampled_from(["-1", "0", "1/2", "1", "2", "3"]),
@@ -203,11 +225,26 @@ def test_strip_exit_codes(preset, depth, s, backend):
     argv = ["strip", "--preset", preset, "--depth", str(depth), "--s", s]
     if backend is not None:
         argv += ["--backend", backend]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    code, err = _exit_code(argv)
     assert code in (0, 2), argv
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@given(command=st.sampled_from(["spectrum", "dense", "verify", "zeta", "weyl"]),
+       preset=st.sampled_from(preset_names()),
+       depth=st.integers(0, 4),
+       s=st.sampled_from(["-1", "0", "1/2", "1", "3", "7/2"]),
+       backend=st.sampled_from([None, "rational", "quadratic:5", "approx:64"]))
+@settings(max_examples=60, deadline=None)
+def test_command_exit_codes(command, preset, depth, s, backend):
+    # success, a failed verification or a usage error; never a traceback.
+    # The exact dense oracle on the g = 20 and g = 4 diagrams is left out
+    # above depth 3, where it takes tens of seconds.
+    assume(not (command in ("verify", "dense") and preset in ("penrose", "ammann-a2")
+                and backend in ("rational", "quadratic:5") and depth > 3))
+    argv = [command, "--preset", preset, "--depth", str(depth), "--s", s]
+    if backend is not None:
+        argv += ["--backend", backend]
+    code, err = _exit_code(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
