@@ -3,11 +3,10 @@
 Every command emits CSV (default) or JSON on stdout or to --output; floats are
 printed with 17 significant digits and exact scalars additionally as canonical
 strings in the field declared by the header.  Output is byte-identical across
-runs and across --parallel settings, except for the float digits that come
-from the eigensolver (numpy.linalg.eigvalsh): the `verify` max deviation and
-the `dense` spectrum.  Their last digits depend on the BLAS build and its
-thread count, and so can the `verify` verdict when a deviation sits at the
-tolerance.
+runs, except for the float digits that come from the eigensolver
+(numpy.linalg.eigvalsh): the `verify` max deviation and the `dense` spectrum.
+Their last digits depend on the BLAS build and its thread count, and so can
+the `verify` verdict when a deviation sits at the tolerance.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -123,8 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="spectral parameter (rational; default: d)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", help="write here instead of stdout")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="worker hint; output is independent of it")
 
     common(sub.add_parser("presets", help="list built-in diagrams"),
            depth_default=None, wants_s=False)
@@ -205,7 +202,7 @@ def _open_output(args):
 
 def _config_dict(args, backend, dimension, extra=None) -> dict:
     cfg = {"backend": backend.kind, "dimension": dimension}
-    for key in ("preset", "matrix_file", "depth", "s", "parallel"):
+    for key in ("preset", "matrix_file", "depth", "s"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = str(val)
@@ -501,8 +498,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "parallel", 1) < 1:
-        parser.error("--parallel must be >= 1")
     try:
         return _COMMANDS[args.command](args, parser)
     except (DiagramError, MeasureError, laplacian.LaplacianError,
