@@ -135,12 +135,6 @@ class AffineMapTable:
         return self.lam * value + self.betas[edge_index]
 
 
-def _lambda_scalar(ws: WeightSystem, s: Fraction):
-    """Lambda_s = theta^((d+2-s)/d), exact whenever the power stays in the field."""
-    d = ws.dimension
-    return _power(ws.backend, ws.perron.theta, (d + 2 - s) / d, ws.approx_bits)
-
-
 def affine_table(ws: WeightSystem, s, validate: bool = True) -> AffineMapTable:
     """Build the recursion constants.
 
@@ -151,7 +145,9 @@ def affine_table(ws: WeightSystem, s, validate: bool = True) -> AffineMapTable:
     generation 3 (hard failure otherwise)."""
     s = Fraction(s)
     diagram = ws.diagram
-    lam = _lambda_scalar(ws, s)
+    d = ws.dimension
+    # Lambda_s = theta^((d+2-s)/d), exact whenever the power stays in the field
+    lam = _power(ws.backend, ws.perron.theta, (d + 2 - s) / d, ws.approx_bits)
     zero = ws.backend.zero
 
     root_split = len(diagram.root_edges) >= 2

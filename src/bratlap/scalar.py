@@ -464,9 +464,6 @@ class RationalBackend:
     def to_float(self, x) -> float:
         return float(x)
 
-    def embed(self, x, precision: int) -> ApproxReal:
-        return embed_real(x, precision)
-
     def sqrt(self, x):
         r = rational_sqrt(self.make(x))
         if r is None:
@@ -531,9 +528,6 @@ class QuadraticBackend:
     def to_float(self, x) -> float:
         return float(self.make(x))
 
-    def embed(self, x, precision: int) -> ApproxReal:
-        return embed_real(self.make(x), precision)
-
     def sqrt(self, x):
         r = self.make(x).sqrt()
         if r is None:
@@ -595,9 +589,6 @@ class ApproxBackend:
 
     def to_float(self, x) -> float:
         return float(self.make(x))
-
-    def embed(self, x, precision: int) -> ApproxReal:
-        return ApproxReal.make(x, precision)
 
     def sqrt(self, x):
         x = self.make(x)

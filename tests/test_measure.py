@@ -155,7 +155,7 @@ def test_weight_penrose_square_root():
     w = weight(ws, p)
     assert isinstance(w, ApproxReal)
     with mpmath.workprec(212):
-        target = ws.backend.embed(mu(ws, p), 212).value
+        target = ApproxReal.make(mu(ws, p), 212).value
         assert abs(w.value * w.value - target) < mpmath.mpf(2) ** -180
 
 
