@@ -260,6 +260,12 @@ def test_approx_operators_bit_identical_to_workprec(a, prec_a, other, op, k):
     else:
         y = other
         prec = prec_a
+    if isinstance(y, QuadraticNumber):
+        # the conversion the reference uses: a + b*sqrt(D) under workprec
+        with mpmath.workprec(prec):
+            direct = (mpmath.mpf(y.a.numerator) / y.a.denominator
+                      + mpmath.mpf(y.b.numerator) / y.b.denominator * mpmath.sqrt(y.disc))
+        assert ApproxReal.make(y, prec).value._mpf_ == direct._mpf_
     # forward, then reflected (for a plain number or a QuadraticNumber y,
     # y op x is x's __r*__)
     for lhs, rhs in ((x, y), (y, x)):
