@@ -1,11 +1,17 @@
 """Weyl counting, heat-trace scaling, bounded-norm checks, and 1D factor
 complexity.
 
-Heavy sums never enumerate paths one by one: per-generation eigenvalue arrays
-come from the affine recursion vectorized over numpy, and the heat trace is
-contracted through per-vertex transfer vectors in log space, which makes any
-truncation depth affordable.  The two-sided asymptotic constants are fitted
-and reported, not asserted a priori.
+Heavy sums never enumerate paths one by one.  An eigenvalue depends only on
+its seed and on the sequence of betas applied by u_e(x) = Lambda_s x + beta_e,
+so the per-generation eigenvalue arrays come from a DP over distinct states:
+a state is (parent state, beta class), merged on those integer keys and never
+on float values, and carries the summed multiplicity of the paths that reach
+it.  Each state's value is computed once with the same float operations, in
+the same order, as a per-path expansion, so the values are bit-identical to
+it, and memory grows with the number of distinct states, not of paths.  The
+heat trace is contracted through per-vertex transfer vectors in log space,
+which makes any truncation depth affordable.  The two-sided asymptotic
+constants are fitted and reported, not asserted a priori.
 """
 
 from __future__ import annotations
@@ -80,8 +86,20 @@ class GenerationSpectrum:
 
 def magnitude_table(table: AffineMapTable, seeds: list[SpectralRecord],
                     depth: int) -> GenerationSpectrum:
-    """Evolve the affine recursion with numpy arrays keyed by (first vertex,
-    final vertex); symmetry slots enter only as a multiplicity factor."""
+    """Per-generation |eigenvalue| magnitudes with exact multiplicities, grown
+    by the affine recursion as a DP over distinct states.
+
+    A path's eigenvalue depends only on its seed and on the sequence of beta
+    classes applied, not on its root slot or on which parallel edge it took.
+    So, per seed range vertex z, a generation keeps one array of distinct
+    state values, and per (first vertex v1, z) the indices of the states
+    reached there with their integer multiplicities.  A child state is
+    identified by (parent state index, beta class) and merged on that integer
+    key alone, never on its float value; its value is computed once, as
+    Lambda * parent + beta, the float operations a per-path expansion applies
+    in the same order, so every value is bit-identical to that expansion's.
+    Each distinct state is one entry per generation, weighted by its
+    multiplicity times the symmetry order times (out-degree of z - 1)."""
     diagram = table.diagram
     g = diagram.symmetry_order
     r = diagram.n_letters
@@ -92,40 +110,52 @@ def magnitude_table(table: AffineMapTable, seeds: list[SpectralRecord],
         if rec.label == "root":
             gen0_vals.append(abs(rec.value_float))
             gen0_wts.append(rec.multiplicity)
-    generations = [0]
-    magnitudes = [np.array(gen0_vals)]
-    weights = [np.array(gen0_wts, dtype=np.int64)]
 
     seed_vals: dict[int, float] = {}
     for rec in seeds:
         if rec.label == "path" and rec.generation == 1:
             seed_vals[diagram.path_range(rec.path)] = rec.value_float
 
-    state: dict[tuple[int, int], np.ndarray] = {
-        z: np.array([v]) for z, v in seed_vals.items()}
-    state = {(z, z): arr for z, arr in state.items()}
-
-    def emit(gen: int, st: dict[tuple[int, int], np.ndarray]) -> None:
-        vals, wts = [], []
-        for (v1, z), arr in sorted(st.items()):
-            if arr.size:
-                vals.append(np.abs(arr))
-                wts.append(np.full(arr.size, g * (out_deg[z] - 1), dtype=np.int64))
-        generations.append(gen)
-        magnitudes.append(np.concatenate(vals) if vals else np.array([]))
-        weights.append(np.concatenate(wts) if wts else np.array([], dtype=np.int64))
-
-    emit(1, state)
+    # the steps into each vertex: (source, beta class) -> number of edges
+    classes = table.beta_classes()
+    n_cls = max(classes) + 1
+    beta = np.zeros(n_cls)
+    steps: list[dict[tuple[int, int], int]] = [{} for _ in range(r)]
+    for ei, (e, cls) in enumerate(zip(diagram.edges, classes)):
+        beta[cls] = table.betas_float[ei]
+        steps[e.target][e.source, cls] = steps[e.target].get((e.source, cls), 0) + 1
     lam = table.lam_float
-    for gen in range(2, depth + 1):
-        nxt: dict[tuple[int, int], list[np.ndarray]] = {}
-        for (v1, z), arr in state.items():
-            for ei in diagram.in_edges[v1]:
-                e = diagram.edges[ei]
-                nxt.setdefault((e.source, z), []).append(
-                    lam * arr + table.betas_float[ei])
-        state = {key: np.concatenate(parts) for key, parts in nxt.items()}
-        emit(gen, state)
+
+    depth = max(depth, 1)   # generation 1, the seeds, is always reported
+    mags: list[list[np.ndarray]] = [[] for _ in range(depth)]
+    wts: list[list[np.ndarray]] = [[] for _ in range(depth)]
+    for z, seed in sorted(seed_vals.items()):
+        vals = np.array([seed])
+        total = np.ones(1, dtype=np.int64)
+        members = {z: (np.zeros(1, dtype=np.int64), total)}
+        for gen in range(1, depth + 1):
+            if gen > 1:
+                dst, code, mult = [], [], []
+                for v1, (idx, m) in members.items():
+                    for (u, cls), k in steps[v1].items():
+                        dst.append(np.full(idx.size, u))
+                        code.append(idx * n_cls + cls)
+                        mult.append(m * k)
+                code, inv = np.unique(np.concatenate(code), return_inverse=True)
+                vals = lam * vals[code // n_cls] + beta[code % n_cls]
+                per_dst = np.zeros((r, code.size), dtype=np.int64)
+                np.add.at(per_dst, (np.concatenate(dst), inv), np.concatenate(mult))
+                members = {u: (np.flatnonzero(row), row[row > 0])
+                           for u, row in enumerate(per_dst) if row.any()}
+                total = per_dst.sum(axis=0)
+            mags[gen - 1].append(np.abs(vals))
+            wts[gen - 1].append(total * (g * (out_deg[z] - 1)))
+
+    generations = [0] + list(range(1, depth + 1))
+    magnitudes = [np.array(gen0_vals)] + [
+        np.concatenate(m) if m else np.array([]) for m in mags]
+    weights = [np.array(gen0_wts, dtype=np.int64)] + [
+        np.concatenate(w) if w else np.array([], dtype=np.int64) for w in wts]
     return GenerationSpectrum(generations, magnitudes, weights)
 
 

@@ -134,6 +134,14 @@ class AffineMapTable:
     def apply(self, edge_index: int, value):
         return self.lam * value + self.betas[edge_index]
 
+    def beta_classes(self) -> list[int]:
+        """Per edge, the index of its beta's structural class, numbered in
+        order of first appearance.  Edges whose betas are equal scalars of one
+        type, such as parallel edges, make the same affine step; floats are
+        never compared."""
+        classes: dict = {}
+        return [classes.setdefault((type(b), b), len(classes)) for b in self.betas]
+
 
 def affine_table(ws: WeightSystem, s, validate: bool = True) -> AffineMapTable:
     """Build the recursion constants.
@@ -245,12 +253,9 @@ def recursive_spectrum(table: AffineMapTable, seeds: list[SpectralRecord],
         beta_coords = [lattice_coords(embedding, b) for b in table.betas]
         # the nonzero integer entries of each row of C
         rows = [[(j, c) for j, c in enumerate(row) if c] for row in embedding.matrix]
-    # edges into each vertex, with the class of their beta: edges with equal
-    # betas, such as parallel edges, make the same step
-    classes: dict = {}
+    # edges into each vertex, with the class of their beta
     into: list[list[tuple[int, int, int]]] = [[] for _ in diagram.letters]
-    for ei, (e, beta) in enumerate(zip(diagram.edges, table.betas)):
-        cls = classes.setdefault((type(beta), beta), len(classes))
+    for ei, (e, cls) in enumerate(zip(diagram.edges, table.beta_classes())):
         into[e.target].append((ei, e.source, cls))
 
     # a state is (value, value_float, coords); the generation-1 seeds are

@@ -21,6 +21,7 @@ from bratlap.cuntz import affine_table, seed_records
 from bratlap.diagram import SubstitutionRule, build_diagram, predicted_path_count
 from bratlap.laplacian import full_spectrum, spectrum_multiset
 from bratlap.measure import WeightSystem, perron
+from bratlap.presets import load_preset, preset_names
 from bratlap.scalar import QuadraticBackend, RationalBackend
 
 Q5 = QuadraticBackend(5)
@@ -66,6 +67,64 @@ def test_magnitude_table_counts_penrose():
     table, seeds = penrose_setup()
     spec = magnitude_table(table, seeds, 8)
     assert spec.total_multiplicity() == predicted_path_count(table.diagram, 9)
+
+
+def _per_path_magnitudes(table, seeds, depth):
+    """Reference oracle: the affine recursion expanded with one float per path
+    class, keyed by (first vertex, seed range vertex), nothing merged; per
+    generation, {|eigenvalue|: total weight}."""
+    diagram = table.diagram
+    g = diagram.symmetry_order
+    out_deg = [len(diagram.out_edges[v]) for v in range(diagram.n_letters)]
+    gen0 = {0.0: 1}
+    for rec in seeds:
+        if rec.label == "root":
+            gen0[abs(rec.value_float)] = gen0.get(abs(rec.value_float), 0) + rec.multiplicity
+    state = {(z, z): np.array([v]) for z, v in (
+        (diagram.path_range(rec.path), rec.value_float)
+        for rec in seeds if rec.label == "path" and rec.generation == 1)}
+    out = [gen0]
+    for gen in range(1, depth + 1):
+        if gen > 1:
+            nxt = {}
+            for (v1, z), arr in state.items():
+                for ei in diagram.in_edges[v1]:
+                    e = diagram.edges[ei]
+                    nxt.setdefault((e.source, z), []).append(
+                        table.lam_float * arr + table.betas_float[ei])
+            state = {key: np.concatenate(parts) for key, parts in nxt.items()}
+        acc = {}
+        for (v1, z), arr in state.items():
+            for x in np.abs(arr).tolist():
+                acc[x] = acc.get(x, 0) + g * (out_deg[z] - 1)
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_magnitude_table_bit_identical_to_per_path_oracle(preset):
+    # states merge by (parent state, beta class) only, so every magnitude
+    # equals the per-path expansion's float exactly, with its summed weight
+    bundle = load_preset(preset)
+    ws = bundle.weight_system
+    for s in sorted({0, 1, bundle.dimension}):
+        table, seeds = affine_table(ws, s), seed_records(ws, s)
+        spec = magnitude_table(table, seeds, 10)
+        got = []
+        for mags, wts in zip(spec.magnitudes, spec.weights):
+            acc = {}
+            for x, w in zip(mags.tolist(), wts.tolist()):
+                acc[x] = acc.get(x, 0) + w
+            got.append(acc)
+        assert spec.generations == list(range(11))
+        assert got == _per_path_magnitudes(table, seeds, 10), (preset, s)
+
+
+def test_magnitude_table_keeps_one_entry_per_state():
+    table, seeds = penrose_setup(s=1)
+    spec = magnitude_table(table, seeds, 16)
+    assert sum(m.size for m in spec.magnitudes) <= 131_072
+    assert spec.total_multiplicity() == predicted_path_count(table.diagram, 17)
 
 
 def test_weyl_fibonacci_slope():
