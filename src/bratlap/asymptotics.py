@@ -84,6 +84,22 @@ class GenerationSpectrum:
         return int(self.weights[i].sum())
 
 
+def _check_weight_range(diagram, depth: int) -> None:
+    """Refuse a depth whose total multiplicity |Pi_(depth+1)| does not fit the
+    int64 weights, which would wrap silently.  Path counts never fall from one
+    generation to the next, so the count stops at the first one too large."""
+    r = diagram.n_letters
+    limit = np.iinfo(np.int64).max
+    row = [1] * r   # column sums of A^(n-1): |Pi_n| = g * sum(row)
+    for n in range(1, depth + 2):
+        if diagram.symmetry_order * sum(row) > limit:
+            raise AsymptoticsError(
+                f"depth {depth} needs |Pi_{depth + 1}| > 2**63 - 1 = {limit} "
+                f"eigenvalues, more than the int64 multiplicities hold; the "
+                f"largest depth for this diagram is {n - 2}")
+        row = [sum(row[k] * diagram.matrix[k][j] for k in range(r)) for j in range(r)]
+
+
 def magnitude_table(table: AffineMapTable, seeds: list[SpectralRecord],
                     depth: int) -> GenerationSpectrum:
     """Per-generation |eigenvalue| magnitudes with exact multiplicities, grown
@@ -99,8 +115,12 @@ def magnitude_table(table: AffineMapTable, seeds: list[SpectralRecord],
     Lambda * parent + beta, the float operations a per-path expansion applies
     in the same order, so every value is bit-identical to that expansion's.
     Each distinct state is one entry per generation, weighted by its
-    multiplicity times the symmetry order times (out-degree of z - 1)."""
+    multiplicity times the symmetry order times (out-degree of z - 1).
+
+    Multiplicities are exact int64 counts: a depth whose total |Pi_(depth+1)|
+    exceeds 2**63 - 1 raises AsymptoticsError."""
     diagram = table.diagram
+    _check_weight_range(diagram, depth)
     g = diagram.symmetry_order
     r = diagram.n_letters
     out_deg = [len(diagram.out_edges[v]) for v in range(r)]

@@ -504,6 +504,12 @@ def main(argv=None) -> int:
             cuntz.CuntzError, asymptotics.AsymptoticsError) as exc:
         parser.error(str(exc))
         return 2
+    except OverflowError as exc:
+        # exact values beyond the float range, e.g. eigenvalues at a large
+        # negative s, fail where they are converted to floats
+        parser.error(f"a value leaves the float range ({exc}); "
+                     f"try a larger --s or a smaller --depth")
+        return 2
 
 
 if __name__ == "__main__":

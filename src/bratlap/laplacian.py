@@ -393,9 +393,13 @@ def dense_spectrum(op: DenseOperator) -> np.ndarray:
     With g = 1 the symmetric block is S itself and there is no difference
     block.  The invariance is checked first, with exact float equality (the
     memo keys entries by range vertex and generation, so slot copies agree
-    bit for bit); SlotSymmetryError is raised when a copy differs.
+    bit for bit); SlotSymmetryError is raised when a copy differs, and
+    LaplacianError when an entry is not a finite float.
     """
     sym_op = op.symmetrized()
+    if not np.isfinite(sym_op).all():
+        raise LaplacianError("dense matrix entries leave the float range; "
+                             "try a larger s or a smaller depth")
     g = op.symmetry_order
     widths = op.slot_widths
     starts = np.cumsum((0,) + tuple(g * w for w in widths))

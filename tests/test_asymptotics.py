@@ -127,6 +127,12 @@ def test_magnitude_table_keeps_one_entry_per_state():
     assert spec.total_multiplicity() == predicted_path_count(table.diagram, 17)
 
 
+def test_magnitude_table_refuses_depth_beyond_int64_weights():
+    table, seeds = tm_setup()
+    with pytest.raises(AsymptoticsError, match="largest depth for this diagram is 61"):
+        magnitude_table(table, seeds, 62)
+
+
 def test_weyl_fibonacci_slope():
     table, seeds = fib_setup()
     spec = magnitude_table(table, seeds, 18)

@@ -230,7 +230,7 @@ def test_strip_exit_codes(preset, depth, s, backend):
 @given(command=st.sampled_from(["spectrum", "dense", "verify", "zeta", "weyl"]),
        preset=st.sampled_from(preset_names()),
        depth=st.integers(0, 4),
-       s=st.sampled_from(["-1", "0", "1/2", "1", "3", "7/2"]),
+       s=st.sampled_from(["-1000", "-1", "0", "1/2", "1", "3", "7/2"]),
        backend=st.sampled_from([None, "rational", "quadratic:5", "approx:64"]))
 @settings(max_examples=60, deadline=None)
 def test_command_exit_codes(command, preset, depth, s, backend):
@@ -245,3 +245,31 @@ def test_command_exit_codes(command, preset, depth, s, backend):
     code, err = _exit_code(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--preset", "fibonacci", "--s", "-1000", "--depth", "4"],
+    ["weyl", "--preset", "thue-morse", "--s", "-2000", "--depth", "4"],
+    ["dense", "--preset", "penrose", "--s", "-1000", "--depth", "2"],
+], ids=lambda argv: argv[0])
+def test_values_beyond_float_range_are_usage_errors(argv):
+    # eigenvalues at a large negative s do not fit a float
+    code, err = _exit_code(argv)
+    assert code == 2
+    assert "float range" in err
+
+
+def test_weyl_multiplicities_never_wrap(capsys):
+    # |Pi_62| = 2**62 still fits the int64 weights; |Pi_65| = 2**65 does not
+    code = main(["weyl", "--preset", "thue-morse", "--s", "1", "--depth", "61",
+                 "--format", "json"])
+    summary = json.loads(capsys.readouterr().out)["sections"][-1]["data"]
+    assert code == 0
+    assert summary["total_multiplicity"] == 2 ** 62
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl", "--preset", "thue-morse", "--s", "1", "--depth", "64"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "2**63 - 1" in captured.err
+    assert "largest depth for this diagram is 61" in captured.err
