@@ -17,6 +17,7 @@ constants are fitted and reported, not asserted a priori.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,10 +141,10 @@ def magnitude_table(table: AffineMapTable, seeds: list[SpectralRecord],
     classes = table.beta_classes()
     n_cls = max(classes) + 1
     beta = np.zeros(n_cls)
-    steps: list[dict[tuple[int, int], int]] = [{} for _ in range(r)]
+    steps: list[Counter[tuple[int, int]]] = [Counter() for _ in range(r)]
     for ei, (e, cls) in enumerate(zip(diagram.edges, classes)):
         beta[cls] = table.betas_float[ei]
-        steps[e.target][e.source, cls] = steps[e.target].get((e.source, cls), 0) + 1
+        steps[e.target][e.source, cls] += 1
     lam = table.lam_float
 
     depth = max(depth, 1)   # generation 1, the seeds, is always reported
