@@ -172,7 +172,7 @@ def magnitude_table(table: AffineMapTable, seeds: list[SpectralRecord],
             mags[gen - 1].append(np.abs(vals))
             wts[gen - 1].append(total * (g * (out_deg[z] - 1)))
 
-    generations = [0] + list(range(1, depth + 1))
+    generations = list(range(depth + 1))
     magnitudes = [np.array(gen0_vals)] + [
         np.concatenate(m) if m else np.array([]) for m in mags]
     weights = [np.array(gen0_wts, dtype=np.int64)] + [
