@@ -76,7 +76,7 @@ def test_usage_error_bad_backend():
 def test_usage_error_bad_precision_environment(monkeypatch, capsys):
     monkeypatch.setenv("BRATLAP_PRECISION", "abc")
     with pytest.raises(SystemExit) as exc:
-        main(["presets"])
+        main(["spectrum", "--preset", "fibonacci"])
     assert exc.value.code == 2
     assert "BRATLAP_PRECISION" in capsys.readouterr().err
 
@@ -123,6 +123,29 @@ def test_matrix_file_input(tmp_path, capsys):
                          "--s", "1", "--backend", "quadratic:5"], capsys)
     assert code == 0
     assert '"(-1) + (-2)*phi"' in out
+
+
+def test_ck_check_reads_only_the_diagram(tmp_path, capsys):
+    # ck-check builds no Perron data, so an irrational theta is no obstacle
+    spec = tmp_path / "golden.json"
+    spec.write_text(json.dumps({"letters": ["a", "b"], "matrix": [[1, 1], [1, 0]]}))
+    code, out = run_cli(["ck-check", "--matrix-file", str(spec), "--depth", "4"], capsys)
+    assert code == 0
+    assert "# backend=rational" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--preset", "fibonacci", "--depth", "5", "--precision", "64"],
+    ["strip", "--preset", "fibonacci", "--precision", "64"],
+    ["ck-check", "--preset", "fibonacci", "--backend", "rational"],
+    ["complexity", "--preset", "thue-morse", "--backend", "rational"],
+    ["presets", "--preset", "penrose"],
+], ids=lambda argv: argv[0])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_matrix_file_ragged_rejected(tmp_path):
