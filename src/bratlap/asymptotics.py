@@ -27,6 +27,14 @@ from .diagram import SubstitutionRule
 from .laplacian import SpectralRecord
 
 
+# thresholds in the default Weyl sample
+WEYL_POINTS = 48
+# the heat trace's certified tail stays below this at every requested t
+HEAT_TAIL_TARGET = 1e-9
+# generations enumerated to fit the heat-trace tail envelope
+HEAT_ENVELOPE_DEPTH = 12
+
+
 class AsymptoticsError(ValueError):
     pass
 
@@ -42,7 +50,7 @@ class FitResult:
 def ols_loglog(xs, ys) -> FitResult:
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
-    if lx.size < 2:
+    if np.unique(lx).size < 2:     # no slope through one abscissa
         return FitResult(float("nan"), float(ly[0]) if ly.size else float("nan"),
                          0.0, (float(np.min(xs)), float(np.max(xs))))
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -119,7 +127,8 @@ def magnitude_table(table: AffineMapTable, seeds: list[SpectralRecord],
     multiplicity times the symmetry order times (out-degree of z - 1).
 
     Multiplicities are exact int64 counts: a depth whose total |Pi_(depth+1)|
-    exceeds 2**63 - 1 raises AsymptoticsError."""
+    exceeds 2**63 - 1 raises AsymptoticsError, and so does a magnitude that
+    leaves the float range."""
     diagram = table.diagram
     _check_weight_range(diagram, depth)
     g = diagram.symmetry_order
@@ -163,7 +172,8 @@ def magnitude_table(table: AffineMapTable, seeds: list[SpectralRecord],
                         code.append(idx * n_cls + cls)
                         mult.append(m * k)
                 code, inv = np.unique(np.concatenate(code), return_inverse=True)
-                vals = lam * vals[code // n_cls] + beta[code % n_cls]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vals = lam * vals[code // n_cls] + beta[code % n_cls]
                 per_dst = np.zeros((r, code.size), dtype=np.int64)
                 np.add.at(per_dst, (np.concatenate(dst), inv), np.concatenate(mult))
                 members = {u: (np.flatnonzero(row), row[row > 0])
@@ -177,6 +187,10 @@ def magnitude_table(table: AffineMapTable, seeds: list[SpectralRecord],
         np.concatenate(m) if m else np.array([]) for m in mags]
     weights = [np.array(gen0_wts, dtype=np.int64)] + [
         np.concatenate(w) if w else np.array([], dtype=np.int64) for w in wts]
+    for gen, m in enumerate(magnitudes):
+        if not np.isfinite(m).all():
+            raise AsymptoticsError(
+                f"eigenvalue magnitudes leave the float range at generation {gen}")
     return GenerationSpectrum(generations, magnitudes, weights)
 
 
@@ -198,8 +212,7 @@ def coverage_cap(spec: GenerationSpectrum, lam: float) -> float:
     return c_min * lam ** (depth + 1)
 
 
-def weyl_count(spec: GenerationSpectrum, lam: float,
-               grid=None, points: int = 48) -> WeylResult:
+def weyl_count(spec: GenerationSpectrum, lam: float, grid=None) -> WeylResult:
     """Step counting function N(t) = #{|eigenvalue| <= t} with multiplicity,
     sampled on a log grid below the coverage cap, plus a log-log OLS fit."""
     values, mults = spec.flatten()
@@ -215,7 +228,7 @@ def weyl_count(spec: GenerationSpectrum, lam: float,
         hi = cap * 0.9999999
         if hi <= lo:
             raise AsymptoticsError("enumerated depth too shallow for any threshold")
-        grid = np.geomspace(lo, hi, points)
+        grid = np.geomspace(lo, hi, WEYL_POINTS)
     else:
         grid = np.asarray(grid, dtype=float)
         if grid.max() > cap:
@@ -287,24 +300,27 @@ def _log_transfer_contribution(table: AffineMapTable, seed_vals: dict[int, float
     lam = table.lam_float
     scale = lam ** (m - 1)
     new = np.full(r, -np.inf)
-    for ei, e in enumerate(diagram.edges):
-        cand = t * scale * table.betas_float[ei] + log_w[e.source]
-        new[e.target] = np.logaddexp(new[e.target], cand)
     contrib = 0.0
-    for z, lam_z in seed_vals.items():
-        if out_deg[z] < 2 or new[z] == -np.inf:
-            continue
-        expo = t * (lam ** m) * lam_z + new[z]
-        if expo > -745.0:
-            contrib += diagram.symmetry_order * (out_deg[z] - 1) * math.exp(expo)
+    # where t * Lambda^m leaves the float range the exponents turn into
+    # inf - inf = nan; the terms they stand for are exp(t * eigenvalue) = 0,
+    # and the expo test below skips them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ei, e in enumerate(diagram.edges):
+            cand = t * scale * table.betas_float[ei] + log_w[e.source]
+            new[e.target] = np.logaddexp(new[e.target], cand)
+        for z, lam_z in seed_vals.items():
+            if out_deg[z] < 2 or new[z] == -np.inf:
+                continue
+            expo = t * (lam ** m) * lam_z + new[z]
+            if expo > -745.0:
+                contrib += diagram.symmetry_order * (out_deg[z] - 1) * math.exp(expo)
     return contrib, new
 
 
 def heat_trace(table: AffineMapTable, seeds: list[SpectralRecord], t_grid,
-               depth: int | None = None, tail_target: float = 1e-9,
-               envelope_depth: int = 12) -> HeatResult:
+               depth: int | None = None) -> HeatResult:
     """Truncated trace of exp(t * Delta) over the enumerated spectrum, with a
-    certified geometric tail bound below tail_target at every requested t.
+    certified geometric tail bound below HEAT_TAIL_TARGET at every requested t.
 
     The tail certificate extrapolates the measured per-generation envelopes
     with ratio Lambda and a 2x safety factor on both constants."""
@@ -317,11 +333,11 @@ def heat_trace(table: AffineMapTable, seeds: list[SpectralRecord], t_grid,
     if lam <= 1.0:
         raise AsymptoticsError("heat trace needs Lambda > 1 (s < d+2)")
 
-    env = magnitude_table(table, seeds, envelope_depth)
+    env = magnitude_table(table, seeds, HEAT_ENVELOPE_DEPTH)
     mins = env.generation_min()
     c_min = min(v / lam ** n for n, v in mins.items()) / 2.0
     c_cnt = 2.0 * max(env.generation_weight(n) / theta ** n
-                      for n in range(1, envelope_depth + 1))
+                      for n in range(1, HEAT_ENVELOPE_DEPTH + 1))
 
     def tail_bound(t: float, d: int) -> float:
         total = 0.0
@@ -339,17 +355,17 @@ def heat_trace(table: AffineMapTable, seeds: list[SpectralRecord], t_grid,
 
     t_min = t_grid[0]
     if depth is None:
-        depth = envelope_depth
-        while tail_bound(t_min, depth) > tail_target and depth < 400:
+        depth = HEAT_ENVELOPE_DEPTH
+        while tail_bound(t_min, depth) > HEAT_TAIL_TARGET and depth < 400:
             depth += 2
-    if tail_bound(t_min, depth) > tail_target:
+    if tail_bound(t_min, depth) > HEAT_TAIL_TARGET:
         feasible = t_min
-        while tail_bound(feasible, depth) > tail_target:
+        while tail_bound(feasible, depth) > HEAT_TAIL_TARGET:
             feasible *= 2.0
             if feasible > 1e12:
                 raise AsymptoticsError("tail cannot be certified at any sensible t")
         raise AsymptoticsError(
-            f"certified tail exceeds {tail_target:g} at t={t_min:g}; "
+            f"certified tail exceeds {HEAT_TAIL_TARGET:g} at t={t_min:g}; "
             f"smallest feasible t at this depth is {feasible:g}")
 
     out_deg = [len(diagram.out_edges[v]) for v in range(diagram.n_letters)]

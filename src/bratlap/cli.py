@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -292,9 +293,12 @@ def cmd_weyl(args, parser, em, inputs) -> int:
     if args.grid:
         try:
             a, b, steps = args.grid.split(":")
-            grid = np.geomspace(float(a), float(b), int(steps))
+            a, b, steps = float(a), float(b), int(steps)
         except ValueError:
             parser.error("--grid must look like a:b:steps")
+        if not (0 < a < b < math.inf and steps >= 1):
+            parser.error("--grid needs finite 0 < a < b and steps >= 1")
+        grid = np.geomspace(a, b, steps)
     try:
         result = asymptotics.weyl_count(spec, table.lam_float, grid=grid)
     except asymptotics.AsymptoticsError as exc:
@@ -320,8 +324,10 @@ def cmd_weyl(args, parser, em, inputs) -> int:
 
 
 def cmd_heat(args, parser, em, inputs) -> int:
-    # Seeley scaling concerns s = d, the s heat is given
+    # Seeley scaling concerns s = d: heat has no --s, so inputs.s is d
     ws, dim = inputs.ws, inputs.ws.dimension
+    if not (math.isfinite(args.tmin) and math.isfinite(args.tmax)):
+        parser.error("--tmin and --tmax must be finite")
     if args.points < 1 or args.tmin <= 0 or args.tmax < args.tmin:
         parser.error("need 0 < tmin <= tmax and points >= 1")
     if args.depth is not None:
@@ -450,9 +456,10 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     except OverflowError as exc:
         # exact values beyond the float range, e.g. eigenvalues at a large
-        # negative s, fail where they are converted to floats
-        parser.error(f"a value leaves the float range ({exc}); "
-                     f"try a larger --s or a smaller --depth")
+        # negative or positive s, fail where they are converted to floats
+        parser.error(f"a value leaves the float range ({exc}); try a smaller "
+                     f"--s if it is large and positive, a larger one if it is "
+                     f"large and negative, or a smaller --depth")
     # stdout is looked up here, not bound at import: callers redirect it
     if em.sections:
         out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout

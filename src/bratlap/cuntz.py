@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .diagram import EMPTY_PATH, BratteliDiagram, Path, enumerate_paths
+from .diagram import DEFAULT_PATH_CAP, EMPTY_PATH, BratteliDiagram, Path, enumerate_paths
 from .laplacian import SpectralRecord, full_spectrum, g_value
 from .measure import MeasureError, WeightSystem, _exact_theta, _power, mu
 from .scalar import (
@@ -143,14 +143,14 @@ class AffineMapTable:
         return [classes.setdefault((type(b), b), len(classes)) for b in self.betas]
 
 
-def affine_table(ws: WeightSystem, s, validate: bool = True) -> AffineMapTable:
+def affine_table(ws: WeightSystem, s) -> AffineMapTable:
     """Build the recursion constants.
 
     beta_e couples the root-level correction terms for inserting e below the
     root; increments across single-extension prefixes vanish and are skipped.
-    With validate=True the table is only returned after u_e(lambda_gamma) =
-    lambda_(U_e gamma) has been confirmed on all applicable paths through
-    generation 3 (hard failure otherwise)."""
+    The table is only returned after u_e(lambda_gamma) = lambda_(U_e gamma)
+    has been confirmed on all applicable paths through generation 3 (hard
+    failure otherwise)."""
     s = Fraction(s)
     diagram = ws.diagram
     d = ws.dimension
@@ -177,23 +177,18 @@ def affine_table(ws: WeightSystem, s, validate: bool = True) -> AffineMapTable:
             beta = beta + inc * (1 / g_value(ws, eps_prime, s))
         betas.append(beta)
 
-    table = AffineMapTable(ws, s, lam, to_float(lam), tuple(betas),
-                           tuple(to_float(b) for b in betas), 0)
-    if validate:
-        checks = _self_calibrate(table)
-        table = AffineMapTable(ws, s, lam, to_float(lam), tuple(betas),
-                               tuple(to_float(b) for b in betas), checks)
-    return table
+    return AffineMapTable(ws, s, lam, to_float(lam), tuple(betas),
+                          tuple(to_float(b) for b in betas),
+                          _self_calibrate(ws, s, lam, betas))
 
 
-def _self_calibrate(table: AffineMapTable) -> int:
+def _self_calibrate(ws: WeightSystem, s: Fraction, lam, betas: list) -> int:
     """Require u_e(lambda_gamma) = lambda_(U_e gamma) on oracle data at depth 3."""
-    ws = table.ws
-    diagram = table.diagram
-    exact = ws.backend.is_exact and not isinstance(table.lam, ApproxReal) and \
-        not any(isinstance(b, ApproxReal) for b in table.betas)
+    diagram = ws.diagram
+    exact = ws.backend.is_exact and not isinstance(lam, ApproxReal) and \
+        not any(isinstance(b, ApproxReal) for b in betas)
     by_path = {rec.path: rec
-               for rec in full_spectrum(ws, 4, table.s) if rec.label == "path"}
+               for rec in full_spectrum(ws, 4, s) if rec.label == "path"}
     checks = 0
     for gen in (2, 3):
         for gamma in enumerate_paths(diagram, gen).paths:
@@ -205,7 +200,7 @@ def _self_calibrate(table: AffineMapTable) -> int:
                 if shifted is None:
                     continue
                 direct = by_path[shifted]
-                via_map = table.apply(ei, rec.value)
+                via_map = lam * rec.value + betas[ei]
                 if exact:
                     agree = ws.backend.compare(direct.value, via_map) == 0
                 else:
@@ -228,8 +223,8 @@ def seed_records(ws: WeightSystem, s) -> list[SpectralRecord]:
 
 
 def recursive_spectrum(table: AffineMapTable, seeds: list[SpectralRecord],
-                       depth: int, embedding: "CompanionData | None" = None,
-                       cap: int = 10_000_000) -> list[SpectralRecord]:
+                       depth: int, embedding: "CompanionData | None" = None
+                       ) -> list[SpectralRecord]:
     """Spectrum through the given generation grown by the affine maps alone:
     each record of generation n+1 is u_e applied to a generation-n record.
 
@@ -296,8 +291,8 @@ def recursive_spectrum(table: AffineMapTable, seeds: list[SpectralRecord],
                                            rec.multiplicity, coords), step))
         nxt.sort(key=lambda pair: (pair[0].path.root, pair[0].path.edges))
         produced += len(nxt)
-        if produced > cap:
-            raise CuntzError(f"recursion exceeded the {cap}-record cap")
+        if produced > DEFAULT_PATH_CAP:
+            raise CuntzError(f"recursion exceeded the {DEFAULT_PATH_CAP}-record cap")
         out.extend(rec for rec, _ in nxt)
         level, states = nxt, new_states
     return out

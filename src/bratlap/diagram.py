@@ -339,18 +339,25 @@ def load_diagram_json(text: str) -> tuple[BratteliDiagram, int]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DiagramError(f"diagram file is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DiagramError("diagram file must hold a JSON object")
     for key in ("letters", "matrix"):
         if key not in payload:
             raise DiagramError(f"diagram file is missing the {key!r} field")
-    letters = tuple(str(l) for l in payload["letters"])
-    matrix = payload["matrix"]
-    if any(len(row) != len(letters) for row in matrix) or len(matrix) != len(letters):
-        raise DiagramError("matrix shape does not match the letter list (ragged input?)")
-    dimension = int(payload.get("dimension", 1))
-    if dimension < 1:
-        raise DiagramError("dimension must be >= 1")
-    g = int(payload.get("symmetry_order", 1))
-    return build_diagram(matrix, symmetry_order=g, letters=letters), dimension
+    try:
+        letters = tuple(str(l) for l in payload["letters"])
+        matrix = payload["matrix"]
+        if any(len(row) != len(letters) for row in matrix) or \
+                len(matrix) != len(letters):
+            raise DiagramError(
+                "matrix shape does not match the letter list (ragged input?)")
+        dimension = int(payload.get("dimension", 1))
+        if dimension < 1:
+            raise DiagramError("dimension must be >= 1")
+        g = int(payload.get("symmetry_order", 1))
+        return build_diagram(matrix, symmetry_order=g, letters=letters), dimension
+    except TypeError as exc:
+        raise DiagramError(f"diagram file has a field of the wrong type: {exc}") from exc
 
 
 def load_diagram_file(path: str) -> tuple[BratteliDiagram, int]:

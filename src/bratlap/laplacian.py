@@ -9,6 +9,7 @@ nothing and the splitting weight G never has to be evaluated there.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -194,8 +195,7 @@ class _StationaryCache:
             lambda: (self.mu_at(child) - self.mu_at(path)) * self.inv_g_at(path))
 
 
-def full_spectrum(ws: WeightSystem, depth: int, s,
-                  cap: int = DEFAULT_PATH_CAP) -> list[SpectralRecord]:
+def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
     """Records for the zero eigenvalue, the root splitting, and every path of
     generation <= depth with at least two extensions.  Total multiplicity is
     the path count one generation below the cutoff."""
@@ -203,8 +203,9 @@ def full_spectrum(ws: WeightSystem, depth: int, s,
         raise LaplacianError("depth must be >= 0")
     diagram = ws.diagram
     total = sum(predicted_path_count(diagram, k) for k in range(1, depth + 1))
-    if total > cap:
-        raise LaplacianError(f"spectrum would visit {total} paths (cap {cap})")
+    if total > DEFAULT_PATH_CAP:
+        raise LaplacianError(
+            f"spectrum would visit {total} paths (cap {DEFAULT_PATH_CAP})")
 
     records = [zero_record(ws)]
     root = root_record(ws, s)
@@ -338,6 +339,11 @@ def dense_restriction(ws: WeightSystem, n: int, s,
                     matrix[i][j] = v
         else:
             gf = to_float(cache.g_at(meet))
+            # mu <= 1, so mu / G is finite for any G in the normal float range;
+            # G underflows at a large negative s
+            if abs(gf) < sys.float_info.min:
+                raise LaplacianError("dense matrix entries leave the float range; "
+                                     "try a larger s or a smaller depth")
             matrix[rows[0]:rows[1], cols[0]:cols[1]] = \
                 (mu_col[cols[0]:cols[1]] / gf)[None, :]
 

@@ -9,6 +9,7 @@ the Dixmier-trace limit it came from is never evaluated as a limit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -152,21 +153,28 @@ def _approx_eigen(matrix, backend: ApproxBackend, transpose: bool = False):
     rows = matrix if not transpose else [[matrix[j][i] for j in range(r)] for i in range(r)]
     prec = backend.precision
     tol = mpmath.mpf(2) ** (8 - prec)
+    bound = mpmath.mpf(2) ** (16 - prec)
     with mpmath.workprec(prec):
+        def residual():
+            return max(abs(sum(mpmath.mpf(rows[i][j]) * v[j] for j in range(r))
+                           - theta * v[i]) for i in range(r))
+
         v = [mpmath.mpf(1) / r] * r
         theta = mpmath.mpf(0)
+        # two equal successive estimates can be a coincidence far from the
+        # eigenvector (4/3, 5/4, 7/5, 9/7, 4/3, 4/3 on the plastic matrix), so
+        # a stalled theta ends the loop only once the residual test passes
         for _ in range(64 * prec):
             w = [sum(mpmath.mpf(rows[i][j]) * v[j] for j in range(r)) for i in range(r)]
             total = sum(w)
             new_theta = total / sum(v)
             v = [x / total for x in w]
-            if abs(new_theta - theta) <= tol * abs(new_theta):
-                theta = new_theta
-                break
+            stalled = abs(new_theta - theta) <= tol * abs(new_theta)
             theta = new_theta
-        resid = max(abs(sum(mpmath.mpf(rows[i][j]) * v[j] for j in range(r)) - theta * v[i])
-                    for i in range(r))
-        if resid > mpmath.mpf(2) ** (16 - prec):
+            if stalled and residual() <= bound:
+                break
+        resid = residual()
+        if resid > bound:
             raise MeasureError(f"power iteration residual {resid} too large at {prec} bits")
     return ApproxReal(theta, prec), [ApproxReal(x, prec) for x in v]
 
@@ -259,12 +267,26 @@ def weight(ws: WeightSystem, path: Path):
     return diam_power(ws, path, Fraction(1))
 
 
+# 2**16 bits of binary exponent: 64 times the float range of 2**-1074..2**1024
+EXACT_POWER_LOG2_LIMIT = 1 << 16
+
+
 def _power(backend: Backend, base, e: Fraction, bits: int):
     """base^e: exact when the backend's field holds it, else an ApproxReal at
     the given bits, or at the base's own precision when the base is already
     approximate.  This is the one place where an exact computation falls
-    back to approximate scalars."""
+    back to approximate scalars.
+
+    An exact power with |e * log2|base|| > EXACT_POWER_LOG2_LIMIT lies beyond
+    2**65536 or below 2**-65536, so it could not become a float; it raises
+    OverflowError instead of squaring toward the exponent, which for
+    e = 10**400 would never end."""
     if not isinstance(base, ApproxReal):
+        magnitude = abs(float(base))
+        if magnitude and abs(e) * Fraction(abs(math.log2(magnitude))) > \
+                EXACT_POWER_LOG2_LIMIT:
+            raise OverflowError(f"an exact power beyond 2**{EXACT_POWER_LOG2_LIMIT} "
+                                f"or below 2**-{EXACT_POWER_LOG2_LIMIT}")
         try:
             return backend.pow_fraction(base, e)
         except ExactnessError:
@@ -336,6 +358,10 @@ def zeta_partial(ws: WeightSystem, s, n_max: int) -> list[ZetaRow]:
         if not math.isfinite(increment) or increment > 1e290:
             raise OverflowError(
                 f"zeta increment overflow at generation {n}; s is too far below d={d}")
+        if increment < sys.float_info.min:
+            # a subnormal or zero increment has no reliable ratio
+            raise OverflowError(
+                f"zeta increment underflow at generation {n}; s is too far above d={d}")
         cumulative += increment
         rows.append(ZetaRow(n, increment, cumulative,
                             None if prev is None else increment / prev))

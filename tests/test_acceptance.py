@@ -118,7 +118,7 @@ def test_criterion_03_recursion_direct_agreement():
     for name in ("fibonacci", "thue-morse"):
         bundle = load_preset(name, backend=EXACT_BACKEND_FOR[name])
         ws = bundle.weight_system
-        table = affine_table(ws, 1, validate=True)
+        table = affine_table(ws, 1)
         assert table.calibration_checks > 0
         rec = recursive_spectrum(table, seed_records(ws, 1), 10)
         direct = full_spectrum(ws, 10, 1)
@@ -127,7 +127,7 @@ def test_criterion_03_recursion_direct_agreement():
     # Penrose at 200 bits: relative agreement within 1e-10 path by path
     bundle = load_preset("penrose", backend="approx:200")
     ws = bundle.weight_system
-    table = affine_table(ws, 2, validate=True)
+    table = affine_table(ws, 2)
     assert table.calibration_checks > 0
     rec = {r.path: r.value_float
            for r in recursive_spectrum(table, seed_records(ws, 2), 10)

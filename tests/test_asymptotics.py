@@ -133,6 +133,14 @@ def test_magnitude_table_refuses_depth_beyond_int64_weights():
         magnitude_table(table, seeds, 62)
 
 
+def test_magnitude_table_refuses_values_beyond_float_range():
+    # at s = -100, Lambda_s = 2**102 carries the magnitudes past 1e308
+    table, seeds = tm_setup(s=-100)
+    with np.errstate(all="raise"):       # and no numpy warning on the way
+        with pytest.raises(AsymptoticsError, match="float range at generation"):
+            magnitude_table(table, seeds, 12)
+
+
 def test_weyl_fibonacci_slope():
     table, seeds = fib_setup()
     spec = magnitude_table(table, seeds, 18)

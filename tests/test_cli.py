@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
+import os
+import tempfile
+import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -234,6 +239,41 @@ def _exit_code(argv):
     return code, err.getvalue()
 
 
+_LIBC = ctypes.CDLL(None)
+_LIBC.fflush.argtypes = [ctypes.c_void_p]
+_LIBC.fflush.restype = ctypes.c_int
+
+
+def _checked_run(argv):
+    """main's exit code and all it printed outside stdout: its stderr, any
+    Python warning, and what native code (LAPACK's error handler) wrote to
+    file descriptors 1 and 2."""
+    with tempfile.TemporaryFile() as native, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        saved = os.dup(1), os.dup(2)
+        os.dup2(native.fileno(), 1)
+        os.dup2(native.fileno(), 2)
+        try:
+            code, err = _exit_code(argv)
+        finally:
+            _LIBC.fflush(None)
+            os.dup2(saved[0], 1)
+            os.dup2(saved[1], 2)
+            os.close(saved[0])
+            os.close(saved[1])
+        native.seek(0)
+        err += native.read().decode(errors="replace")
+    err += "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, err
+
+
+def _assert_clean(code, err, argv, codes=(0, 1, 2)):
+    assert code in codes, (argv, err)
+    for text in ("Traceback", "Warning", "DLASCL"):
+        assert text not in err, (argv, err)
+
+
 @given(preset=st.sampled_from(preset_names()),
        depth=st.integers(0, 6),
        s=st.sampled_from(["-1", "0", "1/2", "1", "2", "3"]),
@@ -245,9 +285,7 @@ def test_strip_exit_codes(preset, depth, s, backend):
     argv = ["strip", "--preset", preset, "--depth", str(depth), "--s", s]
     if backend is not None:
         argv += ["--backend", backend]
-    code, err = _exit_code(argv)
-    assert code in (0, 2), argv
-    assert "Traceback" not in err
+    _assert_clean(*_checked_run(argv), argv, codes=(0, 2))
 
 
 @given(command=st.sampled_from(["spectrum", "dense", "verify", "zeta", "weyl"]),
@@ -265,9 +303,7 @@ def test_command_exit_codes(command, preset, depth, s, backend):
     argv = [command, "--preset", preset, "--depth", str(depth), "--s", s]
     if backend is not None:
         argv += ["--backend", backend]
-    code, err = _exit_code(argv)
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in err
+    _assert_clean(*_checked_run(argv), argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -277,8 +313,8 @@ def test_command_exit_codes(command, preset, depth, s, backend):
 ], ids=lambda argv: argv[0])
 def test_values_beyond_float_range_are_usage_errors(argv):
     # eigenvalues at a large negative s do not fit a float
-    code, err = _exit_code(argv)
-    assert code == 2
+    code, err = _checked_run(argv)
+    _assert_clean(code, err, argv, codes=(2,))
     assert "float range" in err
 
 
@@ -296,3 +332,109 @@ def test_weyl_multiplicities_never_wrap(capsys):
     assert captured.out == ""
     assert "2**63 - 1" in captured.err
     assert "largest depth for this diagram is 61" in captured.err
+
+
+_MATRICES = {
+    "golden": {"letters": ["a", "b"], "matrix": [[1, 1], [1, 0]]},
+    # theta^3 = theta + 1: a cubic Perron eigenvalue, approximate backends only
+    "plastic": {"letters": ["a", "b", "c"], "matrix": [[0, 1, 0], [0, 0, 1], [1, 1, 0]]},
+    "non-primitive": {"letters": ["a", "b"], "matrix": [[1, 1], [0, 1]]},
+    "one": {"letters": ["a"], "matrix": [[1]]},
+}
+_MALFORMED = {
+    "truncated": '{"letters": ["a", "b"], "matrix": [[1, 1]',
+    "not-an-object": "5",
+    "wrong-types": '{"letters": 5, "matrix": 5}',
+    "null-dimension": '{"letters": ["a", "b"], "matrix": [[1, 1], [1, 0]], "dimension": null}',
+}
+
+
+@pytest.fixture(scope="module")
+def matrix_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("matrices")
+    files = {}
+    texts = {name: json.dumps(payload) for name, payload in _MATRICES.items()}
+    for name, text in {**texts, **_MALFORMED}.items():
+        files[name] = root / f"{name}.json"
+        files[name].write_text(text)
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("backend", ["approx:53", "approx:200"])
+def test_plastic_matrix_verifies_on_approximate_backend(backend, matrix_files):
+    argv = ["verify", "--matrix-file", matrix_files["plastic"], "--backend", backend,
+            "--depth", "5"]
+    code, err = _checked_run(argv)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--preset", "fibonacci", "--grid", "1:10:0"],
+    ["weyl", "--preset", "fibonacci", "--grid", "nan:10:5"],
+    ["heat", "--preset", "fibonacci", "--tmin", "nan"],
+    ["heat", "--preset", "fibonacci", "--tmax", "inf"],
+    ["zeta", "--preset", "fibonacci", "--s", "1000", "--depth", "5"],
+    ["weyl", "--preset", "thue-morse", "--s", "-100", "--depth", "12"],
+], ids=" ".join)
+def test_bad_numbers_are_clean_usage_errors(argv):
+    code, err = _checked_run(argv)
+    _assert_clean(code, err, argv, codes=(2,))
+    assert "error: " in err
+
+
+@pytest.mark.parametrize("s", ["100000000", "1e400"])
+def test_huge_s_refused_without_exact_powers(s):
+    start = time.perf_counter()
+    code, err = _exit_code(["spectrum", "--preset", "fibonacci", "--depth", "4", "--s", s])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert "float range" in err and "large and positive" in err
+
+
+_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "1e-8", "1e-5",
+                            "1e-3", "1", "1e6", "1e300"])
+
+
+@st.composite
+def _flag_argv(draw):
+    command = draw(st.sampled_from(["heat", "ck-check", "complexity", "weyl", "zeta"]))
+    argv = [command, "--preset", draw(st.sampled_from(preset_names()))]
+    if command == "heat":
+        for flag in ("--tmin", "--tmax"):
+            if draw(st.booleans()):
+                argv += [flag, draw(_NUMBERS)]
+        argv += ["--points", str(draw(st.integers(-1, 6)))]
+        if draw(st.booleans()):
+            argv += ["--depth", str(draw(st.integers(0, 30)))]
+    elif command == "ck-check":
+        argv += ["--depth", str(draw(st.integers(0, 5)))]
+    elif command == "complexity":
+        argv += ["--nmax", str(draw(st.integers(-1, 60)))]
+    elif command == "weyl":
+        grid = f"{draw(_NUMBERS)}:{draw(_NUMBERS)}:{draw(st.integers(-1, 6))}"
+        argv += ["--depth", str(draw(st.integers(1, 8))), "--grid", grid]
+    else:
+        argv += ["--depth", str(draw(st.integers(1, 8))),
+                 "--s", draw(st.sampled_from(["1000", "-1000", "100000000"]))]
+    return argv
+
+
+@given(argv=_flag_argv())
+@settings(max_examples=80, deadline=None)
+def test_flag_exit_codes(argv):
+    # every command and numeric flag: exit 0, 1 or 2, and nothing on stderr
+    # but a message
+    _assert_clean(*_checked_run(argv), argv)
+
+
+@given(command=st.sampled_from(["spectrum", "dense", "verify", "zeta", "weyl", "heat",
+                                "strip", "ck-check"]),
+       matrix=st.sampled_from(sorted(_MATRICES) + sorted(_MALFORMED)),
+       backend=st.sampled_from([None, "rational", "quadratic:5", "approx:64"]))
+@settings(max_examples=60, deadline=None)
+def test_matrix_file_exit_codes(matrix_files, command, matrix, backend):
+    argv = [command, "--matrix-file", matrix_files[matrix]]
+    argv += ["--points", "3"] if command == "heat" else ["--depth", "3"]
+    if backend is not None and command != "ck-check":
+        argv += ["--backend", backend]
+    _assert_clean(*_checked_run(argv), argv)

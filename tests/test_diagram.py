@@ -239,3 +239,15 @@ def test_json_roundtrip_and_ragged_rejection():
         load_diagram_json('{"letters": ["a", "b"], "matrix": [[1, 1], [1]]}')
     with pytest.raises(DiagramError):
         load_diagram_json("not json")
+
+
+@pytest.mark.parametrize("text", [
+    "5",
+    "null",
+    '{"letters": 5, "matrix": 5}',
+    '{"letters": ["a"], "matrix": [5]}',
+    '{"letters": ["a", "b"], "matrix": [[1, 1], [1, 0]], "dimension": null}',
+])
+def test_json_fields_of_the_wrong_type_rejected(text):
+    with pytest.raises(DiagramError):
+        load_diagram_json(text)

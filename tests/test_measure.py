@@ -9,7 +9,9 @@ import pytest
 
 from bratlap.diagram import EMPTY_PATH, Path, build_diagram, enumerate_paths
 from bratlap.measure import (
+    EXACT_POWER_LOG2_LIMIT,
     MeasureError,
+    _power,
     WeightSystem,
     diam_power,
     mu,
@@ -84,6 +86,28 @@ def test_perron_approx_backend():
     with mpmath.workprec(200):
         golden = (1 + mpmath.sqrt(5)) / 2
         assert abs(p.theta.value - golden) < mpmath.mpf(2) ** -180
+
+
+@pytest.mark.parametrize("bits", [53, 64, 200])
+def test_perron_plastic_power_iteration(bits):
+    # from the uniform start the theta estimates run 4/3, 5/4, 7/5, 9/7, 4/3,
+    # 4/3: a repeat long before the eigenvector is reached
+    p = perron(((0, 1, 0), (0, 0, 1), (1, 1, 0)), ApproxBackend(bits))
+    with mpmath.workprec(bits):
+        theta = p.theta.value
+        assert abs(theta ** 3 - theta - 1) < mpmath.mpf(2) ** (20 - bits)
+        v = [x.value for x in p.v_right]
+        assert abs(v[1] - theta * v[0]) < mpmath.mpf(2) ** (20 - bits)
+
+
+def test_exact_power_beyond_float_range_refused():
+    # squaring toward e = 10**400 would never end
+    with pytest.raises(OverflowError, match=f"2\\*\\*{EXACT_POWER_LOG2_LIMIT}"):
+        _power(Q5, PHI, Fraction(10 ** 400), 212)
+    with pytest.raises(OverflowError):
+        _power(RAT, Fraction(1, 2), Fraction(-(EXACT_POWER_LOG2_LIMIT + 1)), 212)
+    assert _power(RAT, Fraction(1, 2), Fraction(EXACT_POWER_LOG2_LIMIT), 212) == \
+        Fraction(1, 2 ** EXACT_POWER_LOG2_LIMIT)
 
 
 def test_perron_errors():
@@ -241,3 +265,9 @@ def test_zeta_overflow_guard():
     ws = tm_ws()
     with pytest.raises(OverflowError):
         zeta_partial(ws, -50.0, 40)
+
+
+def test_zeta_underflow_guard():
+    # a zero increment would leave the next ratio dividing by zero
+    with pytest.raises(OverflowError, match="underflow at generation 2"):
+        zeta_partial(fib_ws(), 1000.0, 5)
