@@ -173,9 +173,11 @@ def _approx_eigen(matrix, backend: ApproxBackend, transpose: bool = False):
             theta = new_theta
             if stalled and residual() <= bound:
                 break
-        resid = residual()
-        if resid > bound:
-            raise MeasureError(f"power iteration residual {resid} too large at {prec} bits")
+        else:
+            resid = residual()
+            if resid > bound:
+                raise MeasureError(
+                    f"power iteration residual {resid} too large at {prec} bits")
     return ApproxReal(theta, prec), [ApproxReal(x, prec) for x in v]
 
 
