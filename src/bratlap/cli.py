@@ -11,6 +11,8 @@ the `verify` verdict when a deviation sits at the tolerance.
 Each command accepts only the flags it reads; `_COMMANDS` lists them.  `main`
 resolves the diagram, weight system, --s and --depth once, runs the command
 against a buffered emitter, and writes the emitter's sections in one place.
+`strip` takes no --backend: its lattice coordinates live in the exact field
+of the Perron eigenvalue, which the diagram fixes, and its header names it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -31,7 +33,8 @@ import numpy as np
 from . import asymptotics, cuntz, laplacian
 from .diagram import (BratteliDiagram, DiagramError, SubstitutionRule, build_diagram,
                       load_diagram_file)
-from .measure import DEFAULT_APPROX_BITS, MeasureError, WeightSystem, perron, zeta_partial
+from .measure import (DEFAULT_APPROX_BITS, MeasureError, WeightSystem, perron,
+                      theta_field, zeta_partial)
 from .presets import PRESETS, preset_names
 from .scalar import MIN_PRECISION, ApproxReal, parse_backend
 
@@ -92,7 +95,7 @@ class _Emitter:
 
 class _Inputs(NamedTuple):
     """What `main` resolved for a command.  `ws` is None for a command that
-    does not read --backend; `s` is d for one that does not read --s."""
+    builds no weight system; `s` is d for one that does not read --s."""
 
     diagram: BratteliDiagram
     ws: WeightSystem | None
@@ -150,10 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_system(args, parser, reads_backend: bool):
+def _resolve_system(args, parser, reads):
     """(preset spec or None, diagram, dimension, backend, weight system or
-    None); the weight system is built only for a command that reads
-    --backend, the others print the default backend in their header."""
+    None).  A command that reads --backend gets its weight system on that
+    backend, and `strip` on the exact field of theta, where its lattice
+    lives; the others get none and print the default backend in their
+    header."""
     if bool(args.preset) == bool(getattr(args, "matrix_file", None)):
         parser.error("exactly one of --preset and --matrix-file is required")
     spec = PRESETS.get(args.preset)
@@ -164,10 +169,13 @@ def _resolve_system(args, parser, reads_backend: bool):
             dimension = spec.dimension
         else:
             diagram, dimension = load_diagram_file(args.matrix_file)
-        backend = parse_backend(getattr(args, "backend", None) or
-                                (spec.recommended_backend if spec else "rational"))
-        if not reads_backend:
-            return spec, diagram, dimension, backend, None
+        if args.command == "strip":
+            backend = theta_field(diagram.matrix)
+        else:
+            backend = parse_backend(getattr(args, "backend", None) or
+                                    (spec.recommended_backend if spec else "rational"))
+            if "--backend" not in reads:
+                return spec, diagram, dimension, backend, None
         pdata = perron(diagram.matrix, backend,
                        symmetry_order=diagram.symmetry_order, dimension=dimension)
     except (DiagramError, MeasureError, OSError, ValueError) as exc:
@@ -347,34 +355,16 @@ def cmd_heat(args, parser, em, inputs) -> int:
 
 
 def cmd_strip(args, parser, em, inputs) -> int:
-    ws, s, diagram = inputs.ws, inputs.s, inputs.diagram
-    exact_field = inputs.meta.get("exact_field")
-    coord_backend = ws.backend
-    coord_ws = ws
-    if not coord_backend.is_exact:
-        try:
-            coord_backend = parse_backend(
-                f"quadratic:{exact_field}" if exact_field else "rational")
-            coord_ws = WeightSystem(diagram, perron(
-                diagram.matrix, coord_backend,
-                symmetry_order=diagram.symmetry_order, dimension=ws.dimension))
-        except (MeasureError, ValueError) as exc:
-            parser.error(f"strip needs exact coordinates: {exc}")
-    try:
-        table, seeds = _table_and_seeds(coord_ws, s)
-        field_backend = coord_backend if getattr(coord_backend, "disc", None) else None
-        constants = (table.lam, *table.betas, *(rec.value for rec in seeds))
-        if any(isinstance(x, ApproxReal) for x in constants):
-            field = f"Q(sqrt{field_backend.disc})" if field_backend else "Q"
-            parser.error(f"strip needs exact coordinates, but at s={s} the "
-                         f"recursion constants leave {field}")
-        emb = cuntz.companion_embedding(diagram.matrix, ws.dimension,
-                                        field_backend=field_backend)
-        records = cuntz.recursive_spectrum(table, seeds, args.depth, embedding=emb)
-        report = cuntz.strip_check(emb, records, table, seeds)
-    except cuntz.CuntzError as exc:
-        parser.error(str(exc))
-    em.config["backend"] = coord_backend.kind
+    ws, s = inputs.ws, inputs.s
+    table, seeds = _table_and_seeds(ws, s)
+    constants = (table.lam, *table.betas, *(rec.value for rec in seeds))
+    if any(isinstance(x, ApproxReal) for x in constants):
+        disc = getattr(ws.backend, "disc", None)
+        parser.error(f"strip needs exact coordinates, but at s={s} the recursion "
+                     f"constants leave {f'Q(sqrt{disc})' if disc else 'Q'}")
+    emb = cuntz.companion_embedding(ws.perron)
+    records = cuntz.recursive_spectrum(table, seeds, args.depth, embedding=emb)
+    report = cuntz.strip_check(emb, records, table, seeds)
     em.section("distances", ["path", "distance"],
                [['"' + label + '"', _fmt(d)] for label, d in report.distances])
     em.section("per_generation", ["generation", "max_distance"],
@@ -427,8 +417,8 @@ _COMMANDS = {
                     ("--tmax", {"type": float, "default": 1e-3}),
                     ("--points", {"type": int, "default": 21}),
                     ("--depth", {"type": int, "default": None}))),
-    "strip": (cmd_strip, "eigenvalue lattice strip analysis",
-              (*_SOURCE, "--backend", "--s"), (10, 1), ()),
+    # strip builds its weight system on the exact field of theta
+    "strip": (cmd_strip, "eigenvalue lattice strip analysis", (*_SOURCE, "--s"), (10, 1), ()),
     "ck-check": (cmd_ck_check, "partial isometry relations", _SOURCE, (5, 3), ()),
     "complexity": (cmd_complexity, "1D factor complexity", ("--preset",), None,
                    (("--nmax", {"type": int, "default": 100}),)),
@@ -443,8 +433,7 @@ def main(argv=None) -> int:
     try:
         inputs = None
         if reads:
-            spec, diagram, dim, backend, ws = _resolve_system(
-                args, parser, "--backend" in reads)
+            spec, diagram, dim, backend, ws = _resolve_system(args, parser, reads)
             if depth:
                 _check_depth(args, parser, depth[1])
             inputs = _Inputs(diagram, ws, _resolve_s(args, dim, parser),

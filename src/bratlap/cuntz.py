@@ -18,14 +18,8 @@ import numpy as np
 from . import _linalg
 from .diagram import DEFAULT_PATH_CAP, EMPTY_PATH, BratteliDiagram, Path, enumerate_paths
 from .laplacian import SpectralRecord, full_spectrum, g_value
-from .measure import MeasureError, WeightSystem, _exact_theta, _power, mu
-from .scalar import (
-    ApproxReal,
-    ExactnessError,
-    QuadraticBackend,
-    QuadraticNumber,
-    to_float,
-)
+from .measure import PerronData, WeightSystem, _power, mu, theta_min_poly
+from .scalar import ApproxReal, ExactnessError, QuadraticNumber, compare, to_float
 
 
 class CuntzError(ValueError):
@@ -307,10 +301,13 @@ def _with_coords(rec: SpectralRecord, embedding: "CompanionData") -> SpectralRec
 @dataclass(frozen=True)
 class CompanionData:
     """Multiplication by theta^(2/d) on the quotient ring Q[x]/(Q), where Q
-    substitutes x^(d/2) (d even) or x^d (d odd, matrix squared) into the exact
-    annihilating polynomial of theta.  Basis: powers of x = theta^(1/d')."""
+    substitutes x^d' into the minimal polynomial of theta, with d' = d/2 for
+    even d and d' = d for odd d.  So x = theta^(1/d'), and the matrix is the
+    companion matrix C_x of Q for even d and C_x^2 for odd d.  Basis: powers
+    of x; `basis_value` is x exactly when theta is quadratic and its field
+    holds x, else None."""
 
-    poly: tuple[int, ...]            # annihilating polynomial of theta, ascending
+    poly: tuple[int, ...]            # minimal polynomial of theta, ascending
     degree: int                      # lattice dimension
     matrix: tuple[tuple[int, ...], ...]
     dimension: int
@@ -330,24 +327,6 @@ class CompanionData:
         return float(np.linalg.norm(c - proj))
 
 
-def _theta_min_poly(matrix) -> tuple[list[int], float]:
-    coeffs = _linalg.char_poly([list(r) for r in matrix])
-    theta_float = float(max(abs(v) for v in np.linalg.eigvals(np.array(matrix, float))))
-    int_roots, residual = _linalg.deflate_integer_roots(coeffs)
-    for r in int_roots:
-        if abs(r - theta_float) < 1e-9 * max(1.0, theta_float):
-            return [-r, 1], theta_float
-    if len(residual) - 1 == 2:
-        return residual, theta_float
-    from .measure import _quadratic_factor_near
-    factor = _quadratic_factor_near(residual, theta_float)
-    if factor is not None:
-        p, q = factor
-        return [q, p, 1], theta_float
-    # fall back to the full deflated annihilating factor
-    return residual, theta_float
-
-
 def _companion(poly: list[int]) -> list[list[int]]:
     m = len(poly) - 1
     c = [[0] * m for _ in range(m)]
@@ -358,29 +337,30 @@ def _companion(poly: list[int]) -> list[list[int]]:
     return c
 
 
-def companion_embedding(matrix, dimension: int,
-                        field_backend: QuadraticBackend | None = None) -> CompanionData:
-    """Lattice model of multiplication by theta^(2/d), with Pisot and
-    hyperbolicity flags read off the companion spectrum."""
-    if dimension < 1:
-        raise CuntzError("dimension must be >= 1")
-    poly, theta_float = _theta_min_poly(matrix)
+def companion_embedding(perron: PerronData) -> CompanionData:
+    """Lattice model of multiplication by theta^(2/d) for exact Perron data,
+    with Pisot and hyperbolicity flags read off the companion spectrum."""
+    if not perron.backend.is_exact:
+        raise CuntzError("the lattice embedding needs exact Perron data")
+    dimension = perron.dimension
+    poly, theta_float = theta_min_poly(perron.matrix)
     d_prime = dimension // 2 if dimension % 2 == 0 else dimension
     subst = [0] * ((len(poly) - 1) * d_prime + 1)
     for k, c in enumerate(poly):
         subst[k * d_prime] = c
     comp = _companion(subst)
-    cmat = comp if dimension % 2 == 0 else _linalg.mat_mul(comp, comp)
+    # C multiplies by x^t = theta^(2/d)
+    t = 1 if dimension % 2 == 0 else 2
+    cmat = _linalg.mat_pow(comp, t)
     degree = len(cmat)
 
     basis_float = theta_float ** (1.0 / d_prime)
     basis_value = None
-    if field_backend is not None:
+    if len(poly) == 3:
         try:
-            theta_exact = _exact_theta(tuple(tuple(r) for r in matrix), field_backend)
-            basis_value = field_backend.pow_fraction(theta_exact, Fraction(1, d_prime))
-        except (MeasureError, ExactnessError):
-            basis_value = None
+            basis_value = perron.backend.pow_fraction(perron.theta, Fraction(1, d_prime))
+        except ExactnessError:
+            pass
 
     eigs = np.linalg.eigvals(np.array(cmat, float))
     mods = np.abs(eigs)
@@ -405,39 +385,28 @@ def companion_embedding(matrix, dimension: int,
     q, _ = np.linalg.qr(np.column_stack(cols))
     unstable = q[:, : np.linalg.matrix_rank(np.column_stack(cols))]
 
-    data = CompanionData(tuple(poly), degree, tuple(tuple(r) for r in cmat),
-                         dimension, basis_value, basis_float, pisot, hyperbolic,
-                         stable_norm, tuple(eigs.tolist()), unstable,
-                         p_inv_norm, "pending")
-    mode = _verify_action(data, field_backend)
-    return CompanionData(tuple(poly), degree, tuple(tuple(r) for r in cmat),
-                         dimension, basis_value, basis_float, pisot, hyperbolic,
-                         stable_norm, tuple(eigs.tolist()), unstable,
-                         p_inv_norm, mode)
+    return CompanionData(poly, degree, tuple(tuple(r) for r in cmat), dimension,
+                         basis_value, basis_float, pisot, hyperbolic, stable_norm,
+                         tuple(eigs.tolist()), unstable, p_inv_norm,
+                         _verify_action(cmat, t, basis_value, basis_float))
 
 
-def _verify_action(data: CompanionData, field_backend) -> str:
-    """Check that C really multiplies by theta^(2/d) on the basis elements."""
-    # d even: C is one multiplication by x = theta^(2/d); d odd: by x^2
-    t_float = data.basis_float ** 2 if data.dimension % 2 else data.basis_float
-    if data.basis_value is not None and data.degree <= 2 and field_backend is not None:
-        t_exact = data.basis_value ** 2 if data.dimension % 2 else data.basis_value
-        x = data.basis_value
-        for i in range(data.degree):
-            elem = x ** i
-            target = lattice_coords(data, t_exact * elem)
-            col = [Fraction(data.matrix[r][i]) for r in range(data.degree)]
-            if tuple(col) != tuple(target):
-                raise CuntzError("companion action disagrees with field multiplication")
-        return "exact"
-    # numeric check: evaluate both sides at x = basis_float
-    powers = [data.basis_float ** i for i in range(data.degree)]
-    for i in range(data.degree):
-        lhs = sum(data.matrix[r][i] * powers[r] for r in range(data.degree))
-        rhs = t_float * powers[i]
-        if abs(lhs - rhs) > 1e-6 * max(1.0, abs(rhs)):
+def _verify_action(cmat, t: int, basis_value, basis_float: float) -> str:
+    """Check that C multiplies each basis power x^i by x^t: exactly in the
+    field when it holds x and the lattice is a plane, where 1 and x are a
+    basis of the field, else numerically at x = basis_float."""
+    m = len(cmat)
+    exact = basis_value is not None and m <= 2
+    x = basis_value if exact else basis_float
+    powers = [x ** i for i in range(m)]
+    for i in range(m):
+        lhs = sum(cmat[r][i] * powers[r] for r in range(m))
+        rhs = x ** t * powers[i]
+        if exact and compare(lhs, rhs) != 0:
+            raise CuntzError("companion action disagrees with field multiplication")
+        if not exact and abs(lhs - rhs) > 1e-6 * max(1.0, abs(rhs)):
             raise CuntzError("companion action fails the numeric multiplication check")
-    return "numeric"
+    return "exact" if exact else "numeric"
 
 
 def lattice_coords(embedding: CompanionData, value) -> tuple[Fraction, ...]:

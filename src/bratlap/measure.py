@@ -101,26 +101,57 @@ def _poly_divisible_by_quadratic(coeffs: list[int], p: int, q: int) -> bool:
     return rem[0] == 0 and rem[1] == 0
 
 
-def _exact_theta(matrix, backend) -> object:
+def theta_min_poly(matrix) -> tuple[tuple[int, ...] | None, float]:
+    """Minimal polynomial of the Perron eigenvalue theta of a primitive integer
+    matrix, in ascending coefficients, with theta as a float: (-theta, 1) for
+    an integer theta, (q, p, 1) for a root of x^2 + p x + q, and None for a
+    theta of higher degree."""
     coeffs = _linalg.char_poly([list(r) for r in matrix])
-    theta_float = max(abs(v) for v in np.linalg.eigvals(np.array(matrix, dtype=float)))
+    theta_float = float(max(abs(v) for v in np.linalg.eigvals(np.array(matrix, dtype=float))))
+    # a monic integer polynomial has only integer rational roots, and an
+    # irrational quadratic factor is prime to them, so it divides the residual
     int_roots, residual = _linalg.deflate_integer_roots(coeffs)
     for r in int_roots:
         if abs(r - theta_float) < 1e-6 * max(1.0, theta_float):
-            return backend.make(r)
-    factor = _quadratic_factor_near(residual, theta_float) or \
-        _quadratic_factor_near(coeffs, theta_float)
+            return (-r, 1), theta_float
+    factor = _quadratic_factor_near(residual, theta_float)
     if factor is None:
-        raise MeasureError(
-            "Perron eigenvalue has algebraic degree > 2; use an approx backend")
+        return None, theta_float
     p, q = factor
+    return (q, p, 1), theta_float
+
+
+def theta_field(matrix) -> Backend:
+    """The smallest exact backend that holds the Perron eigenvalue: rational
+    for an integer theta, else quadratic:D with D the square-free part of the
+    discriminant p^2 - 4q of its minimal polynomial."""
+    poly, _ = theta_min_poly(matrix)
+    if poly is None:
+        raise MeasureError("Perron eigenvalue has algebraic degree > 2, so no rational "
+                           "or quadratic field holds it")
+    if len(poly) == 2:
+        return RationalBackend()
+    disc = poly[1] ** 2 - 4 * poly[0]
+    f = 2
+    while f * f <= disc:
+        while disc % (f * f) == 0:
+            disc //= f * f
+        f += 1
+    return QuadraticBackend(disc)
+
+
+def _exact_theta(matrix, backend) -> object:
+    poly, theta_float = theta_min_poly(matrix)
+    if poly is None:
+        raise MeasureError("Perron eigenvalue has algebraic degree > 2; use an approx backend")
+    if len(poly) == 2:
+        return backend.make(-poly[0])
+    q, p, _ = poly
     disc = p * p - 4 * q
     if isinstance(backend, RationalBackend):
         raise MeasureError(
             f"Perron eigenvalue is irrational (x^2{p:+d}x{q:+d} = 0); "
             f"use a quadratic backend")
-    if not isinstance(backend, QuadraticBackend):
-        raise MeasureError("exact theta requires a rational or quadratic backend")
     if disc % backend.disc != 0:
         raise MeasureError(
             f"Perron eigenvalue lives in Q(sqrt{disc}); backend has sqrt{backend.disc}")

@@ -55,7 +55,6 @@ def _specs() -> dict[str, PresetSpec]:
             {
                 "description": "uncollared golden-mean substitution a->ab, b->a",
                 "transversal_faithful": False,
-                "exact_field": 5,
                 "reference": {
                     "recursion_multiplier": "phi^2",
                     "recursion_offsets": "-phi for maps into vertex a, +phi into b",
@@ -71,7 +70,6 @@ def _specs() -> dict[str, PresetSpec]:
             {
                 "description": "border-forcing golden-mean substitution a->baa, b->ba",
                 "transversal_faithful": True,
-                "exact_field": 5,
                 "reference": {
                     "recursion_multiplier": "phi^4 (theta = phi^2 with d = 1)",
                 },
@@ -83,7 +81,6 @@ def _specs() -> dict[str, PresetSpec]:
             {
                 "description": "Thue-Morse substitution 0->01, 1->10",
                 "transversal_faithful": False,
-                "exact_field": None,
                 "reference": {
                     "first_eigenvalue": -4,
                     "recursion": (4, -2),
@@ -103,7 +100,6 @@ def _specs() -> dict[str, PresetSpec]:
                 "description": "single vertex with two parallel loops: the dyadic "
                                "Cantor set (one root edge, so no root splitting)",
                 "transversal_faithful": True,
-                "exact_field": None,
                 "reference": {
                     "closed_form": "-(2/3)*(7*4^(n-1) - 1)",
                     "recursion": (4, -2),
@@ -116,7 +112,6 @@ def _specs() -> dict[str, PresetSpec]:
             {
                 "description": "Penrose rhombi modulo D10 symmetry (|G| = 20), d = 2",
                 "transversal_faithful": True,
-                "exact_field": 5,
                 "reference": {
                     "root_closed_form": "-2g(g+1-4*phi^2)/(g^2-10g+5) with g = 20",
                 },
@@ -128,7 +123,6 @@ def _specs() -> dict[str, PresetSpec]:
             {
                 "description": "Ammann A2 tiles modulo reflections (|G| = 4), d = 2",
                 "transversal_faithful": True,
-                "exact_field": 5,
                 "reference": {
                     "root_closed_form": "-2g(g+1-4*phi^2)/(g^2-10g+5) with g = 4",
                 },

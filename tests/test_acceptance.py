@@ -185,7 +185,7 @@ def test_criterion_06_strip_bound():
     ws = fib.weight_system
     table = affine_table(ws, 1)
     seeds = seed_records(ws, 1)
-    emb = companion_embedding(fib.diagram.matrix, 1, field_backend=Q5)
+    emb = companion_embedding(fib.perron)
     records = recursive_spectrum(table, seeds, 12, embedding=emb)
     report = strip_check(emb, records, table, seeds)
     assert report.max_distance <= report.bound
@@ -197,7 +197,7 @@ def test_criterion_06_strip_bound():
     tm = load_preset("thue-morse")
     table_tm = affine_table(tm.weight_system, 1)
     seeds_tm = seed_records(tm.weight_system, 1)
-    emb_tm = companion_embedding(tm.diagram.matrix, 1)
+    emb_tm = companion_embedding(tm.perron)
     rec_tm = recursive_spectrum(table_tm, seeds_tm, 8, embedding=emb_tm)
     report_tm = strip_check(emb_tm, rec_tm, table_tm, seeds_tm)
     assert report_tm.max_distance == 0.0

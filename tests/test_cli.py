@@ -142,6 +142,8 @@ def test_ck_check_reads_only_the_diagram(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["zeta", "--preset", "fibonacci", "--depth", "5", "--precision", "64"],
     ["strip", "--preset", "fibonacci", "--precision", "64"],
+    pytest.param(["strip", "--preset", "fibonacci", "--backend", "quadratic:5"],
+                 id="strip --backend"),
     ["ck-check", "--preset", "fibonacci", "--backend", "rational"],
     ["complexity", "--preset", "thue-morse", "--backend", "rational"],
     ["presets", "--preset", "penrose"],
@@ -276,15 +278,12 @@ def _assert_clean(code, err, argv, codes=(0, 1, 2)):
 
 @given(preset=st.sampled_from(preset_names()),
        depth=st.integers(0, 6),
-       s=st.sampled_from(["-1", "0", "1/2", "1", "2", "3"]),
-       backend=st.sampled_from([None, "rational", "quadratic:5", "approx:64"]))
+       s=st.sampled_from(["-1", "0", "1/2", "1", "2", "3"]))
 @settings(max_examples=60, deadline=None)
-def test_strip_exit_codes(preset, depth, s, backend):
+def test_strip_exit_codes(preset, depth, s):
     # strip either succeeds or refuses its input as a usage error: it has no
     # verification to fail, and no input may end in a traceback
     argv = ["strip", "--preset", preset, "--depth", str(depth), "--s", s]
-    if backend is not None:
-        argv += ["--backend", backend]
     _assert_clean(*_checked_run(argv), argv, codes=(0, 2))
 
 
@@ -336,6 +335,8 @@ def test_weyl_multiplicities_never_wrap(capsys):
 
 _MATRICES = {
     "golden": {"letters": ["a", "b"], "matrix": [[1, 1], [1, 0]]},
+    # theta = 1 + sqrt2
+    "silver": {"letters": ["a", "b"], "matrix": [[2, 1], [1, 0]]},
     # theta^3 = theta + 1: a cubic Perron eigenvalue, approximate backends only
     "plastic": {"letters": ["a", "b", "c"], "matrix": [[0, 1, 0], [0, 0, 1], [1, 1, 0]]},
     "non-primitive": {"letters": ["a", "b"], "matrix": [[1, 1], [0, 1]]},
@@ -366,6 +367,24 @@ def test_plastic_matrix_verifies_on_approximate_backend(backend, matrix_files):
             "--depth", "5"]
     code, err = _checked_run(argv)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("matrix, field", [("golden", "quadratic:5"),
+                                           ("silver", "quadratic:2")])
+def test_strip_takes_the_field_of_theta(matrix, field, matrix_files, capsys):
+    # strip has no --backend: it works in the exact field that holds theta
+    code, out = run_cli(["strip", "--matrix-file", matrix_files[matrix],
+                         "--depth", "4"], capsys)
+    assert code == 0
+    assert f"# backend={field}\n" in out
+
+
+def test_strip_refuses_a_cubic_theta(matrix_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["strip", "--matrix-file", matrix_files["plastic"], "--depth", "4"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "degree > 2" in err and "approx" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -435,6 +454,6 @@ def test_flag_exit_codes(argv):
 def test_matrix_file_exit_codes(matrix_files, command, matrix, backend):
     argv = [command, "--matrix-file", matrix_files[matrix]]
     argv += ["--points", "3"] if command == "heat" else ["--depth", "3"]
-    if backend is not None and command != "ck-check":
+    if backend is not None and command not in ("ck-check", "strip"):
         argv += ["--backend", backend]
     _assert_clean(*_checked_run(argv), argv)

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from bratlap import cuntz
 from bratlap.cuntz import (
     CuntzError,
     affine_table,
@@ -199,7 +198,7 @@ def test_recursion_depth_zero_and_one():
 
 
 def test_companion_fibonacci():
-    emb = companion_embedding(FIB_A, 1, field_backend=Q5)
+    emb = companion_embedding(perron(FIB_A, Q5))
     assert emb.poly == (-1, -1, 1)
     assert emb.matrix == ((1, 1), (1, 2))
     assert emb.pisot and emb.hyperbolic
@@ -208,14 +207,14 @@ def test_companion_fibonacci():
 
 
 def test_companion_thue_morse_scalar():
-    emb = companion_embedding(TM_A, 1)
+    emb = companion_embedding(perron(TM_A, RAT))
     assert emb.degree == 1
     assert emb.matrix == ((4,),)
     assert emb.pisot
 
 
 def test_companion_penrose():
-    emb = companion_embedding(PEN_A, 2, field_backend=Q5)
+    emb = companion_embedding(perron(PEN_A, Q5, dimension=2))
     assert emb.poly == (1, -3, 1)
     assert emb.matrix == ((0, -1), (1, 3))
     mods = sorted(abs(e) for e in emb.eigenvalues)
@@ -226,9 +225,9 @@ def test_companion_penrose():
 
 
 def test_lattice_coords_examples():
-    emb_tm = companion_embedding(TM_A, 1)
+    emb_tm = companion_embedding(perron(TM_A, RAT))
     assert lattice_coords(emb_tm, Fraction(-18)) == (Fraction(-18),)
-    emb_fib = companion_embedding(FIB_A, 1, field_backend=Q5)
+    emb_fib = companion_embedding(perron(FIB_A, Q5))
     lam0 = -(2 * PHI + 1)
     assert lattice_coords(emb_fib, lam0) == (Fraction(-1), Fraction(-2))
 
@@ -239,15 +238,15 @@ def fib_conj_ws():
 
 # fibonacci repeats no step; penrose repeats each step across its 20 root
 # slots; fibonacci-conjugate across its two parallel a -> a edges
-@pytest.mark.parametrize("ws_factory, matrix, dim, s, depth", [
-    (fib_ws, FIB_A, 1, 1, 6),
-    (penrose_ws, PEN_A, 2, 2, 5),
-    (fib_conj_ws, FIB_CONJ_A, 1, 1, 6),
+@pytest.mark.parametrize("ws_factory, s, depth", [
+    (fib_ws, 1, 6),
+    (penrose_ws, 2, 5),
+    (fib_conj_ws, 1, 6),
 ], ids=["fibonacci", "penrose", "fibonacci-conjugate"])
-def test_coords_recursion_homomorphism(ws_factory, matrix, dim, s, depth):
+def test_coords_recursion_homomorphism(ws_factory, s, depth):
     ws = ws_factory()
     table = affine_table(ws, s)
-    emb = companion_embedding(matrix, dim, field_backend=Q5)
+    emb = companion_embedding(ws.perron)
     records = recursive_spectrum(table, seed_records(ws, s), depth, embedding=emb)
     direct = {(r.label, r.path): r for r in full_spectrum(ws, depth, s)}
     # the same records as the direct formula, path by path
@@ -264,7 +263,7 @@ def test_coords_recursion_homomorphism(ws_factory, matrix, dim, s, depth):
 
 
 def test_coords_scalar_recursion_thue_morse():
-    emb = companion_embedding(TM_A, 1)
+    emb = companion_embedding(perron(TM_A, RAT))
     c = lattice_coords(emb, Fraction(-18))
     pushed = tuple(4 * x for x in c)
     assert tuple(p + q for p, q in zip(pushed, (Fraction(-2),))) == (Fraction(-74),)
@@ -273,7 +272,7 @@ def test_coords_scalar_recursion_thue_morse():
 def test_strip_fibonacci_bounded():
     ws = fib_ws()
     table = affine_table(ws, 1)
-    emb = companion_embedding(FIB_A, 1, field_backend=Q5)
+    emb = companion_embedding(ws.perron)
     seeds = seed_records(ws, 1)
     records = recursive_spectrum(table, seeds, 12, embedding=emb)
     report = strip_check(emb, records, table, seeds)
@@ -285,7 +284,7 @@ def test_strip_fibonacci_bounded():
 def test_strip_thue_morse_zero():
     ws = tm_ws()
     table = affine_table(ws, 1)
-    emb = companion_embedding(TM_A, 1)
+    emb = companion_embedding(ws.perron)
     seeds = seed_records(ws, 1)
     records = recursive_spectrum(table, seeds, 8, embedding=emb)
     report = strip_check(emb, records, table, seeds)
@@ -295,7 +294,7 @@ def test_strip_thue_morse_zero():
 def test_strip_penrose_bounded():
     ws = penrose_ws()
     table = affine_table(ws, 2)
-    emb = companion_embedding(PEN_A, 2, field_backend=Q5)
+    emb = companion_embedding(ws.perron)
     seeds = seed_records(ws, 2)
     records = recursive_spectrum(table, seeds, 7, embedding=emb)
     report = strip_check(emb, records, table, seeds)
@@ -306,7 +305,7 @@ def test_strip_penrose_bounded():
 def test_strip_distances_equal_unmemoized():
     ws = penrose_ws()
     table = affine_table(ws, 2)
-    emb = companion_embedding(PEN_A, 2, field_backend=Q5)
+    emb = companion_embedding(ws.perron)
     seeds = seed_records(ws, 2)
     records = recursive_spectrum(table, seeds, 5, embedding=emb)
     # every third record carries no coordinates, so strip_check expands them
@@ -323,29 +322,27 @@ def test_strip_distances_equal_unmemoized():
 
 
 def test_companion_embedding_field_mismatch_falls_back_to_numeric():
-    # theta of the Fibonacci matrix lives in Q(sqrt5), not Q(sqrt2): MeasureError
-    emb = companion_embedding(FIB_A, 1, field_backend=QuadraticBackend(2))
-    assert emb.basis_value is None
-    assert emb.action_verified == "numeric"
     # theta^(1/3) is not in Q(sqrt5): ExactnessError
-    emb3 = companion_embedding(FIB_A, 3, field_backend=Q5)
+    emb3 = companion_embedding(perron(FIB_A, Q5, dimension=3))
     assert emb3.basis_value is None
     assert emb3.action_verified == "numeric"
 
 
 def test_companion_embedding_propagates_unexpected_errors(monkeypatch):
-    def broken(matrix, backend):
+    pdata = perron(FIB_A, Q5)
+
+    def broken(self, x, e):
         raise ZeroDivisionError("bug")
 
-    monkeypatch.setattr(cuntz, "_exact_theta", broken)
+    monkeypatch.setattr(QuadraticBackend, "pow_fraction", broken)
     with pytest.raises(ZeroDivisionError):
-        companion_embedding(FIB_A, 1, field_backend=Q5)
+        companion_embedding(pdata)
 
 
 def test_strip_refuses_non_hyperbolic():
     ws = fib_ws()
     table = affine_table(ws, 1)
-    emb = companion_embedding(FIB_A, 1, field_backend=Q5)
+    emb = companion_embedding(ws.perron)
     broken = dataclasses.replace(emb, hyperbolic=False)
     with pytest.raises(CuntzError):
         strip_check(broken, [], table, [])
