@@ -39,6 +39,9 @@ from .presets import PRESETS, preset_names
 from .scalar import MIN_PRECISION, ApproxReal, parse_backend
 
 DEFAULT_PRECISION_ENV = "BRATLAP_PRECISION"
+# the most times heat samples the trace at: each sample sums its own
+# generations, and a huge count asks for memory in proportion to it
+MAX_HEAT_POINTS = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -338,6 +341,8 @@ def cmd_heat(args, parser, em, inputs) -> int:
         parser.error("--tmin and --tmax must be finite")
     if args.points < 1 or args.tmin <= 0 or args.tmax < args.tmin:
         parser.error("need 0 < tmin <= tmax and points >= 1")
+    if args.points > MAX_HEAT_POINTS:
+        parser.error(f"--points must be <= {MAX_HEAT_POINTS}")
     if args.depth is not None:
         _check_depth(args, parser, 2)
     table, seeds = _table_and_seeds(ws, inputs.s)
@@ -362,7 +367,7 @@ def cmd_strip(args, parser, em, inputs) -> int:
         disc = getattr(ws.backend, "disc", None)
         parser.error(f"strip needs exact coordinates, but at s={s} the recursion "
                      f"constants leave {f'Q(sqrt{disc})' if disc else 'Q'}")
-    emb = cuntz.companion_embedding(ws.perron)
+    emb = cuntz.companion_embedding(ws.perron).at(s)
     records = cuntz.recursive_spectrum(table, seeds, args.depth, embedding=emb)
     report = cuntz.strip_check(emb, records, table, seeds)
     em.section("distances", ["path", "distance"],

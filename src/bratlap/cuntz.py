@@ -300,12 +300,14 @@ def _with_coords(rec: SpectralRecord, embedding: "CompanionData") -> SpectralRec
 
 @dataclass(frozen=True)
 class CompanionData:
-    """Multiplication by theta^(2/d) on the quotient ring Q[x]/(Q), where Q
-    substitutes x^d' into the minimal polynomial of theta, with d' = d/2 for
-    even d and d' = d for odd d.  So x = theta^(1/d'), and the matrix is the
-    companion matrix C_x of Q for even d and C_x^2 for odd d.  Basis: powers
-    of x; `basis_value` is x exactly when theta is quadratic and its field
-    holds x, else None."""
+    """Multiplication by Lambda_s = x^k on the quotient ring Q[x]/(Q), where
+    Q substitutes x^d' into the minimal polynomial of theta, with d' = d/2 for
+    even d and d' = d for odd d.  So x = theta^(1/d'), Lambda_s =
+    theta^((d+2-s)/d) = x^k with k = d'(d+2-s)/d, and the matrix is C_x^k for
+    the companion matrix C_x of Q.  `companion_embedding` builds it at s = d,
+    where it multiplies by theta^(2/d); `at` rebuilds it at another s.
+    Basis: powers of x; `basis_value` is x exactly when theta is quadratic
+    and its field holds x, else None."""
 
     poly: tuple[int, ...]            # minimal polynomial of theta, ascending
     degree: int                      # lattice dimension
@@ -326,6 +328,24 @@ class CompanionData:
         proj = self.unstable_basis @ (self.unstable_basis.T @ c)
         return float(np.linalg.norm(c - proj))
 
+    def at(self, s) -> "CompanionData":
+        """The embedding that grows the recursion's coordinates at s, with the
+        stable norm, unstable basis and |P^-1| of C_s = C_x^k.  Only a
+        positive integer k gives an integer matrix that expands along theta."""
+        d = self.dimension
+        k = _root_degree(d) * (d + 2 - Fraction(s)) / d
+        if k.denominator != 1 or k <= 0:
+            raise CuntzError(
+                f"strip needs k = d'(d+2-s)/d to be a positive integer, so that "
+                f"Lambda_s is the power x^k of the lattice generator x = theta^(1/d'); "
+                f"at s={s} and d={d}, k={k}")
+        return _embedding(self.poly, d, self.basis_value, self.basis_float, int(k))
+
+
+def _root_degree(dimension: int) -> int:
+    """d': the basis generator is x = theta^(1/d')."""
+    return dimension // 2 if dimension % 2 == 0 else dimension
+
 
 def _companion(poly: list[int]) -> list[list[int]]:
     m = len(poly) - 1
@@ -342,25 +362,26 @@ def companion_embedding(perron: PerronData) -> CompanionData:
     with Pisot and hyperbolicity flags read off the companion spectrum."""
     if not perron.backend.is_exact:
         raise CuntzError("the lattice embedding needs exact Perron data")
-    dimension = perron.dimension
     poly, theta_float = theta_min_poly(perron.matrix)
-    d_prime = dimension // 2 if dimension % 2 == 0 else dimension
-    subst = [0] * ((len(poly) - 1) * d_prime + 1)
-    for k, c in enumerate(poly):
-        subst[k * d_prime] = c
-    comp = _companion(subst)
-    # C multiplies by x^t = theta^(2/d)
-    t = 1 if dimension % 2 == 0 else 2
-    cmat = _linalg.mat_pow(comp, t)
-    degree = len(cmat)
-
-    basis_float = theta_float ** (1.0 / d_prime)
+    d_prime = _root_degree(perron.dimension)
     basis_value = None
     if len(poly) == 3:
         try:
             basis_value = perron.backend.pow_fraction(perron.theta, Fraction(1, d_prime))
         except ExactnessError:
             pass
+    return _embedding(poly, perron.dimension, basis_value, theta_float ** (1.0 / d_prime),
+                      2 * d_prime // perron.dimension)
+
+
+def _embedding(poly, dimension: int, basis_value, basis_float: float,
+               k: int) -> CompanionData:
+    d_prime = _root_degree(dimension)
+    subst = [0] * ((len(poly) - 1) * d_prime + 1)
+    for j, c in enumerate(poly):
+        subst[j * d_prime] = c
+    cmat = _linalg.mat_pow(_companion(subst), k)
+    degree = len(cmat)
 
     eigs = np.linalg.eigvals(np.array(cmat, float))
     mods = np.abs(eigs)
@@ -374,11 +395,11 @@ def companion_embedding(perron: PerronData) -> CompanionData:
     p = p / np.linalg.norm(p, axis=0)
     p_inv_norm = float(np.linalg.norm(np.linalg.inv(p), 2))
     cols = []
-    for k in range(degree):
-        if abs(w[k]) > 1.0:
-            v = p[:, k]
+    for i in range(degree):
+        if abs(w[i]) > 1.0:
+            v = p[:, i]
             cols.append(np.real(v))
-            if abs(np.imag(w[k])) > 1e-12:
+            if abs(np.imag(w[i])) > 1e-12:
                 cols.append(np.imag(v))
     if not cols:
         raise CuntzError("companion matrix has no unstable direction")
@@ -388,11 +409,11 @@ def companion_embedding(perron: PerronData) -> CompanionData:
     return CompanionData(poly, degree, tuple(tuple(r) for r in cmat), dimension,
                          basis_value, basis_float, pisot, hyperbolic, stable_norm,
                          tuple(eigs.tolist()), unstable, p_inv_norm,
-                         _verify_action(cmat, t, basis_value, basis_float))
+                         _verify_action(cmat, k, basis_value, basis_float))
 
 
-def _verify_action(cmat, t: int, basis_value, basis_float: float) -> str:
-    """Check that C multiplies each basis power x^i by x^t: exactly in the
+def _verify_action(cmat, k: int, basis_value, basis_float: float) -> str:
+    """Check that C multiplies each basis power x^i by x^k: exactly in the
     field when it holds x and the lattice is a plane, where 1 and x are a
     basis of the field, else numerically at x = basis_float."""
     m = len(cmat)
@@ -401,7 +422,7 @@ def _verify_action(cmat, t: int, basis_value, basis_float: float) -> str:
     powers = [x ** i for i in range(m)]
     for i in range(m):
         lhs = sum(cmat[r][i] * powers[r] for r in range(m))
-        rhs = x ** t * powers[i]
+        rhs = x ** k * powers[i]
         if exact and compare(lhs, rhs) != 0:
             raise CuntzError("companion action disagrees with field multiplication")
         if not exact and abs(lhs - rhs) > 1e-6 * max(1.0, abs(rhs)):

@@ -9,6 +9,7 @@ means n edges counting the root edge, so generation 0 is the bare root.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from . import _linalg
@@ -63,8 +64,16 @@ def abelianize(rule: SubstitutionRule) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in counts)
 
 
+def _integer(value, what: str) -> int:
+    """An integer input as an int; a float, a string or a bool is refused
+    rather than truncated or read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DiagramError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_matrix(matrix) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(tuple(int(v) for v in row) for row in matrix)
+    rows = tuple(tuple(_integer(v, "a matrix entry") for v in row) for row in matrix)
     r = len(rows)
     if r == 0 or any(len(row) != r for row in rows):
         raise DiagramError("matrix must be square and non-empty")
@@ -194,6 +203,10 @@ def build_diagram(matrix, symmetry_order: int = 1,
     r = len(rows)
     if symmetry_order < 1:
         raise DiagramError("symmetry_order must be >= 1")
+    if symmetry_order * r > DEFAULT_PATH_CAP:
+        # generation 1 alone would exceed the cap every enumeration enforces
+        raise DiagramError(f"symmetry_order {symmetry_order} gives {symmetry_order * r} "
+                           f"root edges, more than the {DEFAULT_PATH_CAP}-path cap")
     if letters is None:
         letters = tuple(chr(ord("a") + i) for i in range(r)) if r <= 26 else \
             tuple(f"v{i}" for i in range(r))
@@ -351,10 +364,10 @@ def load_diagram_json(text: str) -> tuple[BratteliDiagram, int]:
                 len(matrix) != len(letters):
             raise DiagramError(
                 "matrix shape does not match the letter list (ragged input?)")
-        dimension = int(payload.get("dimension", 1))
+        dimension = _integer(payload.get("dimension", 1), "dimension")
         if dimension < 1:
             raise DiagramError("dimension must be >= 1")
-        g = int(payload.get("symmetry_order", 1))
+        g = _integer(payload.get("symmetry_order", 1), "symmetry_order")
         return build_diagram(matrix, symmetry_order=g, letters=letters), dimension
     except TypeError as exc:
         raise DiagramError(f"diagram file has a field of the wrong type: {exc}") from exc

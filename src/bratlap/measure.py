@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 
 from . import _linalg
-from .diagram import BratteliDiagram, Path, is_primitive
+from .diagram import BratteliDiagram, Path, _check_matrix, is_primitive
 from .scalar import (
     ApproxBackend,
     ApproxReal,
@@ -216,7 +216,7 @@ def perron(matrix, backend: Backend, symmetry_order: int = 1,
            dimension: int = 1) -> PerronData:
     """Perron-Frobenius eigenvalue and eigenvectors of a primitive matrix,
     with the right eigenvector normalized so that g * sum(v) = 1."""
-    rows = tuple(tuple(int(v) for v in row) for row in matrix)
+    rows = _check_matrix(matrix)
     if not is_primitive(rows):
         raise MeasureError("matrix is not primitive")
     if symmetry_order < 1 or dimension < 1:

@@ -347,6 +347,13 @@ _MALFORMED = {
     "not-an-object": "5",
     "wrong-types": '{"letters": 5, "matrix": 5}',
     "null-dimension": '{"letters": ["a", "b"], "matrix": [[1, 1], [1, 0]], "dimension": null}',
+    # numbers that int() would truncate or read as the golden matrix
+    "float-entry": '{"letters": ["a"], "matrix": [[2.5]]}',
+    "string-entries": '{"letters": ["a", "b"], "matrix": [["1", "1"], ["1", "0"]]}',
+    "bool-entries": '{"letters": ["a", "b"], "matrix": [[true, true], [true, false]]}',
+    "float-symmetry-order":
+        '{"letters": ["a", "b"], "matrix": [[1, 1], [1, 0]], "symmetry_order": 2.5}',
+    "bool-dimension": '{"letters": ["a", "b"], "matrix": [[1, 1], [1, 0]], "dimension": true}',
 }
 
 
@@ -367,6 +374,23 @@ def test_plastic_matrix_verifies_on_approximate_backend(backend, matrix_files):
             "--depth", "5"]
     code, err = _checked_run(argv)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_matrix_files_are_refused(name, matrix_files):
+    argv = ["ck-check", "--matrix-file", matrix_files[name], "--depth", "3"]
+    _assert_clean(*_checked_run(argv), argv, codes=(2,))
+
+
+def test_symmetry_order_beyond_the_path_cap_is_refused_at_once(tmp_path):
+    # g root edges per letter are built before anything is enumerated
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({**_MATRICES["golden"], "symmetry_order": 10 ** 9}))
+    start = time.perf_counter()
+    code, err = _exit_code(["ck-check", "--matrix-file", str(spec), "--depth", "3"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert "cap" in err
 
 
 @pytest.mark.parametrize("matrix, field", [("golden", "quadratic:5"),
@@ -422,7 +446,8 @@ def _flag_argv(draw):
         for flag in ("--tmin", "--tmax"):
             if draw(st.booleans()):
                 argv += [flag, draw(_NUMBERS)]
-        argv += ["--points", str(draw(st.integers(-1, 6)))]
+        points = draw(st.one_of(st.integers(-1, 6), st.sampled_from([10_001, 10 ** 12])))
+        argv += ["--points", str(points)]
         if draw(st.booleans()):
             argv += ["--depth", str(draw(st.integers(0, 30)))]
     elif command == "ck-check":

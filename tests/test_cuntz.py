@@ -23,8 +23,9 @@ from bratlap.cuntz import (
 )
 from bratlap.diagram import Path, build_diagram, enumerate_paths
 from bratlap.laplacian import full_spectrum
-from bratlap.measure import WeightSystem, perron
-from bratlap.scalar import QuadraticBackend, RationalBackend
+from bratlap.measure import WeightSystem, perron, theta_field
+from bratlap.presets import PRESETS, load_preset, preset_names
+from bratlap.scalar import ApproxReal, QuadraticBackend, RationalBackend, compare
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -346,3 +347,41 @@ def test_strip_refuses_non_hyperbolic():
     broken = dataclasses.replace(emb, hyperbolic=False)
     with pytest.raises(CuntzError):
         strip_check(broken, [], table, [])
+
+
+# the s in {-1, 0, 1, 2} where strip runs: at d = 2, s = -1 and s = 1 take
+# recursion constants out of Q(sqrt5)
+STRIP_S = {"fibonacci": [-1, 0, 1, 2], "fibonacci-conjugate": [-1, 0, 1, 2],
+           "thue-morse": [-1, 0, 1, 2], "dyadic-odometer": [-1, 0, 1, 2],
+           "penrose": [0, 2], "ammann-a2": [0, 2]}
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_strip_coordinates_reconstruct_their_values(name):
+    # the recursion grows coordinates with C_s, which multiplies by Lambda_s
+    ws = load_preset(name, backend=theta_field(PRESETS[name].matrix)).weight_system
+    accepted = []
+    for s in (-1, 0, 1, 2):
+        table, seeds = affine_table(ws, s), seed_records(ws, s)
+        constants = (table.lam, *table.betas, *(rec.value for rec in seeds))
+        if any(isinstance(x, ApproxReal) for x in constants):
+            continue
+        accepted.append(s)
+        emb = companion_embedding(ws.perron).at(s)
+        for rec in recursive_spectrum(table, seeds, 5, embedding=emb):
+            if emb.basis_value is not None:
+                value = sum(c * emb.basis_value ** i for i, c in enumerate(rec.coords))
+                assert compare(value, rec.value) == 0, (s, rec.path)
+            else:
+                err = abs(reconstruct_from_coords(emb, rec.coords) - rec.value_float)
+                assert err <= 1e-12 * abs(rec.value_float), (s, rec.path)
+    assert accepted == STRIP_S[name]
+
+
+@pytest.mark.parametrize("s, k", [("3", "0"), ("4", "-1"), ("1/2", "5/2")])
+def test_embedding_refuses_k_that_is_not_a_positive_integer(s, k):
+    # theta = 4: Lambda_s = 4^(5/2) = 32 is rational at s = 1/2, but it is
+    # not an integer power of x = theta
+    emb = companion_embedding(perron([[4]], RAT))
+    with pytest.raises(CuntzError, match=f"at s={s} and d=1, k={k}$"):
+        emb.at(Fraction(s))
