@@ -420,9 +420,10 @@ def _verify_action(cmat, k: int, basis_value, basis_float: float) -> str:
     exact = basis_value is not None and m <= 2
     x = basis_value if exact else basis_float
     powers = [x ** i for i in range(m)]
+    t = x ** k
     for i in range(m):
         lhs = sum(cmat[r][i] * powers[r] for r in range(m))
-        rhs = x ** k * powers[i]
+        rhs = t * powers[i]
         if exact and compare(lhs, rhs) != 0:
             raise CuntzError("companion action disagrees with field multiplication")
         if not exact and abs(lhs - rhs) > 1e-6 * max(1.0, abs(rhs)):
@@ -438,11 +439,10 @@ def lattice_coords(embedding: CompanionData, value) -> tuple[Fraction, ...]:
     if isinstance(value, QuadraticNumber):
         if value.b == 0:
             return (value.a,) + (Fraction(0),) * (m - 1)
+        # an exact x = theta^(1/d') is irrational, as theta is
         t = embedding.basis_value
-        if t is None or not isinstance(t, QuadraticNumber) or m < 2:
+        if t is None:
             raise CuntzError("no exact basis generator available for these coordinates")
-        if t.b == 0:
-            raise CuntzError("basis generator is rational; cannot expand a surd")
         c1 = value.b / t.b
         c0 = value.a - c1 * t.a
         return (c0, c1) + (Fraction(0),) * (m - 2)

@@ -25,7 +25,8 @@ from bratlap.diagram import Path, build_diagram, enumerate_paths
 from bratlap.laplacian import full_spectrum
 from bratlap.measure import WeightSystem, perron, theta_field
 from bratlap.presets import PRESETS, load_preset, preset_names
-from bratlap.scalar import ApproxReal, QuadraticBackend, RationalBackend, compare
+from bratlap.scalar import (ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend,
+                            compare)
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -327,6 +328,11 @@ def test_companion_embedding_field_mismatch_falls_back_to_numeric():
     emb3 = companion_embedding(perron(FIB_A, Q5, dimension=3))
     assert emb3.basis_value is None
     assert emb3.action_verified == "numeric"
+
+
+def test_companion_embedding_needs_exact_perron_data():
+    with pytest.raises(CuntzError, match="exact Perron data"):
+        companion_embedding(perron(FIB_A, ApproxBackend(64)))
 
 
 def test_companion_embedding_propagates_unexpected_errors(monkeypatch):
