@@ -24,7 +24,6 @@ import numpy as np
 
 from .cuntz import AffineMapTable
 from .diagram import SubstitutionRule
-from .laplacian import SpectralRecord
 
 
 # thresholds in the default Weyl sample
@@ -109,10 +108,17 @@ def _check_weight_range(diagram, depth: int) -> None:
         row = [sum(row[k] * diagram.matrix[k][j] for k in range(r)) for j in range(r)]
 
 
-def magnitude_table(table: AffineMapTable, seeds: list[SpectralRecord],
-                    depth: int) -> GenerationSpectrum:
+def _seed_values(table: AffineMapTable) -> dict[int, float]:
+    """{range vertex: float value} of the table's generation-1 seeds; the g
+    root slots of a vertex share one value."""
+    return {table.diagram.path_range(rec.path): rec.value_float
+            for rec in table.seeds if rec.label == "path"}
+
+
+def magnitude_table(table: AffineMapTable, depth: int) -> GenerationSpectrum:
     """Per-generation |eigenvalue| magnitudes with exact multiplicities, grown
-    by the affine recursion as a DP over distinct states.
+    from the table's seeds by the affine recursion as a DP over distinct
+    states.
 
     A path's eigenvalue depends only on its seed and on the sequence of beta
     classes applied, not on its root slot or on which parallel edge it took.
@@ -136,15 +142,10 @@ def magnitude_table(table: AffineMapTable, seeds: list[SpectralRecord],
     out_deg = [len(diagram.out_edges[v]) for v in range(r)]
 
     gen0_vals, gen0_wts = [0.0], [1]
-    for rec in seeds:
+    for rec in table.seeds:
         if rec.label == "root":
             gen0_vals.append(abs(rec.value_float))
             gen0_wts.append(rec.multiplicity)
-
-    seed_vals: dict[int, float] = {}
-    for rec in seeds:
-        if rec.label == "path" and rec.generation == 1:
-            seed_vals[diagram.path_range(rec.path)] = rec.value_float
 
     # the steps into each vertex: (source, beta class) -> number of edges
     classes = table.beta_classes()
@@ -159,7 +160,7 @@ def magnitude_table(table: AffineMapTable, seeds: list[SpectralRecord],
     depth = max(depth, 1)   # generation 1, the seeds, is always reported
     mags: list[list[np.ndarray]] = [[] for _ in range(depth)]
     wts: list[list[np.ndarray]] = [[] for _ in range(depth)]
-    for z, seed in sorted(seed_vals.items()):
+    for z, seed in sorted(_seed_values(table).items()):
         vals = np.array([seed])
         total = np.ones(1, dtype=np.int64)
         members = {z: (np.zeros(1, dtype=np.int64), total)}
@@ -317,10 +318,10 @@ def _log_transfer_contribution(table: AffineMapTable, seed_vals: dict[int, float
     return contrib, new
 
 
-def heat_trace(table: AffineMapTable, seeds: list[SpectralRecord], t_grid,
-               depth: int | None = None) -> HeatResult:
-    """Truncated trace of exp(t * Delta) over the enumerated spectrum, with a
-    certified geometric tail bound below HEAT_TAIL_TARGET at every requested t.
+def heat_trace(table: AffineMapTable, t_grid, depth: int | None = None) -> HeatResult:
+    """Truncated trace of exp(t * Delta) over the spectrum grown from the
+    table's seeds, with a certified geometric tail bound below
+    HEAT_TAIL_TARGET at every requested t.
 
     The tail certificate extrapolates the measured per-generation envelopes
     with ratio Lambda and a 2x safety factor on both constants."""
@@ -333,7 +334,7 @@ def heat_trace(table: AffineMapTable, seeds: list[SpectralRecord], t_grid,
     if lam <= 1.0:
         raise AsymptoticsError("heat trace needs Lambda > 1 (s < d+2)")
 
-    env = magnitude_table(table, seeds, HEAT_ENVELOPE_DEPTH)
+    env = magnitude_table(table, HEAT_ENVELOPE_DEPTH)
     mins = env.generation_min()
     c_min = min(v / lam ** n for n, v in mins.items()) / 2.0
     c_cnt = 2.0 * max(env.generation_weight(n) / theta ** n
@@ -369,9 +370,8 @@ def heat_trace(table: AffineMapTable, seeds: list[SpectralRecord], t_grid,
             f"smallest feasible t at this depth is {feasible:g}")
 
     out_deg = [len(diagram.out_edges[v]) for v in range(diagram.n_letters)]
-    seed_vals = {diagram.path_range(rec.path): rec.value_float
-                 for rec in seeds if rec.label == "path" and rec.generation == 1}
-    root = next((rec for rec in seeds if rec.label == "root"), None)
+    seed_vals = _seed_values(table)
+    root = next((rec for rec in table.seeds if rec.label == "root"), None)
 
     samples = []
     for t in t_grid:
@@ -407,10 +407,10 @@ class NormBoundReport:
         return self.sup_total <= self.bound + 1e-12
 
 
-def norm_bound_check(table: AffineMapTable, seeds: list[SpectralRecord],
-                     depth: int = 15) -> NormBoundReport:
+def norm_bound_check(table: AffineMapTable, depth: int = 15) -> NormBoundReport:
     """Bounded regime s > d+2: the running sup of |eigenvalue| must stay below
-    c/(1-Lambda) and its increments must shrink geometrically like Lambda."""
+    c/(1-Lambda), with c the largest |beta| or nonzero seed magnitude of the
+    table, and its increments must shrink geometrically like Lambda."""
     ws = table.ws
     s = float(table.s)
     if s <= ws.dimension + 2:
@@ -419,9 +419,9 @@ def norm_bound_check(table: AffineMapTable, seeds: list[SpectralRecord],
     if lam >= 1.0:
         raise AsymptoticsError("Lambda_s must be < 1 in the bounded regime")
 
-    spec = magnitude_table(table, seeds, depth)
+    spec = magnitude_table(table, depth)
     maxes = spec.generation_max()
-    seed_mags = [abs(rec.value_float) for rec in seeds if rec.label != "zero"]
+    seed_mags = [abs(rec.value_float) for rec in table.seeds if rec.label != "zero"]
     c = max(max(seed_mags), max(abs(b) for b in table.betas_float))
     bound = c / (1.0 - lam)
 

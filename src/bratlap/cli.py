@@ -290,16 +290,10 @@ def cmd_zeta(args, parser, em, inputs) -> int:
     return 0
 
 
-def _table_and_seeds(ws, s):
-    table = cuntz.affine_table(ws, s)
-    seeds = cuntz.seed_records(ws, s)
-    return table, seeds
-
-
 def cmd_weyl(args, parser, em, inputs) -> int:
     ws, s, dim = inputs.ws, inputs.s, inputs.ws.dimension
-    table, seeds = _table_and_seeds(ws, s)
-    spec = asymptotics.magnitude_table(table, seeds, args.depth)
+    table = cuntz.affine_table(ws, s)
+    spec = asymptotics.magnitude_table(table, args.depth)
     grid = None
     if args.grid:
         try:
@@ -345,10 +339,10 @@ def cmd_heat(args, parser, em, inputs) -> int:
         parser.error(f"--points must be <= {MAX_HEAT_POINTS}")
     if args.depth is not None:
         _check_depth(args, parser, 2)
-    table, seeds = _table_and_seeds(ws, inputs.s)
+    table = cuntz.affine_table(ws, inputs.s)
     grid = np.geomspace(args.tmin, args.tmax, args.points)
     try:
-        result = asymptotics.heat_trace(table, seeds, grid, depth=args.depth)
+        result = asymptotics.heat_trace(table, grid, depth=args.depth)
     except asymptotics.AsymptoticsError as exc:
         parser.error(str(exc))
     em.config.update(tmin=_fmt(args.tmin), tmax=_fmt(args.tmax))
@@ -361,15 +355,15 @@ def cmd_heat(args, parser, em, inputs) -> int:
 
 def cmd_strip(args, parser, em, inputs) -> int:
     ws, s = inputs.ws, inputs.s
-    table, seeds = _table_and_seeds(ws, s)
-    constants = (table.lam, *table.betas, *(rec.value for rec in seeds))
+    table = cuntz.affine_table(ws, s)
+    constants = (table.lam, *table.betas, *(rec.value for rec in table.seeds))
     if any(isinstance(x, ApproxReal) for x in constants):
         disc = getattr(ws.backend, "disc", None)
         parser.error(f"strip needs exact coordinates, but at s={s} the recursion "
                      f"constants leave {f'Q(sqrt{disc})' if disc else 'Q'}")
     emb = cuntz.companion_embedding(ws.perron).at(s)
-    records = cuntz.recursive_spectrum(table, seeds, args.depth, embedding=emb)
-    report = cuntz.strip_check(emb, records, table, seeds)
+    records = cuntz.recursive_spectrum(table, args.depth, embedding=emb)
+    report = cuntz.strip_check(emb, records, table)
     em.section("distances", ["path", "distance"],
                [['"' + label + '"', _fmt(d)] for label, d in report.distances])
     em.section("per_generation", ["generation", "max_distance"],

@@ -111,7 +111,9 @@ def ck_relations_check(diagram: BratteliDiagram, depth: int,
 
 @dataclass(frozen=True)
 class AffineMapTable:
-    """Per-edge affine maps u_e(x) = Lambda_s x + beta_e on the spectrum."""
+    """Per-edge affine maps u_e(x) = Lambda_s x + beta_e on the spectrum, and
+    the seeds they grow it from: the zero, root and generation-1 records of
+    full_spectrum(ws, 1, s), in its order and with its scalars."""
 
     ws: WeightSystem
     s: Fraction
@@ -120,6 +122,7 @@ class AffineMapTable:
     betas: tuple
     betas_float: tuple[float, ...]
     calibration_checks: int
+    seeds: tuple[SpectralRecord, ...]
 
     @property
     def diagram(self) -> BratteliDiagram:
@@ -144,7 +147,9 @@ def affine_table(ws: WeightSystem, s) -> AffineMapTable:
     root; increments across single-extension prefixes vanish and are skipped.
     The table is only returned after u_e(lambda_gamma) = lambda_(U_e gamma)
     has been confirmed on all applicable paths through generation 3 (hard
-    failure otherwise)."""
+    failure otherwise).  Its seeds are the generation <= 1 records of that
+    depth-4 calibration spectrum: each record's scalar comes from the
+    stationary memo, so they equal full_spectrum(ws, 1, s) at any depth."""
     s = Fraction(s)
     diagram = ws.diagram
     d = ws.dimension
@@ -171,24 +176,28 @@ def affine_table(ws: WeightSystem, s) -> AffineMapTable:
             beta = beta + inc * (1 / g_value(ws, eps_prime, s))
         betas.append(beta)
 
+    oracle = full_spectrum(ws, 4, s)
     return AffineMapTable(ws, s, lam, to_float(lam), tuple(betas),
                           tuple(to_float(b) for b in betas),
-                          _self_calibrate(ws, s, lam, betas))
+                          _self_calibrate(ws, oracle, lam, betas),
+                          tuple(rec for rec in oracle if rec.generation <= 1))
 
 
-def _self_calibrate(ws: WeightSystem, s: Fraction, lam, betas: list) -> int:
-    """Require u_e(lambda_gamma) = lambda_(U_e gamma) on oracle data at depth 3."""
+def _self_calibrate(ws: WeightSystem, oracle: list[SpectralRecord], lam,
+                    betas: list) -> int:
+    """Require u_e(lambda_gamma) = lambda_(U_e gamma) on the depth-4 oracle
+    records of generations 2 and 3, each generation in lexicographic path
+    order, which is the oracle's depth-first order."""
     diagram = ws.diagram
     exact = ws.backend.is_exact and not isinstance(lam, ApproxReal) and \
         not any(isinstance(b, ApproxReal) for b in betas)
-    by_path = {rec.path: rec
-               for rec in full_spectrum(ws, 4, s) if rec.label == "path"}
+    by_path = {rec.path: rec for rec in oracle if rec.label == "path"}
     checks = 0
     for gen in (2, 3):
-        for gamma in enumerate_paths(diagram, gen).paths:
-            rec = by_path.get(gamma)
-            if rec is None:
+        for rec in oracle:
+            if rec.generation != gen:
                 continue
+            gamma = rec.path
             for ei in range(len(diagram.edges)):
                 shifted = path_shift_down(diagram, ei, gamma)
                 if shifted is None:
@@ -211,16 +220,12 @@ def _self_calibrate(ws: WeightSystem, s: Fraction, lam, betas: list) -> int:
     return checks
 
 
-def seed_records(ws: WeightSystem, s) -> list[SpectralRecord]:
-    """Zero, root, and generation-1 records: the finite data the recursion grows from."""
-    return full_spectrum(ws, 1, s)
-
-
-def recursive_spectrum(table: AffineMapTable, seeds: list[SpectralRecord],
-                       depth: int, embedding: "CompanionData | None" = None
+def recursive_spectrum(table: AffineMapTable, depth: int,
+                       embedding: "CompanionData | None" = None
                        ) -> list[SpectralRecord]:
-    """Spectrum through the given generation grown by the affine maps alone:
-    each record of generation n+1 is u_e applied to a generation-n record.
+    """Spectrum through the given generation grown by the affine maps alone
+    from the table's seeds: each record of generation n+1 is u_e applied to a
+    generation-n record.
 
     With an embedding, lattice coordinates are accumulated alongside the
     recursion via coords(u_e x) = C coords(x) + coords(beta_e).
@@ -231,7 +236,7 @@ def recursive_spectrum(table: AffineMapTable, seeds: list[SpectralRecord],
     distinct step (parent state, beta) once, and the records that reach the
     same state share its value, float value and coordinate objects."""
     diagram = table.diagram
-    out = list(seeds)
+    out = list(table.seeds)
     if embedding is not None:
         out = [_with_coords(rec, embedding) for rec in out]
     if depth <= 1:
@@ -477,9 +482,10 @@ class StripReport:
 
 
 def strip_check(embedding: CompanionData, records: list[SpectralRecord],
-                table: AffineMapTable, seeds: list[SpectralRecord]) -> StripReport:
+                table: AffineMapTable) -> StripReport:
     """Distances of eigenvalue lattice points to the unstable line, against the
-    bound m/(1 - |C_s|) with m = |P^-1|^2 max(|beta|, |lambda_seed|)."""
+    bound m/(1 - |C_s|) with m = |P^-1|^2 max(|beta|, |lambda_seed|) over the
+    table's betas and nonzero seeds."""
     if not embedding.hyperbolic:
         raise CuntzError("companion matrix is non-hyperbolic; strip bound unavailable")
     if embedding.stable_norm >= 1.0:
@@ -488,7 +494,7 @@ def strip_check(embedding: CompanionData, records: list[SpectralRecord],
     beta_vecs = [lattice_coords(embedding, b) for b in table.betas]
     seed_vecs = [rec.coords if rec.coords is not None
                  else lattice_coords(embedding, rec.value)
-                 for rec in seeds if rec.label != "zero"]
+                 for rec in table.seeds if rec.label != "zero"]
     norms = [math.sqrt(sum(float(c) ** 2 for c in vec))
              for vec in beta_vecs + seed_vecs]
     m_const = embedding.p_inv_norm ** 2 * max(norms)

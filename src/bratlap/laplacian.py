@@ -290,14 +290,6 @@ class DenseOperator:
         return m * np.outer(root, 1.0 / root)
 
 
-def _dense_exactness(ws: WeightSystem, s: Fraction) -> bool:
-    if not ws.backend.is_exact:
-        return False
-    if ws.mode == "measure_root":
-        return (Fraction(2 - s, ws.dimension)).denominator == 1
-    return (2 - s).denominator == 1 and ws.perron.inflation_exact
-
-
 def dense_restriction(ws: WeightSystem, n: int, s,
                       cap: int = DEFAULT_DENSE_CAP) -> DenseOperator:
     """Assemble Delta_s on the Pi_n basis.
@@ -313,7 +305,9 @@ def dense_restriction(ws: WeightSystem, n: int, s,
         raise LaplacianError(f"dense restriction needs {size} paths (cap {cap})")
     table = enumerate_paths(ws.diagram, n, cap=cap)
     diagram = ws.diagram
-    exact = _dense_exactness(ws, s)
+    # G carries diam^(2-s) = mu^((2-s)/d), which stays in an exact field
+    # only for an integer exponent
+    exact = ws.backend.is_exact and Fraction(2 - s, ws.dimension).denominator == 1
 
     cache = _StationaryCache(ws, s)
     mu_full = tuple(cache.mu_at(p) for p in table.paths)

@@ -37,8 +37,8 @@ class MeasureError(ValueError):
 @dataclass(frozen=True)
 class PerronData:
     """Spectral data of a primitive matrix: eigenvalue theta, normalized right
-    eigenvector driving the cylinder measures, left eigenvector for diagnostics,
-    and the inflation factor theta^(1/d)."""
+    eigenvector driving the cylinder measures, and left eigenvector for
+    diagnostics."""
 
     backend: Backend
     matrix: tuple[tuple[int, ...], ...]
@@ -47,10 +47,7 @@ class PerronData:
     v_left: tuple
     dimension: int
     symmetry_order: int
-    inflation: object
-    inflation_exact: bool
     _theta_pows: dict = field(default_factory=dict, repr=False, compare=False)
-    _inflation_pows: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def theta_float(self) -> float:
@@ -63,14 +60,6 @@ class PerronData:
             else:
                 self._theta_pows[k] = (self.backend.one / self.theta) ** (-k)
         return self._theta_pows[k]
-
-    def inflation_power(self, k: int):
-        if k not in self._inflation_pows:
-            if k >= 0:
-                self._inflation_pows[k] = self.inflation ** k
-            else:
-                self._inflation_pows[k] = (1 / self.inflation) ** (-k)
-        return self._inflation_pows[k]
 
 
 def _quadratic_factor_near(coeffs: list[int], theta_float: float) -> tuple[int, int] | None:
@@ -240,39 +229,18 @@ def perron(matrix, backend: Backend, symmetry_order: int = 1,
     for x, y in zip(vl[1:], v[1:]):
         dot = dot + x * y
     vl = tuple(x * (backend.one / dot) for x in vl)
-
-    inflation = theta if dimension == 1 else \
-        _power(backend, theta, Fraction(1, dimension), DEFAULT_APPROX_BITS)
-    inflation_exact = backend.is_exact and not isinstance(inflation, ApproxReal)
-
-    return PerronData(backend, rows, theta, v, vl, dimension, symmetry_order,
-                      inflation, inflation_exact)
+    return PerronData(backend, rows, theta, v, vl, dimension, symmetry_order)
 
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Diameters for the path-space ultrametric.
-
-    measure_root mode takes diam[gamma] = mu[gamma]^(1/d); custom mode takes
-    per-letter base weights decaying by 1/lambda per generation."""
+    """Diameters for the path-space ultrametric: diam[gamma] = mu[gamma]^(1/d),
+    the measure-built weight of Pearson and Bellissard.  `approx_bits` is the
+    precision of a power that leaves the backend's field."""
 
     diagram: BratteliDiagram
     perron: PerronData
-    mode: str = "measure_root"
-    base_weights: tuple | None = None
     approx_bits: int = DEFAULT_APPROX_BITS
-
-    def __post_init__(self):
-        if self.mode not in ("measure_root", "custom"):
-            raise MeasureError(f"unknown weight mode {self.mode!r}")
-        if self.mode == "custom":
-            if self.base_weights is None or \
-                    len(self.base_weights) != self.diagram.n_letters:
-                raise MeasureError("custom mode needs one base weight per letter")
-            be = self.perron.backend
-            for w in self.base_weights:
-                if be.compare(be.make(w), be.zero) <= 0:
-                    raise MeasureError("base weights must be positive")
 
     @property
     def backend(self) -> Backend:
@@ -337,14 +305,7 @@ def diam_power(ws: WeightSystem, path: Path, expo: Fraction):
     expo = Fraction(expo)
     if expo == 0:
         return ws.backend.one
-    if ws.mode == "measure_root":
-        return _power(ws.backend, mu(ws, path), expo / ws.dimension, ws.approx_bits)
-    if path.root is None:
-        return ws.backend.one
-    a = ws.diagram.path_range(path)
-    base = ws.backend.make(ws.base_weights[a]) * \
-        ws.perron.inflation_power(1 - path.generation)
-    return _power(ws.backend, base, expo, ws.approx_bits)
+    return _power(ws.backend, mu(ws, path), expo / ws.dimension, ws.approx_bits)
 
 
 def ultrametric_distance(ws: WeightSystem, x: Path, y: Path):
@@ -373,11 +334,9 @@ def zeta_partial(ws: WeightSystem, s, n_max: int) -> list[ZetaRow]:
     d = ws.dimension
     g = ws.perron.symmetry_order
     r = ws.diagram.n_letters
-    lam = float(ws.perron.inflation)
-    if ws.mode == "measure_root":
-        bases = [float(ws.backend.to_float(v)) ** (1.0 / d) for v in ws.perron.v_right]
-    else:
-        bases = [float(ws.backend.to_float(ws.backend.make(w))) for w in ws.base_weights]
+    # diam shrinks by the inflation factor theta^(1/d) per generation
+    lam = float(_power(ws.backend, ws.perron.theta, Fraction(1, d), DEFAULT_APPROX_BITS))
+    bases = [float(ws.backend.to_float(v)) ** (1.0 / d) for v in ws.perron.v_right]
 
     rows: list[ZetaRow] = []
     counts = [[1 if i == j else 0 for j in range(r)] for i in range(r)]  # A^(n-1)

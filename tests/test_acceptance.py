@@ -26,7 +26,6 @@ from bratlap.cuntz import (
     affine_table,
     companion_embedding,
     recursive_spectrum,
-    seed_records,
     strip_check,
 )
 from bratlap.diagram import predicted_path_count
@@ -99,7 +98,7 @@ def test_criterion_02_thue_morse_reference():
         expected = 4 * expected - 2
     # report the reference counting-bound margins at each eigenvalue magnitude
     table = affine_table(ws, 1)
-    spec = magnitude_table(table, seed_records(ws, 1), 12)
+    spec = magnitude_table(table, 12)
     ref = bundle.metadata["reference"]["weyl_bounds"]
     rows = weyl_margins(spec, {
         "lower": tuple(float(v) for v in ref["lower"]),
@@ -120,7 +119,7 @@ def test_criterion_03_recursion_direct_agreement():
         ws = bundle.weight_system
         table = affine_table(ws, 1)
         assert table.calibration_checks > 0
-        rec = recursive_spectrum(table, seed_records(ws, 1), 10)
+        rec = recursive_spectrum(table, 10)
         direct = full_spectrum(ws, 10, 1)
         assert Counter((r.path, r.value) for r in rec) == \
             Counter((r.path, r.value) for r in direct), name
@@ -130,7 +129,7 @@ def test_criterion_03_recursion_direct_agreement():
     table = affine_table(ws, 2)
     assert table.calibration_checks > 0
     rec = {r.path: r.value_float
-           for r in recursive_spectrum(table, seed_records(ws, 2), 10)
+           for r in recursive_spectrum(table, 10)
            if r.label == "path"}
     direct = {r.path: r.value_float
               for r in full_spectrum(ws, 10, 2) if r.label == "path"}
@@ -146,13 +145,13 @@ def test_criterion_04_weyl_exponent():
     t0 = time.time()
     fib = load_preset("fibonacci")
     table = affine_table(fib.weight_system, 1)
-    spec = magnitude_table(table, seed_records(fib.weight_system, 1), 18)
+    spec = magnitude_table(table, 18)
     fit_fib = weyl_count(spec, table.lam_float).fit
     assert 0.40 <= fit_fib.slope <= 0.60, fit_fib
 
     pen = load_preset("penrose", backend="quadratic:5")
     table_p = affine_table(pen.weight_system, 2)
-    spec_p = magnitude_table(table_p, seed_records(pen.weight_system, 2), 12)
+    spec_p = magnitude_table(table_p, 12)
     fit_pen = weyl_count(spec_p, table_p.lam_float).fit
     assert 0.85 <= fit_pen.slope <= 1.15, fit_pen
     elapsed = time.time() - t0
@@ -165,15 +164,13 @@ def test_criterion_04_weyl_exponent():
 def test_criterion_05_heat_trace_scaling():
     fib = load_preset("fibonacci")
     table = affine_table(fib.weight_system, 1)
-    seeds = seed_records(fib.weight_system, 1)
-    res_fib = heat_trace(table, seeds, np.geomspace(1e-8, 1e-3, 25))
+    res_fib = heat_trace(table, np.geomspace(1e-8, 1e-3, 25))
     assert -0.60 <= res_fib.fit.slope <= -0.40, res_fib.fit
     assert all(tail < 1e-9 for _, _, tail in res_fib.samples)
 
     pen = load_preset("penrose", backend="quadratic:5")
     table_p = affine_table(pen.weight_system, 2)
-    seeds_p = seed_records(pen.weight_system, 2)
-    res_pen = heat_trace(table_p, seeds_p, np.geomspace(1e-6, 1e-2, 25))
+    res_pen = heat_trace(table_p, np.geomspace(1e-6, 1e-2, 25))
     assert -1.15 <= res_pen.fit.slope <= -0.85, res_pen.fit
     _report(5, "heat-trace scaling",
             f"fib slope {res_fib.fit.slope:.3f} (target -0.5), penrose slope "
@@ -184,10 +181,9 @@ def test_criterion_06_strip_bound():
     fib = load_preset("fibonacci")
     ws = fib.weight_system
     table = affine_table(ws, 1)
-    seeds = seed_records(ws, 1)
     emb = companion_embedding(fib.perron)
-    records = recursive_spectrum(table, seeds, 12, embedding=emb)
-    report = strip_check(emb, records, table, seeds)
+    records = recursive_spectrum(table, 12, embedding=emb)
+    report = strip_check(emb, records, table)
     assert report.max_distance <= report.bound
     per_gen = dict(report.per_generation)
     max10 = max(v for g, v in per_gen.items() if g <= 10)
@@ -196,10 +192,9 @@ def test_criterion_06_strip_bound():
 
     tm = load_preset("thue-morse")
     table_tm = affine_table(tm.weight_system, 1)
-    seeds_tm = seed_records(tm.weight_system, 1)
     emb_tm = companion_embedding(tm.perron)
-    rec_tm = recursive_spectrum(table_tm, seeds_tm, 8, embedding=emb_tm)
-    report_tm = strip_check(emb_tm, rec_tm, table_tm, seeds_tm)
+    rec_tm = recursive_spectrum(table_tm, 8, embedding=emb_tm)
+    report_tm = strip_check(emb_tm, rec_tm, table_tm)
     assert report_tm.max_distance == 0.0
     _report(6, "strip bound",
             f"fib max {report.max_distance:.4f} <= bound {report.bound:.4f}, "
@@ -210,8 +205,7 @@ def test_criterion_07_bounded_case():
     fib = load_preset("fibonacci")
     ws = fib.weight_system
     table = affine_table(ws, 4)
-    seeds = seed_records(ws, 4)
-    report = norm_bound_check(table, seeds, depth=15)
+    report = norm_bound_check(table, depth=15)
     assert report.within_bound, (report.sup_total, report.bound)
     alpha = 1 / PHI_F
     assert table.lam_float == pytest.approx(alpha, rel=1e-12)
@@ -269,9 +263,8 @@ def test_criterion_10_counting_identity():
         bundle = load_preset(name, backend=EXACT_BACKEND_FOR.get(name, "quadratic:5"))
         ws = bundle.weight_system
         table = affine_table(ws, bundle.dimension)
-        seeds = seed_records(ws, bundle.dimension)
         for n in range(2, 9):
-            spec = magnitude_table(table, seeds, n - 1)
+            spec = magnitude_table(table, n - 1)
             assert spec.total_multiplicity() == predicted_path_count(bundle.diagram, n), \
                 (name, n)
         # spot-check with the record-level enumeration as well

@@ -17,7 +17,7 @@ from bratlap.asymptotics import (
     weyl_count,
     weyl_margins,
 )
-from bratlap.cuntz import affine_table, seed_records
+from bratlap.cuntz import affine_table
 from bratlap.diagram import SubstitutionRule, build_diagram, predicted_path_count
 from bratlap.laplacian import full_spectrum, spectrum_multiset
 from bratlap.measure import WeightSystem, perron
@@ -36,26 +36,23 @@ TM_RULE = SubstitutionRule.from_strings({"0": "01", "1": "10"})
 
 def fib_setup(s=1):
     ws = WeightSystem(build_diagram(FIB_A), perron(FIB_A, Q5))
-    table = affine_table(ws, s)
-    return table, seed_records(ws, s)
+    return affine_table(ws, s)
 
 
 def tm_setup(s=1):
     ws = WeightSystem(build_diagram(TM_A, letters=("0", "1")), perron(TM_A, RAT))
-    table = affine_table(ws, s)
-    return table, seed_records(ws, s)
+    return affine_table(ws, s)
 
 
 def penrose_setup(s=2):
     ws = WeightSystem(build_diagram(PEN_A, symmetry_order=20),
                       perron(PEN_A, Q5, symmetry_order=20, dimension=2))
-    table = affine_table(ws, s)
-    return table, seed_records(ws, s)
+    return affine_table(ws, s)
 
 
 def test_magnitude_table_matches_full_spectrum():
-    table, seeds = fib_setup()
-    spec = magnitude_table(table, seeds, 6)
+    table = fib_setup()
+    spec = magnitude_table(table, 6)
     ws = table.ws
     expected = sorted(abs(v) for v in spectrum_multiset(full_spectrum(ws, 6, 1)))
     values, mults = spec.flatten()
@@ -64,15 +61,17 @@ def test_magnitude_table_matches_full_spectrum():
 
 
 def test_magnitude_table_counts_penrose():
-    table, seeds = penrose_setup()
-    spec = magnitude_table(table, seeds, 8)
+    table = penrose_setup()
+    spec = magnitude_table(table, 8)
     assert spec.total_multiplicity() == predicted_path_count(table.diagram, 9)
 
 
-def _per_path_magnitudes(table, seeds, depth):
-    """Reference oracle: the affine recursion expanded with one float per path
-    class, keyed by (first vertex, seed range vertex), nothing merged; per
-    generation, {|eigenvalue|: total weight}."""
+def _per_path_magnitudes(table, depth):
+    """Reference oracle: the affine recursion expanded from the direct
+    generation <= 1 records with one float per path class, keyed by (first
+    vertex, seed range vertex), nothing merged; per generation,
+    {|eigenvalue|: total weight}."""
+    seeds = full_spectrum(table.ws, 1, table.s)
     diagram = table.diagram
     g = diagram.symmetry_order
     out_deg = [len(diagram.out_edges[v]) for v in range(diagram.n_letters)]
@@ -108,8 +107,8 @@ def test_magnitude_table_bit_identical_to_per_path_oracle(preset):
     bundle = load_preset(preset)
     ws = bundle.weight_system
     for s in sorted({0, 1, bundle.dimension}):
-        table, seeds = affine_table(ws, s), seed_records(ws, s)
-        spec = magnitude_table(table, seeds, 10)
+        table = affine_table(ws, s)
+        spec = magnitude_table(table, 10)
         got = []
         for mags, wts in zip(spec.magnitudes, spec.weights):
             acc = {}
@@ -117,33 +116,33 @@ def test_magnitude_table_bit_identical_to_per_path_oracle(preset):
                 acc[x] = acc.get(x, 0) + w
             got.append(acc)
         assert spec.generations == list(range(11))
-        assert got == _per_path_magnitudes(table, seeds, 10), (preset, s)
+        assert got == _per_path_magnitudes(table, 10), (preset, s)
 
 
 def test_magnitude_table_keeps_one_entry_per_state():
-    table, seeds = penrose_setup(s=1)
-    spec = magnitude_table(table, seeds, 16)
+    table = penrose_setup(s=1)
+    spec = magnitude_table(table, 16)
     assert sum(m.size for m in spec.magnitudes) <= 131_072
     assert spec.total_multiplicity() == predicted_path_count(table.diagram, 17)
 
 
 def test_magnitude_table_refuses_depth_beyond_int64_weights():
-    table, seeds = tm_setup()
+    table = tm_setup()
     with pytest.raises(AsymptoticsError, match="largest depth for this diagram is 61"):
-        magnitude_table(table, seeds, 62)
+        magnitude_table(table, 62)
 
 
 def test_magnitude_table_refuses_values_beyond_float_range():
     # at s = -100, Lambda_s = 2**102 carries the magnitudes past 1e308
-    table, seeds = tm_setup(s=-100)
+    table = tm_setup(s=-100)
     with np.errstate(all="raise"):       # and no numpy warning on the way
         with pytest.raises(AsymptoticsError, match="float range at generation"):
-            magnitude_table(table, seeds, 12)
+            magnitude_table(table, 12)
 
 
 def test_weyl_fibonacci_slope():
-    table, seeds = fib_setup()
-    spec = magnitude_table(table, seeds, 18)
+    table = fib_setup()
+    spec = magnitude_table(table, 18)
     result = weyl_count(spec, table.lam_float)
     assert 0.40 <= result.fit.slope <= 0.60
     counts = [c for _, c in result.samples]
@@ -151,16 +150,16 @@ def test_weyl_fibonacci_slope():
 
 
 def test_weyl_fibonacci_s0_slope():
-    table, seeds = fib_setup(s=0)
-    spec = magnitude_table(table, seeds, 18)
+    table = fib_setup(s=0)
+    spec = magnitude_table(table, 18)
     result = weyl_count(spec, table.lam_float)
     # target d/(d - s + 2) = 1/3
     assert 0.25 <= result.fit.slope <= 0.42
 
 
 def test_weyl_total_count():
-    table, seeds = tm_setup()
-    spec = magnitude_table(table, seeds, 8)
+    table = tm_setup()
+    spec = magnitude_table(table, 8)
     values, mults = spec.flatten()
     top = float(values.max())
     n_at_top = int(mults[values <= top].sum())
@@ -168,15 +167,15 @@ def test_weyl_total_count():
 
 
 def test_weyl_grid_beyond_coverage_rejected():
-    table, seeds = fib_setup()
-    spec = magnitude_table(table, seeds, 8)
+    table = fib_setup()
+    spec = magnitude_table(table, 8)
     with pytest.raises(AsymptoticsError):
         weyl_count(spec, table.lam_float, grid=[1e9])
 
 
 def test_weyl_margins_thue_morse():
-    table, seeds = tm_setup()
-    spec = magnitude_table(table, seeds, 12)
+    table = tm_setup()
+    spec = magnitude_table(table, 12)
     bounds = {"lower": (0.5, 6 / 7, 10 / 7), "upper": (1.0, 6 / 7, 4 / 7)}
     rows = weyl_margins(spec, bounds)
     by_mag = {round(r.magnitude): r for r in rows}
@@ -191,9 +190,9 @@ def test_weyl_margins_thue_morse():
 
 
 def test_heat_trace_fibonacci_scaling():
-    table, seeds = fib_setup()
+    table = fib_setup()
     grid = np.geomspace(1e-8, 1e-3, 21)
-    result = heat_trace(table, seeds, grid)
+    result = heat_trace(table, grid)
     assert -0.60 <= result.fit.slope <= -0.40
     assert all(tail < 1e-9 for _, _, tail in result.samples)
     traces = [tr for _, tr, _ in result.samples]
@@ -201,42 +200,42 @@ def test_heat_trace_fibonacci_scaling():
 
 
 def test_heat_trace_limit_is_one():
-    table, seeds = fib_setup()
-    result = heat_trace(table, seeds, [50.0])
+    table = fib_setup()
+    result = heat_trace(table, [50.0])
     assert result.samples[0][1] == pytest.approx(1.0, abs=1e-20)
 
 
 def test_heat_trace_bracket_consistency():
-    table, seeds = fib_setup()
+    table = fib_setup()
     t = 1e-4
-    base = heat_trace(table, seeds, [t], depth=20)
-    deeper = heat_trace(table, seeds, [t], depth=22)
+    base = heat_trace(table, [t], depth=20)
+    deeper = heat_trace(table, [t], depth=22)
     tr0, tail0 = base.samples[0][1], base.samples[0][2]
     tr2 = deeper.samples[0][1]
     assert tr0 <= tr2 <= tr0 + tail0
 
 
 def test_heat_trace_penrose_scaling():
-    table, seeds = penrose_setup()
+    table = penrose_setup()
     grid = np.geomspace(1e-6, 1e-2, 17)
-    result = heat_trace(table, seeds, grid)
+    result = heat_trace(table, grid)
     assert -1.15 <= result.fit.slope <= -0.85
 
 
 def test_heat_trace_infeasible_tail():
-    table, seeds = fib_setup()
+    table = fib_setup()
     with pytest.raises(AsymptoticsError):
-        heat_trace(table, seeds, [1e-9], depth=10)
+        heat_trace(table, [1e-9], depth=10)
 
 
 def test_norm_bound_fibonacci_s4_degenerate():
     # at s = 4, d = 1 the splitting weight is letter-independent and the
     # eigenvalue sum telescopes: the whole nonzero spectrum is -phi^3, the
     # running sup is constant, and every increment vanishes identically
-    table, seeds = fib_setup(s=4)
+    table = fib_setup(s=4)
     alpha = 1 / ((1 + 5 ** 0.5) / 2)
     assert table.lam_float == pytest.approx(alpha, abs=1e-12)
-    report = norm_bound_check(table, seeds, depth=15)
+    report = norm_bound_check(table, depth=15)
     assert report.within_bound
     phi3 = ((1 + 5 ** 0.5) / 2) ** 3
     assert report.sup_total == pytest.approx(phi3, abs=1e-9)
@@ -246,9 +245,9 @@ def test_norm_bound_fibonacci_s4_degenerate():
 
 
 def test_norm_bound_thue_morse_s4_degenerate():
-    table, seeds = tm_setup(s=4)
+    table = tm_setup(s=4)
     assert table.lam_float == pytest.approx(0.5, abs=1e-15)
-    report = norm_bound_check(table, seeds, depth=12)
+    report = norm_bound_check(table, depth=12)
     assert report.within_bound
     assert report.bound == pytest.approx(2 * report.c_constant, abs=1e-12)
     assert report.sup_total == pytest.approx(4.0, abs=1e-12)
@@ -257,10 +256,10 @@ def test_norm_bound_thue_morse_s4_degenerate():
 def test_norm_bound_penrose_s5_geometric_decay():
     # with two splitting letters the bounded-regime spectrum is not constant,
     # and the running-sup increments genuinely decay at ratio Lambda
-    table, seeds = penrose_setup(s=5)
+    table = penrose_setup(s=5)
     lam = table.lam_float
     assert lam == pytest.approx(1 / ((1 + 5 ** 0.5) / 2), rel=1e-9)
-    report = norm_bound_check(table, seeds, depth=16)
+    report = norm_bound_check(table, depth=16)
     assert report.within_bound
     late = report.increment_ratios[6:]
     assert late
@@ -269,9 +268,9 @@ def test_norm_bound_penrose_s5_geometric_decay():
 
 
 def test_norm_bound_rejects_unbounded_regime():
-    table, seeds = fib_setup(s=1)
+    table = fib_setup(s=1)
     with pytest.raises(AsymptoticsError):
-        norm_bound_check(table, seeds)
+        norm_bound_check(table)
 
 
 def test_complexity_fibonacci_word():
@@ -306,8 +305,8 @@ def test_generation_max_growth_ratio():
     # below the bounded regime the per-generation max |lambda| grows by the
     # recursion factor Lambda, within 2% beyond generation 6
     for setup in (fib_setup, tm_setup, penrose_setup):
-        table, seeds = setup()
-        spec = magnitude_table(table, seeds, 12)
+        table = setup()
+        spec = magnitude_table(table, 12)
         maxes = spec.generation_max()
         for n in range(7, 12):
             ratio = maxes[n + 1] / maxes[n]

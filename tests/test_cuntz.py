@@ -18,7 +18,6 @@ from bratlap.cuntz import (
     path_shift_up,
     reconstruct_from_coords,
     recursive_spectrum,
-    seed_records,
     strip_check,
 )
 from bratlap.diagram import Path, build_diagram, enumerate_paths
@@ -163,16 +162,15 @@ def test_seed_extension_property():
     # the gen-1 eigenvalue is the affine image of the root eigenvalue
     ws = tm_ws()
     table = affine_table(ws, 1)
-    seeds = seed_records(ws, 1)
-    root = next(r for r in seeds if r.label == "root")
-    gen1 = next(r for r in seeds if r.label == "path")
+    root = next(r for r in table.seeds if r.label == "root")
+    gen1 = next(r for r in table.seeds if r.label == "path")
     assert table.apply(0, root.value) == gen1.value
 
 
 def test_recursion_chain_thue_morse():
     ws = tm_ws()
     table = affine_table(ws, 1)
-    records = recursive_spectrum(table, seed_records(ws, 1), 3)
+    records = recursive_spectrum(table, 3)
     per_gen = {}
     for r in records:
         if r.label == "path":
@@ -185,7 +183,7 @@ def test_recursion_chain_thue_morse():
 def test_recursion_matches_direct_fibonacci():
     ws = fib_ws()
     table = affine_table(ws, 1)
-    rec = recursive_spectrum(table, seed_records(ws, 1), 8)
+    rec = recursive_spectrum(table, 8)
     direct = full_spectrum(ws, 8, 1)
     assert Counter((r.value, r.multiplicity) for r in rec) == \
         Counter((r.value, r.multiplicity) for r in direct)
@@ -194,9 +192,9 @@ def test_recursion_matches_direct_fibonacci():
 def test_recursion_depth_zero_and_one():
     ws = fib_ws()
     table = affine_table(ws, 1)
-    seeds = seed_records(ws, 1)
-    assert recursive_spectrum(table, seeds, 0) == seeds
-    assert recursive_spectrum(table, seeds, 1) == seeds
+    seeds = full_spectrum(ws, 1, 1)
+    assert recursive_spectrum(table, 0) == seeds
+    assert recursive_spectrum(table, 1) == seeds
 
 
 def test_companion_fibonacci():
@@ -249,7 +247,7 @@ def test_coords_recursion_homomorphism(ws_factory, s, depth):
     ws = ws_factory()
     table = affine_table(ws, s)
     emb = companion_embedding(ws.perron)
-    records = recursive_spectrum(table, seed_records(ws, s), depth, embedding=emb)
+    records = recursive_spectrum(table, depth, embedding=emb)
     direct = {(r.label, r.path): r for r in full_spectrum(ws, depth, s)}
     # the same records as the direct formula, path by path
     assert len(records) == len(direct)
@@ -275,9 +273,8 @@ def test_strip_fibonacci_bounded():
     ws = fib_ws()
     table = affine_table(ws, 1)
     emb = companion_embedding(ws.perron)
-    seeds = seed_records(ws, 1)
-    records = recursive_spectrum(table, seeds, 12, embedding=emb)
-    report = strip_check(emb, records, table, seeds)
+    records = recursive_spectrum(table, 12, embedding=emb)
+    report = strip_check(emb, records, table)
     assert report.max_distance <= report.bound
     dist10 = max(v for g, v in report.per_generation if g <= 10)
     assert abs(report.max_distance - dist10) <= 0.01 * report.max_distance
@@ -287,9 +284,8 @@ def test_strip_thue_morse_zero():
     ws = tm_ws()
     table = affine_table(ws, 1)
     emb = companion_embedding(ws.perron)
-    seeds = seed_records(ws, 1)
-    records = recursive_spectrum(table, seeds, 8, embedding=emb)
-    report = strip_check(emb, records, table, seeds)
+    records = recursive_spectrum(table, 8, embedding=emb)
+    report = strip_check(emb, records, table)
     assert report.max_distance == 0.0
 
 
@@ -297,9 +293,8 @@ def test_strip_penrose_bounded():
     ws = penrose_ws()
     table = affine_table(ws, 2)
     emb = companion_embedding(ws.perron)
-    seeds = seed_records(ws, 2)
-    records = recursive_spectrum(table, seeds, 7, embedding=emb)
-    report = strip_check(emb, records, table, seeds)
+    records = recursive_spectrum(table, 7, embedding=emb)
+    report = strip_check(emb, records, table)
     assert report.max_distance <= report.bound
     assert report.pisot
 
@@ -308,15 +303,14 @@ def test_strip_distances_equal_unmemoized():
     ws = penrose_ws()
     table = affine_table(ws, 2)
     emb = companion_embedding(ws.perron)
-    seeds = seed_records(ws, 2)
-    records = recursive_spectrum(table, seeds, 5, embedding=emb)
+    records = recursive_spectrum(table, 5, embedding=emb)
     # every third record carries no coordinates, so strip_check expands them
     # itself into temporaries, between records that share coordinate tuples
     mixed = [dataclasses.replace(rec, coords=None) if k % 3 == 0 else rec
              for k, rec in enumerate(records)]
     assert any(rec.coords is None for rec in mixed)
     for recs in (records, mixed):
-        report = strip_check(emb, recs, table, seeds)
+        report = strip_check(emb, recs, table)
         assert len(report.distances) == len(recs)
         for rec, (label, dist) in zip(recs, report.distances):
             expected = emb.distance_to_unstable(lattice_coords(emb, rec.value))
@@ -352,7 +346,7 @@ def test_strip_refuses_non_hyperbolic():
     emb = companion_embedding(ws.perron)
     broken = dataclasses.replace(emb, hyperbolic=False)
     with pytest.raises(CuntzError):
-        strip_check(broken, [], table, [])
+        strip_check(broken, [], table)
 
 
 # the s in {-1, 0, 1, 2} where strip runs: at d = 2, s = -1 and s = 1 take
@@ -368,13 +362,13 @@ def test_strip_coordinates_reconstruct_their_values(name):
     ws = load_preset(name, backend=theta_field(PRESETS[name].matrix)).weight_system
     accepted = []
     for s in (-1, 0, 1, 2):
-        table, seeds = affine_table(ws, s), seed_records(ws, s)
-        constants = (table.lam, *table.betas, *(rec.value for rec in seeds))
+        table = affine_table(ws, s)
+        constants = (table.lam, *table.betas, *(rec.value for rec in table.seeds))
         if any(isinstance(x, ApproxReal) for x in constants):
             continue
         accepted.append(s)
         emb = companion_embedding(ws.perron).at(s)
-        for rec in recursive_spectrum(table, seeds, 5, embedding=emb):
+        for rec in recursive_spectrum(table, 5, embedding=emb):
             if emb.basis_value is not None:
                 value = sum(c * emb.basis_value ** i for i, c in enumerate(rec.coords))
                 assert compare(value, rec.value) == 0, (s, rec.path)
@@ -391,3 +385,25 @@ def test_embedding_refuses_k_that_is_not_a_positive_integer(s, k):
     emb = companion_embedding(perron([[4]], RAT))
     with pytest.raises(CuntzError, match=f"at s={s} and d=1, k={k}$"):
         emb.at(Fraction(s))
+
+
+# the golden-mean and integer presets, whose theta Q(sqrt5) holds
+QUADRATIC_PRESETS = ("fibonacci", "fibonacci-conjugate", "thue-morse", "dyadic-odometer")
+
+
+@pytest.mark.parametrize("name, backend",
+                         [(name, None) for name in preset_names()] +
+                         [(name, "quadratic:5") for name in QUADRATIC_PRESETS])
+def test_affine_table_seeds_are_the_depth_one_spectrum(name, backend):
+    # the seeds come from the depth-4 calibration spectrum; the memo makes
+    # each scalar the same whatever the depth, bit for bit
+    ws = load_preset(name, backend=backend).weight_system
+    for s in (-1, 0, Fraction(1, 2), 1, 2):
+        seeds = affine_table(ws, s).seeds
+        direct = full_spectrum(ws, 1, s)
+        assert len(seeds) == len(direct), (s, len(seeds), len(direct))
+        for got, want in zip(seeds, direct):
+            assert (got.label, got.path, got.generation, got.multiplicity) == \
+                (want.label, want.path, want.generation, want.multiplicity), s
+            assert type(got.value) is type(want.value) and got.value == want.value, s
+            assert got.value_float == want.value_float, s

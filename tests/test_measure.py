@@ -52,7 +52,8 @@ def test_perron_fibonacci_exact():
     p = perron(FIB_A, Q5)
     assert p.theta == PHI
     assert p.v_right == (ALPHA, ALPHA * ALPHA)
-    assert p.inflation == PHI and p.inflation_exact
+    # with d = 1 the diameter is the measure, exactly
+    assert weight(WeightSystem(build_diagram(FIB_A), p), Path(0)) == ALPHA
 
 
 def test_perron_thue_morse_rational():
@@ -65,8 +66,9 @@ def test_perron_penrose_folded():
     p = perron(PEN_A, Q5, symmetry_order=20, dimension=2)
     assert p.theta == PHI * PHI
     assert p.v_right == (ALPHA / 20, ALPHA * ALPHA / 20)
-    # inflation theta^(1/2) = phi stays in the field
-    assert p.inflation == PHI and p.inflation_exact
+    # the inflation factor theta^(1/2) = phi that zeta_partial reads stays in
+    # the field
+    assert _power(Q5, p.theta, Fraction(1, 2), 212) == PHI
 
 
 def test_perron_left_eigenvector():
@@ -181,16 +183,6 @@ def test_weight_penrose_square_root():
     with mpmath.workprec(212):
         target = ApproxReal.make(mu(ws, p), 212).value
         assert abs(w.value * w.value - target) < mpmath.mpf(2) ** -180
-
-
-def test_weight_custom_geometric_decay():
-    d = build_diagram(FIB_A)
-    p = perron(FIB_A, Q5)
-    ws = WeightSystem(d, p, mode="custom", base_weights=(Q5.one, Q5.one))
-    path = Path(0, (0, 0))  # generation 3 ending at a
-    assert weight(ws, path) == PHI ** -2
-    with pytest.raises(MeasureError):
-        WeightSystem(d, p, mode="custom", base_weights=(Q5.one, Q5.zero))
 
 
 def test_diam_power_integer_exponents_exact():
