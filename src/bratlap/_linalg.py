@@ -51,13 +51,6 @@ def char_poly(a) -> list[int]:
     return out
 
 
-def poly_eval(coeffs: list, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def poly_divide_linear(coeffs: list[int], root: int) -> list[int] | None:
     """Divide an ascending-coefficient polynomial by (x - root); None if not a root."""
     n = len(coeffs) - 1

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cuntz import AffineMapTable
-from .diagram import SubstitutionRule
+from .diagram import SubstitutionRule, path_counts
 
 
 # thresholds in the default Weyl sample
@@ -96,16 +96,13 @@ def _check_weight_range(diagram, depth: int) -> None:
     """Refuse a depth whose total multiplicity |Pi_(depth+1)| does not fit the
     int64 weights, which would wrap silently.  Path counts never fall from one
     generation to the next, so the count stops at the first one too large."""
-    r = diagram.n_letters
     limit = np.iinfo(np.int64).max
-    row = [1] * r   # column sums of A^(n-1): |Pi_n| = g * sum(row)
-    for n in range(1, depth + 2):
-        if diagram.symmetry_order * sum(row) > limit:
+    for n, row in zip(range(1, depth + 2), path_counts(diagram)):
+        if sum(row) > limit:
             raise AsymptoticsError(
                 f"depth {depth} needs |Pi_{depth + 1}| > 2**63 - 1 = {limit} "
                 f"eigenvalues, more than the int64 multiplicities hold; the "
                 f"largest depth for this diagram is {n - 2}")
-        row = [sum(row[k] * diagram.matrix[k][j] for k in range(r)) for j in range(r)]
 
 
 def _seed_values(table: AffineMapTable) -> dict[int, float]:

@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .diagram import DEFAULT_PATH_CAP, EMPTY_PATH, BratteliDiagram, Path, enumerate_paths
+from .diagram import (DEFAULT_PATH_CAP, EMPTY_PATH, BratteliDiagram, Path, enumerate_paths,
+                      path_counts, predicted_path_count)
 from .laplacian import SpectralRecord, full_spectrum, g_value
 from .measure import PerronData, WeightSystem, _power, mu, theta_min_poly
 from .scalar import ApproxReal, ExactnessError, QuadraticNumber, compare, to_float
@@ -75,6 +76,10 @@ def ck_relations_check(diagram: BratteliDiagram, depth: int,
     A corrupted adjacency matrix can be injected to exercise the failure path."""
     if depth < 3:
         raise CuntzError("relation check needs depth >= 3")
+    # path counts never fall, so generation `depth` is the largest enumerated
+    if predicted_path_count(diagram, depth, DEFAULT_PATH_CAP) > DEFAULT_PATH_CAP:
+        raise CuntzError(f"relation check to depth {depth} would enumerate more than "
+                         f"{DEFAULT_PATH_CAP} paths (the cap)")
     if adjacency is None:
         adjacency = tuple(
             tuple(1 if e.target == f.source else 0 for f in diagram.edges)
@@ -241,6 +246,17 @@ def recursive_spectrum(table: AffineMapTable, depth: int,
         out = [_with_coords(rec, embedding) for rec in out]
     if depth <= 1:
         return out
+    # a generation-n record is a path ending at a vertex with two or more
+    # out-edges, so the total is known before any record is grown
+    splits = [v for v in range(diagram.n_letters) if len(diagram.out_edges[v]) >= 2]
+    total = len(out)
+    counts = path_counts(diagram)
+    next(counts)    # generation 1: the seeds
+    for _, row in zip(range(2, depth + 1), counts):
+        total += sum(row[v] for v in splits)
+        if total > DEFAULT_PATH_CAP:
+            raise CuntzError(f"recursion would produce more than the "
+                             f"{DEFAULT_PATH_CAP}-record cap")
 
     beta_coords = None
     if embedding is not None:
@@ -264,7 +280,6 @@ def recursive_spectrum(table: AffineMapTable, depth: int,
                 index[key] = len(states)
                 states.append((rec.value, rec.value_float, rec.coords))
             level.append((rec, index[key]))
-    produced = len(out)
     for gen in range(2, depth + 1):
         steps: dict[tuple[int, int], int] = {}
         new_states: list[tuple] = []
@@ -289,9 +304,6 @@ def recursive_spectrum(table: AffineMapTable, depth: int,
                 nxt.append((SpectralRecord("path", shifted, gen, val, val_float,
                                            rec.multiplicity, coords), step))
         nxt.sort(key=lambda pair: (pair[0].path.root, pair[0].path.edges))
-        produced += len(nxt)
-        if produced > DEFAULT_PATH_CAP:
-            raise CuntzError(f"recursion exceeded the {DEFAULT_PATH_CAP}-record cap")
         out.extend(rec for rec, _ in nxt)
         level, states = nxt, new_states
     return out

@@ -245,14 +245,32 @@ def _check_split_hypothesis(diagram: BratteliDiagram) -> None:
     raise DiagramError("diagram violates the two-infinite-paths hypothesis")
 
 
-def predicted_path_count(diagram: BratteliDiagram, n: int) -> int:
-    """|Pi_n| from the matrix-power formula (column sums of A^(n-1) per root edge)."""
+def path_counts(diagram: BratteliDiagram):
+    """Yield, for n = 1, 2, ..., the number of generation-n paths ending at
+    each vertex, as Python ints: g times the column sums of A^(n-1).
+
+    The generator never ends.  Every vertex has an out-edge, so |Pi_n| never
+    falls as n grows; a caller that bounds a count, or a running sum of
+    counts, stops at the first generation past its cap instead of computing
+    the number it refuses."""
+    a = diagram.matrix
+    r = diagram.n_letters
+    row = [diagram.symmetry_order] * r
+    while True:
+        yield row
+        row = [sum(row[k] * a[k][j] for k in range(r)) for j in range(r)]
+
+
+def predicted_path_count(diagram: BratteliDiagram, n: int, cap: int | None = None) -> int:
+    """|Pi_n|.  With a cap, the count of the first generation up to n that
+    passes the cap is returned at once: |Pi_n| is then above the cap too,
+    and the number returned is only a lower bound for it."""
     if n < 1:
         raise DiagramError("generation must be >= 1")
-    power = _linalg.mat_pow([list(row) for row in diagram.matrix], n - 1)
-    r = diagram.n_letters
-    per_vertex = [sum(power[v][q] for q in range(r)) for v in range(r)]
-    return diagram.symmetry_order * sum(per_vertex)
+    for k, row in enumerate(path_counts(diagram), 1):
+        count = sum(row)
+        if k == n or (cap is not None and count > cap):
+            return count
 
 
 @dataclass(frozen=True)
@@ -269,10 +287,10 @@ def enumerate_paths(diagram: BratteliDiagram, n: int,
     """All paths of generation n in lexicographic (root index, edge indices) order."""
     if n < 1:
         raise DiagramError("generation must be >= 1")
-    predicted = predicted_path_count(diagram, n)
+    predicted = predicted_path_count(diagram, n, cap)
     if predicted > cap:
         raise DiagramError(
-            f"refusing to enumerate {predicted} paths (cap {cap}); raise the cap explicitly")
+            f"refusing to enumerate more than {cap} paths; raise the cap explicitly")
 
     paths: list[Path] = []
 

@@ -25,6 +25,7 @@ from .diagram import (
     PathTable,
     enumerate_paths,
     extensions,
+    path_counts,
     predicted_path_count,
 )
 from .measure import WeightSystem, diam_power, mu
@@ -202,10 +203,12 @@ def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
     if depth < 0:
         raise LaplacianError("depth must be >= 0")
     diagram = ws.diagram
-    total = sum(predicted_path_count(diagram, k) for k in range(1, depth + 1))
-    if total > DEFAULT_PATH_CAP:
-        raise LaplacianError(
-            f"spectrum would visit {total} paths (cap {DEFAULT_PATH_CAP})")
+    total = 0
+    for _, row in zip(range(depth), path_counts(diagram)):
+        total += sum(row)
+        if total > DEFAULT_PATH_CAP:
+            raise LaplacianError(
+                f"spectrum would visit more than {DEFAULT_PATH_CAP} paths (the cap)")
 
     records = [zero_record(ws)]
     root = root_record(ws, s)
@@ -300,9 +303,9 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     s = Fraction(s)
     if n < 1:
         raise LaplacianError("generation must be >= 1")
-    size = predicted_path_count(ws.diagram, n)
+    size = predicted_path_count(ws.diagram, n, cap)
     if size > cap:
-        raise LaplacianError(f"dense restriction needs {size} paths (cap {cap})")
+        raise LaplacianError(f"dense restriction needs more than {cap} paths (the cap)")
     table = enumerate_paths(ws.diagram, n, cap=cap)
     diagram = ws.diagram
     # G carries diam^(2-s) = mu^((2-s)/d), which stays in an exact field

@@ -259,10 +259,6 @@ def mu(ws: WeightSystem, path: Path):
     return ws.perron.v_right[a] * ws.perron.theta_power(1 - path.generation)
 
 
-def mu_float(ws: WeightSystem, path: Path) -> float:
-    return ws.backend.to_float(mu(ws, path))
-
-
 def weight(ws: WeightSystem, path: Path):
     """diam[gamma]; exact whenever the d-th root stays in the field."""
     return diam_power(ws, path, Fraction(1))

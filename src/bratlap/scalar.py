@@ -397,17 +397,6 @@ def _operand(x, precision: int) -> tuple | None:
 Scalar = Fraction | QuadraticNumber | ApproxReal
 
 
-def embed_real(x, precision: int = MIN_PRECISION) -> ApproxReal:
-    """Embed an exact scalar into a float at the given binary precision.
-
-    The result differs from the true real by at most a few ulps, i.e. within
-    2^(1-precision) relative error.
-    """
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision must be >= {MIN_PRECISION}")
-    return ApproxReal.make(x, precision)
-
-
 def to_float(x) -> float:
     """Float value of any scalar, regardless of backend."""
     if isinstance(x, (Fraction, QuadraticNumber, ApproxReal)):

@@ -6,6 +6,8 @@ import ctypes
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bratlap
 from bratlap import laplacian
 from bratlap.cli import main
 from bratlap.presets import preset_names
@@ -276,8 +279,12 @@ def _assert_clean(code, err, argv, codes=(0, 1, 2)):
         assert text not in err, (argv, err)
 
 
+# far beyond every path cap: each depth check must refuse it at once
+HUGE_DEPTH = 100_000
+
+
 @given(preset=st.sampled_from(preset_names()),
-       depth=st.integers(0, 6),
+       depth=st.one_of(st.integers(0, 6), st.just(HUGE_DEPTH)),
        s=st.sampled_from(["-1", "0", "1/2", "1", "2", "3"]))
 @settings(max_examples=60, deadline=None)
 def test_strip_exit_codes(preset, depth, s):
@@ -289,7 +296,7 @@ def test_strip_exit_codes(preset, depth, s):
 
 @given(command=st.sampled_from(["spectrum", "dense", "verify", "zeta", "weyl"]),
        preset=st.sampled_from(preset_names()),
-       depth=st.integers(0, 4),
+       depth=st.one_of(st.integers(0, 4), st.just(HUGE_DEPTH)),
        s=st.sampled_from(["-1000", "-1", "0", "1/2", "1", "3", "7/2"]),
        backend=st.sampled_from([None, "rational", "quadratic:5", "approx:64"]))
 @settings(max_examples=60, deadline=None)
@@ -315,6 +322,23 @@ def test_values_beyond_float_range_are_usage_errors(argv):
     code, err = _checked_run(argv)
     _assert_clean(code, err, argv, codes=(2,))
     assert "float range" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "dense", "verify", "strip", "ck-check",
+                                     "weyl"])
+def test_huge_depth_refused_at_once(command):
+    # the path counts stop at the first generation past the cap, so no
+    # command grows generations toward it or formats a count of thousands
+    # of digits; a subprocess, so that a hang fails instead of stalling
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bratlap.__file__))}
+    argv = [sys.executable, "-m", "bratlap.cli", command, "--preset", "fibonacci",
+            "--depth", str(HUGE_DEPTH)]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "more than" in proc.stderr or "int64" in proc.stderr
 
 
 def test_weyl_multiplicities_never_wrap(capsys):
@@ -449,16 +473,17 @@ def _flag_argv(draw):
         points = draw(st.one_of(st.integers(-1, 6), st.sampled_from([10_001, 10 ** 12])))
         argv += ["--points", str(points)]
         if draw(st.booleans()):
-            argv += ["--depth", str(draw(st.integers(0, 30)))]
+            argv += ["--depth", str(draw(st.one_of(st.integers(0, 30), st.just(HUGE_DEPTH))))]
     elif command == "ck-check":
-        argv += ["--depth", str(draw(st.integers(0, 5)))]
+        argv += ["--depth", str(draw(st.one_of(st.integers(0, 5), st.just(HUGE_DEPTH))))]
     elif command == "complexity":
         argv += ["--nmax", str(draw(st.integers(-1, 60)))]
     elif command == "weyl":
         grid = f"{draw(_NUMBERS)}:{draw(_NUMBERS)}:{draw(st.integers(-1, 6))}"
-        argv += ["--depth", str(draw(st.integers(1, 8))), "--grid", grid]
+        argv += ["--depth", str(draw(st.one_of(st.integers(1, 8), st.just(HUGE_DEPTH)))),
+                 "--grid", grid]
     else:
-        argv += ["--depth", str(draw(st.integers(1, 8))),
+        argv += ["--depth", str(draw(st.one_of(st.integers(1, 8), st.just(HUGE_DEPTH)))),
                  "--s", draw(st.sampled_from(["1000", "-1000", "100000000"]))]
     return argv
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from bratlap import cuntz
 from bratlap.cuntz import (
     CuntzError,
     affine_table,
@@ -407,3 +408,26 @@ def test_affine_table_seeds_are_the_depth_one_spectrum(name, backend):
                 (want.label, want.path, want.generation, want.multiplicity), s
             assert type(got.value) is type(want.value) and got.value == want.value, s
             assert got.value_float == want.value_float, s
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_recursion_record_cap_is_the_total_it_grows(name, monkeypatch):
+    # the cap is checked up front against the records the recursion will
+    # grow: a cap at that total accepts, one below refuses
+    table = affine_table(load_preset(name).weight_system, load_preset(name).dimension)
+    total = len(recursive_spectrum(table, 6))
+    monkeypatch.setattr(cuntz, "DEFAULT_PATH_CAP", total)
+    assert len(recursive_spectrum(table, 6)) == total
+    monkeypatch.setattr(cuntz, "DEFAULT_PATH_CAP", total - 1)
+    with pytest.raises(CuntzError, match="record cap"):
+        recursive_spectrum(table, 6)
+
+
+def test_relation_check_refuses_a_depth_past_the_cap(monkeypatch):
+    diagram = build_diagram(FIB_A)
+    count = len(enumerate_paths(diagram, 6))
+    monkeypatch.setattr(cuntz, "DEFAULT_PATH_CAP", count)
+    assert ck_relations_check(diagram, 6).ok
+    monkeypatch.setattr(cuntz, "DEFAULT_PATH_CAP", count - 1)
+    with pytest.raises(CuntzError, match="more than"):
+        ck_relations_check(diagram, 6)

@@ -122,6 +122,15 @@ def test_predicted_count_matches():
         assert predicted_path_count(d, n) == len(enumerate_paths(d, n))
 
 
+def test_capped_count_stops_at_the_cap():
+    d = build_diagram(PENROSE_MATRIX, symmetry_order=4)
+    exact = predicted_path_count(d, 6)
+    assert predicted_path_count(d, 6, cap=exact) == exact
+    # a generation far past the cap: the first count above it comes back,
+    # instead of a number of thousands of digits grown for 10**30 generations
+    assert exact < predicted_path_count(d, 10 ** 30, cap=exact) < 10 * exact
+
+
 def test_extensions_fibonacci():
     d = fib_diagram()
     pa = Path(d.root_edge_index(0))

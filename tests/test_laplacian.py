@@ -24,7 +24,7 @@ from bratlap.laplacian import (
 )
 from bratlap.measure import WeightSystem, perron
 from bratlap.presets import load_preset
-from bratlap.scalar import ApproxBackend, QuadraticBackend, RationalBackend, embed_real
+from bratlap.scalar import ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -317,7 +317,7 @@ def test_approx_spectrum_keeps_declared_precision(s):
     exact = full_spectrum(load_preset("penrose", backend="quadratic:5").weight_system, 3, s)
     assert [r.path for r in approx] == [r.path for r in exact]
     for ra, rq in zip(approx, exact):
-        twin = embed_real(rq.value, 200)
+        twin = ApproxReal.make(rq.value, 200)
         assert ra.value.precision == 200
         assert abs(float(ra.value - twin)) <= 2.0 ** -180 * abs(float(twin)), ra.path
 
@@ -343,3 +343,15 @@ def test_memoized_spectrum_equals_direct_formula(name, backend, depth, slots, s)
         assert rec.value == direct.value, rec.path
         checked += 1
     assert checked > 20
+
+
+def test_spectrum_path_cap_is_the_total_it_visits(monkeypatch):
+    # the running sum of |Pi_k| stops at the cap: a cap at the total visited
+    # accepts, one below refuses
+    ws = fib_ws()
+    total = sum(len(enumerate_paths(ws.diagram, k)) for k in range(1, 9))
+    monkeypatch.setattr(laplacian, "DEFAULT_PATH_CAP", total)
+    laplacian.full_spectrum(ws, 8, 1)
+    monkeypatch.setattr(laplacian, "DEFAULT_PATH_CAP", total - 1)
+    with pytest.raises(LaplacianError, match="more than"):
+        laplacian.full_spectrum(ws, 8, 1)
