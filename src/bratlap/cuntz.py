@@ -504,8 +504,7 @@ def strip_check(embedding: CompanionData, records: list[SpectralRecord],
         raise CuntzError("stable block norm >= 1; strip bound unavailable")
 
     beta_vecs = [lattice_coords(embedding, b) for b in table.betas]
-    seed_vecs = [rec.coords if rec.coords is not None
-                 else lattice_coords(embedding, rec.value)
+    seed_vecs = [lattice_coords(embedding, rec.value)
                  for rec in table.seeds if rec.label != "zero"]
     norms = [math.sqrt(sum(float(c) ** 2 for c in vec))
              for vec in beta_vecs + seed_vecs]

@@ -308,8 +308,8 @@ def dense_restriction(ws: WeightSystem, n: int, s,
         raise LaplacianError(f"dense restriction needs more than {cap} paths (the cap)")
     table = enumerate_paths(ws.diagram, n, cap=cap)
     diagram = ws.diagram
-    # G carries diam^(2-s) = mu^((2-s)/d), which stays in an exact field
-    # only for an integer exponent
+    # G carries diam^(2-s) = mu^((2-s)/d): only an integer exponent keeps
+    # every entry in the backend's field
     exact = ws.backend.is_exact and Fraction(2 - s, ws.dimension).denominator == 1
 
     cache = _StationaryCache(ws, s)
