@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bratlap import laplacian
+from bratlap.cli import main
 from bratlap.diagram import EMPTY_PATH, Path, build_diagram, enumerate_paths
 from bratlap.laplacian import (
     LaplacianError,
@@ -233,6 +235,59 @@ def test_verify_fibonacci_exact():
     assert report.ok and report.exact_checked and report.exact_ok
     assert report.total_multiplicity == 3
     assert report.max_abs_deviation < 1e-12
+
+
+# a relative 1e-12 moves every float deviation below the 1e-8 tolerance, so
+# only the exact eigen-relation check can catch these mutations
+EPS = Fraction(1, 10 ** 12)
+
+
+def _scale_first_generation_one_record(records):
+    k = next(i for i, rec in enumerate(records) if rec.generation == 1)
+    value = records[k].value * (1 + EPS)
+    records[k] = dataclasses.replace(records[k], value=value, value_float=float(value))
+    return records
+
+
+def _edit_entries(op, edits):
+    if isinstance(op.matrix, np.ndarray):
+        for (i, j), edit in edits.items():
+            op.matrix[i, j] = edit(op.matrix[i, j])
+    else:
+        rows = [list(row) for row in op.matrix]
+        for (i, j), edit in edits.items():
+            rows[i][j] = edit(rows[i][j])
+        op.matrix = tuple(tuple(row) for row in rows)
+    return op
+
+
+def _scale_first_measure(op):
+    op.mu_values = (op.mu_values[0] * (1 + EPS),) + tuple(op.mu_values[1:])
+    return op
+
+
+_MUTATIONS = {
+    "record value": ("full_spectrum", _scale_first_generation_one_record),
+    # breaks M 1 = 0
+    "off-diagonal entry": ("dense_restriction", lambda op: _edit_entries(
+        op, {(0, 1): lambda x: x * (1 + EPS)})),
+    # keeps every row sum at zero, so only the eigen-relations can catch it
+    "row-sum-neutral pair": ("dense_restriction", lambda op: _edit_entries(
+        op, {(0, 1): lambda x: x + EPS, (0, 0): lambda x: x - EPS})),
+    "measure": ("dense_restriction", _scale_first_measure),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_exact_check_catches_relative_1e12_mutations(monkeypatch, capsys, mutation):
+    target, mutate = _MUTATIONS[mutation]
+    build = getattr(laplacian, target)
+    monkeypatch.setattr(laplacian, target, lambda *args, **kw: mutate(build(*args, **kw)))
+    report = verify_spectrum(load_preset("fibonacci").weight_system, 4, 1)
+    assert report.exact_ok is False and report.ok is False
+    assert report.max_abs_deviation <= report.tolerance
+    assert main(["verify", "--preset", "fibonacci", "--depth", "4", "--s", "1"]) == 1
+    assert "exact eigen-relations: FAIL" in capsys.readouterr().out
 
 
 def test_verify_thue_morse_depth3():
