@@ -262,29 +262,27 @@ class DenseOperator:
 
     The table is in root-edge order: vertex by vertex, and within a vertex
     slot by slot, the paths under root edge (v, k) fill one contiguous range
-    of width slot_widths[v]."""
+    of width slot_widths[v].  `matrix` is one numpy array: float64, or dtype
+    object holding the backend's exact scalars when every entry stays in its
+    field."""
 
     generation: int
     s: Fraction
     table: PathTable
-    matrix: object              # numpy array (float mode) or nested tuples of scalars
+    matrix: np.ndarray
     mu_values: tuple
-    exact: bool
     symmetry_order: int
     slot_widths: tuple[int, ...]
 
+    @property
+    def exact(self) -> bool:
+        return bool(self.matrix.dtype == object)
+
     def as_float(self) -> np.ndarray:
-        if isinstance(self.matrix, np.ndarray):
-            return self.matrix
-        n = len(self.table)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = to_float(self.matrix[i][j])
-        return out
+        return self.matrix.astype(float, copy=False)
 
     def mu_float(self) -> np.ndarray:
-        return np.array([to_float(m) for m in self.mu_values])
+        return np.array(self.mu_values, dtype=object).astype(float)
 
     def symmetrized(self) -> np.ndarray:
         """D^(1/2) M D^(-1/2): symmetric with the same spectrum."""
@@ -320,20 +318,13 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     for k in range(n - 1, 0, -1):
         sizes[k] = _linalg.mat_vec(a, sizes[k + 1])
 
-    if exact:
-        matrix = [[ws.backend.zero] * size for _ in range(size)]
-        mu_col = mu_full
-    else:
-        matrix = np.zeros((size, size))
-        mu_col = np.array([to_float(m) for m in mu_full])
+    dtype = object if exact else float
+    matrix = np.zeros((size, size), dtype=dtype)
+    mu_col = np.array(mu_full, dtype=dtype)
 
     def fill_block(rows: tuple[int, int], cols: tuple[int, int], meet: Path):
         if exact:
-            inv_g = cache.inv_g_at(meet)
-            for j in range(cols[0], cols[1]):
-                v = mu_col[j] * inv_g
-                for i in range(rows[0], rows[1]):
-                    matrix[i][j] = v
+            entries = mu_col[cols[0]:cols[1]] * cache.inv_g_at(meet)
         else:
             gf = to_float(cache.g_at(meet))
             # mu <= 1, so mu / G is finite for any G in the normal float range;
@@ -341,16 +332,13 @@ def dense_restriction(ws: WeightSystem, n: int, s,
             if abs(gf) < sys.float_info.min:
                 raise LaplacianError("dense matrix entries leave the float range; "
                                      "try a larger s or a smaller depth")
-            matrix[rows[0]:rows[1], cols[0]:cols[1]] = \
-                (mu_col[cols[0]:cols[1]] / gf)[None, :]
+            entries = mu_col[cols[0]:cols[1]] / gf
+        matrix[rows[0]:rows[1], cols[0]:cols[1]] = entries[None, :]
 
     def walk(path: Path, lo: int, partial) -> None:
         depth = path.generation
         if depth == n:
-            if exact:
-                matrix[lo][lo] = partial
-            else:
-                matrix[lo, lo] = to_float(partial)
+            matrix[lo, lo] = partial
             return
         ext = extensions(diagram, path)
         children = [child_path(diagram, path, e) for e in ext]
@@ -370,9 +358,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
             walk(children[0], lo, partial)
 
     walk(EMPTY_PATH, 0, ws.backend.zero)
-    if exact:
-        matrix = tuple(tuple(row) for row in matrix)
-    return DenseOperator(n, s, table, matrix, mu_full, exact,
+    return DenseOperator(n, s, table, matrix, mu_full,
                          diagram.symmetry_order, tuple(sizes[1]))
 
 
@@ -438,24 +424,6 @@ def dense_spectrum(op: DenseOperator) -> np.ndarray:
             diff = own[0, :, 0, :] - own[0, :, 1, :]
             parts.append(np.repeat(np.linalg.eigvalsh(diff), g - 1))
     return np.sort(np.concatenate(parts))
-
-
-def expand_eigenvector(ws: WeightSystem, table: PathTable,
-                       spec: EigenVectorSpec) -> list:
-    """Coordinates of an eigenvector spec over the generation-n cylinder basis."""
-    diagram = ws.diagram
-    pos = child_path(diagram, spec.base, spec.edge_pos)
-    neg = child_path(diagram, spec.base, spec.edge_neg)
-    zero = ws.backend.zero
-    out = []
-    for p in table.paths:
-        if p.prefix(pos.generation) == pos:
-            out.append(spec.coeff_pos)
-        elif p.prefix(neg.generation) == neg:
-            out.append(spec.coeff_neg)
-        else:
-            out.append(zero)
-    return out
 
 
 @dataclass
@@ -538,38 +506,32 @@ def verify_spectrum(ws: WeightSystem, n: int, s, tol: float = 1e-8,
 
 def _verify_exact_relations(ws: WeightSystem, op: DenseOperator,
                             records: list[SpectralRecord]) -> bool:
-    size = len(op.table)
+    """M 1 = 0 and M v = lambda v for every closed-form eigenvector, exactly.
+    A vector is coeff_pos on one child cylinder of its base and coeff_neg on
+    another, and the table holds each cylinder as one range, so (M v)_i is
+    coeff_pos and coeff_neg times the row sums over the two ranges."""
     zero = ws.backend.zero
+    if not all(_is_zero(sum(row, zero)) for row in op.matrix):
+        return False
 
-    for i in range(size):
-        acc = zero
-        for j in range(size):
-            acc = acc + op.matrix[i][j]
-        if not _is_zero(acc):
-            return False
+    def split_sum(values, pos: range, neg: range, spec: EigenVectorSpec):
+        return (spec.coeff_pos * sum(values[pos.start:pos.stop], zero)
+                + spec.coeff_neg * sum(values[neg.start:neg.stop], zero))
 
     for rec in records:
         if rec.label == "zero":
             continue
         base = EMPTY_PATH if rec.label == "root" else rec.path
-        bgen = base.generation
         for spec in eigenbasis(ws, base):
-            vec = expand_eigenvector(ws, op.table, spec)
-            support = [j for j in range(size) if not _is_zero(vec[j])]
+            pos = op.table.span(child_path(ws.diagram, base, spec.edge_pos))
+            neg = op.table.span(child_path(ws.diagram, base, spec.edge_neg))
             # rows outside the base subtree see the support through one common
             # meet, so they vanish exactly as soon as sum(mu_j v_j) does
-            weighted = zero
-            for j in support:
-                weighted = weighted + op.mu_values[j] * vec[j]
-            if not _is_zero(weighted):
+            if not _is_zero(split_sum(op.mu_values, pos, neg, spec)):
                 return False
-            for i in range(size):
-                if op.table.paths[i].prefix(bgen) != base:
-                    continue
-                acc = zero
-                for j in support:
-                    acc = acc + op.matrix[i][j] * vec[j]
-                if not _is_zero(acc - rec.value * vec[i]):
+            for i in op.table.span(base):
+                v_i = spec.coeff_pos if i in pos else spec.coeff_neg if i in neg else zero
+                if not _is_zero(split_sum(op.matrix[i], pos, neg, spec) - rec.value * v_i):
                     return False
     return True
 

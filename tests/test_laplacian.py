@@ -17,7 +17,6 @@ from bratlap.laplacian import (
     dense_spectrum,
     eigenbasis,
     eigenvalue,
-    expand_eigenvector,
     full_spectrum,
     g_value,
     root_record,
@@ -169,7 +168,7 @@ def test_dense_fibonacci_pi1():
     op = dense_restriction(ws, 1, 1)
     assert op.exact
     phi = PHI
-    assert op.matrix == ((-phi, phi), (phi * phi, -(phi * phi)))
+    assert op.matrix.tolist() == [[-phi, phi], [phi * phi, -(phi * phi)]]
     m = op.as_float()
     assert np.allclose(m @ np.ones(2), 0.0, atol=1e-12)
     v = np.array([1.0, -float(phi)])
@@ -216,20 +215,6 @@ def test_dense_cap():
         dense_restriction(ws, 10, 1, cap=100)
 
 
-def test_expand_eigenvector_relation_exact():
-    ws = fib_ws()
-    op = dense_restriction(ws, 3, 1)
-    rec = eigenvalue(ws, Path(0), 1)
-    spec = eigenbasis(ws, Path(0))[0]
-    vec = expand_eigenvector(ws, op.table, spec)
-    n = len(op.table)
-    for i in range(n):
-        acc = Q5.zero
-        for j in range(n):
-            acc = acc + op.matrix[i][j] * vec[j]
-        assert acc == rec.value * vec[i]
-
-
 def test_verify_fibonacci_exact():
     report = verify_spectrum(fib_ws(), 2, 1)
     assert report.ok and report.exact_checked and report.exact_ok
@@ -250,14 +235,8 @@ def _scale_first_generation_one_record(records):
 
 
 def _edit_entries(op, edits):
-    if isinstance(op.matrix, np.ndarray):
-        for (i, j), edit in edits.items():
-            op.matrix[i, j] = edit(op.matrix[i, j])
-    else:
-        rows = [list(row) for row in op.matrix]
-        for (i, j), edit in edits.items():
-            rows[i][j] = edit(rows[i][j])
-        op.matrix = tuple(tuple(row) for row in rows)
+    for (i, j), edit in edits.items():
+        op.matrix[i, j] = edit(op.matrix[i, j])
     return op
 
 
