@@ -23,6 +23,7 @@ from bratlap.diagram import (
     n_extensions,
     predicted_path_count,
 )
+from bratlap.presets import load_preset, preset_names
 
 FIB = SubstitutionRule.from_strings({"a": "ab", "b": "a"})
 TM = SubstitutionRule.from_strings({"0": "01", "1": "10"})
@@ -179,6 +180,20 @@ def test_enumeration_prefix_stability():
         if q not in prefixes:
             prefixes.append(q)
     assert prefixes == list(t4.paths)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_span_is_the_cylinder_of_a_prefix(name):
+    diagram = load_preset(name).diagram
+    for n in range(1, 6):
+        table = enumerate_paths(diagram, n)
+        assert table.span(EMPTY_PATH) == range(len(table))
+        for k in range(1, n + 1):
+            cylinders = {}
+            for i, p in enumerate(table.paths):
+                cylinders.setdefault(p.prefix(k), []).append(i)
+            for prefix, members in cylinders.items():
+                assert list(table.span(prefix)) == members, (n, prefix)
 
 
 def test_dual_fibonacci_composability():
