@@ -36,15 +36,14 @@ class MeasureError(ValueError):
 
 @dataclass(frozen=True)
 class PerronData:
-    """Spectral data of a primitive matrix: eigenvalue theta, normalized right
-    eigenvector driving the cylinder measures, and left eigenvector for
-    diagnostics."""
+    """Spectral data of a primitive matrix: the Perron eigenvalue theta and
+    its right eigenvector, normalized so that the root-edge cylinders have
+    total measure one; v_right drives every cylinder measure."""
 
     backend: Backend
     matrix: tuple[tuple[int, ...], ...]
     theta: object
     v_right: tuple
-    v_left: tuple
     dimension: int
     symmetry_order: int
     _theta_pows: dict = field(default_factory=dict, repr=False, compare=False)
@@ -168,9 +167,8 @@ def _exact_eigenvector(matrix, theta, backend) -> list:
     return vec
 
 
-def _approx_eigen(matrix, backend: ApproxBackend, transpose: bool = False):
-    r = len(matrix)
-    rows = matrix if not transpose else [[matrix[j][i] for j in range(r)] for i in range(r)]
+def _approx_eigen(rows, backend: ApproxBackend):
+    r = len(rows)
     prec = backend.precision
     tol = mpmath.mpf(2) ** (8 - prec)
     bound = mpmath.mpf(2) ** (16 - prec)
@@ -203,8 +201,8 @@ def _approx_eigen(matrix, backend: ApproxBackend, transpose: bool = False):
 
 def perron(matrix, backend: Backend, symmetry_order: int = 1,
            dimension: int = 1) -> PerronData:
-    """Perron-Frobenius eigenvalue and eigenvectors of a primitive matrix,
-    with the right eigenvector normalized so that g * sum(v) = 1."""
+    """Perron-Frobenius eigenvalue and right eigenvector of a primitive
+    matrix, with the eigenvector normalized so that g * sum(v) = 1."""
     rows = _check_matrix(matrix)
     if not is_primitive(rows):
         raise MeasureError("matrix is not primitive")
@@ -214,22 +212,15 @@ def perron(matrix, backend: Backend, symmetry_order: int = 1,
     if backend.is_exact:
         theta = _exact_theta(rows, backend)
         v = _exact_eigenvector(rows, theta, backend)
-        vl = _exact_eigenvector([[rows[j][i] for j in range(len(rows))]
-                                 for i in range(len(rows))], theta, backend)
     else:
         theta, v = _approx_eigen(rows, backend)
-        _, vl = _approx_eigen(rows, backend, transpose=True)
 
     total = v[0]
     for x in v[1:]:
         total = total + x
     scale = backend.one / (total * symmetry_order)
     v = tuple(x * scale for x in v)
-    dot = vl[0] * v[0]
-    for x, y in zip(vl[1:], v[1:]):
-        dot = dot + x * y
-    vl = tuple(x * (backend.one / dot) for x in vl)
-    return PerronData(backend, rows, theta, v, vl, dimension, symmetry_order)
+    return PerronData(backend, rows, theta, v, dimension, symmetry_order)
 
 
 @dataclass(frozen=True)

@@ -71,17 +71,6 @@ def test_perron_penrose_folded():
     assert _power(Q5, p.theta, Fraction(1, 2), 212) == PHI
 
 
-def test_perron_left_eigenvector():
-    p = perron(FIB_A, Q5)
-    at = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(0)]]
-    lhs = [at[0][0] * p.v_left[0] + at[1][0] * p.v_left[1],
-           at[0][1] * p.v_left[0] + at[1][1] * p.v_left[1]]
-    assert lhs[0] == p.theta * p.v_left[0]
-    assert lhs[1] == p.theta * p.v_left[1]
-    dot = p.v_left[0] * p.v_right[0] + p.v_left[1] * p.v_right[1]
-    assert dot == Q5.one
-
-
 def test_perron_approx_backend():
     be = ApproxBackend(200)
     p = perron(FIB_A, be)
