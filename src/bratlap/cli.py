@@ -281,6 +281,8 @@ def cmd_zeta(args, parser, em, inputs) -> int:
         rows = zeta_partial(ws, float(s), args.depth)
     except OverflowError as exc:
         parser.error(str(exc))
+    except MeasureError as exc:
+        parser.error(f"--depth {args.depth}: {exc}")
     em.section("zeta", ["generation", "increment", "cumulative", "ratio"],
                [[r.generation, _fmt(r.increment), _fmt(r.cumulative),
                  "" if r.ratio is None else _fmt(r.ratio)] for r in rows])
@@ -340,6 +342,11 @@ def cmd_heat(args, parser, em, inputs) -> int:
     if args.depth is not None:
         _check_depth(args, parser, 2)
     table = cuntz.affine_table(ws, inputs.s)
+    # the tail bound reads Lambda^n through n = depth + 2, and Lambda > 1 at s = d
+    first = math.ceil(sys.float_info.max_exp / math.log2(table.lam_float))
+    if args.depth is not None and args.depth + 2 >= first:
+        parser.error(f"--depth {args.depth}: Lambda^{first} leaves the float "
+                     f"range; the largest usable depth is {first - 3}")
     grid = np.geomspace(args.tmin, args.tmax, args.points)
     try:
         result = asymptotics.heat_trace(table, grid, depth=args.depth)

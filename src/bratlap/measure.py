@@ -331,7 +331,11 @@ def zeta_partial(ws: WeightSystem, s, n_max: int) -> list[ZetaRow]:
     prev = None
     a = [list(row) for row in ws.diagram.matrix]
     for n in range(1, n_max + 1):
-        colsum = [sum(counts[i][j] for i in range(r)) for j in range(r)]
+        try:
+            colsum = [float(sum(counts[i][j] for i in range(r))) for j in range(r)]
+        except OverflowError:
+            raise MeasureError(f"the path counts of generation {n} leave the float "
+                               f"range; the largest usable depth is {n - 1}") from None
         scale = lam ** (-(n - 1) * s)
         increment = g * sum(colsum[b] * (bases[b] ** s) for b in range(r)) * scale
         if not math.isfinite(increment) or increment > 1e290:

@@ -341,6 +341,23 @@ def test_huge_depth_refused_at_once(command):
     assert "more than" in proc.stderr or "int64" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["zeta", "heat"])
+@pytest.mark.parametrize("depth", [2000, HUGE_DEPTH])
+def test_float_range_depth_refusal_names_depth(command, depth):
+    # zeta's path counts and heat's Lambda^n leave the float range near
+    # generation 1476 and 738 on fibonacci; the refusal names --depth and
+    # the largest depth that runs, and heat, which has no --s, does not
+    # advise changing it
+    argv = [command, "--preset", "fibonacci", "--depth", str(depth)]
+    argv += ["--points", "3"] if command == "heat" else []
+    code, err = _checked_run(argv)
+    _assert_clean(code, err, argv, codes=(2,))
+    assert f"--depth {depth}:" in err and "--s" not in err
+    largest = int(err.rsplit("the largest usable depth is ", 1)[1])
+    argv[4] = str(largest)
+    assert _checked_run(argv) == (0, "")
+
+
 def test_weyl_multiplicities_never_wrap(capsys):
     # |Pi_62| = 2**62 still fits the int64 weights; |Pi_65| = 2**65 does not
     code = main(["weyl", "--preset", "thue-morse", "--s", "1", "--depth", "61",
