@@ -282,7 +282,7 @@ class DenseOperator:
         return self.matrix.astype(float, copy=False)
 
     def mu_float(self) -> np.ndarray:
-        return np.array(self.mu_values, dtype=object).astype(float)
+        return np.array(self.mu_values, dtype=float)
 
     def symmetrized(self) -> np.ndarray:
         """D^(1/2) M D^(-1/2): symmetric with the same spectrum."""
