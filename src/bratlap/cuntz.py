@@ -467,10 +467,6 @@ def lattice_coords(embedding: CompanionData, value) -> tuple[Fraction, ...]:
         "value is not exactly representable; accumulate coordinates through the recursion")
 
 
-def reconstruct_from_coords(embedding: CompanionData, coords) -> float:
-    return float(sum(float(c) * embedding.basis_float ** i for i, c in enumerate(coords)))
-
-
 @dataclass
 class StripReport:
     depth: int
@@ -481,16 +477,6 @@ class StripReport:
     max_distance: float
     per_generation: list[tuple[int, float]]
     distances: list[tuple[str, float]]
-
-    def lines(self) -> list[str]:
-        out = [f"strip analysis depth {self.depth}: max distance "
-               f"{self.max_distance:.6g} vs bound {self.bound:.6g} "
-               f"({'within' if self.max_distance <= self.bound else 'EXCEEDS'})",
-               f"  pisot={self.pisot} stable-norm={self.stable_norm:.6g} "
-               f"m={self.m_constant:.6g}"]
-        out.extend(f"  generation {g}: max distance {v:.6g}"
-                   for g, v in self.per_generation)
-        return out
 
 
 def strip_check(embedding: CompanionData, records: list[SpectralRecord],

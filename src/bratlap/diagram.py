@@ -166,20 +166,6 @@ class BratteliDiagram:
             return self.edges[path.edges[-1]].target
         return self.root_edges[path.root].vertex
 
-    def validate_path(self, path: Path) -> None:
-        if path.root is None:
-            if path.edges:
-                raise DiagramError("empty path cannot carry edges")
-            return
-        if not 0 <= path.root < len(self.root_edges):
-            raise DiagramError("root edge index out of range")
-        at = self.root_edges[path.root].vertex
-        for ei in path.edges:
-            e = self.edges[ei]
-            if e.source != at:
-                raise DiagramError("path edges are not composable")
-            at = e.target
-
     def format_path(self, path: Path) -> str:
         if path.root is None:
             return "()"
@@ -330,16 +316,6 @@ def extensions(diagram: BratteliDiagram, path: Path) -> tuple[int, ...]:
     return diagram.out_edges[diagram.path_range(path)]
 
 
-def n_extensions(diagram: BratteliDiagram, path: Path) -> int:
-    return len(extensions(diagram, path))
-
-
-def ext_pairs(diagram: BratteliDiagram, path: Path) -> tuple[tuple[int, int], ...]:
-    """Ordered pairs of distinct extensions; n(n-1) pairs."""
-    ext = extensions(diagram, path)
-    return tuple((e, f) for e in ext for f in ext if e != f)
-
-
 def longest_common_prefix(x: Path, y: Path) -> Path:
     if x.root is None or y.root is None or x.root != y.root:
         return EMPTY_PATH
@@ -367,16 +343,6 @@ def dual_diagram(diagram: BratteliDiagram) -> BratteliDiagram:
 
 def composability_matrix(diagram: BratteliDiagram) -> tuple[tuple[int, ...], ...]:
     return dual_diagram(diagram).matrix
-
-
-def diagram_to_json(diagram: BratteliDiagram, dimension: int = 1) -> str:
-    payload = {
-        "letters": list(diagram.letters),
-        "matrix": [list(row) for row in diagram.matrix],
-        "dimension": dimension,
-        "symmetry_order": diagram.symmetry_order,
-    }
-    return json.dumps(payload, sort_keys=True)
 
 
 def load_diagram_json(text: str) -> tuple[BratteliDiagram, int]:

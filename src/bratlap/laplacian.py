@@ -9,10 +9,11 @@ nothing and the splitting weight G never has to be evaluated there.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .diagram import (
     predicted_path_count,
 )
 from .measure import WeightSystem, diam_power, mu
-from .scalar import to_float
+from .scalar import ApproxReal, QuadraticNumber, to_float
 
 DEFAULT_DENSE_CAP = 4096
 
@@ -248,11 +249,7 @@ def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
 
 
 def spectrum_multiset(records: list[SpectralRecord]) -> list[float]:
-    out: list[float] = []
-    for rec in records:
-        out.extend([rec.value_float] * rec.multiplicity)
-    out.sort()
-    return out
+    return sorted(rec.value_float for rec in records for _ in range(rec.multiplicity))
 
 
 @dataclass
@@ -262,24 +259,31 @@ class DenseOperator:
 
     The table is in root-edge order: vertex by vertex, and within a vertex
     slot by slot, the paths under root edge (v, k) fill one contiguous range
-    of width slot_widths[v].  `matrix` is one numpy array: float64, or dtype
-    object holding the backend's exact scalars when every entry stays in its
-    field."""
+    of width slot_widths[v].  The matrix is `floats`, a float64 array, or,
+    when every entry stays in the backend's field, values[index]: `values`
+    the distinct exact scalars and `index` an unsigned integer array."""
 
     generation: int
     s: Fraction
     table: PathTable
-    matrix: np.ndarray
     mu_values: tuple
     symmetry_order: int
     slot_widths: tuple[int, ...]
+    floats: np.ndarray | None = None
+    values: tuple = ()
+    index: np.ndarray | None = None
 
     @property
     def exact(self) -> bool:
-        return bool(self.matrix.dtype == object)
+        return self.index is not None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.array(self.values, dtype=object)[self.index] if self.exact else self.floats
 
     def as_float(self) -> np.ndarray:
-        return self.matrix.astype(float, copy=False)
+        return np.array([float(v) for v in self.values])[self.index] if self.exact \
+            else self.floats
 
     def mu_float(self) -> np.ndarray:
         return np.array(self.mu_values, dtype=float)
@@ -297,7 +301,9 @@ def dense_restriction(ws: WeightSystem, n: int, s,
 
     Off-diagonal entries are mu[column]/G(meet); the diagonal accumulates the
     negative increment sum along each path.  Exact scalars are kept whenever
-    diam^(2-s) stays in the field, otherwise the matrix is float."""
+    diam^(2-s) stays in the field, otherwise the matrix is float.  Exact values
+    are interned by (meet key, column range vertex), on which mu[column]/G
+    depends, and one per diagonal partial; an ApproxReal among them raises."""
     s = Fraction(s)
     if n < 1:
         raise LaplacianError("generation must be >= 1")
@@ -313,53 +319,69 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     cache = _StationaryCache(ws, s)
     mu_full = tuple(cache.mu_at(p) for p in table.paths)
     # subtree sizes: number of generation-n paths below a generation-k vertex
-    a = [list(row) for row in diagram.matrix]
     sizes = {n: [1] * diagram.n_letters}
     for k in range(n - 1, 0, -1):
-        sizes[k] = _linalg.mat_vec(a, sizes[k + 1])
+        sizes[k] = _linalg.mat_vec(diagram.matrix, sizes[k + 1])
 
-    dtype = object if exact else float
-    matrix = np.zeros((size, size), dtype=dtype)
-    mu_col = np.array(mu_full, dtype=dtype)
+    values: list = []
+    meet_ids: dict[tuple[int, int], np.ndarray] = {}
+    col_vertex = np.array([diagram.path_range(p) for p in table.paths])
+    mu_at_vertex = dict(zip(col_vertex.tolist(), mu_full))
+    mu_col = None if exact else np.array(mu_full, dtype=float)
+    # exact: one id per diagonal entry and at most one per (meet key, letter)
+    letters = diagram.n_letters
+    matrix = np.zeros((size, size), dtype=np.min_scalar_type(
+        size + (1 + n * letters) * letters) if exact else float)
 
-    def fill_block(rows: tuple[int, int], cols: tuple[int, int], meet: Path):
-        if exact:
-            entries = mu_col[cols[0]:cols[1]] * cache.inv_g_at(meet)
-        else:
+    def meet_row(meet: Path, lo: int, hi: int) -> np.ndarray:
+        """mu[j]/G(meet) for the meet's columns lo:hi, as floats or value ids."""
+        if not exact:
             gf = to_float(cache.g_at(meet))
             # mu <= 1, so mu / G is finite for any G in the normal float range;
             # G underflows at a large negative s
             if abs(gf) < sys.float_info.min:
                 raise LaplacianError("dense matrix entries leave the float range; "
                                      "try a larger s or a smaller depth")
-            entries = mu_col[cols[0]:cols[1]] / gf
-        matrix[rows[0]:rows[1], cols[0]:cols[1]] = entries[None, :]
+            return mu_col[lo:hi] / gf
+        # the meet key fixes which letters its subtree reaches at generation n
+        ids = meet_ids.get(cache._key(meet))
+        if ids is None:
+            ids = meet_ids[cache._key(meet)] = np.zeros(diagram.n_letters, matrix.dtype)
+            for v in set(col_vertex[lo:hi].tolist()):
+                ids[v] = len(values)
+                values.append(mu_at_vertex[v] * cache.inv_g_at(meet))
+        return ids[col_vertex[lo:hi]]
 
     def walk(path: Path, lo: int, partial) -> None:
         depth = path.generation
         if depth == n:
-            matrix[lo, lo] = partial
+            matrix[lo, lo] = len(values) if exact else partial
+            values.append(partial)      # an id of its own; unread on the float path
             return
         ext = extensions(diagram, path)
         children = [child_path(diagram, path, e) for e in ext]
         widths = [sizes[depth + 1][diagram.path_range(c)] for c in children]
-        bounds = [lo]
-        for w in widths:
-            bounds.append(bounds[-1] + w)
+        bounds = list(accumulate(widths, initial=lo))
         if len(ext) >= 2:
-            for i in range(len(children)):
-                for j in range(len(children)):
-                    if i != j:
-                        fill_block((bounds[i], bounds[i + 1]),
-                                   (bounds[j], bounds[j + 1]), path)
+            row = meet_row(path, lo, bounds[-1])
+            for i, j in product(range(len(children)), repeat=2):
+                if i != j:
+                    matrix[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]] = \
+                        row[None, bounds[j] - lo:bounds[j + 1] - lo]
             for i, child in enumerate(children):
                 walk(child, bounds[i], partial + cache.step_at(path, child))
         else:
             walk(children[0], lo, partial)
 
     walk(EMPTY_PATH, 0, ws.backend.zero)
-    return DenseOperator(n, s, table, matrix, mu_full,
-                         diagram.symmetry_order, tuple(sizes[1]))
+    op = DenseOperator(n, s, table, mu_full, diagram.symmetry_order, tuple(sizes[1]))
+    if not exact:
+        op.floats = matrix
+    elif any(isinstance(v, ApproxReal) for v in values):
+        raise LaplacianError("an exact dense entry fell back to an approximate scalar")
+    else:
+        op.values, op.index = tuple(values), matrix
+    return op
 
 
 class SlotSymmetryError(LaplacianError):
@@ -506,37 +528,62 @@ def verify_spectrum(ws: WeightSystem, n: int, s, tol: float = 1e-8,
 
 def _verify_exact_relations(ws: WeightSystem, op: DenseOperator,
                             records: list[SpectralRecord]) -> bool:
-    """M 1 = 0 and M v = lambda v for every closed-form eigenvector, exactly.
-    A vector is coeff_pos on one child cylinder of its base and coeff_neg on
-    another, and the table holds each cylinder as one range, so (M v)_i is
-    coeff_pos and coeff_neg times the row sums over the two ranges."""
-    zero = ws.backend.zero
-    if not all(_is_zero(sum(row, zero)) for row in op.matrix):
+    """M 1 = 0 and M v = lambda v for every closed-form eigenvector, exactly,
+    with each record's multiplicity equal to its number of vectors.  A vector
+    is coeff_pos on one child cylinder of its base and coeff_neg on another,
+    each cylinder one range of the table, so (M v)_i is coeff_pos and coeff_neg
+    times the row sums over the two ranges.  Those run in integers: the ids
+    in a range of op.index are counted and dotted with `_Numerators`, so no
+    scalar arithmetic runs per entry or per row."""
+    entries, mus = _Numerators(op.values), _Numerators(op.mu_values)
+    if any(entries.dot(row) != (0, 0) for row in op.index):
         return False
-
-    def split_sum(values, pos: range, neg: range, spec: EigenVectorSpec):
-        return (spec.coeff_pos * sum(values[pos.start:pos.stop], zero)
-                + spec.coeff_neg * sum(values[neg.start:neg.stop], zero))
-
     for rec in records:
         if rec.label == "zero":
             continue
         base = EMPTY_PATH if rec.label == "root" else rec.path
-        for spec in eigenbasis(ws, base):
+        specs = eigenbasis(ws, base)
+        if len(specs) != rec.multiplicity:
+            return False
+        for spec in specs:
             pos = op.table.span(child_path(ws.diagram, base, spec.edge_pos))
             neg = op.table.span(child_path(ws.diagram, base, spec.edge_neg))
+            # v's two values, then lambda times v on pos, on neg and elsewhere
+            c = _Numerators((spec.coeff_pos, spec.coeff_neg, rec.value * spec.coeff_pos,
+                             rec.value * spec.coeff_neg, ws.backend.zero))
+
+            def numerators_mv(sums: _Numerators, ids: np.ndarray) -> tuple[int, int]:
+                """c.den * sums.den * sum_j x[ids[j]] v_j, as (a, b)"""
+                (pa, pb), (na, nb) = (sums.dot(ids[r.start:r.stop]) for r in (pos, neg))
+                return (c.a[0] * pa + c.a[1] * na + c.disc * (c.b[0] * pb + c.b[1] * nb),
+                        c.a[0] * pb + c.b[0] * pa + c.a[1] * nb + c.b[1] * na)
+
             # rows outside the base subtree see the support through one common
             # meet, so they vanish exactly as soon as sum(mu_j v_j) does
-            if not _is_zero(split_sum(op.mu_values, pos, neg, spec)):
+            if numerators_mv(mus, np.arange(len(op.table))) != (0, 0):
                 return False
             for i in op.table.span(base):
-                v_i = spec.coeff_pos if i in pos else spec.coeff_neg if i in neg else zero
-                if not _is_zero(split_sum(op.matrix[i], pos, neg, spec) - rec.value * v_i):
+                t = 2 if i in pos else 3 if i in neg else 4
+                if numerators_mv(entries, op.index[i]) != \
+                        (entries.den * c.a[t], entries.den * c.b[t]):
                     return False
     return True
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, Fraction):
-        return x == 0
-    return x.is_zero()
+class _Numerators:
+    """Exact scalars as integer numerators over one common denominator:
+    x[k] = (a[k] + b[k] sqrt(disc)) / den, with b = 0 and disc = 0 on Q."""
+
+    def __init__(self, scalars):
+        parts = [(x.a, x.b) if isinstance(x, QuadraticNumber) else (Fraction(x), Fraction(0))
+                 for x in scalars]
+        self.disc = next((x.disc for x in scalars if isinstance(x, QuadraticNumber)), 0)
+        self.den = math.lcm(*{q.denominator for pair in parts for q in pair})
+        self.a, self.b = (np.array([q.numerator * (self.den // q.denominator) for q in col],
+                                   dtype=object) for col in zip(*parts))
+
+    def dot(self, ids: np.ndarray) -> tuple[int, int]:
+        """den * sum(x[ids]) as (a, b): bincount's counts dotted in Python ints."""
+        counts = np.bincount(ids)
+        used = np.flatnonzero(counts)
+        return int(np.dot(counts[used], self.a[used])), int(np.dot(counts[used], self.b[used]))

@@ -17,7 +17,6 @@ from bratlap.cuntz import (
     lattice_coords,
     path_shift_down,
     path_shift_up,
-    reconstruct_from_coords,
     recursive_spectrum,
     strip_check,
 )
@@ -36,6 +35,11 @@ FIB_A = ((1, 1), (1, 0))
 TM_A = ((1, 1), (1, 1))
 PEN_A = ((2, 1), (1, 1))
 FIB_CONJ_A = ((2, 1), (1, 1))
+
+
+def reconstruct_from_coords(embedding, coords) -> float:
+    """The float value of lattice coordinates: sum of c_i x^i at x = basis_float."""
+    return float(sum(float(c) * embedding.basis_float ** i for i, c in enumerate(coords)))
 
 
 def fib_ws():

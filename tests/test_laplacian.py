@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from bratlap import laplacian
 from bratlap.cli import main
-from bratlap.diagram import EMPTY_PATH, Path, build_diagram, enumerate_paths
+from bratlap.diagram import (
+    EMPTY_PATH,
+    Path,
+    build_diagram,
+    enumerate_paths,
+    longest_common_prefix,
+)
 from bratlap.laplacian import (
     LaplacianError,
     dense_restriction,
@@ -25,7 +32,13 @@ from bratlap.laplacian import (
 )
 from bratlap.measure import WeightSystem, perron
 from bratlap.presets import load_preset
-from bratlap.scalar import ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend
+from bratlap.scalar import (
+    ApproxBackend,
+    ApproxReal,
+    QuadraticBackend,
+    QuadraticNumber,
+    RationalBackend,
+)
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -235,8 +248,11 @@ def _scale_first_generation_one_record(records):
 
 
 def _edit_entries(op, edits):
+    """Give each listed entry of the interned matrix a value of its own, the
+    old one edited: appended to op.values, with the index cell repointed."""
     for (i, j), edit in edits.items():
-        op.matrix[i, j] = edit(op.matrix[i, j])
+        op.values += (edit(op.values[op.index[i, j]]),)
+        op.index[i, j] = len(op.values) - 1
     return op
 
 
@@ -267,6 +283,72 @@ def test_exact_check_catches_relative_1e12_mutations(monkeypatch, capsys, mutati
     assert report.max_abs_deviation <= report.tolerance
     assert main(["verify", "--preset", "fibonacci", "--depth", "4", "--s", "1"]) == 1
     assert "exact eigen-relations: FAIL" in capsys.readouterr().out
+
+
+def test_exact_check_catches_wrong_multiplicity(monkeypatch, capsys):
+    """One record claiming one eigenvector more than its base carries fails
+    the exact check, not only the multiplicity count."""
+    def one_more(records):
+        k = next(i for i, rec in enumerate(records) if rec.generation == 1)
+        records[k] = dataclasses.replace(records[k], multiplicity=records[k].multiplicity + 1)
+        return records
+
+    build = laplacian.full_spectrum
+    monkeypatch.setattr(laplacian, "full_spectrum", lambda *a, **kw: one_more(build(*a, **kw)))
+    report = verify_spectrum(load_preset("fibonacci").weight_system, 4, 1)
+    assert report.exact_ok is False and report.counting_ok is False and report.ok is False
+    assert main(["verify", "--preset", "fibonacci", "--depth", "4", "--s", "1"]) == 1
+    assert "exact eigen-relations: FAIL" in capsys.readouterr().out
+
+
+def test_dense_restriction_refuses_inexact_entries(monkeypatch):
+    """The exact check sums interned values by counting them, which is only
+    sound for exact scalars, so an approximate cache value is refused."""
+    inv_g_at = laplacian._StationaryCache.inv_g_at
+    monkeypatch.setattr(laplacian._StationaryCache, "inv_g_at",
+                        lambda self, path: ApproxReal.make(inv_g_at(self, path), 100))
+    with pytest.raises(LaplacianError, match="approximate scalar"):
+        dense_restriction(load_preset("thue-morse").weight_system, 3, 1)
+
+
+EXACT_PRESETS = ("fibonacci", "fibonacci-conjugate", "thue-morse", "dyadic-odometer")
+
+
+@pytest.mark.parametrize("preset", EXACT_PRESETS)
+def test_interned_matrix_equals_object_matrix(preset):
+    """values[index] against the plain object matrix: each off-diagonal entry
+    is mu[j]/G(meet) by the direct formula, as_float() is the same float cast
+    bit for bit, and every integer-dot row sum over a cylinder range, and
+    every measure range sum, is the plain exact sum."""
+    def parts(x):
+        return (x.a, x.b) if isinstance(x, QuadraticNumber) else (x, 0)
+
+    ws = load_preset(preset).weight_system
+    zero = ws.backend.zero
+    for n in range(2, 6):
+        for s in (0, 1, 2):
+            op = dense_restriction(ws, n, s)
+            assert op.exact
+            full = np.array(op.matrix, dtype=object)
+            inv_g = {}
+            for (i, p), (j, q) in product(enumerate(op.table.paths), repeat=2):
+                if i != j:
+                    meet = longest_common_prefix(p, q)
+                    if meet not in inv_g:
+                        inv_g[meet] = 1 / g_value(ws, meet, s)
+                    assert full[i, j] == op.mu_values[j] * inv_g[meet], (n, s, i, j)
+            assert op.as_float().tobytes() == full.astype(float).tobytes(), (n, s)
+            ranges = {op.table.span(p.prefix(k)) for p in op.table.paths
+                      for k in range(n + 1)}
+            entries = laplacian._Numerators(op.values)
+            mus = laplacian._Numerators(op.mu_values)
+            for r in ranges:
+                plain = sum(op.mu_values[r.start:r.stop], zero)
+                assert mus.dot(np.arange(r.start, r.stop)) == parts(plain * mus.den)
+                for i, row in enumerate(full):
+                    plain = sum(row[r.start:r.stop], zero)
+                    assert entries.dot(op.index[i, r.start:r.stop]) == \
+                        parts(plain * entries.den), (n, s, i, r)
 
 
 def test_verify_thue_morse_depth3():
