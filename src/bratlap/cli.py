@@ -369,10 +369,11 @@ def cmd_strip(args, parser, em, inputs) -> int:
         parser.error(f"strip needs exact coordinates, but at s={s} the recursion "
                      f"constants leave {f'Q(sqrt{disc})' if disc else 'Q'}")
     emb = cuntz.companion_embedding(ws.perron).at(s)
-    records = cuntz.recursive_spectrum(table, args.depth, embedding=emb)
-    report = cuntz.strip_check(emb, records, table)
+    report = cuntz.strip_check(emb, table, args.depth)
+    # the paths of one recursion state share its distance
+    text = {d: _fmt(d) for d in {d for _, d in report.distances}}
     em.section("distances", ["path", "distance"],
-               [['"' + label + '"', _fmt(d)] for label, d in report.distances])
+               [['"' + label + '"', text[d]] for label, d in report.distances])
     em.section("per_generation", ["generation", "max_distance"],
                [[g, _fmt(v)] for g, v in report.per_generation])
     em.summary({"max_distance": _fmt(report.max_distance),

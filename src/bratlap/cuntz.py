@@ -225,31 +225,28 @@ def _self_calibrate(ws: WeightSystem, oracle: list[SpectralRecord], lam,
     return checks
 
 
-def recursive_spectrum(table: AffineMapTable, depth: int,
-                       embedding: "CompanionData | None" = None
-                       ) -> list[SpectralRecord]:
-    """Spectrum through the given generation grown by the affine maps alone
-    from the table's seeds: each record of generation n+1 is u_e applied to a
-    generation-n record.
+def _grow(table: AffineMapTable, depth: int, seed_state, step):
+    """Generations 2 through `depth` of the affine recursion, grown by state.
 
-    With an embedding, lattice coordinates are accumulated alongside the
-    recursion via coords(u_e x) = C coords(x) + coords(beta_e).
+    A path's state (its value, or its lattice coordinates) depends only on
+    its seed's state and on the sequence of betas applied, not on its root
+    slot or on which of two parallel edges it took.  The generation-1 seeds
+    are interned by `seed_state(rec)`, so the g root slots share one state,
+    and each generation runs `step(edge, state)` once per distinct (parent
+    state, beta class).  Per generation this yields (states, paths): the new
+    distinct states, and one (root index, edge, parent position, state index)
+    per path in (root, edges) order, where a parent position indexes the
+    generation before, and generation 1 is the table's path seeds in order.
 
-    A record's value and coordinates depend only on its seed's value and
-    coordinates and on the sequence of betas applied, not on its root slot or
-    on which of two parallel edges it took.  So each generation computes every
-    distinct step (parent state, beta) once, and the records that reach the
-    same state share its value, float value and coordinate objects."""
+    The order needs no sort.  The children of the paths under root edge
+    (w, k) take an edge e from v into w and then sit under (v, k), so root
+    by root, out-edge by out-edge, each child block copies the order of
+    one contiguous block of its parents."""
     diagram = table.diagram
-    out = list(table.seeds)
-    if embedding is not None:
-        out = [_with_coords(rec, embedding) for rec in out]
-    if depth <= 1:
-        return out
     # a generation-n record is a path ending at a vertex with two or more
-    # out-edges, so the total is known before any record is grown
+    # out-edges, so the total is known before any state is grown
     splits = [v for v in range(diagram.n_letters) if len(diagram.out_edges[v]) >= 2]
-    total = len(out)
+    total = len(table.seeds)
     counts = path_counts(diagram)
     next(counts)    # generation 1: the seeds
     for _, row in zip(range(2, depth + 1), counts):
@@ -258,61 +255,59 @@ def recursive_spectrum(table: AffineMapTable, depth: int,
             raise CuntzError(f"recursion would produce more than the "
                              f"{DEFAULT_PATH_CAP}-record cap")
 
-    beta_coords = None
-    if embedding is not None:
-        beta_coords = [lattice_coords(embedding, b) for b in table.betas]
-        # the nonzero integer entries of each row of C
-        rows = [[(j, c) for j, c in enumerate(row) if c] for row in embedding.matrix]
-    # edges into each vertex, with the class of their beta
-    into: list[list[tuple[int, int, int]]] = [[] for _ in diagram.letters]
-    for ei, (e, cls) in enumerate(zip(diagram.edges, table.beta_classes())):
-        into[e.target].append((ei, e.source, cls))
-
-    # a state is (value, value_float, coords); the generation-1 seeds are
-    # interned by value and coordinates, so the g root slots share one
+    classes = table.beta_classes()
+    # per root edge (v, k): each out-edge e of v, the root edge (r(e), k)
+    # its parents sit under, and the class of its beta
+    moves = [[(ei, diagram.root_edge_index(diagram.edges[ei].target, root.slot),
+               classes[ei]) for ei in diagram.out_edges[root.vertex]]
+             for root in diagram.root_edges]
     index: dict = {}
-    states: list[tuple] = []
-    level: list[tuple[SpectralRecord, int]] = []
-    for rec in out:
-        if rec.label == "path" and rec.generation == 1:
-            key = (type(rec.value), rec.value, rec.coords)
+    states: list = []
+    level: list[tuple[int, int]] = []   # (root, state index) per path
+    for rec in table.seeds:
+        if rec.label == "path":
+            state = seed_state(rec)
+            key = (type(state), state)
             if key not in index:
                 index[key] = len(states)
-                states.append((rec.value, rec.value_float, rec.coords))
-            level.append((rec, index[key]))
-    for gen in range(2, depth + 1):
+                states.append(state)
+            level.append((rec.path.root, index[key]))
+    for _ in range(2, depth + 1):
+        blocks: list[list[tuple[int, int]]] = [[] for _ in moves]
+        for pos, (root, state) in enumerate(level):
+            blocks[root].append((pos, state))
         steps: dict[tuple[int, int], int] = {}
-        new_states: list[tuple] = []
-        nxt: list[tuple[SpectralRecord, int]] = []
-        for rec, state in level:
-            root = diagram.root_edges[rec.path.root]
-            for ei, source, cls in into[root.vertex]:
-                step = steps.get((state, cls))
-                if step is None:
-                    step = steps[(state, cls)] = len(new_states)
-                    value, _, coords = states[state]
-                    val = table.apply(ei, value)
-                    if embedding is not None:
-                        coords = tuple(
-                            sum((coords[j] if c == 1 else coords[j] * c
-                                 for j, c in row), b)
-                            for row, b in zip(rows, beta_coords[ei]))
-                    new_states.append((val, to_float(val), coords))
-                val, val_float, coords = new_states[step]
-                shifted = Path(diagram.root_edge_index(source, root.slot),
-                               (ei,) + rec.path.edges)
-                nxt.append((SpectralRecord("path", shifted, gen, val, val_float,
-                                           rec.multiplicity, coords), step))
-        nxt.sort(key=lambda pair: (pair[0].path.root, pair[0].path.edges))
-        out.extend(rec for rec, _ in nxt)
-        level, states = nxt, new_states
+        new_states: list = []
+        paths: list[tuple[int, int, int, int]] = []
+        for root, root_moves in enumerate(moves):
+            for ei, parent_root, cls in root_moves:
+                for pos, state in blocks[parent_root]:
+                    child = steps.get((state, cls))
+                    if child is None:
+                        child = steps[(state, cls)] = len(new_states)
+                        new_states.append(step(ei, states[state]))
+                    paths.append((root, ei, pos, child))
+        yield new_states, paths
+        level = [(root, child) for root, _, _, child in paths]
+        states = new_states
+
+
+def recursive_spectrum(table: AffineMapTable, depth: int) -> list[SpectralRecord]:
+    """Spectrum through the given generation grown by the affine maps alone
+    from the table's seeds: each record of generation n+1 is u_e applied to a
+    generation-n record, in `full_spectrum`'s (root, edges) order within a
+    generation.  Records that reach the same recursion state share its value
+    and float value."""
+    out = list(table.seeds)
+    level = [rec for rec in out if rec.label == "path"]
+    levels = _grow(table, depth, lambda rec: rec.value, table.apply)
+    for gen, (states, paths) in enumerate(levels, 2):
+        floats = [to_float(value) for value in states]
+        level = [SpectralRecord("path", Path(root, (ei,) + level[pos].path.edges), gen,
+                                states[state], floats[state], level[pos].multiplicity)
+                 for root, ei, pos, state in paths]
+        out.extend(level)
     return out
-
-
-def _with_coords(rec: SpectralRecord, embedding: "CompanionData") -> SpectralRecord:
-    coords = lattice_coords(embedding, rec.value)
-    return SpectralRecord(rec.label, rec.path, rec.generation, rec.value,
-                          rec.value_float, rec.multiplicity, coords)
 
 
 @dataclass(frozen=True)
@@ -479,44 +474,66 @@ class StripReport:
     distances: list[tuple[str, float]]
 
 
-def strip_check(embedding: CompanionData, records: list[SpectralRecord],
-                table: AffineMapTable) -> StripReport:
-    """Distances of eigenvalue lattice points to the unstable line, against the
-    bound m/(1 - |C_s|) with m = |P^-1|^2 max(|beta|, |lambda_seed|) over the
-    table's betas and nonzero seeds."""
+def strip_check(embedding: CompanionData, table: AffineMapTable,
+                depth: int) -> StripReport:
+    """Distances to the unstable line of the lattice points of the records
+    `recursive_spectrum(table, depth)` lists, in its order, against the bound
+    m/(1 - |C_s|) with m = |P^-1|^2 max(|beta|, |lambda_seed|) over the
+    table's betas and nonzero seeds.
+
+    The recursion grows coordinates, coords(u_e x) = C coords(x) +
+    coords(beta_e), as integer numerators over one denominator: the lcm of
+    those of the betas' and seeds' coordinates, which C, an integer matrix,
+    keeps.  Each state's distance is computed once, and each path's label is
+    its root's head and its edge's segment before its parent's tail."""
     if not embedding.hyperbolic:
         raise CuntzError("companion matrix is non-hyperbolic; strip bound unavailable")
     if embedding.stable_norm >= 1.0:
         raise CuntzError("stable block norm >= 1; strip bound unavailable")
 
+    seed_vecs = [lattice_coords(embedding, rec.value) for rec in table.seeds]
     beta_vecs = [lattice_coords(embedding, b) for b in table.betas]
-    seed_vecs = [lattice_coords(embedding, rec.value)
-                 for rec in table.seeds if rec.label != "zero"]
-    norms = [math.sqrt(sum(float(c) ** 2 for c in vec))
-             for vec in beta_vecs + seed_vecs]
+    den = math.lcm(*(c.denominator for vec in seed_vecs + beta_vecs for c in vec))
+
+    def numerators(vec) -> tuple[int, ...]:
+        return tuple(c.numerator * (den // c.denominator) for c in vec)
+
+    beta_nums = [numerators(vec) for vec in beta_vecs]
+    # the nonzero integer entries of each row of C
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in embedding.matrix]
+
+    def step(ei: int, nums: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sum((nums[j] * c for j, c in row), b)
+                     for row, b in zip(rows, beta_nums[ei]))
+
+    def distance(nums: tuple[int, ...]) -> float:
+        # int true division rounds correctly, as float(Fraction) does
+        return embedding.distance_to_unstable([n / den for n in nums])
+
+    diagram = table.diagram
+    per_gen: dict[int, float] = {}
+    grown: list[tuple[str, float]] = []
+    tails = [""] * sum(rec.label == "path" for rec in table.seeds)
+    levels = _grow(table, depth, lambda rec: numerators(lattice_coords(embedding, rec.value)),
+                   step)
+    for gen, (states, paths) in enumerate(levels, 2):
+        dists = [distance(nums) for nums in states]
+        tails = ["." + diagram.segments[ei] + tails[pos] for _, ei, pos, _ in paths]
+        grown.extend((diagram.heads[root] + tail, dists[state])
+                     for (root, _, _, state), tail in zip(paths, tails))
+        per_gen[gen] = max([0.0, *dists])
+    distances: list[tuple[str, float]] = []
+    for rec, vec in zip(table.seeds, seed_vecs):
+        dist = distance(numerators(vec))
+        distances.append((rec.label if rec.path is None else diagram.format_path(rec.path),
+                          dist))
+        per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
+    distances.extend(grown)
+
+    nonzero = [vec for rec, vec in zip(table.seeds, seed_vecs) if rec.label != "zero"]
+    norms = [math.sqrt(sum(float(c) ** 2 for c in vec)) for vec in beta_vecs + nonzero]
     m_const = embedding.p_inv_norm ** 2 * max(norms)
     bound = m_const / (1.0 - embedding.stable_norm)
-
-    per_gen: dict[int, float] = {}
-    distances: list[tuple[str, float]] = []
-    max_dist = 0.0
-    diagram = table.diagram
-    # records of one recursion state share their coords tuple, and `records`
-    # keeps it alive, so its id is a safe key; coordinates expanded here are
-    # temporaries and are not memoized
-    by_coords: dict[int, float] = {}
-    for rec in records:
-        if rec.coords is None:
-            dist = embedding.distance_to_unstable(lattice_coords(embedding, rec.value))
-        else:
-            dist = by_coords.get(id(rec.coords))
-            if dist is None:
-                dist = by_coords[id(rec.coords)] = \
-                    embedding.distance_to_unstable(rec.coords)
-        label = rec.label if rec.path is None else diagram.format_path(rec.path)
-        distances.append((label, dist))
-        per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
-        max_dist = max(max_dist, dist)
-    depth = max(per_gen) if per_gen else 0
-    return StripReport(depth, embedding.pisot, embedding.stable_norm, m_const,
-                       bound, max_dist, sorted(per_gen.items()), distances)
+    return StripReport(max(per_gen), embedding.pisot, embedding.stable_norm, m_const,
+                       bound, max([0.0, *per_gen.values()]), sorted(per_gen.items()),
+                       distances)

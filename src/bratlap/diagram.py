@@ -12,6 +12,7 @@ import json
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import _linalg
 
@@ -166,20 +167,26 @@ class BratteliDiagram:
             return self.edges[path.edges[-1]].target
         return self.root_edges[path.root].vertex
 
+    @cached_property
+    def heads(self) -> tuple[str, ...]:
+        """Per root edge, the start of a path label: its letter, with its
+        slot in brackets when there are several."""
+        return tuple(self.letters[re.vertex] +
+                     (f"[{re.slot}]" if self.symmetry_order > 1 else "")
+                     for re in self.root_edges)
+
+    @cached_property
+    def segments(self) -> tuple[str, ...]:
+        """Per edge model, its part of a path label: the target letter, with
+        the occurrence in parentheses when the letters have several edges."""
+        return tuple(self.letters[e.target] +
+                     (f"({e.occurrence})" if self.matrix[e.source][e.target] > 1 else "")
+                     for e in self.edges)
+
     def format_path(self, path: Path) -> str:
         if path.root is None:
             return "()"
-        re = self.root_edges[path.root]
-        parts = [self.letters[re.vertex]]
-        if self.symmetry_order > 1:
-            parts[0] += f"[{re.slot}]"
-        for ei in path.edges:
-            e = self.edges[ei]
-            seg = self.letters[e.target]
-            if self.matrix[e.source][e.target] > 1:
-                seg += f"({e.occurrence})"
-            parts.append(seg)
-        return ".".join(parts)
+        return ".".join((self.heads[path.root], *(self.segments[ei] for ei in path.edges)))
 
 
 def build_diagram(matrix, symmetry_order: int = 1,
@@ -325,24 +332,6 @@ def longest_common_prefix(x: Path, y: Path) -> Path:
             break
         common.append(a)
     return Path(x.root, tuple(common))
-
-
-def dual_diagram(diagram: BratteliDiagram) -> BratteliDiagram:
-    """Composability diagram: one vertex per edge model of the input, and a single
-    edge e -> f whenever range(e) = source(f).  Drives Cuntz-Krieger admissibility."""
-    names = tuple(
-        f"{diagram.letters[e.source]}>{diagram.letters[e.target]}:{e.occurrence}"
-        for e in diagram.edges)
-    m = len(diagram.edges)
-    matrix = tuple(
-        tuple(1 if diagram.edges[i].target == diagram.edges[j].source else 0
-              for j in range(m))
-        for i in range(m))
-    return build_diagram(matrix, symmetry_order=1, letters=names)
-
-
-def composability_matrix(diagram: BratteliDiagram) -> tuple[tuple[int, ...], ...]:
-    return dual_diagram(diagram).matrix
 
 
 def load_diagram_json(text: str) -> tuple[BratteliDiagram, int]:

@@ -72,7 +72,6 @@ class SpectralRecord:
     value: object               # backend scalar
     value_float: float
     multiplicity: int
-    coords: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -122,28 +121,12 @@ def root_record(ws: WeightSystem, s) -> SpectralRecord | None:
     return SpectralRecord("root", None, 0, val, to_float(val), n0 - 1)
 
 
-def eigenbasis(ws: WeightSystem, path: Path) -> list[EigenVectorSpec]:
-    """n-1 spanning eigenvectors anchored at the first extension."""
-    diagram = ws.diagram
-    ext = extensions(diagram, path)
-    if len(ext) < 2:
-        return []
-    anchor = ext[0]
-    mu_anchor = mu(ws, child_path(diagram, path, anchor))
-    specs = []
-    for other in ext[1:]:
-        mu_other = mu(ws, child_path(diagram, path, other))
-        specs.append(EigenVectorSpec(path, anchor, other,
-                                     1 / mu_anchor, -(1 / mu_other)))
-    return specs
-
-
 class _StationaryCache:
     """Memo of the terms of the eigenvalue formula on a stationary diagram.
 
-    mu(gamma) and G(gamma) depend only on the range vertex r(gamma) and the
-    generation n, so they are kept per (r(gamma), n), and so are the two
-    terms the spectrum and dense walks add up:
+    mu(gamma), 1/mu(gamma) and G(gamma) depend only on the range vertex
+    r(gamma) and the generation n, so they are kept per (r(gamma), n), and
+    so are the two terms the spectrum and dense walks add up:
 
     - the final term -mu(gamma) * G(gamma)^-1, keyed by (r(gamma), n);
     - the step term (mu(gamma e) - mu(gamma)) * G(gamma)^-1, keyed by
@@ -159,6 +142,7 @@ class _StationaryCache:
         self.ws = ws
         self.s = s
         self._mu: dict[tuple[int, int], object] = {}
+        self._inv_mu: dict[tuple[int, int], object] = {}
         self._g: dict[tuple[int, int], object] = {}
         self._inv_g: dict[tuple[int, int], object] = {}
         self._final: dict[tuple[int, int], object] = {}
@@ -179,6 +163,9 @@ class _StationaryCache:
     def mu_at(self, path: Path):
         return self._memo(self._mu, self._key(path), lambda: mu(self.ws, path))
 
+    def inv_mu_at(self, path: Path):
+        return self._memo(self._inv_mu, self._key(path), lambda: 1 / self.mu_at(path))
+
     def g_at(self, path: Path):
         return self._memo(self._g, self._key(path),
                           lambda: g_value(self.ws, path, self.s))
@@ -195,6 +182,19 @@ class _StationaryCache:
         return self._memo(
             self._step, self._key(path) + (self.ws.diagram.path_range(child),),
             lambda: (self.mu_at(child) - self.mu_at(path)) * self.inv_g_at(path))
+
+
+def eigenbasis(cache: _StationaryCache, path: Path) -> list[EigenVectorSpec]:
+    """n-1 spanning eigenvectors anchored at the first extension, with the
+    children's mu and 1/mu read from the stationary memo."""
+    diagram = cache.ws.diagram
+    ext = extensions(diagram, path)
+    if len(ext) < 2:
+        return []
+    inv_anchor = cache.inv_mu_at(child_path(diagram, path, ext[0]))
+    return [EigenVectorSpec(path, ext[0], other, inv_anchor,
+                            -cache.inv_mu_at(child_path(diagram, path, other)))
+            for other in ext[1:]]
 
 
 def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
@@ -536,13 +536,14 @@ def _verify_exact_relations(ws: WeightSystem, op: DenseOperator,
     in a range of op.index are counted and dotted with `_Numerators`, so no
     scalar arithmetic runs per entry or per row."""
     entries, mus = _Numerators(op.values), _Numerators(op.mu_values)
+    cache = _StationaryCache(ws, op.s)
     if any(entries.dot(row) != (0, 0) for row in op.index):
         return False
     for rec in records:
         if rec.label == "zero":
             continue
         base = EMPTY_PATH if rec.label == "root" else rec.path
-        specs = eigenbasis(ws, base)
+        specs = eigenbasis(cache, base)
         if len(specs) != rec.multiplicity:
             return False
         for spec in specs:

@@ -1,5 +1,5 @@
-"""Perron-Frobenius data, cylinder measures, weights, the ultrametric, and
-zeta-function partial sums.
+"""Perron-Frobenius data, cylinder measures, the weights of the ultrametric,
+and zeta-function partial sums.
 
 The cylinder measure uses the closed form mu[gamma] = v_(r(gamma)) * theta^(1-n)
 with the right eigenvector normalized so the root-edge cylinders sum to one;
@@ -293,15 +293,6 @@ def diam_power(ws: WeightSystem, path: Path, expo: Fraction):
     if expo == 0:
         return ws.backend.one
     return _power(ws.backend, mu(ws, path), expo / ws.dimension, ws.approx_bits)
-
-
-def ultrametric_distance(ws: WeightSystem, x: Path, y: Path):
-    """d_w(x, y) = w(r(x ^ y)); zero when one path is a prefix of the other."""
-    from .diagram import longest_common_prefix
-    meet = longest_common_prefix(x, y)
-    if meet.generation == min(x.generation, y.generation):
-        return ws.backend.zero
-    return weight(ws, meet)
 
 
 @dataclass(frozen=True)

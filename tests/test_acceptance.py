@@ -182,8 +182,7 @@ def test_criterion_06_strip_bound():
     ws = fib.weight_system
     table = affine_table(ws, 1)
     emb = companion_embedding(fib.perron)
-    records = recursive_spectrum(table, 12, embedding=emb)
-    report = strip_check(emb, records, table)
+    report = strip_check(emb, table, 12)
     assert report.max_distance <= report.bound
     per_gen = dict(report.per_generation)
     max10 = max(v for g, v in per_gen.items() if g <= 10)
@@ -193,8 +192,7 @@ def test_criterion_06_strip_bound():
     tm = load_preset("thue-morse")
     table_tm = affine_table(tm.weight_system, 1)
     emb_tm = companion_embedding(tm.perron)
-    rec_tm = recursive_spectrum(table_tm, 8, embedding=emb_tm)
-    report_tm = strip_check(emb_tm, rec_tm, table_tm)
+    report_tm = strip_check(emb_tm, table_tm, 8)
     assert report_tm.max_distance == 0.0
     _report(6, "strip bound",
             f"fib max {report.max_distance:.4f} <= bound {report.bound:.4f}, "

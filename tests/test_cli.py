@@ -113,10 +113,14 @@ def test_json_round_trip(capsys):
 
 
 def test_determinism_across_runs(capsys):
-    args = ["weyl", "--preset", "fibonacci", "--depth", "10", "--s", "1"]
-    _, first = run_cli(args, capsys)
-    _, second = run_cli(args, capsys)
-    assert first == second
+    for args in (["weyl", "--preset", "fibonacci", "--depth", "10", "--s", "1"],
+                 # the 20 root slots share recursion states
+                 ["strip", "--preset", "penrose", "--depth", "5", "--s", "2"],
+                 # so do the two parallel a -> a edges
+                 ["strip", "--preset", "fibonacci-conjugate", "--depth", "6", "--s", "1"]):
+        _, first = run_cli(args, capsys)
+        _, second = run_cli(args, capsys)
+        assert first == second, args
 
 
 def test_matrix_file_input(tmp_path, capsys):

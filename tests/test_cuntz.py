@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -40,6 +41,30 @@ FIB_CONJ_A = ((2, 1), (1, 1))
 def reconstruct_from_coords(embedding, coords) -> float:
     """The float value of lattice coordinates: sum of c_i x^i at x = basis_float."""
     return float(sum(float(c) * embedding.basis_float ** i for i, c in enumerate(coords)))
+
+
+def strip_coordinates(embedding, table, depth):
+    """strip_check's report, and the lattice coordinates it grew for the
+    records of recursive_spectrum(table, depth), in their order: the seeds'
+    expanded from their values, the others read off the recursion states as
+    numerators over the lcm of the betas' and seeds' denominators."""
+    levels = []
+    grow = cuntz._grow
+
+    def spy(*args):
+        for states, paths in grow(*args):
+            levels.append([states[state] for _, _, _, state in paths])
+            yield states, paths
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuntz, "_grow", spy)
+        report = strip_check(embedding, table, depth)
+    seeds = [lattice_coords(embedding, rec.value) for rec in table.seeds]
+    den = math.lcm(*(c.denominator for vec in seeds for c in vec),
+                   *(c.denominator for b in table.betas for c in lattice_coords(embedding, b)))
+    coords = seeds + [tuple(Fraction(n, den) for n in nums)
+                      for level in levels for nums in level]
+    return report, coords
 
 
 def fib_ws():
@@ -251,8 +276,7 @@ def fib_conj_ws():
 def test_coords_recursion_homomorphism(ws_factory, s, depth):
     ws = ws_factory()
     table = affine_table(ws, s)
-    emb = companion_embedding(ws.perron)
-    records = recursive_spectrum(table, depth, embedding=emb)
+    records = recursive_spectrum(table, depth)
     direct = {(r.label, r.path): r for r in full_spectrum(ws, depth, s)}
     # the same records as the direct formula, path by path
     assert len(records) == len(direct)
@@ -260,11 +284,51 @@ def test_coords_recursion_homomorphism(ws_factory, s, depth):
         ref = direct[(rec.label, rec.path)]
         assert (rec.path, rec.value, rec.value_float) == \
             (ref.path, ref.value, ref.value_float)
-        assert rec.coords is not None
-        assert reconstruct_from_coords(emb, rec.coords) == \
-            pytest.approx(rec.value_float, abs=1e-9)
-        # accumulated coordinates agree with direct field expansion
-        assert rec.coords == lattice_coords(emb, rec.value)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_recursion_generations_in_path_order(name):
+    # the level engine emits each generation in (root, edges) order without
+    # sorting it
+    bundle = load_preset(name)
+    records = recursive_spectrum(affine_table(bundle.weight_system, bundle.dimension), 6)
+    for gen in range(1, 7):
+        level = [rec for rec in records if rec.generation == gen]
+        assert level, gen
+        assert level == sorted(level, key=lambda rec: (rec.path.root, rec.path.edges)), gen
+
+
+# the three recursions above at s = d, and each at another s where strip runs
+@pytest.mark.parametrize("ws_factory, s, depth", [
+    (fib_ws, 1, 6),
+    (fib_ws, -1, 8),
+    (penrose_ws, 2, 5),
+    (penrose_ws, 0, 5),
+    (fib_conj_ws, 1, 6),
+    (fib_conj_ws, 0, 6),
+], ids=["fibonacci", "fibonacci-s-1", "penrose", "penrose-s0", "fibonacci-conjugate",
+        "fibonacci-conjugate-s0"])
+def test_strip_matches_per_path_oracle(ws_factory, s, depth):
+    # strip grows labels, coordinates and distances by recursion state; path
+    # by path they must equal format_path, the field expansion of the value
+    # and the distance of that expansion
+    ws = ws_factory()
+    table = affine_table(ws, s)
+    emb = companion_embedding(ws.perron).at(s)
+    records = recursive_spectrum(table, depth)
+    report, coords = strip_coordinates(emb, table, depth)
+    assert len(report.distances) == len(coords) == len(records)
+    for rec, (label, dist), got in zip(records, report.distances, coords):
+        assert label == (rec.label if rec.path is None else ws.diagram.format_path(rec.path))
+        assert got == lattice_coords(emb, rec.value), label
+        assert reconstruct_from_coords(emb, got) == \
+            pytest.approx(rec.value_float, rel=1e-12, abs=1e-9), label
+        assert dist == emb.distance_to_unstable(lattice_coords(emb, rec.value)), label
+    per_gen = {}
+    for rec, (_, dist) in zip(records, report.distances):
+        per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
+    assert report.per_generation == sorted(per_gen.items())
+    assert report.max_distance == max(per_gen.values())
 
 
 def test_coords_scalar_recursion_thue_morse():
@@ -278,8 +342,7 @@ def test_strip_fibonacci_bounded():
     ws = fib_ws()
     table = affine_table(ws, 1)
     emb = companion_embedding(ws.perron)
-    records = recursive_spectrum(table, 12, embedding=emb)
-    report = strip_check(emb, records, table)
+    report = strip_check(emb, table, 12)
     assert report.max_distance <= report.bound
     dist10 = max(v for g, v in report.per_generation if g <= 10)
     assert abs(report.max_distance - dist10) <= 0.01 * report.max_distance
@@ -289,8 +352,7 @@ def test_strip_thue_morse_zero():
     ws = tm_ws()
     table = affine_table(ws, 1)
     emb = companion_embedding(ws.perron)
-    records = recursive_spectrum(table, 8, embedding=emb)
-    report = strip_check(emb, records, table)
+    report = strip_check(emb, table, 8)
     assert report.max_distance == 0.0
 
 
@@ -298,28 +360,9 @@ def test_strip_penrose_bounded():
     ws = penrose_ws()
     table = affine_table(ws, 2)
     emb = companion_embedding(ws.perron)
-    records = recursive_spectrum(table, 7, embedding=emb)
-    report = strip_check(emb, records, table)
+    report = strip_check(emb, table, 7)
     assert report.max_distance <= report.bound
     assert report.pisot
-
-
-def test_strip_distances_equal_unmemoized():
-    ws = penrose_ws()
-    table = affine_table(ws, 2)
-    emb = companion_embedding(ws.perron)
-    records = recursive_spectrum(table, 5, embedding=emb)
-    # every third record carries no coordinates, so strip_check expands them
-    # itself into temporaries, between records that share coordinate tuples
-    mixed = [dataclasses.replace(rec, coords=None) if k % 3 == 0 else rec
-             for k, rec in enumerate(records)]
-    assert any(rec.coords is None for rec in mixed)
-    for recs in (records, mixed):
-        report = strip_check(emb, recs, table)
-        assert len(report.distances) == len(recs)
-        for rec, (label, dist) in zip(recs, report.distances):
-            expected = emb.distance_to_unstable(lattice_coords(emb, rec.value))
-            assert dist == expected, label
 
 
 def test_companion_embedding_field_mismatch_falls_back_to_numeric():
@@ -351,7 +394,7 @@ def test_strip_refuses_non_hyperbolic():
     emb = companion_embedding(ws.perron)
     broken = dataclasses.replace(emb, hyperbolic=False)
     with pytest.raises(CuntzError):
-        strip_check(broken, [], table)
+        strip_check(broken, table, 5)
 
 
 # the s in {-1, 0, 1, 2} where strip runs: at d = 2, s = -1 and s = 1 take
@@ -373,12 +416,13 @@ def test_strip_coordinates_reconstruct_their_values(name):
             continue
         accepted.append(s)
         emb = companion_embedding(ws.perron).at(s)
-        for rec in recursive_spectrum(table, 5, embedding=emb):
+        _, grown = strip_coordinates(emb, table, 5)
+        for rec, coords in zip(recursive_spectrum(table, 5), grown, strict=True):
             if emb.basis_value is not None:
-                value = sum(c * emb.basis_value ** i for i, c in enumerate(rec.coords))
+                value = sum(c * emb.basis_value ** i for i, c in enumerate(coords))
                 assert compare(value, rec.value) == 0, (s, rec.path)
             else:
-                err = abs(reconstruct_from_coords(emb, rec.coords) - rec.value_float)
+                err = abs(reconstruct_from_coords(emb, coords) - rec.value_float)
                 assert err <= 1e-12 * abs(rec.value_float), (s, rec.path)
     assert accepted == STRIP_S[name]
 

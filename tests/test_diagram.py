@@ -1,4 +1,4 @@
-"""Diagram construction, path enumeration, duality."""
+"""Diagram construction, path enumeration, path labels."""
 
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ from bratlap.diagram import (
     SubstitutionRule,
     abelianize,
     build_diagram,
-    composability_matrix,
-    dual_diagram,
     enumerate_paths,
     extensions,
     is_primitive,
@@ -184,45 +182,18 @@ def test_span_is_the_cylinder_of_a_prefix(name):
                 assert list(table.span(prefix)) == members, (n, prefix)
 
 
-def test_dual_fibonacci_composability():
-    d = fib_diagram()
-    # edges in order: a->a, a->b, b->a; composable iff target(e) == source(f)
-    assert composability_matrix(d) == ((1, 1, 0), (0, 0, 1), (1, 1, 0))
-    # brute force over all pairs
-    for i, e in enumerate(d.edges):
-        for j, f in enumerate(d.edges):
-            expected = 1 if e.target == f.source else 0
-            assert composability_matrix(d)[i][j] == expected
-
-
-def test_dual_thue_morse_all_pattern():
-    d = tm_diagram()
-    m = composability_matrix(d)
-    for i, e in enumerate(d.edges):
-        for j, f in enumerate(d.edges):
-            assert m[i][j] == (1 if e.target == f.source else 0)
-    assert sum(sum(row) for row in m) == 8
-
-
-def test_dual_penrose():
-    d = build_diagram(PENROSE_MATRIX, symmetry_order=1)
-    m = composability_matrix(d)
-    assert len(m) == 5
-    for i, e in enumerate(d.edges):
-        for j, f in enumerate(d.edges):
-            assert m[i][j] == (1 if e.target == f.source else 0)
-
-
-def test_dual_of_dyadic_is_thue_morse_pattern():
-    dyadic = build_diagram([[2]])
-    assert composability_matrix(dyadic) == ((1, 1), (1, 1))
-
-
-def test_dual_path_counts_shift_by_one():
-    d = fib_diagram()
-    dd = dual_diagram(d)
-    for n in range(1, 8):
-        assert predicted_path_count(dd, n) == predicted_path_count(d, n + 1)
+def test_path_labels_penrose_and_parallel_edges():
+    # a slot in brackets when g > 1; an occurrence in parentheses where two
+    # letters have parallel edges
+    pen = build_diagram(PENROSE_MATRIX, symmetry_order=20)
+    a_to_a = [ei for ei, e in enumerate(pen.edges) if (e.source, e.target) == (0, 0)]
+    b_to_a = next(ei for ei, e in enumerate(pen.edges) if (e.source, e.target) == (1, 0))
+    path = Path(pen.root_edge_index(1, 7), (b_to_a, a_to_a[1]))
+    assert pen.format_path(path) == "b[7].a.a(2)"
+    assert pen.heads[pen.root_edge_index(0, 19)] == "a[19]"
+    assert [pen.segments[ei] for ei in a_to_a] == ["a(1)", "a(2)"]
+    assert fib_diagram().format_path(Path(1, (2,))) == "b.a"
+    assert fib_diagram().format_path(EMPTY_PATH) == "()"
 
 
 def test_longest_common_prefix():

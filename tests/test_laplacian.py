@@ -16,10 +16,12 @@ from bratlap.diagram import (
     Path,
     build_diagram,
     enumerate_paths,
+    extensions,
     longest_common_prefix,
 )
 from bratlap.laplacian import (
     LaplacianError,
+    child_path,
     dense_restriction,
     dense_spectrum,
     eigenbasis,
@@ -30,7 +32,7 @@ from bratlap.laplacian import (
     spectrum_multiset,
     verify_spectrum,
 )
-from bratlap.measure import WeightSystem, perron
+from bratlap.measure import WeightSystem, mu, perron
 from bratlap.presets import load_preset
 from bratlap.scalar import (
     ApproxBackend,
@@ -130,20 +132,41 @@ def test_dyadic_odometer_closed_form():
 
 def test_eigenbasis_fibonacci():
     ws = fib_ws()
-    specs = eigenbasis(ws, EMPTY_PATH)
+    cache = laplacian._StationaryCache(ws, 1)
+    specs = eigenbasis(cache, EMPTY_PATH)
     assert len(specs) == 1
     ratio = specs[0].coeff_neg / specs[0].coeff_pos
     assert ratio == -PHI                       # chi_a - phi chi_b after rescaling
-    specs_a = eigenbasis(ws, Path(0))
+    specs_a = eigenbasis(cache, Path(0))
     assert len(specs_a) == 1
     assert specs_a[0].coeff_neg / specs_a[0].coeff_pos == -PHI
-    assert eigenbasis(ws, Path(1)) == []
+    assert eigenbasis(cache, Path(1)) == []
 
 
 def test_eigenbasis_dimension_penrose_vertex_a():
     ws = penrose_ws(backend=Q5)
-    specs = eigenbasis(ws, Path(ws.diagram.root_edge_index(0, 5)))
+    specs = eigenbasis(laplacian._StationaryCache(ws, 2),
+                       Path(ws.diagram.root_edge_index(0, 5)))
     assert len(specs) == 2
+
+
+def test_eigenbasis_memo_equals_direct_measures():
+    # the memo keeps mu and 1/mu per (range vertex, generation); the
+    # coefficients are 1/mu of the anchor child and -1/mu of the other, as
+    # the direct formula gives them
+    ws = penrose_ws(g=4, backend=Q5)
+    cache = laplacian._StationaryCache(ws, 2)
+    bases = [EMPTY_PATH] + [p for n in (1, 2, 3) for p in enumerate_paths(ws.diagram, n).paths]
+    for base in bases:
+        ext = extensions(ws.diagram, base)
+        specs = eigenbasis(cache, base)
+        assert len(specs) == max(0, len(ext) - 1), base
+        for spec, other in zip(specs, ext[1:]):
+            anchor_mu = mu(ws, child_path(ws.diagram, base, ext[0]))
+            other_mu = mu(ws, child_path(ws.diagram, base, other))
+            assert (spec.base, spec.edge_pos, spec.edge_neg) == (base, ext[0], other)
+            assert spec.coeff_pos == 1 / anchor_mu
+            assert spec.coeff_neg == -(1 / other_mu)
 
 
 def test_full_spectrum_fibonacci_depth1():

