@@ -510,6 +510,7 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
         # int true division rounds correctly, as float(Fraction) does
         return embedding.distance_to_unstable([n / den for n in nums])
 
+    # grown before the seeds' rows: the record cap is checked before any distance
     diagram = table.diagram
     per_gen: dict[int, float] = {}
     grown: list[tuple[str, float]] = []

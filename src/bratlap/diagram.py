@@ -178,7 +178,7 @@ class BratteliDiagram:
     @cached_property
     def segments(self) -> tuple[str, ...]:
         """Per edge model, its part of a path label: the target letter, with
-        the occurrence in parentheses when the letters have several edges."""
+        the occurrence in parentheses when its two letters have several edges."""
         return tuple(self.letters[e.target] +
                      (f"({e.occurrence})" if self.matrix[e.source][e.target] > 1 else "")
                      for e in self.edges)
