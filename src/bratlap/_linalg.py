@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalar import scalar_sign
+
 
 def mat_mul(a, b):
     n, m, p = len(a), len(b), len(b[0])
@@ -113,7 +115,7 @@ def kernel_vector(rows, backend):
     for col in range(n):
         pivot = None
         for r in range(row, n):
-            if backend.compare(m[r][col], zero) != 0:
+            if scalar_sign(m[r][col]) != 0:
                 pivot = r
                 break
         if pivot is None:
@@ -122,7 +124,7 @@ def kernel_vector(rows, backend):
         pv = m[row][col]
         m[row] = [x / pv for x in m[row]]
         for r in range(n):
-            if r != row and backend.compare(m[r][col], zero) != 0:
+            if r != row and scalar_sign(m[r][col]) != 0:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[row])]
         pivots[col] = row

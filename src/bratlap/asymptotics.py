@@ -32,6 +32,8 @@ WEYL_POINTS = 48
 HEAT_TAIL_TARGET = 1e-9
 # generations enumerated to fit the heat-trace tail envelope
 HEAT_ENVELOPE_DEPTH = 12
+# the longest fixed-point prefix factor_complexity grows
+MAX_PREFIX_LENGTH = 2_000_000
 
 
 class AsymptoticsError(ValueError):
@@ -264,14 +266,11 @@ def weyl_margins(spec: GenerationSpectrum, bounds: dict) -> list[WeylMarginRow]:
     order = np.argsort(values)
     values, mults = values[order], mults[order]
     cum = np.cumsum(mults)
-    cap = max(values)
     lc, la, lb = bounds["lower"]
     uc, ua, ub = bounds["upper"]
     rows = []
     distinct = np.unique(values[values > 0])
     for t in distinct:
-        if t > cap:
-            break
         n = int(cum[np.searchsorted(values, t, side="right") - 1])
         rows.append(WeylMarginRow(float(t), n,
                                   lc * math.sqrt(la * t + lb),
@@ -518,8 +517,7 @@ class ComplexityTable:
         return math.log(self.p(n)) / math.log(n)
 
 
-def factor_complexity(rule: SubstitutionRule, n_max: int,
-                      max_length: int = 2_000_000) -> ComplexityTable:
+def factor_complexity(rule: SubstitutionRule, n_max: int) -> ComplexityTable:
     """Exact factor counts of the substitution fixed point, by growing a prefix
     until the counts for every n <= n_max agree on two successive rounds."""
     if rule.dimension != 1:
@@ -545,8 +543,8 @@ def factor_complexity(rule: SubstitutionRule, n_max: int,
         rounds += 1
         for _ in range(power):
             word = substitute(word)
-        if len(word) > max_length:
-            raise AsymptoticsError(f"fixed-point prefix exceeded {max_length} letters")
+        if len(word) > MAX_PREFIX_LENGTH:
+            raise AsymptoticsError(f"fixed-point prefix exceeded {MAX_PREFIX_LENGTH} letters")
         if len(word) < 4 * n_max:
             continue
         sa = _SuffixAutomaton()

@@ -20,7 +20,7 @@ from .diagram import (DEFAULT_PATH_CAP, EMPTY_PATH, BratteliDiagram, Path, enume
                       path_counts, predicted_path_count)
 from .laplacian import SpectralRecord, full_spectrum, g_value
 from .measure import PerronData, WeightSystem, _power, mu, theta_min_poly
-from .scalar import ApproxReal, ExactnessError, QuadraticNumber, compare, to_float
+from .scalar import ApproxReal, QuadraticNumber, compare, exact_power
 
 
 class CuntzError(ValueError):
@@ -182,8 +182,8 @@ def affine_table(ws: WeightSystem, s) -> AffineMapTable:
         betas.append(beta)
 
     oracle = full_spectrum(ws, 4, s)
-    return AffineMapTable(ws, s, lam, to_float(lam), tuple(betas),
-                          tuple(to_float(b) for b in betas),
+    return AffineMapTable(ws, s, lam, float(lam), tuple(betas),
+                          tuple(float(b) for b in betas),
                           _self_calibrate(ws, oracle, lam, betas),
                           tuple(rec for rec in oracle if rec.generation <= 1))
 
@@ -210,15 +210,15 @@ def _self_calibrate(ws: WeightSystem, oracle: list[SpectralRecord], lam,
                 direct = by_path[shifted]
                 via_map = lam * rec.value + betas[ei]
                 if exact:
-                    agree = ws.backend.compare(direct.value, via_map) == 0
+                    agree = compare(direct.value, via_map) == 0
                 else:
                     scale = max(1.0, abs(direct.value_float))
-                    agree = abs(direct.value_float - to_float(via_map)) <= 1e-9 * scale
+                    agree = abs(direct.value_float - float(via_map)) <= 1e-9 * scale
                 if not agree:
                     raise CuntzError(
                         f"affine-table self-calibration failed on edge {ei} over "
                         f"{diagram.format_path(gamma)}: direct {direct.value_float!r} "
-                        f"vs map {to_float(via_map)!r}")
+                        f"vs map {float(via_map)!r}")
                 checks += 1
     if checks == 0:
         raise CuntzError("self-calibration found no applicable oracle paths")
@@ -302,7 +302,7 @@ def recursive_spectrum(table: AffineMapTable, depth: int) -> list[SpectralRecord
     level = [rec for rec in out if rec.label == "path"]
     levels = _grow(table, depth, lambda rec: rec.value, table.apply)
     for gen, (states, paths) in enumerate(levels, 2):
-        floats = [to_float(value) for value in states]
+        floats = [float(value) for value in states]
         level = [SpectralRecord("path", Path(root, (ei,) + level[pos].path.edges), gen,
                                 states[state], floats[state], level[pos].multiplicity)
                  for root, ei, pos, state in paths]
@@ -378,10 +378,7 @@ def companion_embedding(perron: PerronData) -> CompanionData:
     d_prime = _root_degree(perron.dimension)
     basis_value = None
     if len(poly) == 3:
-        try:
-            basis_value = perron.backend.pow_fraction(perron.theta, Fraction(1, d_prime))
-        except ExactnessError:
-            pass
+        basis_value = exact_power(perron.theta, Fraction(1, d_prime))
     return _embedding(poly, perron.dimension, basis_value, theta_float ** (1.0 / d_prime),
                       2 * d_prime // perron.dimension)
 

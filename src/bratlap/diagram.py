@@ -17,6 +17,9 @@ from functools import cached_property
 from . import _linalg
 
 DEFAULT_PATH_CAP = 10_000_000
+# what path labels add to letters (".", slot brackets, occurrence parentheses)
+# and what CSV quoting uses
+LABEL_CHARS = '.[]()",'
 
 
 class DiagramError(ValueError):
@@ -136,6 +139,10 @@ class Path:
         return Path(self.root, self.edges[: k - 1])
 
     def child(self, edge_index: int) -> "Path":
+        """The path one generation deeper: extended by edge model edge_index,
+        or, for the empty path, the root edge edge_index."""
+        if self.root is None:
+            return Path(edge_index)
         return Path(self.root, self.edges + (edge_index,))
 
 
@@ -206,6 +213,10 @@ def build_diagram(matrix, symmetry_order: int = 1,
             tuple(f"v{i}" for i in range(r))
     if len(letters) != r:
         raise DiagramError("letter count does not match matrix size")
+    for i, letter in enumerate(letters):
+        if not letter or letter in letters[:i] or set(letter) & set(LABEL_CHARS):
+            raise DiagramError(f"letter {letter!r} is empty, repeated or holds one of "
+                               f"{LABEL_CHARS!r}, which path labels and CSV quoting use")
     if not is_primitive(rows):
         raise DiagramError("matrix is not primitive")
     if rows == ((1,),):

@@ -21,7 +21,6 @@ from . import _linalg
 from .diagram import (
     DEFAULT_PATH_CAP,
     EMPTY_PATH,
-    BratteliDiagram,
     Path,
     PathTable,
     enumerate_paths,
@@ -30,20 +29,13 @@ from .diagram import (
     predicted_path_count,
 )
 from .measure import WeightSystem, diam_power, mu
-from .scalar import ApproxReal, QuadraticNumber, to_float
+from .scalar import ApproxReal, QuadraticNumber
 
 DEFAULT_DENSE_CAP = 4096
 
 
 class LaplacianError(ValueError):
     pass
-
-
-def child_path(diagram: BratteliDiagram, path: Path, ext_index: int) -> Path:
-    """Extend a path by one of its extension indices (a root edge when empty)."""
-    if path.root is None:
-        return Path(ext_index)
-    return path.child(ext_index)
 
 
 def g_value(ws: WeightSystem, path: Path, s):
@@ -53,7 +45,7 @@ def g_value(ws: WeightSystem, path: Path, s):
     ext = extensions(ws.diagram, path)
     if len(ext) < 2:
         raise LaplacianError("no splitting at this path")
-    measures = [mu(ws, child_path(ws.diagram, path, e)) for e in ext]
+    measures = [mu(ws, path.child(e)) for e in ext]
     total = measures[0]
     for m in measures[1:]:
         total = total + m
@@ -104,7 +96,7 @@ def eigenvalue(ws: WeightSystem, path: Path, s) -> SpectralRecord:
     val = acc - final
     return SpectralRecord("path" if path.generation else "root",
                           path if path.generation else None,
-                          path.generation, val, to_float(val), n_ext - 1)
+                          path.generation, val, float(val), n_ext - 1)
 
 
 def zero_record(ws: WeightSystem) -> SpectralRecord:
@@ -118,7 +110,7 @@ def root_record(ws: WeightSystem, s) -> SpectralRecord | None:
     if n0 < 2:
         return None
     val = -(1 / g_value(ws, EMPTY_PATH, s))
-    return SpectralRecord("root", None, 0, val, to_float(val), n0 - 1)
+    return SpectralRecord("root", None, 0, val, float(val), n0 - 1)
 
 
 class _StationaryCache:
@@ -191,9 +183,9 @@ def eigenbasis(cache: _StationaryCache, path: Path) -> list[EigenVectorSpec]:
     ext = extensions(diagram, path)
     if len(ext) < 2:
         return []
-    inv_anchor = cache.inv_mu_at(child_path(diagram, path, ext[0]))
+    inv_anchor = cache.inv_mu_at(path.child(ext[0]))
     return [EigenVectorSpec(path, ext[0], other, inv_anchor,
-                            -cache.inv_mu_at(child_path(diagram, path, other)))
+                            -cache.inv_mu_at(path.child(other)))
             for other in ext[1:]]
 
 
@@ -227,11 +219,11 @@ def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
         if n_ext >= 2:
             val = partial + cache.final_at(path)
             records.append(SpectralRecord("path", path, path.generation,
-                                          val, to_float(val), n_ext - 1))
+                                          val, float(val), n_ext - 1))
         if depth_left == 0:
             return
         for e in ext:
-            child = child_path(diagram, path, e)
+            child = path.child(e)
             if n_ext >= 2:
                 child_partial = partial + cache.step_at(path, child)
             else:
@@ -336,7 +328,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     def meet_row(meet: Path, lo: int, hi: int) -> np.ndarray:
         """mu[j]/G(meet) for the meet's columns lo:hi, as floats or value ids."""
         if not exact:
-            gf = to_float(cache.g_at(meet))
+            gf = float(cache.g_at(meet))
             # mu <= 1, so mu / G is finite for any G in the normal float range;
             # G underflows at a large negative s
             if abs(gf) < sys.float_info.min:
@@ -359,7 +351,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
             values.append(partial)      # an id of its own; unread on the float path
             return
         ext = extensions(diagram, path)
-        children = [child_path(diagram, path, e) for e in ext]
+        children = [path.child(e) for e in ext]
         widths = [sizes[depth + 1][diagram.path_range(c)] for c in children]
         bounds = list(accumulate(widths, initial=lo))
         if len(ext) >= 2:
@@ -547,8 +539,8 @@ def _verify_exact_relations(ws: WeightSystem, op: DenseOperator,
         if len(specs) != rec.multiplicity:
             return False
         for spec in specs:
-            pos = op.table.span(child_path(ws.diagram, base, spec.edge_pos))
-            neg = op.table.span(child_path(ws.diagram, base, spec.edge_neg))
+            pos = op.table.span(base.child(spec.edge_pos))
+            neg = op.table.span(base.child(spec.edge_neg))
             # v's two values, then lambda times v on pos, on neg and elsewhere
             c = _Numerators((spec.coeff_pos, spec.coeff_neg, rec.value * spec.coeff_pos,
                              rec.value * spec.coeff_neg, ws.backend.zero))

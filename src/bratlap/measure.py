@@ -17,14 +17,15 @@ import mpmath
 import numpy as np
 
 from . import _linalg
-from .diagram import BratteliDiagram, Path, _check_matrix, is_primitive
+from .diagram import BratteliDiagram, Path, _check_matrix, is_primitive, path_counts
 from .scalar import (
     ApproxBackend,
     ApproxReal,
     Backend,
-    ExactnessError,
     QuadraticBackend,
     RationalBackend,
+    exact_power,
+    scalar_sign,
 )
 
 DEFAULT_APPROX_BITS = 212
@@ -159,7 +160,7 @@ def _exact_eigenvector(matrix, theta, backend) -> list:
     rows = [[backend.make(matrix[i][j]) - (theta if i == j else backend.zero)
              for j in range(r)] for i in range(r)]
     vec = _linalg.kernel_vector(rows, backend)
-    signs = {backend.compare(x, backend.zero) for x in vec}
+    signs = {scalar_sign(x) for x in vec}
     if 0 in signs or len(signs) != 1:
         raise MeasureError("kernel vector is not strictly one-signed; matrix primitive?")
     if signs == {-1}:
@@ -260,10 +261,10 @@ EXACT_POWER_LOG2_LIMIT = 1 << 16
 
 
 def _power(backend: Backend, base, e: Fraction, bits: int):
-    """base^e: exact when the backend's field holds it, else an ApproxReal at
-    the given bits, or at the base's own precision when the base is already
-    approximate.  This is the one place where an exact computation falls
-    back to approximate scalars.
+    """base^e: exact when `exact_power` keeps it in the backend's field, else
+    an ApproxReal at the given bits, or at the base's own precision when the
+    base is already approximate.  This is the one place where an exact
+    computation falls back to approximate scalars.
 
     An exact power with |e * log2|base|| > EXACT_POWER_LOG2_LIMIT lies beyond
     2**65536 or below 2**-65536, so it could not become a float; it raises
@@ -275,10 +276,10 @@ def _power(backend: Backend, base, e: Fraction, bits: int):
                 EXACT_POWER_LOG2_LIMIT:
             raise OverflowError(f"an exact power beyond 2**{EXACT_POWER_LOG2_LIMIT} "
                                 f"or below 2**-{EXACT_POWER_LOG2_LIMIT}")
-        try:
-            return backend.pow_fraction(base, e)
-        except ExactnessError:
-            base = ApproxReal.make(base, bits)
+        exact = exact_power(backend.make(base), e)
+        if exact is not None:
+            return exact
+        base = ApproxReal.make(base, bits)
     if e.denominator == 1:
         return base ** e.numerator
     with mpmath.workprec(base.precision):
@@ -314,16 +315,15 @@ def zeta_partial(ws: WeightSystem, s, n_max: int) -> list[ZetaRow]:
     r = ws.diagram.n_letters
     # diam shrinks by the inflation factor theta^(1/d) per generation
     lam = float(_power(ws.backend, ws.perron.theta, Fraction(1, d), DEFAULT_APPROX_BITS))
-    bases = [float(ws.backend.to_float(v)) ** (1.0 / d) for v in ws.perron.v_right]
+    bases = [float(v) ** (1.0 / d) for v in ws.perron.v_right]
 
     rows: list[ZetaRow] = []
-    counts = [[1 if i == j else 0 for j in range(r)] for i in range(r)]  # A^(n-1)
     cumulative = 0.0
     prev = None
-    a = [list(row) for row in ws.diagram.matrix]
-    for n in range(1, n_max + 1):
+    # path_counts yields the diagram's g times the column sums of A^(n-1)
+    for n, row in zip(range(1, n_max + 1), path_counts(ws.diagram)):
         try:
-            colsum = [float(sum(counts[i][j] for i in range(r))) for j in range(r)]
+            colsum = [float(c // ws.diagram.symmetry_order) for c in row]
         except OverflowError:
             raise MeasureError(f"the path counts of generation {n} leave the float "
                                f"range; the largest usable depth is {n - 1}") from None
@@ -340,5 +340,4 @@ def zeta_partial(ws: WeightSystem, s, n_max: int) -> list[ZetaRow]:
         rows.append(ZetaRow(n, increment, cumulative,
                             None if prev is None else increment / prev))
         prev = increment
-        counts = _linalg.mat_mul(counts, a)
     return rows

@@ -1,10 +1,13 @@
-"""Pluggable number backends: exact rationals, exact real quadratic fields
-Q(sqrt(D)), and precision-tracked floats.
+"""Scalars and the backends that name their fields: exact rationals, exact
+real quadratic fields Q(sqrt(D)), and precision-tracked floats.
 
 The golden-mean families all live in Q(sqrt(5)), so the quadratic backend lets
 every reference constant be checked with zero rounding error.  Generic
 matrices whose dominant eigenvalue has algebraic degree above two run on the
-approximate backend instead.
+approximate backend instead.  A backend only names and builds its field; the
+arithmetic decisions live on the scalars: `exact_power` is the one rule for
+which powers stay in a field, `scalar_sign` and `compare` the one comparison,
+and float(x) the one conversion.
 """
 
 from __future__ import annotations
@@ -34,10 +37,6 @@ from mpmath.libmp import to_float as mpf_to_float
 LT, EQ, GT = -1, 0, 1
 
 MIN_PRECISION = 53
-
-
-class ExactnessError(ArithmeticError):
-    """Requested value is not representable on an exact backend."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -394,16 +393,16 @@ def _operand(x, precision: int) -> tuple | None:
     return None
 
 
-Scalar = Fraction | QuadraticNumber | ApproxReal
-
-
-def to_float(x) -> float:
-    """Float value of any scalar, regardless of backend."""
-    if isinstance(x, (Fraction, QuadraticNumber, ApproxReal)):
-        return float(x)
-    if isinstance(x, (int, float)):
-        return float(x)
-    raise TypeError(f"not a scalar: {type(x).__name__}")
+def exact_power(x, e: Fraction):
+    """x^e in x's own field, Q for a Fraction and Q(sqrt(D)) for a
+    QuadraticNumber, or None when x^e leaves it.  Only an integer power,
+    or the exact square root of one, stays in the field."""
+    if e.denominator > 2:
+        return None
+    p = x ** e.numerator
+    if e.denominator == 1:
+        return p
+    return rational_sqrt(p) if isinstance(p, Fraction) else p.sqrt()
 
 
 def scalar_sign(x) -> int:
@@ -426,6 +425,7 @@ def compare(x, y) -> int:
     return scalar_sign(x - y)
 
 
+@dataclass(frozen=True)
 class RationalBackend:
     kind = "rational"
     is_exact = True
@@ -447,50 +447,25 @@ class RationalBackend:
     def one(self):
         return Fraction(1)
 
-    def compare(self, x, y) -> int:
-        return (x > y) - (x < y)
-
-    def to_float(self, x) -> float:
-        return float(x)
-
-    def sqrt(self, x):
-        r = rational_sqrt(self.make(x))
-        if r is None:
-            raise ExactnessError(f"{x} has no exact rational square root")
-        return r
-
-    def pow_fraction(self, x, e: Fraction):
-        x = self.make(x)
-        if e.denominator == 1:
-            return x ** e.numerator
-        if e.denominator == 2:
-            return self.sqrt(x ** e.numerator)
-        raise ExactnessError(f"exponent {e} not supported exactly on rationals")
-
     def format_exact(self, x) -> str:
         return str(self.make(x))
 
     def header(self) -> str:
         return "field=Q"
 
-    def __repr__(self):
-        return "RationalBackend()"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalBackend)
-
-    def __hash__(self):
-        return hash("rational")
-
-
+@dataclass(frozen=True)
 class QuadraticBackend:
+    disc: int
     is_exact = True
 
-    def __init__(self, disc: int):
-        if disc < 2 or not is_square_free(disc):
-            raise ValueError(f"discriminant must be square-free and >= 2, got {disc}")
-        self.disc = disc
-        self.kind = f"quadratic:{disc}"
+    def __post_init__(self):
+        if self.disc < 2 or not is_square_free(self.disc):
+            raise ValueError(f"discriminant must be square-free and >= 2, got {self.disc}")
+
+    @property
+    def kind(self) -> str:
+        return f"quadratic:{self.disc}"
 
     def make(self, x) -> QuadraticNumber:
         if isinstance(x, QuadraticNumber):
@@ -511,26 +486,6 @@ class QuadraticBackend:
     def one(self):
         return self.make(1)
 
-    def compare(self, x, y) -> int:
-        return (self.make(x) - self.make(y)).sign()
-
-    def to_float(self, x) -> float:
-        return float(self.make(x))
-
-    def sqrt(self, x):
-        r = self.make(x).sqrt()
-        if r is None:
-            raise ExactnessError(f"{x!r} has no exact square root in Q(sqrt{self.disc})")
-        return r
-
-    def pow_fraction(self, x, e: Fraction):
-        x = self.make(x)
-        if e.denominator == 1:
-            return x ** e.numerator
-        if e.denominator == 2:
-            return self.sqrt(x ** e.numerator)
-        raise ExactnessError(f"exponent {e} not supported exactly in Q(sqrt{self.disc})")
-
     def format_exact(self, x) -> str:
         x = self.make(x)
         if self.disc == 5:
@@ -543,24 +498,19 @@ class QuadraticBackend:
             return "field=Q(sqrt5) basis=1,phi phi=(1+sqrt5)/2"
         return f"field=Q(sqrt{self.disc}) basis=1,sqrt{self.disc}"
 
-    def __repr__(self):
-        return f"QuadraticBackend({self.disc})"
 
-    def __eq__(self, other):
-        return isinstance(other, QuadraticBackend) and other.disc == self.disc
-
-    def __hash__(self):
-        return hash(("quadratic", self.disc))
-
-
+@dataclass(frozen=True)
 class ApproxBackend:
+    precision: int = MIN_PRECISION
     is_exact = False
 
-    def __init__(self, precision: int = MIN_PRECISION):
-        if precision < MIN_PRECISION:
+    def __post_init__(self):
+        if self.precision < MIN_PRECISION:
             raise ValueError(f"precision must be >= {MIN_PRECISION} bits")
-        self.precision = precision
-        self.kind = f"approx:{precision}"
+
+    @property
+    def kind(self) -> str:
+        return f"approx:{self.precision}"
 
     def make(self, x) -> ApproxReal:
         return ApproxReal.make(x, self.precision)
@@ -573,39 +523,8 @@ class ApproxBackend:
     def one(self):
         return self.make(1)
 
-    def compare(self, x, y) -> int:
-        return (self.make(x) - self.make(y)).sign()
-
-    def to_float(self, x) -> float:
-        return float(self.make(x))
-
-    def sqrt(self, x):
-        x = self.make(x)
-        with mpmath.workprec(self.precision):
-            return ApproxReal(mpmath.sqrt(x.value), self.precision)
-
-    def pow_fraction(self, x, e: Fraction):
-        x = self.make(x)
-        with mpmath.workprec(self.precision):
-            ev = mpmath.mpf(e.numerator) / e.denominator
-            return ApproxReal(mpmath.power(x.value, ev), self.precision)
-
-    def format_exact(self, x) -> str:
-        x = self.make(x)
-        digits = max(17, int(self.precision * 0.302) + 2)
-        return mpmath.nstr(x.value, digits)
-
     def header(self) -> str:
         return f"field=R precision={self.precision}bits"
-
-    def __repr__(self):
-        return f"ApproxBackend({self.precision})"
-
-    def __eq__(self, other):
-        return isinstance(other, ApproxBackend) and other.precision == self.precision
-
-    def __hash__(self):
-        return hash(("approx", self.precision))
 
 
 Backend = RationalBackend | QuadraticBackend | ApproxBackend

@@ -528,3 +528,59 @@ def test_matrix_file_exit_codes(matrix_files, command, matrix, backend):
     if backend is not None and command not in ("ck-check", "strip"):
         argv += ["--backend", backend]
     _assert_clean(*_checked_run(argv), argv)
+
+
+# at s = 1/2 the splitting weights of some paths stay in Q(sqrt5) and those
+# of the others fall back: both kinds of exact string, the field basis and
+# 25 significant digits, in one section
+FIB_CONJ_HALF = """\
+# bratlap spectrum
+# backend=quadratic:5
+# depth=4
+# dimension=1
+# preset=fibonacci-conjugate
+# s=1/2
+# field=Q(sqrt5) basis=1,phi phi=(1+sqrt5)/2
+# section=records
+label,generation,path,multiplicity,value_exact,value_float
+zero,0,"zero",1,"(0) + (0)*phi",0
+root,0,"root",1,"(-1) + (-2)*phi",-4.2360679774997898
+path,1,"a",2,"-11.82589291585821867071905",-11.825892915858219
+path,2,"a.a(1)",2,"-121.1337280215183624322908",-121.13372802151837
+path,3,"a.a(1).a(1)",2,"-1333.376195526634124703607",-1333.3761955266341
+path,3,"a.a(1).a(2)",2,"-1333.376195526634124703607",-1333.3761955266341
+path,3,"a.a(1).b",1,"-5872.409033327713023047252",-5872.4090333277127
+path,2,"a.a(2)",2,"-121.1337280215183624322908",-121.13372802151837
+path,3,"a.a(2).a(1)",2,"-1333.376195526634124703607",-1333.3761955266341
+path,3,"a.a(2).a(2)",2,"-1333.376195526634124703607",-1333.3761955266341
+path,3,"a.a(2).b",1,"-5872.409033327713023047252",-5872.4090333277127
+path,2,"a.b",1,"-530.4180636830580831235787",-530.41806368305811
+path,3,"a.b.a",2,"-1463.904821128147917722302",-1463.9048211281479
+path,3,"a.b.b",1,"-6109.412865614045729394023",-6109.4128656140456
+path,1,"b",1,"(-14) + (-22)*phi",-49.596747752497691
+path,2,"b.a",2,"-133.7691961622005417172657",-133.76919616220053
+path,3,"b.a.a(1)",2,"-1346.011663667316303988582",-1346.0116636673163
+path,3,"b.a.a(2)",2,"-1346.011663667316303988582",-1346.0116636673163
+path,3,"b.a.b",1,"-5885.044501468395202332227",-5885.0445014683955
+path,2,"b.b",1,"(-153) + (-247)*phi",-552.65439522122404
+path,3,"b.b.a",2,"-1486.141152666313862105256",-1486.1411526663139
+path,3,"b.b.b",1,"(-1695) + (-2742)*phi",-6131.6491971522119
+# summary {"total_multiplicity":34}
+"""
+
+
+def test_spectrum_prints_field_and_fallback_strings(capsys):
+    code, out = run_cli(["spectrum", "--preset", "fibonacci-conjugate", "--depth", "4",
+                         "--s", "1/2"], capsys)
+    assert code == 0
+    assert out == FIB_CONJ_HALF
+
+
+@pytest.mark.parametrize("letters, refused", [(["a", "a"], "a"), (["", "b"], ""),
+                                             (["a", "b.c"], "b.c")])
+def test_ambiguous_letters_exit_2(letters, refused, tmp_path):
+    spec = tmp_path / "letters.json"
+    spec.write_text(json.dumps({"letters": letters, "matrix": [[1, 1], [1, 0]]}))
+    code, err = _exit_code(["spectrum", "--matrix-file", str(spec), "--depth", "2"])
+    assert code == 2
+    assert f"letter {refused!r} is empty, repeated" in err

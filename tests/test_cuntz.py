@@ -366,7 +366,7 @@ def test_strip_penrose_bounded():
 
 
 def test_companion_embedding_field_mismatch_falls_back_to_numeric():
-    # theta^(1/3) is not in Q(sqrt5): ExactnessError
+    # theta^(1/3) is not in Q(sqrt5): exact_power gives None
     emb3 = companion_embedding(perron(FIB_A, Q5, dimension=3))
     assert emb3.basis_value is None
     assert emb3.action_verified == "numeric"
@@ -380,10 +380,10 @@ def test_companion_embedding_needs_exact_perron_data():
 def test_companion_embedding_propagates_unexpected_errors(monkeypatch):
     pdata = perron(FIB_A, Q5)
 
-    def broken(self, x, e):
+    def broken(x, e):
         raise ZeroDivisionError("bug")
 
-    monkeypatch.setattr(QuadraticBackend, "pow_fraction", broken)
+    monkeypatch.setattr(cuntz, "exact_power", broken)
     with pytest.raises(ZeroDivisionError):
         companion_embedding(pdata)
 

@@ -196,6 +196,24 @@ def test_path_labels_penrose_and_parallel_edges():
     assert fib_diagram().format_path(EMPTY_PATH) == "()"
 
 
+def test_child_of_the_empty_path_is_a_root_edge():
+    assert EMPTY_PATH.child(3) == Path(3)
+    assert Path(3).child(1) == Path(3, (1,))
+    assert Path(3, (1,)).child(0).prefix(2) == Path(3, (1,))
+
+
+@pytest.mark.parametrize("letters", [["a", "a"], ["", "b"],
+                                     *(["a", "b" + c] for c in '.[]()",')])
+def test_ambiguous_letters_refused(letters):
+    # two vertices under one label, or a label that path labels or CSV
+    # quoting would split
+    text = json.dumps({"letters": letters, "matrix": [[1, 1], [1, 0]]})
+    with pytest.raises(DiagramError, match="letter"):
+        load_diagram_json(text)
+    with pytest.raises(DiagramError, match="letter"):
+        build_diagram([[1, 1], [1, 0]], letters=tuple(letters))
+
+
 def test_longest_common_prefix():
     d = fib_diagram()
     t2 = enumerate_paths(d, 2)

@@ -21,7 +21,6 @@ from bratlap.diagram import (
 )
 from bratlap.laplacian import (
     LaplacianError,
-    child_path,
     dense_restriction,
     dense_spectrum,
     eigenbasis,
@@ -162,8 +161,8 @@ def test_eigenbasis_memo_equals_direct_measures():
         specs = eigenbasis(cache, base)
         assert len(specs) == max(0, len(ext) - 1), base
         for spec, other in zip(specs, ext[1:]):
-            anchor_mu = mu(ws, child_path(ws.diagram, base, ext[0]))
-            other_mu = mu(ws, child_path(ws.diagram, base, other))
+            anchor_mu = mu(ws, base.child(ext[0]))
+            other_mu = mu(ws, base.child(other))
             assert (spec.base, spec.edge_pos, spec.edge_neg) == (base, ext[0], other)
             assert spec.coeff_pos == 1 / anchor_mu
             assert spec.coeff_neg == -(1 / other_mu)

@@ -20,7 +20,7 @@ from bratlap.measure import (
     weight,
     zeta_partial,
 )
-from bratlap.scalar import ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend, to_float
+from bratlap.scalar import ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -211,7 +211,7 @@ def test_strong_triangle_inequality():
     dist = {}
     for x in paths:
         for y in paths:
-            dist[x, y] = ws.backend.to_float(ultrametric_distance(ws, x, y))
+            dist[x, y] = float(ultrametric_distance(ws, x, y))
     for x in paths:
         for y in paths:
             for z in paths:
@@ -222,14 +222,14 @@ def test_weight_sandwich():
     for ws, n_top in ((fib_ws(), 13), (penrose_ws(), 8)):
         theta = float(ws.perron.theta)
         d = ws.dimension
-        gen1 = [to_float(weight(ws, Path(ri)))
+        gen1 = [float(weight(ws, Path(ri)))
                 for ri in range(len(ws.diagram.root_edges))]
         lo, hi = min(gen1), max(gen1)
         for n in range(1, n_top):
             # spot-check the leftmost and rightmost paths of each generation
             table = enumerate_paths(ws.diagram, n)
             for path in (table.paths[0], table.paths[-1]):
-                w = to_float(weight(ws, path))
+                w = float(weight(ws, path))
                 scale = theta ** (-(n - 1) / d)
                 assert lo * scale * (1 - 1e-9) <= w <= hi * scale * (1 + 1e-9)
 
@@ -243,6 +243,16 @@ def test_zeta_fibonacci_ratios():
     assert rows[39].increment / (1 - alpha) < 1e-6
     rows1 = zeta_partial(ws, 1.0, 30)
     assert rows1[29].ratio == pytest.approx(1.0, rel=0.01)
+
+
+def test_zeta_increments_sum_diameters_on_a_folded_diagram():
+    # with g = 20 root slots, each increment is still the sum of diam^s over
+    # the generation's paths
+    ws = penrose_ws()
+    for row in zeta_partial(ws, 1.5, 4):
+        paths = enumerate_paths(ws.diagram, row.generation).paths
+        direct = sum(float(weight(ws, path)) ** 1.5 for path in paths)
+        assert row.increment == pytest.approx(direct, rel=1e-12)
 
 
 def test_zeta_thue_morse_growth():

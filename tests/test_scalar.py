@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bratlap.measure import _power
 from bratlap.scalar import (
     ApproxBackend,
     ApproxReal,
@@ -18,12 +19,13 @@ from bratlap.scalar import (
     GT,
     LT,
     MIN_PRECISION,
-    ExactnessError,
     QuadraticBackend,
     QuadraticNumber,
     RationalBackend,
     compare,
+    exact_power,
     parse_backend,
+    scalar_sign,
 )
 
 Q5 = QuadraticBackend(5)
@@ -116,28 +118,30 @@ def test_quadratic_division_and_powers():
     assert PHI ** 5 == 5 * PHI + 3
 
 
+HALF = Fraction(1, 2)
+
+
 def test_exact_sqrt_in_field():
     theta = PHI * PHI   # (3 + sqrt5)/2
-    root = Q5.sqrt(theta)
+    root = _power(Q5, theta, HALF, 212)
     assert root == PHI
-    assert Q5.sqrt(Q5.make(4)) == Q5.make(2)
-    assert Q5.sqrt(Q5.make(5)) == SQRT5
-    with pytest.raises(ExactnessError):
-        Q5.sqrt(Q5.make(2))
+    assert _power(Q5, Q5.make(4), HALF, 212) == Q5.make(2)
+    assert _power(Q5, Q5.make(5), HALF, 212) == SQRT5
+    # sqrt2 is not in Q(sqrt5): the power falls back to an approximate scalar
+    assert isinstance(_power(Q5, Q5.make(2), HALF, 212), ApproxReal)
 
 
 def test_rational_backend_roundtrip():
     r = RationalBackend()
     assert r.make(3) == Fraction(3)
-    assert r.sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    with pytest.raises(ExactnessError):
-        r.sqrt(Fraction(2))
-    assert r.pow_fraction(Fraction(2), Fraction(-2)) == Fraction(1, 4)
+    assert _power(r, Fraction(9, 4), HALF, 212) == Fraction(3, 2)
+    assert isinstance(_power(r, Fraction(2), HALF, 212), ApproxReal)
+    assert _power(r, Fraction(2), Fraction(-2), 212) == Fraction(1, 4)
 
 
 def test_approx_backend_power():
     a = ApproxBackend(100)
-    x = a.pow_fraction(a.make(2), Fraction(1, 2))
+    x = _power(a, a.make(2), HALF, 212)
     assert float(x * x) == pytest.approx(2.0, rel=1e-25)
     assert x.precision == 100
 
@@ -201,6 +205,42 @@ def test_compare_agrees_with_embedding(a1, b1, a2, b2):
     ex, ey = ApproxReal.make(x, prec), ApproxReal.make(y, prec)
     if abs(float(ex - ey)) > 2.0 ** (3 - prec):
         assert compare(x, y) == (ex - ey).sign()
+
+
+exact_scalars = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=50),
+    st.builds(lambda a, b: Q5.make((a, b)), small_fracs, small_fracs),
+).filter(lambda x: scalar_sign(x) != 0)
+
+
+@given(exact_scalars, st.integers(min_value=-3, max_value=3),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+@settings(max_examples=200, deadline=None)
+def test_exact_power_is_the_one_rule(x, k, e):
+    backend = RationalBackend() if isinstance(x, Fraction) else Q5
+    magnitude = x if scalar_sign(x) > 0 else -x
+    assert exact_power(x * x, HALF) == magnitude
+    assert exact_power(x, Fraction(k)) == x ** k
+    # the power falls back to an approximate scalar exactly where the rule
+    # finds no exact value
+    assert isinstance(_power(backend, magnitude, e, 80), ApproxReal) == \
+        (exact_power(magnitude, e) is None)
+
+
+def test_backends_are_frozen_values():
+    assert QuadraticBackend(5) == parse_backend("quadratic") != QuadraticBackend(2)
+    assert hash(QuadraticBackend(5)) == hash(Q5)
+    assert ApproxBackend() == ApproxBackend(MIN_PRECISION) != ApproxBackend(200)
+    assert RationalBackend() == parse_backend("rational")
+    assert [b.kind for b in (RationalBackend(), Q5, ApproxBackend(64))] == \
+        ["rational", "quadratic:5", "approx:64"]
+    for bad in (4, 1):
+        with pytest.raises(ValueError):
+            QuadraticBackend(bad)
+    with pytest.raises(ValueError):
+        ApproxBackend(MIN_PRECISION - 1)
+    with pytest.raises(AttributeError):
+        Q5.disc = 2
 
 
 def test_approx_precision_tracking():
