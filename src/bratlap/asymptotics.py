@@ -45,19 +45,16 @@ class FitResult:
     slope: float
     intercept: float
     residual: float
-    window: tuple[float, float]
 
 
 def ols_loglog(xs, ys) -> FitResult:
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     if np.unique(lx).size < 2:     # no slope through one abscissa
-        return FitResult(float("nan"), float(ly[0]) if ly.size else float("nan"),
-                         0.0, (float(np.min(xs)), float(np.max(xs))))
+        return FitResult(float("nan"), float(ly[0]) if ly.size else float("nan"), 0.0)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-    return FitResult(float(slope), float(intercept), resid,
-                     (float(np.min(xs)), float(np.max(xs))))
+    return FitResult(float(slope), float(intercept), resid)
 
 
 @dataclass
@@ -283,8 +280,6 @@ class HeatResult:
     samples: list[tuple[float, float, float]]   # (t, trace, certified tail)
     fit: FitResult
     depth: int
-    envelope_cmin: float
-    envelope_ccount: float
 
 
 def _log_transfer_contribution(table: AffineMapTable, seed_vals: dict[int, float],
@@ -385,7 +380,7 @@ def heat_trace(table: AffineMapTable, t_grid, depth: int | None = None) -> HeatR
         samples.append((t, total, tail_bound(t, depth)))
 
     fit = ols_loglog([t for t, tr, _ in samples], [tr for _, tr, _ in samples])
-    return HeatResult(samples, fit, depth, c_min, c_cnt)
+    return HeatResult(samples, fit, depth)
 
 
 @dataclass

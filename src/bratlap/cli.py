@@ -368,7 +368,7 @@ def cmd_strip(args, parser, em, inputs) -> int:
         disc = getattr(ws.backend, "disc", None)
         parser.error(f"strip needs exact coordinates, but at s={s} the recursion "
                      f"constants leave {f'Q(sqrt{disc})' if disc else 'Q'}")
-    emb = cuntz.companion_embedding(ws.perron).at(s)
+    emb = cuntz.companion_embedding(ws.perron, s)
     report = cuntz.strip_check(emb, table, args.depth)
     # the paths of one recursion state share its distance
     text = {d: _fmt(d) for d in {d for _, d in report.distances}}

@@ -19,7 +19,7 @@ from . import _linalg
 from .diagram import (DEFAULT_PATH_CAP, EMPTY_PATH, BratteliDiagram, Path, enumerate_paths,
                       path_counts, predicted_path_count)
 from .laplacian import SpectralRecord, full_spectrum, g_value
-from .measure import PerronData, WeightSystem, _power, mu, theta_min_poly
+from .measure import PerronData, WeightSystem, _power, mu
 from .scalar import ApproxReal, QuadraticNumber, compare, exact_power
 
 
@@ -316,8 +316,7 @@ class CompanionData:
     Q substitutes x^d' into the minimal polynomial of theta, with d' = d/2 for
     even d and d' = d for odd d.  So x = theta^(1/d'), Lambda_s =
     theta^((d+2-s)/d) = x^k with k = d'(d+2-s)/d, and the matrix is C_x^k for
-    the companion matrix C_x of Q.  `companion_embedding` builds it at s = d,
-    where it multiplies by theta^(2/d); `at` rebuilds it at another s.
+    the companion matrix C_x of Q.
     Basis: powers of x; `basis_value` is x exactly when theta is quadratic
     and its field holds x, else None."""
 
@@ -340,19 +339,6 @@ class CompanionData:
         proj = self.unstable_basis @ (self.unstable_basis.T @ c)
         return float(np.linalg.norm(c - proj))
 
-    def at(self, s) -> "CompanionData":
-        """The embedding that grows the recursion's coordinates at s, with the
-        stable norm, unstable basis and |P^-1| of C_s = C_x^k.  Only a
-        positive integer k gives an integer matrix that expands along theta."""
-        d = self.dimension
-        k = _root_degree(d) * (d + 2 - Fraction(s)) / d
-        if k.denominator != 1 or k <= 0:
-            raise CuntzError(
-                f"strip needs k = d'(d+2-s)/d to be a positive integer, so that "
-                f"Lambda_s is the power x^k of the lattice generator x = theta^(1/d'); "
-                f"at s={s} and d={d}, k={k}")
-        return _embedding(self.poly, d, self.basis_value, self.basis_float, int(k))
-
 
 def _root_degree(dimension: int) -> int:
     """d': the basis generator is x = theta^(1/d')."""
@@ -369,18 +355,26 @@ def _companion(poly: list[int]) -> list[list[int]]:
     return c
 
 
-def companion_embedding(perron: PerronData) -> CompanionData:
-    """Lattice model of multiplication by theta^(2/d) for exact Perron data,
-    with Pisot and hyperbolicity flags read off the companion spectrum."""
+def companion_embedding(perron: PerronData, s) -> CompanionData:
+    """Lattice model of multiplication by Lambda_s for exact Perron data, with
+    the stable norm, unstable basis, |P^-1|, and Pisot and hyperbolicity
+    flags of C_s = C_x^k.  Only a positive integer k gives an integer matrix
+    that expands along theta."""
     if not perron.backend.is_exact:
         raise CuntzError("the lattice embedding needs exact Perron data")
-    poly, theta_float = theta_min_poly(perron.matrix)
-    d_prime = _root_degree(perron.dimension)
+    d = perron.dimension
+    d_prime = _root_degree(d)
+    k = d_prime * (d + 2 - Fraction(s)) / d
+    if k.denominator != 1 or k <= 0:
+        raise CuntzError(
+            f"strip needs k = d'(d+2-s)/d to be a positive integer, so that "
+            f"Lambda_s is the power x^k of the lattice generator x = theta^(1/d'); "
+            f"at s={s} and d={d}, k={k}")
+    poly = perron.min_poly
     basis_value = None
     if len(poly) == 3:
         basis_value = exact_power(perron.theta, Fraction(1, d_prime))
-    return _embedding(poly, perron.dimension, basis_value, theta_float ** (1.0 / d_prime),
-                      2 * d_prime // perron.dimension)
+    return _embedding(poly, d, basis_value, perron.theta_float ** (1.0 / d_prime), int(k))
 
 
 def _embedding(poly, dimension: int, basis_value, basis_float: float,
@@ -464,7 +458,6 @@ class StripReport:
     depth: int
     pisot: bool
     stable_norm: float
-    m_constant: float
     bound: float
     max_distance: float
     per_generation: list[tuple[int, float]]
@@ -532,6 +525,5 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
     norms = [math.sqrt(sum(float(c) ** 2 for c in vec)) for vec in beta_vecs + nonzero]
     m_const = embedding.p_inv_norm ** 2 * max(norms)
     bound = m_const / (1.0 - embedding.stable_norm)
-    return StripReport(max(per_gen), embedding.pisot, embedding.stable_norm, m_const,
-                       bound, max([0.0, *per_gen.values()]), sorted(per_gen.items()),
-                       distances)
+    return StripReport(max(per_gen), embedding.pisot, embedding.stable_norm, bound,
+                       max([0.0, *per_gen.values()]), sorted(per_gen.items()), distances)

@@ -208,6 +208,12 @@ def build_diagram(matrix, symmetry_order: int = 1,
         # generation 1 alone would exceed the cap every enumeration enforces
         raise DiagramError(f"symmetry_order {symmetry_order} gives {symmetry_order * r} "
                            f"root edges, more than the {DEFAULT_PATH_CAP}-path cap")
+    gen2 = symmetry_order * sum(map(sum, rows))
+    if gen2 > DEFAULT_PATH_CAP:
+        # generation 2 has g * sum(a_pq) paths: refused before the sum(a_pq)
+        # edge models are built
+        raise DiagramError(f"symmetry_order {symmetry_order} and this matrix give {gen2} "
+                           f"generation-2 paths, more than the {DEFAULT_PATH_CAP}-path cap")
     if letters is None:
         letters = tuple(chr(ord("a") + i) for i in range(r)) if r <= 26 else \
             tuple(f"v{i}" for i in range(r))
@@ -332,17 +338,6 @@ def extensions(diagram: BratteliDiagram, path: Path) -> tuple[int, ...]:
     if path.root is None:
         return tuple(range(len(diagram.root_edges)))
     return diagram.out_edges[diagram.path_range(path)]
-
-
-def longest_common_prefix(x: Path, y: Path) -> Path:
-    if x.root is None or y.root is None or x.root != y.root:
-        return EMPTY_PATH
-    common = []
-    for a, b in zip(x.edges, y.edges):
-        if a != b:
-            break
-        common.append(a)
-    return Path(x.root, tuple(common))
 
 
 def load_diagram_json(text: str) -> tuple[BratteliDiagram, int]:

@@ -26,6 +26,7 @@ from .scalar import (
     RationalBackend,
     exact_power,
     scalar_sign,
+    square_free_part,
 )
 
 DEFAULT_APPROX_BITS = 212
@@ -39,7 +40,9 @@ class MeasureError(ValueError):
 class PerronData:
     """Spectral data of a primitive matrix: the Perron eigenvalue theta and
     its right eigenvector, normalized so that the root-edge cylinders have
-    total measure one; v_right drives every cylinder measure."""
+    total measure one; v_right drives every cylinder measure.  `min_poly` is
+    theta's certified minimal polynomial (see `theta_min_poly`), None on an
+    approximate backend."""
 
     backend: Backend
     matrix: tuple[tuple[int, ...], ...]
@@ -47,6 +50,7 @@ class PerronData:
     v_right: tuple
     dimension: int
     symmetry_order: int
+    min_poly: tuple[int, ...] | None
     _theta_pows: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -62,79 +66,74 @@ class PerronData:
         return self._theta_pows[k]
 
 
-def _quadratic_factor_near(coeffs: list[int], theta_float: float) -> tuple[int, int] | None:
-    """Search for a monic integer quadratic factor x^2 + p x + q of `coeffs`
-    whose positive root is near theta_float."""
-    span = int(math.ceil(2 * abs(theta_float))) + 3
-    for p in range(-span, span + 1):
-        q = round(-theta_float * theta_float - p * theta_float)
-        if _poly_divisible_by_quadratic(coeffs, p, q):
-            disc = p * p - 4 * q
-            if disc > 0:
-                root = (-p + math.sqrt(disc)) / 2
-                if abs(root - theta_float) < 1e-6 * max(1.0, abs(theta_float)):
-                    return p, q
-    return None
+def _field_root(poly: tuple[int, ...]) -> tuple[Backend, object] | None:
+    """The largest root of a monic integer polynomial of degree 1 or 2, in its
+    own field: Q, or Q(sqrt D) with D the square-free part of p^2 - 4q.
+    None for a quadratic whose p^2 - 4q is <= 0 or a perfect square."""
+    if len(poly) == 2:
+        return RationalBackend(), Fraction(-poly[0])
+    q, p, _ = poly
+    disc = p * p - 4 * q
+    if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+        return None
+    backend = QuadraticBackend(square_free_part(disc))
+    k = math.isqrt(disc // backend.disc)
+    return backend, backend.make((Fraction(-p, 2), Fraction(k, 2)))
 
 
-def _poly_divisible_by_quadratic(coeffs: list[int], p: int, q: int) -> bool:
-    rem = list(coeffs)
-    n = len(rem) - 1
-    if n < 2:
-        return False
-    for k in range(n, 1, -1):
-        lead = rem[k]
-        rem[k] = 0
-        rem[k - 1] -= p * lead
-        rem[k - 2] -= q * lead
-    return rem[0] == 0 and rem[1] == 0
-
-
-def theta_min_poly(matrix) -> tuple[tuple[int, ...] | None, float]:
+def theta_min_poly(matrix) -> tuple[int, ...] | None:
     """Minimal polynomial of the Perron eigenvalue theta of a primitive integer
-    matrix, in ascending coefficients, with theta as a float: (-theta, 1) for
-    an integer theta, (q, p, 1) for a root of x^2 + p x + q, and None for a
-    theta of higher degree."""
-    coeffs = _linalg.char_poly([list(r) for r in matrix])
-    theta_float = float(max(abs(v) for v in np.linalg.eigvals(np.array(matrix, dtype=float))))
-    # a monic integer polynomial has only integer rational roots, and an
-    # irrational quadratic factor is prime to them, so it divides the residual
-    int_roots, residual = _linalg.deflate_integer_roots(coeffs)
-    for r in int_roots:
-        if abs(r - theta_float) < 1e-6 * max(1.0, theta_float):
-            return (-r, 1), theta_float
-    factor = _quadratic_factor_near(residual, theta_float)
-    if factor is None:
-        return None, theta_float
-    p, q = factor
-    return (q, p, 1), theta_float
+    matrix, in ascending coefficients: (-theta, 1) for an integer theta,
+    (q, p, 1) for a root of x^2 + p x + q, and None for a theta of higher
+    degree.
+
+    By Perron-Frobenius, theta is the only eigenvalue of a primitive matrix
+    with a positive eigenvector.  So a candidate is accepted when its largest
+    root, built exactly in its own field, leaves a strictly one-signed kernel
+    vector of A - root*I.  The candidates come from the float spectrum:
+    (-round(theta), 1), then (round(theta*l), -round(theta + l), 1) for each
+    other real eigenvalue l.  They are exact only while theta^2 < 2^53, so
+    beyond that size a theta without a certified candidate is refused."""
+    eigs = np.linalg.eigvals(np.array(matrix, dtype=float))
+    top = int(np.argmax(np.abs(eigs)))
+    theta_float = float(abs(eigs[top]))
+    candidates = [(-round(theta_float), 1)]
+    candidates += [(round(theta_float * lam.real), -round(theta_float + lam.real), 1)
+                   for i, lam in enumerate(eigs) if i != top and lam.imag == 0]
+    for poly in candidates:
+        field = _field_root(poly)
+        if field is None:
+            continue
+        try:
+            _exact_eigenvector(matrix, field[1], field[0])
+        except (ArithmeticError, MeasureError):
+            continue
+        return poly
+    if theta_float ** 2 >= 2 ** 53:
+        raise MeasureError(f"the float spectrum cannot decide the field of the Perron "
+                           f"eigenvalue at this size: theta = {theta_float:.6g}, and its "
+                           f"candidates are exact only while theta^2 < 2^53")
+    return None
 
 
 def theta_field(matrix) -> Backend:
     """The smallest exact backend that holds the Perron eigenvalue: rational
     for an integer theta, else quadratic:D with D the square-free part of the
     discriminant p^2 - 4q of its minimal polynomial."""
-    poly, _ = theta_min_poly(matrix)
+    poly = theta_min_poly(matrix)
     if poly is None:
         raise MeasureError("Perron eigenvalue has algebraic degree > 2, so no rational "
                            "or quadratic field holds it")
-    if len(poly) == 2:
-        return RationalBackend()
-    disc = poly[1] ** 2 - 4 * poly[0]
-    f = 2
-    while f * f <= disc:
-        while disc % (f * f) == 0:
-            disc //= f * f
-        f += 1
-    return QuadraticBackend(disc)
+    return _field_root(poly)[0]
 
 
-def _exact_theta(matrix, backend) -> object:
-    poly, theta_float = theta_min_poly(matrix)
+def _exact_theta(poly, backend) -> object:
+    """theta on an exact backend, from its certified minimal polynomial."""
     if poly is None:
         raise MeasureError("Perron eigenvalue has algebraic degree > 2; use an approx backend")
-    if len(poly) == 2:
-        return backend.make(-poly[0])
+    field, theta = _field_root(poly)
+    if len(poly) == 2 or field == backend:
+        return backend.make(theta)
     q, p, _ = poly
     disc = p * p - 4 * q
     if isinstance(backend, RationalBackend):
@@ -144,15 +143,8 @@ def _exact_theta(matrix, backend) -> object:
     if disc % backend.disc != 0:
         raise MeasureError(
             f"Perron eigenvalue lives in Q(sqrt{disc}); backend has sqrt{backend.disc}")
-    k2 = disc // backend.disc
-    k = math.isqrt(k2)
-    if k * k != k2:
-        raise MeasureError(
-            f"Perron eigenvalue lives in Q(sqrt{disc}), not Q(sqrt{backend.disc})")
-    theta = backend.make((Fraction(-p, 2), Fraction(k, 2)))
-    if abs(float(theta) - theta_float) > 1e-6 * max(1.0, theta_float):
-        raise AssertionError("exact theta does not match the numeric spectral radius")
-    return theta
+    raise MeasureError(
+        f"Perron eigenvalue lives in Q(sqrt{disc}), not Q(sqrt{backend.disc})")
 
 
 def _exact_eigenvector(matrix, theta, backend) -> list:
@@ -210,8 +202,10 @@ def perron(matrix, backend: Backend, symmetry_order: int = 1,
     if symmetry_order < 1 or dimension < 1:
         raise MeasureError("symmetry_order and dimension must be >= 1")
 
+    poly = None
     if backend.is_exact:
-        theta = _exact_theta(rows, backend)
+        poly = theta_min_poly(rows)
+        theta = _exact_theta(poly, backend)
         v = _exact_eigenvector(rows, theta, backend)
     else:
         theta, v = _approx_eigen(rows, backend)
@@ -221,7 +215,7 @@ def perron(matrix, backend: Backend, symmetry_order: int = 1,
         total = total + x
     scale = backend.one / (total * symmetry_order)
     v = tuple(x * scale for x in v)
-    return PerronData(backend, rows, theta, v, dimension, symmetry_order)
+    return PerronData(backend, rows, theta, v, dimension, symmetry_order, poly)
 
 
 @dataclass(frozen=True)
@@ -249,11 +243,6 @@ def mu(ws: WeightSystem, path: Path):
         return ws.backend.one
     a = ws.diagram.path_range(path)
     return ws.perron.v_right[a] * ws.perron.theta_power(1 - path.generation)
-
-
-def weight(ws: WeightSystem, path: Path):
-    """diam[gamma]; exact whenever the d-th root stays in the field."""
-    return diam_power(ws, path, Fraction(1))
 
 
 # 2**16 bits of binary exponent: 64 times the float range of 2**-1074..2**1024

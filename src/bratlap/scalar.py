@@ -60,15 +60,26 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
+def square_free_part(n: int) -> int:
+    """The square-free s with n = s * k^2, for a positive integer n.  Trial
+    division stops at the cube root of what is left: a cofactor below the
+    cube of its smallest possible prime has at most two prime factors, so it
+    is square-free unless it is the square of one prime."""
+    part, rest, f = 1, n, 2
+    while f * f * f <= rest:
+        odd = False
+        while rest % f == 0:
+            rest //= f
+            odd = not odd
+        if odd:
+            part *= f
+        f += 1
+    root = math.isqrt(rest)
+    return part if root * root == rest else part * rest
+
+
 def is_square_free(n: int) -> bool:
-    if n <= 0:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    return n > 0 and square_free_part(n) == n
 
 
 @dataclass(frozen=True)

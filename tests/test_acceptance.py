@@ -181,7 +181,7 @@ def test_criterion_06_strip_bound():
     fib = load_preset("fibonacci")
     ws = fib.weight_system
     table = affine_table(ws, 1)
-    emb = companion_embedding(fib.perron)
+    emb = companion_embedding(fib.perron, 1)
     report = strip_check(emb, table, 12)
     assert report.max_distance <= report.bound
     per_gen = dict(report.per_generation)
@@ -191,7 +191,7 @@ def test_criterion_06_strip_bound():
 
     tm = load_preset("thue-morse")
     table_tm = affine_table(tm.weight_system, 1)
-    emb_tm = companion_embedding(tm.perron)
+    emb_tm = companion_embedding(tm.perron, 1)
     report_tm = strip_check(emb_tm, table_tm, 8)
     assert report_tm.max_distance == 0.0
     _report(6, "strip bound",

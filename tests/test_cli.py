@@ -438,6 +438,20 @@ def test_symmetry_order_beyond_the_path_cap_is_refused_at_once(tmp_path):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("command", ["zeta", "ck-check", "strip"])
+def test_generation_2_beyond_the_path_cap_is_refused_at_once(command, tmp_path):
+    # one edge model per unit of matrix entry would be built before any
+    # enumeration: 10**7 + 2 of them here
+    spec = tmp_path / "heavy.json"
+    spec.write_text(json.dumps({"letters": ["a", "b"],
+                                "matrix": [[5_000_000, 1], [1, 5_000_000]]}))
+    start = time.perf_counter()
+    code, err = _exit_code([command, "--matrix-file", str(spec), "--depth", "3"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert "10000002 generation-2 paths" in err and "cap" in err
+
+
 @pytest.mark.parametrize("matrix, field", [("golden", "quadratic:5"),
                                            ("silver", "quadratic:2")])
 def test_strip_takes_the_field_of_theta(matrix, field, matrix_files, capsys):

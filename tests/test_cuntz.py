@@ -228,7 +228,7 @@ def test_recursion_depth_zero_and_one():
 
 
 def test_companion_fibonacci():
-    emb = companion_embedding(perron(FIB_A, Q5))
+    emb = companion_embedding(perron(FIB_A, Q5), 1)
     assert emb.poly == (-1, -1, 1)
     assert emb.matrix == ((1, 1), (1, 2))
     assert emb.pisot and emb.hyperbolic
@@ -237,14 +237,14 @@ def test_companion_fibonacci():
 
 
 def test_companion_thue_morse_scalar():
-    emb = companion_embedding(perron(TM_A, RAT))
+    emb = companion_embedding(perron(TM_A, RAT), 1)
     assert emb.degree == 1
     assert emb.matrix == ((4,),)
     assert emb.pisot
 
 
 def test_companion_penrose():
-    emb = companion_embedding(perron(PEN_A, Q5, dimension=2))
+    emb = companion_embedding(perron(PEN_A, Q5, dimension=2), 2)
     assert emb.poly == (1, -3, 1)
     assert emb.matrix == ((0, -1), (1, 3))
     mods = sorted(abs(e) for e in emb.eigenvalues)
@@ -255,9 +255,9 @@ def test_companion_penrose():
 
 
 def test_lattice_coords_examples():
-    emb_tm = companion_embedding(perron(TM_A, RAT))
+    emb_tm = companion_embedding(perron(TM_A, RAT), 1)
     assert lattice_coords(emb_tm, Fraction(-18)) == (Fraction(-18),)
-    emb_fib = companion_embedding(perron(FIB_A, Q5))
+    emb_fib = companion_embedding(perron(FIB_A, Q5), 1)
     lam0 = -(2 * PHI + 1)
     assert lattice_coords(emb_fib, lam0) == (Fraction(-1), Fraction(-2))
 
@@ -314,7 +314,7 @@ def test_strip_matches_per_path_oracle(ws_factory, s, depth):
     # and the distance of that expansion
     ws = ws_factory()
     table = affine_table(ws, s)
-    emb = companion_embedding(ws.perron).at(s)
+    emb = companion_embedding(ws.perron, s)
     records = recursive_spectrum(table, depth)
     report, coords = strip_coordinates(emb, table, depth)
     assert len(report.distances) == len(coords) == len(records)
@@ -332,7 +332,7 @@ def test_strip_matches_per_path_oracle(ws_factory, s, depth):
 
 
 def test_coords_scalar_recursion_thue_morse():
-    emb = companion_embedding(perron(TM_A, RAT))
+    emb = companion_embedding(perron(TM_A, RAT), 1)
     c = lattice_coords(emb, Fraction(-18))
     pushed = tuple(4 * x for x in c)
     assert tuple(p + q for p, q in zip(pushed, (Fraction(-2),))) == (Fraction(-74),)
@@ -341,7 +341,7 @@ def test_coords_scalar_recursion_thue_morse():
 def test_strip_fibonacci_bounded():
     ws = fib_ws()
     table = affine_table(ws, 1)
-    emb = companion_embedding(ws.perron)
+    emb = companion_embedding(ws.perron, 1)
     report = strip_check(emb, table, 12)
     assert report.max_distance <= report.bound
     dist10 = max(v for g, v in report.per_generation if g <= 10)
@@ -351,7 +351,7 @@ def test_strip_fibonacci_bounded():
 def test_strip_thue_morse_zero():
     ws = tm_ws()
     table = affine_table(ws, 1)
-    emb = companion_embedding(ws.perron)
+    emb = companion_embedding(ws.perron, 1)
     report = strip_check(emb, table, 8)
     assert report.max_distance == 0.0
 
@@ -359,7 +359,7 @@ def test_strip_thue_morse_zero():
 def test_strip_penrose_bounded():
     ws = penrose_ws()
     table = affine_table(ws, 2)
-    emb = companion_embedding(ws.perron)
+    emb = companion_embedding(ws.perron, 2)
     report = strip_check(emb, table, 7)
     assert report.max_distance <= report.bound
     assert report.pisot
@@ -367,14 +367,14 @@ def test_strip_penrose_bounded():
 
 def test_companion_embedding_field_mismatch_falls_back_to_numeric():
     # theta^(1/3) is not in Q(sqrt5): exact_power gives None
-    emb3 = companion_embedding(perron(FIB_A, Q5, dimension=3))
+    emb3 = companion_embedding(perron(FIB_A, Q5, dimension=3), 3)
     assert emb3.basis_value is None
     assert emb3.action_verified == "numeric"
 
 
 def test_companion_embedding_needs_exact_perron_data():
     with pytest.raises(CuntzError, match="exact Perron data"):
-        companion_embedding(perron(FIB_A, ApproxBackend(64)))
+        companion_embedding(perron(FIB_A, ApproxBackend(64)), 1)
 
 
 def test_companion_embedding_propagates_unexpected_errors(monkeypatch):
@@ -385,13 +385,13 @@ def test_companion_embedding_propagates_unexpected_errors(monkeypatch):
 
     monkeypatch.setattr(cuntz, "exact_power", broken)
     with pytest.raises(ZeroDivisionError):
-        companion_embedding(pdata)
+        companion_embedding(pdata, 1)
 
 
 def test_strip_refuses_non_hyperbolic():
     ws = fib_ws()
     table = affine_table(ws, 1)
-    emb = companion_embedding(ws.perron)
+    emb = companion_embedding(ws.perron, 1)
     broken = dataclasses.replace(emb, hyperbolic=False)
     with pytest.raises(CuntzError):
         strip_check(broken, table, 5)
@@ -415,7 +415,7 @@ def test_strip_coordinates_reconstruct_their_values(name):
         if any(isinstance(x, ApproxReal) for x in constants):
             continue
         accepted.append(s)
-        emb = companion_embedding(ws.perron).at(s)
+        emb = companion_embedding(ws.perron, s)
         _, grown = strip_coordinates(emb, table, 5)
         for rec, coords in zip(recursive_spectrum(table, 5), grown, strict=True):
             if emb.basis_value is not None:
@@ -431,9 +431,9 @@ def test_strip_coordinates_reconstruct_their_values(name):
 def test_embedding_refuses_k_that_is_not_a_positive_integer(s, k):
     # theta = 4: Lambda_s = 4^(5/2) = 32 is rational at s = 1/2, but it is
     # not an integer power of x = theta
-    emb = companion_embedding(perron([[4]], RAT))
+    pdata = perron([[4]], RAT)
     with pytest.raises(CuntzError, match=f"at s={s} and d=1, k={k}$"):
-        emb.at(Fraction(s))
+        companion_embedding(pdata, Fraction(s))
 
 
 # the golden-mean and integer presets, whose theta Q(sqrt5) holds

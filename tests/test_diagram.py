@@ -7,6 +7,7 @@ import json
 import pytest
 
 from bratlap.diagram import (
+    DEFAULT_PATH_CAP,
     DiagramError,
     EMPTY_PATH,
     Path,
@@ -17,10 +18,10 @@ from bratlap.diagram import (
     extensions,
     is_primitive,
     load_diagram_json,
-    longest_common_prefix,
     predicted_path_count,
 )
 from bratlap.presets import load_preset, preset_names
+from oracles import longest_common_prefix
 
 FIB = SubstitutionRule.from_strings({"a": "ab", "b": "a"})
 TM = SubstitutionRule.from_strings({"0": "01", "1": "10"})
@@ -253,3 +254,19 @@ def test_json_roundtrip_and_ragged_rejection():
 def test_json_fields_of_the_wrong_type_rejected(text):
     with pytest.raises(DiagramError):
         load_diagram_json(text)
+
+
+# just above the cap: generation 2 has g * sum(a_pq) = DEFAULT_PATH_CAP + 2
+# paths.  A diagram at the cap would build 10**7 edge models, so none is built.
+_GENERATION_2_ABOVE_THE_CAP = [
+    {"letters": ["a", "b"], "matrix": [[5_000_000, 1], [1, 5_000_000]]},
+    {"letters": ["a", "b"], "matrix": [[1, 1], [1, 0]], "symmetry_order": 3_333_334},
+]
+
+
+@pytest.mark.parametrize("payload", _GENERATION_2_ABOVE_THE_CAP, ids=["entries", "slots"])
+def test_generation_2_beyond_the_path_cap_refused(payload):
+    assert payload.get("symmetry_order", 1) * sum(map(sum, payload["matrix"])) == \
+        DEFAULT_PATH_CAP + 2
+    with pytest.raises(DiagramError, match=f"{DEFAULT_PATH_CAP + 2} generation-2 paths"):
+        load_diagram_json(json.dumps(payload))

@@ -17,7 +17,6 @@ from bratlap.diagram import (
     build_diagram,
     enumerate_paths,
     extensions,
-    longest_common_prefix,
 )
 from bratlap.laplacian import (
     LaplacianError,
@@ -40,6 +39,7 @@ from bratlap.scalar import (
     QuadraticNumber,
     RationalBackend,
 )
+from oracles import longest_common_prefix
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bratlap.diagram import (EMPTY_PATH, Path, build_diagram, enumerate_paths,
-                             longest_common_prefix)
+from bratlap.diagram import EMPTY_PATH, Path, build_diagram, enumerate_paths, is_primitive
 from bratlap.measure import (
     EXACT_POWER_LOG2_LIMIT,
     MeasureError,
@@ -17,10 +19,12 @@ from bratlap.measure import (
     diam_power,
     mu,
     perron,
-    weight,
+    theta_field,
+    theta_min_poly,
     zeta_partial,
 )
 from bratlap.scalar import ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend
+from oracles import longest_common_prefix
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -31,6 +35,11 @@ PEN_A = ((2, 1), (1, 1))
 
 ALPHA = Q5.make((Fraction(-1, 2), Fraction(1, 2)))      # 1/phi
 PHI = Q5.make((Fraction(1, 2), Fraction(1, 2)))
+
+
+def weight(ws: WeightSystem, path: Path):
+    """diam[gamma]; exact whenever the d-th root stays in the field."""
+    return diam_power(ws, path, Fraction(1))
 
 
 def fib_ws():
@@ -113,6 +122,76 @@ def test_perron_errors():
         perron(tribonacci, Q5)                      # degree 3
     p = perron(tribonacci, ApproxBackend(100))      # fine numerically
     assert float(p.theta) == pytest.approx(1.8392867552141612)
+
+
+def test_theta_is_the_eigenvalue_with_a_positive_eigenvector():
+    # the other eigenvalue, 3,999,999, lies within 1e-6 * theta of theta
+    m = ((4 * 10 ** 6, 1), (1, 4 * 10 ** 6))
+    assert theta_field(m) == RAT
+    p = perron(m, RAT)
+    assert p.theta == 4 * 10 ** 6 + 1
+    assert p.min_poly == (-(4 * 10 ** 6 + 1), 1)
+
+
+def test_theta_of_huge_entries_takes_no_divisor_search():
+    # trial division of the characteristic polynomial's constant term,
+    # 10**24 - 1, would run to its square root, 10**12
+    m = ((10 ** 12, 1), (1, 10 ** 12))
+    start = time.perf_counter()
+    assert theta_field(m) == RAT
+    assert perron(m, RAT).theta == 10 ** 12 + 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_quadratic_theta_beside_the_eigenvalue_zero():
+    # eigenvalues 0 and 1 -+ sqrt3; p^2 - 4q = 12, whose square-free part is 3
+    m = ((0, 0, 1), (0, 0, 1), (1, 1, 2))
+    assert theta_field(m) == QuadraticBackend(3)
+    assert theta_min_poly(m) == (-2, -2, 1)
+    p = perron(m, QuadraticBackend(3))
+    assert p.theta == QuadraticBackend(3).make((1, 1))
+    assert p.min_poly == (-2, -2, 1)
+
+
+def test_cubic_theta_has_no_field():
+    plastic = ((0, 1, 0), (0, 0, 1), (1, 1, 0))
+    assert theta_min_poly(plastic) is None
+    with pytest.raises(MeasureError, match="degree > 2, so no rational or quadratic "):
+        theta_field(plastic)
+    with pytest.raises(MeasureError, match="degree > 2; use an approx backend"):
+        perron(plastic, RAT)
+    assert perron(plastic, ApproxBackend(64)).min_poly is None
+
+
+def test_theta_beyond_exact_float_candidates_refused():
+    # theta = 10**8 + the plastic number: cubic, and theta^2 > 2**53, where
+    # a candidate rounded from floats is no longer exact
+    n = 10 ** 8
+    m = ((n, 1, 0), (0, n, 1), (1, 1, n))
+    for call in (lambda: theta_field(m), lambda: perron(m, RAT)):
+        with pytest.raises(MeasureError, match="float spectrum cannot decide .* 2\\^53"):
+            call()
+
+
+def _sympy_min_poly(matrix):
+    """theta's minimal polynomial from sympy alone: the irreducible factor of
+    the characteristic polynomial with the largest real root, which by
+    Perron-Frobenius is theta."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    charpoly = sympy.Matrix(matrix).charpoly(x).as_expr()
+    factors = [sympy.Poly(f, x) for f, _ in sympy.factor_list(charpoly)[1]]
+    best = max((f for f in factors if f.real_roots()), key=lambda f: max(f.real_roots()))
+    return tuple(int(c) for c in reversed(best.all_coeffs())) if best.degree() <= 2 else None
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda r: st.lists(st.lists(st.integers(0, 5), min_size=r, max_size=r),
+                       min_size=r, max_size=r)))
+@settings(max_examples=150, deadline=None)
+def test_certified_min_poly_matches_sympy(matrix):
+    assume(is_primitive(matrix) and matrix != [[1]])
+    assert theta_min_poly(matrix) == _sympy_min_poly(matrix)
 
 
 def test_mu_thue_morse_halving():

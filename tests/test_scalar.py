@@ -24,8 +24,10 @@ from bratlap.scalar import (
     RationalBackend,
     compare,
     exact_power,
+    is_square_free,
     parse_backend,
     scalar_sign,
+    square_free_part,
 )
 
 Q5 = QuadraticBackend(5)
@@ -317,3 +319,33 @@ def test_approx_operators_bit_identical_to_workprec(a, prec_a, other, op, k):
         assert (-x).value._mpf_ == (-x.value)._mpf_
         if k >= 0 or not x.is_zero():
             assert (x ** k).value._mpf_ == (x.value ** k)._mpf_
+
+
+def _square_free_by_trial_division(n: int) -> int:
+    """The square-free part by dividing out f^2 for every f up to sqrt(n)."""
+    f = 2
+    while f * f <= n:
+        while n % (f * f) == 0:
+            n //= f * f
+        f += 1
+    return n
+
+
+@given(st.integers(1, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_square_free_part_matches_trial_division(n):
+    assert square_free_part(n) == _square_free_by_trial_division(n)
+    assert is_square_free(n) == (_square_free_by_trial_division(n) == n)
+
+
+@given(st.integers(2, 10 ** 6), st.integers(1, 10 ** 4))
+@settings(max_examples=200, deadline=None)
+def test_square_free_part_drops_a_large_square(p, m):
+    # with p prime above the cube root, p^2 is the cofactor the isqrt test ends
+    assert square_free_part(p * p * m) == _square_free_by_trial_division(m)
+
+
+def test_square_free_part_examples():
+    assert [square_free_part(n) for n in (1, 4, 12, 18, 20, 45, 999_983 ** 2 * 6)] == \
+        [1, 1, 3, 2, 5, 5, 6]
+    assert not is_square_free(0) and not is_square_free(-5)
