@@ -179,8 +179,7 @@ def _resolve_system(args, parser, reads):
                                     (spec.recommended_backend if spec else "rational"))
             if "--backend" not in reads:
                 return spec, diagram, dimension, backend, None
-        pdata = perron(diagram.matrix, backend,
-                       symmetry_order=diagram.symmetry_order, dimension=dimension)
+        pdata = perron(diagram, backend, dimension=dimension)
     except (DiagramError, MeasureError, OSError, ValueError) as exc:
         parser.error(str(exc))
     ws = WeightSystem(diagram, pdata,

@@ -18,8 +18,8 @@ import numpy as np
 from . import _linalg
 from .diagram import (DEFAULT_PATH_CAP, EMPTY_PATH, BratteliDiagram, Path, enumerate_paths,
                       path_counts, predicted_path_count)
-from .laplacian import SpectralRecord, full_spectrum, g_value
-from .measure import PerronData, WeightSystem, _power, mu
+from .laplacian import SpectralRecord, StationaryCache, full_spectrum
+from .measure import PerronData, WeightSystem, _power
 from .scalar import ApproxReal, QuadraticNumber, compare, exact_power
 
 
@@ -148,8 +148,10 @@ class AffineMapTable:
 def affine_table(ws: WeightSystem, s) -> AffineMapTable:
     """Build the recursion constants.
 
-    beta_e couples the root-level correction terms for inserting e below the
-    root; increments across single-extension prefixes vanish and are skipped.
+    beta_e = -(Lambda_s * step(root, eps)) + step(root, eps'), plus
+    step(eps', eps' e) when eps' splits, where eps is the root edge into
+    r(e), eps' the one into s(e), and step the stationary memo's increment
+    term; a root or prefix with a single extension adds nothing.
     The table is only returned after u_e(lambda_gamma) = lambda_(U_e gamma)
     has been confirmed on all applicable paths through generation 3 (hard
     failure otherwise).  Its seeds are the generation <= 1 records of that
@@ -160,25 +162,18 @@ def affine_table(ws: WeightSystem, s) -> AffineMapTable:
     d = ws.dimension
     # Lambda_s = theta^((d+2-s)/d), exact whenever the power stays in the field
     lam = _power(ws.backend, ws.perron.theta, (d + 2 - s) / d, ws.approx_bits)
-    zero = ws.backend.zero
-
+    step = StationaryCache(ws, s).step_at
     root_split = len(diagram.root_edges) >= 2
-    inv_g_root = 1 / g_value(ws, EMPTY_PATH, s) if root_split else None
-    one = ws.backend.one
 
     betas = []
     for edge_index, e in enumerate(diagram.edges):
         eps = Path(diagram.root_edge_index(e.target))
         eps_prime = Path(diagram.root_edge_index(e.source))
-        beta = zero
+        beta = ws.backend.zero
         if root_split:
-            term1 = -(lam * ((mu(ws, eps) - one) * inv_g_root))
-            term2 = (mu(ws, eps_prime) - one) * inv_g_root
-            beta = term1 + term2
+            beta = -(lam * step(EMPTY_PATH, eps)) + step(EMPTY_PATH, eps_prime)
         if len(diagram.out_edges[e.source]) >= 2:
-            extended = eps_prime.child(edge_index)
-            inc = mu(ws, extended) - mu(ws, eps_prime)
-            beta = beta + inc * (1 / g_value(ws, eps_prime, s))
+            beta = beta + step(eps_prime, eps_prime.child(edge_index))
         betas.append(beta)
 
     oracle = full_spectrum(ws, 4, s)
@@ -320,10 +315,8 @@ class CompanionData:
     Basis: powers of x; `basis_value` is x exactly when theta is quadratic
     and its field holds x, else None."""
 
-    poly: tuple[int, ...]            # minimal polynomial of theta, ascending
     degree: int                      # lattice dimension
     matrix: tuple[tuple[int, ...], ...]
-    dimension: int
     basis_value: object | None       # exact scalar for x, when the field holds it
     basis_float: float
     pisot: bool
@@ -338,11 +331,6 @@ class CompanionData:
         c = np.array([float(x) for x in coords])
         proj = self.unstable_basis @ (self.unstable_basis.T @ c)
         return float(np.linalg.norm(c - proj))
-
-
-def _root_degree(dimension: int) -> int:
-    """d': the basis generator is x = theta^(1/d')."""
-    return dimension // 2 if dimension % 2 == 0 else dimension
 
 
 def _companion(poly: list[int]) -> list[list[int]]:
@@ -363,23 +351,19 @@ def companion_embedding(perron: PerronData, s) -> CompanionData:
     if not perron.backend.is_exact:
         raise CuntzError("the lattice embedding needs exact Perron data")
     d = perron.dimension
-    d_prime = _root_degree(d)
+    d_prime = d // 2 if d % 2 == 0 else d       # the lattice generator is x = theta^(1/d')
     k = d_prime * (d + 2 - Fraction(s)) / d
     if k.denominator != 1 or k <= 0:
         raise CuntzError(
             f"strip needs k = d'(d+2-s)/d to be a positive integer, so that "
             f"Lambda_s is the power x^k of the lattice generator x = theta^(1/d'); "
             f"at s={s} and d={d}, k={k}")
+    k = int(k)
     poly = perron.min_poly
     basis_value = None
     if len(poly) == 3:
         basis_value = exact_power(perron.theta, Fraction(1, d_prime))
-    return _embedding(poly, d, basis_value, perron.theta_float ** (1.0 / d_prime), int(k))
-
-
-def _embedding(poly, dimension: int, basis_value, basis_float: float,
-               k: int) -> CompanionData:
-    d_prime = _root_degree(dimension)
+    basis_float = perron.theta_float ** (1.0 / d_prime)
     subst = [0] * ((len(poly) - 1) * d_prime + 1)
     for j, c in enumerate(poly):
         subst[j * d_prime] = c
@@ -409,10 +393,9 @@ def _embedding(poly, dimension: int, basis_value, basis_float: float,
     q, _ = np.linalg.qr(np.column_stack(cols))
     unstable = q[:, : np.linalg.matrix_rank(np.column_stack(cols))]
 
-    return CompanionData(poly, degree, tuple(tuple(r) for r in cmat), dimension,
-                         basis_value, basis_float, pisot, hyperbolic, stable_norm,
-                         tuple(eigs.tolist()), unstable, p_inv_norm,
-                         _verify_action(cmat, k, basis_value, basis_float))
+    return CompanionData(degree, tuple(tuple(r) for r in cmat), basis_value, basis_float,
+                         pisot, hyperbolic, stable_norm, tuple(eigs.tolist()), unstable,
+                         p_inv_norm, _verify_action(cmat, k, basis_value, basis_float))
 
 
 def _verify_action(cmat, k: int, basis_value, basis_float: float) -> str:

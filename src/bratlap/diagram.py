@@ -157,7 +157,6 @@ class BratteliDiagram:
     edges: tuple[EdgeModel, ...]
     root_edges: tuple[RootEdge, ...]
     out_edges: tuple[tuple[int, ...], ...] = field(repr=False)
-    in_edges: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def n_letters(self) -> int:
@@ -235,11 +234,9 @@ def build_diagram(matrix, symmetry_order: int = 1,
     root_edges = tuple(RootEdge(v, s) for v in range(r) for s in range(symmetry_order))
     out_edges = tuple(
         tuple(i for i, e in enumerate(edges) if e.source == v) for v in range(r))
-    in_edges = tuple(
-        tuple(i for i, e in enumerate(edges) if e.target == v) for v in range(r))
 
     diagram = BratteliDiagram(tuple(letters), rows, symmetry_order,
-                              edges, root_edges, out_edges, in_edges)
+                              edges, root_edges, out_edges)
     _check_split_hypothesis(diagram)
     return diagram
 

@@ -113,7 +113,7 @@ def root_record(ws: WeightSystem, s) -> SpectralRecord | None:
     return SpectralRecord("root", None, 0, val, float(val), n0 - 1)
 
 
-class _StationaryCache:
+class StationaryCache:
     """Memo of the terms of the eigenvalue formula on a stationary diagram.
 
     mu(gamma), 1/mu(gamma) and G(gamma) depend only on the range vertex
@@ -176,7 +176,7 @@ class _StationaryCache:
             lambda: (self.mu_at(child) - self.mu_at(path)) * self.inv_g_at(path))
 
 
-def eigenbasis(cache: _StationaryCache, path: Path) -> list[EigenVectorSpec]:
+def eigenbasis(cache: StationaryCache, path: Path) -> list[EigenVectorSpec]:
     """n-1 spanning eigenvectors anchored at the first extension, with the
     children's mu and 1/mu read from the stationary memo."""
     diagram = cache.ws.diagram
@@ -210,7 +210,7 @@ def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
     if depth == 0:
         return records
 
-    cache = _StationaryCache(ws, Fraction(s))
+    cache = StationaryCache(ws, Fraction(s))
     root_has_split = len(diagram.root_edges) >= 2
 
     def visit(path: Path, partial, depth_left: int) -> None:
@@ -308,7 +308,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     # every entry in the backend's field
     exact = ws.backend.is_exact and Fraction(2 - s, ws.dimension).denominator == 1
 
-    cache = _StationaryCache(ws, s)
+    cache = StationaryCache(ws, s)
     mu_full = tuple(cache.mu_at(p) for p in table.paths)
     # subtree sizes: number of generation-n paths below a generation-k vertex
     sizes = {n: [1] * diagram.n_letters}
@@ -528,7 +528,7 @@ def _verify_exact_relations(ws: WeightSystem, op: DenseOperator,
     in a range of op.index are counted and dotted with `_Numerators`, so no
     scalar arithmetic runs per entry or per row."""
     entries, mus = _Numerators(op.values), _Numerators(op.mu_values)
-    cache = _StationaryCache(ws, op.s)
+    cache = StationaryCache(ws, op.s)
     if any(entries.dot(row) != (0, 0) for row in op.index):
         return False
     for rec in records:

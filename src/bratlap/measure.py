@@ -12,12 +12,13 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
 from . import _linalg
-from .diagram import BratteliDiagram, Path, _check_matrix, is_primitive, path_counts
+from .diagram import BratteliDiagram, Path, path_counts
 from .scalar import (
     ApproxBackend,
     ApproxReal,
@@ -38,18 +39,16 @@ class MeasureError(ValueError):
 
 @dataclass(frozen=True)
 class PerronData:
-    """Spectral data of a primitive matrix: the Perron eigenvalue theta and
+    """Spectral data of a diagram's matrix: the Perron eigenvalue theta and
     its right eigenvector, normalized so that the root-edge cylinders have
     total measure one; v_right drives every cylinder measure.  `min_poly` is
     theta's certified minimal polynomial (see `theta_min_poly`), None on an
     approximate backend."""
 
     backend: Backend
-    matrix: tuple[tuple[int, ...], ...]
     theta: object
     v_right: tuple
     dimension: int
-    symmetry_order: int
     min_poly: tuple[int, ...] | None
     _theta_pows: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -81,11 +80,19 @@ def _field_root(poly: tuple[int, ...]) -> tuple[Backend, object] | None:
     return backend, backend.make((Fraction(-p, 2), Fraction(k, 2)))
 
 
-def theta_min_poly(matrix) -> tuple[int, ...] | None:
-    """Minimal polynomial of the Perron eigenvalue theta of a primitive integer
-    matrix, in ascending coefficients: (-theta, 1) for an integer theta,
-    (q, p, 1) for a root of x^2 + p x + q, and None for a theta of higher
-    degree.
+class _Certificate(NamedTuple):
+    """theta's minimal polynomial, the field it generates, theta in that field
+    and a strictly positive eigenvector of theta there."""
+
+    poly: tuple[int, ...]
+    field: Backend
+    theta: object
+    vector: list
+
+
+def _theta_certificate(matrix) -> _Certificate | None:
+    """The certificate of the Perron eigenvalue theta of a primitive integer
+    matrix, or None for a theta of degree higher than 2.
 
     By Perron-Frobenius, theta is the only eigenvalue of a primitive matrix
     with a positive eigenvector.  So a candidate is accepted when its largest
@@ -105,10 +112,10 @@ def theta_min_poly(matrix) -> tuple[int, ...] | None:
         if field is None:
             continue
         try:
-            _exact_eigenvector(matrix, field[1], field[0])
+            vector = _exact_eigenvector(matrix, field[1], field[0])
         except (ArithmeticError, MeasureError):
             continue
-        return poly
+        return _Certificate(poly, *field, vector)
     if theta_float ** 2 >= 2 ** 53:
         raise MeasureError(f"the float spectrum cannot decide the field of the Perron "
                            f"eigenvalue at this size: theta = {theta_float:.6g}, and its "
@@ -116,25 +123,33 @@ def theta_min_poly(matrix) -> tuple[int, ...] | None:
     return None
 
 
+def theta_min_poly(matrix) -> tuple[int, ...] | None:
+    """Minimal polynomial of the Perron eigenvalue theta of a primitive integer
+    matrix, in ascending coefficients: (-theta, 1) for an integer theta,
+    (q, p, 1) for a root of x^2 + p x + q, and None for a theta of higher
+    degree (see `_theta_certificate`)."""
+    cert = _theta_certificate(matrix)
+    return None if cert is None else cert.poly
+
+
 def theta_field(matrix) -> Backend:
     """The smallest exact backend that holds the Perron eigenvalue: rational
     for an integer theta, else quadratic:D with D the square-free part of the
     discriminant p^2 - 4q of its minimal polynomial."""
-    poly = theta_min_poly(matrix)
-    if poly is None:
+    cert = _theta_certificate(matrix)
+    if cert is None:
         raise MeasureError("Perron eigenvalue has algebraic degree > 2, so no rational "
                            "or quadratic field holds it")
-    return _field_root(poly)[0]
+    return cert.field
 
 
-def _exact_theta(poly, backend) -> object:
-    """theta on an exact backend, from its certified minimal polynomial."""
-    if poly is None:
+def _exact_theta(cert: _Certificate | None, backend) -> tuple[object, list]:
+    """theta and its certified eigenvector, mapped into an exact backend."""
+    if cert is None:
         raise MeasureError("Perron eigenvalue has algebraic degree > 2; use an approx backend")
-    field, theta = _field_root(poly)
-    if len(poly) == 2 or field == backend:
-        return backend.make(theta)
-    q, p, _ = poly
+    if len(cert.poly) == 2 or cert.field == backend:
+        return backend.make(cert.theta), [backend.make(x) for x in cert.vector]
+    q, p, _ = cert.poly
     disc = p * p - 4 * q
     if isinstance(backend, RationalBackend):
         raise MeasureError(
@@ -192,30 +207,26 @@ def _approx_eigen(rows, backend: ApproxBackend):
     return ApproxReal(theta, prec), [ApproxReal(x, prec) for x in v]
 
 
-def perron(matrix, backend: Backend, symmetry_order: int = 1,
-           dimension: int = 1) -> PerronData:
-    """Perron-Frobenius eigenvalue and right eigenvector of a primitive
-    matrix, with the eigenvector normalized so that g * sum(v) = 1."""
-    rows = _check_matrix(matrix)
-    if not is_primitive(rows):
-        raise MeasureError("matrix is not primitive")
-    if symmetry_order < 1 or dimension < 1:
-        raise MeasureError("symmetry_order and dimension must be >= 1")
-
+def perron(diagram: BratteliDiagram, backend: Backend, dimension: int = 1) -> PerronData:
+    """Perron-Frobenius eigenvalue and right eigenvector of the diagram's
+    matrix, with the eigenvector normalized so that g * sum(v) = 1.  On an
+    exact backend both are read off theta's certificate."""
+    if dimension < 1:
+        raise MeasureError("dimension must be >= 1")
     poly = None
     if backend.is_exact:
-        poly = theta_min_poly(rows)
-        theta = _exact_theta(poly, backend)
-        v = _exact_eigenvector(rows, theta, backend)
+        cert = _theta_certificate(diagram.matrix)
+        theta, v = _exact_theta(cert, backend)
+        poly = cert.poly
     else:
-        theta, v = _approx_eigen(rows, backend)
+        theta, v = _approx_eigen(diagram.matrix, backend)
 
     total = v[0]
     for x in v[1:]:
         total = total + x
-    scale = backend.one / (total * symmetry_order)
+    scale = backend.one / (total * diagram.symmetry_order)
     v = tuple(x * scale for x in v)
-    return PerronData(backend, rows, theta, v, dimension, symmetry_order, poly)
+    return PerronData(backend, theta, v, dimension, poly)
 
 
 @dataclass(frozen=True)
@@ -300,7 +311,7 @@ def zeta_partial(ws: WeightSystem, s, n_max: int) -> list[ZetaRow]:
         raise MeasureError("n_max must be >= 1")
     s = float(s)
     d = ws.dimension
-    g = ws.perron.symmetry_order
+    g = ws.diagram.symmetry_order
     r = ws.diagram.n_letters
     # diam shrinks by the inflation factor theta^(1/d) per generation
     lam = float(_power(ws.backend, ws.perron.theta, Fraction(1, d), DEFAULT_APPROX_BITS))
@@ -312,7 +323,7 @@ def zeta_partial(ws: WeightSystem, s, n_max: int) -> list[ZetaRow]:
     # path_counts yields the diagram's g times the column sums of A^(n-1)
     for n, row in zip(range(1, n_max + 1), path_counts(ws.diagram)):
         try:
-            colsum = [float(c // ws.diagram.symmetry_order) for c in row]
+            colsum = [float(c // g) for c in row]
         except OverflowError:
             raise MeasureError(f"the path counts of generation {n} leave the float "
                                f"range; the largest usable depth is {n - 1}") from None

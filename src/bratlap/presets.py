@@ -148,8 +148,7 @@ def load_preset(name: str, backend: Backend | str | None = None) -> PresetBundle
         backend = parse_backend(backend)
     diagram = build_diagram(spec.matrix, symmetry_order=spec.symmetry_order,
                             letters=spec.letters)
-    pdata = perron(spec.matrix, backend, symmetry_order=spec.symmetry_order,
-                   dimension=spec.dimension)
+    pdata = perron(diagram, backend, dimension=spec.dimension)
     ws = WeightSystem(diagram, pdata)
     return PresetBundle(spec.name, spec.rule, diagram, spec.dimension,
                         backend, pdata, ws, dict(spec.metadata))

@@ -35,18 +35,20 @@ TM_RULE = SubstitutionRule.from_strings({"0": "01", "1": "10"})
 
 
 def fib_setup(s=1):
-    ws = WeightSystem(build_diagram(FIB_A), perron(FIB_A, Q5))
+    d = build_diagram(FIB_A)
+    ws = WeightSystem(d, perron(d, Q5))
     return affine_table(ws, s)
 
 
 def tm_setup(s=1):
-    ws = WeightSystem(build_diagram(TM_A, letters=("0", "1")), perron(TM_A, RAT))
+    d = build_diagram(TM_A, letters=("0", "1"))
+    ws = WeightSystem(d, perron(d, RAT))
     return affine_table(ws, s)
 
 
 def penrose_setup(s=2):
-    ws = WeightSystem(build_diagram(PEN_A, symmetry_order=20),
-                      perron(PEN_A, Q5, symmetry_order=20, dimension=2))
+    d = build_diagram(PEN_A, symmetry_order=20)
+    ws = WeightSystem(d, perron(d, Q5, dimension=2))
     return affine_table(ws, s)
 
 
@@ -75,6 +77,8 @@ def _per_path_magnitudes(table, depth):
     diagram = table.diagram
     g = diagram.symmetry_order
     out_deg = [len(diagram.out_edges[v]) for v in range(diagram.n_letters)]
+    in_edges = [[ei for ei, e in enumerate(diagram.edges) if e.target == v]
+                for v in range(diagram.n_letters)]
     gen0 = {0.0: 1}
     for rec in seeds:
         if rec.label == "root":
@@ -87,7 +91,7 @@ def _per_path_magnitudes(table, depth):
         if gen > 1:
             nxt = {}
             for (v1, z), arr in state.items():
-                for ei in diagram.in_edges[v1]:
+                for ei in in_edges[v1]:
                     e = diagram.edges[ei]
                     nxt.setdefault((e.source, z), []).append(
                         table.lam_float * arr + table.betas_float[ei])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import io
 import json
 import os
@@ -588,6 +589,82 @@ def test_spectrum_prints_field_and_fallback_strings(capsys):
                          "--s", "1/2"], capsys)
     assert code == 0
     assert out == FIB_CONJ_HALF
+
+
+# sha256 of `spectrum --depth 4` stdout per (preset, backend, s): every
+# preset on its default backend and on quadratic:5.  spectrum prints exact or
+# mpmath values and their float casts only, so no digest rests on the BLAS
+SPECTRUM_DEPTH_4_SHA256 = {
+    ("fibonacci", "quadratic:5", "1/2"):
+        "2a35b702ca1f2f199c321439a8533d566269f94728969cd3cebf299075260487",
+    ("fibonacci", "quadratic:5", "1"):
+        "9e05867201c3f90d1638b424d24bb17d01446c471dd071a297dfe5962d930e5e",
+    ("fibonacci", "quadratic:5", "2"):
+        "09db980e7c5573e941de3465364206c07bf61b0aa0a90010bc28ed5174b6b5dd",
+    ("fibonacci-conjugate", "quadratic:5", "1/2"):
+        "83c07e92aa5b632ad7e59ebca680ce215bd40993cccb2c48870e6fbcf737d935",
+    ("fibonacci-conjugate", "quadratic:5", "1"):
+        "5a5a84736cddc5692c87e56b04c3d55280f49edc017998cc50a59283feab0370",
+    ("fibonacci-conjugate", "quadratic:5", "2"):
+        "2bf32f51c6290624a7260a42a1b44034172ba659b779700148e886a3c51467ad",
+    ("thue-morse", "rational", "1/2"):
+        "cde62310bc41a864ce5910b87cf25af47c0710c7eb439ca172011ff14254ce5b",
+    ("thue-morse", "rational", "1"):
+        "fb1bc26e56e69b23dae19f8b9ab5dc954e4454adef1ee04a50c096fc154796b8",
+    ("thue-morse", "rational", "2"):
+        "9b7b42231bfd2ad6bb826d65562d4804d230f31821ba7039c37b0beae1f58fc2",
+    ("thue-morse", "quadratic:5", "1/2"):
+        "03f4adc8a335171f5aa90e99e2966d1f1653d81427c4380156a20cde37a62ae7",
+    ("thue-morse", "quadratic:5", "1"):
+        "57ac026ab097f7ad05d70f8ecb99f4db24f8ec75dbc42c22a913fb642c842a2f",
+    ("thue-morse", "quadratic:5", "2"):
+        "c5d0e0480239222157ddd1672adff016cb0451b2f94309917256cbf695102fbf",
+    ("dyadic-odometer", "rational", "1/2"):
+        "968ed6960f79459d77954b0ef39ac9604ad30fedf37d56cce4c95a664da30485",
+    ("dyadic-odometer", "rational", "1"):
+        "71b211719d2ad9d29ee4c9fffe10681ce93a24f720c0e4920c88afdb159946ac",
+    ("dyadic-odometer", "rational", "2"):
+        "069605ba87fef007eac264519bf6dc02d73a842478bad3bba91e092444d7b6d4",
+    ("dyadic-odometer", "quadratic:5", "1/2"):
+        "ad0ea3f72dcade0189bf6b6f909233d55335eb489def3fe0bd12d3fb1255da37",
+    ("dyadic-odometer", "quadratic:5", "1"):
+        "051af4aecd064724e9809d3a20b45409a0ac882e3660b2cd7b14e242161896f9",
+    ("dyadic-odometer", "quadratic:5", "2"):
+        "c3159c98746258228004fab45ac610d95d9dff919f4f5b608415a87b4e676540",
+    ("penrose", "approx:200", "1/2"):
+        "c5c6753841a25cfe159bed71b793607fa32cc861ef27e8b19ffa70eea30d6fcf",
+    ("penrose", "approx:200", "1"):
+        "ad3d75b692709abf8ef8503fff7fa77349afb84f8a23a55997b8c43de845d77b",
+    ("penrose", "approx:200", "2"):
+        "288fb17f62d8eaf480019da4dea2968445bc0797b69dbb8f10b745b941fba68d",
+    ("penrose", "quadratic:5", "1/2"):
+        "1691bc8904cc018c3ad9b9cdc229e9bb2171f71a639c3c2e0cb91630969c7a59",
+    ("penrose", "quadratic:5", "1"):
+        "4b9b271769c90b735ccd338b9881d5f51e7987812e8e979b6222a04b3298e315",
+    ("penrose", "quadratic:5", "2"):
+        "aff01013e35131a6764cf621f6447dbb1c2799c02fae16406f96286603e7eb1e",
+    ("ammann-a2", "approx:200", "1/2"):
+        "4432d8ecdb515a2e9f7f77307bf3415858d69fd2b6628be51e75abeea572807d",
+    ("ammann-a2", "approx:200", "1"):
+        "cc46e5195210ed9c29e942ae5306a9b971f7c2e4d49d09837fbe7d5a4563daab",
+    ("ammann-a2", "approx:200", "2"):
+        "08a601b9963d0f539cd064c2caf2ad343e0726bcc7df4101bc5b319b72abeb56",
+    ("ammann-a2", "quadratic:5", "1/2"):
+        "d0ddc6d02b783840114e71df4f737c55a2cde45407c0ef5f37735a7cc655ead7",
+    ("ammann-a2", "quadratic:5", "1"):
+        "5839d11b33e2c88c2df14180fb6d32e58c928e219e6fe460c3c6deff2b17e04b",
+    ("ammann-a2", "quadratic:5", "2"):
+        "e48a1939b45c1494cb54a5af20cfabb0d421d7ced7e7a9db78c42f689f85eaa9",
+}
+
+
+@pytest.mark.parametrize("preset, backend, s", sorted(SPECTRUM_DEPTH_4_SHA256))
+def test_spectrum_depth_4_stdout_is_pinned(preset, backend, s, capsys):
+    code, out = run_cli(["spectrum", "--preset", preset, "--depth", "4", "--s", s,
+                         "--backend", backend], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        SPECTRUM_DEPTH_4_SHA256[preset, backend, s]
 
 
 @pytest.mark.parametrize("letters, refused", [(["a", "a"], "a"), (["", "b"], ""),

@@ -21,9 +21,9 @@ from bratlap.cuntz import (
     recursive_spectrum,
     strip_check,
 )
-from bratlap.diagram import Path, build_diagram, enumerate_paths
-from bratlap.laplacian import full_spectrum
-from bratlap.measure import WeightSystem, perron, theta_field
+from bratlap.diagram import EMPTY_PATH, Path, build_diagram, enumerate_paths
+from bratlap.laplacian import full_spectrum, g_value
+from bratlap.measure import WeightSystem, mu, perron, theta_field
 from bratlap.presets import PRESETS, load_preset, preset_names
 from bratlap.scalar import (ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend,
                             compare)
@@ -67,22 +67,24 @@ def strip_coordinates(embedding, table, depth):
     return report, coords
 
 
+def system(diagram, backend, dimension=1, **kwargs):
+    return WeightSystem(diagram, perron(diagram, backend, dimension), **kwargs)
+
+
 def fib_ws():
-    return WeightSystem(build_diagram(FIB_A), perron(FIB_A, Q5))
+    return system(build_diagram(FIB_A), Q5)
 
 
 def tm_ws():
-    return WeightSystem(build_diagram(TM_A, letters=("0", "1")), perron(TM_A, RAT))
+    return system(build_diagram(TM_A, letters=("0", "1")), RAT)
 
 
 def dyadic_ws():
-    return WeightSystem(build_diagram([[2]]), perron([[2]], RAT))
+    return system(build_diagram([[2]]), RAT)
 
 
 def penrose_ws(g=20, backend=None):
-    be = backend or Q5
-    return WeightSystem(build_diagram(PEN_A, symmetry_order=g),
-                        perron(PEN_A, be, symmetry_order=g, dimension=2))
+    return system(build_diagram(PEN_A, symmetry_order=g), backend or Q5, 2)
 
 
 def test_shift_down_composable():
@@ -166,7 +168,7 @@ def test_affine_table_fibonacci():
 
 def test_affine_table_fibonacci_conjugate_scaling():
     a = ((2, 1), (1, 1))
-    ws = WeightSystem(build_diagram(a), perron(a, Q5))
+    ws = system(build_diagram(a), Q5)
     table = affine_table(ws, 1)
     assert table.lam == PHI ** 4       # theta^2 with theta = phi^2
 
@@ -174,8 +176,7 @@ def test_affine_table_fibonacci_conjugate_scaling():
 def test_lambda_fallback_uses_configured_precision():
     # Lambda_{1/2} = 2^(5/2) leaves Q, so it falls back at the weight
     # system's precision, as the betas do
-    ws = WeightSystem(build_diagram(TM_A, letters=("0", "1")), perron(TM_A, RAT),
-                      approx_bits=100)
+    ws = system(build_diagram(TM_A, letters=("0", "1")), RAT, approx_bits=100)
     table = affine_table(ws, Fraction(1, 2))
     assert table.lam.precision == ws.approx_bits == 100
     assert {b.precision for b in table.betas} == {100}
@@ -228,8 +229,9 @@ def test_recursion_depth_zero_and_one():
 
 
 def test_companion_fibonacci():
-    emb = companion_embedding(perron(FIB_A, Q5), 1)
-    assert emb.poly == (-1, -1, 1)
+    pdata = perron(build_diagram(FIB_A), Q5)
+    emb = companion_embedding(pdata, 1)
+    assert pdata.min_poly == (-1, -1, 1)
     assert emb.matrix == ((1, 1), (1, 2))
     assert emb.pisot and emb.hyperbolic
     assert emb.action_verified == "exact"
@@ -237,15 +239,16 @@ def test_companion_fibonacci():
 
 
 def test_companion_thue_morse_scalar():
-    emb = companion_embedding(perron(TM_A, RAT), 1)
+    emb = companion_embedding(perron(build_diagram(TM_A), RAT), 1)
     assert emb.degree == 1
     assert emb.matrix == ((4,),)
     assert emb.pisot
 
 
 def test_companion_penrose():
-    emb = companion_embedding(perron(PEN_A, Q5, dimension=2), 2)
-    assert emb.poly == (1, -3, 1)
+    pdata = perron(build_diagram(PEN_A), Q5, dimension=2)
+    emb = companion_embedding(pdata, 2)
+    assert pdata.min_poly == (1, -3, 1)
     assert emb.matrix == ((0, -1), (1, 3))
     mods = sorted(abs(e) for e in emb.eigenvalues)
     phi2 = float(PHI * PHI)
@@ -255,15 +258,15 @@ def test_companion_penrose():
 
 
 def test_lattice_coords_examples():
-    emb_tm = companion_embedding(perron(TM_A, RAT), 1)
+    emb_tm = companion_embedding(perron(build_diagram(TM_A), RAT), 1)
     assert lattice_coords(emb_tm, Fraction(-18)) == (Fraction(-18),)
-    emb_fib = companion_embedding(perron(FIB_A, Q5), 1)
+    emb_fib = companion_embedding(perron(build_diagram(FIB_A), Q5), 1)
     lam0 = -(2 * PHI + 1)
     assert lattice_coords(emb_fib, lam0) == (Fraction(-1), Fraction(-2))
 
 
 def fib_conj_ws():
-    return WeightSystem(build_diagram(FIB_CONJ_A), perron(FIB_CONJ_A, Q5))
+    return system(build_diagram(FIB_CONJ_A), Q5)
 
 
 # fibonacci repeats no step; penrose repeats each step across its 20 root
@@ -332,7 +335,7 @@ def test_strip_matches_per_path_oracle(ws_factory, s, depth):
 
 
 def test_coords_scalar_recursion_thue_morse():
-    emb = companion_embedding(perron(TM_A, RAT), 1)
+    emb = companion_embedding(perron(build_diagram(TM_A), RAT), 1)
     c = lattice_coords(emb, Fraction(-18))
     pushed = tuple(4 * x for x in c)
     assert tuple(p + q for p, q in zip(pushed, (Fraction(-2),))) == (Fraction(-74),)
@@ -367,18 +370,18 @@ def test_strip_penrose_bounded():
 
 def test_companion_embedding_field_mismatch_falls_back_to_numeric():
     # theta^(1/3) is not in Q(sqrt5): exact_power gives None
-    emb3 = companion_embedding(perron(FIB_A, Q5, dimension=3), 3)
+    emb3 = companion_embedding(perron(build_diagram(FIB_A), Q5, dimension=3), 3)
     assert emb3.basis_value is None
     assert emb3.action_verified == "numeric"
 
 
 def test_companion_embedding_needs_exact_perron_data():
     with pytest.raises(CuntzError, match="exact Perron data"):
-        companion_embedding(perron(FIB_A, ApproxBackend(64)), 1)
+        companion_embedding(perron(build_diagram(FIB_A), ApproxBackend(64)), 1)
 
 
 def test_companion_embedding_propagates_unexpected_errors(monkeypatch):
-    pdata = perron(FIB_A, Q5)
+    pdata = perron(build_diagram(FIB_A), Q5)
 
     def broken(x, e):
         raise ZeroDivisionError("bug")
@@ -431,7 +434,7 @@ def test_strip_coordinates_reconstruct_their_values(name):
 def test_embedding_refuses_k_that_is_not_a_positive_integer(s, k):
     # theta = 4: Lambda_s = 4^(5/2) = 32 is rational at s = 1/2, but it is
     # not an integer power of x = theta
-    pdata = perron([[4]], RAT)
+    pdata = perron(build_diagram([[4]]), RAT)
     with pytest.raises(CuntzError, match=f"at s={s} and d=1, k={k}$"):
         companion_embedding(pdata, Fraction(s))
 
@@ -456,6 +459,42 @@ def test_affine_table_seeds_are_the_depth_one_spectrum(name, backend):
                 (want.label, want.path, want.generation, want.multiplicity), s
             assert type(got.value) is type(want.value) and got.value == want.value, s
             assert got.value_float == want.value_float, s
+
+
+def _hand_built_betas(ws, s, lam) -> list:
+    """The recursion constants built term by term from mu and G: the oracle
+    for affine_table's reading of the stationary memo."""
+    diagram = ws.diagram
+    root_split = len(diagram.root_edges) >= 2
+    inv_g_root = 1 / g_value(ws, EMPTY_PATH, s) if root_split else None
+    one = ws.backend.one
+    betas = []
+    for edge_index, e in enumerate(diagram.edges):
+        eps = Path(diagram.root_edge_index(e.target))
+        eps_prime = Path(diagram.root_edge_index(e.source))
+        beta = ws.backend.zero
+        if root_split:
+            term1 = -(lam * ((mu(ws, eps) - one) * inv_g_root))
+            term2 = (mu(ws, eps_prime) - one) * inv_g_root
+            beta = term1 + term2
+        if len(diagram.out_edges[e.source]) >= 2:
+            inc = mu(ws, eps_prime.child(edge_index)) - mu(ws, eps_prime)
+            beta = beta + inc * (1 / g_value(ws, eps_prime, s))
+        betas.append(beta)
+    return betas
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_betas_equal_the_hand_built_formula(name):
+    # equal scalars of one type: bits and precision on the approximate backend
+    for backend in dict.fromkeys((PRESETS[name].recommended_backend, "quadratic:5",
+                                  "approx:64")):
+        ws = load_preset(name, backend=backend).weight_system
+        for s in (Fraction(k, 2) for k in range(-6, 9)):
+            table = affine_table(ws, s)
+            want = _hand_built_betas(ws, s, table.lam)
+            assert [type(b) for b in table.betas] == [type(b) for b in want], (backend, s)
+            assert table.betas == tuple(want), (backend, s)
 
 
 @pytest.mark.parametrize("name", preset_names())

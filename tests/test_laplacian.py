@@ -53,23 +53,23 @@ PEN_A = ((2, 1), (1, 1))
 
 def fib_ws():
     d = build_diagram(FIB_A)
-    return WeightSystem(d, perron(FIB_A, Q5))
+    return WeightSystem(d, perron(d, Q5))
 
 
 def tm_ws():
     d = build_diagram(TM_A, letters=("0", "1"))
-    return WeightSystem(d, perron(TM_A, RAT))
+    return WeightSystem(d, perron(d, RAT))
 
 
 def dyadic_ws():
     d = build_diagram([[2]])
-    return WeightSystem(d, perron([[2]], RAT))
+    return WeightSystem(d, perron(d, RAT))
 
 
 def penrose_ws(backend=None, g=20):
     be = backend or ApproxBackend(100)
     d = build_diagram(PEN_A, symmetry_order=g)
-    return WeightSystem(d, perron(PEN_A, be, symmetry_order=g, dimension=2))
+    return WeightSystem(d, perron(d, be, dimension=2))
 
 
 def test_g_values_fibonacci():
@@ -131,7 +131,7 @@ def test_dyadic_odometer_closed_form():
 
 def test_eigenbasis_fibonacci():
     ws = fib_ws()
-    cache = laplacian._StationaryCache(ws, 1)
+    cache = laplacian.StationaryCache(ws, 1)
     specs = eigenbasis(cache, EMPTY_PATH)
     assert len(specs) == 1
     ratio = specs[0].coeff_neg / specs[0].coeff_pos
@@ -144,7 +144,7 @@ def test_eigenbasis_fibonacci():
 
 def test_eigenbasis_dimension_penrose_vertex_a():
     ws = penrose_ws(backend=Q5)
-    specs = eigenbasis(laplacian._StationaryCache(ws, 2),
+    specs = eigenbasis(laplacian.StationaryCache(ws, 2),
                        Path(ws.diagram.root_edge_index(0, 5)))
     assert len(specs) == 2
 
@@ -154,7 +154,7 @@ def test_eigenbasis_memo_equals_direct_measures():
     # coefficients are 1/mu of the anchor child and -1/mu of the other, as
     # the direct formula gives them
     ws = penrose_ws(g=4, backend=Q5)
-    cache = laplacian._StationaryCache(ws, 2)
+    cache = laplacian.StationaryCache(ws, 2)
     bases = [EMPTY_PATH] + [p for n in (1, 2, 3) for p in enumerate_paths(ws.diagram, n).paths]
     for base in bases:
         ext = extensions(ws.diagram, base)
@@ -326,8 +326,8 @@ def test_exact_check_catches_wrong_multiplicity(monkeypatch, capsys):
 def test_dense_restriction_refuses_inexact_entries(monkeypatch):
     """The exact check sums interned values by counting them, which is only
     sound for exact scalars, so an approximate cache value is refused."""
-    inv_g_at = laplacian._StationaryCache.inv_g_at
-    monkeypatch.setattr(laplacian._StationaryCache, "inv_g_at",
+    inv_g_at = laplacian.StationaryCache.inv_g_at
+    monkeypatch.setattr(laplacian.StationaryCache, "inv_g_at",
                         lambda self, path: ApproxReal.make(inv_g_at(self, path), 100))
     with pytest.raises(LaplacianError, match="approximate scalar"):
         dense_restriction(load_preset("thue-morse").weight_system, 3, 1)
@@ -393,7 +393,7 @@ TRI_A = ((2, 1, 0), (0, 1, 1), (1, 0, 1))
 
 def tri_ws():
     d = build_diagram(TRI_A, symmetry_order=3)
-    return WeightSystem(d, perron(TRI_A, ApproxBackend(100), symmetry_order=3))
+    return WeightSystem(d, perron(d, ApproxBackend(100)))
 
 
 @pytest.mark.parametrize("system", ["penrose", "ammann-a2", "tri-g3", "fibonacci"])

@@ -10,11 +10,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bratlap.diagram import EMPTY_PATH, Path, build_diagram, enumerate_paths, is_primitive
+from bratlap import _linalg
+from bratlap.diagram import (EMPTY_PATH, DiagramError, Path, build_diagram, enumerate_paths,
+                             is_primitive)
 from bratlap.measure import (
     EXACT_POWER_LOG2_LIMIT,
     MeasureError,
+    _exact_eigenvector,
+    _field_root,
     _power,
+    _theta_certificate,
     WeightSystem,
     diam_power,
     mu,
@@ -23,6 +28,7 @@ from bratlap.measure import (
     theta_min_poly,
     zeta_partial,
 )
+from bratlap.presets import PRESETS
 from bratlap.scalar import ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend
 from oracles import longest_common_prefix
 
@@ -44,35 +50,36 @@ def weight(ws: WeightSystem, path: Path):
 
 def fib_ws():
     d = build_diagram(FIB_A)
-    return WeightSystem(d, perron(FIB_A, Q5))
+    return WeightSystem(d, perron(d, Q5))
 
 
 def tm_ws():
     d = build_diagram(TM_A, letters=("0", "1"))
-    return WeightSystem(d, perron(TM_A, RAT))
+    return WeightSystem(d, perron(d, RAT))
 
 
 def penrose_ws(g=20):
     d = build_diagram(PEN_A, symmetry_order=g)
-    return WeightSystem(d, perron(PEN_A, Q5, symmetry_order=g, dimension=2))
+    return WeightSystem(d, perron(d, Q5, dimension=2))
 
 
 def test_perron_fibonacci_exact():
-    p = perron(FIB_A, Q5)
+    d = build_diagram(FIB_A)
+    p = perron(d, Q5)
     assert p.theta == PHI
     assert p.v_right == (ALPHA, ALPHA * ALPHA)
     # with d = 1 the diameter is the measure, exactly
-    assert weight(WeightSystem(build_diagram(FIB_A), p), Path(0)) == ALPHA
+    assert weight(WeightSystem(d, p), Path(0)) == ALPHA
 
 
 def test_perron_thue_morse_rational():
-    p = perron(TM_A, RAT)
+    p = perron(build_diagram(TM_A), RAT)
     assert p.theta == Fraction(2)
     assert p.v_right == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_perron_penrose_folded():
-    p = perron(PEN_A, Q5, symmetry_order=20, dimension=2)
+    p = perron(build_diagram(PEN_A, symmetry_order=20), Q5, dimension=2)
     assert p.theta == PHI * PHI
     assert p.v_right == (ALPHA / 20, ALPHA * ALPHA / 20)
     # the inflation factor theta^(1/2) = phi that zeta_partial reads stays in
@@ -82,7 +89,7 @@ def test_perron_penrose_folded():
 
 def test_perron_approx_backend():
     be = ApproxBackend(200)
-    p = perron(FIB_A, be)
+    p = perron(build_diagram(FIB_A), be)
     with mpmath.workprec(200):
         golden = (1 + mpmath.sqrt(5)) / 2
         assert abs(p.theta.value - golden) < mpmath.mpf(2) ** -180
@@ -92,7 +99,7 @@ def test_perron_approx_backend():
 def test_perron_plastic_power_iteration(bits):
     # from the uniform start the theta estimates run 4/3, 5/4, 7/5, 9/7, 4/3,
     # 4/3: a repeat long before the eigenvector is reached
-    p = perron(((0, 1, 0), (0, 0, 1), (1, 1, 0)), ApproxBackend(bits))
+    p = perron(build_diagram(((0, 1, 0), (0, 0, 1), (1, 1, 0))), ApproxBackend(bits))
     with mpmath.workprec(bits):
         theta = p.theta.value
         assert abs(theta ** 3 - theta - 1) < mpmath.mpf(2) ** (20 - bits)
@@ -111,13 +118,14 @@ def test_exact_power_beyond_float_range_refused():
 
 
 def test_perron_errors():
+    with pytest.raises(DiagramError, match="not primitive"):
+        build_diagram(((0, 1), (1, 0)))             # so never reaches perron
+    fib = build_diagram(FIB_A)
     with pytest.raises(MeasureError):
-        perron(((0, 1), (1, 0)), Q5)                # not primitive
+        perron(fib, RAT)                            # irrational theta
     with pytest.raises(MeasureError):
-        perron(FIB_A, RAT)                          # irrational theta
-    with pytest.raises(MeasureError):
-        perron(FIB_A, QuadraticBackend(2))          # wrong field
-    tribonacci = ((1, 1, 1), (1, 0, 0), (0, 1, 0))
+        perron(fib, QuadraticBackend(2))            # wrong field
+    tribonacci = build_diagram(((1, 1, 1), (1, 0, 0), (0, 1, 0)))
     with pytest.raises(MeasureError):
         perron(tribonacci, Q5)                      # degree 3
     p = perron(tribonacci, ApproxBackend(100))      # fine numerically
@@ -125,12 +133,15 @@ def test_perron_errors():
 
 
 def test_theta_is_the_eigenvalue_with_a_positive_eigenvector():
-    # the other eigenvalue, 3,999,999, lies within 1e-6 * theta of theta
+    # the other eigenvalue, 3,999,999, lies within 1e-6 * theta of theta; a
+    # diagram of this matrix would hold 8 * 10**6 edge models, so the
+    # certificate is checked directly
     m = ((4 * 10 ** 6, 1), (1, 4 * 10 ** 6))
     assert theta_field(m) == RAT
-    p = perron(m, RAT)
-    assert p.theta == 4 * 10 ** 6 + 1
-    assert p.min_poly == (-(4 * 10 ** 6 + 1), 1)
+    cert = _theta_certificate(m)
+    assert cert.theta == 4 * 10 ** 6 + 1
+    assert cert.poly == (-(4 * 10 ** 6 + 1), 1)
+    assert cert.vector[0] == cert.vector[1] > 0
 
 
 def test_theta_of_huge_entries_takes_no_divisor_search():
@@ -139,7 +150,10 @@ def test_theta_of_huge_entries_takes_no_divisor_search():
     m = ((10 ** 12, 1), (1, 10 ** 12))
     start = time.perf_counter()
     assert theta_field(m) == RAT
-    assert perron(m, RAT).theta == 10 ** 12 + 1
+    cert = _theta_certificate(m)
+    assert cert.theta == 10 ** 12 + 1
+    assert cert.poly == (-(10 ** 12 + 1), 1)
+    assert cert.vector[0] == cert.vector[1] > 0
     assert time.perf_counter() - start < 1.0
 
 
@@ -148,7 +162,7 @@ def test_quadratic_theta_beside_the_eigenvalue_zero():
     m = ((0, 0, 1), (0, 0, 1), (1, 1, 2))
     assert theta_field(m) == QuadraticBackend(3)
     assert theta_min_poly(m) == (-2, -2, 1)
-    p = perron(m, QuadraticBackend(3))
+    p = perron(build_diagram(m), QuadraticBackend(3))
     assert p.theta == QuadraticBackend(3).make((1, 1))
     assert p.min_poly == (-2, -2, 1)
 
@@ -159,8 +173,8 @@ def test_cubic_theta_has_no_field():
     with pytest.raises(MeasureError, match="degree > 2, so no rational or quadratic "):
         theta_field(plastic)
     with pytest.raises(MeasureError, match="degree > 2; use an approx backend"):
-        perron(plastic, RAT)
-    assert perron(plastic, ApproxBackend(64)).min_poly is None
+        perron(build_diagram(plastic), RAT)
+    assert perron(build_diagram(plastic), ApproxBackend(64)).min_poly is None
 
 
 def test_theta_beyond_exact_float_candidates_refused():
@@ -168,7 +182,7 @@ def test_theta_beyond_exact_float_candidates_refused():
     # a candidate rounded from floats is no longer exact
     n = 10 ** 8
     m = ((n, 1, 0), (0, n, 1), (1, 1, n))
-    for call in (lambda: theta_field(m), lambda: perron(m, RAT)):
+    for call in (lambda: theta_field(m), lambda: theta_min_poly(m)):
         with pytest.raises(MeasureError, match="float spectrum cannot decide .* 2\\^53"):
             call()
 
@@ -192,6 +206,49 @@ def _sympy_min_poly(matrix):
 def test_certified_min_poly_matches_sympy(matrix):
     assume(is_primitive(matrix) and matrix != [[1]])
     assert theta_min_poly(matrix) == _sympy_min_poly(matrix)
+
+
+def _eliminated_v_right(diagram, backend):
+    """The oracle for perron's exact eigenvector: A - theta*I eliminated again
+    in the backend's field, with theta built from its certified polynomial,
+    and normalized so that g * sum(v) = 1."""
+    theta = backend.make(_field_root(theta_min_poly(diagram.matrix))[1])
+    v = _exact_eigenvector(diagram.matrix, theta, backend)
+    total = v[0]
+    for x in v[1:]:
+        total = total + x
+    scale = backend.one / (total * diagram.symmetry_order)
+    return theta, tuple(x * scale for x in v)
+
+
+# every preset on each exact backend that holds its theta, and two matrices
+# whose theta lies in another field
+EXACT_SYSTEMS = [(name, spec.matrix, spec.symmetry_order, backend)
+                 for name, spec in PRESETS.items()
+                 for backend in ((RAT, Q5) if len(theta_min_poly(spec.matrix)) == 2
+                                 else (Q5,))] + \
+    [("zero-eigenvalue", ((0, 0, 1), (0, 0, 1), (1, 1, 2)), 1, QuadraticBackend(3)),
+     ("sqrt13", ((3, 1), (1, 0)), 1, QuadraticBackend(13))]
+
+
+@pytest.mark.parametrize("name, matrix, g, backend", EXACT_SYSTEMS,
+                         ids=[f"{s[0]}-{s[3].kind}" for s in EXACT_SYSTEMS])
+def test_certified_vector_equals_a_second_elimination(name, matrix, g, backend, monkeypatch):
+    diagram = build_diagram(matrix, symmetry_order=g)
+    theta, v_right = _eliminated_v_right(diagram, backend)
+    eliminations = []
+    kernel_vector = _linalg.kernel_vector
+    monkeypatch.setattr(_linalg, "kernel_vector",
+                        lambda rows, b: eliminations.append(b) or kernel_vector(rows, b))
+    p = perron(diagram, backend)
+    assert p.theta == theta
+    assert p.v_right == v_right
+    assert [type(x) for x in p.v_right] == [type(x) for x in v_right]
+    # perron eliminates no more than the certificate alone, whose last
+    # elimination is the accepted candidate's
+    in_perron = len(eliminations)
+    theta_min_poly(matrix)
+    assert len(eliminations) == 2 * in_perron
 
 
 def test_mu_thue_morse_halving():

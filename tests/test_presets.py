@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bratlap.diagram import EMPTY_PATH
+from bratlap.diagram import EMPTY_PATH, build_diagram
 from bratlap.laplacian import g_value, root_record, spectrum_multiset, full_spectrum, \
     verify_spectrum
 from bratlap.measure import WeightSystem, perron
@@ -64,7 +64,7 @@ def test_penrose_root_eigenvalue_closed_form():
 def test_penrose_with_g4_equals_ammann():
     pen = PRESETS["penrose"]
     ammann = load_preset("ammann-a2", backend=Q5)
-    refolded = perron(pen.matrix, Q5, symmetry_order=4, dimension=2)
+    refolded = perron(build_diagram(pen.matrix, symmetry_order=4), Q5, dimension=2)
     ws = WeightSystem(load_preset("ammann-a2", backend=Q5).diagram, refolded)
     lhs = spectrum_multiset(full_spectrum(ws, 3, 2))
     rhs = spectrum_multiset(full_spectrum(ammann.weight_system, 3, 2))
