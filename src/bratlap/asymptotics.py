@@ -1,28 +1,24 @@
 """Weyl counting, heat-trace scaling, bounded-norm checks, and 1D factor
 complexity.
 
-Heavy sums never enumerate paths one by one.  An eigenvalue depends only on
-its seed and on the sequence of betas applied by u_e(x) = Lambda_s x + beta_e,
-so the per-generation eigenvalue arrays come from a DP over distinct states:
-a state is (parent state, beta class), merged on those integer keys and never
-on float values, and carries the summed multiplicity of the paths that reach
-it.  Each state's value is computed once with the same float operations, in
-the same order, as a per-path expansion, so the values are bit-identical to
-it, and memory grows with the number of distinct states, not of paths.  The
-heat trace is contracted through per-vertex transfer vectors in log space,
-which makes any truncation depth affordable.  The two-sided asymptotic
-constants are fitted and reported, not asserted a priori.
+Heavy sums never enumerate paths one by one.  The per-generation eigenvalue
+arrays are the float projection of the distinct recursion states that
+`cuntz._grow` yields with their summed multiplicities, so memory grows with
+the number of states, not of paths, and every value is bit-identical to a
+per-path expansion's.  The heat trace is contracted through per-vertex
+transfer vectors in log space, which makes any truncation depth affordable.
+The two-sided asymptotic constants are fitted and reported, not asserted a
+priori.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cuntz import AffineMapTable
+from .cuntz import AffineMapTable, _grow
 from .diagram import SubstitutionRule, path_counts
 
 
@@ -112,83 +108,40 @@ def _seed_values(table: AffineMapTable) -> dict[int, float]:
 
 
 def magnitude_table(table: AffineMapTable, depth: int) -> GenerationSpectrum:
-    """Per-generation |eigenvalue| magnitudes with exact multiplicities, grown
-    from the table's seeds by the affine recursion as a DP over distinct
-    states.
-
-    A path's eigenvalue depends only on its seed and on the sequence of beta
-    classes applied, not on its root slot or on which parallel edge it took.
-    So, per seed range vertex z, a generation keeps one array of distinct
-    state values, and per (first vertex v1, z) the indices of the states
-    reached there with their integer multiplicities.  A child state is
-    identified by (parent state index, beta class) and merged on that integer
-    key alone, never on its float value; its value is computed once, as
-    Lambda * parent + beta, the float operations a per-path expansion applies
-    in the same order, so every value is bit-identical to that expansion's.
-    Each distinct state is one entry per generation, weighted by its
-    multiplicity times the symmetry order times (out-degree of z - 1).
+    """Per-generation |eigenvalue| magnitudes with exact multiplicities: one
+    entry per recursion state of `cuntz._grow`, with its summed multiplicity.
+    A state's value is Lambda * parent + beta, the float operations a
+    per-path expansion applies in the same order, so every value is
+    bit-identical to that expansion's.
 
     Multiplicities are exact int64 counts: a depth whose total |Pi_(depth+1)|
     exceeds 2**63 - 1 raises AsymptoticsError, and so does a magnitude that
     leaves the float range."""
-    diagram = table.diagram
-    _check_weight_range(diagram, depth)
-    g = diagram.symmetry_order
-    r = diagram.n_letters
-    out_deg = [len(diagram.out_edges[v]) for v in range(r)]
+    _check_weight_range(table.diagram, depth)
+    kernel = [rec for rec in table.seeds if rec.generation == 0]   # zero and root
+    magnitudes = [np.array([abs(rec.value_float) for rec in kernel])]
+    weights = [np.array([rec.multiplicity for rec in kernel], dtype=np.int64)]
 
-    gen0_vals, gen0_wts = [0.0], [1]
-    for rec in table.seeds:
-        if rec.label == "root":
-            gen0_vals.append(abs(rec.value_float))
-            gen0_wts.append(rec.multiplicity)
-
-    # the steps into each vertex: (source, beta class) -> number of edges
     classes = table.beta_classes()
-    n_cls = max(classes) + 1
-    beta = np.zeros(n_cls)
-    steps: list[Counter[tuple[int, int]]] = [Counter() for _ in range(r)]
-    for ei, (e, cls) in enumerate(zip(diagram.edges, classes)):
-        beta[cls] = table.betas_float[ei]
-        steps[e.target][e.source, cls] += 1
+    beta = np.zeros(max(classes) + 1)
+    beta[classes] = table.betas_float
     lam = table.lam_float
+    seeds = _seed_values(table)
+    # generation 1, the seeds, is always reported
+    for gen, (codes, counts) in enumerate(_grow(table, depth), 1):
+        if gen == 1:    # a seed's code is its range vertex
+            vals = np.array([seeds[z] for z in codes.tolist()])
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = lam * vals[codes // beta.size] + beta[codes % beta.size]
+        magnitudes.append(np.abs(vals))
+        weights.append(counts.sum(axis=0))
 
-    depth = max(depth, 1)   # generation 1, the seeds, is always reported
-    mags: list[list[np.ndarray]] = [[] for _ in range(depth)]
-    wts: list[list[np.ndarray]] = [[] for _ in range(depth)]
-    for z, seed in sorted(_seed_values(table).items()):
-        vals = np.array([seed])
-        total = np.ones(1, dtype=np.int64)
-        members = {z: (np.zeros(1, dtype=np.int64), total)}
-        for gen in range(1, depth + 1):
-            if gen > 1:
-                dst, code, mult = [], [], []
-                for v1, (idx, m) in members.items():
-                    for (u, cls), k in steps[v1].items():
-                        dst.append(np.full(idx.size, u))
-                        code.append(idx * n_cls + cls)
-                        mult.append(m * k)
-                code, inv = np.unique(np.concatenate(code), return_inverse=True)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    vals = lam * vals[code // n_cls] + beta[code % n_cls]
-                per_dst = np.zeros((r, code.size), dtype=np.int64)
-                np.add.at(per_dst, (np.concatenate(dst), inv), np.concatenate(mult))
-                members = {u: (np.flatnonzero(row), row[row > 0])
-                           for u, row in enumerate(per_dst) if row.any()}
-                total = per_dst.sum(axis=0)
-            mags[gen - 1].append(np.abs(vals))
-            wts[gen - 1].append(total * (g * (out_deg[z] - 1)))
-
-    generations = list(range(depth + 1))
-    magnitudes = [np.array(gen0_vals)] + [
-        np.concatenate(m) if m else np.array([]) for m in mags]
-    weights = [np.array(gen0_wts, dtype=np.int64)] + [
-        np.concatenate(w) if w else np.array([], dtype=np.int64) for w in wts]
     for gen, m in enumerate(magnitudes):
         if not np.isfinite(m).all():
             raise AsymptoticsError(
                 f"eigenvalue magnitudes leave the float range at generation {gen}")
-    return GenerationSpectrum(generations, magnitudes, weights)
+    return GenerationSpectrum(list(range(len(magnitudes))), magnitudes, weights)
 
 
 @dataclass

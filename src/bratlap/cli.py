@@ -33,8 +33,8 @@ import numpy as np
 from . import asymptotics, cuntz, laplacian
 from .diagram import (BratteliDiagram, DiagramError, SubstitutionRule, build_diagram,
                       load_diagram_file)
-from .measure import (DEFAULT_APPROX_BITS, MeasureError, WeightSystem, perron,
-                      theta_field, zeta_partial)
+from .measure import (DEFAULT_APPROX_BITS, MeasureError, WeightSystem, field_perron, perron,
+                      zeta_partial)
 from .presets import PRESETS, preset_names
 from .scalar import MIN_PRECISION, ApproxReal, parse_backend
 
@@ -173,13 +173,14 @@ def _resolve_system(args, parser, reads):
         else:
             diagram, dimension = load_diagram_file(args.matrix_file)
         if args.command == "strip":
-            backend = theta_field(diagram.matrix)
+            pdata = field_perron(diagram, dimension)
+            backend = pdata.backend
         else:
             backend = parse_backend(getattr(args, "backend", None) or
                                     (spec.recommended_backend if spec else "rational"))
             if "--backend" not in reads:
                 return spec, diagram, dimension, backend, None
-        pdata = perron(diagram, backend, dimension=dimension)
+            pdata = perron(diagram, backend, dimension=dimension)
     except (DiagramError, MeasureError, OSError, ValueError) as exc:
         parser.error(str(exc))
     ws = WeightSystem(diagram, pdata,

@@ -10,6 +10,7 @@ self-calibrated on oracle data before it is accepted.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -220,23 +221,51 @@ def _self_calibrate(ws: WeightSystem, oracle: list[SpectralRecord], lam,
     return checks
 
 
-def _grow(table: AffineMapTable, depth: int, seed_state, step):
-    """Generations 2 through `depth` of the affine recursion, grown by state.
+def _grow(table: AffineMapTable, depth: int):
+    """Generations 1 through max(depth, 1) of the affine recursion: its
+    distinct states and the multiplicities of the paths that reach them.
 
-    A path's state (its value, or its lattice coordinates) depends only on
-    its seed's state and on the sequence of betas applied, not on its root
-    slot or on which of two parallel edges it took.  The generation-1 seeds
-    are interned by `seed_state(rec)`, so the g root slots share one state,
-    and each generation runs `step(edge, state)` once per distinct (parent
-    state, beta class).  Per generation this yields (states, paths): the new
-    distinct states, and one (root index, edge, parent position, state index)
-    per path in (root, edges) order, where a parent position indexes the
-    generation before, and generation 1 is the table's path seeds in order.
+    A path's state depends only on its seed's range vertex z and on the beta
+    classes applied, not on its root slot or on which parallel edge it took.
+    A generation-1 state is coded z, a later one parent * n_classes + class;
+    none is merged on a value.  Per generation this yields (codes, counts):
+    the codes in increasing order, and counts[v, i], the int64 summed
+    multiplicity of the paths from root vertex v that reach state i."""
+    diagram = table.diagram
+    classes = table.beta_classes()
+    n_cls = max(classes) + 1
+    # the steps up from a first vertex: (vertex, source, beta class) -> edges
+    steps = Counter((e.target, e.source, cls) for e, cls in zip(diagram.edges, classes))
+    seeds = [rec for rec in table.seeds if rec.label == "path"]
+    # generation 1: a path seed starts at its range vertex z, in the state coded z
+    dst = code = np.array([diagram.path_range(rec.path) for rec in seeds], dtype=np.int64)
+    mult = np.array([rec.multiplicity for rec in seeds], dtype=np.int64)
+    for gen in range(1, max(depth, 1) + 1):
+        if gen > 1:
+            dst, code, mult = [], [], []
+            for (v1, u, cls), k in steps.items():
+                idx = np.flatnonzero(counts[v1])
+                dst.append(np.full(idx.size, u))
+                code.append(idx * n_cls + cls)
+                mult.append(counts[v1, idx] * k)
+            dst, code, mult = map(np.concatenate, (dst, code, mult))
+        codes, inv = np.unique(code, return_inverse=True)
+        counts = np.zeros((diagram.n_letters, codes.size), dtype=np.int64)
+        np.add.at(counts, (dst, inv), mult)
+        yield codes, counts
 
-    The order needs no sort.  The children of the paths under root edge
-    (w, k) take an edge e from v into w and then sit under (v, k), so root
-    by root, out-edge by out-edge, each child block copies the order of
-    one contiguous block of its parents."""
+
+def _expand(table: AffineMapTable, depth: int, seed_state, step):
+    """Generations 2 through `depth` of the recursion, path by path: per
+    generation, (states, paths), the states in `_grow`'s order, each built
+    once by `step(edge, parent state)` from `seed_state(seed record)`, and
+    one (root index, edge, parent position, state index) per path in (root,
+    edges) order.  A parent position indexes the generation before, and
+    generation 1 is the table's path seeds in order.
+
+    The order needs no sort: the children of the paths under root edge
+    (w, k) take an edge from v into w and sit under (v, k), so each child
+    block copies the order of one contiguous block of parents."""
     diagram = table.diagram
     # a generation-n record is a path ending at a vertex with two or more
     # out-edges, so the total is known before any state is grown
@@ -251,40 +280,28 @@ def _grow(table: AffineMapTable, depth: int, seed_state, step):
                              f"{DEFAULT_PATH_CAP}-record cap")
 
     classes = table.beta_classes()
-    # per root edge (v, k): each out-edge e of v, the root edge (r(e), k)
-    # its parents sit under, and the class of its beta
-    moves = [[(ei, diagram.root_edge_index(diagram.edges[ei].target, root.slot),
-               classes[ei]) for ei in diagram.out_edges[root.vertex]]
-             for root in diagram.root_edges]
-    index: dict = {}
-    states: list = []
-    level: list[tuple[int, int]] = []   # (root, state index) per path
-    for rec in table.seeds:
-        if rec.label == "path":
-            state = seed_state(rec)
-            key = (type(state), state)
-            if key not in index:
-                index[key] = len(states)
-                states.append(state)
-            level.append((rec.path.root, index[key]))
-    for _ in range(2, depth + 1):
-        blocks: list[list[tuple[int, int]]] = [[] for _ in moves]
+    first_edge = [classes.index(cls) for cls in range(max(classes) + 1)]
+    n_cls = len(first_edge)
+    seeds = [rec for rec in table.seeds if rec.label == "path"]
+    levels = _grow(table, depth)
+    index = {z: i for i, z in enumerate(next(levels)[0].tolist())}
+    level = [(rec.path.root, index[diagram.path_range(rec.path)]) for rec in seeds]
+    # the g root slots of a seed vertex share its state
+    states = {i: seed_state(rec) for rec, (_, i) in zip(seeds, level)}
+    for codes, _ in levels:
+        index = {code: i for i, code in enumerate(codes.tolist())}
+        states = [step(first_edge[code % n_cls], states[code // n_cls]) for code in index]
+        blocks: list[list[tuple[int, int]]] = [[] for _ in diagram.root_edges]
         for pos, (root, state) in enumerate(level):
             blocks[root].append((pos, state))
-        steps: dict[tuple[int, int], int] = {}
-        new_states: list = []
-        paths: list[tuple[int, int, int, int]] = []
-        for root, root_moves in enumerate(moves):
-            for ei, parent_root, cls in root_moves:
-                for pos, state in blocks[parent_root]:
-                    child = steps.get((state, cls))
-                    if child is None:
-                        child = steps[(state, cls)] = len(new_states)
-                        new_states.append(step(ei, states[state]))
-                    paths.append((root, ei, pos, child))
-        yield new_states, paths
-        level = [(root, child) for root, _, _, child in paths]
-        states = new_states
+        # under root edge (v, k), an out-edge e of v takes the paths under (r(e), k)
+        paths = [(root, ei, pos, index[state * n_cls + classes[ei]])
+                 for root, edge in enumerate(diagram.root_edges)
+                 for ei in diagram.out_edges[edge.vertex]
+                 for pos, state in blocks[diagram.root_edge_index(diagram.edges[ei].target,
+                                                                  edge.slot)]]
+        yield states, paths
+        level = [(root, state) for root, _, _, state in paths]
 
 
 def recursive_spectrum(table: AffineMapTable, depth: int) -> list[SpectralRecord]:
@@ -295,7 +312,7 @@ def recursive_spectrum(table: AffineMapTable, depth: int) -> list[SpectralRecord
     and float value."""
     out = list(table.seeds)
     level = [rec for rec in out if rec.label == "path"]
-    levels = _grow(table, depth, lambda rec: rec.value, table.apply)
+    levels = _expand(table, depth, lambda rec: rec.value, table.apply)
     for gen, (states, paths) in enumerate(levels, 2):
         floats = [float(value) for value in states]
         level = [SpectralRecord("path", Path(root, (ei,) + level[pos].path.edges), gen,
@@ -370,7 +387,7 @@ def companion_embedding(perron: PerronData, s) -> CompanionData:
     cmat = _linalg.mat_pow(_companion(subst), k)
     degree = len(cmat)
 
-    eigs = np.linalg.eigvals(np.array(cmat, float))
+    eigs, p = np.linalg.eig(np.array(cmat, float))
     mods = np.abs(eigs)
     unstable_mask = mods > 1.0
     hyperbolic = bool(np.all(np.abs(mods - 1.0) > 1e-9))
@@ -378,15 +395,14 @@ def companion_embedding(perron: PerronData, s) -> CompanionData:
     stable_mods = mods[~unstable_mask]
     stable_norm = float(stable_mods.max()) if stable_mods.size else 0.0
 
-    w, p = np.linalg.eig(np.array(cmat, float))
     p = p / np.linalg.norm(p, axis=0)
     p_inv_norm = float(np.linalg.norm(np.linalg.inv(p), 2))
     cols = []
     for i in range(degree):
-        if abs(w[i]) > 1.0:
+        if abs(eigs[i]) > 1.0:
             v = p[:, i]
             cols.append(np.real(v))
-            if abs(np.imag(w[i])) > 1e-12:
+            if abs(np.imag(eigs[i])) > 1e-12:
                 cols.append(np.imag(v))
     if not cols:
         raise CuntzError("companion matrix has no unstable direction")
@@ -488,8 +504,8 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
     per_gen: dict[int, float] = {}
     grown: list[tuple[str, float]] = []
     tails = [""] * sum(rec.label == "path" for rec in table.seeds)
-    levels = _grow(table, depth, lambda rec: numerators(lattice_coords(embedding, rec.value)),
-                   step)
+    levels = _expand(table, depth,
+                     lambda rec: numerators(lattice_coords(embedding, rec.value)), step)
     for gen, (states, paths) in enumerate(levels, 2):
         dists = [distance(nums) for nums in states]
         tails = ["." + diagram.segments[ei] + tails[pos] for _, ei, pos, _ in paths]

@@ -136,7 +136,10 @@ def theta_field(matrix) -> Backend:
     """The smallest exact backend that holds the Perron eigenvalue: rational
     for an integer theta, else quadratic:D with D the square-free part of the
     discriminant p^2 - 4q of its minimal polynomial."""
-    cert = _theta_certificate(matrix)
+    return _certified_field(_theta_certificate(matrix))
+
+
+def _certified_field(cert: _Certificate | None) -> Backend:
     if cert is None:
         raise MeasureError("Perron eigenvalue has algebraic degree > 2, so no rational "
                            "or quadratic field holds it")
@@ -211,11 +214,23 @@ def perron(diagram: BratteliDiagram, backend: Backend, dimension: int = 1) -> Pe
     """Perron-Frobenius eigenvalue and right eigenvector of the diagram's
     matrix, with the eigenvector normalized so that g * sum(v) = 1.  On an
     exact backend both are read off theta's certificate."""
+    cert = _theta_certificate(diagram.matrix) if backend.is_exact else None
+    return _perron(diagram, backend, dimension, cert)
+
+
+def field_perron(diagram: BratteliDiagram, dimension: int = 1) -> PerronData:
+    """`perron` on `theta_field`'s backend, the smallest exact field of
+    theta, with the field and the data read off one certificate."""
+    cert = _theta_certificate(diagram.matrix)
+    return _perron(diagram, _certified_field(cert), dimension, cert)
+
+
+def _perron(diagram: BratteliDiagram, backend: Backend, dimension: int,
+            cert: _Certificate | None) -> PerronData:
     if dimension < 1:
         raise MeasureError("dimension must be >= 1")
     poly = None
     if backend.is_exact:
-        cert = _theta_certificate(diagram.matrix)
         theta, v = _exact_theta(cert, backend)
         poly = cert.poly
     else:

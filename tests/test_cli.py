@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bratlap
-from bratlap import laplacian
+from bratlap import laplacian, measure
 from bratlap.cli import main
 from bratlap.presets import preset_names
 
@@ -469,6 +469,23 @@ def test_strip_refuses_a_cubic_theta(matrix_files, capsys):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "degree > 2" in err and "approx" not in err
+
+
+@pytest.mark.parametrize("argv", [["strip", "--preset", "fibonacci", "--depth", "4"],
+                                  ["weyl", "--preset", "fibonacci"]])
+def test_theta_is_certified_once_per_command(argv, monkeypatch, capsys):
+    # strip reads its field and its Perron data off one certificate
+    calls = []
+    certify = measure._theta_certificate
+
+    def counted(matrix):
+        calls.append(matrix)
+        return certify(matrix)
+
+    monkeypatch.setattr(measure, "_theta_certificate", counted)
+    code, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,7 +21,8 @@ from bratlap.cuntz import (
     recursive_spectrum,
     strip_check,
 )
-from bratlap.diagram import EMPTY_PATH, Path, build_diagram, enumerate_paths
+from bratlap.diagram import (EMPTY_PATH, Path, build_diagram, enumerate_paths, path_counts,
+                             predicted_path_count)
 from bratlap.laplacian import full_spectrum, g_value
 from bratlap.measure import WeightSystem, mu, perron, theta_field
 from bratlap.presets import PRESETS, load_preset, preset_names
@@ -49,15 +50,15 @@ def strip_coordinates(embedding, table, depth):
     expanded from their values, the others read off the recursion states as
     numerators over the lcm of the betas' and seeds' denominators."""
     levels = []
-    grow = cuntz._grow
+    expand = cuntz._expand
 
     def spy(*args):
-        for states, paths in grow(*args):
+        for states, paths in expand(*args):
             levels.append([states[state] for _, _, _, state in paths])
             yield states, paths
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cuntz, "_grow", spy)
+        mp.setattr(cuntz, "_expand", spy)
         report = strip_check(embedding, table, depth)
     seeds = [lattice_coords(embedding, rec.value) for rec in table.seeds]
     den = math.lcm(*(c.denominator for vec in seeds for c in vec),
@@ -508,6 +509,54 @@ def test_recursion_record_cap_is_the_total_it_grows(name, monkeypatch):
     monkeypatch.setattr(cuntz, "DEFAULT_PATH_CAP", total - 1)
     with pytest.raises(CuntzError, match="record cap"):
         recursive_spectrum(table, 6)
+
+
+def _check_level(diagram, classes, codes, counts, rows):
+    """The rows (path, multiplicity, state index) of one generation against
+    its counted level: counts[v, i] is the summed multiplicity of the rows
+    from root vertex v in state i, and a state is one (seed vertex, beta
+    class sequence)."""
+    summed = Counter()
+    keys: dict[int, set] = {}
+    for path, mult, state in rows:
+        summed[diagram.root_edges[path.root].vertex, state] += mult
+        keys.setdefault(state, set()).add(
+            (diagram.path_range(path), tuple(classes[ei] for ei in path.edges)))
+    assert {(v, i): int(counts[v, i]) for v, i in zip(*counts.nonzero())} == summed
+    assert sorted(keys) == list(range(codes.size))
+    assert all(len(k) == 1 for k in keys.values())
+    assert len(set.union(*keys.values())) == codes.size
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_counted_and_per_path_views_of_the_recursion_agree(name):
+    # the counted levels that magnitude_table projects and the per-path rows
+    # that strip and recursive_spectrum read come from one engine: per
+    # generation, a state's multiplicity is that of its rows, summed, and
+    # the total over all generations is the path count |Pi_8|
+    bundle = load_preset(name)
+    diagram = bundle.weight_system.diagram
+    splits = [v for v in range(diagram.n_letters) if len(diagram.out_edges[v]) >= 2]
+    for s in sorted({0, 1, bundle.dimension}):
+        table = affine_table(bundle.weight_system, s)
+        classes = table.beta_classes()
+        levels = list(cuntz._grow(table, 7))
+        grown = list(cuntz._expand(table, 7, lambda rec: None, lambda ei, state: None))
+        assert len(levels) == 7 and len(grown) == 6
+        seeds = [rec for rec in table.seeds if rec.label == "path"]
+        zs = levels[0][0].tolist()
+        rows = [(rec.path, rec.multiplicity, zs.index(diagram.path_range(rec.path)))
+                for rec in seeds]
+        total = sum(rec.multiplicity for rec in table.seeds if rec.generation == 0)
+        for n, ((codes, counts), row_counts) in enumerate(zip(levels, path_counts(diagram)), 1):
+            if n > 1:
+                _, paths = grown[n - 2]
+                rows = [(Path(root, (ei,) + rows[pos][0].edges), rows[pos][1], state)
+                        for root, ei, pos, state in paths]
+            _check_level(diagram, classes, codes, counts, rows)
+            assert len(rows) == sum(row_counts[v] for v in splits), (s, n)
+            total += int(counts.sum())
+        assert total == predicted_path_count(diagram, 8), s
 
 
 def test_relation_check_refuses_a_depth_past_the_cap(monkeypatch):
