@@ -116,7 +116,8 @@ def magnitude_table(table: AffineMapTable, depth: int) -> GenerationSpectrum:
 
     Multiplicities are exact int64 counts: a depth whose total |Pi_(depth+1)|
     exceeds 2**63 - 1 raises AsymptoticsError, and so does a magnitude that
-    leaves the float range."""
+    leaves the float range; a generation of more than DEFAULT_PATH_CAP
+    states raises CuntzError."""
     _check_weight_range(table.diagram, depth)
     kernel = [rec for rec in table.seeds if rec.generation == 0]   # zero and root
     magnitudes = [np.array([abs(rec.value_float) for rec in kernel])]
@@ -482,8 +483,6 @@ def factor_complexity(rule: SubstitutionRule, n_max: int) -> ComplexityTable:
     word = [seed]
     for _ in range(power):
         word = substitute(word)
-    if word[0] != seed:
-        raise AsymptoticsError("substitution rule admits no fixed-point seed")
 
     prev_counts = None
     rounds = 0

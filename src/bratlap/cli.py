@@ -181,7 +181,7 @@ def _resolve_system(args, parser, reads):
             if "--backend" not in reads:
                 return spec, diagram, dimension, backend, None
             pdata = perron(diagram, backend, dimension=dimension)
-    except (DiagramError, MeasureError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))
     ws = WeightSystem(diagram, pdata,
                       approx_bits=getattr(args, "precision", DEFAULT_APPROX_BITS))
@@ -246,10 +246,7 @@ def cmd_spectrum(args, parser, em, inputs) -> int:
 
 
 def cmd_dense(args, parser, em, inputs) -> int:
-    try:
-        op = laplacian.dense_restriction(inputs.ws, args.depth, inputs.s)
-    except laplacian.LaplacianError as exc:
-        parser.error(str(exc))
+    op = laplacian.dense_restriction(inputs.ws, args.depth, inputs.s)
     try:
         eigs = laplacian.dense_spectrum(op)
     except laplacian.SlotSymmetryError as exc:
@@ -306,10 +303,7 @@ def cmd_weyl(args, parser, em, inputs) -> int:
         if not (0 < a < b < math.inf and steps >= 1):
             parser.error("--grid needs finite 0 < a < b and steps >= 1")
         grid = np.geomspace(a, b, steps)
-    try:
-        result = asymptotics.weyl_count(spec, table.lam_float, grid=grid)
-    except asymptotics.AsymptoticsError as exc:
-        parser.error(str(exc))
+    result = asymptotics.weyl_count(spec, table.lam_float, grid=grid)
     em.section("counting", ["threshold", "count"],
                [[_fmt(t), c] for t, c in result.samples])
     bounds = inputs.meta.get("reference", {}).get("weyl_bounds")
@@ -348,10 +342,7 @@ def cmd_heat(args, parser, em, inputs) -> int:
         parser.error(f"--depth {args.depth}: Lambda^{first} leaves the float "
                      f"range; the largest usable depth is {first - 3}")
     grid = np.geomspace(args.tmin, args.tmax, args.points)
-    try:
-        result = asymptotics.heat_trace(table, grid, depth=args.depth)
-    except asymptotics.AsymptoticsError as exc:
-        parser.error(str(exc))
+    result = asymptotics.heat_trace(table, grid, depth=args.depth)
     em.config.update(tmin=_fmt(args.tmin), tmax=_fmt(args.tmax))
     em.section("trace", ["t", "trace", "tail_bound"],
                [[_fmt(t), _fmt(tr), _fmt(tail)] for t, tr, tail in result.samples])
@@ -394,10 +385,7 @@ def cmd_complexity(args, parser, em, inputs) -> int:
         parser.error("--nmax must be >= 1")
     if inputs.rule is None:
         parser.error("complexity needs a preset backed by a 1D substitution rule")
-    try:
-        result = asymptotics.factor_complexity(inputs.rule, args.nmax)
-    except asymptotics.AsymptoticsError as exc:
-        parser.error(str(exc))
+    result = asymptotics.factor_complexity(inputs.rule, args.nmax)
     em.section("complexity", ["n", "p", "nu"],
                [[n, result.p(n), "" if n < 2 else _fmt(result.nu(n))]
                 for n in range(1, args.nmax + 1)])

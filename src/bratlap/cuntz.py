@@ -242,9 +242,17 @@ def _grow(table: AffineMapTable, depth: int):
     mult = np.array([rec.multiplicity for rec in seeds], dtype=np.int64)
     for gen in range(1, max(depth, 1) + 1):
         if gen > 1:
+            # one candidate state per step and parent state reached from its
+            # vertex: their total is capped before the generation's arrays
+            rows = [np.flatnonzero(c) for c in counts]
+            total = sum(rows[v1].size for v1, _, _ in steps)
+            if total > DEFAULT_PATH_CAP:
+                raise CuntzError(f"generation {gen} of the recursion would grow {total} "
+                                 f"states, more than the {DEFAULT_PATH_CAP}-state cap; "
+                                 f"the largest usable depth is {gen - 1}")
             dst, code, mult = [], [], []
             for (v1, u, cls), k in steps.items():
-                idx = np.flatnonzero(counts[v1])
+                idx = rows[v1]
                 dst.append(np.full(idx.size, u))
                 code.append(idx * n_cls + cls)
                 mult.append(counts[v1, idx] * k)

@@ -246,19 +246,19 @@ def spectrum_multiset(records: list[SpectralRecord]) -> list[float]:
 
 @dataclass
 class DenseOperator:
-    """Matrix of Delta_s restricted to the generation-n cylinder functions,
-    rows and columns in path-table order.
-
-    The table is in root-edge order: vertex by vertex, and within a vertex
-    slot by slot, the paths under root edge (v, k) fill one contiguous range
-    of width slot_widths[v].  The matrix is `floats`, a float64 array, or,
-    when every entry stays in the backend's field, values[index]: `values`
-    the distinct exact scalars and `index` an unsigned integer array."""
+    """Matrix of Delta_s restricted to the generation-n cylinder functions, rows
+    and columns in path-table order: root-edge order, vertex by vertex, and
+    within a vertex slot by slot, the paths under root edge (v, k) filling one
+    contiguous range of width slot_widths[v].  Path i has measure
+    mu_values[vertex[i]].  The matrix is `floats`, a float64 array, or, when
+    every entry stays in the backend's field, values[index]: `values` the
+    distinct exact scalars and `index` an unsigned integer array."""
 
     generation: int
     s: Fraction
     table: PathTable
     mu_values: tuple
+    vertex: np.ndarray
     symmetry_order: int
     slot_widths: tuple[int, ...]
     floats: np.ndarray | None = None
@@ -278,7 +278,7 @@ class DenseOperator:
             else self.floats
 
     def mu_float(self) -> np.ndarray:
-        return np.array(self.mu_values, dtype=float)
+        return np.array(self.mu_values, dtype=float)[self.vertex]
 
     def symmetrized(self) -> np.ndarray:
         """D^(1/2) M D^(-1/2): symmetric with the same spectrum."""
@@ -309,7 +309,9 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     exact = ws.backend.is_exact and Fraction(2 - s, ws.dimension).denominator == 1
 
     cache = StationaryCache(ws, s)
-    mu_full = tuple(cache.mu_at(p) for p in table.paths)
+    vertex = np.array([diagram.path_range(p) for p in table.paths])
+    mu_values = tuple(cache.mu_at(table.paths[i])
+                      for i in np.unique(vertex, return_index=True)[1])
     # subtree sizes: number of generation-n paths below a generation-k vertex
     sizes = {n: [1] * diagram.n_letters}
     for k in range(n - 1, 0, -1):
@@ -317,9 +319,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
 
     values: list = []
     meet_ids: dict[tuple[int, int], np.ndarray] = {}
-    col_vertex = np.array([diagram.path_range(p) for p in table.paths])
-    mu_at_vertex = dict(zip(col_vertex.tolist(), mu_full))
-    mu_col = None if exact else np.array(mu_full, dtype=float)
+    mu_col = None if exact else np.array(mu_values, dtype=float)[vertex]
     # exact: one id per diagonal entry and at most one per (meet key, letter)
     letters = diagram.n_letters
     matrix = np.zeros((size, size), dtype=np.min_scalar_type(
@@ -339,10 +339,10 @@ def dense_restriction(ws: WeightSystem, n: int, s,
         ids = meet_ids.get(cache._key(meet))
         if ids is None:
             ids = meet_ids[cache._key(meet)] = np.zeros(diagram.n_letters, matrix.dtype)
-            for v in set(col_vertex[lo:hi].tolist()):
+            for v in set(vertex[lo:hi].tolist()):
                 ids[v] = len(values)
-                values.append(mu_at_vertex[v] * cache.inv_g_at(meet))
-        return ids[col_vertex[lo:hi]]
+                values.append(mu_values[v] * cache.inv_g_at(meet))
+        return ids[vertex[lo:hi]]
 
     def walk(path: Path, lo: int, partial) -> None:
         depth = path.generation
@@ -366,7 +366,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
             walk(children[0], lo, partial)
 
     walk(EMPTY_PATH, 0, ws.backend.zero)
-    op = DenseOperator(n, s, table, mu_full, diagram.symmetry_order, tuple(sizes[1]))
+    op = DenseOperator(n, s, table, mu_values, vertex, diagram.symmetry_order, tuple(sizes[1]))
     if not exact:
         op.floats = matrix
     elif any(isinstance(v, ApproxReal) for v in values):
@@ -553,7 +553,7 @@ def _verify_exact_relations(ws: WeightSystem, op: DenseOperator,
 
             # rows outside the base subtree see the support through one common
             # meet, so they vanish exactly as soon as sum(mu_j v_j) does
-            if numerators_mv(mus, np.arange(len(op.table))) != (0, 0):
+            if numerators_mv(mus, op.vertex) != (0, 0):
                 return False
             for i in op.table.span(base):
                 t = 2 if i in pos else 3 if i in neg else 4

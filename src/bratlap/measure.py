@@ -42,8 +42,8 @@ class PerronData:
     """Spectral data of a diagram's matrix: the Perron eigenvalue theta and
     its right eigenvector, normalized so that the root-edge cylinders have
     total measure one; v_right drives every cylinder measure.  `min_poly` is
-    theta's certified minimal polynomial (see `theta_min_poly`), None on an
-    approximate backend."""
+    theta's certified minimal polynomial in ascending coefficients (see
+    `_theta_certificate`), None on an approximate backend."""
 
     backend: Backend
     theta: object
@@ -123,29 +123,6 @@ def _theta_certificate(matrix) -> _Certificate | None:
     return None
 
 
-def theta_min_poly(matrix) -> tuple[int, ...] | None:
-    """Minimal polynomial of the Perron eigenvalue theta of a primitive integer
-    matrix, in ascending coefficients: (-theta, 1) for an integer theta,
-    (q, p, 1) for a root of x^2 + p x + q, and None for a theta of higher
-    degree (see `_theta_certificate`)."""
-    cert = _theta_certificate(matrix)
-    return None if cert is None else cert.poly
-
-
-def theta_field(matrix) -> Backend:
-    """The smallest exact backend that holds the Perron eigenvalue: rational
-    for an integer theta, else quadratic:D with D the square-free part of the
-    discriminant p^2 - 4q of its minimal polynomial."""
-    return _certified_field(_theta_certificate(matrix))
-
-
-def _certified_field(cert: _Certificate | None) -> Backend:
-    if cert is None:
-        raise MeasureError("Perron eigenvalue has algebraic degree > 2, so no rational "
-                           "or quadratic field holds it")
-    return cert.field
-
-
 def _exact_theta(cert: _Certificate | None, backend) -> tuple[object, list]:
     """theta and its certified eigenvector, mapped into an exact backend."""
     if cert is None:
@@ -169,12 +146,10 @@ def _exact_eigenvector(matrix, theta, backend) -> list:
     r = len(matrix)
     rows = [[backend.make(matrix[i][j]) - (theta if i == j else backend.zero)
              for j in range(r)] for i in range(r)]
+    # kernel_vector sets its free entry to one, so a one-signed vector is positive
     vec = _linalg.kernel_vector(rows, backend)
-    signs = {scalar_sign(x) for x in vec}
-    if 0 in signs or len(signs) != 1:
+    if any(scalar_sign(x) <= 0 for x in vec):
         raise MeasureError("kernel vector is not strictly one-signed; matrix primitive?")
-    if signs == {-1}:
-        vec = [-x for x in vec]
     return vec
 
 
@@ -219,10 +194,13 @@ def perron(diagram: BratteliDiagram, backend: Backend, dimension: int = 1) -> Pe
 
 
 def field_perron(diagram: BratteliDiagram, dimension: int = 1) -> PerronData:
-    """`perron` on `theta_field`'s backend, the smallest exact field of
-    theta, with the field and the data read off one certificate."""
+    """`perron` on the smallest exact field of theta, rational or quadratic:D,
+    with the field and the data read off one certificate."""
     cert = _theta_certificate(diagram.matrix)
-    return _perron(diagram, _certified_field(cert), dimension, cert)
+    if cert is None:
+        raise MeasureError("Perron eigenvalue has algebraic degree > 2, so no rational "
+                           "or quadratic field holds it")
+    return _perron(diagram, cert.field, dimension, cert)
 
 
 def _perron(diagram: BratteliDiagram, backend: Backend, dimension: int,

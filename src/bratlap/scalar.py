@@ -343,9 +343,6 @@ class ApproxReal:
     def __hash__(self):
         return hash((self._mpf, self.precision))
 
-    def __reduce__(self):
-        return _approx, (self._mpf, self.precision)
-
     def sign(self) -> int:
         return mpf_sign(self._mpf)
 

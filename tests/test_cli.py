@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bratlap
-from bratlap import laplacian, measure
+from bratlap import cuntz, laplacian, measure
 from bratlap.cli import main
 from bratlap.presets import preset_names
 
@@ -500,6 +500,44 @@ def test_bad_numbers_are_clean_usage_errors(argv):
     code, err = _checked_run(argv)
     _assert_clean(code, err, argv, codes=(2,))
     assert "error: " in err
+
+
+def test_presets_lists_every_preset(capsys):
+    code, out = run_cli(["presets"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == ["# bratlap presets", "# section=presets",
+                         "name,dimension,symmetry_order,backend,transversal_faithful,"
+                         "description"]
+    assert [line.split(",")[0] for line in lines[3:]] == preset_names()
+    assert lines[3] == ('fibonacci,1,1,quadratic:5,False,'
+                        '"uncollared golden-mean substitution a->ab, b->a"')
+
+
+_USAGE_ERRORS = [
+    (["spectrum", "--preset", "fibonacci", "--s", "abc"], "--s must be rational, got 'abc'"),
+    (["weyl", "--preset", "fibonacci", "--grid", "1:2"], "--grid must look like a:b:steps"),
+    # factor_complexity's AsymptoticsError reaches the user through main
+    (["complexity", "--preset", "fibonacci", "--nmax", "600000"],
+     "fixed-point prefix exceeded 2000000 letters"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in _USAGE_ERRORS])
+def test_usage_errors_name_their_cause(argv, message):
+    code, err = _exit_code(argv)
+    assert code == 2
+    assert err.endswith(f"bratlap: error: {message}\n")
+
+
+def test_self_calibration_failure_is_a_usage_error(monkeypatch):
+    calibrate = cuntz._self_calibrate
+    monkeypatch.setattr(cuntz, "_self_calibrate", lambda ws, oracle, lam, betas:
+                        calibrate(ws, oracle, lam, [betas[0] + 1, *betas[1:]]))
+    code, err = _exit_code(["weyl", "--preset", "fibonacci", "--depth", "4"])
+    assert code == 2
+    assert "bratlap: error: affine-table self-calibration failed on edge 0 over " in err
 
 
 @pytest.mark.parametrize("s", ["100000000", "1e400"])

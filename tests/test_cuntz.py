@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from bratlap import cuntz
+from bratlap import asymptotics, cuntz
+from bratlap.cli import main
 from bratlap.cuntz import (
     CuntzError,
     affine_table,
@@ -24,7 +25,7 @@ from bratlap.cuntz import (
 from bratlap.diagram import (EMPTY_PATH, Path, build_diagram, enumerate_paths, path_counts,
                              predicted_path_count)
 from bratlap.laplacian import full_spectrum, g_value
-from bratlap.measure import WeightSystem, mu, perron, theta_field
+from bratlap.measure import WeightSystem, _theta_certificate, mu, perron
 from bratlap.presets import PRESETS, load_preset, preset_names
 from bratlap.scalar import (ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend,
                             compare)
@@ -411,7 +412,7 @@ STRIP_S = {"fibonacci": [-1, 0, 1, 2], "fibonacci-conjugate": [-1, 0, 1, 2],
 @pytest.mark.parametrize("name", preset_names())
 def test_strip_coordinates_reconstruct_their_values(name):
     # the recursion grows coordinates with C_s, which multiplies by Lambda_s
-    ws = load_preset(name, backend=theta_field(PRESETS[name].matrix)).weight_system
+    ws = load_preset(name, backend=_theta_certificate(PRESETS[name].matrix).field).weight_system
     accepted = []
     for s in (-1, 0, 1, 2):
         table = affine_table(ws, s)
@@ -509,6 +510,31 @@ def test_recursion_record_cap_is_the_total_it_grows(name, monkeypatch):
     monkeypatch.setattr(cuntz, "DEFAULT_PATH_CAP", total - 1)
     with pytest.raises(CuntzError, match="record cap"):
         recursive_spectrum(table, 6)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "penrose"])
+def test_recursion_state_cap_refuses_before_growing(name, monkeypatch, capsys):
+    # generation n grows one candidate state per (step from a vertex, state
+    # reached from it); their total is checked against the cap before any
+    # array of generation n is built, and names the largest usable depth
+    table = affine_table(load_preset(name).weight_system, load_preset(name).dimension)
+    steps = Counter((e.target, e.source, cls)
+                    for e, cls in zip(table.diagram.edges, table.beta_classes()))
+    candidates = [sum(int((counts[v1] > 0).sum()) for v1, _, _ in steps)
+                  for _, counts in cuntz._grow(table, 5)]
+    assert candidates == sorted(set(candidates))    # strictly growing
+    monkeypatch.setattr(cuntz, "DEFAULT_PATH_CAP", candidates[-1])
+    assert len(asymptotics.magnitude_table(table, 6).magnitudes) == 7
+    monkeypatch.setattr(cuntz, "DEFAULT_PATH_CAP", candidates[-1] - 1)
+    message = (f"generation 6 of the recursion would grow {candidates[-1]} states, "
+               f"more than the {candidates[-1] - 1}-state cap; the largest usable depth is 5")
+    with pytest.raises(CuntzError) as exc:
+        asymptotics.magnitude_table(table, 6)
+    assert str(exc.value) == message
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl", "--preset", name, "--depth", "6"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 def _check_level(diagram, classes, codes, counts, rows):

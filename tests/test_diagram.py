@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
 
@@ -86,6 +87,32 @@ def test_build_rejects_bad_matrices():
         build_diagram([[1, 1], [1]])           # ragged
     with pytest.raises(DiagramError):
         build_diagram([[2]], symmetry_order=0)
+
+
+def _small_primitive_matrices():
+    """Every primitive matrix other than (1) that is 1x1 with entry <= 3, 2x2
+    with entries <= 2, or 3x3 with 0/1 entries."""
+    for r, top in ((1, 3), (2, 2), (3, 1)):
+        for flat in product(range(top + 1), repeat=r * r):
+            m = [list(flat[i * r:(i + 1) * r]) for i in range(r)]
+            if m != [[1]] and is_primitive(m):
+                yield m
+
+
+def test_every_vertex_carries_two_paths_of_length_r():
+    # the two-infinite-paths hypothesis, which build_diagram does not check
+    # again: it follows from primitivity and the refusal of (1)
+    built = 0
+    for m in _small_primitive_matrices():
+        diagram = build_diagram(m)
+        r = diagram.n_letters
+        counts = [1] * r    # paths of length k down from each vertex
+        for _ in range(r):
+            counts = [sum(counts[diagram.edges[ei].target] for ei in diagram.out_edges[v])
+                      for v in range(r)]
+        assert min(counts) >= 2, m
+        built += 1
+    assert built == 2 + 32 + 139
 
 
 def test_is_primitive():

@@ -234,7 +234,8 @@ def test_dense_mu_symmetry_exact():
     n = len(op.table)
     for i in range(n):
         for j in range(n):
-            assert op.mu_values[i] * op.matrix[i][j] == op.mu_values[j] * op.matrix[j][i]
+            mu_i, mu_j = op.mu_values[op.vertex[i]], op.mu_values[op.vertex[j]]
+            assert mu_i * op.matrix[i][j] == mu_j * op.matrix[j][i]
 
 
 def test_dense_nonpositive_spectrum_at_s_equals_d():
@@ -279,7 +280,9 @@ def _edit_entries(op, edits):
 
 
 def _scale_first_measure(op):
-    op.mu_values = (op.mu_values[0] * (1 + EPS),) + tuple(op.mu_values[1:])
+    """Scale the measure of every path at the first path's range vertex."""
+    v = op.vertex[0]
+    op.mu_values = op.mu_values[:v] + (op.mu_values[v] * (1 + EPS),) + op.mu_values[v + 1:]
     return op
 
 
@@ -358,15 +361,16 @@ def test_interned_matrix_equals_object_matrix(preset):
                     meet = longest_common_prefix(p, q)
                     if meet not in inv_g:
                         inv_g[meet] = 1 / g_value(ws, meet, s)
-                    assert full[i, j] == op.mu_values[j] * inv_g[meet], (n, s, i, j)
+                    assert full[i, j] == op.mu_values[op.vertex[j]] * inv_g[meet], \
+                        (n, s, i, j)
             assert op.as_float().tobytes() == full.astype(float).tobytes(), (n, s)
             ranges = {op.table.span(p.prefix(k)) for p in op.table.paths
                       for k in range(n + 1)}
             entries = laplacian._Numerators(op.values)
             mus = laplacian._Numerators(op.mu_values)
             for r in ranges:
-                plain = sum(op.mu_values[r.start:r.stop], zero)
-                assert mus.dot(np.arange(r.start, r.stop)) == parts(plain * mus.den)
+                plain = sum((op.mu_values[v] for v in op.vertex[r.start:r.stop]), zero)
+                assert mus.dot(op.vertex[r.start:r.stop]) == parts(plain * mus.den)
                 for i, row in enumerate(full):
                     plain = sum(row[r.start:r.stop], zero)
                     assert entries.dot(op.index[i, r.start:r.stop]) == \

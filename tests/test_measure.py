@@ -22,10 +22,9 @@ from bratlap.measure import (
     _theta_certificate,
     WeightSystem,
     diam_power,
+    field_perron,
     mu,
     perron,
-    theta_field,
-    theta_min_poly,
     zeta_partial,
 )
 from bratlap.presets import PRESETS
@@ -137,8 +136,8 @@ def test_theta_is_the_eigenvalue_with_a_positive_eigenvector():
     # diagram of this matrix would hold 8 * 10**6 edge models, so the
     # certificate is checked directly
     m = ((4 * 10 ** 6, 1), (1, 4 * 10 ** 6))
-    assert theta_field(m) == RAT
     cert = _theta_certificate(m)
+    assert cert.field == RAT
     assert cert.theta == 4 * 10 ** 6 + 1
     assert cert.poly == (-(4 * 10 ** 6 + 1), 1)
     assert cert.vector[0] == cert.vector[1] > 0
@@ -149,8 +148,8 @@ def test_theta_of_huge_entries_takes_no_divisor_search():
     # 10**24 - 1, would run to its square root, 10**12
     m = ((10 ** 12, 1), (1, 10 ** 12))
     start = time.perf_counter()
-    assert theta_field(m) == RAT
     cert = _theta_certificate(m)
+    assert cert.field == RAT
     assert cert.theta == 10 ** 12 + 1
     assert cert.poly == (-(10 ** 12 + 1), 1)
     assert cert.vector[0] == cert.vector[1] > 0
@@ -160,8 +159,9 @@ def test_theta_of_huge_entries_takes_no_divisor_search():
 def test_quadratic_theta_beside_the_eigenvalue_zero():
     # eigenvalues 0 and 1 -+ sqrt3; p^2 - 4q = 12, whose square-free part is 3
     m = ((0, 0, 1), (0, 0, 1), (1, 1, 2))
-    assert theta_field(m) == QuadraticBackend(3)
-    assert theta_min_poly(m) == (-2, -2, 1)
+    cert = _theta_certificate(m)
+    assert cert.field == QuadraticBackend(3)
+    assert cert.poly == (-2, -2, 1)
     p = perron(build_diagram(m), QuadraticBackend(3))
     assert p.theta == QuadraticBackend(3).make((1, 1))
     assert p.min_poly == (-2, -2, 1)
@@ -169,9 +169,9 @@ def test_quadratic_theta_beside_the_eigenvalue_zero():
 
 def test_cubic_theta_has_no_field():
     plastic = ((0, 1, 0), (0, 0, 1), (1, 1, 0))
-    assert theta_min_poly(plastic) is None
+    assert _theta_certificate(plastic) is None
     with pytest.raises(MeasureError, match="degree > 2, so no rational or quadratic "):
-        theta_field(plastic)
+        field_perron(build_diagram(plastic))
     with pytest.raises(MeasureError, match="degree > 2; use an approx backend"):
         perron(build_diagram(plastic), RAT)
     assert perron(build_diagram(plastic), ApproxBackend(64)).min_poly is None
@@ -182,9 +182,8 @@ def test_theta_beyond_exact_float_candidates_refused():
     # a candidate rounded from floats is no longer exact
     n = 10 ** 8
     m = ((n, 1, 0), (0, n, 1), (1, 1, n))
-    for call in (lambda: theta_field(m), lambda: theta_min_poly(m)):
-        with pytest.raises(MeasureError, match="float spectrum cannot decide .* 2\\^53"):
-            call()
+    with pytest.raises(MeasureError, match="float spectrum cannot decide .* 2\\^53"):
+        _theta_certificate(m)
 
 
 def _sympy_min_poly(matrix):
@@ -205,14 +204,15 @@ def _sympy_min_poly(matrix):
 @settings(max_examples=150, deadline=None)
 def test_certified_min_poly_matches_sympy(matrix):
     assume(is_primitive(matrix) and matrix != [[1]])
-    assert theta_min_poly(matrix) == _sympy_min_poly(matrix)
+    cert = _theta_certificate(matrix)
+    assert (None if cert is None else cert.poly) == _sympy_min_poly(matrix)
 
 
 def _eliminated_v_right(diagram, backend):
     """The oracle for perron's exact eigenvector: A - theta*I eliminated again
     in the backend's field, with theta built from its certified polynomial,
     and normalized so that g * sum(v) = 1."""
-    theta = backend.make(_field_root(theta_min_poly(diagram.matrix))[1])
+    theta = backend.make(_field_root(_theta_certificate(diagram.matrix).poly)[1])
     v = _exact_eigenvector(diagram.matrix, theta, backend)
     total = v[0]
     for x in v[1:]:
@@ -225,7 +225,7 @@ def _eliminated_v_right(diagram, backend):
 # whose theta lies in another field
 EXACT_SYSTEMS = [(name, spec.matrix, spec.symmetry_order, backend)
                  for name, spec in PRESETS.items()
-                 for backend in ((RAT, Q5) if len(theta_min_poly(spec.matrix)) == 2
+                 for backend in ((RAT, Q5) if len(_theta_certificate(spec.matrix).poly) == 2
                                  else (Q5,))] + \
     [("zero-eigenvalue", ((0, 0, 1), (0, 0, 1), (1, 1, 2)), 1, QuadraticBackend(3)),
      ("sqrt13", ((3, 1), (1, 0)), 1, QuadraticBackend(13))]
@@ -247,7 +247,7 @@ def test_certified_vector_equals_a_second_elimination(name, matrix, g, backend, 
     # perron eliminates no more than the certificate alone, whose last
     # elimination is the accepted candidate's
     in_perron = len(eliminations)
-    theta_min_poly(matrix)
+    _theta_certificate(matrix)
     assert len(eliminations) == 2 * in_perron
 
 
