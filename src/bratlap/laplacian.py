@@ -32,6 +32,7 @@ from .measure import WeightSystem, diam_power, mu
 from .scalar import ApproxReal, QuadraticNumber
 
 DEFAULT_DENSE_CAP = 4096
+ROW_BLOCK = 256      # rows DenseOperator.symmetrized scales at a time
 
 
 class LaplacianError(ValueError):
@@ -250,9 +251,9 @@ class DenseOperator:
     and columns in path-table order: root-edge order, vertex by vertex, and
     within a vertex slot by slot, the paths under root edge (v, k) filling one
     contiguous range of width slot_widths[v].  Path i has measure
-    mu_values[vertex[i]].  The matrix is `floats`, a float64 array, or, when
-    every entry stays in the backend's field, values[index]: `values` the
-    distinct exact scalars and `index` an unsigned integer array."""
+    mu_values[vertex[i]].  The matrix is values[index]: `values` the distinct
+    entries, exact scalars when `exact` and floats otherwise, and `index` an
+    unsigned integer array."""
 
     generation: int
     s: Fraction
@@ -261,30 +262,30 @@ class DenseOperator:
     vertex: np.ndarray
     symmetry_order: int
     slot_widths: tuple[int, ...]
-    floats: np.ndarray | None = None
-    values: tuple = ()
-    index: np.ndarray | None = None
-
-    @property
-    def exact(self) -> bool:
-        return self.index is not None
+    exact: bool
+    values: tuple
+    index: np.ndarray
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array(self.values, dtype=object)[self.index] if self.exact else self.floats
+        return np.array(self.values, dtype=object)[self.index]
 
     def as_float(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])[self.index] if self.exact \
-            else self.floats
+        return np.array([float(v) for v in self.values])[self.index]
 
     def mu_float(self) -> np.ndarray:
         return np.array(self.mu_values, dtype=float)[self.vertex]
 
     def symmetrized(self) -> np.ndarray:
-        """D^(1/2) M D^(-1/2): symmetric with the same spectrum."""
+        """D^(1/2) M D^(-1/2): symmetric with the same spectrum.  The rows are
+        scaled in place, ROW_BLOCK at a time, by the same products as
+        m * np.outer(root, 1 / root), so no second full matrix is held."""
         m = self.as_float()
         root = np.sqrt(self.mu_float())
-        return m * np.outer(root, 1.0 / root)
+        inv_root = 1.0 / root
+        for lo in range(0, len(m), ROW_BLOCK):
+            m[lo:lo + ROW_BLOCK] *= np.outer(root[lo:lo + ROW_BLOCK], inv_root)
+        return m
 
 
 def dense_restriction(ws: WeightSystem, n: int, s,
@@ -293,9 +294,10 @@ def dense_restriction(ws: WeightSystem, n: int, s,
 
     Off-diagonal entries are mu[column]/G(meet); the diagonal accumulates the
     negative increment sum along each path.  Exact scalars are kept whenever
-    diam^(2-s) stays in the field, otherwise the matrix is float.  Exact values
+    diam^(2-s) stays in the field, otherwise the entries are floats.  Values
     are interned by (meet key, column range vertex), on which mu[column]/G
-    depends, and one per diagonal partial; an ApproxReal among them raises."""
+    depends, and one per diagonal partial; an ApproxReal among exact values
+    raises."""
     s = Fraction(s)
     if n < 1:
         raise LaplacianError("generation must be >= 1")
@@ -319,36 +321,34 @@ def dense_restriction(ws: WeightSystem, n: int, s,
 
     values: list = []
     meet_ids: dict[tuple[int, int], np.ndarray] = {}
-    mu_col = None if exact else np.array(mu_values, dtype=float)[vertex]
-    # exact: one id per diagonal entry and at most one per (meet key, letter)
+    # one id per diagonal entry and at most one per (meet key, letter)
     letters = diagram.n_letters
-    matrix = np.zeros((size, size), dtype=np.min_scalar_type(
-        size + (1 + n * letters) * letters) if exact else float)
+    index = np.zeros((size, size), dtype=np.min_scalar_type(size + (1 + n * letters) * letters))
 
     def meet_row(meet: Path, lo: int, hi: int) -> np.ndarray:
-        """mu[j]/G(meet) for the meet's columns lo:hi, as floats or value ids."""
-        if not exact:
-            gf = float(cache.g_at(meet))
-            # mu <= 1, so mu / G is finite for any G in the normal float range;
-            # G underflows at a large negative s
-            if abs(gf) < sys.float_info.min:
-                raise LaplacianError("dense matrix entries leave the float range; "
-                                     "try a larger s or a smaller depth")
-            return mu_col[lo:hi] / gf
+        """Value ids of mu[j]/G(meet) for the meet's columns lo:hi."""
         # the meet key fixes which letters its subtree reaches at generation n
         ids = meet_ids.get(cache._key(meet))
         if ids is None:
-            ids = meet_ids[cache._key(meet)] = np.zeros(diagram.n_letters, matrix.dtype)
+            ids = meet_ids[cache._key(meet)] = np.zeros(letters, index.dtype)
+            if not exact:
+                gf = float(cache.g_at(meet))
+                # mu <= 1, so mu / G is finite for any G in the normal float
+                # range; G underflows at a large negative s
+                if abs(gf) < sys.float_info.min:
+                    raise LaplacianError("dense matrix entries leave the float range; "
+                                         "try a larger s or a smaller depth")
             for v in set(vertex[lo:hi].tolist()):
                 ids[v] = len(values)
-                values.append(mu_values[v] * cache.inv_g_at(meet))
+                values.append(mu_values[v] * cache.inv_g_at(meet) if exact
+                              else float(mu_values[v]) / gf)
         return ids[vertex[lo:hi]]
 
     def walk(path: Path, lo: int, partial) -> None:
         depth = path.generation
         if depth == n:
-            matrix[lo, lo] = len(values) if exact else partial
-            values.append(partial)      # an id of its own; unread on the float path
+            index[lo, lo] = len(values)
+            values.append(partial if exact else float(partial))
             return
         ext = extensions(diagram, path)
         children = [path.child(e) for e in ext]
@@ -358,7 +358,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
             row = meet_row(path, lo, bounds[-1])
             for i, j in product(range(len(children)), repeat=2):
                 if i != j:
-                    matrix[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]] = \
+                    index[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]] = \
                         row[None, bounds[j] - lo:bounds[j + 1] - lo]
             for i, child in enumerate(children):
                 walk(child, bounds[i], partial + cache.step_at(path, child))
@@ -366,14 +366,10 @@ def dense_restriction(ws: WeightSystem, n: int, s,
             walk(children[0], lo, partial)
 
     walk(EMPTY_PATH, 0, ws.backend.zero)
-    op = DenseOperator(n, s, table, mu_values, vertex, diagram.symmetry_order, tuple(sizes[1]))
-    if not exact:
-        op.floats = matrix
-    elif any(isinstance(v, ApproxReal) for v in values):
+    if exact and any(isinstance(v, ApproxReal) for v in values):
         raise LaplacianError("an exact dense entry fell back to an approximate scalar")
-    else:
-        op.values, op.index = tuple(values), matrix
-    return op
+    return DenseOperator(n, s, table, mu_values, vertex, diagram.symmetry_order,
+                         tuple(sizes[1]), exact, tuple(values), index)
 
 
 class SlotSymmetryError(LaplacianError):

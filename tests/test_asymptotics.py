@@ -132,7 +132,7 @@ def test_magnitude_table_keeps_one_entry_per_state():
 
 def test_magnitude_table_refuses_depth_beyond_int64_weights():
     table = tm_setup()
-    with pytest.raises(AsymptoticsError, match="largest depth for this diagram is 61"):
+    with pytest.raises(AsymptoticsError, match="int64 bound for this diagram is depth 61"):
         magnitude_table(table, 62)
 
 

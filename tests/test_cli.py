@@ -216,7 +216,8 @@ def test_dense_broken_slot_symmetry_exits_one(monkeypatch, capsys):
 
     def perturbed(*args, **kwargs):
         op = build(*args, **kwargs)
-        op.matrix[0, 0] += 1.0
+        op.values += (op.values[op.index[0, 0]] + 1.0,)
+        op.index[0, 0] = len(op.values) - 1
         return op
 
     monkeypatch.setattr(laplacian, "dense_restriction", perturbed)
@@ -376,7 +377,7 @@ def test_weyl_multiplicities_never_wrap(capsys):
     assert exc.value.code == 2
     assert captured.out == ""
     assert "2**63 - 1" in captured.err
-    assert "largest depth for this diagram is 61" in captured.err
+    assert "int64 bound for this diagram is depth 61" in captured.err
 
 
 _MATRICES = {

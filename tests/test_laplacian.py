@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -377,6 +378,53 @@ def test_interned_matrix_equals_object_matrix(preset):
                         parts(plain * entries.den), (n, s, i, r)
 
 
+FLOAT_CASES = [("penrose", "approx:200", Fraction(1, 2)), ("penrose", "approx:200", 2),
+               ("ammann-a2", "approx:200", Fraction(1, 2)), ("ammann-a2", "approx:200", 2),
+               # (2 - s)/d = 3/2 leaves Q(sqrt5), so the exact backend goes float
+               ("fibonacci-conjugate", "quadratic:5", Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("preset, backend, s", FLOAT_CASES)
+def test_interned_float_matrix_equals_direct_formula(preset, backend, s):
+    """values[index] on the float path: each off-diagonal entry is
+    float(mu_j) / float(G(meet)) by the direct formula, each diagonal entry the
+    float of the prefix-increment sum formed as `eigenvalue` forms it, and
+    symmetrized() the bytes of m * np.outer(root, 1 / root)."""
+    ws = load_preset(preset, backend=backend).weight_system
+    inv_g = functools.cache(lambda path: 1 / g_value(ws, path, s))
+    mu_at = functools.cache(lambda path: mu(ws, path))
+    for n in range(2, 6):
+        op = dense_restriction(ws, n, s)
+        assert not op.exact and all(type(v) is float for v in op.values)
+        m, paths = op.as_float(), op.table.paths
+        mu_col = np.array([float(mu_at(p)) for p in paths])
+        checked = 0
+        for meet in {p.prefix(k) for p in paths for k in range(n)}:
+            ext = extensions(ws.diagram, meet)
+            if len(ext) < 2:
+                continue
+            gf = float(g_value(ws, meet, s))
+            spans = [op.table.span(meet.child(e)) for e in ext]
+            for rows, cols in product(spans, repeat=2):
+                if rows != cols:
+                    block = m[rows.start:rows.stop, cols.start:cols.stop]
+                    want = np.broadcast_to(mu_col[cols.start:cols.stop] / gf, block.shape)
+                    assert block.tobytes() == want.tobytes(), (n, meet)
+                    checked += block.size
+        assert checked == len(paths) * (len(paths) - 1)
+        for i, p in enumerate(paths):
+            acc = ws.backend.zero
+            for k in range(n):
+                pref = p.prefix(k)
+                if len(extensions(ws.diagram, pref)) >= 2:
+                    acc = acc + (mu_at(p.prefix(k + 1)) - mu_at(pref)) * inv_g(pref)
+            assert m[i, i] == float(acc), (n, i)
+        root = np.sqrt(op.mu_float())
+        assert op.symmetrized().tobytes() == (m * np.outer(root, 1 / root)).tobytes(), n
+    # the row blocks of symmetrized() are exercised past the first
+    assert len(paths) > laplacian.ROW_BLOCK or preset == "fibonacci-conjugate"
+
+
 def test_verify_thue_morse_depth3():
     report = verify_spectrum(tm_ws(), 3, 1)
     assert report.ok and report.exact_ok
@@ -423,8 +471,8 @@ def test_verify_reports_broken_slot_symmetry(monkeypatch):
     def perturbed(*args, **kwargs):
         op = dense_restriction(*args, **kwargs)
         width = op.slot_widths[0]
-        op.matrix[width, width] *= 1 + 1e-15     # vertex 0, slot 1, diagonal
-        return op
+        # vertex 0, slot 1, diagonal
+        return _edit_entries(op, {(width, width): lambda x: x * (1 + 1e-15)})
 
     monkeypatch.setattr(laplacian, "dense_restriction", perturbed)
     report = verify_spectrum(penrose_ws(), 3, 2)
