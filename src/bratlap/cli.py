@@ -232,11 +232,16 @@ def cmd_spectrum(args, parser, em, inputs) -> int:
     # multiplicity equals the generation-N path count
     records = laplacian.full_spectrum(ws, args.depth - 1, inputs.s)
     rows = []
+    # records of one walk state share their value object, which `records`
+    # keeps alive, so its id keys the two strings formatted from it
+    texts: dict[int, tuple[str, str]] = {}
     for rec in records:
         path = ws.diagram.format_path(rec.path) if rec.path is not None else rec.label
-        rows.append([rec.label, rec.generation, '"' + path + '"', rec.multiplicity,
-                     '"' + _fmt_exact(ws.backend, rec.value) + '"',
-                     _fmt(rec.value_float)])
+        text = texts.get(id(rec.value))
+        if text is None:
+            text = texts[id(rec.value)] = ('"' + _fmt_exact(ws.backend, rec.value) + '"',
+                                           _fmt(rec.value_float))
+        rows.append([rec.label, rec.generation, '"' + path + '"', rec.multiplicity, *text])
     em.section("records",
                ["label", "generation", "path", "multiplicity",
                 "value_exact", "value_float"],

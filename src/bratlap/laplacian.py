@@ -167,14 +167,21 @@ class StationaryCache:
         return self._memo(self._inv_g, self._key(path),
                           lambda: 1 / self.g_at(path))
 
+    # the two terms the walks read once per walk state, looked up without
+    # building a closure on every call
     def final_at(self, path: Path):
-        return self._memo(self._final, self._key(path),
-                          lambda: -(self.mu_at(path) * self.inv_g_at(path)))
+        key = self._key(path)
+        val = self._final.get(key)
+        if val is None:
+            val = self._final[key] = -(self.mu_at(path) * self.inv_g_at(path))
+        return val
 
     def step_at(self, path: Path, child: Path):
-        return self._memo(
-            self._step, self._key(path) + (self.ws.diagram.path_range(child),),
-            lambda: (self.mu_at(child) - self.mu_at(path)) * self.inv_g_at(path))
+        key = self._key(path) + (self.ws.diagram.path_range(child),)
+        val = self._step.get(key)
+        if val is None:
+            val = self._step[key] = (self.mu_at(child) - self.mu_at(path)) * self.inv_g_at(path)
+        return val
 
 
 def eigenbasis(cache: StationaryCache, path: Path) -> list[EigenVectorSpec]:
@@ -190,10 +197,55 @@ def eigenbasis(cache: StationaryCache, path: Path) -> list[EigenVectorSpec]:
             for other in ext[1:]]
 
 
+def _walk_states(cache: StationaryCache):
+    """The walk states shared by the spectrum and dense walks (see
+    `full_spectrum`), as (partials, memo, child).
+
+    State 0 is the empty path's, holding the backend's zero.  `child(state,
+    path, child_path, vertex, split)` is the state of child_path, whose range
+    vertex is `vertex`, one edge below `path` in `state`: keyed by parent *
+    n_letters + vertex, the way `cuntz._grow` codes its states, and on first
+    reach holding the parent's partial, plus the step term when `path` has
+    two or more extensions (`split`).  `memo[state]` holds what a walk
+    derives from the partial.  A state's first visit builds all its children
+    and fills its memo, so the walk then sets partials[state] to None and
+    keeps no more scalars alive than a path-by-path walk."""
+    letters = cache.ws.diagram.n_letters
+    partials: list = [cache.ws.backend.zero]
+    memo: list = [None]
+    ids: dict[int, int] = {}
+
+    def child(state: int, path: Path, child_path: Path, vertex: int, split: bool) -> int:
+        key = state * letters + vertex
+        child_state = ids.get(key)
+        if child_state is None:
+            partial = partials[state]
+            if split:
+                partial = partial + cache.step_at(path, child_path)
+            child_state = ids[key] = len(partials)
+            partials.append(partial)
+            memo.append(None)
+        return child_state
+
+    return partials, memo, child
+
+
 def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
     """Records for the zero eigenvalue, the root splitting, and every path of
     generation <= depth with at least two extensions.  Total multiplicity is
-    the path count one generation below the cutoff."""
+    the path count one generation below the cutoff.
+
+    A path's value is a partial sum plus the final term keyed by (r(gamma),
+    n): zero plus, at each prefix gamma with two or more extensions, the step
+    term of its next edge e, keyed by (r(gamma), n, r(gamma e)).  So the
+    value is fixed by the path's run of range vertices, its walk state, and
+    not by its root slot or by which of several parallel edges it took.  A
+    child state is keyed by (parent state, child range vertex), never by a
+    scalar.  Each state's partial, value and float are formed once, and the
+    records of a state share its value object.  Every one is the sum
+    `eigenvalue` forms for any of the state's paths, from the same operands
+    in the same order, so the scalars equal a path-by-path walk's, bit for
+    bit on the approximate backend."""
     if depth < 0:
         raise LaplacianError("depth must be >= 0")
     diagram = ws.diagram
@@ -212,32 +264,30 @@ def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
         return records
 
     cache = StationaryCache(ws, Fraction(s))
+    partials, memo, child_state = _walk_states(cache)
+
+    def visit(path: Path, state: int, vertex: int, depth_left: int) -> None:
+        ext = diagram.out_edges[vertex]
+        split = len(ext) >= 2
+        if split:
+            if memo[state] is None:
+                val = partials[state] + cache.final_at(path)
+                memo[state] = (val, float(val))
+            records.append(SpectralRecord("path", path, path.generation, *memo[state],
+                                          len(ext) - 1))
+        if depth_left:
+            for e in ext:
+                child = path.child(e)
+                target = diagram.edges[e].target
+                visit(child, child_state(state, path, child, target, split),
+                      target, depth_left - 1)
+        partials[state] = None
+
     root_has_split = len(diagram.root_edges) >= 2
-
-    def visit(path: Path, partial, depth_left: int) -> None:
-        ext = extensions(diagram, path)
-        n_ext = len(ext)
-        if n_ext >= 2:
-            val = partial + cache.final_at(path)
-            records.append(SpectralRecord("path", path, path.generation,
-                                          val, float(val), n_ext - 1))
-        if depth_left == 0:
-            return
-        for e in ext:
-            child = path.child(e)
-            if n_ext >= 2:
-                child_partial = partial + cache.step_at(path, child)
-            else:
-                child_partial = partial
-            visit(child, child_partial, depth_left - 1)
-
-    for ri in range(len(diagram.root_edges)):
-        first = Path(ri)
-        if root_has_split:
-            partial = cache.step_at(EMPTY_PATH, first)
-        else:
-            partial = ws.backend.zero
-        visit(first, partial, depth - 1)
+    for ri, root_edge in enumerate(diagram.root_edges):
+        path = Path(ri)
+        visit(path, child_state(0, EMPTY_PATH, path, root_edge.vertex, root_has_split),
+              root_edge.vertex, depth - 1)
     return records
 
 
@@ -296,8 +346,8 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     negative increment sum along each path.  Exact scalars are kept whenever
     diam^(2-s) stays in the field, otherwise the entries are floats.  Values
     are interned by (meet key, column range vertex), on which mu[column]/G
-    depends, and one per diagonal partial; an ApproxReal among exact values
-    raises."""
+    depends, and the diagonal partials once per walk state (`_walk_states`);
+    an ApproxReal among exact values raises."""
     s = Fraction(s)
     if n < 1:
         raise LaplacianError("generation must be >= 1")
@@ -321,7 +371,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
 
     values: list = []
     meet_ids: dict[tuple[int, int], np.ndarray] = {}
-    # one id per diagonal entry and at most one per (meet key, letter)
+    # at most one id per diagonal entry and one per (meet key, letter)
     letters = diagram.n_letters
     index = np.zeros((size, size), dtype=np.min_scalar_type(size + (1 + n * letters) * letters))
 
@@ -344,28 +394,33 @@ def dense_restriction(ws: WeightSystem, n: int, s,
                               else float(mu_values[v]) / gf)
         return ids[vertex[lo:hi]]
 
-    def walk(path: Path, lo: int, partial) -> None:
+    partials, memo, child_state = _walk_states(cache)
+
+    def walk(path: Path, lo: int, state: int) -> None:
         depth = path.generation
         if depth == n:
-            index[lo, lo] = len(values)
-            values.append(partial if exact else float(partial))
+            if memo[state] is None:
+                memo[state] = len(values)
+                values.append(partials[state] if exact else float(partials[state]))
+                partials[state] = None
+            index[lo, lo] = memo[state]
             return
         ext = extensions(diagram, path)
         children = [path.child(e) for e in ext]
-        widths = [sizes[depth + 1][diagram.path_range(c)] for c in children]
-        bounds = list(accumulate(widths, initial=lo))
-        if len(ext) >= 2:
+        targets = [diagram.path_range(c) for c in children]
+        bounds = list(accumulate((sizes[depth + 1][t] for t in targets), initial=lo))
+        split = len(ext) >= 2
+        if split:
             row = meet_row(path, lo, bounds[-1])
             for i, j in product(range(len(children)), repeat=2):
                 if i != j:
                     index[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]] = \
                         row[None, bounds[j] - lo:bounds[j + 1] - lo]
-            for i, child in enumerate(children):
-                walk(child, bounds[i], partial + cache.step_at(path, child))
-        else:
-            walk(children[0], lo, partial)
+        for i, child in enumerate(children):
+            walk(child, bounds[i], child_state(state, path, child, targets[i], split))
+        partials[state] = None
 
-    walk(EMPTY_PATH, 0, ws.backend.zero)
+    walk(EMPTY_PATH, 0, 0)
     if exact and any(isinstance(v, ApproxReal) for v in values):
         raise LaplacianError("an exact dense entry fell back to an approximate scalar")
     return DenseOperator(n, s, table, mu_values, vertex, diagram.symmetry_order,

@@ -723,6 +723,33 @@ def test_spectrum_depth_4_stdout_is_pinned(preset, backend, s, capsys):
         SPECTRUM_DEPTH_4_SHA256[preset, backend, s]
 
 
+# sha256 of `spectrum --depth 7` stdout on the folded diagrams, on approx:200,
+# per (preset, s, format): 19,722 and 10,334 records at depth 8 carry only
+# 256 and 512 values, and these pins hold every record's strings to the ones
+# the path-by-path walk printed
+SPECTRUM_DEPTH_7_SHA256 = {
+    ("penrose", "1/2", "csv"):
+        "4d853630d1712a91e2ab7b0679b0247192c87bdb9e0c4dea4eaf5964da768867",
+    ("penrose", "2", "csv"):
+        "eb9aee944cee0fe0510dc9612e48ed2a8f0e227c623521e3df979719c6a0b017",
+    ("ammann-a2", "1/2", "csv"):
+        "e01d8a1f43f1d35acb97bf32612cb98b425dd4c02f260343562c17d5ca04a44f",
+    ("ammann-a2", "2", "csv"):
+        "6f5f27d3664254a838541ce13c6b8f270b17809b0dadd18913816c44181cf1f1",
+    ("ammann-a2", "1", "json"):
+        "f4520ab3f9b1fbda17259d3c1fdc603f018a35f193f99b7935a28ccec2aa2f94",
+}
+
+
+@pytest.mark.parametrize("preset, s, fmt", sorted(SPECTRUM_DEPTH_7_SHA256))
+def test_spectrum_depth_7_stdout_is_pinned(preset, s, fmt, capsys):
+    code, out = run_cli(["spectrum", "--preset", preset, "--depth", "7", "--s", s,
+                         "--backend", "approx:200", "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        SPECTRUM_DEPTH_7_SHA256[preset, s, fmt]
+
+
 @pytest.mark.parametrize("letters, refused", [(["a", "a"], "a"), (["", "b"], ""),
                                              (["a", "b.c"], "b.c")])
 def test_ambiguous_letters_exit_2(letters, refused, tmp_path):

@@ -516,12 +516,16 @@ def test_approx_spectrum_keeps_declared_precision(s):
     ("thue-morse", "rational", 7, None),
     ("dyadic-odometer", "rational", 8, None),
     ("fibonacci", "quadratic:5", 8, None),
-    # the 20 root slots of penrose are copies of one subtree: slot 1 already
-    # reads every memo entry that slot 0 filled, and the direct formula on
-    # all 2862 records would take about 15 s
+    # the 20 root slots of a penrose vertex are copies of one subtree: slot 1
+    # shares every walk state that slot 0 built, and slots 20 and 21 do the
+    # same under the second root vertex; the direct formula on all 2862
+    # records would take about 15 s
     ("penrose", "quadratic:5", 5, (0, 1)),
+    ("penrose", "approx:200", 4, (0, 1, 20, 21)),
+    ("ammann-a2", "approx:200", 5, None),
+    ("fibonacci-conjugate", "approx:200", 6, None),
 ])
-@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("s", [1, 2, Fraction(3, 2)])
 def test_memoized_spectrum_equals_direct_formula(name, backend, depth, slots, s):
     ws = load_preset(name, backend=backend).weight_system
     checked = 0
@@ -531,8 +535,36 @@ def test_memoized_spectrum_equals_direct_formula(name, backend, depth, slots, s)
         direct = eigenvalue(ws, rec.path or EMPTY_PATH, s)
         assert type(rec.value) is type(direct.value), rec.path
         assert rec.value == direct.value, rec.path
+        if isinstance(direct.value, ApproxReal):
+            assert rec.value.value == direct.value.value, rec.path     # the mpf bits
+        assert rec.value_float == direct.value_float, rec.path
         checked += 1
     assert checked > 20
+
+
+@pytest.mark.parametrize("name,backend,depth,n_records,n_values", [
+    ("penrose", "approx:200", 7, 19722, 256),
+    ("ammann-a2", "approx:200", 8, 10334, 512),
+    ("dyadic-odometer", "rational", 13, 8192, 14),
+])
+def test_full_spectrum_shares_one_value_per_walk_state(name, backend, depth,
+                                                       n_records, n_values):
+    """Paths that differ only in their root slot or in which parallel edge
+    they took reach one walk state, and their records share its value
+    object: one object per distinct float on these diagrams."""
+    records = full_spectrum(load_preset(name, backend=backend).weight_system, depth, 1)
+    assert len(records) == n_records
+    assert len({id(rec.value) for rec in records}) == n_values
+    assert len({rec.value_float for rec in records}) == n_values
+
+
+@pytest.mark.parametrize("name,n,n_states", [("penrose", 5, 32), ("ammann-a2", 6, 64)])
+def test_dense_diagonal_interns_one_value_per_walk_state(name, n, n_states):
+    """The dense walk interns each diagonal partial once per walk state, so
+    the diagonal's ids are as many as its distinct floats."""
+    op = dense_restriction(load_preset(name, backend="approx:200").weight_system, n, 1)
+    assert len(set(np.diag(op.index).tolist())) == n_states
+    assert len(set(np.diag(op.as_float()).tolist())) == n_states
 
 
 def test_spectrum_path_cap_is_the_total_it_visits(monkeypatch):
