@@ -231,12 +231,26 @@ def cmd_spectrum(args, parser, em, inputs) -> int:
     # depth N reports every splitting above generation N: total
     # multiplicity equals the generation-N path count
     records = laplacian.full_spectrum(ws, args.depth - 1, inputs.s)
+    segments = ws.diagram.segments
+    # records come in walk order, so a path's parent, when it has a record,
+    # is the newest labelled path one generation up, and format_path's label
+    # is the parent's plus "." and the segment of the last edge
+    newest: dict[int, tuple[tuple[int, tuple[int, ...]], str]] = {}
     rows = []
     # records of one walk state share their value object, which `records`
     # keeps alive, so its id keys the two strings formatted from it
     texts: dict[int, tuple[str, str]] = {}
     for rec in records:
-        path = ws.diagram.format_path(rec.path) if rec.path is not None else rec.label
+        if rec.path is None:
+            path = rec.label
+        else:
+            root, edges = rec.path.root, rec.path.edges
+            parent = newest.get(len(edges) - 1)
+            if edges and parent is not None and parent[0] == (root, edges[:-1]):
+                path = parent[1] + "." + segments[edges[-1]]
+            else:
+                path = ws.diagram.format_path(rec.path)
+            newest[len(edges)] = ((root, edges), path)
         text = texts.get(id(rec.value))
         if text is None:
             text = texts[id(rec.value)] = ('"' + _fmt_exact(ws.backend, rec.value) + '"',

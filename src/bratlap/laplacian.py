@@ -32,7 +32,7 @@ from .measure import WeightSystem, diam_power, mu
 from .scalar import ApproxReal, QuadraticNumber
 
 DEFAULT_DENSE_CAP = 4096
-ROW_BLOCK = 256      # rows DenseOperator.symmetrized scales at a time
+ROW_BLOCK = 256      # rows DenseOperator.symmetrized reads and scales at a time
 
 
 class LaplacianError(ValueError):
@@ -303,7 +303,7 @@ class DenseOperator:
     contiguous range of width slot_widths[v].  Path i has measure
     mu_values[vertex[i]].  The matrix is values[index]: `values` the distinct
     entries, exact scalars when `exact` and floats otherwise, and `index` an
-    unsigned integer array."""
+    array of the narrowest unsigned integer type that holds every id."""
 
     generation: int
     s: Fraction
@@ -327,15 +327,26 @@ class DenseOperator:
         return np.array(self.mu_values, dtype=float)[self.vertex]
 
     def symmetrized(self) -> np.ndarray:
-        """D^(1/2) M D^(-1/2): symmetric with the same spectrum.  The rows are
-        scaled in place, ROW_BLOCK at a time, by the same products as
-        m * np.outer(root, 1 / root), so no second full matrix is held."""
-        m = self.as_float()
+        """The slot-0 rows of S = D^(1/2) M D^(-1/2), which is symmetric with
+        the spectrum of M: for each vertex, in order, the rows of its root
+        edge (v, 0), as one (|Pi_n| / g) x |Pi_n| slab.  With g = 1 that is
+        all of S.  The rows are read through values[index] ROW_BLOCK at a
+        time and scaled by the same products as m * np.outer(root, 1 / root),
+        so no whole float matrix is held."""
+        values = np.array([float(v) for v in self.values])
         root = np.sqrt(self.mu_float())
         inv_root = 1.0 / root
-        for lo in range(0, len(m), ROW_BLOCK):
-            m[lo:lo + ROW_BLOCK] *= np.outer(root[lo:lo + ROW_BLOCK], inv_root)
-        return m
+        slab = np.empty((sum(self.slot_widths), len(root)))
+        row = start = 0
+        for width in self.slot_widths:
+            for lo in range(start, start + width, ROW_BLOCK):
+                hi = min(lo + ROW_BLOCK, start + width)
+                rows = slab[row:row + hi - lo]
+                rows[...] = values[self.index[lo:hi]]
+                rows *= np.outer(root[lo:hi], inv_root)
+                row += hi - lo
+            start += self.symmetry_order * width
+        return slab
 
 
 def dense_restriction(ws: WeightSystem, n: int, s,
@@ -421,6 +432,8 @@ def dense_restriction(ws: WeightSystem, n: int, s,
         partials[state] = None
 
     walk(EMPTY_PATH, 0, 0)
+    # the bound above counts one id per diagonal entry; the walk states need fewer
+    index = index.astype(np.min_scalar_type(len(values) - 1), copy=False)
     if exact and any(isinstance(v, ApproxReal) for v in values):
         raise LaplacianError("an exact dense entry fell back to an approximate scalar")
     return DenseOperator(n, s, table, mu_values, vertex, diagram.symmetry_order,
@@ -428,45 +441,54 @@ def dense_restriction(ws: WeightSystem, n: int, s,
 
 
 class SlotSymmetryError(LaplacianError):
-    """The symmetrized dense operator is not invariant under the root-slot
+    """The dense operator's value ids are not invariant under the root-slot
     permutations, so its block split would not be exact."""
 
 
 def dense_spectrum(op: DenseOperator) -> np.ndarray:
-    """Sorted eigenvalues of op.symmetrized(), one eigvalsh per block of its
-    root-slot decomposition.
+    """Sorted eigenvalues of S = D^(1/2) M D^(-1/2), one eigvalsh per block of
+    its root-slot decomposition, solved from the slot-0 rows of S alone.
 
     Permuting the g root slots of a vertex maps the path space onto itself
-    and keeps every measure and every meet, so S = op.symmetrized() commutes
-    with it.  With R[v][k] the range of root edge (v, k), the orthogonal change
-    of basis to slot sums and slot differences splits S exactly into
+    and keeps every measure and every meet, so S commutes with it.  With
+    R[v][k] the range of root edge (v, k), the orthogonal change of basis to
+    slot sums and slot differences splits S exactly into
     - the slot-symmetric block B[(v,.), (w,.)] = sum_k S[R[v][0], R[w][k]], of
       dimension sum_v N_v = |Pi_n| / g, and
     - per vertex v the difference block S[R[v][0], R[v][0]] - S[R[v][0], R[v][1]],
       whose eigenvalues are repeated g - 1 times.
-    With g = 1 the symmetric block is S itself and there is no difference
-    block.  The invariance is checked first, with exact float equality (the
-    memo keys entries by range vertex and generation, so slot copies agree
-    bit for bit); SlotSymmetryError is raised when a copy differs, and
-    LaplacianError when an entry is not a finite float.
+    Both read only the rows R[v][0], so only those are built:
+    op.symmetrized() returns them as a (|Pi_n| / g) x |Pi_n| slab, and each
+    part of B is its copy 0, then += copies 1..g-1.  With g = 1 the slab is
+    S itself and there is no difference block.
+
+    The slot invariance is checked on the integer op.index, not on floats:
+    every slot copy must carry the same value ids as the copy it stands for.
+    Equal ids give equal entries of M, and S[i, j] is M[i, j] times
+    root[i] * inv_root[j], with mu per range vertex, which slot copies share.
+    So equal ids make S slot-invariant bit for bit, in the rows the slab
+    leaves out too, and the assembly, which interns entries by meet key and
+    range vertex, builds operators that pass.  LaplacianError is raised when
+    an entry of the slab is not a finite float (once the ids agree, the slab
+    holds every distinct entry of S), then SlotSymmetryError when a copy's
+    ids differ.
     """
-    sym_op = op.symmetrized()
-    if not np.isfinite(sym_op).all():
+    slab = op.symmetrized()
+    if not np.isfinite(slab).all():
         raise LaplacianError("dense matrix entries leave the float range; "
                              "try a larger s or a smaller depth")
     g = op.symmetry_order
+    if g == 1:
+        return np.linalg.eigvalsh(slab)
     widths = op.slot_widths
     starts = np.cumsum((0,) + tuple(g * w for w in widths))
     offsets = np.cumsum((0,) + widths)
     vertex_pairs = list(product(range(len(widths)), repeat=2))
 
-    def slab(v: int, w: int) -> np.ndarray:
-        """Rows of vertex v, columns of vertex w, as a (g, N_v, g, N_w) view."""
-        return sym_op[starts[v]:starts[v + 1], starts[w]:starts[w + 1]] \
-            .reshape(g, widths[v], g, widths[w])
-
     for v, w in vertex_pairs:
-        copies = slab(v, w)
+        # rows of vertex v, columns of vertex w, as a (g, N_v, g, N_w) view
+        copies = op.index[starts[v]:starts[v + 1], starts[w]:starts[w + 1]] \
+            .reshape(g, widths[v], g, widths[w])
         for k, l in product(range(g), repeat=2):
             ref = copies[0, :, int(v == w and k != l), :]
             if not np.array_equal(copies[k, :, l, :], ref):
@@ -474,20 +496,22 @@ def dense_spectrum(op: DenseOperator) -> np.ndarray:
                     f"rows of root edge ({v}, {k}) against columns of root "
                     f"edge ({w}, {l}) differ from their slot copy")
 
+    def slot0(v: int, w: int) -> np.ndarray:
+        """Slot-0 rows of vertex v, columns of vertex w, as an (N_v, g, N_w) view."""
+        return slab[offsets[v]:offsets[v + 1], starts[w]:starts[w + 1]] \
+            .reshape(widths[v], g, widths[w])
+
     block = np.empty((offsets[-1], offsets[-1]))
     for v, w in vertex_pairs:
-        copies = slab(v, w)
-        # summed onto the first copy, so with g = 1 the block is S bit for bit
+        copies = slot0(v, w)
         target = block[offsets[v]:offsets[v + 1], offsets[w]:offsets[w + 1]]
-        target[...] = copies[0, :, 0, :]
+        target[...] = copies[:, 0, :]
         for l in range(1, g):
-            target += copies[0, :, l, :]
+            target += copies[:, l, :]
     parts = [np.linalg.eigvalsh(block)]
-    if g > 1:
-        for v in range(len(widths)):
-            own = slab(v, v)
-            diff = own[0, :, 0, :] - own[0, :, 1, :]
-            parts.append(np.repeat(np.linalg.eigvalsh(diff), g - 1))
+    for v in range(len(widths)):
+        own = slot0(v, v)
+        parts.append(np.repeat(np.linalg.eigvalsh(own[:, 0, :] - own[:, 1, :]), g - 1))
     return np.sort(np.concatenate(parts))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -40,7 +41,7 @@ from bratlap.scalar import (
     QuadraticNumber,
     RationalBackend,
 )
-from oracles import longest_common_prefix
+from oracles import longest_common_prefix, whole_matrix_dense_spectrum, whole_symmetrized
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -242,7 +243,7 @@ def test_dense_mu_symmetry_exact():
 def test_dense_nonpositive_spectrum_at_s_equals_d():
     for ws, s in ((fib_ws(), 1), (tm_ws(), 1), (penrose_ws(), 2)):
         op = dense_restriction(ws, 4, s)
-        eigs = np.linalg.eigvalsh(op.symmetrized())
+        eigs = np.linalg.eigvalsh(whole_symmetrized(op))
         assert eigs.max() < 1e-9
 
 
@@ -389,7 +390,7 @@ def test_interned_float_matrix_equals_direct_formula(preset, backend, s):
     """values[index] on the float path: each off-diagonal entry is
     float(mu_j) / float(G(meet)) by the direct formula, each diagonal entry the
     float of the prefix-increment sum formed as `eigenvalue` forms it, and
-    symmetrized() the bytes of m * np.outer(root, 1 / root)."""
+    symmetrized() the bytes of the slot-0 rows of m * np.outer(root, 1 / root)."""
     ws = load_preset(preset, backend=backend).weight_system
     inv_g = functools.cache(lambda path: 1 / g_value(ws, path, s))
     mu_at = functools.cache(lambda path: mu(ws, path))
@@ -419,10 +420,14 @@ def test_interned_float_matrix_equals_direct_formula(preset, backend, s):
                 if len(extensions(ws.diagram, pref)) >= 2:
                     acc = acc + (mu_at(p.prefix(k + 1)) - mu_at(pref)) * inv_g(pref)
             assert m[i, i] == float(acc), (n, i)
-        root = np.sqrt(op.mu_float())
-        assert op.symmetrized().tobytes() == (m * np.outer(root, 1 / root)).tobytes(), n
-    # the row blocks of symmetrized() are exercised past the first
-    assert len(paths) > laplacian.ROW_BLOCK or preset == "fibonacci-conjugate"
+        assert op.symmetrized().tobytes() == \
+            whole_symmetrized(op)[_slot0_rows(op)].tobytes(), n
+
+
+def _slot0_rows(op) -> np.ndarray:
+    """Row numbers of root edge (v, 0) for each vertex v, in order."""
+    starts = np.cumsum((0,) + tuple(op.symmetry_order * w for w in op.slot_widths))
+    return np.concatenate([np.arange(lo, lo + w) for lo, w in zip(starts, op.slot_widths)])
 
 
 def test_verify_thue_morse_depth3():
@@ -452,12 +457,14 @@ def tri_ws():
 @pytest.mark.parametrize("s", [Fraction(1, 2), 1, 2])
 def test_slot_split_spectrum_equals_full_eigvalsh(system, s):
     """The block split agrees with one eigvalsh on the whole symmetrized
-    operator; with g = 1 the single block is that operator, bit for bit."""
+    operator; with g = 1 the single block is that operator, bit for bit.  It
+    equals, bit for bit, the split read off the whole float matrix."""
     ws = tri_ws() if system == "tri-g3" else load_preset(system).weight_system
     for n in range(2, 6):
         op = dense_restriction(ws, n, s)
-        full = np.sort(np.linalg.eigvalsh(op.symmetrized()))
+        full = np.sort(np.linalg.eigvalsh(whole_symmetrized(op)))
         split = dense_spectrum(op)
+        assert np.array_equal(split, whole_matrix_dense_spectrum(op)), n
         if ws.diagram.symmetry_order == 1:
             assert np.array_equal(split, full), n
         else:
@@ -489,6 +496,32 @@ def test_verify_ammann_depth7_half_passes():
     report = verify_spectrum(ws, 7, Fraction(1, 2))
     assert report.ok, report.lines()
     assert report.dense_size == 2440
+
+
+def test_slot0_slab_spectrum_equals_whole_matrix_at_ammann_depth7():
+    """At the deepest ammann-a2 generation the cap accepts, the slab's row
+    blocks run past the first within a vertex, and the spectrum solved from
+    the slab equals the whole-matrix one bit for bit."""
+    op = dense_restriction(load_preset("ammann-a2").weight_system, 7, Fraction(1, 2))
+    assert max(op.slot_widths) > laplacian.ROW_BLOCK
+    assert op.symmetrized().tobytes() == whole_symmetrized(op)[_slot0_rows(op)].tobytes()
+    assert np.array_equal(dense_spectrum(op), whole_matrix_dense_spectrum(op))
+
+
+def test_dense_spectrum_holds_no_whole_float_matrix():
+    """dense_spectrum on ammann-a2 at n = 7 (g = 4, |Pi_n| = 2440) allocates
+    less than half of one |Pi_n|^2 float matrix at its peak: it builds the
+    |Pi_n| / g slot-0 rows, not the whole matrix."""
+    op = dense_restriction(load_preset("ammann-a2").weight_system, 7, 1)
+    size = len(op.table)
+    assert size == 2440
+    tracemalloc.start()
+    try:
+        dense_spectrum(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * size * size / 2, peak
 
 
 def test_verify_deep_generations():
@@ -558,13 +591,16 @@ def test_full_spectrum_shares_one_value_per_walk_state(name, backend, depth,
     assert len({rec.value_float for rec in records}) == n_values
 
 
-@pytest.mark.parametrize("name,n,n_states", [("penrose", 5, 32), ("ammann-a2", 6, 64)])
+@pytest.mark.parametrize("name,n,n_states", [("penrose", 5, 32), ("ammann-a2", 6, 64),
+                                              ("ammann-a2", 7, 128)])
 def test_dense_diagonal_interns_one_value_per_walk_state(name, n, n_states):
     """The dense walk interns each diagonal partial once per walk state, so
-    the diagonal's ids are as many as its distinct floats."""
+    the diagonal's ids are as many as its distinct floats, and the index,
+    narrowed to the ids it holds (at most 154 here), takes one byte per entry."""
     op = dense_restriction(load_preset(name, backend="approx:200").weight_system, n, 1)
     assert len(set(np.diag(op.index).tolist())) == n_states
     assert len(set(np.diag(op.as_float()).tolist())) == n_states
+    assert op.index.dtype == np.uint8 and int(op.index.max()) == len(op.values) - 1
 
 
 def test_spectrum_path_cap_is_the_total_it_visits(monkeypatch):
