@@ -100,20 +100,6 @@ def eigenvalue(ws: WeightSystem, path: Path, s) -> SpectralRecord:
                           path.generation, val, float(val), n_ext - 1)
 
 
-def zero_record(ws: WeightSystem) -> SpectralRecord:
-    return SpectralRecord("zero", None, 0, ws.backend.zero, 0.0, 1)
-
-
-def root_record(ws: WeightSystem, s) -> SpectralRecord | None:
-    """The eigenvalue -1/G(root) carried by the root splitting; None when the
-    root has a single outgoing edge (empty eigenspace)."""
-    n0 = len(ws.diagram.root_edges)
-    if n0 < 2:
-        return None
-    val = -(1 / g_value(ws, EMPTY_PATH, s))
-    return SpectralRecord("root", None, 0, val, float(val), n0 - 1)
-
-
 class StationaryCache:
     """Memo of the terms of the eigenvalue formula on a stationary diagram.
 
@@ -197,55 +183,61 @@ def eigenbasis(cache: StationaryCache, path: Path) -> list[EigenVectorSpec]:
             for other in ext[1:]]
 
 
-def _walk_states(cache: StationaryCache):
-    """The walk states shared by the spectrum and dense walks (see
-    `full_spectrum`), as (partials, memo, child).
+def _walk(cache: StationaryCache, depth: int, visit) -> None:
+    """Call visit(path, generation, range_vertex, state, partial) on every
+    path of generation <= depth, in pre-order from the empty path, whose
+    range vertex is -1 (as in the StationaryCache key (-1, 0)).
 
-    State 0 is the empty path's, holding the backend's zero.  `child(state,
-    path, child_path, vertex, split)` is the state of child_path, whose range
-    vertex is `vertex`, one edge below `path` in `state`: keyed by parent *
-    n_letters + vertex, the way `cuntz._grow` codes its states, and on first
-    reach holding the parent's partial, plus the step term when `path` has
-    two or more extensions (`split`).  `memo[state]` holds what a walk
-    derives from the partial.  A state's first visit builds all its children
-    and fills its memo, so the walk then sets partials[state] to None and
-    keeps no more scalars alive than a path-by-path walk."""
-    letters = cache.ws.diagram.n_letters
-    partials: list = [cache.ws.backend.zero]
-    memo: list = [None]
-    ids: dict[int, int] = {}
+    State 0 is the empty path's, and a child's state is keyed by parent
+    state * n_letters + child range vertex, the way `cuntz._grow` codes its
+    states.  `partial` is the state's partial sum on its first visit and
+    None after: zero at the empty path, below it the parent's, plus the step
+    term of the edge between them when the parent has two or more
+    extensions.  The paths of a state have their children in the same
+    states, so each partial is formed once, and dropped once passed."""
+    diagram = cache.ws.diagram
+    edges, out_edges, letters = diagram.edges, diagram.out_edges, diagram.n_letters
+    # (edge, child range vertex) per range vertex, built on first use; the
+    # root edges last, at index -1
+    children: list = [None] * letters + [tuple(enumerate(r.vertex for r in diagram.root_edges))]
+    states: dict[int, int] = {}
 
-    def child(state: int, path: Path, child_path: Path, vertex: int, split: bool) -> int:
-        key = state * letters + vertex
-        child_state = ids.get(key)
-        if child_state is None:
-            partial = partials[state]
-            if split:
-                partial = partial + cache.step_at(path, child_path)
-            child_state = ids[key] = len(partials)
-            partials.append(partial)
-            memo.append(None)
-        return child_state
+    def descend(path: Path, generation: int, vertex: int, state: int, partial) -> None:
+        visit(path, generation, vertex, state, partial)
+        if generation == depth:
+            return
+        ext = children[vertex]
+        if ext is None:
+            ext = children[vertex] = tuple((e, edges[e].target) for e in out_edges[vertex])
+        split = len(ext) >= 2
+        for e, target in ext:
+            child = path.child(e)
+            key = state * letters + target
+            child_state = states.get(key)
+            if child_state is None:
+                child_state = states[key] = len(states) + 1
+                child_partial = partial + cache.step_at(path, child) if split else partial
+            else:
+                child_partial = None
+            descend(child, generation + 1, target, child_state, child_partial)
 
-    return partials, memo, child
+    descend(EMPTY_PATH, 0, -1, 0, cache.ws.backend.zero)
 
 
 def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
-    """Records for the zero eigenvalue, the root splitting, and every path of
-    generation <= depth with at least two extensions.  Total multiplicity is
-    the path count one generation below the cutoff.
+    """Records for the zero eigenvalue, then, in `_walk` order, for every
+    path of generation <= depth with at least two extensions: the empty path
+    is the root splitting, labelled "root", with value -1/G(root).  Total
+    multiplicity is the path count one generation below the cutoff.
 
-    A path's value is a partial sum plus the final term keyed by (r(gamma),
-    n): zero plus, at each prefix gamma with two or more extensions, the step
-    term of its next edge e, keyed by (r(gamma), n, r(gamma e)).  So the
-    value is fixed by the path's run of range vertices, its walk state, and
-    not by its root slot or by which of several parallel edges it took.  A
-    child state is keyed by (parent state, child range vertex), never by a
-    scalar.  Each state's partial, value and float are formed once, and the
-    records of a state share its value object.  Every one is the sum
-    `eigenvalue` forms for any of the state's paths, from the same operands
-    in the same order, so the scalars equal a path-by-path walk's, bit for
-    bit on the approximate backend."""
+    A path's value is its partial sum plus the final term keyed by
+    (r(gamma), n): zero plus, at each prefix gamma with two or more
+    extensions, the step term of its next edge e, keyed by (r(gamma), n,
+    r(gamma e)).  So the value is fixed by the path's walk state, its run of
+    range vertices, and is formed once per state; the records of a state
+    share its value object.  It is the sum `eigenvalue` forms for any of the
+    state's paths, from the same operands in the same order, so the scalars
+    equal a path-by-path walk's, bit for bit on the approximate backend."""
     if depth < 0:
         raise LaplacianError("depth must be >= 0")
     diagram = ws.diagram
@@ -256,38 +248,22 @@ def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
             raise LaplacianError(
                 f"spectrum would visit more than {DEFAULT_PATH_CAP} paths (the cap)")
 
-    records = [zero_record(ws)]
-    root = root_record(ws, s)
-    if root is not None:
-        records.append(root)
-    if depth == 0:
-        return records
-
+    records = [SpectralRecord("zero", None, 0, ws.backend.zero, 0.0, 1)]
     cache = StationaryCache(ws, Fraction(s))
-    partials, memo, child_state = _walk_states(cache)
+    # extensions per range vertex, the root's last (index -1)
+    n_ext = [len(out) for out in diagram.out_edges] + [len(diagram.root_edges)]
+    values: dict[int, tuple] = {}
 
-    def visit(path: Path, state: int, vertex: int, depth_left: int) -> None:
-        ext = diagram.out_edges[vertex]
-        split = len(ext) >= 2
-        if split:
-            if memo[state] is None:
-                val = partials[state] + cache.final_at(path)
-                memo[state] = (val, float(val))
-            records.append(SpectralRecord("path", path, path.generation, *memo[state],
-                                          len(ext) - 1))
-        if depth_left:
-            for e in ext:
-                child = path.child(e)
-                target = diagram.edges[e].target
-                visit(child, child_state(state, path, child, target, split),
-                      target, depth_left - 1)
-        partials[state] = None
+    def visit(path: Path, generation: int, vertex: int, state: int, partial) -> None:
+        if n_ext[vertex] >= 2:
+            if partial is not None:
+                val = partial + cache.final_at(path)
+                values[state] = (val, float(val))
+            records.append(SpectralRecord("path" if generation else "root",
+                                          path if generation else None, generation,
+                                          *values[state], n_ext[vertex] - 1))
 
-    root_has_split = len(diagram.root_edges) >= 2
-    for ri, root_edge in enumerate(diagram.root_edges):
-        path = Path(ri)
-        visit(path, child_state(0, EMPTY_PATH, path, root_edge.vertex, root_has_split),
-              root_edge.vertex, depth - 1)
+    _walk(cache, depth, visit)
     return records
 
 
@@ -303,7 +279,8 @@ class DenseOperator:
     contiguous range of width slot_widths[v].  Path i has measure
     mu_values[vertex[i]].  The matrix is values[index]: `values` the distinct
     entries, exact scalars when `exact` and floats otherwise, and `index` an
-    array of the narrowest unsigned integer type that holds every id."""
+    array of the narrowest unsigned integer type that holds a bound on the
+    ids known before assembly."""
 
     generation: int
     s: Fraction
@@ -357,8 +334,11 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     negative increment sum along each path.  Exact scalars are kept whenever
     diam^(2-s) stays in the field, otherwise the entries are floats.  Values
     are interned by (meet key, column range vertex), on which mu[column]/G
-    depends, and the diagonal partials once per walk state (`_walk_states`);
-    an ApproxReal among exact values raises."""
+    depends, and the diagonal partials once per walk state.  One `_walk` to
+    generation n fills both; in pre-order, a path's first generation-n
+    descendant is the next leaf the walk reaches, so a running leaf count
+    locates every block.  The index is allocated once, at the type of an id
+    bound known before the walk; an ApproxReal among exact values raises."""
     s = Fraction(s)
     if n < 1:
         raise LaplacianError("generation must be >= 1")
@@ -382,9 +362,13 @@ def dense_restriction(ws: WeightSystem, n: int, s,
 
     values: list = []
     meet_ids: dict[tuple[int, int], np.ndarray] = {}
-    # at most one id per diagonal entry and one per (meet key, letter)
+    # at most one id per generation-n walk state, a run of n range vertices
+    # that A's 0/1 support B allows (1^T B^(n-1) 1 of them), and one per
+    # (meet key, letter)
     letters = diagram.n_letters
-    index = np.zeros((size, size), dtype=np.min_scalar_type(size + (1 + n * letters) * letters))
+    support = [[int(a > 0) for a in row] for row in diagram.matrix]
+    bound = sum(map(sum, _linalg.mat_pow(support, n - 1))) + (1 + (n - 1) * letters) * letters
+    index = np.zeros((size, size), dtype=np.min_scalar_type(bound - 1))
 
     def meet_row(meet: Path, lo: int, hi: int) -> np.ndarray:
         """Value ids of mu[j]/G(meet) for the meet's columns lo:hi."""
@@ -405,35 +389,30 @@ def dense_restriction(ws: WeightSystem, n: int, s,
                               else float(mu_values[v]) / gf)
         return ids[vertex[lo:hi]]
 
-    partials, memo, child_state = _walk_states(cache)
+    diagonal: dict[int, int] = {}
+    leaf = 0
 
-    def walk(path: Path, lo: int, state: int) -> None:
-        depth = path.generation
-        if depth == n:
-            if memo[state] is None:
-                memo[state] = len(values)
-                values.append(partials[state] if exact else float(partials[state]))
-                partials[state] = None
-            index[lo, lo] = memo[state]
+    def visit(path: Path, generation: int, _vertex: int, state: int, partial) -> None:
+        nonlocal leaf
+        if generation == n:
+            if partial is not None:
+                diagonal[state] = len(values)
+                values.append(partial if exact else float(partial))
+            index[leaf, leaf] = diagonal[state]
+            leaf += 1
             return
         ext = extensions(diagram, path)
-        children = [path.child(e) for e in ext]
-        targets = [diagram.path_range(c) for c in children]
-        bounds = list(accumulate((sizes[depth + 1][t] for t in targets), initial=lo))
-        split = len(ext) >= 2
-        if split:
-            row = meet_row(path, lo, bounds[-1])
-            for i, j in product(range(len(children)), repeat=2):
-                if i != j:
-                    index[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]] = \
-                        row[None, bounds[j] - lo:bounds[j + 1] - lo]
-        for i, child in enumerate(children):
-            walk(child, bounds[i], child_state(state, path, child, targets[i], split))
-        partials[state] = None
+        if len(ext) < 2:
+            return
+        targets = [diagram.path_range(path.child(e)) for e in ext]
+        bounds = list(accumulate((sizes[generation + 1][t] for t in targets), initial=leaf))
+        row = meet_row(path, leaf, bounds[-1])
+        for i, j in product(range(len(ext)), repeat=2):
+            if i != j:
+                index[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]] = \
+                    row[None, bounds[j] - leaf:bounds[j + 1] - leaf]
 
-    walk(EMPTY_PATH, 0, 0)
-    # the bound above counts one id per diagonal entry; the walk states need fewer
-    index = index.astype(np.min_scalar_type(len(values) - 1), copy=False)
+    _walk(cache, n, visit)
     if exact and any(isinstance(v, ApproxReal) for v in values):
         raise LaplacianError("an exact dense entry fell back to an approximate scalar")
     return DenseOperator(n, s, table, mu_values, vertex, diagram.symmetry_order,
@@ -558,9 +537,10 @@ def verify_spectrum(ws: WeightSystem, n: int, s, tol: float = 1e-8,
     s = Fraction(s)
     if n < 1:
         raise LaplacianError("generation must be >= 1")
+    # the dense cap refuses an oversize n before any spectrum work
+    op = dense_restriction(ws, n, s, cap=dense_cap)
     records = full_spectrum(ws, n - 1, s)
     expected = spectrum_multiset(records)
-    op = dense_restriction(ws, n, s, cap=dense_cap)
     size = len(op.table)
 
     counting_ok = len(expected) == size

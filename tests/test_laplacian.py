@@ -28,7 +28,6 @@ from bratlap.laplacian import (
     eigenvalue,
     full_spectrum,
     g_value,
-    root_record,
     spectrum_multiset,
     verify_spectrum,
 )
@@ -88,9 +87,14 @@ def test_g_values_thue_morse():
     assert g_value(ws, Path(0), 1) == Fraction(1, 32)
 
 
+def root_records(ws, s):
+    """The records full_spectrum labels "root" at depth 0."""
+    return [rec for rec in full_spectrum(ws, 0, s) if rec.label == "root"]
+
+
 def test_root_eigenvalue_fibonacci():
     ws = fib_ws()
-    rec = root_record(ws, 1)
+    [rec] = root_records(ws, 1)
     assert rec.value == -(2 * PHI + 1)
     assert rec.multiplicity == 1
 
@@ -112,7 +116,7 @@ def test_eigenvalue_fibonacci_handchecked():
 
 def test_eigenvalue_thue_morse():
     ws = tm_ws()
-    rec = root_record(ws, 1)
+    [rec] = root_records(ws, 1)
     assert rec.value == Fraction(-4) and rec.multiplicity == 1
     for path in enumerate_paths(ws.diagram, 1).paths:
         assert eigenvalue(ws, path, 1).value == Fraction(-18)
@@ -124,7 +128,7 @@ def test_dyadic_odometer_closed_form():
     # single root edge: no root record, and the per-generation eigenvalue
     # follows -(2/3)(7*4^(n-1) - 1)
     ws = dyadic_ws()
-    assert root_record(ws, 1) is None
+    assert root_records(ws, 1) == []
     for n in range(1, 5):
         expected = Fraction(-2, 3) * (7 * 4 ** (n - 1) - 1)
         for path in enumerate_paths(ws.diagram, n).paths:
@@ -557,6 +561,8 @@ def test_approx_spectrum_keeps_declared_precision(s):
     ("penrose", "approx:200", 4, (0, 1, 20, 21)),
     ("ammann-a2", "approx:200", 5, None),
     ("fibonacci-conjugate", "approx:200", 6, None),
+    # the walk's first visit alone: the root record against -1/G(root)
+    ("penrose", "approx:200", 0, None),
 ])
 @pytest.mark.parametrize("s", [1, 2, Fraction(3, 2)])
 def test_memoized_spectrum_equals_direct_formula(name, backend, depth, slots, s):
@@ -572,7 +578,7 @@ def test_memoized_spectrum_equals_direct_formula(name, backend, depth, slots, s)
             assert rec.value.value == direct.value.value, rec.path     # the mpf bits
         assert rec.value_float == direct.value_float, rec.path
         checked += 1
-    assert checked > 20
+    assert checked > (20 if depth else 0)
 
 
 @pytest.mark.parametrize("name,backend,depth,n_records,n_values", [
@@ -596,11 +602,37 @@ def test_full_spectrum_shares_one_value_per_walk_state(name, backend, depth,
 def test_dense_diagonal_interns_one_value_per_walk_state(name, n, n_states):
     """The dense walk interns each diagonal partial once per walk state, so
     the diagonal's ids are as many as its distinct floats, and the index,
-    narrowed to the ids it holds (at most 154 here), takes one byte per entry."""
+    allocated for the ids bounded before the walk (at most 154 here), takes
+    one byte per entry."""
     op = dense_restriction(load_preset(name, backend="approx:200").weight_system, n, 1)
     assert len(set(np.diag(op.index).tolist())) == n_states
     assert len(set(np.diag(op.as_float()).tolist())) == n_states
     assert op.index.dtype == np.uint8 and int(op.index.max()) == len(op.values) - 1
+
+
+def test_dense_index_peak_is_one_byte_per_entry():
+    """The index is allocated once, at the type its id bound needs, so
+    assembly never holds a wider provisional copy beside it."""
+    ws = load_preset("ammann-a2", backend="approx:200").weight_system
+    size = 2440
+    tracemalloc.start()
+    try:
+        op = dense_restriction(ws, 7, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(op.table) == size and op.index.dtype == np.uint8
+    assert peak <= 1.25 * size * size, peak
+
+
+def test_verify_refuses_oversize_dense_before_spectrum(monkeypatch):
+    def no_spectrum(*args):
+        raise AssertionError("full_spectrum ran before the dense cap check")
+
+    monkeypatch.setattr(laplacian, "full_spectrum", no_spectrum)
+    ws = load_preset("penrose").weight_system
+    with pytest.raises(LaplacianError, match="dense restriction needs more than 4096"):
+        verify_spectrum(ws, 7, 1)
 
 
 def test_spectrum_path_cap_is_the_total_it_visits(monkeypatch):

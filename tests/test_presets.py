@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bratlap.diagram import EMPTY_PATH, build_diagram
-from bratlap.laplacian import g_value, root_record, spectrum_multiset, full_spectrum, \
+from bratlap.laplacian import g_value, spectrum_multiset, full_spectrum, \
     verify_spectrum
 from bratlap.measure import WeightSystem, perron
 from bratlap.presets import PRESETS, load_preset, preset_names
@@ -43,7 +43,7 @@ def test_thue_morse_reference_recursion():
     ref = bundle.metadata["reference"]
     assert ref["first_eigenvalue"] == -4
     assert ref["recursion"] == (4, -2)
-    rec = root_record(bundle.weight_system, 1)
+    [rec] = [r for r in full_spectrum(bundle.weight_system, 0, 1) if r.label == "root"]
     assert rec.value == Fraction(-4)
 
 
