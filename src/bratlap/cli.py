@@ -92,8 +92,9 @@ class _Emitter:
                 out.write(f"# {line}\n")
             out.write(f"# section={sec['name']}\n")
             out.write(",".join(sec["columns"]) + "\n")
-            for row in sec["rows"]:
-                out.write(",".join(str(v) for v in row) + "\n")
+            # a row's values print as str() prints them, one line at a time
+            line = ",".join(["%s"] * len(sec["columns"])) + "\n"
+            out.writelines(line % tuple(row) for row in sec["rows"])
 
 
 class _Inputs(NamedTuple):
@@ -381,9 +382,10 @@ def cmd_strip(args, parser, em, inputs) -> int:
     emb = cuntz.companion_embedding(ws.perron, s)
     report = cuntz.strip_check(emb, table, args.depth)
     # the paths of one recursion state share its distance
-    text = {d: _fmt(d) for d in {d for _, d in report.distances}}
+    text = [_fmt(d) for d in report.state_distances.tolist()]
     em.section("distances", ["path", "distance"],
-               [['"' + label + '"', text[d]] for label, d in report.distances])
+               [(f'"{label}"', text[i])
+                for label, i in zip(report.labels, report.state_of.tolist())])
     em.section("per_generation", ["generation", "max_distance"],
                [[g, _fmt(v)] for g, v in report.per_generation])
     em.summary({"max_distance": _fmt(report.max_distance),
@@ -465,7 +467,10 @@ def main(argv=None) -> int:
                      f"large and negative, or a smaller --depth")
     # stdout is looked up here, not bound at import: callers redirect it
     if em.sections:
-        out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+        try:
+            out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+        except OSError as exc:
+            parser.error(f"cannot write --output: {exc}")
         try:
             em.flush(out)
         finally:

@@ -138,12 +138,16 @@ class AffineMapTable:
         return self.lam * value + self.betas[edge_index]
 
     def beta_classes(self) -> list[int]:
-        """Per edge, the index of its beta's structural class, numbered in
-        order of first appearance.  Edges whose betas are equal scalars of one
-        type, such as parallel edges, make the same affine step; floats are
-        never compared."""
-        classes: dict = {}
-        return [classes.setdefault((type(b), b), len(classes)) for b in self.betas]
+        return _beta_classes(self.betas)
+
+
+def _beta_classes(betas) -> list[int]:
+    """Per edge, the index of its beta's structural class, numbered in order
+    of first appearance.  Edges whose betas are equal scalars of one type,
+    such as parallel edges, make the same affine step; floats are never
+    compared."""
+    classes: dict = {}
+    return [classes.setdefault((type(b), b), len(classes)) for b in betas]
 
 
 def affine_table(ws: WeightSystem, s) -> AffineMapTable:
@@ -188,11 +192,21 @@ def _self_calibrate(ws: WeightSystem, oracle: list[SpectralRecord], lam,
                     betas: list) -> int:
     """Require u_e(lambda_gamma) = lambda_(U_e gamma) on the depth-4 oracle
     records of generations 2 and 3, each generation in lexicographic path
-    order, which is the oracle's depth-first order."""
+    order, which is the oracle's depth-first order, and return the number of
+    (record, edge) relations proved.
+
+    The oracle's records share one value object per walk state, and edges
+    whose betas are in one class make the same affine step, so a relation
+    depends only on (direct value, parent value, beta class).  Each key is
+    compared once, by the objects' ids while `oracle` holds them; a key seen
+    again has held, so the first failing relation in that order is the one
+    reported."""
     diagram = ws.diagram
     exact = ws.backend.is_exact and not isinstance(lam, ApproxReal) and \
         not any(isinstance(b, ApproxReal) for b in betas)
+    classes = _beta_classes(betas)
     by_path = {rec.path: rec for rec in oracle if rec.label == "path"}
+    proved: set[tuple[int, int, int]] = set()
     checks = 0
     for gen in (2, 3):
         for rec in oracle:
@@ -204,17 +218,20 @@ def _self_calibrate(ws: WeightSystem, oracle: list[SpectralRecord], lam,
                 if shifted is None:
                     continue
                 direct = by_path[shifted]
-                via_map = lam * rec.value + betas[ei]
-                if exact:
-                    agree = compare(direct.value, via_map) == 0
-                else:
-                    scale = max(1.0, abs(direct.value_float))
-                    agree = abs(direct.value_float - float(via_map)) <= 1e-9 * scale
-                if not agree:
-                    raise CuntzError(
-                        f"affine-table self-calibration failed on edge {ei} over "
-                        f"{diagram.format_path(gamma)}: direct {direct.value_float!r} "
-                        f"vs map {float(via_map)!r}")
+                key = (id(direct.value), id(rec.value), classes[ei])
+                if key not in proved:
+                    via_map = lam * rec.value + betas[ei]
+                    if exact:
+                        agree = compare(direct.value, via_map) == 0
+                    else:
+                        scale = max(1.0, abs(direct.value_float))
+                        agree = abs(direct.value_float - float(via_map)) <= 1e-9 * scale
+                    if not agree:
+                        raise CuntzError(
+                            f"affine-table self-calibration failed on edge {ei} over "
+                            f"{diagram.format_path(gamma)}: direct {direct.value_float!r} "
+                            f"vs map {float(via_map)!r}")
+                    proved.add(key)
                 checks += 1
     if checks == 0:
         raise CuntzError("self-calibration found no applicable oracle paths")
@@ -263,17 +280,23 @@ def _grow(table: AffineMapTable, depth: int):
         yield codes, counts
 
 
-def _expand(table: AffineMapTable, depth: int, seed_state, step):
-    """Generations 2 through `depth` of the recursion, path by path: per
-    generation, (states, paths), the states in `_grow`'s order, each built
-    once by `step(edge, parent state)` from `seed_state(seed record)`, and
-    one (root index, edge, parent position, state index) per path in (root,
-    edges) order.  A parent position indexes the generation before, and
-    generation 1 is the table's path seeds in order.
+def _expand(table: AffineMapTable, depth: int, seed_states, step):
+    """Generations 2 through `depth` of the recursion as columns.  Per
+    generation this yields (states, root, edge, parent, state): the states in
+    `_grow`'s order, and per path, in (root, edges) order, int64 arrays of
+    its root index, its first edge, its parent's position in the generation
+    before and its state's index.  Generation 1 is the table's path seeds in
+    order.  `seed_states(records)` builds its states from one seed record
+    per state, and `step(states, parent, edge)` each later generation's from
+    the one before, in one call: one state per entry of the int64 arrays
+    `parent`, a state index there, and `edge`, an edge of the beta class
+    applied.
 
     The order needs no sort: the children of the paths under root edge
     (w, k) take an edge from v into w and sit under (v, k), so each child
-    block copies the order of one contiguous block of parents."""
+    block is one contiguous block of parents, taken as a slice.  A child's
+    state is found by `np.searchsorted` of its code, parent state * n_classes
+    + class, in the generation's sorted codes."""
     diagram = table.diagram
     # a generation-n record is a path ending at a vertex with two or more
     # out-edges, so the total is known before any state is grown
@@ -288,28 +311,32 @@ def _expand(table: AffineMapTable, depth: int, seed_state, step):
                              f"{DEFAULT_PATH_CAP}-record cap")
 
     classes = table.beta_classes()
-    first_edge = [classes.index(cls) for cls in range(max(classes) + 1)]
-    n_cls = len(first_edge)
+    first_edge = np.array([classes.index(cls) for cls in range(max(classes) + 1)])
+    n_cls = first_edge.size
     seeds = [rec for rec in table.seeds if rec.label == "path"]
     levels = _grow(table, depth)
-    index = {z: i for i, z in enumerate(next(levels)[0].tolist())}
-    level = [(rec.path.root, index[diagram.path_range(rec.path)]) for rec in seeds]
+    zs = next(levels)[0]
+    root = np.array([rec.path.root for rec in seeds], dtype=np.int64)
+    state = np.searchsorted(zs, [diagram.path_range(rec.path) for rec in seeds])
     # the g root slots of a seed vertex share its state
-    states = {i: seed_state(rec) for rec, (_, i) in zip(seeds, level)}
+    states = seed_states([seeds[i] for i in np.unique(state, return_index=True)[1].tolist()])
+    # under root edge (v, k), an out-edge e of v takes the paths under (r(e), k)
+    blocks = [(r, ei, diagram.root_edge_index(diagram.edges[ei].target, edge.slot))
+              for r, edge in enumerate(diagram.root_edges)
+              for ei in diagram.out_edges[edge.vertex]]
+    block_root, block_edge, block_parent = (np.array(col, dtype=np.int64)
+                                            for col in zip(*blocks))
+    block_cls = np.array(classes, dtype=np.int64)[block_edge]
     for codes, _ in levels:
-        index = {code: i for i, code in enumerate(codes.tolist())}
-        states = [step(first_edge[code % n_cls], states[code // n_cls]) for code in index]
-        blocks: list[list[tuple[int, int]]] = [[] for _ in diagram.root_edges]
-        for pos, (root, state) in enumerate(level):
-            blocks[root].append((pos, state))
-        # under root edge (v, k), an out-edge e of v takes the paths under (r(e), k)
-        paths = [(root, ei, pos, index[state * n_cls + classes[ei]])
-                 for root, edge in enumerate(diagram.root_edges)
-                 for ei in diagram.out_edges[edge.vertex]
-                 for pos, state in blocks[diagram.root_edge_index(diagram.edges[ei].target,
-                                                                  edge.slot)]]
-        yield states, paths
-        level = [(root, state) for root, _, _, state in paths]
+        states = step(states, codes // n_cls, first_edge[codes % n_cls])
+        # the parents under root edge b are bounds[b]:bounds[b + 1]
+        bounds = np.searchsorted(root, np.arange(len(diagram.root_edges) + 1))
+        lo, sizes = bounds[block_parent], np.diff(bounds)[block_parent]
+        starts = np.cumsum(sizes) - sizes
+        parent = np.arange(sizes.sum()) + np.repeat(lo - starts, sizes)
+        root, edge = np.repeat(block_root, sizes), np.repeat(block_edge, sizes)
+        state = np.searchsorted(codes, state[parent] * n_cls + np.repeat(block_cls, sizes))
+        yield states, root, edge, parent, state
 
 
 def recursive_spectrum(table: AffineMapTable, depth: int) -> list[SpectralRecord]:
@@ -320,12 +347,17 @@ def recursive_spectrum(table: AffineMapTable, depth: int) -> list[SpectralRecord
     and float value."""
     out = list(table.seeds)
     level = [rec for rec in out if rec.label == "path"]
-    levels = _expand(table, depth, lambda rec: rec.value, table.apply)
-    for gen, (states, paths) in enumerate(levels, 2):
+
+    def step(states: list, parent: np.ndarray, edge: np.ndarray) -> list:
+        return [table.apply(ei, states[i]) for i, ei in zip(parent.tolist(), edge.tolist())]
+
+    levels = _expand(table, depth, lambda recs: [rec.value for rec in recs], step)
+    for gen, (states, roots, edges, parents, index) in enumerate(levels, 2):
         floats = [float(value) for value in states]
         level = [SpectralRecord("path", Path(root, (ei,) + level[pos].path.edges), gen,
-                                states[state], floats[state], level[pos].multiplicity)
-                 for root, ei, pos, state in paths]
+                                states[i], floats[i], level[pos].multiplicity)
+                 for root, ei, pos, i in zip(roots.tolist(), edges.tolist(),
+                                             parents.tolist(), index.tolist())]
         out.extend(level)
     return out
 
@@ -352,10 +384,14 @@ class CompanionData:
     p_inv_norm: float
     action_verified: str             # "exact" | "numeric"
 
-    def distance_to_unstable(self, coords) -> float:
-        c = np.array([float(x) for x in coords])
-        proj = self.unstable_basis @ (self.unstable_basis.T @ c)
-        return float(np.linalg.norm(c - proj))
+    def distance_to_unstable(self, coords: np.ndarray) -> np.ndarray:
+        """Per row of an (n, degree) float array of lattice points, its
+        Euclidean distance to the unstable space.  The stacked products
+        project and sum each row as a vector on its own would, so a row's
+        distance does not depend on the rows beside it."""
+        basis = self.unstable_basis
+        r = coords - (basis @ (basis.T @ coords[:, :, None]))[:, :, 0]
+        return np.sqrt(r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
 def _companion(poly: list[int]) -> list[list[int]]:
@@ -462,13 +498,24 @@ def lattice_coords(embedding: CompanionData, value) -> tuple[Fraction, ...]:
 
 @dataclass
 class StripReport:
+    """The strip distances by recursion state.  Record i, in
+    `recursive_spectrum`'s order, is labelled labels[i] and lies at
+    state_distances[state_of[i]] from the unstable line."""
+
     depth: int
     pisot: bool
     stable_norm: float
     bound: float
     max_distance: float
     per_generation: list[tuple[int, float]]
-    distances: list[tuple[str, float]]
+    labels: list[str]
+    state_of: np.ndarray
+    state_distances: np.ndarray
+
+    @property
+    def distances(self) -> list[tuple[str, float]]:
+        """Per record, its label and distance."""
+        return list(zip(self.labels, self.state_distances[self.state_of].tolist()))
 
 
 def strip_check(embedding: CompanionData, table: AffineMapTable,
@@ -481,8 +528,11 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
     The recursion grows coordinates, coords(u_e x) = C coords(x) +
     coords(beta_e), as integer numerators over one denominator: the lcm of
     those of the betas' and seeds' coordinates, which C, an integer matrix,
-    keeps.  Each state's distance is computed once, and each path's label is
-    its root's head and its edge's segment before its parent's tail."""
+    keeps.  A distance depends only on the recursion state, so each
+    generation's states are measured in one batch, and each seed on its own
+    state.  Per path only its label and state index are kept: the label is
+    its root's head and its first edge's segment before its parent's tail,
+    and the columns of `_expand` give its state."""
     if not embedding.hyperbolic:
         raise CuntzError("companion matrix is non-hyperbolic; strip bound unavailable")
     if embedding.stable_norm >= 1.0:
@@ -492,45 +542,58 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
     beta_vecs = [lattice_coords(embedding, b) for b in table.betas]
     den = math.lcm(*(c.denominator for vec in seed_vecs + beta_vecs for c in vec))
 
-    def numerators(vec) -> tuple[int, ...]:
-        return tuple(c.numerator * (den // c.denominator) for c in vec)
+    def numerators(vecs) -> np.ndarray:
+        """One row of Python int numerators per coordinate vector: states
+        and betas are object arrays, so that C, an integer matrix, and the
+        betas act on a whole generation at once."""
+        nums = [[c.numerator * (den // c.denominator) for c in vec] for vec in vecs]
+        return np.array(nums, dtype=object).reshape(len(vecs), embedding.degree)
 
-    beta_nums = [numerators(vec) for vec in beta_vecs]
-    # the nonzero integer entries of each row of C
-    rows = [[(j, c) for j, c in enumerate(row) if c] for row in embedding.matrix]
+    c_t = np.array(embedding.matrix, dtype=object).T
+    beta_nums = numerators(beta_vecs)
 
-    def step(ei: int, nums: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum((nums[j] * c for j, c in row), b)
-                     for row, b in zip(rows, beta_nums[ei]))
+    def seed_states(recs) -> np.ndarray:
+        return numerators([lattice_coords(embedding, rec.value) for rec in recs])
 
-    def distance(nums: tuple[int, ...]) -> float:
+    def step(states: np.ndarray, parent: np.ndarray, edge: np.ndarray) -> np.ndarray:
+        return states[parent] @ c_t + beta_nums[edge]
+
+    def distances(states: np.ndarray) -> np.ndarray:
         # int true division rounds correctly, as float(Fraction) does
-        return embedding.distance_to_unstable([n / den for n in nums])
+        return embedding.distance_to_unstable((states / den).astype(float))
 
-    # grown before the seeds' rows: the record cap is checked before any distance
     diagram = table.diagram
+    heads = diagram.heads
+    dot_segments = ["." + segment for segment in diagram.segments]
+    # the records are the seeds, each on a state of its own, then the grown
+    # generations, whose state indices follow on
+    labels = [rec.label if rec.path is None else diagram.format_path(rec.path)
+              for rec in table.seeds]
+    state_of = [np.arange(len(table.seeds))]
+    batches: list[np.ndarray] = []
+    offset = len(table.seeds)
     per_gen: dict[int, float] = {}
-    grown: list[tuple[str, float]] = []
     tails = [""] * sum(rec.label == "path" for rec in table.seeds)
-    levels = _expand(table, depth,
-                     lambda rec: numerators(lattice_coords(embedding, rec.value)), step)
-    for gen, (states, paths) in enumerate(levels, 2):
-        dists = [distance(nums) for nums in states]
-        tails = ["." + diagram.segments[ei] + tails[pos] for _, ei, pos, _ in paths]
-        grown.extend((diagram.heads[root] + tail, dists[state])
-                     for (root, _, _, state), tail in zip(paths, tails))
-        per_gen[gen] = max([0.0, *dists])
-    distances: list[tuple[str, float]] = []
-    for rec, vec in zip(table.seeds, seed_vecs):
-        dist = distance(numerators(vec))
-        distances.append((rec.label if rec.path is None else diagram.format_path(rec.path),
-                          dist))
+    levels = _expand(table, depth, seed_states, step)
+    for gen, (states, roots, edges, parents, index) in enumerate(levels, 2):
+        dists = distances(states)
+        tails = [dot_segments[ei] + tails[pos]
+                 for ei, pos in zip(edges.tolist(), parents.tolist())]
+        labels += [heads[root] + tail for root, tail in zip(roots.tolist(), tails)]
+        state_of.append(index + offset)
+        batches.append(dists)
+        offset += dists.size
+        # a NaN distance, as from a point near the float range, is passed over
+        per_gen[gen] = float(np.fmax.reduce(dists, initial=0.0))
+    # measured after the growth: the record cap is checked before any distance
+    seed_dists = distances(numerators(seed_vecs))
+    for rec, dist in zip(table.seeds, seed_dists.tolist()):
         per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
-    distances.extend(grown)
 
     nonzero = [vec for rec, vec in zip(table.seeds, seed_vecs) if rec.label != "zero"]
     norms = [math.sqrt(sum(float(c) ** 2 for c in vec)) for vec in beta_vecs + nonzero]
     m_const = embedding.p_inv_norm ** 2 * max(norms)
     bound = m_const / (1.0 - embedding.stable_norm)
     return StripReport(max(per_gen), embedding.pisot, embedding.stable_norm, bound,
-                       max([0.0, *per_gen.values()]), sorted(per_gen.items()), distances)
+                       max([0.0, *per_gen.values()]), sorted(per_gen.items()), labels,
+                       np.concatenate(state_of), np.concatenate([seed_dists, *batches]))

@@ -21,6 +21,15 @@ def longest_common_prefix(x: Path, y: Path) -> Path:
     return Path(x.root, tuple(common))
 
 
+def distance_to_unstable(embedding, coords) -> float:
+    """The distance of one lattice point to the unstable space of a
+    CompanionData, vector by vector: its float coordinates minus their
+    orthogonal projection onto the unstable basis, and the norm of that."""
+    c = np.array([float(x) for x in coords])
+    proj = embedding.unstable_basis @ (embedding.unstable_basis.T @ c)
+    return float(np.linalg.norm(c - proj))
+
+
 def whole_symmetrized(op) -> np.ndarray:
     """The whole |Pi_n|^2 matrix D^(1/2) M D^(-1/2) of a DenseOperator, each
     entry the float of M times root[i] * inv_root[j]."""

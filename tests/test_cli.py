@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import tempfile
 import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,8 +22,10 @@ from hypothesis import strategies as st
 
 import bratlap
 from bratlap import cuntz, laplacian, measure
-from bratlap.cli import main
-from bratlap.presets import preset_names
+from bratlap.cli import _fmt, main
+from bratlap.diagram import build_diagram
+from bratlap.presets import PRESETS, preset_names
+from oracles import distance_to_unstable
 
 
 def run_cli(argv, capsys):
@@ -200,6 +204,56 @@ def test_heat_command(capsys):
                          "--tmax", "1e-3", "--points", "4"], capsys)
     assert code == 0
     assert '"target":"-0.5"' in out
+
+
+def _strip_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
+    """strip's CSV and JSON stdout rendered path by path: each record of
+    recursive_spectrum labelled by format_path, at the per-vector distance
+    of its value's field expansion; only the bound, pisot and stable norm
+    are read off strip_check's report."""
+    spec = PRESETS[preset]
+    diagram = build_diagram(spec.matrix, symmetry_order=spec.symmetry_order,
+                            letters=spec.letters)
+    pdata = measure.field_perron(diagram, spec.dimension)
+    table = cuntz.affine_table(measure.WeightSystem(diagram, pdata), Fraction(s))
+    emb = cuntz.companion_embedding(pdata, Fraction(s))
+    rows, per_gen = [], {}
+    for rec in cuntz.recursive_spectrum(table, depth):
+        label = rec.label if rec.path is None else diagram.format_path(rec.path)
+        dist = distance_to_unstable(emb, cuntz.lattice_coords(emb, rec.value))
+        rows.append([f'"{label}"', _fmt(dist)])
+        per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
+    report = cuntz.strip_check(emb, table, depth)
+    config = {"backend": pdata.backend.kind, "depth": str(depth),
+              "dimension": spec.dimension, "preset": preset, "s": s}
+    gen_rows = [[gen, _fmt(dist)] for gen, dist in sorted(per_gen.items())]
+    summary = {"bound": _fmt(report.bound), "max_distance": _fmt(max(per_gen.values())),
+               "pisot": report.pisot, "stable_norm": _fmt(report.stable_norm)}
+    dump = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    csv = ["# bratlap strip", *(f"# {key}={config[key]}" for key in sorted(config)),
+           "# section=distances", "path,distance", *(",".join(row) for row in rows),
+           "# section=per_generation", "generation,max_distance",
+           *(f"{gen},{dist}" for gen, dist in gen_rows), "# summary " + dump(summary)]
+    sections = [{"name": "distances", "columns": ["path", "distance"], "rows": rows,
+                 "comments": []},
+                {"name": "per_generation", "columns": ["generation", "max_distance"],
+                 "rows": gen_rows, "comments": []},
+                {"name": "summary", "data": summary}]
+    payload = {"command": "strip", "config": config, "sections": sections}
+    return "\n".join(csv) + "\n", dump(payload) + "\n"
+
+
+@pytest.mark.parametrize("preset, depth, s", [("penrose", 6, "0"),
+                                              ("fibonacci-conjugate", 8, "1"),
+                                              ("thue-morse", 8, "1")])
+def test_strip_stdout_matches_a_per_path_rendering(preset, depth, s, capsys):
+    # strip works by recursion state and batches its distances; its stdout
+    # must be what a path-by-path rendering prints, byte for byte.  The
+    # distances' last digits depend on the BLAS, so no digest is pinned.
+    csv, json_text = _strip_rendering(preset, depth, s)
+    argv = ["strip", "--preset", preset, "--depth", str(depth), "--s", s]
+    assert run_cli(argv, capsys) == (0, csv)
+    assert run_cli([*argv, "--format", "json"], capsys) == (0, json_text)
 
 
 def test_strip_command_penrose_uses_exact_coordinates(capsys):
@@ -521,6 +575,9 @@ _USAGE_ERRORS = [
     # factor_complexity's AsymptoticsError reaches the user through main
     (["complexity", "--preset", "fibonacci", "--nmax", "600000"],
      "fixed-point prefix exceeded 2000000 letters"),
+    # exit 1 would read as a failed verification
+    (["spectrum", "--preset", "fibonacci", "--output", "/nonexistent/x.csv"],
+     "cannot write --output: [Errno 2] No such file or directory: '/nonexistent/x.csv'"),
 ]
 
 

@@ -7,6 +7,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bratlap import asymptotics, cuntz
@@ -29,6 +30,7 @@ from bratlap.measure import WeightSystem, _theta_certificate, mu, perron
 from bratlap.presets import PRESETS, load_preset, preset_names
 from bratlap.scalar import (ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend,
                             compare)
+from oracles import distance_to_unstable
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -54,9 +56,10 @@ def strip_coordinates(embedding, table, depth):
     expand = cuntz._expand
 
     def spy(*args):
-        for states, paths in expand(*args):
-            levels.append([states[state] for _, _, _, state in paths])
-            yield states, paths
+        for level in expand(*args):
+            states, index = level[0], level[4]
+            levels.append([tuple(states[i]) for i in index.tolist()])
+            yield level
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cuntz, "_expand", spy)
@@ -191,6 +194,63 @@ def test_affine_table_penrose():
     assert table.calibration_checks > 0
 
 
+# the (record, edge) relations each preset's calibration proves, counted
+# one by one; they do not depend on s
+CALIBRATION_CHECKS = {"fibonacci": 8, "fibonacci-conjugate": 47, "thue-morse": 24,
+                      "dyadic-odometer": 12, "penrose": 940, "ammann-a2": 188}
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_calibration_counts_every_relation(name):
+    # each (direct value, parent value, beta class) is compared once, but
+    # every (record, edge) relation it proves is counted
+    backends = [None, "quadratic:5"] if name.startswith("fibonacci") else [None]
+    for backend in backends:
+        ws = load_preset(name, backend=backend).weight_system
+        for s in (-1, 0, Fraction(1, 2), 1, 2, 3):
+            assert affine_table(ws, s).calibration_checks == CALIBRATION_CHECKS[name], \
+                (backend, s)
+
+
+# the first failing relation in oracle order, checked relation by relation,
+# once every beta of the last class is raised by one
+LAST_CLASS_FAILURES = {
+    ("fibonacci", 0): "edge 2 over a.a: direct -353.6493702224834 vs map -352.6493702224834",
+    ("fibonacci", 2): "edge 2 over a.a: direct -24.798373876248846 vs map -23.798373876248846",
+    ("fibonacci-conjugate", 0):
+        "edge 3 over a.a(1): direct -4356.6538168825455 vs map -4355.6538168825455",
+    ("fibonacci-conjugate", 2):
+        "edge 3 over a.a(1): direct -48.87314095474771 vs map -47.87314095474771",
+    ("thue-morse", 0): "edge 0 over 0.0: direct -2194.0 vs map -2193.0",
+    ("thue-morse", 2): "edge 0 over 0.0: direct -46.0 vs map -45.0",
+    ("dyadic-odometer", 0): "edge 0 over a.a(1): direct -274.0 vs map -273.0",
+    ("dyadic-odometer", 2): "edge 0 over a.a(1): direct -22.0 vs map -21.0",
+    ("penrose", 0): "edge 4 over b[0].a: direct -188385.19819760494 vs map -188384.19819760494",
+    ("penrose", 2): "edge 4 over b[0].a: direct -1040.782756093744 vs map -1039.782756093744",
+    ("ammann-a2", 0): "edge 4 over b[0].a: direct -7537.41136784704 vs map -7536.41136784704",
+    ("ammann-a2", 2):
+        "edge 4 over b[0].a: direct -209.83759351138485 vs map -208.83759351138485",
+}
+
+
+@pytest.mark.parametrize("name, s", LAST_CLASS_FAILURES, ids=str)
+def test_calibration_failure_in_the_last_beta_class(name, s, monkeypatch):
+    # a wrong beta in the class seen last is still caught, and the relation
+    # named is the first failing one in oracle order
+    calibrate = cuntz._self_calibrate
+
+    def perturbed(ws, oracle, lam, betas):
+        classes = cuntz._beta_classes(betas)
+        return calibrate(ws, oracle, lam, [b + 1 if cls == max(classes) else b
+                                           for b, cls in zip(betas, classes)])
+
+    monkeypatch.setattr(cuntz, "_self_calibrate", perturbed)
+    with pytest.raises(CuntzError) as info:
+        affine_table(load_preset(name).weight_system, s)
+    assert str(info.value) == ("affine-table self-calibration failed on "
+                               + LAST_CLASS_FAILURES[name, s])
+
+
 def test_seed_extension_property():
     # the gen-1 eigenvalue is the affine image of the root eigenvalue
     ws = tm_ws()
@@ -303,7 +363,9 @@ def test_recursion_generations_in_path_order(name):
         assert level == sorted(level, key=lambda rec: (rec.path.root, rec.path.edges)), gen
 
 
-# the three recursions above at s = d, and each at another s where strip runs
+# the three recursions above at s = d, and each at another s where strip
+# runs; thue-morse's lattice is a line (degree 1), and at depth 1 nothing
+# grows past the seeds
 @pytest.mark.parametrize("ws_factory, s, depth", [
     (fib_ws, 1, 6),
     (fib_ws, -1, 8),
@@ -311,12 +373,16 @@ def test_recursion_generations_in_path_order(name):
     (penrose_ws, 0, 5),
     (fib_conj_ws, 1, 6),
     (fib_conj_ws, 0, 6),
+    (tm_ws, 1, 7),
+    (tm_ws, 0, 6),
+    (fib_ws, 1, 1),
 ], ids=["fibonacci", "fibonacci-s-1", "penrose", "penrose-s0", "fibonacci-conjugate",
-        "fibonacci-conjugate-s0"])
+        "fibonacci-conjugate-s0", "thue-morse", "thue-morse-s0", "fibonacci-depth-1"])
 def test_strip_matches_per_path_oracle(ws_factory, s, depth):
-    # strip grows labels, coordinates and distances by recursion state; path
-    # by path they must equal format_path, the field expansion of the value
-    # and the distance of that expansion
+    # strip grows labels, coordinates and distances by recursion state, and
+    # measures a generation's states in one batch; path by path they must
+    # equal format_path, the field expansion of the value and the distance
+    # of that expansion measured on its own, bit for bit
     ws = ws_factory()
     table = affine_table(ws, s)
     emb = companion_embedding(ws.perron, s)
@@ -328,12 +394,27 @@ def test_strip_matches_per_path_oracle(ws_factory, s, depth):
         assert got == lattice_coords(emb, rec.value), label
         assert reconstruct_from_coords(emb, got) == \
             pytest.approx(rec.value_float, rel=1e-12, abs=1e-9), label
-        assert dist == emb.distance_to_unstable(lattice_coords(emb, rec.value)), label
+        assert dist == distance_to_unstable(emb, lattice_coords(emb, rec.value)), label
     per_gen = {}
     for rec, (_, dist) in zip(records, report.distances):
         per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
     assert report.per_generation == sorted(per_gen.items())
     assert report.max_distance == max(per_gen.values())
+
+
+@pytest.mark.parametrize("ws_factory", [fib_ws, tm_ws], ids=["plane", "line"])
+def test_batched_distances_match_the_per_vector_oracle(ws_factory):
+    # the batch measures each row as the row alone would be measured, bit for
+    # bit, from small points to ones near 1e22; an empty generation gives none
+    ws = ws_factory()
+    emb = companion_embedding(ws.perron, 1)
+    rng = np.random.default_rng(5)
+    coords = np.concatenate([rng.standard_normal((200, emb.degree)) * scale
+                             for scale in (1.0, 1e8, 1e16, 1e22)])
+    got = emb.distance_to_unstable(coords)
+    assert got.tolist() == [distance_to_unstable(emb, row) for row in coords]
+    empty = emb.distance_to_unstable(np.empty((0, emb.degree)))
+    assert empty.shape == (0,)
 
 
 def test_coords_scalar_recursion_thue_morse():
@@ -567,7 +648,8 @@ def test_counted_and_per_path_views_of_the_recursion_agree(name):
         table = affine_table(bundle.weight_system, s)
         classes = table.beta_classes()
         levels = list(cuntz._grow(table, 7))
-        grown = list(cuntz._expand(table, 7, lambda rec: None, lambda ei, state: None))
+        grown = list(cuntz._expand(table, 7, lambda recs: None,
+                                   lambda states, parent, edge: None))
         assert len(levels) == 7 and len(grown) == 6
         seeds = [rec for rec in table.seeds if rec.label == "path"]
         zs = levels[0][0].tolist()
@@ -576,7 +658,7 @@ def test_counted_and_per_path_views_of_the_recursion_agree(name):
         total = sum(rec.multiplicity for rec in table.seeds if rec.generation == 0)
         for n, ((codes, counts), row_counts) in enumerate(zip(levels, path_counts(diagram)), 1):
             if n > 1:
-                _, paths = grown[n - 2]
+                paths = zip(*(col.tolist() for col in grown[n - 2][1:]))
                 rows = [(Path(root, (ei,) + rows[pos][0].edges), rows[pos][1], state)
                         for root, ei, pos, state in paths]
             _check_level(diagram, classes, codes, counts, rows)
