@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuntz import AffineMapTable, _grow
+from .cuntz import AffineMapTable, _grow, _seed_values
 from .diagram import SubstitutionRule, path_counts
 
 
@@ -102,13 +102,6 @@ def _check_weight_range(diagram, depth: int) -> None:
                 f"bound for this diagram is depth {n - 2}")
 
 
-def _seed_values(table: AffineMapTable) -> dict[int, float]:
-    """{range vertex: float value} of the table's generation-1 seeds; the g
-    root slots of a vertex share one value."""
-    return {table.diagram.path_range(rec.path): rec.value_float
-            for rec in table.seeds if rec.label == "path"}
-
-
 def magnitude_table(table: AffineMapTable, depth: int) -> GenerationSpectrum:
     """Per-generation |eigenvalue| magnitudes with exact multiplicities: one
     entry per recursion state of `cuntz._grow`, with its summed multiplicity.
@@ -133,7 +126,7 @@ def magnitude_table(table: AffineMapTable, depth: int) -> GenerationSpectrum:
     # generation 1, the seeds, is always reported
     for gen, (codes, counts) in enumerate(_grow(table, depth), 1):
         if gen == 1:    # a seed's code is its range vertex
-            vals = np.array([seeds[z] for z in codes.tolist()])
+            vals = np.array([float(seeds[z]) for z in codes.tolist()])
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 vals = lam * vals[codes // beta.size] + beta[codes % beta.size]
@@ -167,7 +160,10 @@ def coverage_cap(spec: GenerationSpectrum, lam: float) -> float:
 
 def weyl_count(spec: GenerationSpectrum, lam: float, grid=None) -> WeylResult:
     """Step counting function N(t) = #{|eigenvalue| <= t} with multiplicity,
-    sampled on a log grid below the coverage cap, plus a log-log OLS fit."""
+    sampled on a log grid below the coverage cap, plus a log-log OLS fit.
+    The magnitudes grow only while Lambda > 1: at s >= d+2 no Weyl law holds."""
+    if lam <= 1.0:
+        raise AsymptoticsError("Weyl count needs Lambda > 1 (s < d+2)")
     values, mults = spec.flatten()
     order = np.argsort(values)
     values = values[order]
@@ -317,7 +313,7 @@ def heat_trace(table: AffineMapTable, t_grid, depth: int | None = None) -> HeatR
             f"smallest feasible t at this depth is {feasible:g}")
 
     out_deg = [len(diagram.out_edges[v]) for v in range(diagram.n_letters)]
-    seed_vals = _seed_values(table)
+    seed_vals = {z: float(v) for z, v in _seed_values(table).items()}
     root = next((rec for rec in table.seeds if rec.label == "root"), None)
 
     samples = []
@@ -470,7 +466,9 @@ class ComplexityTable:
 
 def factor_complexity(rule: SubstitutionRule, n_max: int) -> ComplexityTable:
     """Exact factor counts of the substitution fixed point, by growing a prefix
-    until the counts for every n <= n_max agree on two successive rounds."""
+    until the counts for every n <= n_max agree on two successive rounds.
+    Each round's prefix extends the last one, so one suffix automaton is
+    extended by the new letters only."""
     if rule.dimension != 1:
         raise AsymptoticsError("factor complexity is implemented for d = 1 only")
     seed, power = _fixed_point_seed(rule)
@@ -488,6 +486,7 @@ def factor_complexity(rule: SubstitutionRule, n_max: int) -> ComplexityTable:
 
     prev_counts = None
     rounds = 0
+    sa = _SuffixAutomaton()
     while True:
         rounds += 1
         for _ in range(power):
@@ -496,8 +495,8 @@ def factor_complexity(rule: SubstitutionRule, n_max: int) -> ComplexityTable:
             raise AsymptoticsError(f"fixed-point prefix exceeded {MAX_PREFIX_LENGTH} letters")
         if len(word) < 4 * n_max:
             continue
-        sa = _SuffixAutomaton()
-        for ch in word:
+        # the automaton holds the last counted prefix: its last state's length
+        for ch in word[sa.length[sa.last]:]:
             sa.extend(ch)
         counts = sa.factor_counts(n_max)
         if prev_counts is not None and counts == prev_counts:

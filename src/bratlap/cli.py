@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -232,26 +233,15 @@ def cmd_spectrum(args, parser, em, inputs) -> int:
     # depth N reports every splitting above generation N: total
     # multiplicity equals the generation-N path count
     records = laplacian.full_spectrum(ws, args.depth - 1, inputs.s)
-    segments = ws.diagram.segments
-    # records come in walk order, so a path's parent, when it has a record,
-    # is the newest labelled path one generation up, and format_path's label
-    # is the parent's plus "." and the segment of the last edge
-    newest: dict[int, tuple[tuple[int, tuple[int, ...]], str]] = {}
+    # walk order lists each generation's paths in (root, edges) order, so a
+    # path's label is the next one of its generation, let go once quoted
+    labels = [None, *map(deque, ws.diagram.split_labels(args.depth - 1))]
     rows = []
     # records of one walk state share their value object, which `records`
     # keeps alive, so its id keys the two strings formatted from it
     texts: dict[int, tuple[str, str]] = {}
     for rec in records:
-        if rec.path is None:
-            path = rec.label
-        else:
-            root, edges = rec.path.root, rec.path.edges
-            parent = newest.get(len(edges) - 1)
-            if edges and parent is not None and parent[0] == (root, edges[:-1]):
-                path = parent[1] + "." + segments[edges[-1]]
-            else:
-                path = ws.diagram.format_path(rec.path)
-            newest[len(edges)] = ((root, edges), path)
+        path = rec.label if rec.path is None else labels[rec.generation].popleft()
         text = texts.get(id(rec.value))
         if text is None:
             text = texts[id(rec.value)] = ('"' + _fmt_exact(ws.backend, rec.value) + '"',

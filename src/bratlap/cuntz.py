@@ -280,23 +280,17 @@ def _grow(table: AffineMapTable, depth: int):
         yield codes, counts
 
 
-def _expand(table: AffineMapTable, depth: int, seed_states, step):
-    """Generations 2 through `depth` of the recursion as columns.  Per
-    generation this yields (states, root, edge, parent, state): the states in
-    `_grow`'s order, and per path, in (root, edges) order, int64 arrays of
-    its root index, its first edge, its parent's position in the generation
-    before and its state's index.  Generation 1 is the table's path seeds in
-    order.  `seed_states(records)` builds its states from one seed record
-    per state, and `step(states, parent, edge)` each later generation's from
-    the one before, in one call: one state per entry of the int64 arrays
-    `parent`, a state index there, and `edge`, an edge of the beta class
-    applied.
+def _expand(table: AffineMapTable, depth: int):
+    """Generations 2 through `depth` of the recursion per path.  Per
+    generation this yields `_grow`'s codes and an int64 array of each
+    path's state index in them, the paths in (root, edges) order.
 
-    The order needs no sort: the children of the paths under root edge
-    (w, k) take an edge from v into w and sit under (v, k), so each child
-    block is one contiguous block of parents, taken as a slice.  A child's
-    state is found by `np.searchsorted` of its code, parent state * n_classes
-    + class, in the generation's sorted codes."""
+    The paths under root edge (v, k) take the same edges for every slot k,
+    so the indices are found once per vertex and repeated under each of
+    its root edges.  Under v, an out-edge e leads to the paths under r(e)
+    one generation shorter, and a child's state is found by
+    `np.searchsorted` of its code, its tail's state * n_classes + class(e),
+    in the generation's sorted codes."""
     diagram = table.diagram
     # a generation-n record is a path ending at a vertex with two or more
     # out-edges, so the total is known before any state is grown
@@ -311,32 +305,24 @@ def _expand(table: AffineMapTable, depth: int, seed_states, step):
                              f"{DEFAULT_PATH_CAP}-record cap")
 
     classes = table.beta_classes()
-    first_edge = np.array([classes.index(cls) for cls in range(max(classes) + 1)])
-    n_cls = first_edge.size
-    seeds = [rec for rec in table.seeds if rec.label == "path"]
+    n_cls = max(classes) + 1
     levels = _grow(table, depth)
+    # generation 1: a seed's state is coded by its range vertex
     zs = next(levels)[0]
-    root = np.array([rec.path.root for rec in seeds], dtype=np.int64)
-    state = np.searchsorted(zs, [diagram.path_range(rec.path) for rec in seeds])
-    # the g root slots of a seed vertex share its state
-    states = seed_states([seeds[i] for i in np.unique(state, return_index=True)[1].tolist()])
-    # under root edge (v, k), an out-edge e of v takes the paths under (r(e), k)
-    blocks = [(r, ei, diagram.root_edge_index(diagram.edges[ei].target, edge.slot))
-              for r, edge in enumerate(diagram.root_edges)
-              for ei in diagram.out_edges[edge.vertex]]
-    block_root, block_edge, block_parent = (np.array(col, dtype=np.int64)
-                                            for col in zip(*blocks))
-    block_cls = np.array(classes, dtype=np.int64)[block_edge]
+    index = [np.searchsorted(zs, [v] if v in splits else []) for v in range(diagram.n_letters)]
     for codes, _ in levels:
-        states = step(states, codes // n_cls, first_edge[codes % n_cls])
-        # the parents under root edge b are bounds[b]:bounds[b + 1]
-        bounds = np.searchsorted(root, np.arange(len(diagram.root_edges) + 1))
-        lo, sizes = bounds[block_parent], np.diff(bounds)[block_parent]
-        starts = np.cumsum(sizes) - sizes
-        parent = np.arange(sizes.sum()) + np.repeat(lo - starts, sizes)
-        root, edge = np.repeat(block_root, sizes), np.repeat(block_edge, sizes)
-        state = np.searchsorted(codes, state[parent] * n_cls + np.repeat(block_cls, sizes))
-        yield states, root, edge, parent, state
+        index = [np.concatenate([np.searchsorted(codes, index[diagram.edges[ei].target] * n_cls
+                                                 + classes[ei]) for ei in out])
+                 for out in diagram.out_edges]
+        yield codes, np.concatenate([index[edge.vertex] for edge in diagram.root_edges])
+
+
+def _seed_values(table: AffineMapTable) -> dict:
+    """{range vertex: value} of the table's generation-1 seeds, in vertex
+    order, which is `_grow`'s order of their states: a seed's code is its
+    range vertex, and the g root slots of a vertex share its value."""
+    return {table.diagram.path_range(rec.path): rec.value
+            for rec in table.seeds if rec.label == "path"}
 
 
 def recursive_spectrum(table: AffineMapTable, depth: int) -> list[SpectralRecord]:
@@ -345,20 +331,26 @@ def recursive_spectrum(table: AffineMapTable, depth: int) -> list[SpectralRecord
     generation-n record, in `full_spectrum`'s (root, edges) order within a
     generation.  Records that reach the same recursion state share its value
     and float value."""
+    diagram = table.diagram
+    classes = table.beta_classes()
+    first_edge = [classes.index(cls) for cls in range(max(classes) + 1)]
     out = list(table.seeds)
-    level = [rec for rec in out if rec.label == "path"]
-
-    def step(states: list, parent: np.ndarray, edge: np.ndarray) -> list:
-        return [table.apply(ei, states[i]) for i, ei in zip(parent.tolist(), edge.tolist())]
-
-    levels = _expand(table, depth, lambda recs: [rec.value for rec in recs], step)
-    for gen, (states, roots, edges, parents, index) in enumerate(levels, 2):
+    states = list(_seed_values(table).values())
+    # per vertex, the edge runs of the paths under its root edges, like
+    # the label tails of `BratteliDiagram.split_labels`
+    runs = [[()] if len(edges) >= 2 else [] for edges in diagram.out_edges]
+    for gen, (codes, index) in enumerate(_expand(table, depth), 2):
+        parent, cls = np.divmod(codes, len(first_edge))
+        states = [table.apply(first_edge[k], states[i])
+                  for i, k in zip(parent.tolist(), cls.tolist())]
         floats = [float(value) for value in states]
-        level = [SpectralRecord("path", Path(root, (ei,) + level[pos].path.edges), gen,
-                                states[i], floats[i], level[pos].multiplicity)
-                 for root, ei, pos, i in zip(roots.tolist(), edges.tolist(),
-                                             parents.tolist(), index.tolist())]
-        out.extend(level)
+        runs = [[(ei,) + run for ei in edges for run in runs[diagram.edges[ei].target]]
+                for edges in diagram.out_edges]
+        paths = [Path(r, run) for r, edge in enumerate(diagram.root_edges)
+                 for run in runs[edge.vertex]]
+        out.extend(SpectralRecord("path", path, gen, states[i], floats[i],
+                                  len(diagram.out_edges[diagram.path_range(path)]) - 1)
+                   for path, i in zip(paths, index.tolist()))
     return out
 
 
@@ -518,6 +510,27 @@ class StripReport:
         return list(zip(self.labels, self.state_distances[self.state_of].tolist()))
 
 
+def _lattice_levels(embedding: CompanionData, table: AffineMapTable, depth: int, den: int):
+    """Generations 2 through `depth` of the recursion in lattice coordinates,
+    coords(u_e x) = C coords(x) + coords(beta_e), as Python int numerators
+    over `den`, which C, an integer matrix, keeps.  Per generation this
+    yields one row per state of `_expand`, in its order, and `_expand`'s
+    state index per path.  The rows are an object array, so that C and the
+    betas act on a whole generation at once."""
+    def numerators(values) -> np.ndarray:
+        return np.array([[c.numerator * (den // c.denominator)
+                          for c in lattice_coords(embedding, v)] for v in values], dtype=object)
+
+    classes = table.beta_classes()
+    n_cls = max(classes) + 1
+    c_t = np.array(embedding.matrix, dtype=object).T
+    betas = numerators(table.betas[classes.index(cls)] for cls in range(n_cls))
+    states = numerators(_seed_values(table).values())
+    for codes, index in _expand(table, depth):
+        states = states[codes // n_cls] @ c_t + betas[codes % n_cls]
+        yield states, index
+
+
 def strip_check(embedding: CompanionData, table: AffineMapTable,
                 depth: int) -> StripReport:
     """Distances to the unstable line of the lattice points of the records
@@ -525,14 +538,11 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
     m/(1 - |C_s|) with m = |P^-1|^2 max(|beta|, |lambda_seed|) over the
     table's betas and nonzero seeds.
 
-    The recursion grows coordinates, coords(u_e x) = C coords(x) +
-    coords(beta_e), as integer numerators over one denominator: the lcm of
-    those of the betas' and seeds' coordinates, which C, an integer matrix,
-    keeps.  A distance depends only on the recursion state, so each
-    generation's states are measured in one batch, and each seed on its own
-    state.  Per path only its label and state index are kept: the label is
-    its root's head and its first edge's segment before its parent's tail,
-    and the columns of `_expand` give its state."""
+    The coordinates are integer numerators over one denominator: the lcm of
+    those of the betas' and seeds' coordinates.  A distance depends only on
+    the recursion state, so each generation's states are measured in one
+    batch, and each seed on its own state.  Per path only its label, from
+    `BratteliDiagram.split_labels`, and its state index are kept."""
     if not embedding.hyperbolic:
         raise CuntzError("companion matrix is non-hyperbolic; strip bound unavailable")
     if embedding.stable_norm >= 1.0:
@@ -542,51 +552,26 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
     beta_vecs = [lattice_coords(embedding, b) for b in table.betas]
     den = math.lcm(*(c.denominator for vec in seed_vecs + beta_vecs for c in vec))
 
-    def numerators(vecs) -> np.ndarray:
-        """One row of Python int numerators per coordinate vector: states
-        and betas are object arrays, so that C, an integer matrix, and the
-        betas act on a whole generation at once."""
-        nums = [[c.numerator * (den // c.denominator) for c in vec] for vec in vecs]
-        return np.array(nums, dtype=object).reshape(len(vecs), embedding.degree)
-
-    c_t = np.array(embedding.matrix, dtype=object).T
-    beta_nums = numerators(beta_vecs)
-
-    def seed_states(recs) -> np.ndarray:
-        return numerators([lattice_coords(embedding, rec.value) for rec in recs])
-
-    def step(states: np.ndarray, parent: np.ndarray, edge: np.ndarray) -> np.ndarray:
-        return states[parent] @ c_t + beta_nums[edge]
-
-    def distances(states: np.ndarray) -> np.ndarray:
-        # int true division rounds correctly, as float(Fraction) does
-        return embedding.distance_to_unstable((states / den).astype(float))
-
-    diagram = table.diagram
-    heads = diagram.heads
-    dot_segments = ["." + segment for segment in diagram.segments]
     # the records are the seeds, each on a state of its own, then the grown
     # generations, whose state indices follow on
-    labels = [rec.label if rec.path is None else diagram.format_path(rec.path)
-              for rec in table.seeds]
+    names = table.diagram.split_labels(depth)
+    labels = [rec.label for rec in table.seeds if rec.path is None] + next(names, [])
     state_of = [np.arange(len(table.seeds))]
     batches: list[np.ndarray] = []
     offset = len(table.seeds)
     per_gen: dict[int, float] = {}
-    tails = [""] * sum(rec.label == "path" for rec in table.seeds)
-    levels = _expand(table, depth, seed_states, step)
-    for gen, (states, roots, edges, parents, index) in enumerate(levels, 2):
-        dists = distances(states)
-        tails = [dot_segments[ei] + tails[pos]
-                 for ei, pos in zip(edges.tolist(), parents.tolist())]
-        labels += [heads[root] + tail for root, tail in zip(roots.tolist(), tails)]
+    levels = _lattice_levels(embedding, table, depth, den)
+    for gen, ((states, index), level_labels) in enumerate(zip(levels, names), 2):
+        # int true division rounds correctly, as float(Fraction) does below
+        dists = embedding.distance_to_unstable((states / den).astype(float))
+        labels += level_labels
         state_of.append(index + offset)
         batches.append(dists)
         offset += dists.size
         # a NaN distance, as from a point near the float range, is passed over
         per_gen[gen] = float(np.fmax.reduce(dists, initial=0.0))
     # measured after the growth: the record cap is checked before any distance
-    seed_dists = distances(numerators(seed_vecs))
+    seed_dists = embedding.distance_to_unstable(np.array(seed_vecs, dtype=float))
     for rec, dist in zip(table.seeds, seed_dists.tolist()):
         per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
 

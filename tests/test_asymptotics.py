@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bratlap import asymptotics
 from bratlap.asymptotics import (
     AsymptoticsError,
     factor_complexity,
@@ -177,6 +178,16 @@ def test_weyl_grid_beyond_coverage_rejected():
         weyl_count(spec, table.lam_float, grid=[1e9])
 
 
+def test_weyl_count_refuses_lambda_at_most_one():
+    # Lambda_s = theta^((d+2-s)/d) is 1 at s = d+2 and below 1 past it,
+    # where the magnitudes no longer grow
+    table = tm_setup()
+    spec = magnitude_table(table, 6)
+    for lam in (1.0, 0.5, 0.0):
+        with pytest.raises(AsymptoticsError, match=r"needs Lambda > 1 \(s < d\+2\)"):
+            weyl_count(spec, lam)
+
+
 def test_weyl_margins_thue_morse():
     table = tm_setup()
     spec = magnitude_table(table, 12)
@@ -297,6 +308,25 @@ def test_complexity_seed_rotation():
     result = factor_complexity(conj, 50)
     assert result.counts[0] == 2
     assert all(result.counts[i] < result.counts[i + 1] for i in range(49))
+
+
+def test_complexity_extends_one_automaton(monkeypatch):
+    # each round's prefix extends the last, so the automaton takes each
+    # letter once: 16,384 letters of the thue-morse word, not 8,192 + 16,384
+    extend = asymptotics._SuffixAutomaton.extend
+    calls = []
+
+    def counted(self, ch):
+        calls.append(ch)
+        extend(self, ch)
+
+    monkeypatch.setattr(asymptotics._SuffixAutomaton, "extend", counted)
+    result = factor_complexity(TM_RULE, 2000)
+    assert (result.rounds, result.word_length, len(calls)) == (13, 16384, 16384)
+    fresh = asymptotics._SuffixAutomaton()
+    for ch in calls:
+        extend(fresh, ch)
+    assert result.counts == tuple(fresh.factor_counts(2000))
 
 
 def test_complexity_rejects_higher_dimension():

@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 import bratlap
 from bratlap import cuntz, laplacian, measure
-from bratlap.cli import _fmt, main
+from bratlap.cli import _fmt, _fmt_exact, main
 from bratlap.diagram import build_diagram
-from bratlap.presets import PRESETS, preset_names
+from bratlap.presets import PRESETS, load_preset, preset_names
 from oracles import distance_to_unstable
 
 
@@ -206,6 +206,22 @@ def test_heat_command(capsys):
     assert '"target":"-0.5"' in out
 
 
+def _rendering(command: str, config: dict, sections: list[dict],
+               summary: dict) -> tuple[str, str]:
+    """A command's CSV and JSON stdout, written out from its config, its
+    sections (name, columns, rows, comments) and its summary."""
+    dump = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    csv = [f"# bratlap {command}", *(f"# {key}={config[key]}" for key in sorted(config))]
+    for sec in sections:
+        csv += [f"# {line}" for line in sec["comments"]]
+        csv += [f"# section={sec['name']}", ",".join(sec["columns"]),
+                *(",".join(map(str, row)) for row in sec["rows"])]
+    csv.append("# summary " + dump(summary))
+    payload = {"command": command, "config": config,
+               "sections": [*sections, {"name": "summary", "data": summary}]}
+    return "\n".join(csv) + "\n", dump(payload) + "\n"
+
+
 def _strip_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
     """strip's CSV and JSON stdout rendered path by path: each record of
     recursive_spectrum labelled by format_path, at the per-vector distance
@@ -229,18 +245,42 @@ def _strip_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
     gen_rows = [[gen, _fmt(dist)] for gen, dist in sorted(per_gen.items())]
     summary = {"bound": _fmt(report.bound), "max_distance": _fmt(max(per_gen.values())),
                "pisot": report.pisot, "stable_norm": _fmt(report.stable_norm)}
-    dump = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-    csv = ["# bratlap strip", *(f"# {key}={config[key]}" for key in sorted(config)),
-           "# section=distances", "path,distance", *(",".join(row) for row in rows),
-           "# section=per_generation", "generation,max_distance",
-           *(f"{gen},{dist}" for gen, dist in gen_rows), "# summary " + dump(summary)]
-    sections = [{"name": "distances", "columns": ["path", "distance"], "rows": rows,
-                 "comments": []},
-                {"name": "per_generation", "columns": ["generation", "max_distance"],
-                 "rows": gen_rows, "comments": []},
-                {"name": "summary", "data": summary}]
-    payload = {"command": "strip", "config": config, "sections": sections}
-    return "\n".join(csv) + "\n", dump(payload) + "\n"
+    return _rendering("strip", config, [
+        {"name": "distances", "columns": ["path", "distance"], "rows": rows, "comments": []},
+        {"name": "per_generation", "columns": ["generation", "max_distance"],
+         "rows": gen_rows, "comments": []}], summary)
+
+
+def _spectrum_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
+    """spectrum's CSV and JSON stdout rendered record by record: each record
+    of full_spectrum labelled by format_path of its own path."""
+    bundle = load_preset(preset)
+    ws, diagram = bundle.weight_system, bundle.diagram
+    rows = []
+    records = laplacian.full_spectrum(ws, depth - 1, Fraction(s))
+    for rec in records:
+        label = rec.label if rec.path is None else diagram.format_path(rec.path)
+        rows.append([rec.label, rec.generation, f'"{label}"', rec.multiplicity,
+                     f'"{_fmt_exact(ws.backend, rec.value)}"', _fmt(rec.value_float)])
+    config = {"backend": bundle.backend.kind, "depth": str(depth),
+              "dimension": bundle.dimension, "preset": preset, "s": s}
+    columns = ["label", "generation", "path", "multiplicity", "value_exact", "value_float"]
+    return _rendering("spectrum", config, [
+        {"name": "records", "columns": columns, "rows": rows,
+         "comments": [ws.backend.header()]}],
+        {"total_multiplicity": sum(rec.multiplicity for rec in records)})
+
+
+@pytest.mark.parametrize("preset, depth, s", [("penrose", 5, "1"),
+                                              ("fibonacci-conjugate", 7, "1/2"),
+                                              ("dyadic-odometer", 6, "2")])
+def test_spectrum_stdout_matches_a_per_record_rendering(preset, depth, s, capsys):
+    # spectrum reads its labels from split_labels, one generation at a time;
+    # in walk order they must be format_path of each record's own path
+    csv, json_text = _spectrum_rendering(preset, depth, s)
+    argv = ["spectrum", "--preset", preset, "--depth", str(depth), "--s", s]
+    assert run_cli(argv, capsys) == (0, csv)
+    assert run_cli([*argv, "--format", "json"], capsys) == (0, json_text)
 
 
 @pytest.mark.parametrize("preset, depth, s", [("penrose", 6, "0"),
@@ -572,6 +612,10 @@ def test_presets_lists_every_preset(capsys):
 _USAGE_ERRORS = [
     (["spectrum", "--preset", "fibonacci", "--s", "abc"], "--s must be rational, got 'abc'"),
     (["weyl", "--preset", "fibonacci", "--grid", "1:2"], "--grid must look like a:b:steps"),
+    # at s >= d+2 Lambda_s <= 1 and no Weyl law holds: s = 3 is Lambda = 1
+    # exactly on thue-morse, and s = 100 underflowed the coverage cap
+    (["weyl", "--preset", "thue-morse", "--s", "3"], "Weyl count needs Lambda > 1 (s < d+2)"),
+    (["weyl", "--preset", "thue-morse", "--s", "100"], "Weyl count needs Lambda > 1 (s < d+2)"),
     # factor_complexity's AsymptoticsError reaches the user through main
     (["complexity", "--preset", "fibonacci", "--nmax", "600000"],
      "fixed-point prefix exceeded 2000000 letters"),

@@ -53,16 +53,15 @@ def strip_coordinates(embedding, table, depth):
     expanded from their values, the others read off the recursion states as
     numerators over the lcm of the betas' and seeds' denominators."""
     levels = []
-    expand = cuntz._expand
+    grow = cuntz._lattice_levels
 
     def spy(*args):
-        for level in expand(*args):
-            states, index = level[0], level[4]
+        for states, index in grow(*args):
             levels.append([tuple(states[i]) for i in index.tolist()])
-            yield level
+            yield states, index
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cuntz, "_expand", spy)
+        mp.setattr(cuntz, "_lattice_levels", spy)
         report = strip_check(embedding, table, depth)
     seeds = [lattice_coords(embedding, rec.value) for rec in table.seeds]
     den = math.lcm(*(c.denominator for vec in seeds for c in vec),
@@ -648,8 +647,7 @@ def test_counted_and_per_path_views_of_the_recursion_agree(name):
         table = affine_table(bundle.weight_system, s)
         classes = table.beta_classes()
         levels = list(cuntz._grow(table, 7))
-        grown = list(cuntz._expand(table, 7, lambda recs: None,
-                                   lambda states, parent, edge: None))
+        grown = list(cuntz._expand(table, 7))
         assert len(levels) == 7 and len(grown) == 6
         seeds = [rec for rec in table.seeds if rec.label == "path"]
         zs = levels[0][0].tolist()
@@ -658,9 +656,14 @@ def test_counted_and_per_path_views_of_the_recursion_agree(name):
         total = sum(rec.multiplicity for rec in table.seeds if rec.generation == 0)
         for n, ((codes, counts), row_counts) in enumerate(zip(levels, path_counts(diagram)), 1):
             if n > 1:
-                paths = zip(*(col.tolist() for col in grown[n - 2][1:]))
-                rows = [(Path(root, (ei,) + rows[pos][0].edges), rows[pos][1], state)
-                        for root, ei, pos, state in paths]
+                # _expand's indices belong to the splitting paths in enumeration order
+                grown_codes, index = grown[n - 2]
+                assert np.array_equal(grown_codes, codes), (s, n)
+                mults = [(path, len(diagram.out_edges[diagram.path_range(path)]) - 1)
+                         for path in enumerate_paths(diagram, n).paths]
+                splitting = [(path, mult) for path, mult in mults if mult >= 1]
+                rows = [(path, mult, state)
+                        for (path, mult), state in zip(splitting, index.tolist(), strict=True)]
             _check_level(diagram, classes, codes, counts, rows)
             assert len(rows) == sum(row_counts[v] for v in splits), (s, n)
             total += int(counts.sum())

@@ -224,6 +224,30 @@ def test_path_labels_penrose_and_parallel_edges():
     assert fib_diagram().format_path(EMPTY_PATH) == "()"
 
 
+_G3_FILES = {
+    # g = 3 with a vertex that does not split, and g = 3 with parallel edges
+    "golden-g3": '{"letters": ["a", "b"], "matrix": [[1, 1], [1, 0]], "symmetry_order": 3}',
+    "penrose-g3": '{"letters": ["p", "q"], "matrix": [[2, 1], [1, 1]], "symmetry_order": 3}',
+}
+
+
+@pytest.mark.parametrize("name", [*preset_names(), *_G3_FILES])
+def test_split_labels_are_format_path_of_the_splitting_paths(name):
+    # per generation, the labels of the paths whose range vertex has two or
+    # more out-edges, in enumeration order
+    if name in _G3_FILES:
+        diagram = load_diagram_json(_G3_FILES[name])[0]
+    else:
+        diagram = load_preset(name).diagram
+    labels = list(diagram.split_labels(7))
+    assert len(labels) == 7
+    for n, got in enumerate(labels, 1):
+        want = [diagram.format_path(p) for p in enumerate_paths(diagram, n).paths
+                if len(diagram.out_edges[diagram.path_range(p)]) >= 2]
+        assert got == want, (name, n)
+    assert list(diagram.split_labels(0)) == []
+
+
 def test_child_of_the_empty_path_is_a_root_edge():
     assert EMPTY_PATH.child(3) == Path(3)
     assert Path(3).child(1) == Path(3, (1,))
