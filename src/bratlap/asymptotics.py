@@ -55,36 +55,31 @@ def ols_loglog(xs, ys) -> FitResult:
 
 @dataclass
 class GenerationSpectrum:
-    """Per-generation |eigenvalue| arrays with multiplicity weights; the
-    generation-0 row holds the kernel and the root splitting."""
+    """Per-generation |eigenvalue| arrays with multiplicity weights, row n
+    for generation n: row 0 holds the kernel and the root splitting, row 1
+    the seeds."""
 
-    generations: list[int]
     magnitudes: list[np.ndarray]
     weights: list[np.ndarray]
 
     def flatten(self) -> tuple[np.ndarray, np.ndarray]:
         return np.concatenate(self.magnitudes), np.concatenate(self.weights)
 
+    def count(self, thresholds) -> np.ndarray:
+        """N(t) = #{|eigenvalue| <= t} with multiplicity, per threshold."""
+        values, mults = self.flatten()
+        order = np.argsort(values)
+        cum = np.concatenate(([0], np.cumsum(mults[order])))
+        return cum[np.searchsorted(values[order], thresholds, side="right")]
+
     def total_multiplicity(self) -> int:
         return int(sum(int(w.sum()) for w in self.weights))
 
     def generation_min(self) -> dict[int, float]:
-        out = {}
-        for g, vals in zip(self.generations, self.magnitudes):
-            if g >= 1 and vals.size:
-                out[g] = float(vals.min())
-        return out
+        return {n: float(m.min()) for n, m in enumerate(self.magnitudes) if n and m.size}
 
     def generation_max(self) -> dict[int, float]:
-        out = {}
-        for g, vals in zip(self.generations, self.magnitudes):
-            if g >= 1 and vals.size:
-                out[g] = float(vals.max())
-        return out
-
-    def generation_weight(self, g: int) -> int:
-        i = self.generations.index(g)
-        return int(self.weights[i].sum())
+        return {n: float(m.max()) for n, m in enumerate(self.magnitudes) if n and m.size}
 
 
 def _check_weight_range(diagram, depth: int) -> None:
@@ -137,7 +132,7 @@ def magnitude_table(table: AffineMapTable, depth: int) -> GenerationSpectrum:
         if not np.isfinite(m).all():
             raise AsymptoticsError(
                 f"eigenvalue magnitudes leave the float range at generation {gen}")
-    return GenerationSpectrum(list(range(len(magnitudes))), magnitudes, weights)
+    return GenerationSpectrum(magnitudes, weights)
 
 
 @dataclass
@@ -148,14 +143,17 @@ class WeylResult:
     total_multiplicity: int
 
 
+def lower_envelope(spec: GenerationSpectrum, lam: float) -> float:
+    """c_min = min_n m_n / Lambda^n over the enumerated generations n >= 1,
+    with m_n the smallest magnitude of generation n."""
+    return min(v / lam ** n for n, v in spec.generation_min().items())
+
+
 def coverage_cap(spec: GenerationSpectrum, lam: float) -> float:
     """Largest threshold whose count is complete: any eigenvalue beyond the
     enumerated depth has magnitude at least c_min * Lambda^(depth+1), with
     c_min the fitted lower envelope constant."""
-    mins = spec.generation_min()
-    depth = max(mins)
-    c_min = min(v / lam ** n for n, v in mins.items())
-    return c_min * lam ** (depth + 1)
+    return lower_envelope(spec, lam) * lam ** (max(spec.generation_min()) + 1)
 
 
 def weyl_count(spec: GenerationSpectrum, lam: float, grid=None) -> WeylResult:
@@ -164,10 +162,6 @@ def weyl_count(spec: GenerationSpectrum, lam: float, grid=None) -> WeylResult:
     The magnitudes grow only while Lambda > 1: at s >= d+2 no Weyl law holds."""
     if lam <= 1.0:
         raise AsymptoticsError("Weyl count needs Lambda > 1 (s < d+2)")
-    values, mults = spec.flatten()
-    order = np.argsort(values)
-    values = values[order]
-    cum = np.cumsum(mults[order])
     cap = coverage_cap(spec, lam)
     if grid is None:
         # the power law starts once whole generations contribute; below the
@@ -183,9 +177,7 @@ def weyl_count(spec: GenerationSpectrum, lam: float, grid=None) -> WeylResult:
         if grid.max() > cap:
             raise AsymptoticsError(
                 f"grid exceeds the covered window; max usable threshold is {cap:.6g}")
-    idx = np.searchsorted(values, grid, side="right")
-    counts = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0)
-    samples = [(float(t), int(c)) for t, c in zip(grid, counts)]
+    samples = list(zip(grid.tolist(), spec.count(grid).tolist()))
     fit = ols_loglog([t for t, c in samples if c > 0],
                      [c for _, c in samples if c > 0])
     return WeylResult(samples, fit, cap, spec.total_multiplicity())
@@ -211,20 +203,12 @@ def weyl_margins(spec: GenerationSpectrum, bounds: dict) -> list[WeylMarginRow]:
     """Evaluate reference counting bounds of the form coef*sqrt(a*t + b) at
     each distinct eigenvalue magnitude.  Margins are reported, not asserted:
     the bounds may be marginal at small magnitudes."""
-    values, mults = spec.flatten()
-    order = np.argsort(values)
-    values, mults = values[order], mults[order]
-    cum = np.cumsum(mults)
-    lc, la, lb = bounds["lower"]
-    uc, ua, ub = bounds["upper"]
-    rows = []
+    lc, la, lb = map(float, bounds["lower"])
+    uc, ua, ub = map(float, bounds["upper"])
+    values, _ = spec.flatten()
     distinct = np.unique(values[values > 0])
-    for t in distinct:
-        n = int(cum[np.searchsorted(values, t, side="right") - 1])
-        rows.append(WeylMarginRow(float(t), n,
-                                  lc * math.sqrt(la * t + lb),
-                                  uc * math.sqrt(ua * t + ub)))
-    return rows
+    return [WeylMarginRow(t, n, lc * math.sqrt(la * t + lb), uc * math.sqrt(ua * t + ub))
+            for t, n in zip(distinct.tolist(), spec.count(distinct).tolist())]
 
 
 @dataclass
@@ -278,10 +262,8 @@ def heat_trace(table: AffineMapTable, t_grid, depth: int | None = None) -> HeatR
         raise AsymptoticsError("heat trace needs Lambda > 1 (s < d+2)")
 
     env = magnitude_table(table, HEAT_ENVELOPE_DEPTH)
-    mins = env.generation_min()
-    c_min = min(v / lam ** n for n, v in mins.items()) / 2.0
-    c_cnt = 2.0 * max(env.generation_weight(n) / theta ** n
-                      for n in range(1, HEAT_ENVELOPE_DEPTH + 1))
+    c_min = lower_envelope(env, lam) / 2.0
+    c_cnt = 2.0 * max(int(w.sum()) / theta ** n for n, w in enumerate(env.weights) if n)
 
     def tail_bound(t: float, d: int) -> float:
         total = 0.0
@@ -314,16 +296,16 @@ def heat_trace(table: AffineMapTable, t_grid, depth: int | None = None) -> HeatR
 
     out_deg = [len(diagram.out_edges[v]) for v in range(diagram.n_letters)]
     seed_vals = {z: float(v) for z, v in _seed_values(table).items()}
-    root = next((rec for rec in table.seeds if rec.label == "root"), None)
+    # generations 0 and 1, the kernel, the root splitting and the seeds, are
+    # the envelope table's first rows; every eigenvalue is <= 0
+    head = [(m.tolist(), w.tolist()) for m, w in zip(env.magnitudes[:2], env.weights[:2])]
 
     samples = []
     for t in t_grid:
-        total = 1.0
-        if root is not None:
-            total += root.multiplicity * math.exp(t * root.value_float)
-        for z, v in seed_vals.items():
-            if out_deg[z] >= 2:
-                total += diagram.symmetry_order * (out_deg[z] - 1) * math.exp(t * v)
+        total = 0.0
+        for mags, wts in head:
+            for m, w in zip(mags, wts):
+                total += w * math.exp(-t * m)
         log_w = np.zeros(diagram.n_letters)   # slots enter through symmetry_order
         for m in range(1, depth):
             contrib, log_w = _log_transfer_contribution(
@@ -364,8 +346,9 @@ def norm_bound_check(table: AffineMapTable, depth: int = 15) -> NormBoundReport:
 
     spec = magnitude_table(table, depth)
     maxes = spec.generation_max()
-    seed_mags = [abs(rec.value_float) for rec in table.seeds if rec.label != "zero"]
-    c = max(max(seed_mags), max(abs(b) for b in table.betas_float))
+    # rows 0 and 1 hold the root and the seeds, and the zero adds nothing
+    c = max(float(np.concatenate(spec.magnitudes[:2]).max()),
+            max(abs(b) for b in table.betas_float))
     bound = c / (1.0 - lam)
 
     sup_by_gen = []

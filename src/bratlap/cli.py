@@ -318,9 +318,7 @@ def cmd_weyl(args, parser, em, inputs) -> int:
                [[_fmt(t), c] for t, c in result.samples])
     bounds = inputs.meta.get("reference", {}).get("weyl_bounds")
     if bounds:
-        margins = asymptotics.weyl_margins(spec, {
-            "lower": tuple(float(v) for v in bounds["lower"]),
-            "upper": tuple(float(v) for v in bounds["upper"])})
+        margins = asymptotics.weyl_margins(spec, bounds)
         em.section("margins",
                    ["magnitude", "count", "lower", "upper", "lower_ok", "upper_ok"],
                    [[_fmt(r.magnitude), r.count, _fmt(r.lower), _fmt(r.upper),

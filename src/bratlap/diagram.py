@@ -14,7 +14,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import _linalg
+import numpy as np
+
 
 DEFAULT_PATH_CAP = 10_000_000
 # what path labels add to letters (".", slot brackets, occurrence parentheses)
@@ -88,18 +89,20 @@ def _check_matrix(matrix) -> tuple[tuple[int, ...], ...]:
 
 
 def is_primitive(matrix) -> bool:
-    """True iff some power of the matrix is entrywise strictly positive."""
+    """True iff some power of the matrix is entrywise strictly positive.  The
+    support is squared until it is positive or its exponent reaches the
+    Wielandt bound (r-1)^2 + 1, which no primitive matrix's exponent passes.
+    A primitive matrix has no zero row, so once a power is positive every
+    later one is too, and the test is exact."""
     rows = _check_matrix(matrix)
-    r = len(rows)
-    bound = r * r - 2 * r + 2 if r > 1 else 1  # Wielandt exponent
-    b = [[1 if v > 0 else 0 for v in row] for row in rows]
-    power = b
-    for _ in range(max(bound, 1)):
-        if all(all(v for v in row) for row in power):
-            return True
-        power = [[1 if s > 0 else 0 for s in row]
-                 for row in _linalg.mat_mul(power, b)]
-    return all(all(v for v in row) for row in power)
+    support = np.array([[v > 0 for v in row] for row in rows])
+    exponent = 1
+    while not support.all():
+        if exponent >= (len(rows) - 1) ** 2 + 1:
+            return False
+        support = support @ support     # boolean: or of ands
+        exponent *= 2
+    return True
 
 
 @dataclass(frozen=True, order=True)

@@ -120,8 +120,22 @@ def test_magnitude_table_bit_identical_to_per_path_oracle(preset):
             for x, w in zip(mags.tolist(), wts.tolist()):
                 acc[x] = acc.get(x, 0) + w
             got.append(acc)
-        assert spec.generations == list(range(11))
+        assert len(spec.magnitudes) == 11
         assert got == _per_path_magnitudes(table, 10), (preset, s)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_count_is_the_weighted_number_of_magnitudes_at_most_t(preset):
+    bundle = load_preset(preset)
+    for s in sorted({0, 1, bundle.dimension}):
+        spec = magnitude_table(affine_table(bundle.weight_system, s), 8)
+        values, mults = spec.flatten()
+        distinct = np.unique(values)
+        # every step, every gap between steps, and both ends
+        ts = np.concatenate((distinct, (distinct[:-1] + distinct[1:]) / 2,
+                             [distinct[0] - 1.0, 2.0 * distinct[-1] + 1.0]))
+        for t, n in zip(ts.tolist(), spec.count(ts).tolist()):
+            assert n == int(mults[values <= t].sum()), (preset, s, t)
 
 
 def test_magnitude_table_keeps_one_entry_per_state():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from itertools import product
 
 import pytest
@@ -120,6 +121,26 @@ def test_is_primitive():
     assert is_primitive([[2]])
     assert not is_primitive([[0, 1], [1, 0]])  # period 2
     assert not is_primitive([[1, 1], [0, 1]])  # reducible
+
+
+def _wielandt(r):
+    """The r-cycle plus the chord r -> 2: primitive with exponent (r-1)^2 + 1,
+    the largest an r x r primitive matrix can have."""
+    return [[int(j == (i + 1) % r or (i, j) == (r - 1, 1)) for j in range(r)]
+            for i in range(r)]
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_is_primitive_reaches_the_wielandt_exponent(r):
+    assert is_primitive(_wielandt(r))
+    assert not is_primitive([[int(j == (i + 1) % r) for j in range(r)] for i in range(r)])
+
+
+def test_is_primitive_decides_a_60_letter_wielandt_matrix_at_once():
+    # multiplying by the matrix 59^2 + 1 times took over a minute
+    start = time.perf_counter()
+    assert is_primitive(_wielandt(60))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumerate_fibonacci_small():
