@@ -326,6 +326,15 @@ class DenseOperator:
         return slab
 
 
+def _subtree_sizes(diagram, n: int) -> dict[int, list[int]]:
+    """sizes[k][v]: the number of generation-n paths below the generation-k
+    vertex v, for k = 1..n."""
+    sizes = {n: [1] * diagram.n_letters}
+    for k in range(n - 1, 0, -1):
+        sizes[k] = _linalg.mat_vec(diagram.matrix, sizes[k + 1])
+    return sizes
+
+
 def dense_restriction(ws: WeightSystem, n: int, s,
                       cap: int = DEFAULT_DENSE_CAP) -> DenseOperator:
     """Assemble Delta_s on the Pi_n basis.
@@ -355,10 +364,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     vertex = np.array([diagram.path_range(p) for p in table.paths])
     mu_values = tuple(cache.mu_at(table.paths[i])
                       for i in np.unique(vertex, return_index=True)[1])
-    # subtree sizes: number of generation-n paths below a generation-k vertex
-    sizes = {n: [1] * diagram.n_letters}
-    for k in range(n - 1, 0, -1):
-        sizes[k] = _linalg.mat_vec(diagram.matrix, sizes[k + 1])
+    sizes = _subtree_sizes(diagram, n)
 
     values: list = []
     meet_ids: dict[tuple[int, int], np.ndarray] = {}
@@ -576,16 +582,37 @@ def verify_spectrum(ws: WeightSystem, n: int, s, tol: float = 1e-8,
 def _verify_exact_relations(ws: WeightSystem, op: DenseOperator,
                             records: list[SpectralRecord]) -> bool:
     """M 1 = 0 and M v = lambda v for every closed-form eigenvector, exactly,
-    with each record's multiplicity equal to its number of vectors.  A vector
-    is coeff_pos on one child cylinder of its base and coeff_neg on another,
-    each cylinder one range of the table, so (M v)_i is coeff_pos and coeff_neg
-    times the row sums over the two ranges.  Those run in integers: the ids
-    in a range of op.index are counted and dotted with `_Numerators`, so no
-    scalar arithmetic runs per entry or per row."""
-    entries, mus = _Numerators(op.values), _Numerators(op.mu_values)
+    with each record's multiplicity equal to its number of vectors.
+
+    A vector v at base gamma is coeff_pos on the cylinder of gamma e, coeff_neg
+    on that of gamma e', and 0 elsewhere.  Each cylinder is one range of the
+    table, so (M v)_i is coeff_pos times row i summed over the pos range plus
+    coeff_neg times it summed over the neg range.
+    - Every row i of gamma's span is checked against op.index as assembled:
+      (M v)_i must be lambda coeff_pos on pos, lambda coeff_neg on neg, 0 on
+      the rest of the span.
+    - A row outside gamma's span meets all of the span's columns at one
+      common meet, so it reads mu_j / G(meet) there and (M v)_i is
+      sum_j mu_j v_j / G(meet), while v_i = 0: the relation holds there once
+      mu . v = 0, which is checked for every vector.
+
+    It all runs in integers.  The entries, the measures, and every vector's
+    coefficients and lambda are numerators over one common denominator each
+    (`_Numerators`: den, mus.den and c.den).  The relation times
+    den * c.den^2 reads c.den * (den M)(c.den v) = den * (c.den lambda)(c.den
+    v), so one denominator for all vectors is exact.  Each row of den * M is
+    summed once, as prefix sums with a leading 0 column
+    (`_Numerators.prefix_sums`), so a sum over the range lo:hi of row i is
+    P[i, hi] - P[i, lo]: M 1 = 0 is a zero last column, and every (vector,
+    row of its base's span) pair is one pair of lookups, all checked in one
+    vectorized pass.  The range sums are Python ints before they meet the
+    coefficients, so no product overflows."""
+    diagram = ws.diagram
     cache = StationaryCache(ws, op.s)
-    if any(entries.dot(row) != (0, 0) for row in op.index):
-        return False
+    sizes = _subtree_sizes(diagram, op.generation)
+    # per vector: its base's span, pos range and neg range as (lo, hi) each,
+    # and coeff_pos, coeff_neg and lambda
+    spans, scalars = [], []
     for rec in records:
         if rec.label == "zero":
             continue
@@ -593,29 +620,59 @@ def _verify_exact_relations(ws: WeightSystem, op: DenseOperator,
         specs = eigenbasis(cache, base)
         if len(specs) != rec.multiplicity:
             return False
+        span = op.table.span(base)
+        ext = extensions(diagram, base)
+        ends = list(accumulate((sizes[base.generation + 1][diagram.path_range(base.child(e))]
+                                for e in ext), initial=span.start))
+        child = {e: ends[k:k + 2] for k, e in enumerate(ext)}
         for spec in specs:
-            pos = op.table.span(base.child(spec.edge_pos))
-            neg = op.table.span(base.child(spec.edge_neg))
-            # v's two values, then lambda times v on pos, on neg and elsewhere
-            c = _Numerators((spec.coeff_pos, spec.coeff_neg, rec.value * spec.coeff_pos,
-                             rec.value * spec.coeff_neg, ws.backend.zero))
+            spans.append([span.start, span.stop, *child[spec.edge_pos], *child[spec.edge_neg]])
+            scalars += (spec.coeff_pos, spec.coeff_neg, rec.value)
+    entries = _Numerators(op.values)
+    rows = entries.prefix_sums(op.index)
+    if any(p[:, -1].any() for p in rows):
+        return False
+    if not spans:
+        return True
+    mus, c = _Numerators(op.mu_values), _Numerators(scalars)
+    base_lo, base_hi, pos_lo, pos_hi, neg_lo, neg_hi = np.array(spans).T
+    coeff_pos, coeff_neg, lam = ((c.a[j::3], c.b[j::3]) for j in range(3))
 
-            def numerators_mv(sums: _Numerators, ids: np.ndarray) -> tuple[int, int]:
-                """c.den * sums.den * sum_j x[ids[j]] v_j, as (a, b)"""
-                (pa, pb), (na, nb) = (sums.dot(ids[r.start:r.stop]) for r in (pos, neg))
-                return (c.a[0] * pa + c.a[1] * na + c.disc * (c.b[0] * pb + c.b[1] * nb),
-                        c.a[0] * pb + c.b[0] * pa + c.a[1] * nb + c.b[1] * na)
+    def times_v(prefix: list[np.ndarray], row, k: np.ndarray) -> tuple:
+        """c.den * den * (M v)_row for the vectors k, as (a, b), from the
+        prefix sums of den * M"""
+        (pa, pb), (na, nb) = (
+            _times((coeff[0][k], coeff[1][k]), _range_sums(prefix, row, lo[k], hi[k]), c.disc)
+            for coeff, lo, hi in ((coeff_pos, pos_lo, pos_hi), (coeff_neg, neg_lo, neg_hi)))
+        return pa + na, pb + nb
 
-            # rows outside the base subtree see the support through one common
-            # meet, so they vanish exactly as soon as sum(mu_j v_j) does
-            if numerators_mv(mus, op.vertex) != (0, 0):
-                return False
-            for i in op.table.span(base):
-                t = 2 if i in pos else 3 if i in neg else 4
-                if numerators_mv(entries, op.index[i]) != \
-                        (entries.den * c.a[t], entries.den * c.b[t]):
-                    return False
-    return True
+    every = np.arange(len(spans))
+    if any(np.any(x) for x in times_v(mus.prefix_sums(op.vertex[None, :]), 0, every)):
+        return False
+    # each vector k once per row i of its base's span
+    width = base_hi - base_lo
+    k = np.repeat(every, width)
+    i = np.arange(len(k)) + np.repeat(base_lo - np.cumsum(width) + width, width)
+    in_pos, in_neg = ((lo[k] <= i) & (i < hi[k])
+                      for lo, hi in ((pos_lo, pos_hi), (neg_lo, neg_hi)))
+    # c.den * v_i, then c.den^2 * lambda v_i
+    v = tuple(np.where(in_pos, p[k], np.where(in_neg, q[k], 0))
+              for p, q in zip(coeff_pos, coeff_neg))
+    want = _times((lam[0][k], lam[1][k]), v, c.disc)
+    return not any(np.any(c.den * x - entries.den * w)
+                   for x, w in zip(times_v(rows, i, k), want))
+
+
+def _times(x: tuple, y: tuple, disc: int) -> tuple:
+    """(x_a + x_b sqrt(disc)) (y_a + y_b sqrt(disc)) as (a, b)."""
+    return x[0] * y[0] + disc * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _range_sums(prefix: list[np.ndarray], row, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """Sums over the columns lo:hi of the given rows from `prefix_sums`, as
+    (a, b) in Python ints, with b = 0 on Q."""
+    sums = [(p[row, hi] - p[row, lo]).astype(object) for p in prefix]
+    return sums[0], sums[1] if len(sums) == 2 else 0
 
 
 class _Numerators:
@@ -630,8 +687,22 @@ class _Numerators:
         self.a, self.b = (np.array([q.numerator * (self.den // q.denominator) for q in col],
                                    dtype=object) for col in zip(*parts))
 
-    def dot(self, ids: np.ndarray) -> tuple[int, int]:
-        """den * sum(x[ids]) as (a, b): bincount's counts dotted in Python ints."""
-        counts = np.bincount(ids)
-        used = np.flatnonzero(counts)
-        return int(np.dot(counts[used], self.a[used])), int(np.dot(counts[used], self.b[used]))
+    def prefix_sums(self, ids: np.ndarray) -> list[np.ndarray]:
+        """Prefix sums of den * x[ids] along each row of the 2-D ids, with a
+        leading 0 column: a's, then on Q(sqrt disc) b's.  A sum of at most
+        width numerators is bounded by max |numerator| * width, so the sums
+        are int64 when that is below 2^63 and Python ints otherwise.  Rows
+        are gathered ROW_BLOCK at a time."""
+        height, width = ids.shape
+        parts = (self.a, self.b) if self.disc else (self.a,)
+        top = max(abs(x) for part in parts for x in part)
+        dtype = np.int64 if top * width < 2 ** 63 else object
+        out = []
+        for part in parts:
+            part = part.astype(dtype)
+            prefix = np.zeros((height, width + 1), dtype)
+            for lo in range(0, height, ROW_BLOCK):
+                np.cumsum(part[ids[lo:lo + ROW_BLOCK]], axis=1,
+                          out=prefix[lo:lo + ROW_BLOCK, 1:])
+            out.append(prefix)
+        return out

@@ -100,16 +100,23 @@ def _theta_certificate(matrix) -> _Certificate | None:
     vector of A - root*I.  The candidates come from the float spectrum:
     (-round(theta), 1), then (round(theta*l), -round(theta + l), 1) for each
     other real eigenvalue l.  They are exact only while theta^2 < 2^53, so
-    beyond that size a theta without a certified candidate is refused."""
+    beyond that size a theta without a certified candidate is refused.
+
+    A candidate p with det p(A) != 0 mod a prime is dropped before any
+    elimination in its field: p(A) is then nonsingular over Q, and p(A) is
+    the product of the A - root*I over p's roots, so no root of p is an
+    eigenvalue.  Only the elimination accepts."""
     eigs = np.linalg.eigvals(np.array(matrix, dtype=float))
     top = int(np.argmax(np.abs(eigs)))
     theta_float = float(abs(eigs[top]))
     candidates = [(-round(theta_float), 1)]
     candidates += [(round(theta_float * lam.real), -round(theta_float + lam.real), 1)
                    for i, lam in enumerate(eigs) if i != top and lam.imag == 0]
+    a = np.array(matrix, dtype=object)
+    powers = (np.identity(len(a), dtype=object), a, a.dot(a))
     for poly in candidates:
         field = _field_root(poly)
-        if field is None:
+        if field is None or _nonsingular_mod_prime(sum(c * x for c, x in zip(poly, powers))):
             continue
         try:
             vector = _exact_eigenvector(matrix, field[1], field[0])
@@ -121,6 +128,24 @@ def _theta_certificate(matrix) -> _Certificate | None:
                            f"eigenvalue at this size: theta = {theta_float:.6g}, and its "
                            f"candidates are exact only while theta^2 < 2^53")
     return None
+
+
+# a prime below 2^31: a product of two residues stays below 2^62, in int64
+_PRIME = 2 ** 31 - 1
+
+
+def _nonsingular_mod_prime(matrix: np.ndarray) -> bool:
+    """Whether det(matrix) != 0 mod _PRIME, by Gaussian elimination on int64
+    residues; a determinant nonzero mod a prime is nonzero over Q."""
+    m = (matrix % _PRIME).astype(np.int64)
+    for col in range(len(m)):
+        pivots = np.flatnonzero(m[col:, col])
+        if not len(pivots):
+            return False
+        m[[col, col + pivots[0]]] = m[[col + pivots[0], col]]
+        factors = m[col + 1:, col] * pow(int(m[col, col]), -1, _PRIME) % _PRIME
+        m[col + 1:] = (m[col + 1:] - factors[:, None] * m[col] % _PRIME) % _PRIME
+    return True
 
 
 def _exact_theta(cert: _Certificate | None, backend) -> tuple[object, list]:

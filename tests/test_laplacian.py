@@ -264,6 +264,14 @@ def test_verify_fibonacci_exact():
     assert report.max_abs_deviation < 1e-12
 
 
+def test_verify_without_eigenvectors():
+    """dyadic-odometer at generation 1 has one path, under a root with one
+    extension: no closed-form vector, and only M 1 = 0 to check exactly."""
+    for s in (0, 1, 2):
+        report = verify_spectrum(load_preset("dyadic-odometer").weight_system, 1, s)
+        assert report.ok and report.exact_ok and report.dense_size == 1
+
+
 # a relative 1e-12 moves every float deviation below the 1e-8 tolerance, so
 # only the exact eigen-relation check can catch these mutations
 EPS = Fraction(1, 10 ** 12)
@@ -276,12 +284,31 @@ def _scale_first_generation_one_record(records):
     return records
 
 
-def _edit_entries(op, edits):
+def _slot_images(op, i, j):
+    """The cells the root-slot permutations map (i, j) to, itself included:
+    one cell when g = 1.  dense_spectrum refuses ids that are not invariant
+    under them, so an edit made on all of them is seen by the exact check
+    alone."""
+    g, widths = op.symmetry_order, op.slot_widths
+    starts = np.cumsum((0,) + tuple(g * w for w in widths))
+
+    def split(x):
+        v = int(np.searchsorted(starts, x, side="right")) - 1
+        return (v, *divmod(x - starts[v], widths[v]))
+
+    (v, k, a), (w, l, b) = split(i), split(j)
+    return [(starts[v] + kk * widths[v] + a, starts[w] + ll * widths[w] + b)
+            for kk, ll in product(range(g), repeat=2) if v != w or (kk == ll) == (k == l)]
+
+
+def _edit_entries(op, edits, images=lambda op, i, j: [(i, j)]):
     """Give each listed entry of the interned matrix a value of its own, the
-    old one edited: appended to op.values, with the index cell repointed."""
+    old one edited: appended to op.values, with the index cells of the
+    entry's images (the entry alone by default) repointed to it."""
     for (i, j), edit in edits.items():
         op.values += (edit(op.values[op.index[i, j]]),)
-        op.index[i, j] = len(op.values) - 1
+        for cell in images(op, i, j):
+            op.index[cell] = len(op.values) - 1
     return op
 
 
@@ -292,27 +319,50 @@ def _scale_first_measure(op):
     return op
 
 
+def _row_sum_neutral_pair(row):
+    """+EPS on an off-diagonal entry of one row and -EPS on its diagonal; `row`
+    picks the row from the table size."""
+    def mutate(op):
+        i = row(len(op.table))
+        j = i + 1 if i + 1 < len(op.table) else i - 1
+        return _edit_entries(op, {(i, j): lambda x: x + EPS, (i, i): lambda x: x - EPS},
+                             _slot_images)
+    return mutate
+
+
 _MUTATIONS = {
     "record value": ("full_spectrum", _scale_first_generation_one_record),
     # breaks M 1 = 0
     "off-diagonal entry": ("dense_restriction", lambda op: _edit_entries(
-        op, {(0, 1): lambda x: x * (1 + EPS)})),
-    # keeps every row sum at zero, so only the eigen-relations can catch it
-    "row-sum-neutral pair": ("dense_restriction", lambda op: _edit_entries(
-        op, {(0, 1): lambda x: x + EPS, (0, 0): lambda x: x - EPS})),
+        op, {(0, 1): lambda x: x * (1 + EPS)}, _slot_images)),
+    # keep every row sum at zero, so only the eigen-relations can catch them
+    "row-sum-neutral pair": ("dense_restriction", _row_sum_neutral_pair(lambda size: 0)),
+    "row-sum-neutral pair, middle row": ("dense_restriction",
+                                         _row_sum_neutral_pair(lambda size: size // 2)),
+    "row-sum-neutral pair, last row": ("dense_restriction",
+                                       _row_sum_neutral_pair(lambda size: size - 1)),
     "measure": ("dense_restriction", _scale_first_measure),
 }
 
+# (preset, backend, depth, s): thue-morse runs on Q, and penrose's g = 20 root
+# edges and three-extension vertex give many vectors per base
+_MUTATED_RUNS = [("fibonacci", "quadratic:5", 4, 1), ("thue-morse", "rational", 5, 1),
+                 ("penrose", "quadratic:5", 3, 2)]
 
-@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
-def test_exact_check_catches_relative_1e12_mutations(monkeypatch, capsys, mutation):
+
+@pytest.mark.parametrize("run, mutation", [
+    pytest.param(run, m, id=m if run[0] == "fibonacci" else f"{run[0]}-{m}")
+    for run in _MUTATED_RUNS for m in sorted(_MUTATIONS)])
+def test_exact_check_catches_relative_1e12_mutations(monkeypatch, capsys, run, mutation):
+    preset, backend, depth, s = run
     target, mutate = _MUTATIONS[mutation]
     build = getattr(laplacian, target)
     monkeypatch.setattr(laplacian, target, lambda *args, **kw: mutate(build(*args, **kw)))
-    report = verify_spectrum(load_preset("fibonacci").weight_system, 4, 1)
+    report = verify_spectrum(load_preset(preset, backend=backend).weight_system, depth, s)
     assert report.exact_ok is False and report.ok is False
     assert report.max_abs_deviation <= report.tolerance
-    assert main(["verify", "--preset", "fibonacci", "--depth", "4", "--s", "1"]) == 1
+    assert main(["verify", "--preset", preset, "--backend", backend,
+                 "--depth", str(depth), "--s", str(s)]) == 1
     assert "exact eigen-relations: FAIL" in capsys.readouterr().out
 
 
@@ -349,11 +399,8 @@ EXACT_PRESETS = ("fibonacci", "fibonacci-conjugate", "thue-morse", "dyadic-odome
 def test_interned_matrix_equals_object_matrix(preset):
     """values[index] against the plain object matrix: each off-diagonal entry
     is mu[j]/G(meet) by the direct formula, as_float() is the same float cast
-    bit for bit, and every integer-dot row sum over a cylinder range, and
+    bit for bit, and every prefix-sum row sum over a cylinder range, and
     every measure range sum, is the plain exact sum."""
-    def parts(x):
-        return (x.a, x.b) if isinstance(x, QuadraticNumber) else (x, 0)
-
     ws = load_preset(preset).weight_system
     zero = ws.backend.zero
     for n in range(2, 6):
@@ -374,13 +421,49 @@ def test_interned_matrix_equals_object_matrix(preset):
                       for k in range(n + 1)}
             entries = laplacian._Numerators(op.values)
             mus = laplacian._Numerators(op.mu_values)
+            rows = entries.prefix_sums(op.index)
+            measures = mus.prefix_sums(op.vertex[None, :])
+            every = np.arange(len(full))
             for r in ranges:
                 plain = sum((op.mu_values[v] for v in op.vertex[r.start:r.stop]), zero)
-                assert mus.dot(op.vertex[r.start:r.stop]) == parts(plain * mus.den)
-                for i, row in enumerate(full):
-                    plain = sum(row[r.start:r.stop], zero)
-                    assert entries.dot(op.index[i, r.start:r.stop]) == \
-                        parts(plain * entries.den), (n, s, i, r)
+                assert _listed(laplacian._range_sums(measures, [0], r.start, r.stop)) == \
+                    [_parts(plain * mus.den)]
+                plain = [_parts(sum(row[r.start:r.stop], zero) * entries.den) for row in full]
+                assert _listed(laplacian._range_sums(rows, every, r.start, r.stop)) == \
+                    plain, (n, s, r)
+
+
+def _listed(sums):
+    """(a, b) range sums as a list of per-row pairs."""
+    a, b = sums
+    return list(zip(a.tolist(), np.broadcast_to(b, a.shape).tolist()))
+
+
+def _parts(x):
+    return (x.a, x.b) if isinstance(x, QuadraticNumber) else (x, 0)
+
+
+@pytest.mark.parametrize("backend", [RAT, Q5], ids=["rational", "quadratic:5"])
+@pytest.mark.parametrize("top, dtype", [(2 ** 59, np.int64), (2 ** 60, object)],
+                         ids=["int64", "object"])
+def test_prefix_sums_are_plain_sums(backend, top, dtype):
+    """Every range sum of every row of `_Numerators.prefix_sums` is the plain
+    exact sum.  A row of eight numerators above 2^60 sums past 2^63, so they
+    take Python ints; below 2^59 every partial sum fits int64."""
+    rng = np.random.default_rng(11)
+    steps = rng.integers(0, 1000, 6).tolist()
+    values = [backend.make((top + k, -top - k)) if backend is Q5 else Fraction(top + k)
+              for k in steps]
+    ids = rng.integers(0, len(values), (4, 8))
+    nums = laplacian._Numerators(values)
+    assert nums.den == 1
+    prefix = nums.prefix_sums(ids)
+    assert len(prefix) == (2 if backend is Q5 else 1)
+    assert all(p.dtype == dtype for p in prefix)
+    for lo, hi in product(range(9), repeat=2):
+        if lo <= hi:
+            plain = [_parts(sum((values[x] for x in row[lo:hi]), backend.zero)) for row in ids]
+            assert _listed(laplacian._range_sums(prefix, np.arange(4), lo, hi)) == plain
 
 
 FLOAT_CASES = [("penrose", "approx:200", Fraction(1, 2)), ("penrose", "approx:200", 2),

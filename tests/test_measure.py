@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,36 @@ def test_theta_beyond_exact_float_candidates_refused():
     m = ((n, 1, 0), (0, n, 1), (1, 1, n))
     with pytest.raises(MeasureError, match="float spectrum cannot decide .* 2\\^53"):
         _theta_certificate(m)
+
+
+def test_high_degree_theta_refused_without_elimination(monkeypatch):
+    # a seeded random 0/1 matrix: theta has high degree, so every float
+    # candidate has det p(A) != 0 mod the prime and none reaches an
+    # elimination in its field
+    rng = np.random.default_rng(40)
+    matrix = rng.integers(0, 2, (40, 40)).tolist()
+    assert is_primitive(matrix)
+    diagram = build_diagram(matrix)
+    eliminations = []
+    kernel_vector = _linalg.kernel_vector
+    monkeypatch.setattr(_linalg, "kernel_vector",
+                        lambda rows, b: eliminations.append(b) or kernel_vector(rows, b))
+    start = time.perf_counter()
+    with pytest.raises(MeasureError, match="degree > 2; use an approx backend"):
+        perron(diagram, RAT)
+    with pytest.raises(MeasureError, match="degree > 2, so no rational or quadratic"):
+        field_perron(diagram)
+    assert time.perf_counter() - start < 1.0
+    assert eliminations == []
+
+
+@pytest.mark.parametrize("name, poly, field", [
+    ("fibonacci", (-1, -1, 1), Q5), ("fibonacci-conjugate", (1, -3, 1), Q5),
+    ("thue-morse", (-2, 1), RAT), ("dyadic-odometer", (-2, 1), RAT),
+    ("penrose", (1, -3, 1), Q5), ("ammann-a2", (1, -3, 1), Q5)])
+def test_every_preset_gets_its_exact_field(name, poly, field):
+    cert = _theta_certificate(PRESETS[name].matrix)
+    assert (cert.poly, cert.field) == (poly, field)
 
 
 def _sympy_min_poly(matrix):
