@@ -6,7 +6,7 @@ strings in the field declared by the header.  Output is byte-identical across
 runs, except for the float digits that come from the eigensolver
 (numpy.linalg.eigvalsh): the `verify` max deviation and the `dense` spectrum.
 Their last digits depend on the BLAS build and its thread count, and so can
-the `verify` verdict when a deviation sits at the tolerance.
+a float operator's `verify` verdict.  `--s -3/2` reads as `--s=-3/2`.
 
 Each command accepts only the flags it reads; `_COMMANDS` lists them.  `main`
 resolves the diagram, weight system, --s and --depth once, runs the command
@@ -431,6 +431,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes an --s value such as -3/2 or -1e-3 for a flag
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] == "--s" and not argv[i].startswith("--"):
+            argv[i - 1:i + 1] = ["--s=" + argv[i]]
     args = parser.parse_args(argv)
     run, _, reads, depth, _ = _COMMANDS[args.command]
     em = _Emitter(args.command, args.format)

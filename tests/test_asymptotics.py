@@ -317,11 +317,35 @@ def test_complexity_thue_morse_small():
 
 
 def test_complexity_seed_rotation():
-    # a -> baa starts with b, whose image starts with b: seed search must rotate
+    # a -> baa starts with b, and b -> ba starts with b itself: b is the seed
+    # at power 1, found before any cycle search
     conj = SubstitutionRule.from_strings({"a": "baa", "b": "ba"})
     result = factor_complexity(conj, 50)
     assert result.counts[0] == 2
     assert all(result.counts[i] < result.counts[i + 1] for i in range(49))
+
+
+def _thue_morse_complexity(n: int) -> int:
+    """Brlek (1989), de Luca and Varricchio (1989): p(1) = 2, p(2) = 4, and
+    for n >= 3, with n - 1 = 2^r + q and 0 < q <= 2^r, p(n) = 6 * 2^(r-1) + 4q
+    when q <= 2^(r-1), else 8 * 2^(r-1) + 2q."""
+    if n <= 2:
+        return 2 * n
+    r = (n - 2).bit_length() - 1
+    q = n - 1 - 2 ** r
+    return 3 * 2 ** r + 4 * q if 2 * q <= 2 ** r else 4 * 2 ** r + 2 * q
+
+
+def test_complexity_seed_found_on_a_cycle():
+    # a -> ba and b -> ab: no letter's image starts with itself, so the seed
+    # search follows a -> b -> a and takes a under the square of the rule,
+    # whose fixed point a b b a b a a b ... is the thue-morse word
+    rule = SubstitutionRule.from_strings({"a": "ba", "b": "ab"})
+    assert asymptotics._fixed_point_seed(rule) == ("a", 2)
+    result = factor_complexity(rule, 60)
+    assert result.counts[:8] == (2, 4, 6, 10, 12, 16, 20, 22)
+    assert result.counts == tuple(_thue_morse_complexity(n) for n in range(1, 61))
+    assert result.counts == factor_complexity(TM_RULE, 60).counts
 
 
 def test_complexity_extends_one_automaton(monkeypatch):

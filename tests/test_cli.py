@@ -16,12 +16,14 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bratlap
 from bratlap import cuntz, laplacian, measure
+from bratlap.asymptotics import magnitude_table
 from bratlap.cli import _fmt, _fmt_exact, main
 from bratlap.diagram import build_diagram
 from bratlap.presets import PRESETS, load_preset, preset_names
@@ -55,6 +57,38 @@ def test_verify_fibonacci_exit_zero_with_notes(capsys):
     assert "PASS" in out
     assert "NOTES" in out
     assert "2*phi^2-1" in out and "1+2*phi^2" in out
+
+
+# an exact operator and its float twin, whose float deviation exceeds the
+# 1e-8 tolerance: about 4x at thue-morse depth 8 (magnitude 9e6), about 3000x
+# at fibonacci depth 12, s = -1 (magnitude 7e9)
+_LARGE_DEVIATION = [["--preset", "thue-morse", "--depth", "8", "--s", "0"],
+                    ["--preset", "fibonacci", "--depth", "12", "--s", "-1"]]
+
+
+@pytest.mark.parametrize("argv", _LARGE_DEVIATION, ids=lambda argv: argv[1])
+def test_verify_exact_operator_passes_on_its_exact_proof(argv, capsys):
+    """The exact eigen-relations prove the whole spectrum, so the float
+    deviation is printed but cannot fail an exact operator."""
+    report = laplacian.verify_spectrum(load_preset(argv[1]).weight_system,
+                                       int(argv[3]), Fraction(argv[5]))
+    assert report.exact_ok is True and report.max_abs_deviation > 1e-8
+    code, out = run_cli(["verify", *argv], capsys)
+    assert code == 0
+    assert f"verify generation={argv[3]} s={argv[5]}: PASS" in out
+    assert (f"  max |dense - closed-form| = {report.max_abs_deviation:.3e}"
+            f" (tolerance 1.0e-08)") in out
+    assert "exact eigen-relations: ok" in out
+    assert "mismatch:" not in out and '"ok":true' in out
+
+
+@pytest.mark.parametrize("argv", _LARGE_DEVIATION, ids=lambda argv: argv[1])
+def test_verify_float_operator_fails_on_its_deviation(argv, capsys):
+    code, out = run_cli(["verify", *argv, "--backend", "approx:100"], capsys)
+    assert code == 1
+    assert f"verify generation={argv[3]} s={argv[5]}: FAIL" in out
+    assert '"  mismatch: eigenvalue #' in out
+    assert "exact eigen-relations" not in out and '"ok":false' in out
 
 
 def test_exact_string_format(capsys):
@@ -199,6 +233,20 @@ def test_weyl_margins_emitted_for_thue_morse(capsys):
     assert any(l.startswith("4,2,") for l in margin_rows)
 
 
+def test_weyl_grid_inside_the_window(capsys):
+    """A --grid inside the covered window (fibonacci depth 10: 15.6 to
+    182888) prints its geomspace thresholds with N(t) at each."""
+    code, out = run_cli(["weyl", "--preset", "fibonacci", "--depth", "10",
+                         "--grid", "20:150000:5"], capsys)
+    assert code == 0
+    rows = out.split("threshold,count\n")[1].split("# summary")[0].splitlines()
+    grid = np.geomspace(20, 150000, 5)
+    ws = load_preset("fibonacci").weight_system
+    counts = magnitude_table(cuntz.affine_table(ws, 1), 10).count(grid)
+    assert rows == [f"{_fmt(t)},{c}" for t, c in zip(grid, counts)]
+    assert counts.tolist() == sorted(set(counts.tolist()))
+
+
 def test_heat_command(capsys):
     code, out = run_cli(["heat", "--preset", "fibonacci", "--tmin", "1e-5",
                          "--tmax", "1e-3", "--points", "4"], capsys)
@@ -333,15 +381,35 @@ def test_strip_refusal_names_s_and_field(preset, capsys):
     assert "accumulate" not in err
 
 
-def _exit_code(argv):
-    """main's exit code and stderr; any exception but SystemExit escapes."""
+def _outputs(argv):
+    """main's exit code, stdout and stderr; any exception but SystemExit
+    escapes."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exit_code(argv):
+    """main's exit code and stderr; any exception but SystemExit escapes."""
+    code, _, err = _outputs(argv)
+    return code, err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "dense", "verify", "zeta", "weyl", "strip"])
+@pytest.mark.parametrize("s", ["-3/2", "-1e-3"])
+def test_negative_fraction_after_s(command, s):
+    """argparse reads -3/2 or -1e-3 as a flag, not as the value of --s; main
+    hands it over whole, as --s=-3/2 is."""
+    argv = [command, "--preset", "fibonacci", "--depth", "3"]
+    spaced = _outputs(argv + ["--s", s])
+    assert spaced == _outputs(argv + [f"--s={s}"])
+    code, out, err = spaced
+    assert "expected one argument" not in err
+    assert f"# s={s}\n" in out if code == 0 else f"s={Fraction(s)} " in err
 
 
 _LIBC = ctypes.CDLL(None)
