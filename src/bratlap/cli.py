@@ -43,6 +43,8 @@ DEFAULT_PRECISION_ENV = "BRATLAP_PRECISION"
 # the most times heat samples the trace at: each sample sums its own
 # generations, and a huge count asks for memory in proportion to it
 MAX_HEAT_POINTS = 10_000
+# columns of free text, which CSV quotes and JSON writes as they are
+_TEXT_COLUMNS = frozenset(("path", "value_exact", "line", "description"))
 
 
 def _fmt(x: float) -> str:
@@ -94,7 +96,8 @@ class _Emitter:
             out.write(f"# section={sec['name']}\n")
             out.write(",".join(sec["columns"]) + "\n")
             # a row's values print as str() prints them, one line at a time
-            line = ",".join(["%s"] * len(sec["columns"])) + "\n"
+            line = ",".join('"%s"' if c in _TEXT_COLUMNS else "%s"
+                            for c in sec["columns"]) + "\n"
             out.writelines(line % tuple(row) for row in sec["rows"])
 
 
@@ -221,7 +224,7 @@ def cmd_presets(args, parser, em, inputs) -> int:
         rows.append([name, spec.dimension, spec.symmetry_order,
                      spec.recommended_backend,
                      spec.metadata.get("transversal_faithful"),
-                     '"' + spec.metadata.get("description", "") + '"'])
+                     spec.metadata.get("description", "")])
     em.section("presets",
                ["name", "dimension", "symmetry_order", "backend",
                 "transversal_faithful", "description"], rows)
@@ -244,9 +247,9 @@ def cmd_spectrum(args, parser, em, inputs) -> int:
         path = rec.label if rec.path is None else labels[rec.generation].popleft()
         text = texts.get(id(rec.value))
         if text is None:
-            text = texts[id(rec.value)] = ('"' + _fmt_exact(ws.backend, rec.value) + '"',
+            text = texts[id(rec.value)] = (_fmt_exact(ws.backend, rec.value),
                                            _fmt(rec.value_float))
-        rows.append([rec.label, rec.generation, '"' + path + '"', rec.multiplicity, *text])
+        rows.append([rec.label, rec.generation, path, rec.multiplicity, *text])
     em.section("records",
                ["label", "generation", "path", "multiplicity",
                 "value_exact", "value_float"],
@@ -276,7 +279,7 @@ def cmd_dense(args, parser, em, inputs) -> int:
 def cmd_verify(args, parser, em, inputs) -> int:
     report = laplacian.verify_spectrum(inputs.ws, args.depth, inputs.s,
                                        notes=inputs.meta.get("notes", []))
-    em.section("report", ["line"], [['"' + line + '"'] for line in report.lines()])
+    em.section("report", ["line"], [[line] for line in report.lines()])
     em.summary({"ok": report.ok, "max_abs_deviation": _fmt(report.max_abs_deviation),
                 "dense_size": report.dense_size})
     return 0 if report.ok else 1
@@ -372,7 +375,7 @@ def cmd_strip(args, parser, em, inputs) -> int:
     # the paths of one recursion state share its distance
     text = [_fmt(d) for d in report.state_distances.tolist()]
     em.section("distances", ["path", "distance"],
-               [(f'"{label}"', text[i])
+               [(label, text[i])
                 for label, i in zip(report.labels, report.state_of.tolist())])
     em.section("per_generation", ["generation", "max_distance"],
                [[g, _fmt(v)] for g, v in report.per_generation])
@@ -384,7 +387,7 @@ def cmd_strip(args, parser, em, inputs) -> int:
 
 def cmd_ck_check(args, parser, em, inputs) -> int:
     report = cuntz.ck_relations_check(inputs.diagram, args.depth)
-    em.section("report", ["line"], [['"' + line + '"'] for line in report.lines()])
+    em.section("report", ["line"], [[line] for line in report.lines()])
     em.summary({"ok": report.ok, "paths_checked": report.paths_checked})
     return 0 if report.ok else 1
 
@@ -466,6 +469,12 @@ def main(argv=None) -> int:
             parser.error(f"cannot write --output: {exc}")
         try:
             em.flush(out)
+            out.flush()
+        except BrokenPipeError:
+            # a closed reader: what is left goes to null at interpreter exit
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, out.fileno())
+            os.close(null)
         finally:
             if args.output:
                 out.close()

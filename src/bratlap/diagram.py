@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -299,20 +298,6 @@ class PathTable:
 
     def __len__(self) -> int:
         return len(self.paths)
-
-    def span(self, prefix: Path) -> range:
-        """Indices of the paths that extend `prefix`.  `enumerate_paths` emits
-        the paths in lexicographic (root, edges) order, so they fill one range:
-        from the prefix to its successor, the same path with its last edge
-        index one higher, or its root when it has no edges.  The empty path
-        spans the whole table."""
-        root, edges = prefix.root, prefix.edges
-        if root is None:
-            return range(len(self.paths))
-        after = (root, edges[:-1] + (edges[-1] + 1,)) if edges else (root + 1, ())
-        key = lambda p: (p.root, p.edges)
-        return range(bisect_left(self.paths, (root, edges), key=key),
-                     bisect_left(self.paths, after, key=key))
 
 
 def enumerate_paths(diagram: BratteliDiagram, n: int,

@@ -23,7 +23,6 @@ from .diagram import (
     EMPTY_PATH,
     Path,
     PathTable,
-    enumerate_paths,
     extensions,
     path_counts,
     predicted_path_count,
@@ -237,18 +236,27 @@ def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
     equal a path-by-path walk's, bit for bit on the approximate backend."""
     if depth < 0:
         raise LaplacianError("depth must be >= 0")
-    diagram = ws.diagram
     total = 0
-    for _, row in zip(range(depth), path_counts(diagram)):
+    for _, row in zip(range(depth), path_counts(ws.diagram)):
         total += sum(row)
         if total > DEFAULT_PATH_CAP:
             raise LaplacianError(
                 f"spectrum would visit more than {DEFAULT_PATH_CAP} paths (the cap)")
 
-    records = [SpectralRecord("zero", None, 0, ws.backend.zero, 0.0, 1)]
     cache = StationaryCache(ws, Fraction(s))
+    records, visit = _record_visitor(cache)
+    _walk(cache, depth, visit)
+    return records
+
+
+def _record_visitor(cache: StationaryCache):
+    """(records, visit): the zero eigenvalue's record, and a `_walk` visitor
+    that appends the record of every path it visits with two or more
+    extensions, its value formed on the first visit of its walk state."""
+    diagram = cache.ws.diagram
     # extensions per range vertex, the root's last (index -1)
     n_ext = [len(out) for out in diagram.out_edges] + [len(diagram.root_edges)]
+    records = [SpectralRecord("zero", None, 0, cache.ws.backend.zero, 0.0, 1)]
     values: dict[int, tuple] = {}
 
     def visit(path: Path, generation: int, vertex: int, state: int, partial) -> None:
@@ -260,8 +268,7 @@ def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
                                           path if generation else None, generation,
                                           *values[state], n_ext[vertex] - 1))
 
-    _walk(cache, depth, visit)
-    return records
+    return records, visit
 
 
 def spectrum_multiset(records: list[SpectralRecord]) -> list[float]:
@@ -277,7 +284,12 @@ class DenseOperator:
     mu_values[vertex[i]].  The matrix is values[index]: `values` the distinct
     entries, exact scalars when `exact` and floats otherwise, and `index` an
     array of the narrowest unsigned integer type that holds a bound on the
-    ids known before assembly."""
+    ids known before assembly.
+
+    `records` are full_spectrum(ws, n - 1, s)'s, and bounds[k] gives the
+    cylinders of the base of records[k + 1], the k-th path with two or more
+    extensions: the paths through its i-th extension fill the range
+    bounds[k][i]:bounds[k][i + 1].  `cache` is the memo both were read from."""
 
     generation: int
     s: Fraction
@@ -289,6 +301,9 @@ class DenseOperator:
     exact: bool
     values: tuple
     index: np.ndarray
+    records: list[SpectralRecord]
+    bounds: list[tuple[int, ...]]
+    cache: StationaryCache
 
     @property
     def matrix(self) -> np.ndarray:
@@ -323,48 +338,43 @@ class DenseOperator:
         return slab
 
 
-def _subtree_sizes(diagram, n: int) -> dict[int, list[int]]:
-    """sizes[k][v]: the number of generation-n paths below the generation-k
-    vertex v, for k = 1..n."""
-    sizes = {n: [1] * diagram.n_letters}
-    for k in range(n - 1, 0, -1):
-        sizes[k] = _linalg.mat_vec(diagram.matrix, sizes[k + 1])
-    return sizes
-
-
 def dense_restriction(ws: WeightSystem, n: int, s,
                       cap: int = DEFAULT_DENSE_CAP) -> DenseOperator:
-    """Assemble Delta_s on the Pi_n basis.
+    """Assemble Delta_s on the Pi_n basis, with the closed-form records above
+    generation n, in one `_walk` to generation n.
 
     Off-diagonal entries are mu[column]/G(meet); the diagonal accumulates the
     negative increment sum along each path.  Exact scalars are kept whenever
     diam^(2-s) stays in the field, otherwise the entries are floats.  Values
     are interned by (meet key, column range vertex), on which mu[column]/G
-    depends, and the diagonal partials once per walk state.  One `_walk` to
-    generation n fills both; in pre-order, a path's first generation-n
-    descendant is the next leaf the walk reaches, so a running leaf count
-    locates every block.  The index is allocated once, at the type of an id
-    bound known before the walk; an ApproxReal among exact values raises."""
+    depends, and the diagonal partials once per walk state.  The walk
+    reaches the generation-n paths, the leaves, in `enumerate_paths` order;
+    in pre-order a path's first leaf is the next one reached, so the running
+    leaf count and the subtree sizes bound every child cylinder.  A meet's
+    columns are leaves not yet reached when it is visited, so the
+    off-diagonal blocks are filled after the walk, from the records and
+    their bounds.  The index is allocated once, at the type of an id bound
+    known before the walk; an ApproxReal among exact values raises."""
     s = Fraction(s)
     if n < 1:
         raise LaplacianError("generation must be >= 1")
-    size = predicted_path_count(ws.diagram, n, cap)
+    diagram = ws.diagram
+    size = predicted_path_count(diagram, n, cap)
     if size > cap:
         raise LaplacianError(f"dense restriction needs more than {cap} paths (the cap)")
-    table = enumerate_paths(ws.diagram, n, cap=cap)
-    diagram = ws.diagram
     # G carries diam^(2-s) = mu^((2-s)/d): only an integer exponent keeps
     # every entry in the backend's field
     exact = ws.backend.is_exact and Fraction(2 - s, ws.dimension).denominator == 1
 
     cache = StationaryCache(ws, s)
-    vertex = np.array([diagram.path_range(p) for p in table.paths])
-    mu_values = tuple(cache.mu_at(table.paths[i])
-                      for i in np.unique(vertex, return_index=True)[1])
-    sizes = _subtree_sizes(diagram, n)
-
+    # sizes[k][v]: the generation-n paths below the generation-k vertex v
+    sizes = {n: [1] * diagram.n_letters}
+    for k in range(n - 1, 0, -1):
+        sizes[k] = _linalg.mat_vec(diagram.matrix, sizes[k + 1])
+    # child range vertices per range vertex, the root's last (index -1)
+    targets = [tuple(diagram.edges[e].target for e in out) for out in diagram.out_edges] + \
+        [tuple(r.vertex for r in diagram.root_edges)]
     values: list = []
-    meet_ids: dict[tuple[int, int], np.ndarray] = {}
     # at most one id per generation-n walk state, a run of n range vertices
     # that A's 0/1 support B allows (1^T B^(n-1) 1 of them), and one per
     # (meet key, letter)
@@ -373,9 +383,35 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     bound = sum(map(sum, _linalg.mat_pow(support, n - 1))) + (1 + (n - 1) * letters) * letters
     index = np.zeros((size, size), dtype=np.min_scalar_type(bound - 1))
 
-    def meet_row(meet: Path, lo: int, hi: int) -> np.ndarray:
-        """Value ids of mu[j]/G(meet) for the meet's columns lo:hi."""
-        # the meet key fixes which letters its subtree reaches at generation n
+    records, record = _record_visitor(cache)
+    leaves, vertex, bounds, diagonal = [], [], [], {}
+
+    def visit(path: Path, generation: int, range_vertex: int, state: int, partial) -> None:
+        if generation == n:
+            if partial is not None:
+                diagonal[state] = len(values)
+                values.append(partial if exact else float(partial))
+            index[len(leaves), len(leaves)] = diagonal[state]
+            leaves.append(path)
+            vertex.append(range_vertex)
+            return
+        record(path, generation, range_vertex, state, partial)
+        if len(targets[range_vertex]) >= 2:
+            bounds.append(tuple(accumulate((sizes[generation + 1][t]
+                                            for t in targets[range_vertex]),
+                                           initial=len(leaves))))
+
+    _walk(cache, n, visit)
+    if len(leaves) != size:
+        raise AssertionError("the walk disagrees with the matrix-power path count")
+    vertex = np.array(vertex)
+    mu_values = tuple(cache.mu_at(leaves[i]) for i in np.unique(vertex, return_index=True)[1])
+
+    meet_ids: dict[tuple[int, int], np.ndarray] = {}
+    for rec, ends in zip(records[1:], bounds):
+        meet, lo, hi = rec.path or EMPTY_PATH, ends[0], ends[-1]
+        # the meet key fixes which letters its subtree reaches at generation n,
+        # so its value ids mu[j]/G(meet) are interned per key and letter
         ids = meet_ids.get(cache._key(meet))
         if ids is None:
             ids = meet_ids[cache._key(meet)] = np.zeros(letters, index.dtype)
@@ -390,36 +426,17 @@ def dense_restriction(ws: WeightSystem, n: int, s,
                 ids[v] = len(values)
                 values.append(mu_values[v] * cache.inv_g_at(meet) if exact
                               else float(mu_values[v]) / gf)
-        return ids[vertex[lo:hi]]
-
-    diagonal: dict[int, int] = {}
-    leaf = 0
-
-    def visit(path: Path, generation: int, _vertex: int, state: int, partial) -> None:
-        nonlocal leaf
-        if generation == n:
-            if partial is not None:
-                diagonal[state] = len(values)
-                values.append(partial if exact else float(partial))
-            index[leaf, leaf] = diagonal[state]
-            leaf += 1
-            return
-        ext = extensions(diagram, path)
-        if len(ext) < 2:
-            return
-        targets = [diagram.path_range(path.child(e)) for e in ext]
-        bounds = list(accumulate((sizes[generation + 1][t] for t in targets), initial=leaf))
-        row = meet_row(path, leaf, bounds[-1])
-        for i, j in product(range(len(ext)), repeat=2):
+        row = ids[vertex[lo:hi]]
+        for i, j in product(range(len(ends) - 1), repeat=2):
             if i != j:
-                index[bounds[i]:bounds[i + 1], bounds[j]:bounds[j + 1]] = \
-                    row[None, bounds[j] - leaf:bounds[j + 1] - leaf]
+                index[ends[i]:ends[i + 1], ends[j]:ends[j + 1]] = \
+                    row[None, ends[j] - lo:ends[j + 1] - lo]
 
-    _walk(cache, n, visit)
     if exact and any(isinstance(v, ApproxReal) for v in values):
         raise LaplacianError("an exact dense entry fell back to an approximate scalar")
-    return DenseOperator(n, s, table, mu_values, vertex, diagram.symmetry_order,
-                         tuple(sizes[1]), exact, tuple(values), index)
+    return DenseOperator(n, s, PathTable(n, tuple(leaves)), mu_values, vertex,
+                         diagram.symmetry_order, tuple(sizes[1]), exact, tuple(values),
+                         index, records, bounds, cache)
 
 
 class SlotSymmetryError(LaplacianError):
@@ -541,10 +558,9 @@ def verify_spectrum(ws: WeightSystem, n: int, s,
     operator passes on max |dense - closed-form| <= FLOAT_TOLERANCE.  Both
     need the counts and slot copies to agree; each failure is a mismatch."""
     s = Fraction(s)
-    # the dense cap refuses an oversize n before any spectrum work
+    # the dense cap refuses an oversize n before the walk starts
     op = dense_restriction(ws, n, s, cap=dense_cap)
-    records = full_spectrum(ws, n - 1, s)
-    expected = spectrum_multiset(records)
+    expected = spectrum_multiset(op.records)
     size = len(op.table)
 
     counting_ok = len(expected) == size
@@ -566,7 +582,7 @@ def verify_spectrum(ws: WeightSystem, n: int, s,
                 mismatches.append(f"eigenvalue #{k}: dense {eigs[k]:.12g} "
                                   f"vs closed-form {expected[k]:.12g}")
 
-    exact_ok = _verify_exact_relations(ws, op, records) if op.exact else None
+    exact_ok = _verify_exact_relations(op) if op.exact else None
     if exact_ok is False:
         mismatches.append("exact eigen-relation check failed")
 
@@ -574,15 +590,14 @@ def verify_spectrum(ws: WeightSystem, n: int, s,
                         FLOAT_TOLERANCE, exact_ok, mismatches, list(notes or ()))
 
 
-def _verify_exact_relations(ws: WeightSystem, op: DenseOperator,
-                            records: list[SpectralRecord]) -> bool:
+def _verify_exact_relations(op: DenseOperator) -> bool:
     """M 1 = 0 and M v = lambda v for every closed-form eigenvector, exactly,
     with each record's multiplicity equal to its number of vectors.
 
     A vector v at base gamma is coeff_pos on the cylinder of gamma e, coeff_neg
     on that of gamma e', and 0 elsewhere.  Each cylinder is one range of the
-    table, so (M v)_i is coeff_pos times row i summed over the pos range plus
-    coeff_neg times it summed over the neg range.
+    table, read off op.bounds, so (M v)_i is coeff_pos times row i summed over
+    the pos range plus coeff_neg times it summed over the neg range.
     - Every row i of gamma's span is checked against op.index as assembled:
       (M v)_i must be lambda coeff_pos on pos, lambda coeff_neg on neg, 0 on
       the rest of the span.
@@ -602,26 +617,16 @@ def _verify_exact_relations(ws: WeightSystem, op: DenseOperator,
     row of its base's span) pair is one pair of lookups, all checked in one
     vectorized pass.  The range sums are Python ints before they meet the
     coefficients, so no product overflows."""
-    diagram = ws.diagram
-    cache = StationaryCache(ws, op.s)
-    sizes = _subtree_sizes(diagram, op.generation)
     # per vector: its base's span, pos range and neg range as (lo, hi) each,
     # and coeff_pos, coeff_neg and lambda
     spans, scalars = [], []
-    for rec in records:
-        if rec.label == "zero":
-            continue
-        base = EMPTY_PATH if rec.label == "root" else rec.path
-        specs = eigenbasis(cache, base)
+    for rec, ends in zip(op.records[1:], op.bounds):
+        specs = eigenbasis(op.cache, rec.path or EMPTY_PATH)
         if len(specs) != rec.multiplicity:
             return False
-        span = op.table.span(base)
-        ext = extensions(diagram, base)
-        ends = list(accumulate((sizes[base.generation + 1][diagram.path_range(base.child(e))]
-                                for e in ext), initial=span.start))
-        child = {e: ends[k:k + 2] for k, e in enumerate(ext)}
-        for spec in specs:
-            spans.append([span.start, span.stop, *child[spec.edge_pos], *child[spec.edge_neg]])
+        # eigenbasis anchors every vector at the first extension
+        for k, spec in enumerate(specs, 1):
+            spans.append([ends[0], ends[-1], *ends[0:2], *ends[k:k + 2]])
             scalars += (spec.coeff_pos, spec.coeff_neg, rec.value)
     entries = _Numerators(op.values)
     rows = entries.prefix_sums(op.index)

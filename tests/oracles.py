@@ -3,6 +3,7 @@ independent oracles."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import product
 
 import numpy as np
@@ -19,6 +20,21 @@ def longest_common_prefix(x: Path, y: Path) -> Path:
             break
         common.append(a)
     return Path(x.root, tuple(common))
+
+
+def span(table, prefix: Path) -> range:
+    """Indices of the paths of a PathTable that extend `prefix`.  The table
+    lists its paths in lexicographic (root, edges) order, so they fill one
+    range: from the prefix to its successor, the same path with its last
+    edge index one higher, or its root when it has no edges.  The empty path
+    spans the whole table."""
+    root, edges = prefix.root, prefix.edges
+    if root is None:
+        return range(len(table.paths))
+    after = (root, edges[:-1] + (edges[-1] + 1,)) if edges else (root + 1, ())
+    key = lambda p: (p.root, p.edges)
+    return range(bisect_left(table.paths, (root, edges), key=key),
+                 bisect_left(table.paths, after, key=key))
 
 
 def distance_to_unstable(embedding, coords) -> float:

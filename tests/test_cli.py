@@ -261,9 +261,12 @@ def _rendering(command: str, config: dict, sections: list[dict],
     dump = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
     csv = [f"# bratlap {command}", *(f"# {key}={config[key]}" for key in sorted(config))]
     for sec in sections:
+        # CSV quotes the free-text columns; JSON holds their raw strings
+        quoted = [c in ("path", "value_exact", "line", "description") for c in sec["columns"]]
         csv += [f"# {line}" for line in sec["comments"]]
         csv += [f"# section={sec['name']}", ",".join(sec["columns"]),
-                *(",".join(map(str, row)) for row in sec["rows"])]
+                *(",".join(f'"{v}"' if q else str(v) for v, q in zip(row, quoted))
+                  for row in sec["rows"])]
     csv.append("# summary " + dump(summary))
     payload = {"command": command, "config": config,
                "sections": [*sections, {"name": "summary", "data": summary}]}
@@ -285,7 +288,7 @@ def _strip_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
     for rec in cuntz.recursive_spectrum(table, depth):
         label = rec.label if rec.path is None else diagram.format_path(rec.path)
         dist = distance_to_unstable(emb, cuntz.lattice_coords(emb, rec.value))
-        rows.append([f'"{label}"', _fmt(dist)])
+        rows.append([label, _fmt(dist)])
         per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
     report = cuntz.strip_check(emb, table, depth)
     config = {"backend": pdata.backend.kind, "depth": str(depth),
@@ -308,8 +311,8 @@ def _spectrum_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
     records = laplacian.full_spectrum(ws, depth - 1, Fraction(s))
     for rec in records:
         label = rec.label if rec.path is None else diagram.format_path(rec.path)
-        rows.append([rec.label, rec.generation, f'"{label}"', rec.multiplicity,
-                     f'"{_fmt_exact(ws.backend, rec.value)}"', _fmt(rec.value_float)])
+        rows.append([rec.label, rec.generation, label, rec.multiplicity,
+                     _fmt_exact(ws.backend, rec.value), _fmt(rec.value_float)])
     config = {"backend": bundle.backend.kind, "depth": str(depth),
               "dimension": bundle.dimension, "preset": preset, "s": s}
     columns = ["label", "generation", "path", "multiplicity", "value_exact", "value_float"]
@@ -507,6 +510,22 @@ def test_huge_depth_refused_at_once(command):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert "more than" in proc.stderr or "int64" in proc.stderr
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops after 100 bytes closes the pipe while spectrum
+    still writes: the command keeps its own exit code and prints nothing
+    on stderr, at the write or at interpreter exit."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bratlap.__file__))}
+    argv = [sys.executable, "-m", "bratlap.cli", "spectrum", "--preset", "thue-morse",
+            "--depth", "12"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, err
+    assert err == b""
 
 
 @pytest.mark.parametrize("command", ["zeta", "heat"])
@@ -895,7 +914,8 @@ def test_spectrum_depth_4_stdout_is_pinned(preset, backend, s, capsys):
 # sha256 of `spectrum --depth 7` stdout on the folded diagrams, on approx:200,
 # per (preset, s, format): 19,722 and 10,334 records at depth 8 carry only
 # 256 and 512 values, and these pins hold every record's strings to the ones
-# the path-by-path walk printed
+# the path-by-path walk printed; JSON rows hold the raw strings, without
+# the quotes CSV puts around the path and value_exact columns
 SPECTRUM_DEPTH_7_SHA256 = {
     ("penrose", "1/2", "csv"):
         "4d853630d1712a91e2ab7b0679b0247192c87bdb9e0c4dea4eaf5964da768867",
@@ -906,7 +926,7 @@ SPECTRUM_DEPTH_7_SHA256 = {
     ("ammann-a2", "2", "csv"):
         "6f5f27d3664254a838541ce13c6b8f270b17809b0dadd18913816c44181cf1f1",
     ("ammann-a2", "1", "json"):
-        "f4520ab3f9b1fbda17259d3c1fdc603f018a35f193f99b7935a28ccec2aa2f94",
+        "3b0f3bb55308a0ae2d9702e4ba37aaa0eb2ecbaf10a38c3dbb691fd84a515077",
 }
 
 

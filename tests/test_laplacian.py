@@ -32,7 +32,7 @@ from bratlap.laplacian import (
     verify_spectrum,
 )
 from bratlap.measure import WeightSystem, mu, perron
-from bratlap.presets import load_preset
+from bratlap.presets import PRESETS, load_preset
 from bratlap.scalar import (
     ApproxBackend,
     ApproxReal,
@@ -40,7 +40,7 @@ from bratlap.scalar import (
     QuadraticNumber,
     RationalBackend,
 )
-from oracles import longest_common_prefix, whole_matrix_dense_spectrum, whole_symmetrized
+from oracles import longest_common_prefix, span, whole_matrix_dense_spectrum, whole_symmetrized
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -277,11 +277,12 @@ def test_verify_without_eigenvectors():
 EPS = Fraction(1, 10 ** 12)
 
 
-def _scale_first_generation_one_record(records):
+def _scale_first_generation_one_record(op):
+    records = op.records
     k = next(i for i, rec in enumerate(records) if rec.generation == 1)
     value = records[k].value * (1 + EPS)
     records[k] = dataclasses.replace(records[k], value=value, value_float=float(value))
-    return records
+    return op
 
 
 def _slot_images(op, i, j):
@@ -330,18 +331,17 @@ def _row_sum_neutral_pair(row):
     return mutate
 
 
+# edits of the operator verify reads: its records, entries and measures
 _MUTATIONS = {
-    "record value": ("full_spectrum", _scale_first_generation_one_record),
+    "record value": _scale_first_generation_one_record,
     # breaks M 1 = 0
-    "off-diagonal entry": ("dense_restriction", lambda op: _edit_entries(
-        op, {(0, 1): lambda x: x * (1 + EPS)}, _slot_images)),
+    "off-diagonal entry": lambda op: _edit_entries(
+        op, {(0, 1): lambda x: x * (1 + EPS)}, _slot_images),
     # keep every row sum at zero, so only the eigen-relations can catch them
-    "row-sum-neutral pair": ("dense_restriction", _row_sum_neutral_pair(lambda size: 0)),
-    "row-sum-neutral pair, middle row": ("dense_restriction",
-                                         _row_sum_neutral_pair(lambda size: size // 2)),
-    "row-sum-neutral pair, last row": ("dense_restriction",
-                                       _row_sum_neutral_pair(lambda size: size - 1)),
-    "measure": ("dense_restriction", _scale_first_measure),
+    "row-sum-neutral pair": _row_sum_neutral_pair(lambda size: 0),
+    "row-sum-neutral pair, middle row": _row_sum_neutral_pair(lambda size: size // 2),
+    "row-sum-neutral pair, last row": _row_sum_neutral_pair(lambda size: size - 1),
+    "measure": _scale_first_measure,
 }
 
 # (preset, backend, depth, s): thue-morse runs on Q, and penrose's g = 20 root
@@ -355,9 +355,10 @@ _MUTATED_RUNS = [("fibonacci", "quadratic:5", 4, 1), ("thue-morse", "rational", 
     for run in _MUTATED_RUNS for m in sorted(_MUTATIONS)])
 def test_exact_check_catches_relative_1e12_mutations(monkeypatch, capsys, run, mutation):
     preset, backend, depth, s = run
-    target, mutate = _MUTATIONS[mutation]
-    build = getattr(laplacian, target)
-    monkeypatch.setattr(laplacian, target, lambda *args, **kw: mutate(build(*args, **kw)))
+    mutate = _MUTATIONS[mutation]
+    build = laplacian.dense_restriction
+    monkeypatch.setattr(laplacian, "dense_restriction",
+                        lambda *args, **kw: mutate(build(*args, **kw)))
     report = verify_spectrum(load_preset(preset, backend=backend).weight_system, depth, s)
     assert report.exact_ok is False and report.ok is False
     assert report.max_abs_deviation <= report.tolerance
@@ -369,13 +370,15 @@ def test_exact_check_catches_relative_1e12_mutations(monkeypatch, capsys, run, m
 def test_exact_check_catches_wrong_multiplicity(monkeypatch, capsys):
     """One record claiming one eigenvector more than its base carries fails
     the exact check, not only the multiplicity count."""
-    def one_more(records):
+    def one_more(op):
+        records = op.records
         k = next(i for i, rec in enumerate(records) if rec.generation == 1)
         records[k] = dataclasses.replace(records[k], multiplicity=records[k].multiplicity + 1)
-        return records
+        return op
 
-    build = laplacian.full_spectrum
-    monkeypatch.setattr(laplacian, "full_spectrum", lambda *a, **kw: one_more(build(*a, **kw)))
+    build = laplacian.dense_restriction
+    monkeypatch.setattr(laplacian, "dense_restriction",
+                        lambda *a, **kw: one_more(build(*a, **kw)))
     report = verify_spectrum(load_preset("fibonacci").weight_system, 4, 1)
     assert report.exact_ok is False and report.counting_ok is False and report.ok is False
     assert main(["verify", "--preset", "fibonacci", "--depth", "4", "--s", "1"]) == 1
@@ -417,7 +420,7 @@ def test_interned_matrix_equals_object_matrix(preset):
                     assert full[i, j] == op.mu_values[op.vertex[j]] * inv_g[meet], \
                         (n, s, i, j)
             assert op.as_float().tobytes() == full.astype(float).tobytes(), (n, s)
-            ranges = {op.table.span(p.prefix(k)) for p in op.table.paths
+            ranges = {span(op.table, p.prefix(k)) for p in op.table.paths
                       for k in range(n + 1)}
             entries = laplacian._Numerators(op.values)
             mus = laplacian._Numerators(op.mu_values)
@@ -492,7 +495,7 @@ def test_interned_float_matrix_equals_direct_formula(preset, backend, s):
             if len(ext) < 2:
                 continue
             gf = float(g_value(ws, meet, s))
-            spans = [op.table.span(meet.child(e)) for e in ext]
+            spans = [span(op.table, meet.child(e)) for e in ext]
             for rows, cols in product(spans, repeat=2):
                 if rows != cols:
                     block = m[rows.start:rows.stop, cols.start:cols.stop]
@@ -709,10 +712,10 @@ def test_dense_index_peak_is_one_byte_per_entry():
 
 
 def test_verify_refuses_oversize_dense_before_spectrum(monkeypatch):
-    def no_spectrum(*args):
-        raise AssertionError("full_spectrum ran before the dense cap check")
+    def no_walk(*args):
+        raise AssertionError("a walk started before the dense cap check")
 
-    monkeypatch.setattr(laplacian, "full_spectrum", no_spectrum)
+    monkeypatch.setattr(laplacian, "_walk", no_walk)
     ws = load_preset("penrose").weight_system
     with pytest.raises(LaplacianError, match="dense restriction needs more than 4096"):
         verify_spectrum(ws, 7, 1)
@@ -728,3 +731,51 @@ def test_spectrum_path_cap_is_the_total_it_visits(monkeypatch):
     monkeypatch.setattr(laplacian, "DEFAULT_PATH_CAP", total - 1)
     with pytest.raises(LaplacianError, match="more than"):
         laplacian.full_spectrum(ws, 8, 1)
+
+
+@pytest.mark.parametrize("backend", ["field", "approx:200"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_dense_walk_yields_full_spectrum_leaves_and_cylinders(name, backend):
+    """The one walk of dense_restriction gives full_spectrum(ws, n - 1, s)'s
+    records record for record, the leaves in enumerate_paths order, and as
+    each record's bounds the cylinders of its base's extensions."""
+    ws = load_preset(name, backend=None if backend == "field" else backend).weight_system
+    diagram = ws.diagram
+    for s, n in product((0, Fraction(1, 2), 1, 2), range(1, 6)):
+        op = dense_restriction(ws, n, s)
+        want = full_spectrum(ws, n - 1, s)
+        assert len(op.records) == len(want), (s, n)
+        for got, rec in zip(op.records, want):
+            assert (got.label, got.path, got.generation, got.multiplicity) == \
+                (rec.label, rec.path, rec.generation, rec.multiplicity)
+            assert type(got.value) is type(rec.value) and got.value == rec.value
+            assert got.value_float.hex() == rec.value_float.hex()
+            if isinstance(rec.value, ApproxReal):
+                assert got.value._mpf == rec.value._mpf
+        assert op.table.paths == enumerate_paths(diagram, n).paths
+        assert len(op.bounds) == len(op.records) - 1
+        for rec, ends in zip(op.records[1:], op.bounds):
+            base = rec.path or EMPTY_PATH
+            assert [range(lo, hi) for lo, hi in zip(ends, ends[1:])] == \
+                [span(op.table, base.child(e)) for e in extensions(diagram, base)]
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["--preset", "fibonacci", "--depth", "9"], 9),
+    (["--preset", "thue-morse", "--depth", "8"], 15),
+    (["--preset", "ammann-a2", "--depth", "7"], 13),
+])
+def test_verify_computes_each_splitting_weight_once(argv, calls, monkeypatch, capsys):
+    """verify reads one stationary memo: g_value runs once per (range
+    vertex, generation) key."""
+    keys = []
+
+    def counted(ws, path, s):
+        keys.append((-1, 0) if path.root is None else
+                    (ws.diagram.path_range(path), path.generation))
+        return g_value(ws, path, s)
+
+    monkeypatch.setattr(laplacian, "g_value", counted)
+    assert main(["verify", *argv, "--s", "1"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(keys) == len(set(keys)) == calls
