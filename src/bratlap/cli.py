@@ -24,8 +24,8 @@ import json
 import math
 import os
 import sys
-from collections import deque
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 import mpmath
@@ -232,29 +232,35 @@ def cmd_presets(args, parser, em, inputs) -> int:
 
 
 def cmd_spectrum(args, parser, em, inputs) -> int:
-    ws = inputs.ws
+    ws, backend = inputs.ws, inputs.ws.backend
     # depth N reports every splitting above generation N: total
     # multiplicity equals the generation-N path count
-    records = laplacian.full_spectrum(ws, args.depth - 1, inputs.s)
-    # walk order lists each generation's paths in (root, edges) order, so a
-    # path's label is the next one of its generation, let go once quoted
-    labels = [None, *map(deque, ws.diagram.split_labels(args.depth - 1))]
-    rows = []
-    # records of one walk state share their value object, which `records`
-    # keeps alive, so its id keys the two strings formatted from it
-    texts: dict[int, tuple[str, str]] = {}
-    for rec in records:
-        path = rec.label if rec.path is None else labels[rec.generation].popleft()
-        text = texts.get(id(rec.value))
-        if text is None:
-            text = texts[id(rec.value)] = (_fmt_exact(ws.backend, rec.value),
-                                           _fmt(rec.value_float))
-        rows.append([rec.label, rec.generation, path, rec.multiplicity, *text])
+    levels = laplacian.walk_states(laplacian.StationaryCache(ws, inputs.s), args.depth - 1)
+    # a generation's records are its splitting paths in (root, edges) order,
+    # which is the order of its labels; each row goes to its path's rank
+    labels = ws.diagram.split_labels(args.depth - 1)
+    placed, total = [], 1
+    for level in levels:
+        k = level.generation
+        # the paths of one walk state share its value: formatted once
+        exact = [v and _fmt_exact(backend, v[0]) for v in level.values]
+        floats = [v and _fmt(v[1]) for v in level.values]
+        states = level.state[level.splits].tolist()
+        mults = level.multiplicity.tolist()
+        rows = zip(repeat("path" if k else "root"), repeat(k),
+                   next(labels) if k else ["root"] * len(states), mults,
+                   map(exact.__getitem__, states), map(floats.__getitem__, states))
+        placed.append((level.rank[level.splits], np.fromiter(rows, object, len(states))))
+        total += sum(mults)
+    ordered = np.empty(1 + sum(len(rows) for _, rows in placed), object)
+    ordered[0] = ("zero", 0, "zero", 1, _fmt_exact(backend, backend.zero), _fmt(0.0))
+    for ranks, rows in placed:
+        ordered[ranks] = rows
     em.section("records",
                ["label", "generation", "path", "multiplicity",
                 "value_exact", "value_float"],
-               rows, comments=[ws.backend.header()])
-    em.summary({"total_multiplicity": sum(r.multiplicity for r in records)})
+               ordered.tolist(), comments=[backend.header()])
+    em.summary({"total_multiplicity": total})
     return 0
 
 

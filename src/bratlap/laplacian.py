@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -74,28 +75,6 @@ class EigenVectorSpec:
     coeff_neg: object
 
 
-def eigenvalue(ws: WeightSystem, path: Path, s) -> SpectralRecord:
-    """Direct evaluation of the eigenvalue attached to a finite path: the sum of
-    measure increments over prefixes divided by their G values, minus the final
-    mu/G term."""
-    diagram = ws.diagram
-    n_ext = len(extensions(diagram, path))
-    if n_ext < 2:
-        raise LaplacianError("path has fewer than two extensions; no eigenvalue")
-    acc = ws.backend.zero
-    for k in range(path.generation):
-        pref = path.prefix(k)
-        if len(extensions(diagram, pref)) < 2:
-            continue
-        inc = mu(ws, path.prefix(k + 1)) - mu(ws, pref)
-        acc = acc + inc * (1 / g_value(ws, pref, s))
-    final = mu(ws, path) * (1 / g_value(ws, path, s))
-    val = acc - final
-    return SpectralRecord("path" if path.generation else "root",
-                          path if path.generation else None,
-                          path.generation, val, float(val), n_ext - 1)
-
-
 class StationaryCache:
     """Memo of the terms of the eigenvalue formula on a stationary diagram.
 
@@ -108,9 +87,11 @@ class StationaryCache:
       (r(gamma), n, r(gamma e)).
 
     The empty path uses the key (-1, 0).  Each entry is computed once, from
-    the same operands combined in the same order as the direct formula in
-    `eigenvalue`, so the memoized walks give the same scalars, bit for bit
-    on the approximate backend and exactly on the exact ones.
+    the same operands combined in the same order as the direct per-path
+    formula (the sum over the prefixes with two or more extensions of the
+    measure increment over G, minus mu/G at the path), so the memoized
+    walks give the same scalars, bit for bit on the approximate backend and
+    exactly on the exact ones.
     """
 
     def __init__(self, ws: WeightSystem, s):
@@ -179,96 +160,199 @@ def eigenbasis(cache: StationaryCache, path: Path) -> list[EigenVectorSpec]:
             for other in ext[1:]]
 
 
-def _walk(cache: StationaryCache, depth: int, visit) -> None:
-    """Call visit(path, generation, range_vertex, state, partial) on every
-    path of generation <= depth, in pre-order from the empty path, whose
-    range vertex is -1 (as in the StationaryCache key (-1, 0)).
+class WalkLevel:
+    """Generation k of `walk_states`.
 
-    State 0 is the empty path's, and a child's state is keyed by parent
-    state * n_letters + child range vertex, the way `cuntz._grow` codes its
-    states.  `partial` is the state's partial sum on its first visit and
-    None after: zero at the empty path, below it the parent's, plus the step
-    term of the edge between them when the parent has two or more
-    extensions.  The paths of a state have their children in the same
-    states, so each partial is formed once, and dropped once passed."""
-    diagram = cache.ws.diagram
-    edges, out_edges, letters = diagram.edges, diagram.out_edges, diagram.n_letters
-    # (edge, child range vertex) per range vertex, built on first use; the
-    # root edges last, at index -1
-    children: list = [None] * letters + [tuple(enumerate(r.vertex for r in diagram.root_edges))]
-    states: dict[int, int] = {}
+    Per path of the generation, in (root, edges) order:
+    - `state`: its walk state, an index into `partials`;
+    - `vertex`: its range vertex, -1 at the empty path (as in the
+      StationaryCache key (-1, 0));
+    - `parent`: its parent's index in level k - 1, and `edge` the edge from
+      there (a root edge at generation 1, an edge model below); both are -1
+      at the empty path;
+    - `rank`: the number of records before it in pre-order, the zero
+      eigenvalue's included, which is its own record's index in
+      `full_spectrum(ws, depth, s)` when it has one;
+    - `first_leaf`: the index of its first generation-`depth` descendant
+      among the generation-`depth` paths in (root, edges) order.
 
-    def descend(path: Path, generation: int, vertex: int, state: int, partial) -> None:
-        visit(path, generation, vertex, state, partial)
-        if generation == depth:
-            return
-        ext = children[vertex]
-        if ext is None:
-            ext = children[vertex] = tuple((e, edges[e].target) for e in out_edges[vertex])
-        split = len(ext) >= 2
-        for e, target in ext:
-            child = path.child(e)
-            key = state * letters + target
-            child_state = states.get(key)
-            if child_state is None:
-                child_state = states[key] = len(states) + 1
-                child_partial = partial + cache.step_at(path, child) if split else partial
-            else:
-                child_partial = None
-            descend(child, generation + 1, target, child_state, child_partial)
+    `splits` lists the paths with two or more extensions, those with a
+    record, and `multiplicity` their extensions less one.  Per walk state,
+    `partials` holds its partial sum and `state_vertex` its range vertex.
+    `final_paths` holds a path of the generation per range vertex with two
+    or more extensions, at which `cache` gives its final term.  A plain
+    class, not a dataclass, which would add about 1 ms to every import."""
 
-    descend(EMPTY_PATH, 0, -1, 0, cache.ws.backend.zero)
+    def __init__(self, generation: int, state, vertex, parent, edge, rank, first_leaf,
+                 splits, multiplicity, partials: list, state_vertex: list,
+                 cache: StationaryCache, final_paths: dict):
+        self.generation, self.state, self.vertex = generation, state, vertex
+        self.parent, self.edge, self.rank, self.first_leaf = parent, edge, rank, first_leaf
+        self.splits, self.multiplicity = splits, multiplicity
+        self.partials, self.state_vertex = partials, state_vertex
+        self.cache, self.final_paths = cache, final_paths
+
+    @cached_property
+    def values(self) -> list:
+        """Per walk state, (value, float) at a vertex with two or more
+        extensions and None elsewhere: its partial plus the final term keyed
+        by (range vertex, generation).  It is formed on first read, so a
+        generation that is not read computes no final term and no G."""
+        finals = {v: self.cache.final_at(path) for v, path in self.final_paths.items()}
+        out = []
+        for partial, v in zip(self.partials, self.state_vertex):
+            val = finals.get(v)
+            if val is not None:
+                val = partial + val
+                val = (val, float(val))
+            out.append(val)
+        return out
 
 
-def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
-    """Records for the zero eigenvalue, then, in `_walk` order, for every
-    path of generation <= depth with at least two extensions: the empty path
-    is the root splitting, labelled "root", with value -1/G(root).  Total
-    multiplicity is the path count one generation below the cutoff.
+def walk_states(cache: StationaryCache, depth: int):
+    """The levels of generations 0 through `depth`, one `WalkLevel` at a
+    time; refused at the call when they would hold more than
+    DEFAULT_PATH_CAP paths in all.
 
-    A path's value is its partial sum plus the final term keyed by
+    A path's eigenvalue is its partial sum plus the final term keyed by
     (r(gamma), n): zero plus, at each prefix gamma with two or more
     extensions, the step term of its next edge e, keyed by (r(gamma), n,
-    r(gamma e)).  So the value is fixed by the path's walk state, its run of
-    range vertices, and is formed once per state; the records of a state
-    share its value object.  It is the sum `eigenvalue` forms for any of the
-    state's paths, from the same operands in the same order, so the scalars
-    equal a path-by-path walk's, bit for bit on the approximate backend."""
+    r(gamma e)).  So it is fixed by the path's walk state, its run of range
+    vertices.  State 0 is the empty path's, and a state of generation k + 1
+    is a (state of generation k, child range vertex) pair, numbered in the
+    order of its code parent * n_letters + child, the way `cuntz._grow`
+    codes its states.  That is the order in which the generation's paths
+    first reach them: the first path of a state has the children of every
+    path of it, and out-edges run in target order.  Each partial is formed
+    once per state from the same operands in the same order as the direct
+    per-path formula, so the scalars equal a path-by-path walk's, bit for
+    bit on the approximate backend.
+
+    Paths are index arrays.  A path's children are its range vertex's
+    out-edges in order, so a level lists its paths by parent, then edge.  A
+    child's rank and first leaf are its parent's plus offsets that depend
+    only on the parent's range vertex and generation and the child's place
+    among the out-edges: the parent's own record, and the records and
+    generation-`depth` paths below the earlier siblings, counted per
+    (vertex, generation) from generation `depth` up."""
     if depth < 0:
         raise LaplacianError("depth must be >= 0")
     total = 0
-    for _, row in zip(range(depth), path_counts(ws.diagram)):
+    for _, row in zip(range(depth), path_counts(cache.ws.diagram)):
         total += sum(row)
         if total > DEFAULT_PATH_CAP:
             raise LaplacianError(
                 f"spectrum would visit more than {DEFAULT_PATH_CAP} paths (the cap)")
-
-    cache = StationaryCache(ws, Fraction(s))
-    records, visit = _record_visitor(cache)
-    _walk(cache, depth, visit)
-    return records
+    return _levels(cache, depth)
 
 
-def _record_visitor(cache: StationaryCache):
-    """(records, visit): the zero eigenvalue's record, and a `_walk` visitor
-    that appends the record of every path it visits with two or more
-    extensions, its value formed on the first visit of its walk state."""
+def _levels(cache: StationaryCache, depth: int):
     diagram = cache.ws.diagram
-    # extensions per range vertex, the root's last (index -1)
-    n_ext = [len(out) for out in diagram.out_edges] + [len(diagram.root_edges)]
-    records = [SpectralRecord("zero", None, 0, cache.ws.backend.zero, 0.0, 1)]
-    values: dict[int, tuple] = {}
+    letters = diagram.n_letters
+    # (edge, child range vertex) per out-edge slot of each range vertex, the
+    # root edges last (index -1)
+    children = [[(e, diagram.edges[e].target) for e in out] for out in diagram.out_edges] + \
+        [list(enumerate(r.vertex for r in diagram.root_edges))]
+    count = np.array([len(row) for row in children])
+    start = np.cumsum(count) - count
+    slot_edge, slot_target = (np.array(col) for col in zip(*(x for row in children for x in row)))
+    split = count >= 2
+    # per (generation, vertex), the records and the generation-depth paths
+    # of its subtree, summed from generation depth up
+    records = [split.astype(np.int64)]
+    leaves = [np.ones(letters + 1, np.int64)]
+    for _ in range(depth):
+        records.insert(0, split + np.add.reduceat(records[0][slot_target], start))
+        leaves.insert(0, np.add.reduceat(leaves[0][slot_target], start))
 
-    def visit(path: Path, generation: int, vertex: int, state: int, partial) -> None:
-        if n_ext[vertex] >= 2:
-            if partial is not None:
-                val = partial + cache.final_at(path)
-                values[state] = (val, float(val))
-            records.append(SpectralRecord("path" if generation else "root",
-                                          path if generation else None, generation,
-                                          *values[state], n_ext[vertex] - 1))
+    def before(weights: np.ndarray) -> np.ndarray:
+        """Per slot, the sum of the weights of the earlier slots of its vertex."""
+        ahead = np.cumsum(weights) - weights
+        return ahead - np.repeat(ahead[start], count)
 
-    return records, visit
+    own = np.repeat(split, count)
+    state = np.zeros(1, np.int64)
+    vertex = parent = edge = np.full(1, -1)
+    rank, first = np.ones(1, np.int64), np.zeros(1, np.int64)
+    partials, state_vertex = [cache.ws.backend.zero], [-1]
+    # a path of the generation per range vertex it reaches, at which the
+    # memo's terms keyed by (vertex, generation) are read
+    reps = {-1: EMPTY_PATH}
+    for k in range(depth + 1):
+        mult = count[vertex] - 1
+        splits = np.flatnonzero(mult)
+        yield WalkLevel(k, state, vertex, parent, edge, rank, first, splits, mult[splits],
+                        partials, state_vertex, cache,
+                        {v: path for v, path in reps.items() if split[v]})
+        if k == depth:
+            return
+        n_children = mult + 1
+        parent = np.repeat(np.arange(len(vertex)), n_children)
+        slot = np.repeat(start[vertex] - (np.cumsum(n_children) - n_children), n_children) + \
+            np.arange(len(parent))
+        rank = rank[parent] + (own + before(records[k + 1][slot_target]))[slot]
+        first = first[parent] + before(leaves[k + 1][slot_target])[slot]
+        edge, vertex = slot_edge[slot], slot_target[slot]
+        # the child states, numbered in the order of their codes
+        key = state[parent] * letters + vertex
+        present = np.zeros(len(partials) * letters, bool)
+        present[key] = True
+        state = (np.cumsum(present) - 1)[key]
+        parent_state, child_vertex = np.divmod(np.flatnonzero(present), letters)
+
+        # the step term per (vertex, child range vertex); None where the
+        # vertex has a single extension, whose increment vanishes
+        steps, child_reps = {}, {}
+        for v, path in reps.items():
+            for e, t in children[v]:
+                if (v, t) not in steps:
+                    child = path.child(e)
+                    child_reps.setdefault(t, child)
+                    steps[v, t] = cache.step_at(path, child) if split[v] else None
+        child_partials = []
+        child_vertex = child_vertex.tolist()
+        for p, t in zip(parent_state.tolist(), child_vertex):
+            step = steps[state_vertex[p], t]
+            child_partials.append(partials[p] if step is None else partials[p] + step)
+        partials, state_vertex, reps = child_partials, child_vertex, child_reps
+
+
+def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
+    """Records for the zero eigenvalue, then, in pre-order from the empty
+    path, for every path of generation <= depth with at least two
+    extensions: the empty path is the root splitting, labelled "root", with
+    value -1/G(root).  Total multiplicity is the path count one generation
+    below the cutoff.  This is the record view of `walk_states`: the records
+    of a walk state share its value object."""
+    levels = list(walk_states(StationaryCache(ws, Fraction(s)), depth))
+    return _records(levels, _level_paths(levels))[0]
+
+
+def _level_paths(levels: list[WalkLevel]) -> list[list[Path]]:
+    """Per level, its paths as `Path`s, in (root, edges) order."""
+    out = [[EMPTY_PATH]]
+    for level in levels[1:]:
+        up = out[-1]
+        out.append([up[p].child(e) for p, e in zip(level.parent.tolist(), level.edge.tolist())])
+    return out
+
+
+def _records(levels: list[WalkLevel], paths: list[list[Path]]):
+    """(records, where): the zero eigenvalue's record, then the records of
+    the levels' paths with two or more extensions in pre-order, and per
+    record after the zero one its (generation, path index)."""
+    zero = levels[0].cache.ws.backend.zero
+    found = []
+    for level, level_paths in zip(levels, paths):
+        k, values, ids = level.generation, level.values, level.splits
+        for i, rank, state, m in zip(ids.tolist(), level.rank[ids].tolist(),
+                                     level.state[ids].tolist(), level.multiplicity.tolist()):
+            found.append((rank, SpectralRecord("path" if k else "root",
+                                               level_paths[i] if k else None, k,
+                                               *values[state], m), (k, i)))
+    found.sort(key=lambda item: item[0])
+    return ([SpectralRecord("zero", None, 0, zero, 0.0, 1), *(rec for _, rec, _ in found)],
+            [at for _, _, at in found])
 
 
 def spectrum_multiset(records: list[SpectralRecord]) -> list[float]:
@@ -341,20 +425,19 @@ class DenseOperator:
 def dense_restriction(ws: WeightSystem, n: int, s,
                       cap: int = DEFAULT_DENSE_CAP) -> DenseOperator:
     """Assemble Delta_s on the Pi_n basis, with the closed-form records above
-    generation n, in one `_walk` to generation n.
+    generation n, from one `walk_states` call to generation n.
 
     Off-diagonal entries are mu[column]/G(meet); the diagonal accumulates the
     negative increment sum along each path.  Exact scalars are kept whenever
     diam^(2-s) stays in the field, otherwise the entries are floats.  Values
     are interned by (meet key, column range vertex), on which mu[column]/G
-    depends, and the diagonal partials once per walk state.  The walk
-    reaches the generation-n paths, the leaves, in `enumerate_paths` order;
-    in pre-order a path's first leaf is the next one reached, so the running
-    leaf count and the subtree sizes bound every child cylinder.  A meet's
-    columns are leaves not yet reached when it is visited, so the
-    off-diagonal blocks are filled after the walk, from the records and
-    their bounds.  The index is allocated once, at the type of an id bound
-    known before the walk; an ApproxReal among exact values raises."""
+    depends, and the diagonal partials once per walk state of the
+    generation-n paths, the leaves.  A record's child
+    cylinders are ranges of leaves, from its path's first leaf on, as wide
+    as the subtree sizes of its extensions; the off-diagonal blocks are
+    filled from the records and these bounds.  The index is allocated once,
+    at the type of an id bound known before the walk; an ApproxReal among
+    exact values raises."""
     s = Fraction(s)
     if n < 1:
         raise LaplacianError("generation must be >= 1")
@@ -374,7 +457,6 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     # child range vertices per range vertex, the root's last (index -1)
     targets = [tuple(diagram.edges[e].target for e in out) for out in diagram.out_edges] + \
         [tuple(r.vertex for r in diagram.root_edges)]
-    values: list = []
     # at most one id per generation-n walk state, a run of n range vertices
     # that A's 0/1 support B allows (1^T B^(n-1) 1 of them), and one per
     # (meet key, letter)
@@ -383,28 +465,20 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     bound = sum(map(sum, _linalg.mat_pow(support, n - 1))) + (1 + (n - 1) * letters) * letters
     index = np.zeros((size, size), dtype=np.min_scalar_type(bound - 1))
 
-    records, record = _record_visitor(cache)
-    leaves, vertex, bounds, diagonal = [], [], [], {}
-
-    def visit(path: Path, generation: int, range_vertex: int, state: int, partial) -> None:
-        if generation == n:
-            if partial is not None:
-                diagonal[state] = len(values)
-                values.append(partial if exact else float(partial))
-            index[len(leaves), len(leaves)] = diagonal[state]
-            leaves.append(path)
-            vertex.append(range_vertex)
-            return
-        record(path, generation, range_vertex, state, partial)
-        if len(targets[range_vertex]) >= 2:
-            bounds.append(tuple(accumulate((sizes[generation + 1][t]
-                                            for t in targets[range_vertex]),
-                                           initial=len(leaves))))
-
-    _walk(cache, n, visit)
+    levels = list(walk_states(cache, n))
+    paths = _level_paths(levels)
+    records, where = _records(levels[:-1], paths)
+    leaves, top = paths[-1], levels[-1]
     if len(leaves) != size:
         raise AssertionError("the walk disagrees with the matrix-power path count")
-    vertex = np.array(vertex)
+    # the leaf states' partials are the first ids, in state order
+    np.fill_diagonal(index, top.state)
+    values: list = [partial if exact else float(partial) for partial in top.partials]
+    bounds = []
+    for k, i in where:
+        bounds.append(tuple(accumulate((sizes[k + 1][t] for t in targets[levels[k].vertex[i]]),
+                                       initial=int(levels[k].first_leaf[i]))))
+    vertex = top.vertex
     mu_values = tuple(cache.mu_at(leaves[i]) for i in np.unique(vertex, return_index=True)[1])
 
     meet_ids: dict[tuple[int, int], np.ndarray] = {}

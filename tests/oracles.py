@@ -4,11 +4,15 @@ independent oracles."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import product
+from fractions import Fraction
+from itertools import accumulate, product
 
 import numpy as np
 
-from bratlap.diagram import EMPTY_PATH, Path
+from bratlap import _linalg
+from bratlap.diagram import EMPTY_PATH, Path, extensions
+from bratlap.laplacian import LaplacianError, SpectralRecord, StationaryCache, g_value
+from bratlap.measure import WeightSystem, mu
 
 
 def longest_common_prefix(x: Path, y: Path) -> Path:
@@ -88,3 +92,127 @@ def whole_matrix_dense_spectrum(op) -> np.ndarray:
             parts.append(np.repeat(np.linalg.eigvalsh(own[0, :, 0, :] - own[0, :, 1, :]),
                                    g - 1))
     return np.sort(np.concatenate(parts))
+
+
+def eigenvalue(ws: WeightSystem, path: Path, s) -> SpectralRecord:
+    """Direct evaluation of the eigenvalue attached to a finite path: the sum of
+    measure increments over prefixes divided by their G values, minus the final
+    mu/G term."""
+    diagram = ws.diagram
+    n_ext = len(extensions(diagram, path))
+    if n_ext < 2:
+        raise LaplacianError("path has fewer than two extensions; no eigenvalue")
+    acc = ws.backend.zero
+    for k in range(path.generation):
+        pref = path.prefix(k)
+        if len(extensions(diagram, pref)) < 2:
+            continue
+        inc = mu(ws, path.prefix(k + 1)) - mu(ws, pref)
+        acc = acc + inc * (1 / g_value(ws, pref, s))
+    final = mu(ws, path) * (1 / g_value(ws, path, s))
+    val = acc - final
+    return SpectralRecord("path" if path.generation else "root",
+                          path if path.generation else None,
+                          path.generation, val, float(val), n_ext - 1)
+
+
+def walk(cache: StationaryCache, depth: int, visit) -> None:
+    """Call visit(path, generation, range_vertex, state, partial) on every
+    path of generation <= depth, in pre-order from the empty path, whose
+    range vertex is -1 (as in the StationaryCache key (-1, 0)): the
+    recursive path-by-path walk that `laplacian.walk_states` replaced.
+
+    State 0 is the empty path's, and a child's state is keyed by parent
+    state * n_letters + child range vertex.  `partial` is the state's
+    partial sum on its first visit and None after: zero at the empty path,
+    below it the parent's, plus the step term of the edge between them when
+    the parent has two or more extensions.  The paths of a state have their
+    children in the same states, so each partial is formed once."""
+    diagram = cache.ws.diagram
+    edges, out_edges, letters = diagram.edges, diagram.out_edges, diagram.n_letters
+    # (edge, child range vertex) per range vertex, the root edges last, at
+    # index -1
+    children = [tuple((e, edges[e].target) for e in out) for out in out_edges] + \
+        [tuple(enumerate(r.vertex for r in diagram.root_edges))]
+    states: dict[int, int] = {}
+
+    def descend(path: Path, generation: int, vertex: int, state: int, partial) -> None:
+        visit(path, generation, vertex, state, partial)
+        if generation == depth:
+            return
+        split = len(children[vertex]) >= 2
+        for e, target in children[vertex]:
+            child = path.child(e)
+            key = state * letters + target
+            child_state = states.get(key)
+            if child_state is None:
+                child_state = states[key] = len(states) + 1
+                child_partial = partial + cache.step_at(path, child) if split else partial
+            else:
+                child_partial = None
+            descend(child, generation + 1, target, child_state, child_partial)
+
+    descend(EMPTY_PATH, 0, -1, 0, cache.ws.backend.zero)
+
+
+def record_visitor(cache: StationaryCache):
+    """(records, visit): the zero eigenvalue's record, and a `walk` visitor
+    that appends the record of every path it visits with two or more
+    extensions, its value formed on the first visit of its walk state."""
+    diagram = cache.ws.diagram
+    # extensions per range vertex, the root's last (index -1)
+    n_ext = [len(out) for out in diagram.out_edges] + [len(diagram.root_edges)]
+    records = [SpectralRecord("zero", None, 0, cache.ws.backend.zero, 0.0, 1)]
+    values: dict[int, tuple] = {}
+
+    def visit(path: Path, generation: int, vertex: int, state: int, partial) -> None:
+        if n_ext[vertex] >= 2:
+            if partial is not None:
+                val = partial + cache.final_at(path)
+                values[state] = (val, float(val))
+            records.append(SpectralRecord("path" if generation else "root",
+                                          path if generation else None, generation,
+                                          *values[state], n_ext[vertex] - 1))
+
+    return records, visit
+
+
+def walked_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
+    """full_spectrum(ws, depth, s) by the path-by-path walk."""
+    cache = StationaryCache(ws, Fraction(s))
+    records, visit = record_visitor(cache)
+    walk(cache, depth, visit)
+    return records
+
+
+def walked_dense(ws: WeightSystem, n: int, s):
+    """(records, leaves, bounds, diagonal ids) of dense_restriction(ws, n, s)
+    by the path-by-path walk to generation n.  It reaches the generation-n
+    paths, the leaves, in (root, edges) order; in pre-order a path's first
+    leaf is the next one reached, so the running leaf count and the subtree
+    sizes bound every child cylinder of a record above generation n.  Each
+    leaf's diagonal id is its walk state's, numbered in the order the
+    leaves first reach the states."""
+    cache = StationaryCache(ws, Fraction(s))
+    diagram = ws.diagram
+    # sizes[k][v]: the generation-n paths below the generation-k vertex v
+    sizes = {n: [1] * diagram.n_letters}
+    for k in range(n - 1, 0, -1):
+        sizes[k] = _linalg.mat_vec(diagram.matrix, sizes[k + 1])
+    targets = [tuple(diagram.edges[e].target for e in out) for out in diagram.out_edges] + \
+        [tuple(r.vertex for r in diagram.root_edges)]
+    records, record = record_visitor(cache)
+    leaves, bounds, diagonal, ids = [], [], {}, []
+
+    def visit(path: Path, generation: int, vertex: int, state: int, partial) -> None:
+        if generation == n:
+            ids.append(diagonal.setdefault(state, len(diagonal)))
+            leaves.append(path)
+            return
+        record(path, generation, vertex, state, partial)
+        if len(targets[vertex]) >= 2:
+            bounds.append(tuple(accumulate((sizes[generation + 1][t] for t in targets[vertex]),
+                                           initial=len(leaves))))
+
+    walk(cache, n, visit)
+    return records, leaves, bounds, ids

@@ -324,7 +324,10 @@ def _spectrum_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
 
 @pytest.mark.parametrize("preset, depth, s", [("penrose", 5, "1"),
                                               ("fibonacci-conjugate", 7, "1/2"),
-                                              ("dyadic-odometer", 6, "2")])
+                                              ("dyadic-odometer", 6, "2"),
+                                              ("ammann-a2", 8, "3/2"),
+                                              ("fibonacci", 9, "0"),
+                                              ("thue-morse", 7, "5/2")])
 def test_spectrum_stdout_matches_a_per_record_rendering(preset, depth, s, capsys):
     # spectrum reads its labels from split_labels, one generation at a time;
     # in walk order they must be format_path of each record's own path

@@ -19,13 +19,13 @@ from bratlap.diagram import (
     build_diagram,
     enumerate_paths,
     extensions,
+    predicted_path_count,
 )
 from bratlap.laplacian import (
     LaplacianError,
     dense_restriction,
     dense_spectrum,
     eigenbasis,
-    eigenvalue,
     full_spectrum,
     g_value,
     spectrum_multiset,
@@ -40,7 +40,15 @@ from bratlap.scalar import (
     QuadraticNumber,
     RationalBackend,
 )
-from oracles import longest_common_prefix, span, whole_matrix_dense_spectrum, whole_symmetrized
+from oracles import (
+    eigenvalue,
+    longest_common_prefix,
+    span,
+    walked_dense,
+    walked_spectrum,
+    whole_matrix_dense_spectrum,
+    whole_symmetrized,
+)
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -715,7 +723,7 @@ def test_verify_refuses_oversize_dense_before_spectrum(monkeypatch):
     def no_walk(*args):
         raise AssertionError("a walk started before the dense cap check")
 
-    monkeypatch.setattr(laplacian, "_walk", no_walk)
+    monkeypatch.setattr(laplacian, "walk_states", no_walk)
     ws = load_preset("penrose").weight_system
     with pytest.raises(LaplacianError, match="dense restriction needs more than 4096"):
         verify_spectrum(ws, 7, 1)
@@ -733,6 +741,15 @@ def test_spectrum_path_cap_is_the_total_it_visits(monkeypatch):
         laplacian.full_spectrum(ws, 8, 1)
 
 
+def _same_record(got, want) -> None:
+    assert (got.label, got.path, got.generation, got.multiplicity) == \
+        (want.label, want.path, want.generation, want.multiplicity)
+    assert type(got.value) is type(want.value) and got.value == want.value, got.path
+    assert got.value_float.hex() == want.value_float.hex(), got.path
+    if isinstance(want.value, ApproxReal):
+        assert got.value._mpf == want.value._mpf, got.path
+
+
 @pytest.mark.parametrize("backend", ["field", "approx:200"])
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_dense_walk_yields_full_spectrum_leaves_and_cylinders(name, backend):
@@ -746,18 +763,42 @@ def test_dense_walk_yields_full_spectrum_leaves_and_cylinders(name, backend):
         want = full_spectrum(ws, n - 1, s)
         assert len(op.records) == len(want), (s, n)
         for got, rec in zip(op.records, want):
-            assert (got.label, got.path, got.generation, got.multiplicity) == \
-                (rec.label, rec.path, rec.generation, rec.multiplicity)
-            assert type(got.value) is type(rec.value) and got.value == rec.value
-            assert got.value_float.hex() == rec.value_float.hex()
-            if isinstance(rec.value, ApproxReal):
-                assert got.value._mpf == rec.value._mpf
+            _same_record(got, rec)
         assert op.table.paths == enumerate_paths(diagram, n).paths
         assert len(op.bounds) == len(op.records) - 1
         for rec, ends in zip(op.records[1:], op.bounds):
             base = rec.path or EMPTY_PATH
             assert [range(lo, hi) for lo, hi in zip(ends, ends[1:])] == \
                 [span(op.table, base.child(e)) for e in extensions(diagram, base)]
+
+
+@pytest.mark.parametrize("backend", ["field", "approx:200"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_walk_states_match_the_path_by_path_walk(name, backend):
+    """The state engine against the recursive walk it replaced: full_spectrum
+    record for record, with one value object per walk state on both sides,
+    and dense_restriction's records, leaves, bounds and diagonal ids."""
+    ws = load_preset(name, backend=None if backend == "field" else backend).weight_system
+    for s in (0, Fraction(1, 2), 1, 2):
+        for depth in range(7):
+            got, want = full_spectrum(ws, depth, s), walked_spectrum(ws, depth, s)
+            assert len(got) == len(want), (s, depth)
+            shared = {}
+            for g, w in zip(got, want):
+                _same_record(g, w)
+                assert shared.setdefault(id(g.value), id(w.value)) == id(w.value)
+            assert len(set(shared.values())) == len(shared), (s, depth)
+        for n in range(1, 7):
+            if predicted_path_count(ws.diagram, n) > laplacian.DEFAULT_DENSE_CAP:
+                break
+            op = dense_restriction(ws, n, s)
+            records, leaves, bounds, ids = walked_dense(ws, n, s)
+            assert len(op.records) == len(records), (s, n)
+            for g, w in zip(op.records, records):
+                _same_record(g, w)
+            assert op.table.paths == tuple(leaves)
+            assert op.bounds == bounds
+            assert np.diag(op.index).tolist() == ids
 
 
 @pytest.mark.parametrize("argv, calls", [
