@@ -3,8 +3,9 @@ companion-matrix lattice embedding, and the Pisot strip bound.
 
 The partial isometries insert or delete an edge directly below the root; on
 eigenvalues they act as affine maps u_e(x) = Lambda_s * x + beta_e.  The table
-of beta constants is re-derived against the laplacian sign convention and
-self-calibrated on oracle data before it is accepted.
+of beta constants is re-derived against the laplacian sign convention, and
+the recursion is proved from the stationary memo's scaling identities
+before it is accepted.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import _linalg
 from .diagram import (DEFAULT_PATH_CAP, EMPTY_PATH, BratteliDiagram, Path, enumerate_paths,
                       path_counts, predicted_path_count)
-from .laplacian import SpectralRecord, StationaryCache, full_spectrum
+from .laplacian import SpectralRecord, StationaryCache, _level_paths, _records, walk_states
 from .measure import PerronData, WeightSystem, _power
 from .scalar import ApproxReal, QuadraticNumber, compare, exact_power
 
@@ -138,36 +139,36 @@ class AffineMapTable:
         return self.lam * value + self.betas[edge_index]
 
     def beta_classes(self) -> list[int]:
-        return _beta_classes(self.betas)
-
-
-def _beta_classes(betas) -> list[int]:
-    """Per edge, the index of its beta's structural class, numbered in order
-    of first appearance.  Edges whose betas are equal scalars of one type,
-    such as parallel edges, make the same affine step; floats are never
-    compared."""
-    classes: dict = {}
-    return [classes.setdefault((type(b), b), len(classes)) for b in betas]
+        """Per edge, the index of its beta's structural class, numbered in
+        order of first appearance.  Edges whose betas are equal scalars of
+        one type, such as parallel edges, make the same affine step; floats
+        are never compared."""
+        classes: dict = {}
+        return [classes.setdefault((type(b), b), len(classes)) for b in self.betas]
 
 
 def affine_table(ws: WeightSystem, s) -> AffineMapTable:
-    """Build the recursion constants.
+    """Build the recursion constants, and prove the recursion they define.
 
     beta_e = -(Lambda_s * step(root, eps)) + step(root, eps'), plus
     step(eps', eps' e) when eps' splits, where eps is the root edge into
     r(e), eps' the one into s(e), and step the stationary memo's increment
     term; a root or prefix with a single extension adds nothing.
-    The table is only returned after u_e(lambda_gamma) = lambda_(U_e gamma)
-    has been confirmed on all applicable paths through generation 3 (hard
-    failure otherwise).  Its seeds are the generation <= 1 records of that
-    depth-4 calibration spectrum: each record's scalar comes from the
-    stationary memo, so they equal full_spectrum(ws, 1, s) at any depth."""
+
+    Past eps, gamma passes the range vertices U_e gamma passes past eps' e,
+    one generation earlier.  mu(a, n+1) = mu(a, n)/theta, and G carries
+    mu^((2-s)/d) times two child measures, so step(a, n+1, b) = Lambda_s
+    step(a, n, b) and final(a, n+1) = Lambda_s final(a, n), and by induction
+    lambda_(U_e gamma) = Lambda_s lambda_gamma + beta_e on every generation.
+    `_prove_recursion` confirms the identities and beta_e's formula, or the
+    table is refused.  The seeds are walk levels 0 and 1 of the same memo,
+    full_spectrum(ws, 1, s)'s records."""
     s = Fraction(s)
     diagram = ws.diagram
     d = ws.dimension
     # Lambda_s = theta^((d+2-s)/d), exact whenever the power stays in the field
     lam = _power(ws.backend, ws.perron.theta, (d + 2 - s) / d, ws.approx_bits)
-    step = StationaryCache(ws, s).step_at
+    cache = StationaryCache(ws, s)
     root_split = len(diagram.root_edges) >= 2
 
     betas = []
@@ -176,65 +177,66 @@ def affine_table(ws: WeightSystem, s) -> AffineMapTable:
         eps_prime = Path(diagram.root_edge_index(e.source))
         beta = ws.backend.zero
         if root_split:
-            beta = -(lam * step(EMPTY_PATH, eps)) + step(EMPTY_PATH, eps_prime)
+            beta = -(lam * cache.step_at(EMPTY_PATH, eps)) + cache.step_at(EMPTY_PATH, eps_prime)
         if len(diagram.out_edges[e.source]) >= 2:
-            beta = beta + step(eps_prime, eps_prime.child(edge_index))
+            beta = beta + cache.step_at(eps_prime, eps_prime.child(edge_index))
         betas.append(beta)
 
-    oracle = full_spectrum(ws, 4, s)
+    levels = list(walk_states(cache, 4))
+    paths = _level_paths(levels[:4])
     return AffineMapTable(ws, s, lam, float(lam), tuple(betas),
                           tuple(float(b) for b in betas),
-                          _self_calibrate(ws, oracle, lam, betas),
-                          tuple(rec for rec in oracle if rec.generation <= 1))
+                          _prove_recursion(cache, levels, paths, lam, betas),
+                          tuple(_records(levels[:2], paths[:2])[0]))
 
 
-def _self_calibrate(ws: WeightSystem, oracle: list[SpectralRecord], lam,
-                    betas: list) -> int:
-    """Require u_e(lambda_gamma) = lambda_(U_e gamma) on the depth-4 oracle
-    records of generations 2 and 3, each generation in lexicographic path
-    order, which is the oracle's depth-first order, and return the number of
-    (record, edge) relations proved.
+def _prove_recursion(cache: StationaryCache, levels: list, paths: list, lam,
+                     betas: list) -> int:
+    """Require the memo's scaling identities at n = 1, 2 and 3, then the
+    generation-2 relations in (root, edges) order, each compared once per
+    (walk state of U_e gamma, of gamma, beta class of e); count them all.
+    ApproxReal scalars agree as floats within 1e-9 relative, so on
+    approximate backends the recursion is proved to that tolerance only."""
+    def agree(x, y) -> bool:
+        if isinstance(x, ApproxReal) or isinstance(y, ApproxReal):
+            return abs(float(x) - float(y)) <= 1e-9 * max(1.0, abs(float(x)))
+        return compare(x, y) == 0
 
-    The oracle's records share one value object per walk state, and edges
-    whose betas are in one class make the same affine step, so a relation
-    depends only on (direct value, parent value, beta class).  Each key is
-    compared once, by the objects' ids while `oracle` holds them; a key seen
-    again has held, so the first failing relation in that order is the one
-    reported."""
-    diagram = ws.diagram
-    exact = ws.backend.is_exact and not isinstance(lam, ApproxReal) and \
-        not any(isinstance(b, ApproxReal) for b in betas)
-    classes = _beta_classes(betas)
-    by_path = {rec.path: rec for rec in oracle if rec.label == "path"}
-    proved: set[tuple[int, int, int]] = set()
+    diagram = cache.ws.diagram
     checks = 0
-    for gen in (2, 3):
-        for rec in oracle:
-            if rec.generation != gen:
-                continue
-            gamma = rec.path
-            for ei in range(len(diagram.edges)):
-                shifted = path_shift_down(diagram, ei, gamma)
-                if shifted is None:
-                    continue
-                direct = by_path[shifted]
-                key = (id(direct.value), id(rec.value), classes[ei])
-                if key not in proved:
-                    via_map = lam * rec.value + betas[ei]
-                    if exact:
-                        agree = compare(direct.value, via_map) == 0
-                    else:
-                        scale = max(1.0, abs(direct.value_float))
-                        agree = abs(direct.value_float - float(via_map)) <= 1e-9 * scale
-                    if not agree:
-                        raise CuntzError(
-                            f"affine-table self-calibration failed on edge {ei} over "
-                            f"{diagram.format_path(gamma)}: direct {direct.value_float!r} "
-                            f"vs map {float(via_map)!r}")
-                    proved.add(key)
+    for lower, upper in zip(levels[1:4], levels[2:]):
+        for a, path in lower.final_paths.items():
+            pair = (path, upper.final_paths[a])
+            terms = {"final": [cache.final_at(p) for p in pair]}
+            for ei in diagram.out_edges[a]:
+                terms[f"step to {diagram.letters[diagram.edges[ei].target]}"] = \
+                    [cache.step_at(p, p.child(ei)) for p in pair]
+            for term, (x, y) in terms.items():
                 checks += 1
-    if checks == 0:
-        raise CuntzError("self-calibration found no applicable oracle paths")
+                if not agree(y, lam * x):
+                    raise CuntzError(f"affine-table scaling identity failed: {term} at "
+                                     f"{diagram.letters[a]}, generation {upper.generation}, "
+                                     f"is {float(y)!r}, not Lambda times {float(x)!r}")
+
+    classes, two, three = [(type(b), b) for b in betas], levels[2], levels[3]
+    state_of = dict(zip(paths[3], three.state.tolist()))
+    proved = set()
+    for i, state in zip(two.splits.tolist(), two.state[two.splits].tolist()):
+        for ei in range(len(diagram.edges)):
+            shifted = path_shift_down(diagram, ei, paths[2][i])
+            if shifted is None:
+                continue
+            checks += 1
+            key = (state_of[shifted], state, classes[ei])
+            if key in proved:
+                continue
+            direct, direct_float = three.values[key[0]]
+            via_map = lam * two.values[state][0] + betas[ei]
+            if not agree(direct, via_map):
+                raise CuntzError(f"affine-table self-calibration failed on edge {ei} over "
+                                 f"{diagram.format_path(paths[2][i])}: direct "
+                                 f"{direct_float!r} vs map {float(via_map)!r}")
+            proved.add(key)
     return checks
 
 

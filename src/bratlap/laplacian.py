@@ -355,10 +355,6 @@ def _records(levels: list[WalkLevel], paths: list[list[Path]]):
             [at for _, _, at in found])
 
 
-def spectrum_multiset(records: list[SpectralRecord]) -> list[float]:
-    return sorted(rec.value_float for rec in records for _ in range(rec.multiplicity))
-
-
 @dataclass
 class DenseOperator:
     """Matrix of Delta_s restricted to the generation-n cylinder functions, rows
@@ -634,13 +630,14 @@ def verify_spectrum(ws: WeightSystem, n: int, s,
     s = Fraction(s)
     # the dense cap refuses an oversize n before the walk starts
     op = dense_restriction(ws, n, s, cap=dense_cap)
-    expected = spectrum_multiset(op.records)
+    expected = np.sort(np.repeat([rec.value_float for rec in op.records],
+                                 [rec.multiplicity for rec in op.records]))
     size = len(op.table)
 
-    counting_ok = len(expected) == size
+    counting_ok = expected.size == size
     mismatches = []
     if not counting_ok:
-        mismatches.append(f"multiplicity {len(expected)} != |Pi_n| = {size}")
+        mismatches.append(f"multiplicity {expected.size} != |Pi_n| = {size}")
 
     max_dev = float("inf")
     try:
@@ -649,18 +646,19 @@ def verify_spectrum(ws: WeightSystem, n: int, s,
         mismatches.append(f"slot symmetry: {exc}")
     else:
         if counting_ok:
-            deviation = np.abs(eigs - np.array(expected))
+            deviation = np.abs(eigs - expected)
             max_dev = float(np.max(deviation))
             if not (op.exact or max_dev <= FLOAT_TOLERANCE):
                 k = int(np.argmax(deviation))
-                mismatches.append(f"eigenvalue #{k}: dense {eigs[k]:.12g} "
-                                  f"vs closed-form {expected[k]:.12g}")
+                mismatches.append(f"eigenvalue #{k}: dense {eigs[k]:.12g} vs closed-form "
+                                  f"{expected[k]:.12g}, |dense - closed-form| = "
+                                  f"{deviation[k]:.3e} > tolerance {FLOAT_TOLERANCE:.1e}")
 
     exact_ok = _verify_exact_relations(op) if op.exact else None
     if exact_ok is False:
         mismatches.append("exact eigen-relation check failed")
 
-    return VerifyReport(not mismatches, n, s, size, len(expected), counting_ok, max_dev,
+    return VerifyReport(not mismatches, n, s, size, expected.size, counting_ok, max_dev,
                         FLOAT_TOLERANCE, exact_ok, mismatches, list(notes or ()))
 
 

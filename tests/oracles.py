@@ -177,6 +177,11 @@ def record_visitor(cache: StationaryCache):
     return records, visit
 
 
+def spectrum_multiset(records: list[SpectralRecord]) -> list[float]:
+    """The records' float values, each repeated by its multiplicity, sorted."""
+    return sorted(rec.value_float for rec in records for _ in range(rec.multiplicity))
+
+
 def walked_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
     """full_spectrum(ws, depth, s) by the path-by-path walk."""
     cache = StationaryCache(ws, Fraction(s))

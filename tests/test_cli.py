@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -89,6 +90,11 @@ def test_verify_float_operator_fails_on_its_deviation(argv, capsys):
     assert f"verify generation={argv[3]} s={argv[5]}: FAIL" in out
     assert '"  mismatch: eigenvalue #' in out
     assert "exact eigen-relations" not in out and '"ok":false' in out
+    # both sides print alike at 12 digits, so the line names their gap; its
+    # digits follow the BLAS build
+    gap = re.search(r'"  mismatch: eigenvalue #\d+: dense \S+ vs closed-form \S+, '
+                    r'\|dense - closed-form\| = (\S+) > tolerance 1\.0e-08"', out)
+    assert gap is not None and float(gap.group(1)) > 1e-8
 
 
 def test_exact_string_format(capsys):
@@ -724,9 +730,9 @@ def test_usage_errors_name_their_cause(argv, message):
 
 
 def test_self_calibration_failure_is_a_usage_error(monkeypatch):
-    calibrate = cuntz._self_calibrate
-    monkeypatch.setattr(cuntz, "_self_calibrate", lambda ws, oracle, lam, betas:
-                        calibrate(ws, oracle, lam, [betas[0] + 1, *betas[1:]]))
+    prove = cuntz._prove_recursion
+    monkeypatch.setattr(cuntz, "_prove_recursion", lambda cache, levels, paths, lam, betas:
+                        prove(cache, levels, paths, lam, [betas[0] + 1, *betas[1:]]))
     code, err = _exit_code(["weyl", "--preset", "fibonacci", "--depth", "4"])
     assert code == 2
     assert "bratlap: error: affine-table self-calibration failed on edge 0 over " in err

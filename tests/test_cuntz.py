@@ -193,15 +193,17 @@ def test_affine_table_penrose():
     assert table.calibration_checks > 0
 
 
-# the (record, edge) relations each preset's calibration proves, counted
-# one by one; they do not depend on s
-CALIBRATION_CHECKS = {"fibonacci": 8, "fibonacci-conjugate": 47, "thue-morse": 24,
-                      "dyadic-odometer": 12, "penrose": 940, "ammann-a2": 188}
+# the comparisons each preset's proof makes: the memo's scaling identities at
+# n = 1, 2 and 3, one per (splitting vertex, child vertex) plus one final
+# term per splitting vertex, and the generation-2 (record, edge) relations,
+# counted one by one; they do not depend on s
+CALIBRATION_CHECKS = {"fibonacci": 12, "fibonacci-conjugate": 31, "thue-morse": 26,
+                      "dyadic-odometer": 10, "penrose": 278, "ammann-a2": 70}
 
 
 @pytest.mark.parametrize("name", preset_names())
 def test_calibration_counts_every_relation(name):
-    # each (direct value, parent value, beta class) is compared once, but
+    # each (direct state, parent state, beta class) is compared once, but
     # every (record, edge) relation it proves is counted
     backends = [None, "quadratic:5"] if name.startswith("fibonacci") else [None]
     for backend in backends:
@@ -211,8 +213,8 @@ def test_calibration_counts_every_relation(name):
                 (backend, s)
 
 
-# the first failing relation in oracle order, checked relation by relation,
-# once every beta of the last class is raised by one
+# the first failing generation-2 relation in (root, edges) order, checked
+# relation by relation, once every beta of the last class is raised by one
 LAST_CLASS_FAILURES = {
     ("fibonacci", 0): "edge 2 over a.a: direct -353.6493702224834 vs map -352.6493702224834",
     ("fibonacci", 2): "edge 2 over a.a: direct -24.798373876248846 vs map -23.798373876248846",
@@ -235,19 +237,36 @@ LAST_CLASS_FAILURES = {
 @pytest.mark.parametrize("name, s", LAST_CLASS_FAILURES, ids=str)
 def test_calibration_failure_in_the_last_beta_class(name, s, monkeypatch):
     # a wrong beta in the class seen last is still caught, and the relation
-    # named is the first failing one in oracle order
-    calibrate = cuntz._self_calibrate
+    # named is the first failing one in (root, edges) order
+    prove = cuntz._prove_recursion
 
-    def perturbed(ws, oracle, lam, betas):
-        classes = cuntz._beta_classes(betas)
-        return calibrate(ws, oracle, lam, [b + 1 if cls == max(classes) else b
-                                           for b, cls in zip(betas, classes)])
+    def perturbed(cache, levels, paths, lam, betas):
+        last = list(dict.fromkeys((type(b), b) for b in betas))[-1]
+        return prove(cache, levels, paths, lam, [b + 1 if (type(b), b) == last else b
+                                                 for b in betas])
 
-    monkeypatch.setattr(cuntz, "_self_calibrate", perturbed)
+    monkeypatch.setattr(cuntz, "_prove_recursion", perturbed)
     with pytest.raises(CuntzError) as info:
         affine_table(load_preset(name).weight_system, s)
     assert str(info.value) == ("affine-table self-calibration failed on "
                                + LAST_CLASS_FAILURES[name, s])
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_scaling_identities_catch_a_generation_four_term(name, monkeypatch):
+    # the generation-2 relations read no generation-4 term; the identity at
+    # n = 3 -> 4 does, so a wrong final term there is still caught
+    final_at = cuntz.StationaryCache.final_at
+
+    def perturbed(cache, path):
+        value = final_at(cache, path)
+        return value + 1 if path.generation == 4 else value
+
+    monkeypatch.setattr(cuntz.StationaryCache, "final_at", perturbed)
+    for s in (0, 2):
+        with pytest.raises(CuntzError, match="scaling identity failed: final at .*, "
+                                             "generation 4, is "):
+            affine_table(load_preset(name).weight_system, s)
 
 
 def test_seed_extension_property():
@@ -529,8 +548,9 @@ QUADRATIC_PRESETS = ("fibonacci", "fibonacci-conjugate", "thue-morse", "dyadic-o
                          [(name, None) for name in preset_names()] +
                          [(name, "quadratic:5") for name in QUADRATIC_PRESETS])
 def test_affine_table_seeds_are_the_depth_one_spectrum(name, backend):
-    # the seeds come from the depth-4 calibration spectrum; the memo makes
-    # each scalar the same whatever the depth, bit for bit
+    # the seeds are the records of walk levels 0 and 1 of the memo that
+    # also proves the recursion to generation 4; the memo makes each scalar
+    # the same whatever the depth of the walk, bit for bit
     ws = load_preset(name, backend=backend).weight_system
     for s in (-1, 0, Fraction(1, 2), 1, 2):
         seeds = affine_table(ws, s).seeds

@@ -28,7 +28,6 @@ from bratlap.laplacian import (
     eigenbasis,
     full_spectrum,
     g_value,
-    spectrum_multiset,
     verify_spectrum,
 )
 from bratlap.measure import WeightSystem, mu, perron
@@ -44,6 +43,7 @@ from oracles import (
     eigenvalue,
     longest_common_prefix,
     span,
+    spectrum_multiset,
     walked_dense,
     walked_spectrum,
     whole_matrix_dense_spectrum,
