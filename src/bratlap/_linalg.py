@@ -10,10 +10,6 @@ def mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)] for i in range(n)]
 
 
-def mat_vec(a, v):
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
 def mat_pow(a, k: int):
     n = len(a)
     out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -40,9 +40,10 @@ from .presets import PRESETS, preset_names
 from .scalar import MIN_PRECISION, ApproxReal, parse_backend
 
 DEFAULT_PRECISION_ENV = "BRATLAP_PRECISION"
-# the most times heat samples the trace at: each sample sums its own
-# generations, and a huge count asks for memory in proportion to it
-MAX_HEAT_POINTS = 10_000
+# the most points heat samples the trace at and weyl the count at: a heat
+# sample sums its own generations, and either grid asks for memory in
+# proportion to its size
+MAX_GRID_POINTS = 10_000
 # columns of free text, which CSV quotes and JSON writes as they are
 _TEXT_COLUMNS = frozenset(("path", "value_exact", "line", "description"))
 
@@ -310,8 +311,6 @@ def cmd_zeta(args, parser, em, inputs) -> int:
 
 def cmd_weyl(args, parser, em, inputs) -> int:
     ws, s, dim = inputs.ws, inputs.s, inputs.ws.dimension
-    table = cuntz.affine_table(ws, s)
-    spec = asymptotics.magnitude_table(table, args.depth)
     grid = None
     if args.grid:
         try:
@@ -321,7 +320,11 @@ def cmd_weyl(args, parser, em, inputs) -> int:
             parser.error("--grid must look like a:b:steps")
         if not (0 < a < b < math.inf and steps >= 1):
             parser.error("--grid needs finite 0 < a < b and steps >= 1")
+        if steps > MAX_GRID_POINTS:
+            parser.error(f"--grid steps must be <= {MAX_GRID_POINTS}")
         grid = np.geomspace(a, b, steps)
+    table = cuntz.affine_table(ws, s)
+    spec = asymptotics.magnitude_table(table, args.depth)
     result = asymptotics.weyl_count(spec, table.lam_float, grid=grid)
     em.section("counting", ["threshold", "count"],
                [[_fmt(t), c] for t, c in result.samples])
@@ -348,8 +351,8 @@ def cmd_heat(args, parser, em, inputs) -> int:
         parser.error("--tmin and --tmax must be finite")
     if args.points < 1 or args.tmin <= 0 or args.tmax < args.tmin:
         parser.error("need 0 < tmin <= tmax and points >= 1")
-    if args.points > MAX_HEAT_POINTS:
-        parser.error(f"--points must be <= {MAX_HEAT_POINTS}")
+    if args.points > MAX_GRID_POINTS:
+        parser.error(f"--points must be <= {MAX_GRID_POINTS}")
     if args.depth is not None:
         _check_depth(args, parser, 2)
     table = cuntz.affine_table(ws, inputs.s)

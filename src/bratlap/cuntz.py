@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .diagram import (DEFAULT_PATH_CAP, EMPTY_PATH, BratteliDiagram, Path, enumerate_paths,
-                      path_counts, predicted_path_count)
+from .diagram import (DEFAULT_PATH_CAP, BratteliDiagram, Path, enumerate_paths, path_counts,
+                      predicted_path_count)
 from .laplacian import SpectralRecord, StationaryCache, _level_paths, _records, walk_states
 from .measure import PerronData, WeightSystem, _power
 from .scalar import ApproxReal, QuadraticNumber, compare, exact_power
@@ -153,7 +153,8 @@ def affine_table(ws: WeightSystem, s) -> AffineMapTable:
     beta_e = -(Lambda_s * step(root, eps)) + step(root, eps'), plus
     step(eps', eps' e) when eps' splits, where eps is the root edge into
     r(e), eps' the one into s(e), and step the stationary memo's increment
-    term; a root or prefix with a single extension adds nothing.
+    term, read by the keys (-1, 0, r(e)), (-1, 0, s(e)) and (s(e), 1,
+    r(e)); a root or prefix with a single extension adds nothing.
 
     Past eps, gamma passes the range vertices U_e gamma passes past eps' e,
     one generation earlier.  mu(a, n+1) = mu(a, n)/theta, and G carries
@@ -172,16 +173,16 @@ def affine_table(ws: WeightSystem, s) -> AffineMapTable:
     root_split = len(diagram.root_edges) >= 2
 
     betas = []
-    for edge_index, e in enumerate(diagram.edges):
-        eps = Path(diagram.root_edge_index(e.target))
-        eps_prime = Path(diagram.root_edge_index(e.source))
+    for e in diagram.edges:
         beta = ws.backend.zero
         if root_split:
-            beta = -(lam * cache.step_at(EMPTY_PATH, eps)) + cache.step_at(EMPTY_PATH, eps_prime)
+            beta = -(lam * cache.step_at(-1, 0, e.target)) + cache.step_at(-1, 0, e.source)
         if len(diagram.out_edges[e.source]) >= 2:
-            beta = beta + cache.step_at(eps_prime, eps_prime.child(edge_index))
+            beta = beta + cache.step_at(e.source, 1, e.target)
         betas.append(beta)
 
+    # the identities read terms to generation 4, and the walk's path cap
+    # counts that far
     levels = list(walk_states(cache, 4))
     paths = _level_paths(levels[:4])
     return AffineMapTable(ws, s, lam, float(lam), tuple(betas),
@@ -204,18 +205,21 @@ def _prove_recursion(cache: StationaryCache, levels: list, paths: list, lam,
 
     diagram = cache.ws.diagram
     checks = 0
-    for lower, upper in zip(levels[1:4], levels[2:]):
-        for a, path in lower.final_paths.items():
-            pair = (path, upper.final_paths[a])
-            terms = {"final": [cache.final_at(p) for p in pair]}
-            for ei in diagram.out_edges[a]:
-                terms[f"step to {diagram.letters[diagram.edges[ei].target]}"] = \
-                    [cache.step_at(p, p.child(ei)) for p in pair]
+    for n in (1, 2, 3):
+        # every vertex is reached at every generation, as each has root edges
+        # and, the matrix being primitive, an in-edge
+        for a, targets in enumerate(diagram.targets[:-1]):
+            if len(targets) < 2:
+                continue
+            terms = {"final": [cache.final_at(a, m) for m in (n, n + 1)]}
+            for t in targets:
+                terms[f"step to {diagram.letters[t]}"] = [cache.step_at(a, m, t)
+                                                          for m in (n, n + 1)]
             for term, (x, y) in terms.items():
                 checks += 1
                 if not agree(y, lam * x):
                     raise CuntzError(f"affine-table scaling identity failed: {term} at "
-                                     f"{diagram.letters[a]}, generation {upper.generation}, "
+                                     f"{diagram.letters[a]}, generation {n + 1}, "
                                      f"is {float(y)!r}, not Lambda times {float(x)!r}")
 
     classes, two, three = [(type(b), b) for b in betas], levels[2], levels[3]

@@ -176,6 +176,14 @@ class BratteliDiagram:
         return self.root_edges[path.root].vertex
 
     @cached_property
+    def targets(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the range vertices of its out-edges in order, and at
+        index -1 those of the root edges: the children of a path ending at v
+        end at targets[v], and those of the empty path at targets[-1]."""
+        return tuple(tuple(self.edges[e].target for e in out) for out in self.out_edges) + \
+            (tuple(r.vertex for r in self.root_edges),)
+
+    @cached_property
     def heads(self) -> tuple[str, ...]:
         """Per root edge, the start of a path label: its letter, with its
         slot in brackets when there are several."""
@@ -324,13 +332,6 @@ def enumerate_paths(diagram: BratteliDiagram, n: int,
     if len(paths) != predicted:
         raise AssertionError("path enumeration disagrees with the matrix-power count")
     return PathTable(n, tuple(paths))
-
-
-def extensions(diagram: BratteliDiagram, path: Path) -> tuple[int, ...]:
-    """Edge models extending the path one generation; root edges for the empty path."""
-    if path.root is None:
-        return tuple(range(len(diagram.root_edges)))
-    return diagram.out_edges[diagram.path_range(path)]
 
 
 def load_diagram_json(text: str) -> tuple[BratteliDiagram, int]:

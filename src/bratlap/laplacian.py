@@ -19,15 +19,8 @@ from itertools import accumulate, product
 import numpy as np
 
 from . import _linalg
-from .diagram import (
-    DEFAULT_PATH_CAP,
-    EMPTY_PATH,
-    Path,
-    PathTable,
-    extensions,
-    path_counts,
-    predicted_path_count,
-)
+from .diagram import (DEFAULT_PATH_CAP, EMPTY_PATH, Path, PathTable, path_counts,
+                      predicted_path_count)
 from .measure import WeightSystem, diam_power, mu
 from .scalar import ApproxReal, QuadraticNumber
 
@@ -40,18 +33,19 @@ class LaplacianError(ValueError):
     pass
 
 
-def g_value(ws: WeightSystem, path: Path, s):
+def g_value(ws: WeightSystem, a: int, n: int, s):
     """Splitting weight G_s = (1/2) diam^(2-s) * sum over ordered pairs of
-    distinct extensions of the product of the two extended measures."""
+    distinct extensions of the product of the two extended measures, at a
+    path with range vertex a at generation n, or the empty path's (-1, 0)."""
     s = Fraction(s)
-    ext = extensions(ws.diagram, path)
-    if len(ext) < 2:
+    targets = ws.diagram.targets[a]
+    if len(targets) < 2:
         raise LaplacianError("no splitting at this path")
-    measures = [mu(ws, path.child(e)) for e in ext]
+    measures = [mu(ws, t, n + 1) for t in targets]
     total = sum(measures[1:], measures[0])
     sumsq = sum((m * m for m in measures[1:]), measures[0] * measures[0])
     pair_sum = total * total - sumsq
-    return Fraction(1, 2) * diam_power(ws, path, 2 - s) * pair_sum
+    return Fraction(1, 2) * diam_power(ws, a, n, 2 - s) * pair_sum
 
 
 @dataclass(frozen=True)
@@ -64,23 +58,13 @@ class SpectralRecord:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class EigenVectorSpec:
-    """One eigenvector: coeff_pos on the cylinder base.e, coeff_neg on base.e'."""
-
-    base: Path
-    edge_pos: int
-    edge_neg: int
-    coeff_pos: object
-    coeff_neg: object
-
-
 class StationaryCache:
     """Memo of the terms of the eigenvalue formula on a stationary diagram.
 
     mu(gamma), 1/mu(gamma) and G(gamma) depend only on the range vertex
-    r(gamma) and the generation n, so they are kept per (r(gamma), n), and
-    so are the two terms the spectrum and dense walks add up:
+    r(gamma) and the generation n, so they are kept and read per key
+    (r(gamma), n), and so are the two terms the spectrum and dense walks
+    add up:
 
     - the final term -mu(gamma) * G(gamma)^-1, keyed by (r(gamma), n);
     - the step term (mu(gamma e) - mu(gamma)) * G(gamma)^-1, keyed by
@@ -104,11 +88,6 @@ class StationaryCache:
         self._final: dict[tuple[int, int], object] = {}
         self._step: dict[tuple[int, int, int], object] = {}
 
-    def _key(self, path: Path) -> tuple[int, int]:
-        if path.root is None:
-            return (-1, 0)
-        return (self.ws.diagram.path_range(path), path.generation)
-
     @staticmethod
     def _memo(table: dict, key: tuple, compute):
         val = table.get(key)
@@ -116,48 +95,45 @@ class StationaryCache:
             val = table[key] = compute()
         return val
 
-    def mu_at(self, path: Path):
-        return self._memo(self._mu, self._key(path), lambda: mu(self.ws, path))
+    def mu_at(self, a: int, n: int):
+        return self._memo(self._mu, (a, n), lambda: mu(self.ws, a, n))
 
-    def inv_mu_at(self, path: Path):
-        return self._memo(self._inv_mu, self._key(path), lambda: 1 / self.mu_at(path))
+    def inv_mu_at(self, a: int, n: int):
+        return self._memo(self._inv_mu, (a, n), lambda: 1 / self.mu_at(a, n))
 
-    def g_at(self, path: Path):
-        return self._memo(self._g, self._key(path),
-                          lambda: g_value(self.ws, path, self.s))
+    def g_at(self, a: int, n: int):
+        return self._memo(self._g, (a, n), lambda: g_value(self.ws, a, n, self.s))
 
-    def inv_g_at(self, path: Path):
-        return self._memo(self._inv_g, self._key(path),
-                          lambda: 1 / self.g_at(path))
+    def inv_g_at(self, a: int, n: int):
+        return self._memo(self._inv_g, (a, n), lambda: 1 / self.g_at(a, n))
 
     # the two terms the walks read once per walk state, looked up without
     # building a closure on every call
-    def final_at(self, path: Path):
-        key = self._key(path)
-        val = self._final.get(key)
+    def final_at(self, a: int, n: int):
+        val = self._final.get((a, n))
         if val is None:
-            val = self._final[key] = -(self.mu_at(path) * self.inv_g_at(path))
+            val = self._final[a, n] = -(self.mu_at(a, n) * self.inv_g_at(a, n))
         return val
 
-    def step_at(self, path: Path, child: Path):
-        key = self._key(path) + (self.ws.diagram.path_range(child),)
-        val = self._step.get(key)
+    def step_at(self, a: int, n: int, t: int):
+        """The step term from (a, n) to its child ending at t."""
+        val = self._step.get((a, n, t))
         if val is None:
-            val = self._step[key] = (self.mu_at(child) - self.mu_at(path)) * self.inv_g_at(path)
+            val = self._step[a, n, t] = \
+                (self.mu_at(t, n + 1) - self.mu_at(a, n)) * self.inv_g_at(a, n)
         return val
 
 
-def eigenbasis(cache: StationaryCache, path: Path) -> list[EigenVectorSpec]:
-    """n-1 spanning eigenvectors anchored at the first extension, with the
-    children's mu and 1/mu read from the stationary memo."""
-    diagram = cache.ws.diagram
-    ext = extensions(diagram, path)
-    if len(ext) < 2:
+def eigenbasis(cache: StationaryCache, a: int, n: int) -> list[tuple]:
+    """(coeff_pos, coeff_neg) of the spanning eigenvectors at a path with
+    key (a, n), one per extension after the first: coeff_pos on the
+    cylinder of the first extension, coeff_neg on that of the other, each
+    1/mu of its child read from the stationary memo, coeff_neg negated."""
+    targets = cache.ws.diagram.targets[a]
+    if len(targets) < 2:
         return []
-    inv_anchor = cache.inv_mu_at(path.child(ext[0]))
-    return [EigenVectorSpec(path, ext[0], other, inv_anchor,
-                            -cache.inv_mu_at(path.child(other)))
-            for other in ext[1:]]
+    inv_anchor = cache.inv_mu_at(targets[0], n + 1)
+    return [(inv_anchor, -cache.inv_mu_at(t, n + 1)) for t in targets[1:]]
 
 
 class WalkLevel:
@@ -176,21 +152,20 @@ class WalkLevel:
     - `first_leaf`: the index of its first generation-`depth` descendant
       among the generation-`depth` paths in (root, edges) order.
 
-    `splits` lists the paths with two or more extensions, those with a
-    record, and `multiplicity` their extensions less one.  Per walk state,
-    `partials` holds its partial sum and `state_vertex` its range vertex.
-    `final_paths` holds a path of the generation per range vertex with two
-    or more extensions, at which `cache` gives its final term.  A plain
+    Per range vertex, -1 the root's, `leaves` counts the generation-`depth`
+    paths below a path of the generation that ends there.  `splits` lists
+    the paths with two or more extensions, those with a record, and
+    `multiplicity` their extensions less one.  Per walk state, `partials`
+    holds its partial sum and `state_vertex` its range vertex.  A plain
     class, not a dataclass, which would add about 1 ms to every import."""
 
     def __init__(self, generation: int, state, vertex, parent, edge, rank, first_leaf,
-                 splits, multiplicity, partials: list, state_vertex: list,
-                 cache: StationaryCache, final_paths: dict):
+                 leaves, splits, multiplicity, partials: list, state_vertex: list,
+                 cache: StationaryCache):
         self.generation, self.state, self.vertex = generation, state, vertex
         self.parent, self.edge, self.rank, self.first_leaf = parent, edge, rank, first_leaf
-        self.splits, self.multiplicity = splits, multiplicity
-        self.partials, self.state_vertex = partials, state_vertex
-        self.cache, self.final_paths = cache, final_paths
+        self.leaves, self.splits, self.multiplicity = leaves, splits, multiplicity
+        self.partials, self.state_vertex, self.cache = partials, state_vertex, cache
 
     @cached_property
     def values(self) -> list:
@@ -198,7 +173,9 @@ class WalkLevel:
         extensions and None elsewhere: its partial plus the final term keyed
         by (range vertex, generation).  It is formed on first read, so a
         generation that is not read computes no final term and no G."""
-        finals = {v: self.cache.final_at(path) for v, path in self.final_paths.items()}
+        targets = self.cache.ws.diagram.targets
+        finals = {v: self.cache.final_at(v, self.generation)
+                  for v in dict.fromkeys(self.state_vertex) if len(targets[v]) >= 2}
         out = []
         for partial, v in zip(self.partials, self.state_vertex):
             val = finals.get(v)
@@ -248,14 +225,14 @@ def walk_states(cache: StationaryCache, depth: int):
 
 def _levels(cache: StationaryCache, depth: int):
     diagram = cache.ws.diagram
-    letters = diagram.n_letters
-    # (edge, child range vertex) per out-edge slot of each range vertex, the
-    # root edges last (index -1)
-    children = [[(e, diagram.edges[e].target) for e in out] for out in diagram.out_edges] + \
-        [list(enumerate(r.vertex for r in diagram.root_edges))]
-    count = np.array([len(row) for row in children])
+    letters, targets = diagram.n_letters, diagram.targets
+    # per out-edge slot of each range vertex, the root edges last (index
+    # -1): its edge and its child range vertex
+    count = np.array([len(row) for row in targets])
     start = np.cumsum(count) - count
-    slot_edge, slot_target = (np.array(col) for col in zip(*(x for row in children for x in row)))
+    slot_edge = np.array([*(e for out in diagram.out_edges for e in out),
+                          *range(len(diagram.root_edges))])
+    slot_target = np.array([t for row in targets for t in row])
     split = count >= 2
     # per (generation, vertex), the records and the generation-depth paths
     # of its subtree, summed from generation depth up
@@ -275,15 +252,11 @@ def _levels(cache: StationaryCache, depth: int):
     vertex = parent = edge = np.full(1, -1)
     rank, first = np.ones(1, np.int64), np.zeros(1, np.int64)
     partials, state_vertex = [cache.ws.backend.zero], [-1]
-    # a path of the generation per range vertex it reaches, at which the
-    # memo's terms keyed by (vertex, generation) are read
-    reps = {-1: EMPTY_PATH}
     for k in range(depth + 1):
         mult = count[vertex] - 1
         splits = np.flatnonzero(mult)
-        yield WalkLevel(k, state, vertex, parent, edge, rank, first, splits, mult[splits],
-                        partials, state_vertex, cache,
-                        {v: path for v, path in reps.items() if split[v]})
+        yield WalkLevel(k, state, vertex, parent, edge, rank, first, leaves[k], splits,
+                        mult[splits], partials, state_vertex, cache)
         if k == depth:
             return
         n_children = mult + 1
@@ -302,19 +275,14 @@ def _levels(cache: StationaryCache, depth: int):
 
         # the step term per (vertex, child range vertex); None where the
         # vertex has a single extension, whose increment vanishes
-        steps, child_reps = {}, {}
-        for v, path in reps.items():
-            for e, t in children[v]:
-                if (v, t) not in steps:
-                    child = path.child(e)
-                    child_reps.setdefault(t, child)
-                    steps[v, t] = cache.step_at(path, child) if split[v] else None
+        steps = {(v, t): cache.step_at(v, k, t) if split[v] else None
+                 for v in dict.fromkeys(state_vertex) for t in targets[v]}
         child_partials = []
         child_vertex = child_vertex.tolist()
         for p, t in zip(parent_state.tolist(), child_vertex):
             step = steps[state_vertex[p], t]
             child_partials.append(partials[p] if step is None else partials[p] + step)
-        partials, state_vertex, reps = child_partials, child_vertex, child_reps
+        partials, state_vertex = child_partials, child_vertex
 
 
 def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
@@ -369,7 +337,8 @@ class DenseOperator:
     `records` are full_spectrum(ws, n - 1, s)'s, and bounds[k] gives the
     cylinders of the base of records[k + 1], the k-th path with two or more
     extensions: the paths through its i-th extension fill the range
-    bounds[k][i]:bounds[k][i + 1].  `cache` is the memo both were read from."""
+    bounds[k][i]:bounds[k][i + 1].  meets[k] is that base's key (range
+    vertex, generation) in `cache`, the memo all were read from."""
 
     generation: int
     s: Fraction
@@ -383,6 +352,7 @@ class DenseOperator:
     index: np.ndarray
     records: list[SpectralRecord]
     bounds: list[tuple[int, ...]]
+    meets: list[tuple[int, int]]
     cache: StationaryCache
 
     @property
@@ -446,13 +416,6 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     exact = ws.backend.is_exact and Fraction(2 - s, ws.dimension).denominator == 1
 
     cache = StationaryCache(ws, s)
-    # sizes[k][v]: the generation-n paths below the generation-k vertex v
-    sizes = {n: [1] * diagram.n_letters}
-    for k in range(n - 1, 0, -1):
-        sizes[k] = _linalg.mat_vec(diagram.matrix, sizes[k + 1])
-    # child range vertices per range vertex, the root's last (index -1)
-    targets = [tuple(diagram.edges[e].target for e in out) for out in diagram.out_edges] + \
-        [tuple(r.vertex for r in diagram.root_edges)]
     # at most one id per generation-n walk state, a run of n range vertices
     # that A's 0/1 support B allows (1^T B^(n-1) 1 of them), and one per
     # (meet key, letter)
@@ -464,29 +427,32 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     levels = list(walk_states(cache, n))
     paths = _level_paths(levels)
     records, where = _records(levels[:-1], paths)
-    leaves, top = paths[-1], levels[-1]
-    if len(leaves) != size:
+    top = levels[-1]
+    if len(paths[-1]) != size:
         raise AssertionError("the walk disagrees with the matrix-power path count")
     # the leaf states' partials are the first ids, in state order
     np.fill_diagonal(index, top.state)
     values: list = [partial if exact else float(partial) for partial in top.partials]
-    bounds = []
-    for k, i in where:
-        bounds.append(tuple(accumulate((sizes[k + 1][t] for t in targets[levels[k].vertex[i]]),
-                                       initial=int(levels[k].first_leaf[i]))))
+    below = [level.leaves.tolist() for level in levels]
+    # per record, its base's key and the ranges of its child cylinders, as
+    # wide as the generation-n paths below each of them
+    meets = [(int(levels[k].vertex[i]), k) for k, i in where]
+    bounds = [tuple(accumulate((below[k + 1][t] for t in diagram.targets[v]),
+                               initial=int(levels[k].first_leaf[i])))
+              for (k, i), (v, _) in zip(where, meets)]
     vertex = top.vertex
-    mu_values = tuple(cache.mu_at(leaves[i]) for i in np.unique(vertex, return_index=True)[1])
+    mu_values = tuple(cache.mu_at(v, n) for v in range(letters))
 
     meet_ids: dict[tuple[int, int], np.ndarray] = {}
-    for rec, ends in zip(records[1:], bounds):
-        meet, lo, hi = rec.path or EMPTY_PATH, ends[0], ends[-1]
+    for meet, ends in zip(meets, bounds):
+        lo, hi = ends[0], ends[-1]
         # the meet key fixes which letters its subtree reaches at generation n,
         # so its value ids mu[j]/G(meet) are interned per key and letter
-        ids = meet_ids.get(cache._key(meet))
+        ids = meet_ids.get(meet)
         if ids is None:
-            ids = meet_ids[cache._key(meet)] = np.zeros(letters, index.dtype)
+            ids = meet_ids[meet] = np.zeros(letters, index.dtype)
             if not exact:
-                gf = float(cache.g_at(meet))
+                gf = float(cache.g_at(*meet))
                 # mu <= 1, so mu / G is finite for any G in the normal float
                 # range; G underflows at a large negative s
                 if abs(gf) < sys.float_info.min:
@@ -494,7 +460,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
                                          "try a larger s or a smaller depth")
             for v in set(vertex[lo:hi].tolist()):
                 ids[v] = len(values)
-                values.append(mu_values[v] * cache.inv_g_at(meet) if exact
+                values.append(mu_values[v] * cache.inv_g_at(*meet) if exact
                               else float(mu_values[v]) / gf)
         row = ids[vertex[lo:hi]]
         for i, j in product(range(len(ends) - 1), repeat=2):
@@ -504,9 +470,9 @@ def dense_restriction(ws: WeightSystem, n: int, s,
 
     if exact and any(isinstance(v, ApproxReal) for v in values):
         raise LaplacianError("an exact dense entry fell back to an approximate scalar")
-    return DenseOperator(n, s, PathTable(n, tuple(leaves)), mu_values, vertex,
-                         diagram.symmetry_order, tuple(sizes[1]), exact, tuple(values),
-                         index, records, bounds, cache)
+    return DenseOperator(n, s, PathTable(n, tuple(paths[-1])), mu_values, vertex,
+                         diagram.symmetry_order, tuple(below[1][:letters]), exact,
+                         tuple(values), index, records, bounds, meets, cache)
 
 
 class SlotSymmetryError(LaplacianError):
@@ -692,14 +658,14 @@ def _verify_exact_relations(op: DenseOperator) -> bool:
     # per vector: its base's span, pos range and neg range as (lo, hi) each,
     # and coeff_pos, coeff_neg and lambda
     spans, scalars = [], []
-    for rec, ends in zip(op.records[1:], op.bounds):
-        specs = eigenbasis(op.cache, rec.path or EMPTY_PATH)
-        if len(specs) != rec.multiplicity:
+    for rec, ends, meet in zip(op.records[1:], op.bounds, op.meets):
+        pairs = eigenbasis(op.cache, *meet)
+        if len(pairs) != rec.multiplicity:
             return False
         # eigenbasis anchors every vector at the first extension
-        for k, spec in enumerate(specs, 1):
+        for k, (coeff_pos, coeff_neg) in enumerate(pairs, 1):
             spans.append([ends[0], ends[-1], *ends[0:2], *ends[k:k + 2]])
-            scalars += (spec.coeff_pos, spec.coeff_neg, rec.value)
+            scalars += (coeff_pos, coeff_neg, rec.value)
     entries = _Numerators(op.values)
     rows = entries.prefix_sums(op.index)
     if any(p[:, -1].any() for p in rows):

@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 
 from . import _linalg
-from .diagram import BratteliDiagram, Path, path_counts
+from .diagram import BratteliDiagram, path_counts
 from .scalar import (
     ApproxBackend,
     ApproxReal,
@@ -266,12 +266,12 @@ class WeightSystem:
         return self.perron.dimension
 
 
-def mu(ws: WeightSystem, path: Path):
-    """Cylinder measure mu[gamma] = v_a * theta^(-n+1) for r(gamma) = (a, n)."""
-    if path.root is None:
+def mu(ws: WeightSystem, a: int, n: int):
+    """Cylinder measure mu[gamma] = v_a * theta^(-n+1) of a path gamma with
+    range vertex a at generation n; 1 at the empty path's key (-1, 0)."""
+    if n == 0:
         return ws.backend.one
-    a = ws.diagram.path_range(path)
-    return ws.perron.v_right[a] * ws.perron.theta_power(1 - path.generation)
+    return ws.perron.v_right[a] * ws.perron.theta_power(1 - n)
 
 
 # 2**16 bits of binary exponent: 64 times the float range of 2**-1074..2**1024
@@ -305,13 +305,14 @@ def _power(backend: Backend, base, e: Fraction, bits: int):
         return ApproxReal(mpmath.power(base.value, ev), base.precision)
 
 
-def diam_power(ws: WeightSystem, path: Path, expo: Fraction):
-    """diam[gamma]^expo, computed exactly when representable, else as an
-    ApproxReal at the configured precision."""
+def diam_power(ws: WeightSystem, a: int, n: int, expo: Fraction):
+    """diam[gamma]^expo for a path with range vertex a at generation n,
+    computed exactly when representable, else as an ApproxReal at the
+    configured precision."""
     expo = Fraction(expo)
     if expo == 0:
         return ws.backend.one
-    return _power(ws.backend, mu(ws, path), expo / ws.dimension, ws.approx_bits)
+    return _power(ws.backend, mu(ws, a, n), expo / ws.dimension, ws.approx_bits)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,25 @@ from itertools import accumulate, product
 
 import numpy as np
 
-from bratlap import _linalg
-from bratlap.diagram import EMPTY_PATH, Path, extensions
+from bratlap.diagram import EMPTY_PATH, BratteliDiagram, Path
 from bratlap.laplacian import LaplacianError, SpectralRecord, StationaryCache, g_value
 from bratlap.measure import WeightSystem, mu
+
+
+def path_key(diagram: BratteliDiagram, path: Path) -> tuple[int, int]:
+    """The (range vertex, generation) key by which the formula layer reads a
+    path's terms: (-1, 0) for the empty path."""
+    if path.root is None:
+        return (-1, 0)
+    return (diagram.path_range(path), path.generation)
+
+
+def extensions(diagram: BratteliDiagram, path: Path) -> tuple[int, ...]:
+    """Edge models extending the path one generation; root edges for the
+    empty path."""
+    if path.root is None:
+        return tuple(range(len(diagram.root_edges)))
+    return diagram.out_edges[diagram.path_range(path)]
 
 
 def longest_common_prefix(x: Path, y: Path) -> Path:
@@ -107,9 +122,9 @@ def eigenvalue(ws: WeightSystem, path: Path, s) -> SpectralRecord:
         pref = path.prefix(k)
         if len(extensions(diagram, pref)) < 2:
             continue
-        inc = mu(ws, path.prefix(k + 1)) - mu(ws, pref)
-        acc = acc + inc * (1 / g_value(ws, pref, s))
-    final = mu(ws, path) * (1 / g_value(ws, path, s))
+        inc = mu(ws, *path_key(diagram, path.prefix(k + 1))) - mu(ws, *path_key(diagram, pref))
+        acc = acc + inc * (1 / g_value(ws, *path_key(diagram, pref), s))
+    final = mu(ws, *path_key(diagram, path)) * (1 / g_value(ws, *path_key(diagram, path), s))
     val = acc - final
     return SpectralRecord("path" if path.generation else "root",
                           path if path.generation else None,
@@ -147,7 +162,8 @@ def walk(cache: StationaryCache, depth: int, visit) -> None:
             child_state = states.get(key)
             if child_state is None:
                 child_state = states[key] = len(states) + 1
-                child_partial = partial + cache.step_at(path, child) if split else partial
+                child_partial = partial + cache.step_at(*path_key(diagram, path), target) \
+                    if split else partial
             else:
                 child_partial = None
             descend(child, generation + 1, target, child_state, child_partial)
@@ -168,7 +184,7 @@ def record_visitor(cache: StationaryCache):
     def visit(path: Path, generation: int, vertex: int, state: int, partial) -> None:
         if n_ext[vertex] >= 2:
             if partial is not None:
-                val = partial + cache.final_at(path)
+                val = partial + cache.final_at(*path_key(diagram, path))
                 values[state] = (val, float(val))
             records.append(SpectralRecord("path" if generation else "root",
                                           path if generation else None, generation,
@@ -200,10 +216,11 @@ def walked_dense(ws: WeightSystem, n: int, s):
     leaves first reach the states."""
     cache = StationaryCache(ws, Fraction(s))
     diagram = ws.diagram
-    # sizes[k][v]: the generation-n paths below the generation-k vertex v
-    sizes = {n: [1] * diagram.n_letters}
+    # sizes[k][v]: the generation-n paths below the generation-k vertex v,
+    # A^(n-k) times the ones vector
+    a, sizes = diagram.matrix, {n: [1] * diagram.n_letters}
     for k in range(n - 1, 0, -1):
-        sizes[k] = _linalg.mat_vec(diagram.matrix, sizes[k + 1])
+        sizes[k] = [sum(x * y for x, y in zip(row, sizes[k + 1])) for row in a]
     targets = [tuple(diagram.edges[e].target for e in out) for out in diagram.out_edges] + \
         [tuple(r.vertex for r in diagram.root_edges)]
     records, record = record_visitor(cache)

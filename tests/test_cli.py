@@ -682,6 +682,9 @@ def test_theta_is_certified_once_per_command(argv, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["weyl", "--preset", "fibonacci", "--grid", "1:10:0"],
     ["weyl", "--preset", "fibonacci", "--grid", "nan:10:5"],
+    # past the cap heat's --points has, refused before the grid is allocated
+    ["weyl", "--preset", "fibonacci", "--grid", "1:2:10001"],
+    ["weyl", "--preset", "fibonacci", "--grid", "1:2:1000000000000"],
     ["heat", "--preset", "fibonacci", "--tmin", "nan"],
     ["heat", "--preset", "fibonacci", "--tmax", "inf"],
     ["zeta", "--preset", "fibonacci", "--s", "1000", "--depth", "5"],

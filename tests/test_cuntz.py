@@ -30,7 +30,7 @@ from bratlap.measure import WeightSystem, _theta_certificate, mu, perron
 from bratlap.presets import PRESETS, load_preset, preset_names
 from bratlap.scalar import (ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend,
                             compare)
-from oracles import distance_to_unstable
+from oracles import distance_to_unstable, path_key
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -258,9 +258,9 @@ def test_scaling_identities_catch_a_generation_four_term(name, monkeypatch):
     # n = 3 -> 4 does, so a wrong final term there is still caught
     final_at = cuntz.StationaryCache.final_at
 
-    def perturbed(cache, path):
-        value = final_at(cache, path)
-        return value + 1 if path.generation == 4 else value
+    def perturbed(cache, a, n):
+        value = final_at(cache, a, n)
+        return value + 1 if n == 4 else value
 
     monkeypatch.setattr(cuntz.StationaryCache, "final_at", perturbed)
     for s in (0, 2):
@@ -568,7 +568,7 @@ def _hand_built_betas(ws, s, lam) -> list:
     for affine_table's reading of the stationary memo."""
     diagram = ws.diagram
     root_split = len(diagram.root_edges) >= 2
-    inv_g_root = 1 / g_value(ws, EMPTY_PATH, s) if root_split else None
+    inv_g_root = 1 / g_value(ws, *path_key(diagram, EMPTY_PATH), s) if root_split else None
     one = ws.backend.one
     betas = []
     for edge_index, e in enumerate(diagram.edges):
@@ -576,12 +576,13 @@ def _hand_built_betas(ws, s, lam) -> list:
         eps_prime = Path(diagram.root_edge_index(e.source))
         beta = ws.backend.zero
         if root_split:
-            term1 = -(lam * ((mu(ws, eps) - one) * inv_g_root))
-            term2 = (mu(ws, eps_prime) - one) * inv_g_root
+            term1 = -(lam * ((mu(ws, *path_key(diagram, eps)) - one) * inv_g_root))
+            term2 = (mu(ws, *path_key(diagram, eps_prime)) - one) * inv_g_root
             beta = term1 + term2
         if len(diagram.out_edges[e.source]) >= 2:
-            inc = mu(ws, eps_prime.child(edge_index)) - mu(ws, eps_prime)
-            beta = beta + inc * (1 / g_value(ws, eps_prime, s))
+            inc = mu(ws, *path_key(diagram, eps_prime.child(edge_index))) - \
+                mu(ws, *path_key(diagram, eps_prime))
+            beta = beta + inc * (1 / g_value(ws, *path_key(diagram, eps_prime), s))
         betas.append(beta)
     return betas
 

@@ -17,7 +17,6 @@ from bratlap.diagram import (
     abelianize,
     build_diagram,
     enumerate_paths,
-    extensions,
     is_primitive,
     load_diagram_json,
     predicted_path_count,
@@ -179,21 +178,22 @@ def test_capped_count_stops_at_the_cap():
 
 
 def test_extensions_fibonacci():
+    # a path's extensions end at targets[r(gamma)]: a -> a, b and b -> a; the
+    # empty path's, the root edges, at targets[-1]
     d = fib_diagram()
-    pa = Path(d.root_edge_index(0))
-    pb = Path(d.root_edge_index(1))
-    assert len(extensions(d, pa)) == 2
-    assert len(extensions(d, pb)) == 1
-    assert extensions(d, EMPTY_PATH) == (0, 1)
+    assert d.targets[0] == (0, 1)
+    assert d.targets[1] == (0,)
+    assert d.targets[-1] == (0, 1)
 
 
 def test_extensions_penrose_vertex_a():
     d = build_diagram(PENROSE_MATRIX, symmetry_order=20)
-    p = Path(d.root_edge_index(0, slot=3))
-    ext = extensions(d, p)
-    assert len(ext) == 3
-    kinds = [(d.edges[e].source, d.edges[e].target, d.edges[e].occurrence) for e in ext]
+    assert d.targets[0] == (0, 0, 1)
+    kinds = [(d.edges[e].source, d.edges[e].target, d.edges[e].occurrence)
+             for e in d.out_edges[0]]
     assert kinds == [(0, 0, 1), (0, 0, 2), (0, 1, 1)]
+    # the root entry lists the vertex of every root edge, slot by slot
+    assert d.targets[-1] == (0,) * 20 + (1,) * 20
 
 
 def test_extension_counting_identity():
@@ -201,7 +201,7 @@ def test_extension_counting_identity():
     for d in (fib_diagram(), tm_diagram(), build_diagram(PENROSE_MATRIX, symmetry_order=4)):
         for n in range(1, 8):
             table = enumerate_paths(d, n)
-            total = sum(len(extensions(d, p)) for p in table.paths)
+            total = sum(len(d.targets[d.path_range(p)]) for p in table.paths)
             assert total == predicted_path_count(d, n + 1)
 
 

@@ -11,14 +11,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bratlap import laplacian
+from bratlap import cuntz, laplacian
 from bratlap.cli import main
 from bratlap.diagram import (
     EMPTY_PATH,
     Path,
     build_diagram,
     enumerate_paths,
-    extensions,
     predicted_path_count,
 )
 from bratlap.laplacian import (
@@ -41,7 +40,9 @@ from bratlap.scalar import (
 )
 from oracles import (
     eigenvalue,
+    extensions,
     longest_common_prefix,
+    path_key,
     span,
     spectrum_multiset,
     walked_dense,
@@ -83,16 +84,16 @@ def penrose_ws(backend=None, g=20):
 
 def test_g_values_fibonacci():
     ws = fib_ws()
-    assert g_value(ws, EMPTY_PATH, 1) == ALPHA ** 3
-    assert g_value(ws, Path(0), 1) == ALPHA ** 6
+    assert g_value(ws, *path_key(ws.diagram, EMPTY_PATH), 1) == ALPHA ** 3
+    assert g_value(ws, *path_key(ws.diagram, Path(0)), 1) == ALPHA ** 6
     with pytest.raises(LaplacianError):
-        g_value(ws, Path(1), 1)  # vertex b has a single extension
+        g_value(ws, *path_key(ws.diagram, Path(1)), 1)  # vertex b has a single extension
 
 
 def test_g_values_thue_morse():
     ws = tm_ws()
-    assert g_value(ws, EMPTY_PATH, 1) == Fraction(1, 4)
-    assert g_value(ws, Path(0), 1) == Fraction(1, 32)
+    assert g_value(ws, *path_key(ws.diagram, EMPTY_PATH), 1) == Fraction(1, 4)
+    assert g_value(ws, *path_key(ws.diagram, Path(0)), 1) == Fraction(1, 32)
 
 
 def root_records(ws, s):
@@ -146,40 +147,36 @@ def test_dyadic_odometer_closed_form():
 def test_eigenbasis_fibonacci():
     ws = fib_ws()
     cache = laplacian.StationaryCache(ws, 1)
-    specs = eigenbasis(cache, EMPTY_PATH)
-    assert len(specs) == 1
-    ratio = specs[0].coeff_neg / specs[0].coeff_pos
-    assert ratio == -PHI                       # chi_a - phi chi_b after rescaling
-    specs_a = eigenbasis(cache, Path(0))
-    assert len(specs_a) == 1
-    assert specs_a[0].coeff_neg / specs_a[0].coeff_pos == -PHI
-    assert eigenbasis(cache, Path(1)) == []
+    [(coeff_pos, coeff_neg)] = eigenbasis(cache, *path_key(ws.diagram, EMPTY_PATH))
+    assert coeff_neg / coeff_pos == -PHI       # chi_a - phi chi_b after rescaling
+    [(coeff_pos, coeff_neg)] = eigenbasis(cache, *path_key(ws.diagram, Path(0)))
+    assert coeff_neg / coeff_pos == -PHI
+    assert eigenbasis(cache, *path_key(ws.diagram, Path(1))) == []
 
 
 def test_eigenbasis_dimension_penrose_vertex_a():
     ws = penrose_ws(backend=Q5)
     specs = eigenbasis(laplacian.StationaryCache(ws, 2),
-                       Path(ws.diagram.root_edge_index(0, 5)))
+                       *path_key(ws.diagram, Path(ws.diagram.root_edge_index(0, 5))))
     assert len(specs) == 2
 
 
 def test_eigenbasis_memo_equals_direct_measures():
     # the memo keeps mu and 1/mu per (range vertex, generation); the
     # coefficients are 1/mu of the anchor child and -1/mu of the other, as
-    # the direct formula gives them
+    # the direct formula gives them, one pair per extension after the first
     ws = penrose_ws(g=4, backend=Q5)
     cache = laplacian.StationaryCache(ws, 2)
     bases = [EMPTY_PATH] + [p for n in (1, 2, 3) for p in enumerate_paths(ws.diagram, n).paths]
     for base in bases:
         ext = extensions(ws.diagram, base)
-        specs = eigenbasis(cache, base)
-        assert len(specs) == max(0, len(ext) - 1), base
-        for spec, other in zip(specs, ext[1:]):
-            anchor_mu = mu(ws, base.child(ext[0]))
-            other_mu = mu(ws, base.child(other))
-            assert (spec.base, spec.edge_pos, spec.edge_neg) == (base, ext[0], other)
-            assert spec.coeff_pos == 1 / anchor_mu
-            assert spec.coeff_neg == -(1 / other_mu)
+        pairs = eigenbasis(cache, *path_key(ws.diagram, base))
+        assert len(pairs) == max(0, len(ext) - 1), base
+        for (coeff_pos, coeff_neg), other in zip(pairs, ext[1:]):
+            anchor_mu = mu(ws, *path_key(ws.diagram, base.child(ext[0])))
+            other_mu = mu(ws, *path_key(ws.diagram, base.child(other)))
+            assert coeff_pos == 1 / anchor_mu
+            assert coeff_neg == -(1 / other_mu)
 
 
 def test_full_spectrum_fibonacci_depth1():
@@ -398,7 +395,7 @@ def test_dense_restriction_refuses_inexact_entries(monkeypatch):
     sound for exact scalars, so an approximate cache value is refused."""
     inv_g_at = laplacian.StationaryCache.inv_g_at
     monkeypatch.setattr(laplacian.StationaryCache, "inv_g_at",
-                        lambda self, path: ApproxReal.make(inv_g_at(self, path), 100))
+                        lambda self, a, n: ApproxReal.make(inv_g_at(self, a, n), 100))
     with pytest.raises(LaplacianError, match="approximate scalar"):
         dense_restriction(load_preset("thue-morse").weight_system, 3, 1)
 
@@ -424,7 +421,7 @@ def test_interned_matrix_equals_object_matrix(preset):
                 if i != j:
                     meet = longest_common_prefix(p, q)
                     if meet not in inv_g:
-                        inv_g[meet] = 1 / g_value(ws, meet, s)
+                        inv_g[meet] = 1 / g_value(ws, *path_key(ws.diagram, meet), s)
                     assert full[i, j] == op.mu_values[op.vertex[j]] * inv_g[meet], \
                         (n, s, i, j)
             assert op.as_float().tobytes() == full.astype(float).tobytes(), (n, s)
@@ -490,8 +487,8 @@ def test_interned_float_matrix_equals_direct_formula(preset, backend, s):
     float of the prefix-increment sum formed as `eigenvalue` forms it, and
     symmetrized() the bytes of the slot-0 rows of m * np.outer(root, 1 / root)."""
     ws = load_preset(preset, backend=backend).weight_system
-    inv_g = functools.cache(lambda path: 1 / g_value(ws, path, s))
-    mu_at = functools.cache(lambda path: mu(ws, path))
+    inv_g = functools.cache(lambda path: 1 / g_value(ws, *path_key(ws.diagram, path), s))
+    mu_at = functools.cache(lambda path: mu(ws, *path_key(ws.diagram, path)))
     for n in range(2, 6):
         op = dense_restriction(ws, n, s)
         assert not op.exact and all(type(v) is float for v in op.values)
@@ -502,7 +499,7 @@ def test_interned_float_matrix_equals_direct_formula(preset, backend, s):
             ext = extensions(ws.diagram, meet)
             if len(ext) < 2:
                 continue
-            gf = float(g_value(ws, meet, s))
+            gf = float(g_value(ws, *path_key(ws.diagram, meet), s))
             spans = [span(op.table, meet.child(e)) for e in ext]
             for rows, cols in product(spans, repeat=2):
                 if rows != cols:
@@ -811,12 +808,45 @@ def test_verify_computes_each_splitting_weight_once(argv, calls, monkeypatch, ca
     vertex, generation) key."""
     keys = []
 
-    def counted(ws, path, s):
-        keys.append((-1, 0) if path.root is None else
-                    (ws.diagram.path_range(path), path.generation))
-        return g_value(ws, path, s)
+    def counted(ws, a, n, s):
+        keys.append((a, n))
+        return g_value(ws, a, n, s)
 
     monkeypatch.setattr(laplacian, "g_value", counted)
     assert main(["verify", *argv, "--s", "1"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert len(keys) == len(set(keys)) == calls
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_memo_is_read_by_integer_keys(name, monkeypatch):
+    """The walk reads the stationary memo by (range vertex, generation)
+    keys and builds no Path to do so; after verify_spectrum and
+    affine_table every key in the memo's tables is a tuple of ints."""
+    ws = load_preset(name).weight_system
+    child, children = Path.child, []
+
+    def counted(path, edge_index):
+        children.append(edge_index)
+        return child(path, edge_index)
+
+    monkeypatch.setattr(Path, "child", counted)
+    for s in (0, Fraction(1, 2), 1, 2):
+        for level in laplacian.walk_states(laplacian.StationaryCache(ws, s), 6):
+            assert len(level.values) == len(level.partials)
+    assert children == []
+
+    caches, init = [], laplacian.StationaryCache.__init__
+
+    def recorded(cache, *args):
+        init(cache, *args)
+        caches.append(cache)
+
+    monkeypatch.setattr(laplacian.StationaryCache, "__init__", recorded)
+    verify_spectrum(ws, 4, 1)
+    cuntz.affine_table(ws, 1)
+    assert len(caches) == 2
+    for cache in caches:
+        keys = [k for table in vars(cache).values() if isinstance(table, dict) for k in table]
+        assert keys
+        assert all(type(k) is tuple and all(type(x) is int for x in k) for k in keys), keys

@@ -30,7 +30,7 @@ from bratlap.measure import (
 )
 from bratlap.presets import PRESETS
 from bratlap.scalar import ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend
-from oracles import longest_common_prefix
+from oracles import longest_common_prefix, path_key
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -45,7 +45,7 @@ PHI = Q5.make((Fraction(1, 2), Fraction(1, 2)))
 
 def weight(ws: WeightSystem, path: Path):
     """diam[gamma]; exact whenever the d-th root stays in the field."""
-    return diam_power(ws, path, Fraction(1))
+    return diam_power(ws, *path_key(ws.diagram, path), Fraction(1))
 
 
 def fib_ws():
@@ -286,7 +286,7 @@ def test_mu_thue_morse_halving():
     ws = tm_ws()
     for n in range(1, 8):
         for path in enumerate_paths(ws.diagram, n).paths:
-            assert mu(ws, path) == Fraction(1, 2 ** n)
+            assert mu(ws, *path_key(ws.diagram, path)) == Fraction(1, 2 ** n)
 
 
 def test_mu_fibonacci_powers_of_alpha():
@@ -295,40 +295,40 @@ def test_mu_fibonacci_powers_of_alpha():
         for path in enumerate_paths(ws.diagram, n).paths:
             v = ws.diagram.path_range(path)
             expected = ALPHA ** (n if v == 0 else n + 1)
-            assert mu(ws, path) == expected
+            assert mu(ws, *path_key(ws.diagram, path)) == expected
 
 
 def test_mu_penrose_generation_one():
     ws = penrose_ws()
     p = Path(ws.diagram.root_edge_index(0, slot=7))
-    assert mu(ws, p) == ALPHA / 20
-    assert mu(ws, EMPTY_PATH) == Q5.one
+    assert mu(ws, *path_key(ws.diagram, p)) == ALPHA / 20
+    assert mu(ws, *path_key(ws.diagram, EMPTY_PATH)) == Q5.one
 
 
 def test_measure_additivity_exact():
     for ws in (fib_ws(), tm_ws()):
         for n in range(1, 10):
             for path in enumerate_paths(ws.diagram, n).paths:
-                parts = [mu(ws, path.child(e))
+                parts = [mu(ws, *path_key(ws.diagram, path.child(e)))
                          for e in ws.diagram.out_edges[ws.diagram.path_range(path)]]
                 total = parts[0]
                 for x in parts[1:]:
                     total = total + x
-                assert total == mu(ws, path)
+                assert total == mu(ws, *path_key(ws.diagram, path))
 
 
 def test_total_mass_one():
     for ws in (fib_ws(), tm_ws(), penrose_ws()):
         total = ws.backend.zero
         for ri in range(len(ws.diagram.root_edges)):
-            total = total + mu(ws, Path(ri))
+            total = total + mu(ws, *path_key(ws.diagram, Path(ri)))
         assert total == ws.backend.one
 
 
 def test_weight_equals_mu_in_dimension_one():
     ws = fib_ws()
     for path in enumerate_paths(ws.diagram, 4).paths:
-        assert weight(ws, path) == mu(ws, path)
+        assert weight(ws, path) == mu(ws, *path_key(ws.diagram, path))
 
 
 def test_weight_penrose_square_root():
@@ -337,16 +337,16 @@ def test_weight_penrose_square_root():
     w = weight(ws, p)
     assert isinstance(w, ApproxReal)
     with mpmath.workprec(212):
-        target = ApproxReal.make(mu(ws, p), 212).value
+        target = ApproxReal.make(mu(ws, *path_key(ws.diagram, p)), 212).value
         assert abs(w.value * w.value - target) < mpmath.mpf(2) ** -180
 
 
 def test_diam_power_integer_exponents_exact():
     ws = fib_ws()
     path = Path(0, (0,))
-    m = mu(ws, path)
-    assert diam_power(ws, path, Fraction(-2)) == Q5.one / (m * m)
-    assert diam_power(ws, path, Fraction(0)) == Q5.one
+    m = mu(ws, *path_key(ws.diagram, path))
+    assert diam_power(ws, *path_key(ws.diagram, path), Fraction(-2)) == Q5.one / (m * m)
+    assert diam_power(ws, *path_key(ws.diagram, path), Fraction(0)) == Q5.one
 
 
 def ultrametric_distance(ws: WeightSystem, x: Path, y: Path):

@@ -11,7 +11,7 @@ from bratlap.laplacian import g_value, full_spectrum, verify_spectrum
 from bratlap.measure import WeightSystem, perron
 from bratlap.presets import PRESETS, load_preset, preset_names
 from bratlap.scalar import QuadraticBackend
-from oracles import spectrum_multiset
+from oracles import path_key, spectrum_multiset
 
 Q5 = QuadraticBackend(5)
 PHI = Q5.make((Fraction(1, 2), Fraction(1, 2)))
@@ -52,7 +52,8 @@ def test_penrose_root_eigenvalue_closed_form():
     # Q(sqrt5) against -1/G(root) for both symmetry orders
     for name, g in (("penrose", 20), ("ammann-a2", 4)):
         bundle = load_preset(name, backend=Q5)
-        lam0 = -(Q5.one / g_value(bundle.weight_system, EMPTY_PATH, 2))
+        ws = bundle.weight_system
+        lam0 = -(Q5.one / g_value(ws, *path_key(ws.diagram, EMPTY_PATH), 2))
         phi2 = PHI * PHI
         closed = Q5.make(-2 * g) * (Q5.make(g + 1) - 4 * phi2) / \
             Q5.make(g * g - 10 * g + 5)
