@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import mpmath
@@ -46,6 +46,8 @@ DEFAULT_PRECISION_ENV = "BRATLAP_PRECISION"
 MAX_GRID_POINTS = 10_000
 # columns of free text, which CSV quotes and JSON writes as they are
 _TEXT_COLUMNS = frozenset(("path", "value_exact", "line", "description"))
+# rows per write: the text of a whole section would sit beside its cells
+_BLOCK_ROWS = 8192
 
 
 def _fmt(x: float) -> str:
@@ -59,7 +61,8 @@ def _fmt_exact(backend, value) -> str:
 
 
 class _Emitter:
-    """Holds a command's sections until `flush` writes them in one go."""
+    """Holds a command's sections until `flush` writes them in one go.  A column
+    is a list of per-row values, or (cells, index): per-state values and each row's state."""
 
     def __init__(self, command: str, fmt: str):
         self.command = command
@@ -67,39 +70,72 @@ class _Emitter:
         self.fmt = fmt
         self.sections: list[dict] = []
 
-    def section(self, name: str, columns: list[str], rows: list[list],
+    def section(self, name: str, columns: list[str], data: list,
                 comments: list[str] | None = None) -> None:
         self.sections.append({"name": name, "columns": columns,
-                              "rows": rows, "comments": comments or []})
+                              "rows": data, "comments": comments or []})
 
     def summary(self, data: dict) -> None:
         self.sections.append({"name": "summary", "data": data})
 
     def flush(self, out) -> None:
-        if self.fmt == "json":
-            payload = {"command": self.command, "config": self.config,
-                       "sections": self.sections}
-            out.write(json.dumps(payload, sort_keys=True,
-                                 separators=(",", ":"), default=str))
-            out.write("\n")
-            return
-        out.write(f"# bratlap {self.command}\n")
-        for key in sorted(self.config):
-            out.write(f"# {key}={self.config[key]}\n")
-        for sec in self.sections:
+        """For JSON, write what json.dumps(payload, sort_keys=True, separators=(",",
+        ":"), default=str) gives.  A dict whose last key holds [] dumps to text
+        that ends in "[]}": that list's items are written in place of "]}"."""
+        csv = self.fmt == "csv"
+        dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str).encode
+        out.write("".join([f"# bratlap {self.command}\n",
+                           *(f"# {key}={self.config[key]}\n" for key in sorted(self.config))])
+                  if csv else dump({"command": self.command, "config": self.config,
+                                    "sections": []})[:-2])
+        for i, sec in enumerate(self.sections):
             if sec["name"] == "summary":
-                out.write("# summary " +
-                          json.dumps(sec["data"], sort_keys=True,
-                                     separators=(",", ":"), default=str) + "\n")
+                out.write(f"# summary {dump(sec['data'])}\n" if csv else "," * bool(i) + dump(sec))
                 continue
-            for line in sec["comments"]:
-                out.write(f"# {line}\n")
-            out.write(f"# section={sec['name']}\n")
-            out.write(",".join(sec["columns"]) + "\n")
-            # a row's values print as str() prints them, one line at a time
-            line = ",".join('"%s"' if c in _TEXT_COLUMNS else "%s"
-                            for c in sec["columns"]) + "\n"
-            out.writelines(line % tuple(row) for row in sec["rows"])
+            out.write("".join([*(f"# {line}\n" for line in sec["comments"]),
+                               f"# section={sec['name']}\n", ",".join(sec["columns"]) + "\n"])
+                      if csv else "," * bool(i) + dump({**sec, "rows": []})[:-2])
+            _write_rows(out, sec["columns"], sec["rows"], csv, dump)
+            out.write("" if csv else "]}")
+        out.write("" if csv else "]}\n")
+
+
+def _write_rows(out, columns: list[str], data: list, csv: bool, dump) -> None:
+    """Write a section's rows, _BLOCK_ROWS to a join.  A row concatenates its
+    pieces [form, columns, index]: the neighbouring columns of one index make
+    one piece, each state's cells formatted once into its form.  A form
+    without columns is constant, and per-row free text is its own piece."""
+    pieces = [["" if csv else "[", [], None]]
+    for j, (column, values) in enumerate(zip(columns, data)):
+        cells, index = values if isinstance(values, tuple) else (values, None)
+        quote = '"' if csv and column in _TEXT_COLUMNS else ""
+        if quote and index is None:
+            # free text per row, such as a path label, is written as it is
+            pieces[-1][0] += "," * bool(j) + quote
+            pieces += [[None, cells, None], [quote, [], None]]
+            continue
+        if pieces[-1][1] and (index is None or pieces[-1][2] is not index):
+            pieces.append(["", [], None])
+        piece = pieces[-1]
+        piece[0] += f"{',' * bool(j)}{quote}%s{quote}"
+        piece[1].append(cells if csv else map(dump, cells))
+        piece[2] = index
+    # a row ends in a newline, or in "]," for JSON, whose last row drops the comma
+    pieces[-1][0] += "\n" if csv else "],"
+    pieces = [(cells, None) if form is None else form if not cells else
+              ([form % row for row in zip(*cells)], index) for form, cells, index in pieces]
+    rows = len(data[0][1] if isinstance(data[0], tuple) else data[0])
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        block = "".join(chain.from_iterable(zip(*(
+            repeat(piece) if isinstance(piece, str) else piece[0][start:stop]
+            if piece[1] is None else map(piece[0].__getitem__, piece[1][start:stop].tolist())
+            for piece in pieces))))
+        out.write(block if csv or stop < rows else block[:-1])
+
+
+def _columns(rows) -> list[list]:
+    return [list(column) for column in zip(*rows)]
 
 
 class _Inputs(NamedTuple):
@@ -128,7 +164,9 @@ def _precision_bits(text: str) -> int:
     return bits
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands) -> argparse.ArgumentParser:
+    """The parser of every command, with the arguments of only those in
+    `commands`: argparse reads no other command's."""
     parser = argparse.ArgumentParser(
         prog="bratlap",
         description="Spectra of Laplace-Beltrami operators on stationary "
@@ -150,6 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, (_, help_text, reads, depth, extra) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if name not in commands:
+            continue
         for flag, kwargs in inputs.items():
             if flag in reads:
                 p.add_argument(flag, **kwargs)
@@ -219,16 +259,13 @@ def _config_dict(args, backend, dimension) -> dict:
 
 
 def cmd_presets(args, parser, em, inputs) -> int:
-    rows = []
-    for name in preset_names():
-        spec = PRESETS[name]
-        rows.append([name, spec.dimension, spec.symmetry_order,
-                     spec.recommended_backend,
-                     spec.metadata.get("transversal_faithful"),
-                     spec.metadata.get("description", "")])
+    specs = [(name, PRESETS[name]) for name in preset_names()]
     em.section("presets",
                ["name", "dimension", "symmetry_order", "backend",
-                "transversal_faithful", "description"], rows)
+                "transversal_faithful", "description"],
+               _columns([name, spec.dimension, spec.symmetry_order, spec.recommended_backend,
+                         spec.metadata.get("transversal_faithful"),
+                         spec.metadata.get("description", "")] for name, spec in specs))
     return 0
 
 
@@ -240,27 +277,29 @@ def cmd_spectrum(args, parser, em, inputs) -> int:
     # a generation's records are its splitting paths in (root, edges) order,
     # which is the order of its labels; each row goes to its path's rank
     labels = ws.diagram.split_labels(args.depth - 1)
-    placed, total = [], 1
+    # a record's label and generation are its level's, its other cells but the
+    # path its walk state's: each formatted once, the zero record's at index 0
+    kinds, cells = [("zero", 0)], [(1, _fmt_exact(backend, backend.zero), _fmt(0.0))]
+    placed, total = [([0], 0, [0], ["zero"])], 1
     for level in levels:
         k = level.generation
-        # the paths of one walk state share its value: formatted once
-        exact = [v and _fmt_exact(backend, v[0]) for v in level.values]
-        floats = [v and _fmt(v[1]) for v in level.values]
-        states = level.state[level.splits].tolist()
-        mults = level.multiplicity.tolist()
-        rows = zip(repeat("path" if k else "root"), repeat(k),
-                   next(labels) if k else ["root"] * len(states), mults,
-                   map(exact.__getitem__, states), map(floats.__getitem__, states))
-        placed.append((level.rank[level.splits], np.fromiter(rows, object, len(states))))
-        total += sum(mults)
-    ordered = np.empty(1 + sum(len(rows) for _, rows in placed), object)
-    ordered[0] = ("zero", 0, "zero", 1, _fmt_exact(backend, backend.zero), _fmt(0.0))
-    for ranks, rows in placed:
-        ordered[ranks] = rows
+        placed.append((level.rank[level.splits], len(kinds),
+                       level.state[level.splits] + len(cells),
+                       next(labels) if k else ["root"] * len(level.splits)))
+        kinds.append(("path" if k else "root", k))
+        cells += [(len(ws.diagram.targets[u]) - 1, v and _fmt_exact(backend, v[0]),
+                   v and _fmt(v[1])) for u, v in zip(level.state_vertex, level.values)]
+        total += int(level.multiplicity.sum())
+    # int32 holds any level or state index below the path cap, in half the bytes
+    kind, state = (np.empty(sum(len(p[0]) for p in placed), np.int32) for _ in range(2))
+    paths = np.empty(len(state), object)
+    for ranks, at, states, names in placed:
+        kind[ranks], state[ranks], paths[ranks] = at, states, np.array(names, object)
     em.section("records",
                ["label", "generation", "path", "multiplicity",
                 "value_exact", "value_float"],
-               ordered.tolist(), comments=[backend.header()])
+               [*((column, kind) for column in _columns(kinds)), paths.tolist(),
+                *((column, state) for column in _columns(cells))], comments=[backend.header()])
     em.summary({"total_multiplicity": total})
     return 0
 
@@ -272,13 +311,13 @@ def cmd_dense(args, parser, em, inputs) -> int:
     except laplacian.SlotSymmetryError as exc:
         print(f"bratlap dense: slot symmetry: {exc}", file=sys.stderr)
         return 1
-    m = op.as_float()
+    text = [_fmt(v) for v in op.values]
     em.section("matrix", ["row"] + [f"c{j}" for j in range(len(op.table))],
-               [[i] + [_fmt(v) for v in m[i]] for i in range(len(op.table))],
+               [list(range(len(op.table))), *((text, col) for col in op.index.T)],
                comments=["paths: " + " ".join(inputs.diagram.format_path(p)
                                               for p in op.table.paths)])
     em.section("spectrum", ["index", "eigenvalue"],
-               [[i, _fmt(v)] for i, v in enumerate(eigs)])
+               _columns([i, _fmt(v)] for i, v in enumerate(eigs)))
     em.summary({"size": len(op.table), "exact": op.exact})
     return 0
 
@@ -286,7 +325,7 @@ def cmd_dense(args, parser, em, inputs) -> int:
 def cmd_verify(args, parser, em, inputs) -> int:
     report = laplacian.verify_spectrum(inputs.ws, args.depth, inputs.s,
                                        notes=inputs.meta.get("notes", []))
-    em.section("report", ["line"], [[line] for line in report.lines()])
+    em.section("report", ["line"], [report.lines()])
     em.summary({"ok": report.ok, "max_abs_deviation": _fmt(report.max_abs_deviation),
                 "dense_size": report.dense_size})
     return 0 if report.ok else 1
@@ -301,8 +340,8 @@ def cmd_zeta(args, parser, em, inputs) -> int:
     except MeasureError as exc:
         parser.error(f"--depth {args.depth}: {exc}")
     em.section("zeta", ["generation", "increment", "cumulative", "ratio"],
-               [[r.generation, _fmt(r.increment), _fmt(r.cumulative),
-                 "" if r.ratio is None else _fmt(r.ratio)] for r in rows])
+               _columns([r.generation, _fmt(r.increment), _fmt(r.cumulative),
+                         "" if r.ratio is None else _fmt(r.ratio)] for r in rows))
     target = float(ws.perron.theta_float) ** (1 - float(s) / ws.dimension)
     em.summary({"expected_ratio": _fmt(target),
                 "final_ratio": _fmt(rows[-1].ratio) if rows[-1].ratio else None})
@@ -327,14 +366,14 @@ def cmd_weyl(args, parser, em, inputs) -> int:
     spec = asymptotics.magnitude_table(table, args.depth)
     result = asymptotics.weyl_count(spec, table.lam_float, grid=grid)
     em.section("counting", ["threshold", "count"],
-               [[_fmt(t), c] for t, c in result.samples])
+               _columns([_fmt(t), c] for t, c in result.samples))
     bounds = inputs.meta.get("reference", {}).get("weyl_bounds")
     if bounds:
         margins = asymptotics.weyl_margins(spec, bounds)
         em.section("margins",
                    ["magnitude", "count", "lower", "upper", "lower_ok", "upper_ok"],
-                   [[_fmt(r.magnitude), r.count, _fmt(r.lower), _fmt(r.upper),
-                     r.lower_ok, r.upper_ok] for r in margins])
+                   _columns([_fmt(r.magnitude), r.count, _fmt(r.lower), _fmt(r.upper),
+                             r.lower_ok, r.upper_ok] for r in margins))
     em.summary({"slope": _fmt(result.fit.slope),
                 "intercept": _fmt(result.fit.intercept),
                 "residual": _fmt(result.fit.residual),
@@ -365,7 +404,7 @@ def cmd_heat(args, parser, em, inputs) -> int:
     result = asymptotics.heat_trace(table, grid, depth=args.depth)
     em.config.update(tmin=_fmt(args.tmin), tmax=_fmt(args.tmax))
     em.section("trace", ["t", "trace", "tail_bound"],
-               [[_fmt(t), _fmt(tr), _fmt(tail)] for t, tr, tail in result.samples])
+               _columns([_fmt(t), _fmt(tr), _fmt(tail)] for t, tr, tail in result.samples))
     em.summary({"slope": _fmt(result.fit.slope), "target": _fmt(-dim / 2),
                 "depth": result.depth, "residual": _fmt(result.fit.residual)})
     return 0
@@ -382,12 +421,11 @@ def cmd_strip(args, parser, em, inputs) -> int:
     emb = cuntz.companion_embedding(ws.perron, s)
     report = cuntz.strip_check(emb, table, args.depth)
     # the paths of one recursion state share its distance
-    text = [_fmt(d) for d in report.state_distances.tolist()]
     em.section("distances", ["path", "distance"],
-               [(label, text[i])
-                for label, i in zip(report.labels, report.state_of.tolist())])
+               [report.labels, ([_fmt(d) for d in report.state_distances.tolist()],
+                                report.state_of)])
     em.section("per_generation", ["generation", "max_distance"],
-               [[g, _fmt(v)] for g, v in report.per_generation])
+               _columns([g, _fmt(v)] for g, v in report.per_generation))
     em.summary({"max_distance": _fmt(report.max_distance),
                 "bound": _fmt(report.bound), "pisot": report.pisot,
                 "stable_norm": _fmt(report.stable_norm)})
@@ -396,7 +434,7 @@ def cmd_strip(args, parser, em, inputs) -> int:
 
 def cmd_ck_check(args, parser, em, inputs) -> int:
     report = cuntz.ck_relations_check(inputs.diagram, args.depth)
-    em.section("report", ["line"], [[line] for line in report.lines()])
+    em.section("report", ["line"], [report.lines()])
     em.summary({"ok": report.ok, "paths_checked": report.paths_checked})
     return 0 if report.ok else 1
 
@@ -408,8 +446,8 @@ def cmd_complexity(args, parser, em, inputs) -> int:
         parser.error("complexity needs a preset backed by a 1D substitution rule")
     result = asymptotics.factor_complexity(inputs.rule, args.nmax)
     em.section("complexity", ["n", "p", "nu"],
-               [[n, result.p(n), "" if n < 2 else _fmt(result.nu(n))]
-                for n in range(1, args.nmax + 1)])
+               _columns([n, result.p(n), "" if n < 2 else _fmt(result.nu(n))]
+                        for n in range(1, args.nmax + 1)))
     em.summary({"word_length": result.word_length, "rounds": result.rounds,
                 "nu_final": _fmt(result.nu(args.nmax)) if args.nmax >= 2 else None})
     return 0
@@ -442,12 +480,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes an --s value such as -3/2 or -1e-3 for a flag
     for i in reversed(range(1, len(argv))):
         if argv[i - 1] == "--s" and not argv[i].startswith("--"):
             argv[i - 1:i + 1] = ["--s=" + argv[i]]
+    # the command is the first word that names one, as only -h may precede it
+    parser = _build_parser([next((word for word in argv if word in _COMMANDS), None)])
     args = parser.parse_args(argv)
     run, _, reads, depth, _ = _COMMANDS[args.command]
     em = _Emitter(args.command, args.format)

@@ -182,9 +182,10 @@ def affine_table(ws: WeightSystem, s) -> AffineMapTable:
         betas.append(beta)
 
     # the identities read terms to generation 4, and the walk's path cap
-    # counts that far
-    levels = list(walk_states(cache, 4))
-    paths = _level_paths(levels[:4])
+    # counts that far, but only levels 0 to 3 are read: level 4 is never formed
+    walk = walk_states(cache, 4)
+    levels = [next(walk) for _ in range(4)]
+    paths = _level_paths(levels)
     return AffineMapTable(ws, s, lam, float(lam), tuple(betas),
                           tuple(float(b) for b in betas),
                           _prove_recursion(cache, levels, paths, lam, betas),

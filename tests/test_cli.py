@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ctypes
 import functools
 import hashlib
@@ -23,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bratlap
-from bratlap import cuntz, laplacian, measure
+from bratlap import cli, cuntz, laplacian, measure
 from bratlap.asymptotics import magnitude_table
 from bratlap.cli import _fmt, _fmt_exact, main
 from bratlap.diagram import build_diagram
@@ -356,6 +357,23 @@ def test_strip_stdout_matches_a_per_path_rendering(preset, depth, s, capsys):
     assert run_cli([*argv, "--format", "json"], capsys) == (0, json_text)
 
 
+@pytest.mark.parametrize("preset, depth, s", [("penrose", 5, "1"),
+                                              ("ammann-a2", 8, "3/2"),
+                                              ("thue-morse", 7, "5/2")])
+def test_spectrum_rendering_across_block_boundaries(preset, depth, s, monkeypatch, capsys):
+    # seven rows to a block: the JSON rows' commas and the CSV lines must
+    # not show where one block ends and the next begins
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    test_spectrum_stdout_matches_a_per_record_rendering(preset, depth, s, capsys)
+
+
+@pytest.mark.parametrize("preset, depth, s", [("penrose", 6, "0"),
+                                              ("thue-morse", 8, "1")])
+def test_strip_rendering_across_block_boundaries(preset, depth, s, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    test_strip_stdout_matches_a_per_path_rendering(preset, depth, s, capsys)
+
+
 def test_strip_command_penrose_uses_exact_coordinates(capsys):
     code, out = run_cli(["strip", "--preset", "penrose", "--depth", "4",
                          "--s", "2"], capsys)
@@ -522,19 +540,53 @@ def test_huge_depth_refused_at_once(command):
 
 
 def test_closed_stdout_ends_quietly():
-    """A reader that stops after 100 bytes closes the pipe while spectrum
-    still writes: the command keeps its own exit code and prints nothing
+    """A reader that stops after 100 bytes closes the pipe while the command
+    still writes its blocks: it keeps its own exit code and prints nothing
     on stderr, at the write or at interpreter exit."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bratlap.__file__))}
-    argv = [sys.executable, "-m", "bratlap.cli", "spectrum", "--preset", "thue-morse",
-            "--depth", "12"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env) as proc:
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=30)
-    assert proc.returncode == 0, err
-    assert err == b""
+    for argv in (["spectrum", "--preset", "thue-morse", "--depth", "12"],
+                 ["strip", "--preset", "penrose", "--depth", "8", "--s", "0"]):
+        with subprocess.Popen([sys.executable, "-m", "bratlap.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, (argv, err)
+        assert err == b"", argv
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["strip", "--preset", "fibonacci", "--depth", "40", "--s", "1"],
+    ["spectrum", "--preset", "fibonacci", "--depth", "40"],
+    ["strip", "--preset", "penrose", "--depth", "8", "--s", "0", "--output", "/nonexistent/x"],
+    ["spectrum", "--preset", "penrose", "--depth", "8", "--output", "/nonexistent/x"]],
+    ids=["strip-cap", "spectrum-cap", "strip-output", "spectrum-output"])
+def test_refusals_write_nothing(argv, fmt, monkeypatch):
+    # the record and path caps refuse inside the command, and a bad --output
+    # before the first block: no row reaches stdout, whatever the block size
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    code, out, err = _outputs([*argv, "--format", fmt])
+    assert (code, out) == (2, ""), err
+    assert ("more than" in err) != ("cannot write --output" in err), err
+
+
+def _subparser(parser, command):
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices[command]
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_one_command_parser_keeps_the_help(command, monkeypatch):
+    # main adds the arguments of the invoked command only: its help, and the
+    # top-level listing, must read as with every command's arguments added
+    monkeypatch.setenv("COLUMNS", "100")
+    full, one = cli._build_parser(cli._COMMANDS), cli._build_parser([command])
+    if command:
+        full, one = _subparser(full, command), _subparser(one, command)
+    assert one.format_help() == full.format_help()
+    assert _outputs([command, "-h"] if command else ["-h"]) == (0, full.format_help(), "")
 
 
 @pytest.mark.parametrize("command", ["zeta", "heat"])

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bratlap import asymptotics, cuntz
+from bratlap import asymptotics, cuntz, laplacian
 from bratlap.cli import main
 from bratlap.cuntz import (
     CuntzError,
@@ -611,6 +611,25 @@ def test_recursion_record_cap_is_the_total_it_grows(name, monkeypatch):
     monkeypatch.setattr(cuntz, "DEFAULT_PATH_CAP", total - 1)
     with pytest.raises(CuntzError, match="record cap"):
         recursive_spectrum(table, 6)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "penrose", "ammann-a2"])
+def test_affine_table_path_cap_counts_generation_4(name, monkeypatch):
+    # the proof reads walk levels 0 to 3, but the walk's path cap still
+    # counts the paths of generations 1 to 4, with the walk's own message
+    ws = load_preset(name).weight_system
+    total = sum(sum(row) for _, row in zip(range(4), path_counts(ws.diagram)))
+    formed = []
+    levels = laplacian._levels
+    monkeypatch.setattr(laplacian, "_levels", lambda cache, depth: (
+        formed.append(level.generation) or level for level in levels(cache, depth)))
+    monkeypatch.setattr(laplacian, "DEFAULT_PATH_CAP", total)
+    affine_table(ws, Fraction(2))
+    assert formed == [0, 1, 2, 3]
+    monkeypatch.setattr(laplacian, "DEFAULT_PATH_CAP", total - 1)
+    with pytest.raises(laplacian.LaplacianError,
+                       match=rf"^spectrum would visit more than {total - 1} paths \(the cap\)$"):
+        affine_table(ws, Fraction(2))
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "penrose"])
