@@ -3,9 +3,10 @@ complexity.
 
 Heavy sums never enumerate paths one by one.  The per-generation eigenvalue
 arrays are the float projection of the distinct recursion states that
-`cuntz._grow` yields with their summed multiplicities, so memory grows with
-the number of states, not of paths, and every value is bit-identical to a
-per-path expansion's.  The heat trace is contracted through per-vertex
+`cuntz._grow` grows from the table's seeds, one per splitting vertex, and
+yields with their summed multiplicities, so memory grows with the number of
+states, not of paths, and every value is bit-identical to a per-path
+expansion's.  The heat trace is contracted through per-vertex
 transfer vectors in log space, which makes any truncation depth affordable.
 The two-sided asymptotic constants are fitted and reported, not asserted a
 priori.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuntz import AffineMapTable, _grow, _seed_values
+from .cuntz import AffineMapTable, _grow
 from .diagram import SubstitutionRule, path_counts
 
 
@@ -56,8 +57,8 @@ def ols_loglog(xs, ys) -> FitResult:
 @dataclass
 class GenerationSpectrum:
     """Per-generation |eigenvalue| arrays with multiplicity weights, row n
-    for generation n: row 0 holds the kernel and the root splitting, row 1
-    the seeds."""
+    for generation n: row 0 holds the zero eigenvalue and the root
+    splitting, row 1 the seeds, one entry per splitting vertex."""
 
     magnitudes: list[np.ndarray]
     weights: list[np.ndarray]
@@ -109,19 +110,21 @@ def magnitude_table(table: AffineMapTable, depth: int) -> GenerationSpectrum:
     leaves the float range; a generation of more than DEFAULT_PATH_CAP
     states raises CuntzError."""
     _check_weight_range(table.diagram, depth)
-    kernel = [rec for rec in table.seeds if rec.generation == 0]   # zero and root
-    magnitudes = [np.array([abs(rec.value_float) for rec in kernel])]
-    weights = [np.array([rec.multiplicity for rec in kernel], dtype=np.int64)]
+    # row 0: the zero eigenvalue, and the root splitting when the root has
+    # two or more edges
+    root = [table.root_seed] if table.root_seed else []
+    magnitudes = [np.array([0.0, *(abs(value_float) for _, value_float in root)])]
+    weights = [np.array([1, *(len(table.diagram.root_edges) - 1 for _ in root)],
+                        dtype=np.int64)]
 
     classes = table.beta_classes()
     beta = np.zeros(max(classes) + 1)
     beta[classes] = table.betas_float
     lam = table.lam_float
-    seeds = _seed_values(table)
     # generation 1, the seeds, is always reported
     for gen, (codes, counts) in enumerate(_grow(table, depth), 1):
         if gen == 1:    # a seed's code is its range vertex
-            vals = np.array([float(seeds[z]) for z in codes.tolist()])
+            vals = np.array([table.seeds[z][1] for z in codes.tolist()])
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 vals = lam * vals[codes // beta.size] + beta[codes % beta.size]
@@ -295,7 +298,7 @@ def heat_trace(table: AffineMapTable, t_grid, depth: int | None = None) -> HeatR
             f"smallest feasible t at this depth is {feasible:g}")
 
     out_deg = [len(diagram.out_edges[v]) for v in range(diagram.n_letters)]
-    seed_vals = {z: float(v) for z, v in _seed_values(table).items()}
+    seed_vals = {z: seed[1] for z, seed in enumerate(table.seeds) if seed is not None}
     # generations 0 and 1, the kernel, the root splitting and the seeds, are
     # the envelope table's first rows; every eigenvalue is <= 0
     head = [(m.tolist(), w.tolist()) for m, w in zip(env.magnitudes[:2], env.weights[:2])]

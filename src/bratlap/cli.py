@@ -413,7 +413,8 @@ def cmd_heat(args, parser, em, inputs) -> int:
 def cmd_strip(args, parser, em, inputs) -> int:
     ws, s = inputs.ws, inputs.s
     table = cuntz.affine_table(ws, s)
-    constants = (table.lam, *table.betas, *(rec.value for rec in table.seeds))
+    constants = (table.lam, *table.betas,
+                 *(seed[0] for seed in (table.root_seed, *table.seeds) if seed))
     if any(isinstance(x, ApproxReal) for x in constants):
         disc = getattr(ws.backend, "disc", None)
         parser.error(f"strip needs exact coordinates, but at s={s} the recursion "

@@ -20,7 +20,7 @@ import numpy as np
 from . import _linalg
 from .diagram import (DEFAULT_PATH_CAP, BratteliDiagram, Path, enumerate_paths, path_counts,
                       predicted_path_count)
-from .laplacian import SpectralRecord, StationaryCache, _level_paths, _records, walk_states
+from .laplacian import StationaryCache, _level_paths, walk_states
 from .measure import PerronData, WeightSystem, _power
 from .scalar import ApproxReal, QuadraticNumber, compare, exact_power
 
@@ -119,8 +119,11 @@ def ck_relations_check(diagram: BratteliDiagram, depth: int,
 @dataclass(frozen=True)
 class AffineMapTable:
     """Per-edge affine maps u_e(x) = Lambda_s x + beta_e on the spectrum, and
-    the seeds they grow it from: the zero, root and generation-1 records of
-    full_spectrum(ws, 1, s), in its order and with its scalars."""
+    the seeds they grow it from, as walk-state values (value, float): per
+    vertex z, `seeds[z]` is the eigenvalue of the generation-1 paths that
+    end at z, None where z has a single out-edge, and `root_seed` is that
+    of the root splitting, None when the root has a single edge.  The zero
+    eigenvalue is implied."""
 
     ws: WeightSystem
     s: Fraction
@@ -129,14 +132,12 @@ class AffineMapTable:
     betas: tuple
     betas_float: tuple[float, ...]
     calibration_checks: int
-    seeds: tuple[SpectralRecord, ...]
+    root_seed: tuple | None
+    seeds: tuple
 
     @property
     def diagram(self) -> BratteliDiagram:
         return self.ws.diagram
-
-    def apply(self, edge_index: int, value):
-        return self.lam * value + self.betas[edge_index]
 
     def beta_classes(self) -> list[int]:
         """Per edge, the index of its beta's structural class, numbered in
@@ -162,8 +163,9 @@ def affine_table(ws: WeightSystem, s) -> AffineMapTable:
     step(a, n, b) and final(a, n+1) = Lambda_s final(a, n), and by induction
     lambda_(U_e gamma) = Lambda_s lambda_gamma + beta_e on every generation.
     `_prove_recursion` confirms the identities and beta_e's formula, or the
-    table is refused.  The seeds are walk levels 0 and 1 of the same memo,
-    full_spectrum(ws, 1, s)'s records."""
+    table is refused.  The seeds are the values of walk levels 0 and 1 of
+    the same memo: every vertex has root edges, so a generation-1 walk
+    state's index is its range vertex."""
     s = Fraction(s)
     diagram = ws.diagram
     d = ws.dimension
@@ -189,7 +191,7 @@ def affine_table(ws: WeightSystem, s) -> AffineMapTable:
     return AffineMapTable(ws, s, lam, float(lam), tuple(betas),
                           tuple(float(b) for b in betas),
                           _prove_recursion(cache, levels, paths, lam, betas),
-                          tuple(_records(levels[:2], paths[:2])[0]))
+                          levels[0].values[0], tuple(levels[1].values))
 
 
 def _prove_recursion(cache: StationaryCache, levels: list, paths: list, lam,
@@ -260,10 +262,11 @@ def _grow(table: AffineMapTable, depth: int):
     n_cls = max(classes) + 1
     # the steps up from a first vertex: (vertex, source, beta class) -> edges
     steps = Counter((e.target, e.source, cls) for e, cls in zip(diagram.edges, classes))
-    seeds = [rec for rec in table.seeds if rec.label == "path"]
-    # generation 1: a path seed starts at its range vertex z, in the state coded z
-    dst = code = np.array([diagram.path_range(rec.path) for rec in seeds], dtype=np.int64)
-    mult = np.array([rec.multiplicity for rec in seeds], dtype=np.int64)
+    # generation 1: one state per splitting vertex z, coded z, which the paths
+    # of its g root edges reach, each with out-degree(z) - 1 eigenvectors
+    out_degree = np.array([len(out) for out in diagram.out_edges], dtype=np.int64)
+    dst = code = np.flatnonzero(out_degree >= 2)
+    mult = diagram.symmetry_order * (out_degree[code] - 1)
     for gen in range(1, max(depth, 1) + 1):
         if gen > 1:
             # one candidate state per step and parent state reached from its
@@ -300,12 +303,11 @@ def _expand(table: AffineMapTable, depth: int):
     in the generation's sorted codes."""
     diagram = table.diagram
     # a generation-n record is a path ending at a vertex with two or more
-    # out-edges, so the total is known before any state is grown
+    # out-edges, so the total is known before any state is grown: the zero
+    # and root records, then those of generations 1 through `depth`
     splits = [v for v in range(diagram.n_letters) if len(diagram.out_edges[v]) >= 2]
-    total = len(table.seeds)
-    counts = path_counts(diagram)
-    next(counts)    # generation 1: the seeds
-    for _, row in zip(range(2, depth + 1), counts):
+    total = 1 + (table.root_seed is not None)
+    for _, row in zip(range(depth), path_counts(diagram)):
         total += sum(row[v] for v in splits)
         if total > DEFAULT_PATH_CAP:
             raise CuntzError(f"recursion would produce more than the "
@@ -322,43 +324,6 @@ def _expand(table: AffineMapTable, depth: int):
                                                  + classes[ei]) for ei in out])
                  for out in diagram.out_edges]
         yield codes, np.concatenate([index[edge.vertex] for edge in diagram.root_edges])
-
-
-def _seed_values(table: AffineMapTable) -> dict:
-    """{range vertex: value} of the table's generation-1 seeds, in vertex
-    order, which is `_grow`'s order of their states: a seed's code is its
-    range vertex, and the g root slots of a vertex share its value."""
-    return {table.diagram.path_range(rec.path): rec.value
-            for rec in table.seeds if rec.label == "path"}
-
-
-def recursive_spectrum(table: AffineMapTable, depth: int) -> list[SpectralRecord]:
-    """Spectrum through the given generation grown by the affine maps alone
-    from the table's seeds: each record of generation n+1 is u_e applied to a
-    generation-n record, in `full_spectrum`'s (root, edges) order within a
-    generation.  Records that reach the same recursion state share its value
-    and float value."""
-    diagram = table.diagram
-    classes = table.beta_classes()
-    first_edge = [classes.index(cls) for cls in range(max(classes) + 1)]
-    out = list(table.seeds)
-    states = list(_seed_values(table).values())
-    # per vertex, the edge runs of the paths under its root edges, like
-    # the label tails of `BratteliDiagram.split_labels`
-    runs = [[()] if len(edges) >= 2 else [] for edges in diagram.out_edges]
-    for gen, (codes, index) in enumerate(_expand(table, depth), 2):
-        parent, cls = np.divmod(codes, len(first_edge))
-        states = [table.apply(first_edge[k], states[i])
-                  for i, k in zip(parent.tolist(), cls.tolist())]
-        floats = [float(value) for value in states]
-        runs = [[(ei,) + run for ei in edges for run in runs[diagram.edges[ei].target]]
-                for edges in diagram.out_edges]
-        paths = [Path(r, run) for r, edge in enumerate(diagram.root_edges)
-                 for run in runs[edge.vertex]]
-        out.extend(SpectralRecord("path", path, gen, states[i], floats[i],
-                                  len(diagram.out_edges[diagram.path_range(path)]) - 1)
-                   for path, i in zip(paths, index.tolist()))
-    return out
 
 
 @dataclass(frozen=True)
@@ -497,9 +462,11 @@ def lattice_coords(embedding: CompanionData, value) -> tuple[Fraction, ...]:
 
 @dataclass
 class StripReport:
-    """The strip distances by recursion state.  Record i, in
-    `recursive_spectrum`'s order, is labelled labels[i] and lies at
-    state_distances[state_of[i]] from the unstable line."""
+    """The strip distances by recursion state.  The records are the zero
+    eigenvalue, the root splitting when the root has two or more edges, and
+    per generation 1 through `depth` the paths that end at a splitting
+    vertex, in (root, edges) order.  Record i is labelled labels[i] and lies
+    at state_distances[state_of[i]] from the unstable line."""
 
     depth: int
     pisot: bool
@@ -510,11 +477,6 @@ class StripReport:
     labels: list[str]
     state_of: np.ndarray
     state_distances: np.ndarray
-
-    @property
-    def distances(self) -> list[tuple[str, float]]:
-        """Per record, its label and distance."""
-        return list(zip(self.labels, self.state_distances[self.state_of].tolist()))
 
 
 def _lattice_levels(embedding: CompanionData, table: AffineMapTable, depth: int, den: int):
@@ -532,7 +494,7 @@ def _lattice_levels(embedding: CompanionData, table: AffineMapTable, depth: int,
     n_cls = max(classes) + 1
     c_t = np.array(embedding.matrix, dtype=object).T
     betas = numerators(table.betas[classes.index(cls)] for cls in range(n_cls))
-    states = numerators(_seed_values(table).values())
+    states = numerators(seed[0] for seed in table.seeds if seed is not None)
     for codes, index in _expand(table, depth):
         states = states[codes // n_cls] @ c_t + betas[codes % n_cls]
         yield states, index
@@ -541,31 +503,40 @@ def _lattice_levels(embedding: CompanionData, table: AffineMapTable, depth: int,
 def strip_check(embedding: CompanionData, table: AffineMapTable,
                 depth: int) -> StripReport:
     """Distances to the unstable line of the lattice points of the records
-    `recursive_spectrum(table, depth)` lists, in its order, against the bound
+    through generation `depth`, in `StripReport`'s order, against the bound
     m/(1 - |C_s|) with m = |P^-1|^2 max(|beta|, |lambda_seed|) over the
     table's betas and nonzero seeds.
 
     The coordinates are integer numerators over one denominator: the lcm of
     those of the betas' and seeds' coordinates.  A distance depends only on
     the recursion state, so each generation's states are measured in one
-    batch, and each seed on its own state.  Per path only its label, from
-    `BratteliDiagram.split_labels`, and its state index are kept."""
+    batch, and each seed on its own state: the zero's, the root's, and one
+    per splitting vertex, which its generation-1 paths share.  Per path only
+    its label, from `BratteliDiagram.split_labels`, and its state index are
+    kept."""
     if not embedding.hyperbolic:
         raise CuntzError("companion matrix is non-hyperbolic; strip bound unavailable")
     if embedding.stable_norm >= 1.0:
         raise CuntzError("stable block norm >= 1; strip bound unavailable")
 
-    seed_vecs = [lattice_coords(embedding, rec.value) for rec in table.seeds]
+    # the seed states: the kernel's at generation 0, then per splitting vertex
+    kernel = [table.ws.backend.zero, *(seed[0] for seed in [table.root_seed] if seed)]
+    seeds = {z: seed[0] for z, seed in enumerate(table.seeds) if seed is not None}
+    seed_state = {z: i for i, z in enumerate(seeds, len(kernel))}
+    seed_vecs = [lattice_coords(embedding, v) for v in [*kernel, *seeds.values()]]
     beta_vecs = [lattice_coords(embedding, b) for b in table.betas]
     den = math.lcm(*(c.denominator for vec in seed_vecs + beta_vecs for c in vec))
 
-    # the records are the seeds, each on a state of its own, then the grown
+    # the records are the kernel's, each on its own state, then the paths of
+    # generation 1 on the states of their range vertices, then the grown
     # generations, whose state indices follow on
     names = table.diagram.split_labels(depth)
-    labels = [rec.label for rec in table.seeds if rec.path is None] + next(names, [])
-    state_of = [np.arange(len(table.seeds))]
+    labels = ["zero", "root"][:len(kernel)] + next(names, [])
+    state_of = [np.arange(len(kernel)),
+                np.array([seed_state[e.vertex] for e in table.diagram.root_edges
+                          if e.vertex in seed_state], dtype=np.int64)]
     batches: list[np.ndarray] = []
-    offset = len(table.seeds)
+    offset = len(seed_vecs)
     per_gen: dict[int, float] = {}
     levels = _lattice_levels(embedding, table, depth, den)
     for gen, ((states, index), level_labels) in enumerate(zip(levels, names), 2):
@@ -579,11 +550,12 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
         per_gen[gen] = float(np.fmax.reduce(dists, initial=0.0))
     # measured after the growth: the record cap is checked before any distance
     seed_dists = embedding.distance_to_unstable(np.array(seed_vecs, dtype=float))
-    for rec, dist in zip(table.seeds, seed_dists.tolist()):
-        per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
+    for i, dist in enumerate(seed_dists.tolist()):
+        gen = int(i >= len(kernel))
+        per_gen[gen] = max(per_gen.get(gen, 0.0), dist)
 
-    nonzero = [vec for rec, vec in zip(table.seeds, seed_vecs) if rec.label != "zero"]
-    norms = [math.sqrt(sum(float(c) ** 2 for c in vec)) for vec in beta_vecs + nonzero]
+    # the zero's coordinates are all 0
+    norms = [math.sqrt(sum(float(c) ** 2 for c in vec)) for vec in beta_vecs + seed_vecs[1:]]
     m_const = embedding.p_inv_norm ** 2 * max(norms)
     bound = m_const / (1.0 - embedding.stable_norm)
     return StripReport(max(per_gen), embedding.pisot, embedding.stable_norm, bound,

@@ -48,16 +48,6 @@ def g_value(ws: WeightSystem, a: int, n: int, s):
     return Fraction(1, 2) * diam_power(ws, a, n, 2 - s) * pair_sum
 
 
-@dataclass(frozen=True)
-class SpectralRecord:
-    label: str                  # "zero" | "root" | "path"
-    path: Path | None
-    generation: int
-    value: object               # backend scalar
-    value_float: float
-    multiplicity: int
-
-
 class StationaryCache:
     """Memo of the terms of the eigenvalue formula on a stationary diagram.
 
@@ -146,9 +136,9 @@ class WalkLevel:
     - `parent`: its parent's index in level k - 1, and `edge` the edge from
       there (a root edge at generation 1, an edge model below); both are -1
       at the empty path;
-    - `rank`: the number of records before it in pre-order, the zero
-      eigenvalue's included, which is its own record's index in
-      `full_spectrum(ws, depth, s)` when it has one;
+    - `rank`: the number of records before it in pre-order through
+      generation `depth`, the zero eigenvalue's included, which is its own
+      record's index in that order when it has one;
     - `first_leaf`: the index of its first generation-`depth` descendant
       among the generation-`depth` paths in (root, edges) order.
 
@@ -285,17 +275,6 @@ def _levels(cache: StationaryCache, depth: int):
         partials, state_vertex = child_partials, child_vertex
 
 
-def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
-    """Records for the zero eigenvalue, then, in pre-order from the empty
-    path, for every path of generation <= depth with at least two
-    extensions: the empty path is the root splitting, labelled "root", with
-    value -1/G(root).  Total multiplicity is the path count one generation
-    below the cutoff.  This is the record view of `walk_states`: the records
-    of a walk state share its value object."""
-    levels = list(walk_states(StationaryCache(ws, Fraction(s)), depth))
-    return _records(levels, _level_paths(levels))[0]
-
-
 def _level_paths(levels: list[WalkLevel]) -> list[list[Path]]:
     """Per level, its paths as `Path`s, in (root, edges) order."""
     out = [[EMPTY_PATH]]
@@ -303,24 +282,6 @@ def _level_paths(levels: list[WalkLevel]) -> list[list[Path]]:
         up = out[-1]
         out.append([up[p].child(e) for p, e in zip(level.parent.tolist(), level.edge.tolist())])
     return out
-
-
-def _records(levels: list[WalkLevel], paths: list[list[Path]]):
-    """(records, where): the zero eigenvalue's record, then the records of
-    the levels' paths with two or more extensions in pre-order, and per
-    record after the zero one its (generation, path index)."""
-    zero = levels[0].cache.ws.backend.zero
-    found = []
-    for level, level_paths in zip(levels, paths):
-        k, values, ids = level.generation, level.values, level.splits
-        for i, rank, state, m in zip(ids.tolist(), level.rank[ids].tolist(),
-                                     level.state[ids].tolist(), level.multiplicity.tolist()):
-            found.append((rank, SpectralRecord("path" if k else "root",
-                                               level_paths[i] if k else None, k,
-                                               *values[state], m), (k, i)))
-    found.sort(key=lambda item: item[0])
-    return ([SpectralRecord("zero", None, 0, zero, 0.0, 1), *(rec for _, rec, _ in found)],
-            [at for _, _, at in found])
 
 
 @dataclass
@@ -334,11 +295,13 @@ class DenseOperator:
     array of the narrowest unsigned integer type that holds a bound on the
     ids known before assembly.
 
-    `records` are full_spectrum(ws, n - 1, s)'s, and bounds[k] gives the
-    cylinders of the base of records[k + 1], the k-th path with two or more
-    extensions: the paths through its i-th extension fill the range
-    bounds[k][i]:bounds[k][i + 1].  meets[k] is that base's key (range
-    vertex, generation) in `cache`, the memo all were read from."""
+    The closed-form records above generation n are those of the paths with
+    two or more extensions, in pre-order, the zero eigenvalue implied.  The
+    k-th base's record is records[k], the walk-state value (value, float),
+    and its multiplicity is len(bounds[k]) - 2: the paths through its i-th
+    extension fill the range bounds[k][i]:bounds[k][i + 1].  meets[k] is
+    that base's key (range vertex, generation) in `cache`, the memo all
+    were read from."""
 
     generation: int
     s: Fraction
@@ -350,7 +313,7 @@ class DenseOperator:
     exact: bool
     values: tuple
     index: np.ndarray
-    records: list[SpectralRecord]
+    records: list[tuple]
     bounds: list[tuple[int, ...]]
     meets: list[tuple[int, int]]
     cache: StationaryCache
@@ -426,7 +389,11 @@ def dense_restriction(ws: WeightSystem, n: int, s,
 
     levels = list(walk_states(cache, n))
     paths = _level_paths(levels)
-    records, where = _records(levels[:-1], paths)
+    # the bases above generation n, the paths with two or more extensions,
+    # in pre-order, as (rank, generation, path index)
+    where = sorted((rank, k, i) for k, level in enumerate(levels[:-1])
+                   for rank, i in zip(level.rank[level.splits].tolist(), level.splits.tolist()))
+    records = [levels[k].values[levels[k].state[i]] for _, k, i in where]
     top = levels[-1]
     if len(paths[-1]) != size:
         raise AssertionError("the walk disagrees with the matrix-power path count")
@@ -436,10 +403,10 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     below = [level.leaves.tolist() for level in levels]
     # per record, its base's key and the ranges of its child cylinders, as
     # wide as the generation-n paths below each of them
-    meets = [(int(levels[k].vertex[i]), k) for k, i in where]
+    meets = [(int(levels[k].vertex[i]), k) for _, k, i in where]
     bounds = [tuple(accumulate((below[k + 1][t] for t in diagram.targets[v]),
                                initial=int(levels[k].first_leaf[i])))
-              for (k, i), (v, _) in zip(where, meets)]
+              for (_, k, i), (v, _) in zip(where, meets)]
     vertex = top.vertex
     mu_values = tuple(cache.mu_at(v, n) for v in range(letters))
 
@@ -596,8 +563,10 @@ def verify_spectrum(ws: WeightSystem, n: int, s,
     s = Fraction(s)
     # the dense cap refuses an oversize n before the walk starts
     op = dense_restriction(ws, n, s, cap=dense_cap)
-    expected = np.sort(np.repeat([rec.value_float for rec in op.records],
-                                 [rec.multiplicity for rec in op.records]))
+    # the zero eigenvalue, then each record as often as its base has
+    # extensions after the first
+    expected = np.sort(np.repeat([0.0, *(value_float for _, value_float in op.records)],
+                                 [1, *(len(ends) - 2 for ends in op.bounds)]))
     size = len(op.table)
 
     counting_ok = expected.size == size
@@ -658,14 +627,14 @@ def _verify_exact_relations(op: DenseOperator) -> bool:
     # per vector: its base's span, pos range and neg range as (lo, hi) each,
     # and coeff_pos, coeff_neg and lambda
     spans, scalars = [], []
-    for rec, ends, meet in zip(op.records[1:], op.bounds, op.meets):
+    for (value, _), ends, meet in zip(op.records, op.bounds, op.meets):
         pairs = eigenbasis(op.cache, *meet)
-        if len(pairs) != rec.multiplicity:
+        if len(pairs) != len(ends) - 2:
             return False
         # eigenbasis anchors every vector at the first extension
         for k, (coeff_pos, coeff_neg) in enumerate(pairs, 1):
             spans.append([ends[0], ends[-1], *ends[0:2], *ends[k:k + 2]])
-            scalars += (coeff_pos, coeff_neg, rec.value)
+            scalars += (coeff_pos, coeff_neg, value)
     entries = _Numerators(op.values)
     rows = entries.prefix_sums(op.index)
     if any(p[:, -1].any() for p in rows):

@@ -1,17 +1,31 @@
 """Path and dense-operator helpers that several test modules use as
-independent oracles."""
+independent oracles, and the per-record views of the spectrum and of the
+affine recursion that tests compare against."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 
 import numpy as np
 
+from bratlap.cuntz import _expand
 from bratlap.diagram import EMPTY_PATH, BratteliDiagram, Path
-from bratlap.laplacian import LaplacianError, SpectralRecord, StationaryCache, g_value
+from bratlap.laplacian import (LaplacianError, StationaryCache, _level_paths, g_value,
+                               walk_states)
 from bratlap.measure import WeightSystem, mu
+
+
+@dataclass(frozen=True)
+class SpectralRecord:
+    label: str                  # "zero" | "root" | "path"
+    path: Path | None
+    generation: int
+    value: object               # backend scalar
+    value_float: float
+    multiplicity: int
 
 
 def path_key(diagram: BratteliDiagram, path: Path) -> tuple[int, int]:
@@ -198,8 +212,76 @@ def spectrum_multiset(records: list[SpectralRecord]) -> list[float]:
     return sorted(rec.value_float for rec in records for _ in range(rec.multiplicity))
 
 
+def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
+    """Records for the zero eigenvalue, then, in pre-order from the empty
+    path, for every path of generation <= depth with at least two
+    extensions: the empty path is the root splitting, labelled "root", with
+    value -1/G(root).  Total multiplicity is the path count one generation
+    below the cutoff.  This is the record view of `laplacian.walk_states`:
+    the records of a walk state share its value object, and each record goes
+    to its path's rank."""
+    levels = list(walk_states(StationaryCache(ws, Fraction(s)), depth))
+    found = []
+    for level, paths in zip(levels, _level_paths(levels)):
+        k, values, ids = level.generation, level.values, level.splits
+        for i, rank, state, m in zip(ids.tolist(), level.rank[ids].tolist(),
+                                     level.state[ids].tolist(), level.multiplicity.tolist()):
+            found.append((rank, SpectralRecord("path" if k else "root", paths[i] if k else None,
+                                               k, *values[state], m)))
+    found.sort(key=lambda item: item[0])
+    return [SpectralRecord("zero", None, 0, ws.backend.zero, 0.0, 1), *(rec for _, rec in found)]
+
+
+def apply(table, edge_index: int, value):
+    """The affine map u_e(value) = Lambda_s value + beta_e of an AffineMapTable."""
+    return table.lam * value + table.betas[edge_index]
+
+
+def recursive_spectrum(table, depth: int) -> list[SpectralRecord]:
+    """Spectrum through the given generation grown by the affine maps alone
+    from the table's seeds: the zero and root records, one generation-1
+    record per root edge into a splitting vertex, and each record of
+    generation n+1 u_e applied to a generation-n record, in (root, edges)
+    order within a generation.  This is the record view of `cuntz._expand`
+    and the betas: records that reach the same recursion state share its
+    value and float value."""
+    diagram = table.diagram
+    classes = table.beta_classes()
+    first_edge = [classes.index(cls) for cls in range(max(classes) + 1)]
+    out = [SpectralRecord("zero", None, 0, table.ws.backend.zero, 0.0, 1)]
+    if table.root_seed is not None:
+        out.append(SpectralRecord("root", None, 0, *table.root_seed, len(diagram.root_edges) - 1))
+    out += [SpectralRecord("path", Path(r), 1, *table.seeds[edge.vertex],
+                           len(diagram.out_edges[edge.vertex]) - 1)
+            for r, edge in enumerate(diagram.root_edges) if table.seeds[edge.vertex] is not None]
+    states = [seed[0] for seed in table.seeds if seed is not None]
+    # per vertex, the edge runs of the paths under its root edges, like
+    # the label tails of `BratteliDiagram.split_labels`
+    runs = [[()] if len(edges) >= 2 else [] for edges in diagram.out_edges]
+    for gen, (codes, index) in enumerate(_expand(table, depth), 2):
+        parent, cls = np.divmod(codes, len(first_edge))
+        states = [apply(table, first_edge[k], states[i])
+                  for i, k in zip(parent.tolist(), cls.tolist())]
+        floats = [float(value) for value in states]
+        runs = [[(ei,) + run for ei in edges for run in runs[diagram.edges[ei].target]]
+                for edges in diagram.out_edges]
+        paths = [Path(r, run) for r, edge in enumerate(diagram.root_edges)
+                 for run in runs[edge.vertex]]
+        out.extend(SpectralRecord("path", path, gen, states[i], floats[i],
+                                  len(diagram.out_edges[diagram.path_range(path)]) - 1)
+                   for path, i in zip(paths, index.tolist()))
+    return out
+
+
+def strip_distances(report) -> list[tuple[str, float]]:
+    """Per record of a StripReport, its label and distance."""
+    return list(zip(report.labels, report.state_distances[report.state_of].tolist()))
+
+
 def walked_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
-    """full_spectrum(ws, depth, s) by the path-by-path walk."""
+    """The records of every path of generation <= depth with two or more
+    extensions, in `full_spectrum`'s order, by the path-by-path walk: the
+    reference `walk_states` must match, which reads nothing of it."""
     cache = StationaryCache(ws, Fraction(s))
     records, visit = record_visitor(cache)
     walk(cache, depth, visit)

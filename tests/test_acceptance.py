@@ -25,14 +25,14 @@ from bratlap.cli import main as cli_main
 from bratlap.cuntz import (
     affine_table,
     companion_embedding,
-    recursive_spectrum,
     strip_check,
 )
 from bratlap.diagram import predicted_path_count
-from bratlap.laplacian import full_spectrum, verify_spectrum
+from bratlap.laplacian import verify_spectrum
 from bratlap.measure import zeta_partial
 from bratlap.presets import load_preset, preset_names
 from bratlap.scalar import QuadraticBackend
+from oracles import full_spectrum, recursive_spectrum
 
 Q5 = QuadraticBackend(5)
 PHI_F = (1 + 5 ** 0.5) / 2

@@ -20,11 +20,10 @@ from bratlap.asymptotics import (
 )
 from bratlap.cuntz import affine_table
 from bratlap.diagram import SubstitutionRule, build_diagram, predicted_path_count
-from bratlap.laplacian import full_spectrum
 from bratlap.measure import WeightSystem, perron
 from bratlap.presets import load_preset, preset_names
 from bratlap.scalar import QuadraticBackend, RationalBackend
-from oracles import spectrum_multiset
+from oracles import full_spectrum, spectrum_multiset
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()

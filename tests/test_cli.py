@@ -29,7 +29,7 @@ from bratlap.asymptotics import magnitude_table
 from bratlap.cli import _fmt, _fmt_exact, main
 from bratlap.diagram import build_diagram
 from bratlap.presets import PRESETS, load_preset, preset_names
-from oracles import distance_to_unstable
+from oracles import distance_to_unstable, full_spectrum, recursive_spectrum
 
 
 def run_cli(argv, capsys):
@@ -292,7 +292,7 @@ def _strip_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
     table = cuntz.affine_table(measure.WeightSystem(diagram, pdata), Fraction(s))
     emb = cuntz.companion_embedding(pdata, Fraction(s))
     rows, per_gen = [], {}
-    for rec in cuntz.recursive_spectrum(table, depth):
+    for rec in recursive_spectrum(table, depth):
         label = rec.label if rec.path is None else diagram.format_path(rec.path)
         dist = distance_to_unstable(emb, cuntz.lattice_coords(emb, rec.value))
         rows.append([label, _fmt(dist)])
@@ -315,7 +315,7 @@ def _spectrum_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
     bundle = load_preset(preset)
     ws, diagram = bundle.weight_system, bundle.diagram
     rows = []
-    records = laplacian.full_spectrum(ws, depth - 1, Fraction(s))
+    records = full_spectrum(ws, depth - 1, Fraction(s))
     for rec in records:
         label = rec.label if rec.path is None else diagram.format_path(rec.path)
         rows.append([rec.label, rec.generation, label, rec.multiplicity,

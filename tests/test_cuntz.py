@@ -20,17 +20,17 @@ from bratlap.cuntz import (
     lattice_coords,
     path_shift_down,
     path_shift_up,
-    recursive_spectrum,
     strip_check,
 )
 from bratlap.diagram import (EMPTY_PATH, Path, build_diagram, enumerate_paths, path_counts,
                              predicted_path_count)
-from bratlap.laplacian import full_spectrum, g_value
+from bratlap.laplacian import g_value
 from bratlap.measure import WeightSystem, _theta_certificate, mu, perron
 from bratlap.presets import PRESETS, load_preset, preset_names
 from bratlap.scalar import (ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend,
                             compare)
-from oracles import distance_to_unstable, path_key
+from oracles import (apply, distance_to_unstable, full_spectrum, path_key, recursive_spectrum,
+                     strip_distances, walked_spectrum)
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -63,7 +63,7 @@ def strip_coordinates(embedding, table, depth):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cuntz, "_lattice_levels", spy)
         report = strip_check(embedding, table, depth)
-    seeds = [lattice_coords(embedding, rec.value) for rec in table.seeds]
+    seeds = [lattice_coords(embedding, rec.value) for rec in recursive_spectrum(table, 1)]
     den = math.lcm(*(c.denominator for vec in seeds for c in vec),
                    *(c.denominator for b in table.betas for c in lattice_coords(embedding, b)))
     coords = seeds + [tuple(Fraction(n, den) for n in nums)
@@ -273,9 +273,10 @@ def test_seed_extension_property():
     # the gen-1 eigenvalue is the affine image of the root eigenvalue
     ws = tm_ws()
     table = affine_table(ws, 1)
-    root = next(r for r in table.seeds if r.label == "root")
-    gen1 = next(r for r in table.seeds if r.label == "path")
-    assert table.apply(0, root.value) == gen1.value
+    seeds = recursive_spectrum(table, 1)
+    root = next(r for r in seeds if r.label == "root")
+    gen1 = next(r for r in seeds if r.label == "path")
+    assert apply(table, 0, root.value) == gen1.value
 
 
 def test_recursion_chain_thue_morse():
@@ -406,15 +407,16 @@ def test_strip_matches_per_path_oracle(ws_factory, s, depth):
     emb = companion_embedding(ws.perron, s)
     records = recursive_spectrum(table, depth)
     report, coords = strip_coordinates(emb, table, depth)
-    assert len(report.distances) == len(coords) == len(records)
-    for rec, (label, dist), got in zip(records, report.distances, coords):
+    distances = strip_distances(report)
+    assert len(distances) == len(coords) == len(records)
+    for rec, (label, dist), got in zip(records, distances, coords):
         assert label == (rec.label if rec.path is None else ws.diagram.format_path(rec.path))
         assert got == lattice_coords(emb, rec.value), label
         assert reconstruct_from_coords(emb, got) == \
             pytest.approx(rec.value_float, rel=1e-12, abs=1e-9), label
         assert dist == distance_to_unstable(emb, lattice_coords(emb, rec.value)), label
     per_gen = {}
-    for rec, (_, dist) in zip(records, report.distances):
+    for rec, (_, dist) in zip(records, distances):
         per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
     assert report.per_generation == sorted(per_gen.items())
     assert report.max_distance == max(per_gen.values())
@@ -515,7 +517,8 @@ def test_strip_coordinates_reconstruct_their_values(name):
     accepted = []
     for s in (-1, 0, 1, 2):
         table = affine_table(ws, s)
-        constants = (table.lam, *table.betas, *(rec.value for rec in table.seeds))
+        constants = (table.lam, *table.betas,
+                     *(seed[0] for seed in (table.root_seed, *table.seeds) if seed))
         if any(isinstance(x, ApproxReal) for x in constants):
             continue
         accepted.append(s)
@@ -548,19 +551,34 @@ QUADRATIC_PRESETS = ("fibonacci", "fibonacci-conjugate", "thue-morse", "dyadic-o
                          [(name, None) for name in preset_names()] +
                          [(name, "quadratic:5") for name in QUADRATIC_PRESETS])
 def test_affine_table_seeds_are_the_depth_one_spectrum(name, backend):
-    # the seeds are the records of walk levels 0 and 1 of the memo that
-    # also proves the recursion to generation 4; the memo makes each scalar
-    # the same whatever the depth of the walk, bit for bit
+    # the seeds are the values of walk levels 0 and 1 of the memo that also
+    # proves the recursion to generation 4: one per splitting vertex, shared
+    # by the records of its g root edges' paths, and the root's; the memo
+    # makes each scalar the same whatever the depth of the walk, bit for bit
     ws = load_preset(name, backend=backend).weight_system
+    diagram = ws.diagram
     for s in (-1, 0, Fraction(1, 2), 1, 2):
-        seeds = affine_table(ws, s).seeds
-        direct = full_spectrum(ws, 1, s)
-        assert len(seeds) == len(direct), (s, len(seeds), len(direct))
-        for got, want in zip(seeds, direct):
-            assert (got.label, got.path, got.generation, got.multiplicity) == \
-                (want.label, want.path, want.generation, want.multiplicity), s
-            assert type(got.value) is type(want.value) and got.value == want.value, s
-            assert got.value_float == want.value_float, s
+        table = affine_table(ws, s)
+        records = walked_spectrum(ws, 1, s)
+        assert records[0].label == "zero", s
+        roots = [rec for rec in records if rec.label == "root"]
+        at_vertex = {z: [rec for rec in records
+                         if rec.label == "path" and diagram.path_range(rec.path) == z]
+                     for z in range(diagram.n_letters)}
+        assert len(table.seeds) == diagram.n_letters, s
+        for seed, want in [(table.root_seed, roots), *zip(table.seeds, at_vertex.values())]:
+            if not want:
+                assert seed is None, s
+                continue
+            value, value_float = seed
+            for rec in want:
+                assert type(value) is type(rec.value) and value == rec.value, s
+                assert value_float == rec.value_float, s
+        assert all(len(at_vertex[z]) == diagram.symmetry_order
+                   for z, seed in enumerate(table.seeds) if seed is not None), s
+        if name == "fibonacci":     # b has the one out-edge b -> a
+            assert table.seeds[1] is None, s
+        assert (table.root_seed is None) == (name == "dyadic-odometer"), s
 
 
 def _hand_built_betas(ws, s, lam) -> list:
@@ -677,9 +695,9 @@ def _check_level(diagram, classes, codes, counts, rows):
 @pytest.mark.parametrize("name", preset_names())
 def test_counted_and_per_path_views_of_the_recursion_agree(name):
     # the counted levels that magnitude_table projects and the per-path rows
-    # that strip and recursive_spectrum read come from one engine: per
-    # generation, a state's multiplicity is that of its rows, summed, and
-    # the total over all generations is the path count |Pi_8|
+    # that strip reads come from one engine: per generation, a state's
+    # multiplicity is that of its rows, summed, and the total over all
+    # generations is the path count |Pi_8|
     bundle = load_preset(name)
     diagram = bundle.weight_system.diagram
     splits = [v for v in range(diagram.n_letters) if len(diagram.out_edges[v]) >= 2]
@@ -689,21 +707,22 @@ def test_counted_and_per_path_views_of_the_recursion_agree(name):
         levels = list(cuntz._grow(table, 7))
         grown = list(cuntz._expand(table, 7))
         assert len(levels) == 7 and len(grown) == 6
-        seeds = [rec for rec in table.seeds if rec.label == "path"]
-        zs = levels[0][0].tolist()
-        rows = [(rec.path, rec.multiplicity, zs.index(diagram.path_range(rec.path)))
-                for rec in seeds]
-        total = sum(rec.multiplicity for rec in table.seeds if rec.generation == 0)
+        # the kernel: the zero eigenvalue and the root splitting
+        total = 1 + (len(diagram.root_edges) - 1 if table.root_seed else 0)
         for n, ((codes, counts), row_counts) in enumerate(zip(levels, path_counts(diagram)), 1):
+            mults = [(path, len(diagram.out_edges[diagram.path_range(path)]) - 1)
+                     for path in enumerate_paths(diagram, n).paths]
+            splitting = [(path, mult) for path, mult in mults if mult >= 1]
             if n > 1:
                 # _expand's indices belong to the splitting paths in enumeration order
                 grown_codes, index = grown[n - 2]
                 assert np.array_equal(grown_codes, codes), (s, n)
-                mults = [(path, len(diagram.out_edges[diagram.path_range(path)]) - 1)
-                         for path in enumerate_paths(diagram, n).paths]
-                splitting = [(path, mult) for path, mult in mults if mult >= 1]
-                rows = [(path, mult, state)
-                        for (path, mult), state in zip(splitting, index.tolist(), strict=True)]
+                index = index.tolist()
+            else:
+                # a generation-1 state is coded by its range vertex
+                index = [codes.tolist().index(diagram.path_range(path)) for path, _ in splitting]
+            rows = [(path, mult, state)
+                    for (path, mult), state in zip(splitting, index, strict=True)]
             _check_level(diagram, classes, codes, counts, rows)
             assert len(rows) == sum(row_counts[v] for v in splits), (s, n)
             total += int(counts.sum())

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import tracemalloc
 from fractions import Fraction
@@ -25,7 +24,6 @@ from bratlap.laplacian import (
     dense_restriction,
     dense_spectrum,
     eigenbasis,
-    full_spectrum,
     g_value,
     verify_spectrum,
 )
@@ -41,6 +39,7 @@ from bratlap.scalar import (
 from oracles import (
     eigenvalue,
     extensions,
+    full_spectrum,
     longest_common_prefix,
     path_key,
     span,
@@ -282,11 +281,15 @@ def test_verify_without_eigenvectors():
 EPS = Fraction(1, 10 ** 12)
 
 
+def _first_generation_one_record(op) -> int:
+    """The index of the first record whose base is at generation 1."""
+    return next(k for k, (_, generation) in enumerate(op.meets) if generation == 1)
+
+
 def _scale_first_generation_one_record(op):
-    records = op.records
-    k = next(i for i, rec in enumerate(records) if rec.generation == 1)
-    value = records[k].value * (1 + EPS)
-    records[k] = dataclasses.replace(records[k], value=value, value_float=float(value))
+    k = _first_generation_one_record(op)
+    value = op.records[k][0] * (1 + EPS)
+    op.records[k] = (value, float(value))
     return op
 
 
@@ -376,9 +379,10 @@ def test_exact_check_catches_wrong_multiplicity(monkeypatch, capsys):
     """One record claiming one eigenvector more than its base carries fails
     the exact check, not only the multiplicity count."""
     def one_more(op):
-        records = op.records
-        k = next(i for i, rec in enumerate(records) if rec.generation == 1)
-        records[k] = dataclasses.replace(records[k], multiplicity=records[k].multiplicity + 1)
+        # a record's multiplicity is its bounds' length less 2: one more,
+        # empty, cylinder claims one more vector
+        k = _first_generation_one_record(op)
+        op.bounds[k] += op.bounds[k][-1:]
         return op
 
     build = laplacian.dense_restriction
@@ -732,41 +736,59 @@ def test_spectrum_path_cap_is_the_total_it_visits(monkeypatch):
     ws = fib_ws()
     total = sum(len(enumerate_paths(ws.diagram, k)) for k in range(1, 9))
     monkeypatch.setattr(laplacian, "DEFAULT_PATH_CAP", total)
-    laplacian.full_spectrum(ws, 8, 1)
+    full_spectrum(ws, 8, 1)
     monkeypatch.setattr(laplacian, "DEFAULT_PATH_CAP", total - 1)
     with pytest.raises(LaplacianError, match="more than"):
-        laplacian.full_spectrum(ws, 8, 1)
+        full_spectrum(ws, 8, 1)
+
+
+def _same_value(got: tuple, want) -> None:
+    """A walk-state value (value, float) against a record's, bit for bit."""
+    value, value_float = got
+    assert type(value) is type(want.value) and value == want.value, want.path
+    assert value_float.hex() == want.value_float.hex(), want.path
+    if isinstance(want.value, ApproxReal):
+        assert value._mpf == want.value._mpf, want.path
 
 
 def _same_record(got, want) -> None:
     assert (got.label, got.path, got.generation, got.multiplicity) == \
         (want.label, want.path, want.generation, want.multiplicity)
-    assert type(got.value) is type(want.value) and got.value == want.value, got.path
-    assert got.value_float.hex() == want.value_float.hex(), got.path
-    if isinstance(want.value, ApproxReal):
-        assert got.value._mpf == want.value._mpf, got.path
+    _same_value((got.value, got.value_float), want)
 
 
 @pytest.mark.parametrize("backend", ["field", "approx:200"])
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_dense_walk_yields_full_spectrum_leaves_and_cylinders(name, backend):
     """The one walk of dense_restriction gives full_spectrum(ws, n - 1, s)'s
-    records record for record, the leaves in enumerate_paths order, and as
-    each record's bounds the cylinders of its base's extensions."""
+    records after the zero one, record for record, the leaves in
+    enumerate_paths order, and as each record's bounds the cylinders of its
+    base's extensions, one more than its multiplicity.  verify adds the
+    zero eigenvalue to the records' multiset."""
     ws = load_preset(name, backend=None if backend == "field" else backend).weight_system
     diagram = ws.diagram
     for s, n in product((0, Fraction(1, 2), 1, 2), range(1, 6)):
         op = dense_restriction(ws, n, s)
         want = full_spectrum(ws, n - 1, s)
-        assert len(op.records) == len(want), (s, n)
-        for got, rec in zip(op.records, want):
-            _same_record(got, rec)
+        assert want[0].label == "zero"
+        assert len(op.records) == len(want) - 1, (s, n)
+        for got, rec in zip(op.records, want[1:]):
+            _same_value(got, rec)
         assert op.table.paths == enumerate_paths(diagram, n).paths
-        assert len(op.bounds) == len(op.records) - 1
-        for rec, ends in zip(op.records[1:], op.bounds):
+        assert len(op.bounds) == len(op.records)
+        for rec, ends in zip(want[1:], op.bounds):
+            assert len(ends) - 2 == rec.multiplicity, (s, n, rec.path)
             base = rec.path or EMPTY_PATH
             assert [range(lo, hi) for lo, hi in zip(ends, ends[1:])] == \
                 [span(op.table, base.child(e)) for e in extensions(diagram, base)]
+        if n == 3:
+            # with the dense spectrum replaced by the walked multiset, the
+            # closed form verify expects deviates from it nowhere
+            walked = np.array(spectrum_multiset(walked_spectrum(ws, n - 1, s)))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(laplacian, "dense_spectrum", lambda op: walked)
+                report = verify_spectrum(ws, n, s)
+            assert report.counting_ok and report.max_abs_deviation == 0.0, (s, n)
 
 
 @pytest.mark.parametrize("backend", ["field", "approx:200"])
@@ -790,9 +812,11 @@ def test_walk_states_match_the_path_by_path_walk(name, backend):
                 break
             op = dense_restriction(ws, n, s)
             records, leaves, bounds, ids = walked_dense(ws, n, s)
-            assert len(op.records) == len(records), (s, n)
-            for g, w in zip(op.records, records):
-                _same_record(g, w)
+            assert records[0].label == "zero"
+            assert len(op.records) == len(records) - 1, (s, n)
+            for g, ends, w in zip(op.records, op.bounds, records[1:]):
+                _same_value(g, w)
+                assert len(ends) - 2 == w.multiplicity, (s, n, w.path)
             assert op.table.paths == tuple(leaves)
             assert op.bounds == bounds
             assert np.diag(op.index).tolist() == ids

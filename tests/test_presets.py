@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from bratlap.diagram import EMPTY_PATH, build_diagram
-from bratlap.laplacian import g_value, full_spectrum, verify_spectrum
+from bratlap.laplacian import g_value, verify_spectrum
 from bratlap.measure import WeightSystem, perron
 from bratlap.presets import PRESETS, load_preset, preset_names
 from bratlap.scalar import QuadraticBackend
-from oracles import path_key, spectrum_multiset
+from oracles import full_spectrum, path_key, spectrum_multiset
 
 Q5 = QuadraticBackend(5)
 PHI = Q5.make((Fraction(1, 2), Fraction(1, 2)))
