@@ -513,7 +513,10 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
     batch, and each seed on its own state: the zero's, the root's, and one
     per splitting vertex, which its generation-1 paths share.  Per path only
     its label, from `BratteliDiagram.split_labels`, and its state index are
-    kept."""
+    kept.  A depth below 1 is refused before any work: the seeds are the
+    records of generation 1."""
+    if depth < 1:
+        raise CuntzError("depth must be >= 1")
     if not embedding.hyperbolic:
         raise CuntzError("companion matrix is non-hyperbolic; strip bound unavailable")
     if embedding.stable_norm >= 1.0:

@@ -284,7 +284,6 @@ def _level_paths(levels: list[WalkLevel]) -> list[list[Path]]:
     return out
 
 
-@dataclass
 class DenseOperator:
     """Matrix of Delta_s restricted to the generation-n cylinder functions, rows
     and columns in path-table order: root-edge order, vertex by vertex, and
@@ -301,22 +300,24 @@ class DenseOperator:
     and its multiplicity is len(bounds[k]) - 2: the paths through its i-th
     extension fill the range bounds[k][i]:bounds[k][i + 1].  meets[k] is
     that base's key (range vertex, generation) in `cache`, the memo all
-    were read from."""
+    were read from.  `levels` are the walk's levels through generation n;
+    `table`, the paths as `Path`s, is built from their parent and edge
+    arrays on first read, so only a caller that names paths pays for it.  A
+    plain class, like `WalkLevel`."""
 
-    generation: int
-    s: Fraction
-    table: PathTable
-    mu_values: tuple
-    vertex: np.ndarray
-    symmetry_order: int
-    slot_widths: tuple[int, ...]
-    exact: bool
-    values: tuple
-    index: np.ndarray
-    records: list[tuple]
-    bounds: list[tuple[int, ...]]
-    meets: list[tuple[int, int]]
-    cache: StationaryCache
+    def __init__(self, generation: int, s: Fraction, mu_values: tuple, vertex: np.ndarray,
+                 symmetry_order: int, slot_widths: tuple[int, ...], exact: bool,
+                 values: tuple, index: np.ndarray, records: list[tuple],
+                 bounds: list[tuple[int, ...]], meets: list[tuple[int, int]],
+                 cache: StationaryCache, levels: list[WalkLevel]):
+        self.generation, self.s, self.mu_values, self.vertex = generation, s, mu_values, vertex
+        self.symmetry_order, self.slot_widths, self.exact = symmetry_order, slot_widths, exact
+        self.values, self.index, self.records = values, index, records
+        self.bounds, self.meets, self.cache, self.levels = bounds, meets, cache, levels
+
+    @cached_property
+    def table(self) -> PathTable:
+        return PathTable(self.generation, tuple(_level_paths(self.levels)[-1]))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -363,10 +364,17 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     depends, and the diagonal partials once per walk state of the
     generation-n paths, the leaves.  A record's child
     cylinders are ranges of leaves, from its path's first leaf on, as wide
-    as the subtree sizes of its extensions; the off-diagonal blocks are
-    filled from the records and these bounds.  The index is allocated once,
-    at the type of an id bound known before the walk; an ApproxReal among
-    exact values raises."""
+    as the subtree sizes of its extensions.
+
+    The index is filled with one write per record, in pre-order: the whole
+    square of its span lo:hi gets the ids of mu[column]/G(its key), then the
+    diagonal is written last.  An off-diagonal cell (i, j) lies in the span
+    of every splitting path above both leaves, and the last of them in
+    pre-order is the deepest, their meet (the two leaves part at a path with
+    two or more extensions).  Each later record overwrites only its own span,
+    so every off-diagonal cell ends up holding its meet's id.  The index is
+    allocated once, at the type of an id bound known before the walk; an
+    ApproxReal among exact values raises."""
     s = Fraction(s)
     if n < 1:
         raise LaplacianError("generation must be >= 1")
@@ -388,17 +396,15 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     index = np.zeros((size, size), dtype=np.min_scalar_type(bound - 1))
 
     levels = list(walk_states(cache, n))
-    paths = _level_paths(levels)
     # the bases above generation n, the paths with two or more extensions,
     # in pre-order, as (rank, generation, path index)
     where = sorted((rank, k, i) for k, level in enumerate(levels[:-1])
                    for rank, i in zip(level.rank[level.splits].tolist(), level.splits.tolist()))
     records = [levels[k].values[levels[k].state[i]] for _, k, i in where]
     top = levels[-1]
-    if len(paths[-1]) != size:
+    if top.vertex.size != size:
         raise AssertionError("the walk disagrees with the matrix-power path count")
     # the leaf states' partials are the first ids, in state order
-    np.fill_diagonal(index, top.state)
     values: list = [partial if exact else float(partial) for partial in top.partials]
     below = [level.leaves.tolist() for level in levels]
     # per record, its base's key and the ranges of its child cylinders, as
@@ -429,17 +435,15 @@ def dense_restriction(ws: WeightSystem, n: int, s,
                 ids[v] = len(values)
                 values.append(mu_values[v] * cache.inv_g_at(*meet) if exact
                               else float(mu_values[v]) / gf)
-        row = ids[vertex[lo:hi]]
-        for i, j in product(range(len(ends) - 1), repeat=2):
-            if i != j:
-                index[ends[i]:ends[i + 1], ends[j]:ends[j + 1]] = \
-                    row[None, ends[j] - lo:ends[j + 1] - lo]
+        # deeper records come later and overwrite their own spans
+        index[lo:hi, lo:hi] = ids[vertex[lo:hi]]
+    np.fill_diagonal(index, top.state)
 
     if exact and any(isinstance(v, ApproxReal) for v in values):
         raise LaplacianError("an exact dense entry fell back to an approximate scalar")
-    return DenseOperator(n, s, PathTable(n, tuple(paths[-1])), mu_values, vertex,
-                         diagram.symmetry_order, tuple(below[1][:letters]), exact,
-                         tuple(values), index, records, bounds, meets, cache)
+    return DenseOperator(n, s, mu_values, vertex, diagram.symmetry_order,
+                         tuple(below[1][:letters]), exact, tuple(values), index, records,
+                         bounds, meets, cache, levels)
 
 
 class SlotSymmetryError(LaplacianError):
@@ -488,15 +492,18 @@ def dense_spectrum(op: DenseOperator) -> np.ndarray:
     vertex_pairs = list(product(range(len(widths)), repeat=2))
 
     for v, w in vertex_pairs:
-        # rows of vertex v, columns of vertex w, as a (g, N_v, g, N_w) view
+        # rows of vertex v, columns of vertex w, as a (g, N_v, g, N_w) view;
+        # copy (k, l) stands for copy (0, 0) when k = l or v != w, and for
+        # copy (0, 1) otherwise
         copies = op.index[starts[v]:starts[v + 1], starts[w]:starts[w + 1]] \
             .reshape(g, widths[v], g, widths[w])
-        for k, l in product(range(g), repeat=2):
-            ref = copies[0, :, int(v == w and k != l), :]
-            if not np.array_equal(copies[k, :, l, :], ref):
-                raise SlotSymmetryError(
-                    f"rows of root edge ({v}, {k}) against columns of root "
-                    f"edge ({w}, {l}) differ from their slot copy")
+        differs = (copies != copies[None, 0, :, None, int(v == w), :]).any(axis=(1, 3))
+        differs[np.diag_indices(g)] = \
+            (np.diagonal(copies, axis1=0, axis2=2) != copies[0, :, 0, :, None]).any(axis=(0, 1))
+        if differs.any():
+            k, l = np.argwhere(differs)[0].tolist()
+            raise SlotSymmetryError(f"rows of root edge ({v}, {k}) against columns of root "
+                                    f"edge ({w}, {l}) differ from their slot copy")
 
     def slot0(v: int, w: int) -> np.ndarray:
         """Slot-0 rows of vertex v, columns of vertex w, as an (N_v, g, N_w) view."""
@@ -567,7 +574,7 @@ def verify_spectrum(ws: WeightSystem, n: int, s,
     # extensions after the first
     expected = np.sort(np.repeat([0.0, *(value_float for _, value_float in op.records)],
                                  [1, *(len(ends) - 2 for ends in op.bounds)]))
-    size = len(op.table)
+    size = op.vertex.size
 
     counting_ok = expected.size == size
     mismatches = []

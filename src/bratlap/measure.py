@@ -25,6 +25,7 @@ from .scalar import (
     Backend,
     QuadraticBackend,
     RationalBackend,
+    _approx,
     exact_power,
     scalar_sign,
     square_free_part,
@@ -179,35 +180,58 @@ def _exact_eigenvector(matrix, theta, backend) -> list:
 
 
 def _approx_eigen(rows, backend: ApproxBackend):
+    """Power iteration for theta and v at the backend's precision, on the raw
+    `mpmath.libmp` kernels with round-to-nearest: the calls `mpmath.mpf`
+    arithmetic makes under `mpmath.workprec`, so the bits are the same, with
+    each matrix entry converted once."""
+    from mpmath.libmp import (fzero, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div,
+                              mpf_gt, mpf_le, mpf_mul, mpf_sub, round_nearest as rnd)
     r = len(rows)
     prec = backend.precision
-    tol = mpmath.mpf(2) ** (8 - prec)
-    bound = mpmath.mpf(2) ** (16 - prec)
-    with mpmath.workprec(prec):
-        def residual():
-            return max(abs(sum(mpmath.mpf(rows[i][j]) * v[j] for j in range(r))
-                           - theta * v[i]) for i in range(r))
+    tol = from_man_exp(1, 8 - prec)
+    bound = from_man_exp(1, 16 - prec)
+    a = [[from_int(x, prec, rnd) for x in row] for row in rows]
 
-        v = [mpmath.mpf(1) / r] * r
-        theta = mpmath.mpf(0)
-        # two equal successive estimates can be a coincidence far from the
-        # eigenvector (4/3, 5/4, 7/5, 9/7, 4/3, 4/3 on the plastic matrix), so
-        # a stalled theta ends the loop only once the residual test passes
-        for _ in range(64 * prec):
-            w = [sum(mpmath.mpf(rows[i][j]) * v[j] for j in range(r)) for i in range(r)]
-            total = sum(w)
-            new_theta = total / sum(v)
-            v = [x / total for x in w]
-            stalled = abs(new_theta - theta) <= tol * abs(new_theta)
-            theta = new_theta
-            if stalled and residual() <= bound:
-                break
-        else:
-            resid = residual()
-            if resid > bound:
-                raise MeasureError(
-                    f"power iteration residual {resid} too large at {prec} bits")
-    return ApproxReal(theta, prec), [ApproxReal(x, prec) for x in v]
+    def total(xs):
+        """sum(xs) as mpf arithmetic forms it, from 0 left to right."""
+        acc = fzero
+        for x in xs:
+            acc = mpf_add(acc, x, prec, rnd)
+        return acc
+
+    def times_v(row):
+        return total([mpf_mul(x, y, prec, rnd) for x, y in zip(row, v)])
+
+    def residual():
+        worst = fzero
+        for row, x in zip(a, v):
+            dev = mpf_abs(mpf_sub(times_v(row), mpf_mul(theta, x, prec, rnd), prec, rnd))
+            if mpf_gt(dev, worst):
+                worst = dev
+        return worst
+
+    v = [mpf_div(from_int(1), from_int(r), prec, rnd)] * r
+    theta = fzero
+    # two equal successive estimates can be a coincidence far from the
+    # eigenvector (4/3, 5/4, 7/5, 9/7, 4/3, 4/3 on the plastic matrix), so
+    # a stalled theta ends the loop only once the residual test passes
+    for _ in range(64 * prec):
+        w = [times_v(row) for row in a]
+        w_total = total(w)
+        new_theta = mpf_div(w_total, total(v), prec, rnd)
+        v = [mpf_div(x, w_total, prec, rnd) for x in w]
+        stalled = mpf_le(mpf_abs(mpf_sub(new_theta, theta, prec, rnd)),
+                         mpf_mul(tol, mpf_abs(new_theta), prec, rnd))
+        theta = new_theta
+        if stalled and mpf_le(residual(), bound):
+            break
+    else:
+        resid = residual()
+        if mpf_gt(resid, bound):
+            with mpmath.workprec(prec):
+                raise MeasureError(f"power iteration residual {mpmath.mp.make_mpf(resid)} "
+                                   f"too large at {prec} bits")
+    return _approx(theta, prec), [_approx(x, prec) for x in v]
 
 
 def perron(diagram: BratteliDiagram, backend: Backend, dimension: int = 1) -> PerronData:

@@ -1,6 +1,7 @@
 """Path and dense-operator helpers that several test modules use as
-independent oracles, and the per-record views of the spectrum and of the
-affine recursion that tests compare against."""
+independent oracles, the per-record views of the spectrum and of the affine
+recursion that tests compare against, and the loop-by-loop forms of the
+dense index fill, the slot-copy check and the Perron power iteration."""
 
 from __future__ import annotations
 
@@ -9,13 +10,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 
+import mpmath
 import numpy as np
 
 from bratlap.cuntz import _expand
 from bratlap.diagram import EMPTY_PATH, BratteliDiagram, Path
 from bratlap.laplacian import (LaplacianError, StationaryCache, _level_paths, g_value,
                                walk_states)
-from bratlap.measure import WeightSystem, mu
+from bratlap.measure import MeasureError, WeightSystem, mu
+from bratlap.scalar import ApproxReal
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,82 @@ def whole_matrix_dense_spectrum(op) -> np.ndarray:
             parts.append(np.repeat(np.linalg.eigvalsh(own[0, :, 0, :] - own[0, :, 1, :]),
                                    g - 1))
     return np.sort(np.concatenate(parts))
+
+
+def blockwise_index(op) -> np.ndarray:
+    """op.index rebuilt block by block: the diagonal ids first, then for each
+    record in order every off-diagonal block (i, j) of its child cylinders
+    set to the ids of mu[column]/G(its key), with the ids interned per key
+    and letter in `dense_restriction`'s order after the diagonal's.  No
+    record writes outside its own off-diagonal blocks, so no write order is
+    relied on."""
+    index = np.zeros_like(op.index)
+    diagonal = np.diag(op.index)
+    np.fill_diagonal(index, diagonal)
+    next_id = int(diagonal.max()) + 1
+    meet_ids: dict[tuple[int, int], np.ndarray] = {}
+    for meet, ends in zip(op.meets, op.bounds):
+        lo, hi = ends[0], ends[-1]
+        ids = meet_ids.get(meet)
+        if ids is None:
+            ids = meet_ids[meet] = np.zeros(len(op.mu_values), index.dtype)
+            for v in set(op.vertex[lo:hi].tolist()):
+                ids[v], next_id = next_id, next_id + 1
+        row = ids[op.vertex[lo:hi]]
+        for i, j in product(range(len(ends) - 1), repeat=2):
+            if i != j:
+                index[ends[i]:ends[i + 1], ends[j]:ends[j + 1]] = \
+                    row[None, ends[j] - lo:ends[j + 1] - lo]
+    return index
+
+
+def slot_symmetry_message(op) -> str | None:
+    """The message `dense_spectrum` raises for the first slot copy, over
+    vertex pairs (v, w), then slot pairs (k, l), whose value ids differ from
+    the copy it stands for, by one comparison per copy; None when all agree."""
+    g, widths = op.symmetry_order, op.slot_widths
+    starts = np.cumsum((0,) + tuple(g * w for w in widths))
+    for v, w in product(range(len(widths)), repeat=2):
+        copies = op.index[starts[v]:starts[v + 1], starts[w]:starts[w + 1]] \
+            .reshape(g, widths[v], g, widths[w])
+        for k, l in product(range(g), repeat=2):
+            ref = copies[0, :, int(v == w and k != l), :]
+            if not np.array_equal(copies[k, :, l, :], ref):
+                return (f"rows of root edge ({v}, {k}) against columns of root "
+                        f"edge ({w}, {l}) differ from their slot copy")
+    return None
+
+
+def mpf_power_iteration(rows, backend):
+    """(theta, v) of the Perron power iteration on `mpmath.mpf` objects under
+    `mpmath.workprec`: the reference `measure._approx_eigen`, which calls the
+    libmp kernels itself, must match bit for bit."""
+    r = len(rows)
+    prec = backend.precision
+    tol = mpmath.mpf(2) ** (8 - prec)
+    bound = mpmath.mpf(2) ** (16 - prec)
+    with mpmath.workprec(prec):
+        def residual():
+            return max(abs(sum(mpmath.mpf(rows[i][j]) * v[j] for j in range(r))
+                           - theta * v[i]) for i in range(r))
+
+        v = [mpmath.mpf(1) / r] * r
+        theta = mpmath.mpf(0)
+        for _ in range(64 * prec):
+            w = [sum(mpmath.mpf(rows[i][j]) * v[j] for j in range(r)) for i in range(r)]
+            total = sum(w)
+            new_theta = total / sum(v)
+            v = [x / total for x in w]
+            stalled = abs(new_theta - theta) <= tol * abs(new_theta)
+            theta = new_theta
+            if stalled and residual() <= bound:
+                break
+        else:
+            resid = residual()
+            if resid > bound:
+                raise MeasureError(
+                    f"power iteration residual {resid} too large at {prec} bits")
+    return ApproxReal(theta, prec), [ApproxReal(x, prec) for x in v]
 
 
 def eigenvalue(ws: WeightSystem, path: Path, s) -> SpectralRecord:

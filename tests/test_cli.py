@@ -27,7 +27,7 @@ import bratlap
 from bratlap import cli, cuntz, laplacian, measure
 from bratlap.asymptotics import magnitude_table
 from bratlap.cli import _fmt, _fmt_exact, main
-from bratlap.diagram import build_diagram
+from bratlap.diagram import build_diagram, enumerate_paths
 from bratlap.presets import PRESETS, load_preset, preset_names
 from oracles import distance_to_unstable, full_spectrum, recursive_spectrum
 
@@ -106,10 +106,15 @@ def test_exact_string_format(capsys):
     assert "field=Q(sqrt5) basis=1,phi" in out
 
 
-def test_usage_error_depth_zero():
+def test_usage_error_depth_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--preset", "fibonacci", "--depth", "0", "--s", "1"])
     assert exc.value.code == 2
+    # strip is refused by the parser before strip_check's own refusal
+    with pytest.raises(SystemExit) as exc:
+        main(["strip", "--preset", "fibonacci", "--depth", "0", "--s", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: --depth must be >= 1\n")
 
 
 def test_usage_error_preset_and_file():
@@ -398,6 +403,18 @@ def test_dense_broken_slot_symmetry_exits_one(monkeypatch, capsys):
     assert code == 1
     assert captured.out == ""
     assert "slot symmetry" in captured.err
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_dense_paths_line_lists_the_enumerated_paths(preset, capsys):
+    """dense's path table, built on first read from the walk's arrays, names
+    the generation-n paths in enumerate_paths order."""
+    code, out = run_cli(["dense", "--preset", preset, "--depth", "3", "--s", "1"], capsys)
+    diagram = load_preset(preset).diagram
+    want = " ".join(diagram.format_path(p) for p in enumerate_paths(diagram, 3).paths)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("# paths:")] == \
+        [f"# paths: {want}"]
 
 
 @pytest.mark.parametrize("preset", ["penrose", "ammann-a2"])

@@ -494,6 +494,21 @@ def test_companion_embedding_propagates_unexpected_errors(monkeypatch):
         companion_embedding(pdata, 1)
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_strip_refuses_depth_below_one(monkeypatch, depth):
+    """A depth below 1 is refused before any label or distance is built."""
+    ws = fib_ws()
+    table = affine_table(ws, 1)
+    emb = companion_embedding(ws.perron, 1)
+
+    def no_labels(self, depth):
+        raise AssertionError("labels built")
+
+    monkeypatch.setattr(type(ws.diagram), "split_labels", no_labels)
+    with pytest.raises(CuntzError, match="depth must be >= 1"):
+        strip_check(emb, table, depth)
+
+
 def test_strip_refuses_non_hyperbolic():
     ws = fib_ws()
     table = affine_table(ws, 1)

@@ -37,11 +37,13 @@ from bratlap.scalar import (
     RationalBackend,
 )
 from oracles import (
+    blockwise_index,
     eigenvalue,
     extensions,
     full_spectrum,
     longest_common_prefix,
     path_key,
+    slot_symmetry_message,
     span,
     spectrum_multiset,
     walked_dense,
@@ -445,6 +447,14 @@ def test_interned_matrix_equals_object_matrix(preset):
                     plain, (n, s, r)
 
 
+def test_index_fill_equals_blockwise_fill_at_penrose_depth6():
+    """The pre-order fill against the block-by-block one where the spans
+    overlap most: penrose's 20 root slots at the depth past the default cap."""
+    op = dense_restriction(load_preset("penrose").weight_system, 6, 1, cap=8192)
+    assert op.vertex.size == 4660
+    assert np.array_equal(op.index, blockwise_index(op))
+
+
 def _listed(sums):
     """(a, b) range sums as a list of per-row pairs."""
     a, b = sums
@@ -571,21 +581,66 @@ def test_slot_split_spectrum_equals_full_eigvalsh(system, s):
             assert np.max(np.abs(split - full)) <= 1e-12 * np.max(np.abs(full)), n
 
 
-def test_verify_reports_broken_slot_symmetry(monkeypatch):
-    """One entry of one slot copy perturbed by a relative 1e-15 is caught by
-    the exact invariance check, not absorbed into the float tolerance."""
+def _slot_cell(op, v, k, a, w, l, b):
+    """The cell of row a of root edge (v, k) and column b of root edge (w, l)."""
+    g, widths = op.symmetry_order, op.slot_widths
+    starts = np.cumsum((0,) + tuple(g * x for x in widths))
+    return starts[v] + k * widths[v] + a, starts[w] + l * widths[w] + b
+
+
+# injected cells as (v, k, a, w, l, b): a copy of the (0, 0) block at v = w,
+# a copy of the (0, 1) block at v = w, a cross-vertex copy, the reference
+# copy itself, and two copies at once, where (1, 3) comes first
+_BROKEN_SLOTS = {
+    "same-slot": [(0, 1, 0, 0, 1, 0)],
+    "other-slot": [(0, 1, 0, 0, 2, 1)],
+    "other-vertex": [(0, 2, 1, 1, 0, 0)],
+    "reference": [(1, 0, 0, 1, 0, 0)],
+    "two-copies": [(0, 2, 0, 0, 1, 0), (0, 1, 1, 0, 3, 0)],
+}
+
+
+@pytest.mark.parametrize("cells", sorted(_BROKEN_SLOTS))
+@pytest.mark.parametrize("system", ["penrose", "ammann-a2"])
+def test_verify_reports_broken_slot_symmetry(monkeypatch, system, cells):
+    """Entries of slot copies perturbed by a relative 1e-15 are caught by
+    the exact invariance check, not absorbed into the float tolerance, and
+    dense_spectrum names the first broken copy as the copy-by-copy check
+    does (g = 20 on penrose, 4 on ammann-a2)."""
+    ws = penrose_ws() if system == "penrose" else \
+        load_preset(system, backend="approx:100").weight_system
+
     def perturbed(*args, **kwargs):
         op = dense_restriction(*args, **kwargs)
-        width = op.slot_widths[0]
-        # vertex 0, slot 1, diagonal
-        return _edit_entries(op, {(width, width): lambda x: x * (1 + 1e-15)})
+        return _edit_entries(op, {_slot_cell(op, *cell): lambda x: x * (1 + 1e-15)
+                                  for cell in _BROKEN_SLOTS[cells]})
+
+    op = perturbed(ws, 3, 2)
+    want = slot_symmetry_message(op)
+    assert want is not None
+    with pytest.raises(laplacian.SlotSymmetryError) as exc:
+        dense_spectrum(op)
+    assert str(exc.value) == want
+    if cells == "two-copies":
+        assert "(0, 1) against columns of root edge (0, 3)" in want
 
     monkeypatch.setattr(laplacian, "dense_restriction", perturbed)
-    report = verify_spectrum(penrose_ws(), 3, 2)
+    report = verify_spectrum(ws, 3, 2)
     assert not report.ok
-    assert any(m.startswith("slot symmetry:") for m in report.mismatches)
+    assert f"slot symmetry: {want}" in report.mismatches
     assert report.lines()[0].endswith("FAIL")
     assert any("mismatch: slot symmetry" in line for line in report.lines())
+
+
+def test_verify_builds_no_path(monkeypatch):
+    """verify reads the walk's arrays only: the path table is built on first
+    read, which verify never makes."""
+    def no_paths(levels):
+        raise AssertionError("verify built Paths")
+
+    monkeypatch.setattr(laplacian, "_level_paths", no_paths)
+    report = verify_spectrum(penrose_ws(), 5, 1)
+    assert report.ok and report.dense_size == 1780
 
 
 def test_verify_ammann_depth7_half_passes():
@@ -764,7 +819,10 @@ def test_dense_walk_yields_full_spectrum_leaves_and_cylinders(name, backend):
     records after the zero one, record for record, the leaves in
     enumerate_paths order, and as each record's bounds the cylinders of its
     base's extensions, one more than its multiplicity.  verify adds the
-    zero eigenvalue to the records' multiset."""
+    zero eigenvalue to the records' multiset.  The index, filled with one
+    write per record's whole span in pre-order, equals the block-by-block
+    fill of the records' off-diagonal child blocks, on the folded diagrams
+    (g = 20, 4) too."""
     ws = load_preset(name, backend=None if backend == "field" else backend).weight_system
     diagram = ws.diagram
     for s, n in product((0, Fraction(1, 2), 1, 2), range(1, 6)):
@@ -775,6 +833,7 @@ def test_dense_walk_yields_full_spectrum_leaves_and_cylinders(name, backend):
         for got, rec in zip(op.records, want[1:]):
             _same_value(got, rec)
         assert op.table.paths == enumerate_paths(diagram, n).paths
+        assert np.array_equal(op.index, blockwise_index(op)), (s, n)
         assert len(op.bounds) == len(op.records)
         for rec, ends in zip(want[1:], op.bounds):
             assert len(ends) - 2 == rec.multiplicity, (s, n, rec.path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import time
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from bratlap.diagram import (EMPTY_PATH, DiagramError, Path, build_diagram, enum
 from bratlap.measure import (
     EXACT_POWER_LOG2_LIMIT,
     MeasureError,
+    _approx_eigen,
     _exact_eigenvector,
     _field_root,
     _power,
@@ -30,7 +32,7 @@ from bratlap.measure import (
 )
 from bratlap.presets import PRESETS
 from bratlap.scalar import ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend
-from oracles import longest_common_prefix, path_key
+from oracles import longest_common_prefix, mpf_power_iteration, path_key
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -105,6 +107,37 @@ def test_perron_plastic_power_iteration(bits):
         assert abs(theta ** 3 - theta - 1) < mpmath.mpf(2) ** (20 - bits)
         v = [x.value for x in p.v_right]
         assert abs(v[1] - theta * v[0]) < mpmath.mpf(2) ** (20 - bits)
+
+
+def _same_power_iteration(matrix, bits):
+    """_approx_eigen and the mpf-object iteration give theta and v with equal
+    raw mpf tuples at the same precision, or the same refusal."""
+    backend = ApproxBackend(bits)
+    try:
+        want = mpf_power_iteration(matrix, backend)
+    except MeasureError as exc:
+        with pytest.raises(MeasureError, match=re.escape(str(exc))):
+            _approx_eigen(matrix, backend)
+        return
+    theta, v = _approx_eigen(matrix, backend)
+    assert (theta.value._mpf_, theta.precision) == (want[0].value._mpf_, bits)
+    assert [x.value._mpf_ for x in v] == [x.value._mpf_ for x in want[1]]
+
+
+@pytest.mark.parametrize("bits", [53, 100, 200])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_power_iteration_bits_equal_mpf_iteration_on_presets(name, bits):
+    _same_power_iteration(PRESETS[name].matrix, bits)
+
+
+@given(st.integers(2, 3).flatmap(
+    lambda r: st.lists(st.lists(st.integers(0, 3), min_size=r, max_size=r),
+                       min_size=r, max_size=r)),
+       st.sampled_from([53, 100, 200]))
+@settings(max_examples=100, deadline=None)
+def test_power_iteration_bits_equal_mpf_iteration(matrix, bits):
+    assume(is_primitive(matrix))
+    _same_power_iteration(matrix, bits)
 
 
 def test_exact_power_beyond_float_range_refused():
