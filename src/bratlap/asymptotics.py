@@ -466,6 +466,18 @@ def factor_complexity(rule: SubstitutionRule, n_max: int) -> ComplexityTable:
             out.extend(images[ch])
         return out
 
+    # every round's length follows from the letter counts, by powers of the
+    # rule's abelianization; the loop returns at the second counted round at
+    # the earliest, so a prefix that round takes past the cap is refused first
+    grow = [[images[m].count(l) for m in rule.letters] for l in rule.letters]
+    counts, lengths = [int(l == seed) for l in rule.letters], []
+    while sum(n >= 4 * n_max for n in lengths[1:]) < 2:
+        for _ in range(power):
+            counts = [sum(g * c for g, c in zip(row, counts)) for row in grow]
+        lengths.append(sum(counts))
+        if lengths[-1] > MAX_PREFIX_LENGTH:
+            raise AsymptoticsError(f"fixed-point prefix exceeded {MAX_PREFIX_LENGTH} letters")
+
     word = [seed]
     for _ in range(power):
         word = substitute(word)

@@ -22,7 +22,7 @@ from . import _linalg
 from .diagram import (DEFAULT_PATH_CAP, EMPTY_PATH, Path, PathTable, path_counts,
                       predicted_path_count)
 from .measure import WeightSystem, diam_power, mu
-from .scalar import ApproxReal, QuadraticNumber
+from .scalar import ApproxReal, QuadraticNumber, _quad
 
 DEFAULT_DENSE_CAP = 4096
 ROW_BLOCK = 256      # rows DenseOperator.symmetrized reads and scales at a time
@@ -145,34 +145,48 @@ class WalkLevel:
     Per range vertex, -1 the root's, `leaves` counts the generation-`depth`
     paths below a path of the generation that ends there.  `splits` lists
     the paths with two or more extensions, those with a record, and
-    `multiplicity` their extensions less one.  Per walk state, `partials`
-    holds its partial sum and `state_vertex` its range vertex.  A plain
-    class, not a dataclass, which would add about 1 ms to every import."""
+    `multiplicity` their extensions less one.  Per walk state,
+    `state_vertex` holds its range vertex and `partials` its partial sum,
+    read from `sums`: integer numerators over one denominator while every
+    term so far is exact, else the scalars, as an ApproxReal sum's bits
+    depend on its order of additions.  A plain class, not a dataclass,
+    which would add about 1 ms to every import."""
 
     def __init__(self, generation: int, state, vertex, parent, edge, rank, first_leaf,
-                 leaves, splits, multiplicity, partials: list, state_vertex: list,
+                 leaves, splits, multiplicity, sums, state_vertex: list,
                  cache: StationaryCache):
         self.generation, self.state, self.vertex = generation, state, vertex
         self.parent, self.edge, self.rank, self.first_leaf = parent, edge, rank, first_leaf
         self.leaves, self.splits, self.multiplicity = leaves, splits, multiplicity
-        self.partials, self.state_vertex, self.cache = partials, state_vertex, cache
+        self.sums, self.state_vertex, self.cache = sums, state_vertex, cache
+
+    @cached_property
+    def partials(self) -> list:
+        return [x for x, _ in self.sums.pairs()] if isinstance(self.sums, _Numerators) \
+            else self.sums
 
     @cached_property
     def values(self) -> list:
         """Per walk state, (value, float) at a vertex with two or more
         extensions and None elsewhere: its partial plus the final term keyed
-        by (range vertex, generation).  It is formed on first read, so a
-        generation that is not read computes no final term and no G."""
+        by (range vertex, generation), added as integer numerators when both
+        are exact.  It is formed on first read, so a generation that is not
+        read computes no final term and no G."""
         targets = self.cache.ws.diagram.targets
         finals = {v: self.cache.final_at(v, self.generation)
                   for v in dict.fromkeys(self.state_vertex) if len(targets[v]) >= 2}
-        out = []
-        for partial, v in zip(self.partials, self.state_vertex):
-            val = finals.get(v)
-            if val is not None:
-                val = partial + val
-                val = (val, float(val))
-            out.append(val)
+        vertex = np.array(self.state_vertex)
+        keep = np.flatnonzero(np.array([len(t) >= 2 for t in targets])[vertex])
+        if isinstance(self.sums, _Numerators) and \
+                not any(isinstance(x, ApproxReal) for x in finals.values()):
+            pairs = self.sums.plus(finals, (len(targets),), (vertex[keep],), keep).pairs()
+        else:
+            values = [self.partials[i] + finals[v]
+                      for i, v in zip(keep.tolist(), vertex[keep].tolist())]
+            pairs = [(x, float(x)) for x in values]
+        out = [None] * len(vertex)
+        for i, pair in zip(keep.tolist(), pairs):
+            out[i] = pair
         return out
 
 
@@ -193,7 +207,9 @@ def walk_states(cache: StationaryCache, depth: int):
     path of it, and out-edges run in target order.  Each partial is formed
     once per state from the same operands in the same order as the direct
     per-path formula, so the scalars equal a path-by-path walk's, bit for
-    bit on the approximate backend.
+    bit on the approximate backend.  While the terms are exact the partials
+    are integer numerators over one denominator per generation, each step
+    term rescaled once per (vertex, child) key (`WalkLevel.sums`).
 
     Paths are index arrays.  A path's children are its range vertex's
     out-edges in order, so a level lists its paths by parent, then edge.  A
@@ -241,12 +257,13 @@ def _levels(cache: StationaryCache, depth: int):
     state = np.zeros(1, np.int64)
     vertex = parent = edge = np.full(1, -1)
     rank, first = np.ones(1, np.int64), np.zeros(1, np.int64)
-    partials, state_vertex = [cache.ws.backend.zero], [-1]
+    zero, state_vertex = cache.ws.backend.zero, [-1]
+    sums = [zero] if isinstance(zero, ApproxReal) else _Numerators([zero])
     for k in range(depth + 1):
         mult = count[vertex] - 1
         splits = np.flatnonzero(mult)
-        yield WalkLevel(k, state, vertex, parent, edge, rank, first, leaves[k], splits,
-                        mult[splits], partials, state_vertex, cache)
+        yield (level := WalkLevel(k, state, vertex, parent, edge, rank, first, leaves[k],
+                                  splits, mult[splits], sums, state_vertex, cache))
         if k == depth:
             return
         n_children = mult + 1
@@ -258,7 +275,7 @@ def _levels(cache: StationaryCache, depth: int):
         edge, vertex = slot_edge[slot], slot_target[slot]
         # the child states, numbered in the order of their codes
         key = state[parent] * letters + vertex
-        present = np.zeros(len(partials) * letters, bool)
+        present = np.zeros(len(state_vertex) * letters, bool)
         present[key] = True
         state = (np.cumsum(present) - 1)[key]
         parent_state, child_vertex = np.divmod(np.flatnonzero(present), letters)
@@ -267,12 +284,17 @@ def _levels(cache: StationaryCache, depth: int):
         # vertex has a single extension, whose increment vanishes
         steps = {(v, t): cache.step_at(v, k, t) if split[v] else None
                  for v in dict.fromkeys(state_vertex) for t in targets[v]}
-        child_partials = []
-        child_vertex = child_vertex.tolist()
-        for p, t in zip(parent_state.tolist(), child_vertex):
-            step = steps[state_vertex[p], t]
-            child_partials.append(partials[p] if step is None else partials[p] + step)
-        partials, state_vertex = child_partials, child_vertex
+        # the one fork: integer numerators while every term is exact
+        if isinstance(sums, _Numerators) and \
+                not any(isinstance(x, ApproxReal) for x in steps.values()):
+            sums = sums.plus(steps, (letters + 1, letters),
+                             (np.array(state_vertex)[parent_state], child_vertex), parent_state)
+        else:
+            partials, sums = level.partials, []
+            for p, t in zip(parent_state.tolist(), child_vertex.tolist()):
+                step = steps[state_vertex[p], t]
+                sums.append(partials[p] if step is None else partials[p] + step)
+        state_vertex = child_vertex.tolist()
 
 
 def _level_paths(levels: list[WalkLevel]) -> list[list[Path]]:
@@ -689,17 +711,45 @@ def _range_sums(prefix: list[np.ndarray], row, lo: np.ndarray, hi: np.ndarray) -
     return sums[0], sums[1] if len(sums) == 2 else 0
 
 
+def _parts(x) -> tuple[int, int, int]:
+    """An exact scalar as ints (p, q, r), x = (p + q sqrt(disc)) / r."""
+    return (x.p, x.q, x.r) if isinstance(x, QuadraticNumber) else (x.numerator, 0, x.denominator)
+
+
 class _Numerators:
     """Exact scalars as integer numerators over one common denominator:
-    x[k] = (a[k] + b[k] sqrt(disc)) / den, with b = 0 and disc = 0 on Q."""
+    x[k] = (a[k] + b[k] sqrt(disc)) / den, with b = 0 and disc = 0 on Q,
+    read off a QuadraticNumber's (p, q, r) and a rational's numerator."""
 
     def __init__(self, scalars):
-        parts = [(x.a, x.b) if isinstance(x, QuadraticNumber) else (Fraction(x), Fraction(0))
-                 for x in scalars]
+        parts = [_parts(x) for x in scalars]
         self.disc = next((x.disc for x in scalars if isinstance(x, QuadraticNumber)), 0)
-        self.den = math.lcm(*{q.denominator for pair in parts for q in pair})
-        self.a, self.b = (np.array([q.numerator * (self.den // q.denominator) for q in col],
-                                   dtype=object) for col in zip(*parts))
+        self.den = math.lcm(*(r for _, _, r in parts))
+        self.a, self.b = (np.array([x[j] * (self.den // x[2]) for x in parts], dtype=object)
+                          for j in range(2))
+
+    def plus(self, terms: dict, shape: tuple, at: tuple, take: np.ndarray) -> "_Numerators":
+        """x[take] plus, entry by entry, table[at]: the table of the given
+        shape holds each exact terms[key] at its key and 0 elsewhere (None
+        adds nothing), each term rescaled once to the new denominator."""
+        parts = {key: _parts(x) for key, x in terms.items() if x is not None}
+        out = object.__new__(_Numerators)
+        out.disc, out.b = self.disc, self.b[take]
+        out.den = math.lcm(self.den, *(r for _, _, r in parts.values()))
+        for j, name in enumerate(("a", "b")[:1 + bool(self.disc)]):
+            table = np.zeros(shape, object)
+            for key, part in parts.items():
+                table[key] = part[j] * (out.den // part[2])
+            setattr(out, name, getattr(self, name)[take] * (out.den // self.den) + table[at])
+        return out
+
+    def pairs(self) -> list[tuple]:
+        """(scalar in lowest terms, float) per entry.  A rational's float is
+        its numerator over den, int by int, which rounds as float(Fraction)."""
+        if self.disc:
+            return [(x, float(x)) for x in (_quad(p, q, self.den, self.disc)
+                                            for p, q in zip(self.a.tolist(), self.b.tolist()))]
+        return [(Fraction(p, self.den), p / self.den) for p in self.a.tolist()]
 
     def prefix_sums(self, ids: np.ndarray) -> list[np.ndarray]:
         """Prefix sums of den * x[ids] along each row of the 2-D ids, with a

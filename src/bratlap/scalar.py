@@ -2,12 +2,15 @@
 real quadratic fields Q(sqrt(D)), and precision-tracked floats.
 
 The golden-mean families all live in Q(sqrt(5)), so the quadratic backend lets
-every reference constant be checked with zero rounding error.  Generic
-matrices whose dominant eigenvalue has algebraic degree above two run on the
-approximate backend instead.  A backend only names and builds its field; the
-arithmetic decisions live on the scalars: `exact_power` is the one rule for
-which powers stay in a field, `scalar_sign` and `compare` the one comparison,
-and float(x) the one conversion.
+every reference constant be checked with zero rounding error.  Its scalars
+hold ints, (p + q*sqrt(D)) / r in lowest terms, so exact arithmetic is int
+arithmetic; float(x) divides those ints, so it keeps the bits float gives on
+the Fraction coordinates.  Generic matrices whose dominant eigenvalue has
+algebraic degree above two run on the approximate backend instead.  A backend
+only names and builds its field; the arithmetic decisions live on the
+scalars: `exact_power` is the one rule for which powers stay in a field,
+`scalar_sign` and `compare` the one comparison, and float(x) the one
+conversion.
 """
 
 from __future__ import annotations
@@ -82,92 +85,114 @@ def is_square_free(n: int) -> bool:
     return n > 0 and square_free_part(n) == n
 
 
-@dataclass(frozen=True)
 class QuadraticNumber:
-    """Element a + b*sqrt(disc) of the real quadratic field Q(sqrt(disc)).
+    """Element (p + q*sqrt(disc)) / r of the real quadratic field
+    Q(sqrt(disc)), held as ints with r > 0 and gcd(p, q, r) = 1: a unique
+    form, so two values are equal iff their fields are, and each operation
+    is int arithmetic with one gcd.  a = p/r and b = q/r are Fraction
+    properties.  The embedding uses the root sqrt(disc) > 0; float(x)
+    divides ints, which rounds correctly, so it has the bits float gives on
+    a and b.  Immutable: memo tables share the values."""
 
-    The embedding always uses the positive root sqrt(disc) > 0; two values are
-    equal iff they agree componentwise.
-    """
+    __slots__ = ("p", "q", "r", "disc")
 
-    a: Fraction
-    b: Fraction
-    disc: int
+    def __new__(cls, a, b, disc: int):
+        a, b = _as_fraction(a), _as_fraction(b)
+        if disc < 2 or not is_square_free(disc):
+            raise ValueError(f"discriminant must be square-free and >= 2, got {disc}")
+        return _quad(a.numerator * b.denominator, b.numerator * a.denominator,
+                     a.denominator * b.denominator, disc)
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
-        if self.disc < 2 or not is_square_free(self.disc):
-            raise ValueError(f"discriminant must be square-free and >= 2, got {self.disc}")
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadraticNumber is immutable")
 
-    def _coerce(self, other) -> "QuadraticNumber | None":
+    def __reduce__(self):
+        return _quad, (self.p, self.q, self.r, self.disc)
+
+    def __eq__(self, other):
+        if other.__class__ is not QuadraticNumber:
+            return NotImplemented
+        return (self.p, self.q, self.r, self.disc) == (other.p, other.q, other.r, other.disc)
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.r, self.disc))
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.r)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.r)
+
+    def _coerce(self, other) -> tuple[int, int, int] | None:
+        """other as (p, q, r), or None unless it is an int, a Fraction or a
+        QuadraticNumber of the same field."""
         if isinstance(other, QuadraticNumber):
             if other.disc != self.disc:
                 raise ValueError(f"mismatched discriminants {self.disc} and {other.disc}")
-            return other
+            return other.p, other.q, other.r
         if isinstance(other, (int, Fraction)):
-            return _quad(_as_fraction(other), Fraction(0), self.disc)
+            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _quad(self.a + o.a, self.b + o.b, self.disc)
+        p, q, r = o
+        return _quad(self.p * r + p * self.r, self.q * r + q * self.r, self.r * r, self.disc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _quad(-self.a, -self.b, self.disc)
+        return _quad(-self.p, -self.q, self.r, self.disc)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _quad(self.a - o.a, self.b - o.b, self.disc)
+        p, q, r = o
+        return _quad(self.p * r - p * self.r, self.q * r - q * self.r, self.r * r, self.disc)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        p, q, r = o
+        return _quad(p * self.r - self.p * r, q * self.r - self.q * r, self.r * r, self.disc)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _quad(
-            self.a * o.a + self.b * o.b * self.disc,
-            self.a * o.b + self.b * o.a,
-            self.disc,
-        )
+        p, q, r = o
+        return _quad(self.p * p + self.q * q * self.disc, self.p * q + self.q * p,
+                     self.r * r, self.disc)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadraticNumber":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        return _quad(self.a / n, -self.b / n, self.disc)
+        return _quotient((1, 0, 1), (self.p, self.q, self.r), self.disc)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _quotient((self.p, self.q, self.r), o, self.disc)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _quotient(o, (self.p, self.q, self.r), self.disc)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = _quad(Fraction(1), Fraction(0), self.disc)
+        out = _quad(1, 0, 1, self.disc)
         base = self
         while k:
             if k & 1:
@@ -177,71 +202,51 @@ class QuadraticNumber:
         return out
 
     def conjugate(self) -> "QuadraticNumber":
-        return _quad(self.a, -self.b, self.disc)
+        return _quad(self.p, -self.q, self.r, self.disc)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.disc
+        return Fraction(self.p * self.p - self.q * self.q * self.disc, self.r * self.r)
 
     def sign(self) -> int:
-        """Exact sign of the real embedding, by case analysis on a and a^2 - b^2 D."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        n = self.norm()
-        s = (n > 0) - (n < 0)
-        return s if a > 0 else -s
+        """Exact sign of the real embedding: that of p + q when p and q do
+        not have opposite signs, else that of p times p^2 - q^2 D."""
+        p, q = self.p, self.q
+        if (p >= 0) == (q >= 0) or not p or not q:
+            return (p + q > 0) - (p + q < 0)
+        n = p * p - q * q * self.disc
+        return (n > 0) - (n < 0) if p > 0 else (n < 0) - (n > 0)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.q == 0
 
     def sqrt(self) -> "QuadraticNumber | None":
         """Exact non-negative square root inside the same field, or None.
 
-        Solves (c + e*sqrt(D))^2 = a + b*sqrt(D), which requires the norm
-        a^2 - D b^2 to be a rational square.
+        (c + e*sqrt(D))^2 = a + b*sqrt(D) means c^2 + D e^2 = a and 2ce = b,
+        so e^2 = (a + n) / 2D or (a - n) / 2D, with n^2 = a^2 - D b^2 the
+        norm, a rational square; e = 0 leaves b = 0 and c^2 = a.
         """
         if self.sign() < 0:
             return None
-        if self.is_zero():
-            return QuadraticNumber(Fraction(0), Fraction(0), self.disc)
         a, b, d = self.a, self.b, self.disc
-        if b == 0:
-            r = rational_sqrt(a)
-            if r is not None:
-                return QuadraticNumber(r, Fraction(0), d)
-            r = rational_sqrt(a / d)
-            if r is not None:
-                return QuadraticNumber(Fraction(0), r, d)
-            return None
         n = rational_sqrt(a * a - b * b * d)
-        if n is None:
-            return None
-        for e2 in ((a + n) / (2 * d), (a - n) / (2 * d)):
-            e = rational_sqrt(e2)
-            if e is None or e == 0:
-                continue
-            c = b / (2 * e)
-            cand = QuadraticNumber(c, e, d)
-            if (cand * cand).a == a and (cand * cand).b == b and cand.sign() >= 0:
-                return cand
-            cand = -cand
-            if (cand * cand).a == a and (cand * cand).b == b and cand.sign() >= 0:
-                return cand
+        for e in () if n is None else (rational_sqrt((a + n) / (2 * d)),
+                                       rational_sqrt((a - n) / (2 * d))):
+            if e:
+                root = QuadraticNumber(b / (2 * e), e, d)
+                return root if root.sign() >= 0 else -root
+            if e == 0 and (c := rational_sqrt(a)) is not None:
+                return QuadraticNumber(c, 0, d)
         return None
 
     def __float__(self) -> float:
-        x = float(self.a)
-        y = float(self.b) * math.sqrt(self.disc)
+        x = self.p / self.r
+        y = self.q / self.r * math.sqrt(self.disc)
         if x > 0 > y or y > 0 > x:
             # x + y cancels; norm / (a - b*sqrt(D)), the same number, does not
             try:
-                return float(self.norm()) / (x - y)
+                norm = (self.p * self.p - self.q * self.q * self.disc) / (self.r * self.r)
+                return norm / (x - y)
             except OverflowError:       # the norm is beyond the float range
                 pass
         return x + y
@@ -370,15 +375,27 @@ def _approx(raw: tuple, precision: int) -> ApproxReal:
     return out
 
 
-def _quad(a: Fraction, b: Fraction, disc: int) -> QuadraticNumber:
-    """A QuadraticNumber from arithmetic on validated operands, skipping
-    __post_init__: the parts are already Fractions and disc already passed
-    the square-free check."""
+def _quad(p: int, q: int, r: int, disc: int) -> QuadraticNumber:
+    """(p + q*sqrt(disc)) / r in lowest terms with r > 0, for r != 0 and a
+    disc that already passed the constructor's check."""
+    g = math.gcd(p, q, r)
+    if r < 0:
+        g = -g
     out = _new(QuadraticNumber)
-    _setattr(out, "a", a)
-    _setattr(out, "b", b)
+    _setattr(out, "p", p // g)
+    _setattr(out, "q", q // g)
+    _setattr(out, "r", r // g)
     _setattr(out, "disc", disc)
     return out
+
+
+def _quotient(x: tuple, y: tuple, disc: int) -> QuadraticNumber:
+    """x / y for (p, q, r) triples: x times y's conjugate over y's norm."""
+    (p, q, r), (u, v, w) = x, y
+    n = u * u - v * v * disc
+    if n == 0:
+        raise ZeroDivisionError("division by zero in quadratic field")
+    return _quad(w * (p * u - q * v * disc), w * (q * u - p * v), r * n, disc)
 
 
 def _operand(x, precision: int) -> tuple | None:
@@ -414,46 +431,44 @@ def exact_power(x, e: Fraction):
 
 
 def scalar_sign(x) -> int:
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, int)):
         return (x > 0) - (x < 0)
     if isinstance(x, (QuadraticNumber, ApproxReal)):
         return x.sign()
-    if isinstance(x, int):
-        return (x > 0) - (x < 0)
     raise TypeError(f"not a scalar: {type(x).__name__}")
 
 
 def compare(x, y) -> int:
     """Exact three-way comparison of two scalars from the same backend."""
     kinds = {type(x), type(y)} - {int}
-    if QuadraticNumber in kinds and ApproxReal in kinds:
-        raise ValueError("cannot compare scalars from different backends")
-    if Fraction in kinds and ApproxReal in kinds:
+    if ApproxReal in kinds and kinds & {QuadraticNumber, Fraction}:
         raise ValueError("cannot compare scalars from different backends")
     return scalar_sign(x - y)
 
 
+class _Field:
+    """What every backend derives from its `make`."""
+
+    @property
+    def zero(self):
+        return self.make(0)
+
+    @property
+    def one(self):
+        return self.make(1)
+
+
 @dataclass(frozen=True)
-class RationalBackend:
+class RationalBackend(_Field):
     kind = "rational"
     is_exact = True
 
     def make(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, QuadraticNumber) and x.b == 0:
+        if isinstance(x, (int, Fraction)):
+            return _as_fraction(x)
+        if isinstance(x, QuadraticNumber) and x.q == 0:
             return x.a
         raise TypeError(f"rational backend cannot hold {x!r}")
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def format_exact(self, x) -> str:
         return str(self.make(x))
@@ -463,7 +478,7 @@ class RationalBackend:
 
 
 @dataclass(frozen=True)
-class QuadraticBackend:
+class QuadraticBackend(_Field):
     disc: int
     is_exact = True
 
@@ -481,18 +496,10 @@ class QuadraticBackend:
                 raise ValueError(f"mismatched discriminants {x.disc} and {self.disc}")
             return x
         if isinstance(x, (int, Fraction)):
-            return QuadraticNumber(_as_fraction(x), Fraction(0), self.disc)
+            return QuadraticNumber(x, 0, self.disc)
         if isinstance(x, tuple) and len(x) == 2:
-            return QuadraticNumber(_as_fraction(x[0]), _as_fraction(x[1]), self.disc)
+            return QuadraticNumber(*x, self.disc)
         raise TypeError(f"quadratic backend cannot hold {x!r}")
-
-    @property
-    def zero(self):
-        return self.make(0)
-
-    @property
-    def one(self):
-        return self.make(1)
 
     def format_exact(self, x) -> str:
         x = self.make(x)
@@ -508,7 +515,7 @@ class QuadraticBackend:
 
 
 @dataclass(frozen=True)
-class ApproxBackend:
+class ApproxBackend(_Field):
     precision: int = MIN_PRECISION
     is_exact = False
 
@@ -522,14 +529,6 @@ class ApproxBackend:
 
     def make(self, x) -> ApproxReal:
         return ApproxReal.make(x, self.precision)
-
-    @property
-    def zero(self):
-        return self.make(0)
-
-    @property
-    def one(self):
-        return self.make(1)
 
     def header(self) -> str:
         return f"field=R precision={self.precision}bits"

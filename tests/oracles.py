@@ -1,10 +1,12 @@
 """Path and dense-operator helpers that several test modules use as
 independent oracles, the per-record views of the spectrum and of the affine
 recursion that tests compare against, and the loop-by-loop forms of the
-dense index fill, the slot-copy check and the Perron power iteration."""
+dense index fill, the slot-copy check and the Perron power iteration, the
+Fraction-pair quadratic scalar and the walk's object loop."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +20,7 @@ from bratlap.diagram import EMPTY_PATH, BratteliDiagram, Path
 from bratlap.laplacian import (LaplacianError, StationaryCache, _level_paths, g_value,
                                walk_states)
 from bratlap.measure import MeasureError, WeightSystem, mu
-from bratlap.scalar import ApproxReal
+from bratlap.scalar import ApproxReal, _as_fraction, is_square_free, rational_sqrt
 
 
 @dataclass(frozen=True)
@@ -399,3 +401,215 @@ def walked_dense(ws: WeightSystem, n: int, s):
 
     walk(cache, n, visit)
     return records, leaves, bounds, ids
+
+
+@dataclass(frozen=True)
+class PairQuadratic:
+    """Element a + b*sqrt(disc) of the real quadratic field Q(sqrt(disc)) as
+    a pair of Fractions: the form `scalar.QuadraticNumber` had before it
+    held integers (p + q*sqrt(disc)) / r, kept as the reference its
+    arithmetic, signs, roots, text and floats must match.
+
+    The embedding always uses the positive root sqrt(disc) > 0; two values are
+    equal iff they agree componentwise.
+    """
+
+    a: Fraction
+    b: Fraction
+    disc: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", _as_fraction(self.a))
+        object.__setattr__(self, "b", _as_fraction(self.b))
+        if self.disc < 2 or not is_square_free(self.disc):
+            raise ValueError(f"discriminant must be square-free and >= 2, got {self.disc}")
+
+    def _coerce(self, other) -> "PairQuadratic | None":
+        if isinstance(other, PairQuadratic):
+            if other.disc != self.disc:
+                raise ValueError(f"mismatched discriminants {self.disc} and {other.disc}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return _pair(_as_fraction(other), Fraction(0), self.disc)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _pair(self.a + o.a, self.b + o.b, self.disc)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _pair(-self.a, -self.b, self.disc)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _pair(self.a - o.a, self.b - o.b, self.disc)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _pair(
+            self.a * o.a + self.b * o.b * self.disc,
+            self.a * o.b + self.b * o.a,
+            self.disc,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "PairQuadratic":
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero in quadratic field")
+        return _pair(self.a / n, -self.b / n, self.disc)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = _pair(Fraction(1), Fraction(0), self.disc)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def conjugate(self) -> "PairQuadratic":
+        return _pair(self.a, -self.b, self.disc)
+
+    def norm(self) -> Fraction:
+        return self.a * self.a - self.b * self.b * self.disc
+
+    def sign(self) -> int:
+        """Exact sign of the real embedding, by case analysis on a and a^2 - b^2 D."""
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return (b > 0) - (b < 0)
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        n = self.norm()
+        s = (n > 0) - (n < 0)
+        return s if a > 0 else -s
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def sqrt(self) -> "PairQuadratic | None":
+        """Exact non-negative square root inside the same field, or None.
+
+        Solves (c + e*sqrt(D))^2 = a + b*sqrt(D), which requires the norm
+        a^2 - D b^2 to be a rational square.
+        """
+        if self.sign() < 0:
+            return None
+        if self.is_zero():
+            return PairQuadratic(Fraction(0), Fraction(0), self.disc)
+        a, b, d = self.a, self.b, self.disc
+        if b == 0:
+            r = rational_sqrt(a)
+            if r is not None:
+                return PairQuadratic(r, Fraction(0), d)
+            r = rational_sqrt(a / d)
+            if r is not None:
+                return PairQuadratic(Fraction(0), r, d)
+            return None
+        n = rational_sqrt(a * a - b * b * d)
+        if n is None:
+            return None
+        for e2 in ((a + n) / (2 * d), (a - n) / (2 * d)):
+            e = rational_sqrt(e2)
+            if e is None or e == 0:
+                continue
+            c = b / (2 * e)
+            cand = PairQuadratic(c, e, d)
+            if (cand * cand).a == a and (cand * cand).b == b and cand.sign() >= 0:
+                return cand
+            cand = -cand
+            if (cand * cand).a == a and (cand * cand).b == b and cand.sign() >= 0:
+                return cand
+        return None
+
+    def __float__(self) -> float:
+        x = float(self.a)
+        y = float(self.b) * math.sqrt(self.disc)
+        if x > 0 > y or y > 0 > x:
+            # x + y cancels; norm / (a - b*sqrt(D)), the same number, does not
+            try:
+                return float(self.norm()) / (x - y)
+            except OverflowError:       # the norm is beyond the float range
+                pass
+        return x + y
+
+    def __repr__(self) -> str:
+        return f"QuadraticNumber({self.a}, {self.b}, sqrt{self.disc})"
+
+
+def _pair(a: Fraction, b: Fraction, disc: int) -> PairQuadratic:
+    """A PairQuadratic from arithmetic on validated operands, skipping
+    __post_init__."""
+    out = object.__new__(PairQuadratic)
+    object.__setattr__(out, "a", a)
+    object.__setattr__(out, "b", b)
+    object.__setattr__(out, "disc", disc)
+    return out
+
+
+def object_walk(levels: list) -> list[tuple[list, list]]:
+    """Per level of `laplacian.walk_states`, (partials, values) by the loop
+    the walk ran before it kept exact partial sums as integer numerators:
+    every partial its parent state's plus the step term of the edge between
+    them, and every value the partial plus the final term, added as
+    scalars.  The states and their range vertices are read off the levels'
+    path arrays."""
+    cache = levels[0].cache
+    targets = cache.ws.diagram.targets
+    partials, out = [cache.ws.backend.zero], []
+    for k, level in enumerate(levels):
+        state_vertex = {}
+        for state, v in zip(level.state.tolist(), level.vertex.tolist()):
+            state_vertex.setdefault(state, v)
+        if k:
+            up, child = levels[k - 1], {}
+            for p, state, t in zip(level.parent.tolist(), level.state.tolist(),
+                                   level.vertex.tolist()):
+                if state not in child:
+                    v, partial = int(up.vertex[p]), partials[int(up.state[p])]
+                    child[state] = partial + cache.step_at(v, k - 1, t) \
+                        if len(targets[v]) >= 2 else partial
+            partials = [child[state] for state in range(len(child))]
+        values = []
+        for partial, v in zip(partials, (state_vertex[i] for i in range(len(partials)))):
+            value = partial + cache.final_at(v, k) if len(targets[v]) >= 2 else None
+            values.append(None if value is None else (value, float(value)))
+        out.append((partials, values))
+    return out

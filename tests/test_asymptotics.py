@@ -391,3 +391,58 @@ def test_ols_loglog_recovers_power_law():
     fit = ols_loglog(xs, ys)
     assert fit.slope == pytest.approx(0.5, abs=1e-12)
     assert fit.residual < 1e-12
+
+
+def _counting_loop_raises(rule: SubstitutionRule, n_max: int, cap: int) -> bool:
+    """Whether the counting loop of `factor_complexity` as it ran without a
+    refusal up front passes `cap` letters before it returns: the prefix
+    grows by `power` substitutions a round, and from the first round of at
+    least 4 * n_max letters it returns once the factor counts of two
+    successive rounds agree.  Factors are counted as sets of slices."""
+    seed, power = asymptotics._fixed_point_seed(rule)
+    word, prev = [seed], None
+    for _ in range(power):
+        word = [ch for letter in word for ch in rule.image(letter)]
+    while True:
+        for _ in range(power):
+            word = [ch for letter in word for ch in rule.image(letter)]
+        if len(word) > cap:
+            return True
+        if len(word) < 4 * n_max:
+            continue
+        counts = [len({tuple(word[i:i + n]) for i in range(len(word) - n + 1)})
+                  for n in range(1, n_max + 1)]
+        if counts == prev:
+            return False
+        prev = counts
+
+
+@pytest.mark.parametrize("name", ["dyadic-odometer", "fibonacci", "fibonacci-conjugate",
+                                  "thue-morse"])
+def test_complexity_refuses_a_hopeless_nmax_before_building(name, monkeypatch):
+    """Under a small prefix cap, factor_complexity refuses exactly the n_max
+    whose counting loop would pass the cap, with its message, and does so
+    before the suffix automaton reads a letter."""
+    rule = load_preset(name).rule
+    extend, reads = asymptotics._SuffixAutomaton.extend, []
+
+    def counted(sa, ch):
+        reads.append(ch)
+        extend(sa, ch)
+
+    monkeypatch.setattr(asymptotics._SuffixAutomaton, "extend", counted)
+    outcomes = set()
+    for cap in (16, 100, 500):
+        monkeypatch.setattr(asymptotics, "MAX_PREFIX_LENGTH", cap)
+        for n_max in range(1, 41):
+            reads.clear()
+            try:
+                factor_complexity(rule, n_max)
+                refused = False
+            except AsymptoticsError as exc:
+                assert str(exc) == f"fixed-point prefix exceeded {cap} letters"
+                refused = True
+            assert refused == _counting_loop_raises(rule, n_max, cap), (cap, n_max)
+            assert not (refused and reads), (cap, n_max)
+            outcomes.add(refused)
+    assert outcomes == {True, False}

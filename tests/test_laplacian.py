@@ -42,6 +42,7 @@ from oracles import (
     extensions,
     full_spectrum,
     longest_common_prefix,
+    object_walk,
     path_key,
     slot_symmetry_message,
     span,
@@ -933,3 +934,54 @@ def test_memo_is_read_by_integer_keys(name, monkeypatch):
         keys = [k for table in vars(cache).values() if isinstance(table, dict) for k in table]
         assert keys
         assert all(type(k) is tuple and all(type(x) is int for x in k) for k in keys), keys
+
+
+WALK_GRID = [("ammann-a2", "quadratic:5", 5), ("penrose", "quadratic:5", 4),
+             ("fibonacci", "quadratic:5", 7), ("fibonacci-conjugate", "quadratic:5", 7),
+             *((name, backend, 7) for name in ("dyadic-odometer", "thue-morse")
+               for backend in ("rational", "quadratic:5", "quadratic:2"))]
+WALK_S = (-1, 0, Fraction(1, 2), 1, Fraction(3, 2), 2, 3)
+
+
+def _same_scalars(got: list, want: list) -> bool:
+    """Equal entries of equal types: floats by their bits, (value, float)
+    pairs by both, None only against None."""
+    def bits(x):
+        if isinstance(x, tuple):
+            return tuple(map(bits, x))
+        return x.hex() if isinstance(x, float) else (type(x), x)
+    return [x if x is None else bits(x) for x in got] == \
+        [x if x is None else bits(x) for x in want]
+
+
+@pytest.mark.parametrize("name, backend, depth", WALK_GRID)
+def test_walk_numerators_match_the_object_walk(name, backend, depth):
+    """The walk's exact partial sums, kept as integer numerators, against
+    the object loop that added them as scalars: every level's partials and
+    values on each preset's field and the fields that hold its theta, where
+    exact sums stay numerators and where the walk falls back to ApproxReal
+    terms at a fractional power mid-walk.  The dense restriction to the
+    same generation reads the same leaf partials and records."""
+    ws = load_preset(name, backend=backend).weight_system
+    fell_back = set()
+    for s in WALK_S:
+        levels = list(laplacian.walk_states(laplacian.StationaryCache(ws, s), depth))
+        walked = object_walk(levels)
+        for level, (partials, values) in zip(levels, walked):
+            assert _same_scalars(level.partials, partials), (s, level.generation)
+            assert _same_scalars(level.values, values), (s, level.generation)
+        kinds = [isinstance(level.sums, laplacian._Numerators) for level in levels]
+        assert kinds[0] and kinds == sorted(kinds, reverse=True), s
+        if not kinds[-1]:
+            fell_back.add(s)
+        op = dense_restriction(ws, depth, s)
+        top = walked[-1][0]
+        want = top if op.exact else [float(x) for x in top]
+        assert _same_scalars(list(op.values[:len(top)]), want), s
+        bases = sorted((rank, k, i) for k, level in enumerate(levels[:-1])
+                       for rank, i in zip(level.rank[level.splits].tolist(),
+                                          level.splits.tolist()))
+        records = [walked[k][1][levels[k].state[i]] for _, k, i in bases]
+        assert _same_scalars(op.records, records), s
+    if name.startswith("fibonacci"):
+        assert fell_back == {Fraction(1, 2), Fraction(3, 2)}

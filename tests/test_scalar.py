@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -29,6 +31,7 @@ from bratlap.scalar import (
     scalar_sign,
     square_free_part,
 )
+from oracles import PairQuadratic
 
 Q5 = QuadraticBackend(5)
 PHI = Q5.make((Fraction(1, 2), Fraction(1, 2)))
@@ -349,3 +352,84 @@ def test_square_free_part_examples():
     assert [square_free_part(n) for n in (1, 4, 12, 18, 20, 45, 999_983 ** 2 * 6)] == \
         [1, 1, 3, 2, 5, 5, 6]
     assert not is_square_free(0) and not is_square_free(-5)
+
+
+big_fracs = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+operands = st.one_of(st.integers(-10 ** 30, 10 ** 30), big_fracs)
+DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+           "__truediv__", "__rtruediv__", "__neg__", "__pow__")
+
+
+def _agrees(got, want) -> bool:
+    """An integer QuadraticNumber against its Fraction-pair reference: the
+    same coordinates, as Fractions, the same text and the same float bits;
+    anything else by ==."""
+    if not isinstance(want, PairQuadratic):
+        return type(got) is type(want) and got == want
+    return (isinstance(got, QuadraticNumber) and type(got.a) is type(got.b) is Fraction
+            and (got.a, got.b, got.disc) == (want.a, want.b, want.disc)
+            and got.r > 0 and math.gcd(got.p, got.q, got.r) == 1
+            and repr(got) == repr(want) and float(got).hex() == float(want).hex())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroDivisionError as exc:
+        return exc.__class__
+
+
+@given(big_fracs, big_fracs, big_fracs, big_fracs, operands, st.sampled_from([2, 5, 13]),
+       st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_integer_quadratic_matches_fraction_pairs(a, b, c, d, k, disc, e):
+    """Every operation of the integer QuadraticNumber against the
+    Fraction-pair form it replaced, in Q(sqrt2), Q(sqrt5) and Q(sqrt13),
+    with parts up to 10^30: the ten arithmetic operators forward and
+    reflected, against each other and against ints and Fractions, and
+    inverse, powers, norm, sign, roots, conjugate, repr, both format_exact
+    bases and the float bits."""
+    x, y = QuadraticNumber(a, b, disc), QuadraticNumber(c, d, disc)
+    rx, ry = PairQuadratic(a, b, disc), PairQuadratic(c, d, disc)
+    assert _agrees(x, rx) and _agrees(-x, -rx)
+    for op in ARITHMETIC:
+        for lhs, rhs, ref_lhs, ref_rhs in ((x, y, rx, ry), (x, k, rx, k), (k, x, k, rx)):
+            assert _agrees(_outcome(op, lhs, rhs), _outcome(op, ref_lhs, ref_rhs)), (op, lhs, rhs)
+    assert _agrees(_outcome(QuadraticNumber.inverse, x), _outcome(PairQuadratic.inverse, rx))
+    assert _agrees(_outcome(operator.pow, x, e), _outcome(operator.pow, rx, e))
+    assert _agrees(x.norm(), rx.norm()) and x.sign() == rx.sign()
+    assert _agrees(x.conjugate(), rx.conjugate())
+    for z, rz in ((x, rx), (x * x, rx * rx), (x * x * 4 * disc, rx * rx * 4 * disc)):
+        root, want = z.sqrt(), rz.sqrt()
+        assert (root is None) == (want is None) and (root is None or _agrees(root, want))
+    backend = QuadraticBackend(disc)
+    want = f"({rx.a - rx.b}) + ({2 * rx.b})*phi" if disc == 5 else \
+        f"({rx.a}) + ({rx.b})*sqrt({disc})"
+    assert backend.format_exact(x) == want
+    # equal values, however formed, have equal fields and equal hashes
+    same = (x + y) - y
+    assert same == x and hash(same) == hash(x) and (same.p, same.q, same.r) == (x.p, x.q, x.r)
+
+
+def test_integer_quadratic_is_a_closed_value_type():
+    x = QuadraticNumber(Fraction(3, 4), Fraction(-1, 6), 5)
+    assert (x.p, x.q, x.r, x.disc) == (9, -2, 12, 5)
+    assert QuadraticNumber(Fraction(6, 8), 0, 5) == Q5.make(Fraction(3, 4)) != Fraction(3, 4)
+    assert Fraction(3, 4) != Q5.make(Fraction(3, 4)) and Q5.make(2) != 2
+    for name in ("p", "q", "r", "disc", "a", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    with pytest.raises(ValueError):
+        x + QuadraticNumber(1, 1, 2)
+    with pytest.raises(ValueError):
+        QuadraticNumber(1, 1, 4)
+    for zero in (Q5.zero, QuadraticNumber(0, 0, 13)):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            1 / zero
+    with pytest.raises(TypeError):
+        QuadraticNumber(0.5, 0, 5)
+    # the tracer counts the arithmetic by wrapping the class's own operators
+    assert all(name in QuadraticNumber.__dict__ for name in DUNDERS)
+    assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
