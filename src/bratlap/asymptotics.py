@@ -366,56 +366,32 @@ def norm_bound_check(table: AffineMapTable, depth: int = 15) -> NormBoundReport:
     return NormBoundReport(s, lam, c, bound, sup_by_gen, running, ratios)
 
 
-class _SuffixAutomaton:
-    """Standard online suffix automaton; counts distinct factors per length."""
-
-    def __init__(self):
-        self.transitions: list[dict[str, int]] = [{}]
-        self.link = [-1]
-        self.length = [0]
-        self.last = 0
-
-    def extend(self, ch: str) -> None:
-        cur = len(self.length)
-        self.length.append(self.length[self.last] + 1)
-        self.link.append(-1)
-        self.transitions.append({})
-        p = self.last
-        while p != -1 and ch not in self.transitions[p]:
-            self.transitions[p][ch] = cur
-            p = self.link[p]
-        if p == -1:
-            self.link[cur] = 0
-        else:
-            q = self.transitions[p][ch]
-            if self.length[p] + 1 == self.length[q]:
-                self.link[cur] = q
-            else:
-                clone = len(self.length)
-                self.length.append(self.length[p] + 1)
-                self.transitions.append(dict(self.transitions[q]))
-                self.link.append(self.link[q])
-                while p != -1 and self.transitions[p].get(ch) == q:
-                    self.transitions[p][ch] = clone
-                    p = self.link[p]
-                self.link[q] = clone
-                self.link[cur] = clone
-        self.last = cur
-
-    def factor_counts(self, n_max: int) -> list[int]:
-        diff = [0] * (n_max + 2)
-        for v in range(1, len(self.length)):
-            lo = self.length[self.link[v]] + 1
-            hi = min(self.length[v], n_max)
-            if lo <= hi:
-                diff[lo] += 1
-                diff[hi + 1] -= 1
-        counts = []
-        acc = 0
-        for n in range(1, n_max + 1):
-            acc += diff[n]
-            counts.append(acc)
-        return counts
+def _factor_counts(word: np.ndarray, n_max: int) -> list[int]:
+    """p(n), n = 1..n_max, the distinct factors of length n of a word of
+    letter codes >= 1, from a suffix array and the longest common prefix
+    (LCP) of each pair of neighbours in it (Manber and Myers, SIAM J.
+    Comput. 22, 1993).  keys[t][i] codes the window of 2**t letters at i, 0
+    past the end, in lexicographic order, a window cut by the end first.
+    Prefix doubling packs two keys into one int64, ranking them once a pair
+    no longer fits, up to 2**t >= n_max; binary lifting over the kept keys
+    gives the LCPs, capped at n_max.  The L - n + 1 windows of length n hold
+    p(n) factors and one repeat per neighbour pair with LCP >= n."""
+    size, width = word.size, 1 << (n_max - 1).bit_length()
+    pad = np.zeros(width, dtype=np.int64)
+    keys = [np.concatenate([word, pad])]
+    while len(keys) < width.bit_length():
+        key, h = keys[-1], 1 << (len(keys) - 1)
+        if (int(key.max()) + 1) ** 2 > np.iinfo(np.int64).max:
+            key = keys[-1] = np.unique(key, return_inverse=True)[1]
+        keys.append(key * (int(key.max()) + 1) + np.concatenate([key[h:], pad[:h]]))
+    order = np.argsort(keys[-1][:size])
+    a, c = order[:-1], order[1:]
+    lcp = np.zeros(a.size, dtype=np.int64)
+    for t in range(len(keys) - 2, -1, -1):
+        lcp += (keys[t][a + lcp] == keys[t][c + lcp]) << t
+    lcp[keys[-1][a] == keys[-1][c]] = n_max
+    longer = np.bincount(np.minimum(lcp, n_max), minlength=n_max + 1)[::-1].cumsum()[::-1]
+    return (size + 1 - np.arange(1, n_max + 1) - longer[1:]).tolist()
 
 
 def _fixed_point_seed(rule: SubstitutionRule) -> tuple[str, int]:
@@ -453,15 +429,16 @@ class ComplexityTable:
 def factor_complexity(rule: SubstitutionRule, n_max: int) -> ComplexityTable:
     """Exact factor counts of the substitution fixed point, by growing a prefix
     until the counts for every n <= n_max agree on two successive rounds.
-    Each round's prefix extends the last one, so one suffix automaton is
-    extended by the new letters only."""
+    Each counted round's prefix, its letters coded 1..k, is counted from
+    its suffix array and LCP array by `_factor_counts`."""
     if rule.dimension != 1:
         raise AsymptoticsError("factor complexity is implemented for d = 1 only")
     seed, power = _fixed_point_seed(rule)
-    images = {l: rule.image(l) for l in rule.letters}
+    code = {l: i for i, l in enumerate(rule.letters, 1)}
+    images = {code[l]: [code[ch] for ch in rule.image(l)] for l in rule.letters}
 
-    def substitute(word: list[str]) -> list[str]:
-        out: list[str] = []
+    def substitute(word: list[int]) -> list[int]:
+        out: list[int] = []
         for ch in word:
             out.extend(images[ch])
         return out
@@ -469,7 +446,7 @@ def factor_complexity(rule: SubstitutionRule, n_max: int) -> ComplexityTable:
     # every round's length follows from the letter counts, by powers of the
     # rule's abelianization; the loop returns at the second counted round at
     # the earliest, so a prefix that round takes past the cap is refused first
-    grow = [[images[m].count(l) for m in rule.letters] for l in rule.letters]
+    grow = [[images[m].count(l) for m in images] for l in images]
     counts, lengths = [int(l == seed) for l in rule.letters], []
     while sum(n >= 4 * n_max for n in lengths[1:]) < 2:
         for _ in range(power):
@@ -478,13 +455,12 @@ def factor_complexity(rule: SubstitutionRule, n_max: int) -> ComplexityTable:
         if lengths[-1] > MAX_PREFIX_LENGTH:
             raise AsymptoticsError(f"fixed-point prefix exceeded {MAX_PREFIX_LENGTH} letters")
 
-    word = [seed]
+    word = [code[seed]]
     for _ in range(power):
         word = substitute(word)
 
     prev_counts = None
     rounds = 0
-    sa = _SuffixAutomaton()
     while True:
         rounds += 1
         for _ in range(power):
@@ -493,10 +469,7 @@ def factor_complexity(rule: SubstitutionRule, n_max: int) -> ComplexityTable:
             raise AsymptoticsError(f"fixed-point prefix exceeded {MAX_PREFIX_LENGTH} letters")
         if len(word) < 4 * n_max:
             continue
-        # the automaton holds the last counted prefix: its last state's length
-        for ch in word[sa.length[sa.last]:]:
-            sa.extend(ch)
-        counts = sa.factor_counts(n_max)
+        counts = _factor_counts(np.array(word, dtype=np.int64), n_max)
         if prev_counts is not None and counts == prev_counts:
             return ComplexityTable(n_max, tuple(counts), len(word), rounds)
         prev_counts = counts

@@ -18,8 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .diagram import (DEFAULT_PATH_CAP, BratteliDiagram, Path, enumerate_paths, path_counts,
-                      predicted_path_count)
+from .diagram import DEFAULT_PATH_CAP, BratteliDiagram, Path, path_counts, predicted_path_count
 from .laplacian import StationaryCache, _level_paths, walk_states
 from .measure import PerronData, WeightSystem, _power
 from .scalar import ApproxReal, QuadraticNumber, compare, exact_power
@@ -43,19 +42,6 @@ def path_shift_down(diagram: BratteliDiagram, edge_index: int,
     return Path(diagram.root_edge_index(e.source, slot), (edge_index,) + path.edges)
 
 
-def path_shift_up(diagram: BratteliDiagram, edge_index: int,
-                  path: Path) -> Path | None:
-    """Delete the first non-root edge when it equals e, re-rooting at the next
-    edge's source; None otherwise."""
-    if path.generation < 3:
-        raise CuntzError("shift up needs a path of generation >= 3")
-    if path.edges[0] != edge_index:
-        return None
-    nxt = diagram.edges[path.edges[1]]
-    slot = diagram.root_edges[path.root].slot
-    return Path(diagram.root_edge_index(nxt.source, slot), path.edges[1:])
-
-
 @dataclass
 class CKReport:
     ok: bool
@@ -71,9 +57,18 @@ class CKReport:
 
 def ck_relations_check(diagram: BratteliDiagram, depth: int,
                        adjacency=None) -> CKReport:
-    """Verify the partial-isometry relations on all paths up to the given depth:
-    the domain of each U_e must be the disjoint union of the ranges of the U_f
-    it composes with, and up/down shifts must invert each other.
+    """Verify the partial-isometry relations on all paths of generations 2 to
+    `depth`: the domain of each U_e must be the disjoint union of the ranges
+    of the U_f it composes with, and up/down shifts must invert each other.
+
+    The shifts are integer index maps, checked per generation and edge.  A
+    generation's paths are numbered in (root, edges) order, so path i's
+    children are numbered from first_child[i] on, one per out-edge of its
+    range vertex.  shift_down(e, gamma) is the child of shift_down(e,
+    parent(gamma)) by gamma's last edge, from (r(e), k) -> (s(e), k).e on
+    the root edges; shift_up(f, gamma), f gamma's first edge, is the child
+    of shift_up(f, parent(gamma)), from (v, k).f -> (r(f), k).  Only a
+    failing path is labelled.
 
     A corrupted adjacency matrix can be injected to exercise the failure path."""
     if depth < 3:
@@ -86,33 +81,62 @@ def ck_relations_check(diagram: BratteliDiagram, depth: int,
         adjacency = tuple(
             tuple(1 if e.target == f.source else 0 for f in diagram.edges)
             for e in diagram.edges)
-    failures: list[str] = []
-    checked = 0
+    claims = np.array(adjacency) == 1
+    g, n_edges = diagram.symmetry_order, len(diagram.edges)
+    source, target = np.array([(e.source, e.target) for e in diagram.edges]).T
+    degree, out = np.array(list(map(len, diagram.out_edges))), np.concatenate(diagram.out_edges)
+    messages = ("U_{e}*U_{e} disagrees with the adjacency row on path {label}",
+                "shift_up(shift_down) != id on {label}", "shift_down(shift_up) != id on {label}")
+
+    def first_child(vertex: np.ndarray) -> np.ndarray:
+        return np.cumsum(degree[vertex]) - degree[vertex]
+
+    def label(i: int) -> str:
+        edges = []
+        for parent, edge in reversed(chain):
+            edges.append(int(edge[i]))
+            i = parent[i]
+        return diagram.format_path(Path(int(i), tuple(reversed(edges))))
+
+    # generation 1: root edge (v, k) is path v * g + k; e is out-edge place[e] of s(e)
+    vertex = np.repeat(np.arange(diagram.n_letters), g)
+    starts, offset = [first_child(vertex)], first_child(np.arange(diagram.n_letters))
+    place = np.argsort(out) - offset[source]
+    down = [np.where(vertex == target[e], starts[0][source[e] * g + np.arange(vertex.size) % g]
+                     + place[e], -1) for e in range(n_edges)]
+    chain, failures, checked = [], [], 0
     for gen in range(2, depth + 1):
-        table = enumerate_paths(diagram, gen)
-        for gamma in table.paths:
-            checked += 1
-            first = gamma.edges[0]
-            for ei in range(len(diagram.edges)):
-                down = path_shift_down(diagram, ei, gamma)
-                in_domain = down is not None
-                claimed = adjacency[ei][first] == 1
-                if in_domain != claimed:
-                    failures.append(
-                        f"U_{ei}*U_{ei} disagrees with the adjacency row on path "
-                        f"{diagram.format_path(gamma)}")
-                if down is not None:
-                    back = path_shift_up(diagram, ei, down)
-                    if back != gamma:
-                        failures.append(
-                            f"shift_up(shift_down) != id on {diagram.format_path(gamma)}")
+        parent = np.repeat(np.arange(vertex.size), degree[vertex])
+        index = np.arange(parent.size)
+        pos = index - starts[-1][parent]
+        edge = out[offset[vertex[parent]] + pos]
+        chain.append((parent, edge))
+        first = edge if gen == 2 else first[parent]
+        up = target[edge] * g + parent % g if gen == 2 else starts[-2][up[parent]] + pos
+        vertex = target[edge]
+        starts.append(first_child(vertex))
+        found = []     # (path, edge, kind) of the first 21 failures of each kind and edge
+        for e in range(n_edges):
             if gen >= 3:
-                up = path_shift_up(diagram, first, gamma)
-                if up is None or path_shift_down(diagram, first, up) != gamma:
-                    failures.append(
-                        f"shift_down(shift_up) != id on {diagram.format_path(gamma)}")
-            if len(failures) > 20:
-                return CKReport(False, depth, checked, failures)
+                mine = np.flatnonzero(first == e)
+                found += [(i, n_edges, 2) for i in mine[down[e][up[mine]] != mine][:21].tolist()]
+            prev = down[e][parent]
+            down[e] = np.where(prev >= 0, starts[-1][prev] + pos, -1)
+            into = down[e] >= 0
+            found += [(i, e, 0) for i in np.flatnonzero(into != claims[e, first])[:21].tolist()]
+            defined = np.flatnonzero(into)
+            # shift up the shifted paths of generation gen + 1 through their parents
+            shifted = down[e][defined]
+            above = np.searchsorted(starts[-1], shifted, side="right") - 1
+            back = starts[-2][up[above]] + shifted - starts[-1][above]
+            wrong = defined[(back != defined) | (first[above] != e)]
+            found += [(i, e, 1) for i in wrong[:21].tolist()]
+        found.sort()
+        for k, (i, e, kind) in enumerate(found):
+            failures.append(messages[kind].format(e=e, label=label(i)))
+            if len(failures) > 20 and (k + 1 == len(found) or found[k + 1][0] > i):
+                return CKReport(False, depth, checked + i + 1, failures)
+        checked += vertex.size
     return CKReport(not failures, depth, checked, failures)
 
 
@@ -352,10 +376,12 @@ class CompanionData:
         """Per row of an (n, degree) float array of lattice points, its
         Euclidean distance to the unstable space.  The stacked products
         project and sum each row as a vector on its own would, so a row's
-        distance does not depend on the rows beside it."""
+        distance does not depend on the rows beside it.  A row whose
+        products pass the float range reads inf or nan, without a warning."""
         basis = self.unstable_basis
-        r = coords - (basis @ (basis.T @ coords[:, :, None]))[:, :, 0]
-        return np.sqrt(r[:, None, :] @ r[:, :, None])[:, 0, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = coords - (basis @ (basis.T @ coords[:, :, None]))[:, :, 0]
+            return np.sqrt(r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
 def _companion(poly: list[int]) -> list[list[int]]:
@@ -549,10 +575,11 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
         state_of.append(index + offset)
         batches.append(dists)
         offset += dists.size
-        # a NaN distance, as from a point near the float range, is passed over
-        per_gen[gen] = float(np.fmax.reduce(dists, initial=0.0))
+        per_gen[gen] = float(dists.max(initial=0.0))
     # measured after the growth: the record cap is checked before any distance
     seed_dists = embedding.distance_to_unstable(np.array(seed_vecs, dtype=float))
+    if not all(np.isfinite(dists).all() for dists in [seed_dists, *batches]):
+        raise CuntzError(f"a strip distance leaves the float range at s={table.s}")
     for i, dist in enumerate(seed_dists.tolist()):
         gen = int(i >= len(kernel))
         per_gen[gen] = max(per_gen.get(gen, 0.0), dist)

@@ -2,7 +2,8 @@
 independent oracles, the per-record views of the spectrum and of the affine
 recursion that tests compare against, and the loop-by-loop forms of the
 dense index fill, the slot-copy check and the Perron power iteration, the
-Fraction-pair quadratic scalar and the walk's object loop."""
+Fraction-pair quadratic scalar and the walk's object loop, the suffix
+automaton that counts factors, and the path-by-path Cuntz-Krieger check."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from itertools import accumulate, product
 import mpmath
 import numpy as np
 
-from bratlap.cuntz import _expand
-from bratlap.diagram import EMPTY_PATH, BratteliDiagram, Path
+from bratlap.cuntz import CKReport, CuntzError, _expand, path_shift_down
+from bratlap.diagram import EMPTY_PATH, BratteliDiagram, Path, enumerate_paths
 from bratlap.laplacian import (LaplacianError, StationaryCache, _level_paths, g_value,
                                walk_states)
 from bratlap.measure import MeasureError, WeightSystem, mu
@@ -613,3 +614,107 @@ def object_walk(levels: list) -> list[tuple[list, list]]:
             values.append(None if value is None else (value, float(value)))
         out.append((partials, values))
     return out
+
+
+class _SuffixAutomaton:
+    """Standard online suffix automaton; counts distinct factors per length.
+    The reference for `asymptotics._factor_counts`; letters are any
+    hashable values."""
+
+    def __init__(self):
+        self.transitions: list[dict] = [{}]
+        self.link = [-1]
+        self.length = [0]
+        self.last = 0
+
+    def extend(self, ch) -> None:
+        cur = len(self.length)
+        self.length.append(self.length[self.last] + 1)
+        self.link.append(-1)
+        self.transitions.append({})
+        p = self.last
+        while p != -1 and ch not in self.transitions[p]:
+            self.transitions[p][ch] = cur
+            p = self.link[p]
+        if p == -1:
+            self.link[cur] = 0
+        else:
+            q = self.transitions[p][ch]
+            if self.length[p] + 1 == self.length[q]:
+                self.link[cur] = q
+            else:
+                clone = len(self.length)
+                self.length.append(self.length[p] + 1)
+                self.transitions.append(dict(self.transitions[q]))
+                self.link.append(self.link[q])
+                while p != -1 and self.transitions[p].get(ch) == q:
+                    self.transitions[p][ch] = clone
+                    p = self.link[p]
+                self.link[q] = clone
+                self.link[cur] = clone
+        self.last = cur
+
+    def factor_counts(self, n_max: int) -> list[int]:
+        diff = [0] * (n_max + 2)
+        for v in range(1, len(self.length)):
+            lo = self.length[self.link[v]] + 1
+            hi = min(self.length[v], n_max)
+            if lo <= hi:
+                diff[lo] += 1
+                diff[hi + 1] -= 1
+        counts = []
+        acc = 0
+        for n in range(1, n_max + 1):
+            acc += diff[n]
+            counts.append(acc)
+        return counts
+
+
+def path_shift_up(diagram: BratteliDiagram, edge_index: int,
+                  path: Path) -> Path | None:
+    """Delete the first non-root edge when it equals e, re-rooting at the next
+    edge's source; None otherwise."""
+    if path.generation < 3:
+        raise CuntzError("shift up needs a path of generation >= 3")
+    if path.edges[0] != edge_index:
+        return None
+    nxt = diagram.edges[path.edges[1]]
+    slot = diagram.root_edges[path.root].slot
+    return Path(diagram.root_edge_index(nxt.source, slot), path.edges[1:])
+
+
+def ck_relations_by_path(diagram: BratteliDiagram, depth: int, adjacency=None) -> CKReport:
+    """`cuntz.ck_relations_check` path by path: every path of generations 2
+    to `depth` as a `Path`, shifted down and up by every edge."""
+    if adjacency is None:
+        adjacency = tuple(
+            tuple(1 if e.target == f.source else 0 for f in diagram.edges)
+            for e in diagram.edges)
+    failures: list[str] = []
+    checked = 0
+    for gen in range(2, depth + 1):
+        table = enumerate_paths(diagram, gen)
+        for gamma in table.paths:
+            checked += 1
+            first = gamma.edges[0]
+            for ei in range(len(diagram.edges)):
+                down = path_shift_down(diagram, ei, gamma)
+                in_domain = down is not None
+                claimed = adjacency[ei][first] == 1
+                if in_domain != claimed:
+                    failures.append(
+                        f"U_{ei}*U_{ei} disagrees with the adjacency row on path "
+                        f"{diagram.format_path(gamma)}")
+                if down is not None:
+                    back = path_shift_up(diagram, ei, down)
+                    if back != gamma:
+                        failures.append(
+                            f"shift_up(shift_down) != id on {diagram.format_path(gamma)}")
+            if gen >= 3:
+                up = path_shift_up(diagram, first, gamma)
+                if up is None or path_shift_down(diagram, first, up) != gamma:
+                    failures.append(
+                        f"shift_down(shift_up) != id on {diagram.format_path(gamma)}")
+            if len(failures) > 20:
+                return CKReport(False, depth, checked, failures)
+    return CKReport(not failures, depth, checked, failures)

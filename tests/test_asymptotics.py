@@ -23,7 +23,7 @@ from bratlap.diagram import SubstitutionRule, build_diagram, predicted_path_coun
 from bratlap.measure import WeightSystem, perron
 from bratlap.presets import load_preset, preset_names
 from bratlap.scalar import QuadraticBackend, RationalBackend
-from oracles import full_spectrum, spectrum_multiset
+from oracles import _SuffixAutomaton, full_spectrum, spectrum_multiset
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -348,23 +348,57 @@ def test_complexity_seed_found_on_a_cycle():
     assert result.counts == factor_complexity(TM_RULE, 60).counts
 
 
+def _automaton_counts(word, n_max: int) -> list[int]:
+    automaton = _SuffixAutomaton()
+    for ch in word:
+        automaton.extend(ch)
+    return automaton.factor_counts(n_max)
+
+
 def test_complexity_extends_one_automaton(monkeypatch):
-    # each round's prefix extends the last, so the automaton takes each
-    # letter once: 16,384 letters of the thue-morse word, not 8,192 + 16,384
-    extend = asymptotics._SuffixAutomaton.extend
+    # the counted rounds are the prefixes of 8,192 and 16,384 letters of the
+    # thue-morse word, each extending the last, and their counts are those
+    # of a suffix automaton that reads the last prefix letter by letter
+    count = asymptotics._factor_counts
     calls = []
 
-    def counted(self, ch):
-        calls.append(ch)
-        extend(self, ch)
+    def counted(word, n_max):
+        calls.append(word.tolist())
+        return count(word, n_max)
 
-    monkeypatch.setattr(asymptotics._SuffixAutomaton, "extend", counted)
+    monkeypatch.setattr(asymptotics, "_factor_counts", counted)
     result = factor_complexity(TM_RULE, 2000)
-    assert (result.rounds, result.word_length, len(calls)) == (13, 16384, 16384)
-    fresh = asymptotics._SuffixAutomaton()
-    for ch in calls:
-        extend(fresh, ch)
-    assert result.counts == tuple(fresh.factor_counts(2000))
+    assert (result.rounds, result.word_length) == (13, 16384)
+    assert [len(word) for word in calls] == [8192, 16384]
+    assert calls[1][:8192] == calls[0]
+    assert result.counts == tuple(_automaton_counts(calls[-1], 2000))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_factor_counts_match_the_suffix_automaton(seed):
+    # words of 2 to 4 letters and up to 3,000 letters, and every n_max up to
+    # a quarter of their length: past n_max = 16 (4 letters) or 32 (2), two
+    # packed keys no longer fit an int64, so prefix doubling ranks them
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(4, 3001)) if seed else 3000
+    word = rng.integers(1, 3 + seed % 3, size)
+    expected = _automaton_counts(word.tolist(), size // 4)
+    for n_max in range(1, size // 4 + 1):
+        assert asymptotics._factor_counts(word, n_max) == expected[:n_max], n_max
+
+
+@pytest.mark.parametrize("name", ["dyadic-odometer", "fibonacci", "fibonacci-conjugate",
+                                  "thue-morse"])
+def test_complexity_matches_the_suffix_automaton(name):
+    rule = load_preset(name).rule
+    seed, power = asymptotics._fixed_point_seed(rule)
+    for n_max in (1, 2, 3, 10, 77, 500):
+        result = factor_complexity(rule, n_max)
+        word = [seed]
+        while len(word) < result.word_length:
+            for _ in range(power):
+                word = [ch for letter in word for ch in rule.image(letter)]
+        assert result.counts == tuple(_automaton_counts(word[:result.word_length], n_max))
 
 
 def test_complexity_rejects_higher_dimension():
@@ -422,15 +456,15 @@ def _counting_loop_raises(rule: SubstitutionRule, n_max: int, cap: int) -> bool:
 def test_complexity_refuses_a_hopeless_nmax_before_building(name, monkeypatch):
     """Under a small prefix cap, factor_complexity refuses exactly the n_max
     whose counting loop would pass the cap, with its message, and does so
-    before the suffix automaton reads a letter."""
+    before any letter is counted."""
     rule = load_preset(name).rule
-    extend, reads = asymptotics._SuffixAutomaton.extend, []
+    count, reads = asymptotics._factor_counts, []
 
-    def counted(sa, ch):
-        reads.append(ch)
-        extend(sa, ch)
+    def counted(word, n_max):
+        reads.extend(word.tolist())
+        return count(word, n_max)
 
-    monkeypatch.setattr(asymptotics._SuffixAutomaton, "extend", counted)
+    monkeypatch.setattr(asymptotics, "_factor_counts", counted)
     outcomes = set()
     for cap in (16, 100, 500):
         monkeypatch.setattr(asymptotics, "MAX_PREFIX_LENGTH", cap)

@@ -539,6 +539,17 @@ def test_values_beyond_float_range_are_usage_errors(argv):
     assert "float range" in err
 
 
+def test_strip_distances_beyond_float_range_write_nothing(monkeypatch):
+    # fibonacci's lattice points at s = -100 are floats whose squared norms
+    # are not: strip refuses them before its first row, with no numpy warning
+    argv = ["strip", "--preset", "fibonacci", "--depth", "8", "--s", "-100"]
+    code, err = _checked_run(argv)
+    _assert_clean(code, err, argv, codes=(2,))
+    assert "bratlap: error: a strip distance leaves the float range at s=-100" in err
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    assert _outputs(argv)[:2] == (2, "")
+
+
 @pytest.mark.parametrize("command", ["spectrum", "dense", "verify", "strip", "ck-check",
                                      "weyl"])
 def test_huge_depth_refused_at_once(command):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -19,18 +20,17 @@ from bratlap.cuntz import (
     companion_embedding,
     lattice_coords,
     path_shift_down,
-    path_shift_up,
     strip_check,
 )
-from bratlap.diagram import (EMPTY_PATH, Path, build_diagram, enumerate_paths, path_counts,
-                             predicted_path_count)
+from bratlap.diagram import (EMPTY_PATH, Path, build_diagram, enumerate_paths,
+                             load_diagram_file, path_counts, predicted_path_count)
 from bratlap.laplacian import g_value
 from bratlap.measure import WeightSystem, _theta_certificate, mu, perron
 from bratlap.presets import PRESETS, load_preset, preset_names
 from bratlap.scalar import (ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend,
                             compare)
-from oracles import (apply, distance_to_unstable, full_spectrum, path_key, recursive_spectrum,
-                     strip_distances, walked_spectrum)
+from oracles import (apply, ck_relations_by_path, distance_to_unstable, full_spectrum, path_key,
+                     path_shift_up, recursive_spectrum, strip_distances, walked_spectrum)
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -146,6 +146,45 @@ def test_ck_relations_negative_control():
     report = ck_relations_check(d, 4, adjacency=corrupted)
     assert not report.ok
     assert report.failures
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_ck_relations_match_the_path_reference(name):
+    diagram = load_preset(name).diagram
+    for depth in (3, 4, 5):
+        assert ck_relations_check(diagram, depth) == ck_relations_by_path(diagram, depth)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("matrix", [[[2, 1], [1, 0]], [[0, 1, 2], [1, 0, 1], [1, 1, 0]]])
+def test_ck_relations_match_the_path_reference_on_matrix_files(matrix, g, tmp_path):
+    spec = tmp_path / "d.json"
+    spec.write_text(json.dumps({"letters": [chr(97 + i) for i in range(len(matrix))],
+                                "matrix": matrix, "symmetry_order": g}))
+    diagram, _ = load_diagram_file(str(spec))
+    for depth in (3, 4, 5):
+        assert ck_relations_check(diagram, depth) == ck_relations_by_path(diagram, depth)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "penrose", "ammann-a2"])
+def test_ck_relations_fail_as_the_path_reference_does(name):
+    # flipped adjacency entries fail whole columns of paths: past 20
+    # failures the check stops after the path it is on, as the reference does
+    diagram = load_preset(name).diagram
+    edges = diagram.edges
+    good = [[int(e.target == f.source) for f in edges] for e in edges]
+    rng = np.random.default_rng(len(edges))
+    flips = [[(i, j) for i in range(len(edges)) for j in range(len(edges))], [(0, 0)],
+             [(len(edges) - 1, 0)], *(rng.integers(0, len(edges), (3, 2)).tolist() for _ in range(4))]
+    for flipped in flips:
+        corrupted = [row[:] for row in good]
+        for i, j in flipped:
+            corrupted[i][j] = 1 - corrupted[i][j]
+        for depth in (3, 4):
+            report = ck_relations_check(diagram, depth, adjacency=corrupted)
+            assert report == ck_relations_by_path(diagram, depth, adjacency=corrupted)
+            assert not report.ok
+    assert len(ck_relations_check(diagram, 4, adjacency=1 - np.array(good)).failures) > 20
 
 
 def test_affine_table_thue_morse():
