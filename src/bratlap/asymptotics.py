@@ -85,10 +85,10 @@ class GenerationSpectrum:
 
 def _check_weight_range(diagram, depth: int) -> None:
     """Refuse a depth whose total multiplicity |Pi_(depth+1)| does not fit the
-    int64 weights, which would wrap silently.  Path counts never fall from one
-    generation to the next, so the count stops at the first one too large.
-    The depth it names is only the int64 bound: the recursion's state cap
-    (`cuntz._grow`) may refuse a smaller one."""
+    int64 weights, which would wrap silently.  The path counts never fall
+    from one generation to the next, so the count stops at the first one
+    too large.  The depth it names is only the int64 bound: the recursion's
+    state cap (`cuntz._grow`) may refuse a smaller one."""
     limit = np.iinfo(np.int64).max
     for n, row in zip(range(1, depth + 2), path_counts(diagram)):
         if sum(row) > limit:

@@ -314,8 +314,7 @@ def cmd_dense(args, parser, em, inputs) -> int:
     text = [_fmt(v) for v in op.values]
     em.section("matrix", ["row"] + [f"c{j}" for j in range(len(op.table))],
                [list(range(len(op.table))), *((text, col) for col in op.index.T)],
-               comments=["paths: " + " ".join(inputs.diagram.format_path(p)
-                                              for p in op.table.paths)])
+               comments=["paths: " + " ".join(op.table)])
     em.section("spectrum", ["index", "eigenvalue"],
                _columns([i, _fmt(v)] for i, v in enumerate(eigs)))
     em.summary({"size": len(op.table), "exact": op.exact})

@@ -18,28 +18,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg
-from .diagram import DEFAULT_PATH_CAP, BratteliDiagram, Path, path_counts, predicted_path_count
-from .laplacian import StationaryCache, _level_paths, walk_states
+from .diagram import DEFAULT_PATH_CAP, BratteliDiagram, path_counts, predicted_path_count
+from .laplacian import StationaryCache, walk_states
 from .measure import PerronData, WeightSystem, _power
 from .scalar import ApproxReal, QuadraticNumber, compare, exact_power
 
 
 class CuntzError(ValueError):
     pass
-
-
-def path_shift_down(diagram: BratteliDiagram, edge_index: int,
-                    path: Path) -> Path | None:
-    """Insert an edge just below the root: (eps, e1, ...) -> (eps', e, e1, ...)
-    when e composes with e1, keeping the symmetry slot; None when it does not."""
-    if path.generation < 2:
-        raise CuntzError("shift down needs a path of generation >= 2")
-    e = diagram.edges[edge_index]
-    first = diagram.edges[path.edges[0]]
-    if e.target != first.source:
-        return None
-    slot = diagram.root_edges[path.root].slot
-    return Path(diagram.root_edge_index(e.source, slot), (edge_index,) + path.edges)
 
 
 @dataclass
@@ -55,20 +41,51 @@ class CKReport:
         return [head] + [f"  {f}" for f in self.failures]
 
 
+def _shift_maps(diagram: BratteliDiagram, depth: int):
+    """Yield, for generations 1 through `depth`, the numbering of its paths
+    and their shifts down, as (parent, edge, starts, down).
+
+    The paths are numbered in (root, edges) order, so path i's children are
+    numbered from starts[i] on, one per out-edge of its range vertex; path
+    i has parent parent[i] one generation up and last edge edge[i], its
+    root edge at generation 1, where root edge (v, k) is path v * g + k
+    under parent 0.  down[e][i] numbers shift_down(e, path i) in the next
+    generation, -1 where e does not compose: it is the child of
+    shift_down(e, parent(i)) by edge[i], from (r(e), k) -> (s(e), k).e on
+    the root edges."""
+    g = diagram.symmetry_order
+    source, target = np.array([(e.source, e.target) for e in diagram.edges]).T
+    degree, out = np.array(list(map(len, diagram.out_edges))), np.concatenate(diagram.out_edges)
+    offset = np.cumsum(degree) - degree
+    vertex = np.repeat(np.arange(diagram.n_letters), g)
+    parent, edge = np.zeros(vertex.size, np.int64), np.arange(vertex.size)
+    for gen in range(1, depth + 1):
+        if gen > 1:
+            parent = np.repeat(np.arange(vertex.size), degree[vertex])
+            pos = np.arange(parent.size) - starts[parent]
+            edge = out[offset[vertex[parent]] + pos]
+            vertex = target[edge]
+        starts = np.cumsum(degree[vertex]) - degree[vertex]
+        if gen == 1:
+            # e is out-edge place[e] of s(e)
+            place = np.argsort(out) - offset[source]
+            down = [np.where(vertex == target[e], starts[source[e] * g + edge % g] + place[e], -1)
+                    for e in range(len(diagram.edges))]
+        else:
+            down = [np.where(d[parent] >= 0, starts[d[parent]] + pos, -1) for d in down]
+        yield parent, edge, starts, down
+
+
 def ck_relations_check(diagram: BratteliDiagram, depth: int,
                        adjacency=None) -> CKReport:
     """Verify the partial-isometry relations on all paths of generations 2 to
     `depth`: the domain of each U_e must be the disjoint union of the ranges
     of the U_f it composes with, and up/down shifts must invert each other.
 
-    The shifts are integer index maps, checked per generation and edge.  A
-    generation's paths are numbered in (root, edges) order, so path i's
-    children are numbered from first_child[i] on, one per out-edge of its
-    range vertex.  shift_down(e, gamma) is the child of shift_down(e,
-    parent(gamma)) by gamma's last edge, from (r(e), k) -> (s(e), k).e on
-    the root edges; shift_up(f, gamma), f gamma's first edge, is the child
-    of shift_up(f, parent(gamma)), from (v, k).f -> (r(f), k).  Only a
-    failing path is labelled.
+    The shifts are integer index maps, checked per generation and edge:
+    the shifts down are `_shift_maps`', and shift_up(f, gamma), f gamma's
+    first edge, is the child of shift_up(f, parent(gamma)), from (v, k).f ->
+    (r(f), k).  Only a failing path is labelled.
 
     A corrupted adjacency matrix can be injected to exercise the failure path."""
     if depth < 3:
@@ -83,60 +100,38 @@ def ck_relations_check(diagram: BratteliDiagram, depth: int,
             for e in diagram.edges)
     claims = np.array(adjacency) == 1
     g, n_edges = diagram.symmetry_order, len(diagram.edges)
-    source, target = np.array([(e.source, e.target) for e in diagram.edges]).T
-    degree, out = np.array(list(map(len, diagram.out_edges))), np.concatenate(diagram.out_edges)
+    target = np.array([e.target for e in diagram.edges])
     messages = ("U_{e}*U_{e} disagrees with the adjacency row on path {label}",
                 "shift_up(shift_down) != id on {label}", "shift_down(shift_up) != id on {label}")
-
-    def first_child(vertex: np.ndarray) -> np.ndarray:
-        return np.cumsum(degree[vertex]) - degree[vertex]
-
-    def label(i: int) -> str:
-        edges = []
-        for parent, edge in reversed(chain):
-            edges.append(int(edge[i]))
-            i = parent[i]
-        return diagram.format_path(Path(int(i), tuple(reversed(edges))))
-
-    # generation 1: root edge (v, k) is path v * g + k; e is out-edge place[e] of s(e)
-    vertex = np.repeat(np.arange(diagram.n_letters), g)
-    starts, offset = [first_child(vertex)], first_child(np.arange(diagram.n_letters))
-    place = np.argsort(out) - offset[source]
-    down = [np.where(vertex == target[e], starts[0][source[e] * g + np.arange(vertex.size) % g]
-                     + place[e], -1) for e in range(n_edges)]
-    chain, failures, checked = [], [], 0
-    for gen in range(2, depth + 1):
-        parent = np.repeat(np.arange(vertex.size), degree[vertex])
-        index = np.arange(parent.size)
-        pos = index - starts[-1][parent]
-        edge = out[offset[vertex[parent]] + pos]
+    maps = _shift_maps(diagram, depth)
+    parent, edge, starts, down = next(maps)
+    chain, failures, checked = [(parent, edge)], [], 0
+    for gen, (parent, edge, next_starts, next_down) in enumerate(maps, 2):
         chain.append((parent, edge))
+        pos = np.arange(parent.size) - starts[parent]
         first = edge if gen == 2 else first[parent]
-        up = target[edge] * g + parent % g if gen == 2 else starts[-2][up[parent]] + pos
-        vertex = target[edge]
-        starts.append(first_child(vertex))
+        up = target[edge] * g + parent % g if gen == 2 else up_starts[up[parent]] + pos
         found = []     # (path, edge, kind) of the first 21 failures of each kind and edge
         for e in range(n_edges):
             if gen >= 3:
                 mine = np.flatnonzero(first == e)
                 found += [(i, n_edges, 2) for i in mine[down[e][up[mine]] != mine][:21].tolist()]
-            prev = down[e][parent]
-            down[e] = np.where(prev >= 0, starts[-1][prev] + pos, -1)
-            into = down[e] >= 0
+            into = next_down[e] >= 0
             found += [(i, e, 0) for i in np.flatnonzero(into != claims[e, first])[:21].tolist()]
             defined = np.flatnonzero(into)
             # shift up the shifted paths of generation gen + 1 through their parents
-            shifted = down[e][defined]
-            above = np.searchsorted(starts[-1], shifted, side="right") - 1
-            back = starts[-2][up[above]] + shifted - starts[-1][above]
+            shifted = next_down[e][defined]
+            above = np.searchsorted(next_starts, shifted, side="right") - 1
+            back = starts[up[above]] + shifted - next_starts[above]
             wrong = defined[(back != defined) | (first[above] != e)]
             found += [(i, e, 1) for i in wrong[:21].tolist()]
         found.sort()
         for k, (i, e, kind) in enumerate(found):
-            failures.append(messages[kind].format(e=e, label=label(i)))
+            failures.append(messages[kind].format(e=e, label=diagram.label(chain, i)))
             if len(failures) > 20 and (k + 1 == len(found) or found[k + 1][0] > i):
                 return CKReport(False, depth, checked + i + 1, failures)
-        checked += vertex.size
+        checked += parent.size
+        up_starts, starts, down = starts, next_starts, next_down
     return CKReport(not failures, depth, checked, failures)
 
 
@@ -211,18 +206,18 @@ def affine_table(ws: WeightSystem, s) -> AffineMapTable:
     # counts that far, but only levels 0 to 3 are read: level 4 is never formed
     walk = walk_states(cache, 4)
     levels = [next(walk) for _ in range(4)]
-    paths = _level_paths(levels)
     return AffineMapTable(ws, s, lam, float(lam), tuple(betas),
                           tuple(float(b) for b in betas),
-                          _prove_recursion(cache, levels, paths, lam, betas),
+                          _prove_recursion(cache, levels, lam, betas),
                           levels[0].values[0], tuple(levels[1].values))
 
 
-def _prove_recursion(cache: StationaryCache, levels: list, paths: list, lam,
-                     betas: list) -> int:
+def _prove_recursion(cache: StationaryCache, levels: list, lam, betas: list) -> int:
     """Require the memo's scaling identities at n = 1, 2 and 3, then the
     generation-2 relations in (root, edges) order, each compared once per
     (walk state of U_e gamma, of gamma, beta class of e); count them all.
+    The walk levels number their paths as `_shift_maps` does, so U_e gamma
+    is path down[e][gamma] of level 3.
     ApproxReal scalars agree as floats within 1e-9 relative, so on
     approximate backends the recursion is proved to that tolerance only."""
     def agree(x, y) -> bool:
@@ -250,22 +245,24 @@ def _prove_recursion(cache: StationaryCache, levels: list, paths: list, lam,
                                      f"is {float(y)!r}, not Lambda times {float(x)!r}")
 
     classes, two, three = [(type(b), b) for b in betas], levels[2], levels[3]
-    state_of = dict(zip(paths[3], three.state.tolist()))
+    *_, (_, _, _, down) = _shift_maps(diagram, 2)
+    # per edge, the walk state of each generation-2 path's shift, -1 where none
+    shifted = [np.where(d >= 0, three.state[d], -1).tolist() for d in down]
     proved = set()
     for i, state in zip(two.splits.tolist(), two.state[two.splits].tolist()):
-        for ei in range(len(diagram.edges)):
-            shifted = path_shift_down(diagram, ei, paths[2][i])
-            if shifted is None:
+        for ei, states in enumerate(shifted):
+            if states[i] < 0:
                 continue
             checks += 1
-            key = (state_of[shifted], state, classes[ei])
+            key = (states[i], state, classes[ei])
             if key in proved:
                 continue
             direct, direct_float = three.values[key[0]]
             via_map = lam * two.values[state][0] + betas[ei]
             if not agree(direct, via_map):
+                chain = [(level.parent, level.edge) for level in levels[1:3]]
                 raise CuntzError(f"affine-table self-calibration failed on edge {ei} over "
-                                 f"{diagram.format_path(paths[2][i])}: direct "
+                                 f"{diagram.label(chain, i)}: direct "
                                  f"{direct_float!r} vs map {float(via_map)!r}")
             proved.add(key)
     return checks

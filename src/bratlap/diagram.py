@@ -3,7 +3,9 @@
 A diagram is stored through its models: one vertex per letter, one edge model
 per (source letter, range letter, occurrence) triple, and g root-edge slots
 per vertex.  Finite paths are index sequences into those models; generation n
-means n edges counting the root edge, so generation 0 is the bare root.
+means n edges counting the root edge, so generation 0 is the bare root.  The
+paths of a generation are numbered in (root, edges) order and held as index
+arrays: per path, its parent's number one generation up and its last edge.
 """
 
 from __future__ import annotations
@@ -121,37 +123,6 @@ class RootEdge:
 
 
 @dataclass(frozen=True)
-class Path:
-    """A finite path: a root-edge index plus a run of composable edge-model indices.
-
-    root=None encodes the empty path (the root vertex itself)."""
-
-    root: int | None
-    edges: tuple[int, ...] = ()
-
-    @property
-    def generation(self) -> int:
-        return 0 if self.root is None else 1 + len(self.edges)
-
-    def prefix(self, k: int) -> "Path":
-        if k == 0:
-            return EMPTY_PATH
-        if k > self.generation:
-            raise DiagramError("prefix longer than path")
-        return Path(self.root, self.edges[: k - 1])
-
-    def child(self, edge_index: int) -> "Path":
-        """The path one generation deeper: extended by edge model edge_index,
-        or, for the empty path, the root edge edge_index."""
-        if self.root is None:
-            return Path(edge_index)
-        return Path(self.root, self.edges + (edge_index,))
-
-
-EMPTY_PATH = Path(None)
-
-
-@dataclass(frozen=True)
 class BratteliDiagram:
     letters: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]
@@ -166,14 +137,6 @@ class BratteliDiagram:
 
     def root_edge_index(self, vertex: int, slot: int = 0) -> int:
         return vertex * self.symmetry_order + slot
-
-    def path_range(self, path: Path) -> int:
-        """Letter index of the deepest vertex the path reaches."""
-        if path.root is None:
-            raise DiagramError("the empty path has no range vertex")
-        if path.edges:
-            return self.edges[path.edges[-1]].target
-        return self.root_edges[path.root].vertex
 
     @cached_property
     def targets(self) -> tuple[tuple[int, ...], ...]:
@@ -199,14 +162,21 @@ class BratteliDiagram:
                      (f"({e.occurrence})" if self.matrix[e.source][e.target] > 1 else "")
                      for e in self.edges)
 
-    def format_path(self, path: Path) -> str:
-        if path.root is None:
-            return "()"
-        return ".".join((self.heads[path.root], *(self.segments[ei] for ei in path.edges)))
+    def label(self, chain, i: int) -> str:
+        """The label of path i of the last generation in `chain`, which lists
+        per generation from 1 on the (parent, edge) index arrays of its
+        paths in (root, edges) order, a generation-1 path's edge being its
+        root edge: that root edge's head, then the segment of each edge
+        model on the way down, joined by dots."""
+        parts = []
+        for parent, edge in reversed(chain[1:]):
+            parts.append(self.segments[edge[i]])
+            i = parent[i]
+        return ".".join((self.heads[chain[0][1][i]], *reversed(parts)))
 
     def split_labels(self, depth: int):
-        """Yield, for generations 1 through `depth`, the `format_path` labels
-        of the paths that end at a splitting vertex, one with two or more
+        """Yield, for generations 1 through `depth`, the `label`s of the
+        paths that end at a splitting vertex, one with two or more
         out-edges, in (root, edges) order.  The paths under root edge (v, k)
         take the same edges for every slot k, so their tails, the labels
         after the head, are built once per vertex: over v's out-edges e in
@@ -297,41 +267,6 @@ def predicted_path_count(diagram: BratteliDiagram, n: int, cap: int | None = Non
         count = sum(row)
         if k == n or (cap is not None and count > cap):
             return count
-
-
-@dataclass(frozen=True)
-class PathTable:
-    generation: int
-    paths: tuple[Path, ...]
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-
-def enumerate_paths(diagram: BratteliDiagram, n: int,
-                    cap: int = DEFAULT_PATH_CAP) -> PathTable:
-    """All paths of generation n in lexicographic (root index, edge indices) order."""
-    if n < 1:
-        raise DiagramError("generation must be >= 1")
-    predicted = predicted_path_count(diagram, n, cap)
-    if predicted > cap:
-        raise DiagramError(
-            f"refusing to enumerate more than {cap} paths; raise the cap explicitly")
-
-    paths: list[Path] = []
-
-    def extend(path: Path, at: int, depth: int) -> None:
-        if depth == n:
-            paths.append(path)
-            return
-        for ei in diagram.out_edges[at]:
-            extend(path.child(ei), diagram.edges[ei].target, depth + 1)
-
-    for ri in range(len(diagram.root_edges)):
-        extend(Path(ri), diagram.root_edges[ri].vertex, 1)
-    if len(paths) != predicted:
-        raise AssertionError("path enumeration disagrees with the matrix-power count")
-    return PathTable(n, tuple(paths))
 
 
 def load_diagram_json(text: str) -> tuple[BratteliDiagram, int]:

@@ -19,8 +19,7 @@ from itertools import accumulate, product
 import numpy as np
 
 from . import _linalg
-from .diagram import (DEFAULT_PATH_CAP, EMPTY_PATH, Path, PathTable, path_counts,
-                      predicted_path_count)
+from .diagram import DEFAULT_PATH_CAP, path_counts, predicted_path_count
 from .measure import WeightSystem, diam_power, mu
 from .scalar import ApproxReal, QuadraticNumber, _quad
 
@@ -297,24 +296,15 @@ def _levels(cache: StationaryCache, depth: int):
         state_vertex = child_vertex.tolist()
 
 
-def _level_paths(levels: list[WalkLevel]) -> list[list[Path]]:
-    """Per level, its paths as `Path`s, in (root, edges) order."""
-    out = [[EMPTY_PATH]]
-    for level in levels[1:]:
-        up = out[-1]
-        out.append([up[p].child(e) for p, e in zip(level.parent.tolist(), level.edge.tolist())])
-    return out
-
-
 class DenseOperator:
     """Matrix of Delta_s restricted to the generation-n cylinder functions, rows
-    and columns in path-table order: root-edge order, vertex by vertex, and
-    within a vertex slot by slot, the paths under root edge (v, k) filling one
-    contiguous range of width slot_widths[v].  Path i has measure
-    mu_values[vertex[i]].  The matrix is values[index]: `values` the distinct
-    entries, exact scalars when `exact` and floats otherwise, and `index` an
-    array of the narrowest unsigned integer type that holds a bound on the
-    ids known before assembly.
+    and columns in (root, edges) order: root-edge order, vertex by vertex,
+    and within a vertex slot by slot, the paths under root edge (v, k)
+    filling one contiguous range of width slot_widths[v].  The i-th path has
+    measure mu_values[vertex[i]].  The matrix is values[index]: `values` the
+    distinct entries, exact scalars when `exact` and floats otherwise, and
+    `index` an array of the narrowest unsigned integer type that holds a
+    bound on the ids known before assembly.
 
     The closed-form records above generation n are those of the paths with
     two or more extensions, in pre-order, the zero eigenvalue implied.  The
@@ -323,9 +313,9 @@ class DenseOperator:
     extension fill the range bounds[k][i]:bounds[k][i + 1].  meets[k] is
     that base's key (range vertex, generation) in `cache`, the memo all
     were read from.  `levels` are the walk's levels through generation n;
-    `table`, the paths as `Path`s, is built from their parent and edge
-    arrays on first read, so only a caller that names paths pays for it.  A
-    plain class, like `WalkLevel`."""
+    `table`, the paths' labels, is built from their parent and edge arrays
+    on first read, so only a caller that names paths pays for it.  A plain
+    class, like `WalkLevel`."""
 
     def __init__(self, generation: int, s: Fraction, mu_values: tuple, vertex: np.ndarray,
                  symmetry_order: int, slot_widths: tuple[int, ...], exact: bool,
@@ -338,8 +328,10 @@ class DenseOperator:
         self.bounds, self.meets, self.cache, self.levels = bounds, meets, cache, levels
 
     @cached_property
-    def table(self) -> PathTable:
-        return PathTable(self.generation, tuple(_level_paths(self.levels)[-1]))
+    def table(self) -> tuple[str, ...]:
+        chain = [(level.parent.tolist(), level.edge.tolist()) for level in self.levels[1:]]
+        label = self.cache.ws.diagram.label
+        return tuple(label(chain, i) for i in range(self.vertex.size))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -653,26 +645,37 @@ def _verify_exact_relations(op: DenseOperator) -> bool:
     row of its base's span) pair is one pair of lookups, all checked in one
     vectorized pass.  The range sums are Python ints before they meet the
     coefficients, so no product overflows."""
+    # the coefficients depend only on a record's meet key and its lambda
+    # only on its walk state, whose records share one value object, so each
+    # is parsed once: the scalars are every walk state's value, then every
+    # key's (coeff_pos, coeff_neg) pairs
+    lams = {id(value): value for value, _ in op.records}
+    lam_at = dict(zip(lams, range(len(lams))))
+    bases = {meet: eigenbasis(op.cache, *meet) for meet in dict.fromkeys(op.meets)}
+    first = dict(zip(bases, accumulate((2 * len(pairs) for pairs in bases.values()),
+                                       initial=len(lams))))
     # per vector: its base's span, pos range and neg range as (lo, hi) each,
-    # and coeff_pos, coeff_neg and lambda
-    spans, scalars = [], []
+    # and the scalar index of its coeff_pos and of its lambda
+    spans, at = [], []
     for (value, _), ends, meet in zip(op.records, op.bounds, op.meets):
-        pairs = eigenbasis(op.cache, *meet)
-        if len(pairs) != len(ends) - 2:
+        if len(bases[meet]) != len(ends) - 2:
             return False
         # eigenbasis anchors every vector at the first extension
-        for k, (coeff_pos, coeff_neg) in enumerate(pairs, 1):
+        for k in range(1, len(ends) - 1):
             spans.append([ends[0], ends[-1], *ends[0:2], *ends[k:k + 2]])
-            scalars += (coeff_pos, coeff_neg, value)
+            at.append((first[meet] + 2 * (k - 1), lam_at[id(value)]))
     entries = _Numerators(op.values)
     rows = entries.prefix_sums(op.index)
     if any(p[:, -1].any() for p in rows):
         return False
     if not spans:
         return True
-    mus, c = _Numerators(op.mu_values), _Numerators(scalars)
+    mus = _Numerators(op.mu_values)
+    c = _Numerators([*lams.values(),
+                     *(x for pairs in bases.values() for pair in pairs for x in pair)])
     base_lo, base_hi, pos_lo, pos_hi, neg_lo, neg_hi = np.array(spans).T
-    coeff_pos, coeff_neg, lam = ((c.a[j::3], c.b[j::3]) for j in range(3))
+    pos, lam = np.array(at).T
+    coeff_pos, coeff_neg, lam = ((c.a[j], c.b[j]) for j in (pos, pos + 1, lam))
 
     def times_v(prefix: list[np.ndarray], row, k: np.ndarray) -> tuple:
         """c.den * den * (M v)_row for the vectors k, as (a, b), from the

@@ -1,9 +1,12 @@
 """Path and dense-operator helpers that several test modules use as
-independent oracles, the per-record views of the spectrum and of the affine
-recursion that tests compare against, and the loop-by-loop forms of the
-dense index fill, the slot-copy check and the Perron power iteration, the
-Fraction-pair quadratic scalar and the walk's object loop, the suffix
-automaton that counts factors, and the path-by-path Cuntz-Krieger check."""
+independent oracles: paths as objects (`Path`, `PathTable`,
+`enumerate_paths`, `format_path` and the shifts), which the library, working
+on per-generation index arrays, no longer builds; the per-record views of
+the spectrum and of the affine recursion that tests compare against; and the
+loop-by-loop forms of the dense index fill, the slot-copy check and the
+Perron power iteration, the Fraction-pair quadratic scalar and the walk's
+object loop, the suffix automaton that counts factors, and the path-by-path
+Cuntz-Krieger check."""
 
 from __future__ import annotations
 
@@ -16,12 +19,118 @@ from itertools import accumulate, product
 import mpmath
 import numpy as np
 
-from bratlap.cuntz import CKReport, CuntzError, _expand, path_shift_down
-from bratlap.diagram import EMPTY_PATH, BratteliDiagram, Path, enumerate_paths
-from bratlap.laplacian import (LaplacianError, StationaryCache, _level_paths, g_value,
-                               walk_states)
+from bratlap.cuntz import CKReport, CuntzError, _expand
+from bratlap.diagram import (DEFAULT_PATH_CAP, BratteliDiagram, DiagramError,
+                             predicted_path_count)
+from bratlap.laplacian import LaplacianError, StationaryCache, g_value, walk_states
 from bratlap.measure import MeasureError, WeightSystem, mu
 from bratlap.scalar import ApproxReal, _as_fraction, is_square_free, rational_sqrt
+
+
+@dataclass(frozen=True)
+class Path:
+    """A finite path: a root-edge index plus a run of composable edge-model indices.
+
+    root=None encodes the empty path (the root vertex itself)."""
+
+    root: int | None
+    edges: tuple[int, ...] = ()
+
+    @property
+    def generation(self) -> int:
+        return 0 if self.root is None else 1 + len(self.edges)
+
+    def prefix(self, k: int) -> "Path":
+        if k == 0:
+            return EMPTY_PATH
+        if k > self.generation:
+            raise DiagramError("prefix longer than path")
+        return Path(self.root, self.edges[: k - 1])
+
+    def child(self, edge_index: int) -> "Path":
+        """The path one generation deeper: extended by edge model edge_index,
+        or, for the empty path, the root edge edge_index."""
+        if self.root is None:
+            return Path(edge_index)
+        return Path(self.root, self.edges + (edge_index,))
+
+
+EMPTY_PATH = Path(None)
+
+
+@dataclass(frozen=True)
+class PathTable:
+    generation: int
+    paths: tuple[Path, ...]
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+
+def path_range(diagram: BratteliDiagram, path: Path) -> int:
+    """Letter index of the deepest vertex the path reaches."""
+    if path.root is None:
+        raise DiagramError("the empty path has no range vertex")
+    if path.edges:
+        return diagram.edges[path.edges[-1]].target
+    return diagram.root_edges[path.root].vertex
+
+
+def format_path(diagram: BratteliDiagram, path: Path) -> str:
+    """A path's label from its root edge's head and its edges' segments;
+    "()" for the empty path."""
+    if path.root is None:
+        return "()"
+    return ".".join((diagram.heads[path.root], *(diagram.segments[ei] for ei in path.edges)))
+
+
+def enumerate_paths(diagram: BratteliDiagram, n: int,
+                    cap: int = DEFAULT_PATH_CAP) -> PathTable:
+    """All paths of generation n in lexicographic (root index, edge indices) order."""
+    if n < 1:
+        raise DiagramError("generation must be >= 1")
+    predicted = predicted_path_count(diagram, n, cap)
+    if predicted > cap:
+        raise DiagramError(
+            f"refusing to enumerate more than {cap} paths; raise the cap explicitly")
+
+    paths: list[Path] = []
+
+    def extend(path: Path, at: int, depth: int) -> None:
+        if depth == n:
+            paths.append(path)
+            return
+        for ei in diagram.out_edges[at]:
+            extend(path.child(ei), diagram.edges[ei].target, depth + 1)
+
+    for ri in range(len(diagram.root_edges)):
+        extend(Path(ri), diagram.root_edges[ri].vertex, 1)
+    if len(paths) != predicted:
+        raise AssertionError("path enumeration disagrees with the matrix-power count")
+    return PathTable(n, tuple(paths))
+
+
+def path_chain(diagram: BratteliDiagram, depth: int) -> list[tuple[list, list]]:
+    """Per generation 1 to `depth`, the (parent, edge) lists of the paths of
+    `enumerate_paths`: each path's prefix's index one generation up, and its
+    last edge, its root edge under parent 0 at generation 1."""
+    up = enumerate_paths(diagram, 1).paths
+    chain = [([0] * len(up), [p.root for p in up])]
+    for n in range(2, depth + 1):
+        index = {p: i for i, p in enumerate(up)}
+        up = enumerate_paths(diagram, n).paths
+        chain.append(([index[p.prefix(n - 1)] for p in up], [p.edges[-1] for p in up]))
+    return chain
+
+
+def level_paths(levels: list) -> list[list[Path]]:
+    """Per level of `laplacian.walk_states`, its paths as `Path`s, in (root,
+    edges) order, read off the levels' parent and edge arrays."""
+    out = [[EMPTY_PATH]]
+    for level in levels[1:]:
+        up = out[-1]
+        out.append([up[p].child(e) for p, e in zip(level.parent.tolist(), level.edge.tolist())])
+    return out
 
 
 @dataclass(frozen=True)
@@ -39,7 +148,7 @@ def path_key(diagram: BratteliDiagram, path: Path) -> tuple[int, int]:
     path's terms: (-1, 0) for the empty path."""
     if path.root is None:
         return (-1, 0)
-    return (diagram.path_range(path), path.generation)
+    return (path_range(diagram, path), path.generation)
 
 
 def extensions(diagram: BratteliDiagram, path: Path) -> tuple[int, ...]:
@@ -47,7 +156,7 @@ def extensions(diagram: BratteliDiagram, path: Path) -> tuple[int, ...]:
     empty path."""
     if path.root is None:
         return tuple(range(len(diagram.root_edges)))
-    return diagram.out_edges[diagram.path_range(path)]
+    return diagram.out_edges[path_range(diagram, path)]
 
 
 def longest_common_prefix(x: Path, y: Path) -> Path:
@@ -304,7 +413,7 @@ def full_spectrum(ws: WeightSystem, depth: int, s) -> list[SpectralRecord]:
     to its path's rank."""
     levels = list(walk_states(StationaryCache(ws, Fraction(s)), depth))
     found = []
-    for level, paths in zip(levels, _level_paths(levels)):
+    for level, paths in zip(levels, level_paths(levels)):
         k, values, ids = level.generation, level.values, level.splits
         for i, rank, state, m in zip(ids.tolist(), level.rank[ids].tolist(),
                                      level.state[ids].tolist(), level.multiplicity.tolist()):
@@ -350,7 +459,7 @@ def recursive_spectrum(table, depth: int) -> list[SpectralRecord]:
         paths = [Path(r, run) for r, edge in enumerate(diagram.root_edges)
                  for run in runs[edge.vertex]]
         out.extend(SpectralRecord("path", path, gen, states[i], floats[i],
-                                  len(diagram.out_edges[diagram.path_range(path)]) - 1)
+                                  len(diagram.out_edges[path_range(diagram, path)]) - 1)
                    for path, i in zip(paths, index.tolist()))
     return out
 
@@ -670,6 +779,21 @@ class _SuffixAutomaton:
         return counts
 
 
+def path_shift_down(diagram: BratteliDiagram, edge_index: int,
+                    path: Path) -> Path | None:
+    """Insert an edge just below the root: (eps, e1, ...) -> (eps', e, e1, ...)
+    when e composes with e1, keeping the symmetry slot; None when it does not.
+    The reference for `cuntz._shift_maps`."""
+    if path.generation < 2:
+        raise CuntzError("shift down needs a path of generation >= 2")
+    e = diagram.edges[edge_index]
+    first = diagram.edges[path.edges[0]]
+    if e.target != first.source:
+        return None
+    slot = diagram.root_edges[path.root].slot
+    return Path(diagram.root_edge_index(e.source, slot), (edge_index,) + path.edges)
+
+
 def path_shift_up(diagram: BratteliDiagram, edge_index: int,
                   path: Path) -> Path | None:
     """Delete the first non-root edge when it equals e, re-rooting at the next
@@ -704,17 +828,17 @@ def ck_relations_by_path(diagram: BratteliDiagram, depth: int, adjacency=None) -
                 if in_domain != claimed:
                     failures.append(
                         f"U_{ei}*U_{ei} disagrees with the adjacency row on path "
-                        f"{diagram.format_path(gamma)}")
+                        f"{format_path(diagram, gamma)}")
                 if down is not None:
                     back = path_shift_up(diagram, ei, down)
                     if back != gamma:
                         failures.append(
-                            f"shift_up(shift_down) != id on {diagram.format_path(gamma)}")
+                            f"shift_up(shift_down) != id on {format_path(diagram, gamma)}")
             if gen >= 3:
                 up = path_shift_up(diagram, first, gamma)
                 if up is None or path_shift_down(diagram, first, up) != gamma:
                     failures.append(
-                        f"shift_down(shift_up) != id on {diagram.format_path(gamma)}")
+                        f"shift_down(shift_up) != id on {format_path(diagram, gamma)}")
             if len(failures) > 20:
                 return CKReport(False, depth, checked, failures)
     return CKReport(not failures, depth, checked, failures)

@@ -23,7 +23,7 @@ from bratlap.diagram import SubstitutionRule, build_diagram, predicted_path_coun
 from bratlap.measure import WeightSystem, perron
 from bratlap.presets import load_preset, preset_names
 from bratlap.scalar import QuadraticBackend, RationalBackend
-from oracles import _SuffixAutomaton, full_spectrum, spectrum_multiset
+from oracles import _SuffixAutomaton, full_spectrum, path_range, spectrum_multiset
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -85,7 +85,7 @@ def _per_path_magnitudes(table, depth):
         if rec.label == "root":
             gen0[abs(rec.value_float)] = gen0.get(abs(rec.value_float), 0) + rec.multiplicity
     state = {(z, z): np.array([v]) for z, v in (
-        (diagram.path_range(rec.path), rec.value_float)
+        (path_range(diagram, rec.path), rec.value_float)
         for rec in seeds if rec.label == "path" and rec.generation == 1)}
     out = [gen0]
     for gen in range(1, depth + 1):

@@ -27,9 +27,10 @@ import bratlap
 from bratlap import cli, cuntz, laplacian, measure
 from bratlap.asymptotics import magnitude_table
 from bratlap.cli import _fmt, _fmt_exact, main
-from bratlap.diagram import build_diagram, enumerate_paths
+from bratlap.diagram import build_diagram
 from bratlap.presets import PRESETS, load_preset, preset_names
-from oracles import distance_to_unstable, full_spectrum, recursive_spectrum
+from oracles import (distance_to_unstable, enumerate_paths, format_path, full_spectrum,
+                     recursive_spectrum)
 
 
 def run_cli(argv, capsys):
@@ -298,7 +299,7 @@ def _strip_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
     emb = cuntz.companion_embedding(pdata, Fraction(s))
     rows, per_gen = [], {}
     for rec in recursive_spectrum(table, depth):
-        label = rec.label if rec.path is None else diagram.format_path(rec.path)
+        label = rec.label if rec.path is None else format_path(diagram, rec.path)
         dist = distance_to_unstable(emb, cuntz.lattice_coords(emb, rec.value))
         rows.append([label, _fmt(dist)])
         per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
@@ -322,7 +323,7 @@ def _spectrum_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
     rows = []
     records = full_spectrum(ws, depth - 1, Fraction(s))
     for rec in records:
-        label = rec.label if rec.path is None else diagram.format_path(rec.path)
+        label = rec.label if rec.path is None else format_path(diagram, rec.path)
         rows.append([rec.label, rec.generation, label, rec.multiplicity,
                      _fmt_exact(ws.backend, rec.value), _fmt(rec.value_float)])
     config = {"backend": bundle.backend.kind, "depth": str(depth),
@@ -405,16 +406,31 @@ def test_dense_broken_slot_symmetry_exits_one(monkeypatch, capsys):
     assert "slot symmetry" in captured.err
 
 
-@pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_dense_paths_line_lists_the_enumerated_paths(preset, capsys):
-    """dense's path table, built on first read from the walk's arrays, names
-    the generation-n paths in enumerate_paths order."""
-    code, out = run_cli(["dense", "--preset", preset, "--depth", "3", "--s", "1"], capsys)
-    diagram = load_preset(preset).diagram
-    want = " ".join(diagram.format_path(p) for p in enumerate_paths(diagram, 3).paths)
+def _paths_line(argv: list[str], diagram, depth: int, capsys) -> None:
+    code, out = run_cli([*argv, "--depth", str(depth), "--s", "1"], capsys)
+    want = " ".join(format_path(diagram, p) for p in enumerate_paths(diagram, depth).paths)
     assert code == 0
     assert [line for line in out.splitlines() if line.startswith("# paths:")] == \
-        [f"# paths: {want}"]
+        [f"# paths: {want}"], depth
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_dense_paths_line_lists_the_enumerated_paths(preset, capsys):
+    """dense's path labels, built on first read from the walk's arrays, are
+    the generation-n paths' format_path labels in enumerate_paths order."""
+    for depth in range(1, 5):
+        _paths_line(["dense", "--preset", preset], load_preset(preset).diagram, depth, capsys)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_dense_paths_line_on_a_matrix_file(g, tmp_path, capsys):
+    # parallel edges label their occurrence, and g = 2 the root slot
+    spec = tmp_path / "d.json"
+    spec.write_text(json.dumps({"letters": ["a", "b"], "matrix": [[1, 2], [1, 0]],
+                                "symmetry_order": g}))
+    diagram = build_diagram([[1, 2], [1, 0]], symmetry_order=g)
+    for depth in range(1, 5):
+        _paths_line(["dense", "--matrix-file", str(spec)], diagram, depth, capsys)
 
 
 @pytest.mark.parametrize("preset", ["penrose", "ammann-a2"])
@@ -814,8 +830,8 @@ def test_usage_errors_name_their_cause(argv, message):
 
 def test_self_calibration_failure_is_a_usage_error(monkeypatch):
     prove = cuntz._prove_recursion
-    monkeypatch.setattr(cuntz, "_prove_recursion", lambda cache, levels, paths, lam, betas:
-                        prove(cache, levels, paths, lam, [betas[0] + 1, *betas[1:]]))
+    monkeypatch.setattr(cuntz, "_prove_recursion", lambda cache, levels, lam, betas:
+                        prove(cache, levels, lam, [betas[0] + 1, *betas[1:]]))
     code, err = _exit_code(["weyl", "--preset", "fibonacci", "--depth", "4"])
     assert code == 2
     assert "bratlap: error: affine-table self-calibration failed on edge 0 over " in err

@@ -19,18 +19,19 @@ from bratlap.cuntz import (
     ck_relations_check,
     companion_embedding,
     lattice_coords,
-    path_shift_down,
     strip_check,
 )
-from bratlap.diagram import (EMPTY_PATH, Path, build_diagram, enumerate_paths,
-                             load_diagram_file, path_counts, predicted_path_count)
+from bratlap.diagram import (build_diagram, load_diagram_file, load_diagram_json, path_counts,
+                             predicted_path_count)
 from bratlap.laplacian import g_value
 from bratlap.measure import WeightSystem, _theta_certificate, mu, perron
 from bratlap.presets import PRESETS, load_preset, preset_names
 from bratlap.scalar import (ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend,
                             compare)
-from oracles import (apply, ck_relations_by_path, distance_to_unstable, full_spectrum, path_key,
-                     path_shift_up, recursive_spectrum, strip_distances, walked_spectrum)
+from oracles import (EMPTY_PATH, Path, apply, ck_relations_by_path, distance_to_unstable,
+                     enumerate_paths, format_path, full_spectrum, path_chain, path_key,
+                     path_range, path_shift_down, path_shift_up, recursive_spectrum,
+                     strip_distances, walked_spectrum)
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -166,6 +167,57 @@ def test_ck_relations_match_the_path_reference_on_matrix_files(matrix, g, tmp_pa
         assert ck_relations_check(diagram, depth) == ck_relations_by_path(diagram, depth)
 
 
+# the six presets, and matrix files with parallel edges at g = 1 and 2,
+# named by their letters
+SHIFT_MATRICES = {"ab": [[2, 1], [1, 0]], "abc": [[0, 1, 2], [1, 0, 1], [1, 1, 0]]}
+SHIFT_DIAGRAMS = [*preset_names(), *(f"{letters}-g{g}" for letters in SHIFT_MATRICES
+                                     for g in (1, 2))]
+
+
+def shift_diagram(name):
+    if name in PRESETS:
+        return load_preset(name).diagram
+    letters, g = name.split("-g")
+    return load_diagram_json(json.dumps({"letters": list(letters), "symmetry_order": int(g),
+                                         "matrix": SHIFT_MATRICES[letters]}))[0]
+
+
+@pytest.mark.parametrize("name", SHIFT_DIAGRAMS)
+def test_shift_maps_match_the_path_shift(name):
+    """The one shift-down map, at generation 2 as the affine table reads it
+    and at 3, against oracles.path_shift_down on every (edge, path), and its
+    numbering against enumerate_paths at generations 1 to 4."""
+    diagram = shift_diagram(name)
+    chain = path_chain(diagram, 4)
+    for n, (parent, edge, starts, down) in enumerate(cuntz._shift_maps(diagram, 4), 1):
+        assert (parent.tolist(), edge.tolist()) == chain[n - 1], n
+        if n == 1:
+            continue
+        paths = enumerate_paths(diagram, n).paths
+        index = {p: i for i, p in enumerate(enumerate_paths(diagram, n + 1).paths)}
+        assert starts.tolist() == [index[p.child(diagram.out_edges[path_range(diagram, p)][0])]
+                                   for p in paths]
+        for ei, d in enumerate(down):
+            want = [path_shift_down(diagram, ei, p) for p in paths]
+            assert d.tolist() == [-1 if q is None else index[q] for q in want], (n, ei)
+
+
+@pytest.mark.parametrize("name", SHIFT_DIAGRAMS)
+def test_walk_levels_number_paths_as_the_shift_maps(name):
+    """The affine table reads shift_down(e, gamma) of walk level 2 in walk
+    level 3 by the shift maps' numbering: the walk levels 1 to 3 carry the
+    shift maps' (parent, edge) arrays, index for index."""
+    diagram = shift_diagram(name)
+    preset = name in PRESETS
+    backend = Q5 if preset else ApproxBackend(64)
+    dimension = load_preset(name).dimension if preset else 1
+    cache = laplacian.StationaryCache(system(diagram, backend, dimension), 1)
+    levels = list(laplacian.walk_states(cache, 3))
+    for level, (parent, edge, _, _) in zip(levels[1:], cuntz._shift_maps(diagram, 3)):
+        assert level.parent.tolist() == parent.tolist()
+        assert level.edge.tolist() == edge.tolist()
+
+
 @pytest.mark.parametrize("name", ["fibonacci", "penrose", "ammann-a2"])
 def test_ck_relations_fail_as_the_path_reference_does(name):
     # flipped adjacency entries fail whole columns of paths: past 20
@@ -279,10 +331,9 @@ def test_calibration_failure_in_the_last_beta_class(name, s, monkeypatch):
     # named is the first failing one in (root, edges) order
     prove = cuntz._prove_recursion
 
-    def perturbed(cache, levels, paths, lam, betas):
+    def perturbed(cache, levels, lam, betas):
         last = list(dict.fromkeys((type(b), b) for b in betas))[-1]
-        return prove(cache, levels, paths, lam, [b + 1 if (type(b), b) == last else b
-                                                 for b in betas])
+        return prove(cache, levels, lam, [b + 1 if (type(b), b) == last else b for b in betas])
 
     monkeypatch.setattr(cuntz, "_prove_recursion", perturbed)
     with pytest.raises(CuntzError) as info:
@@ -449,7 +500,7 @@ def test_strip_matches_per_path_oracle(ws_factory, s, depth):
     distances = strip_distances(report)
     assert len(distances) == len(coords) == len(records)
     for rec, (label, dist), got in zip(records, distances, coords):
-        assert label == (rec.label if rec.path is None else ws.diagram.format_path(rec.path))
+        assert label == (rec.label if rec.path is None else format_path(ws.diagram, rec.path))
         assert got == lattice_coords(emb, rec.value), label
         assert reconstruct_from_coords(emb, got) == \
             pytest.approx(rec.value_float, rel=1e-12, abs=1e-9), label
@@ -617,7 +668,7 @@ def test_affine_table_seeds_are_the_depth_one_spectrum(name, backend):
         assert records[0].label == "zero", s
         roots = [rec for rec in records if rec.label == "root"]
         at_vertex = {z: [rec for rec in records
-                         if rec.label == "path" and diagram.path_range(rec.path) == z]
+                         if rec.label == "path" and path_range(diagram, rec.path) == z]
                      for z in range(diagram.n_letters)}
         assert len(table.seeds) == diagram.n_letters, s
         for seed, want in [(table.root_seed, roots), *zip(table.seeds, at_vertex.values())]:
@@ -739,7 +790,7 @@ def _check_level(diagram, classes, codes, counts, rows):
     for path, mult, state in rows:
         summed[diagram.root_edges[path.root].vertex, state] += mult
         keys.setdefault(state, set()).add(
-            (diagram.path_range(path), tuple(classes[ei] for ei in path.edges)))
+            (path_range(diagram, path), tuple(classes[ei] for ei in path.edges)))
     assert {(v, i): int(counts[v, i]) for v, i in zip(*counts.nonzero())} == summed
     assert sorted(keys) == list(range(codes.size))
     assert all(len(k) == 1 for k in keys.values())
@@ -764,7 +815,7 @@ def test_counted_and_per_path_views_of_the_recursion_agree(name):
         # the kernel: the zero eigenvalue and the root splitting
         total = 1 + (len(diagram.root_edges) - 1 if table.root_seed else 0)
         for n, ((codes, counts), row_counts) in enumerate(zip(levels, path_counts(diagram)), 1):
-            mults = [(path, len(diagram.out_edges[diagram.path_range(path)]) - 1)
+            mults = [(path, len(diagram.out_edges[path_range(diagram, path)]) - 1)
                      for path in enumerate_paths(diagram, n).paths]
             splitting = [(path, mult) for path, mult in mults if mult >= 1]
             if n > 1:
@@ -774,7 +825,7 @@ def test_counted_and_per_path_views_of_the_recursion_agree(name):
                 index = index.tolist()
             else:
                 # a generation-1 state is coded by its range vertex
-                index = [codes.tolist().index(diagram.path_range(path)) for path, _ in splitting]
+                index = [codes.tolist().index(path_range(diagram, path)) for path, _ in splitting]
             rows = [(path, mult, state)
                     for (path, mult), state in zip(splitting, index, strict=True)]
             _check_level(diagram, classes, codes, counts, rows)

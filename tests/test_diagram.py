@@ -2,27 +2,28 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import time
 from itertools import product
 
 import pytest
 
+import bratlap
 from bratlap.diagram import (
     DEFAULT_PATH_CAP,
     DiagramError,
-    EMPTY_PATH,
-    Path,
     SubstitutionRule,
     abelianize,
     build_diagram,
-    enumerate_paths,
     is_primitive,
     load_diagram_json,
     predicted_path_count,
 )
 from bratlap.presets import load_preset, preset_names
-from oracles import longest_common_prefix, span
+from oracles import (EMPTY_PATH, Path, enumerate_paths, format_path, longest_common_prefix,
+                     path_chain, path_range, span)
 
 FIB = SubstitutionRule.from_strings({"a": "ab", "b": "a"})
 TM = SubstitutionRule.from_strings({"0": "01", "1": "10"})
@@ -148,7 +149,7 @@ def test_enumerate_fibonacci_small():
     assert len(t1) == 2
     t2 = enumerate_paths(d, 2)
     assert len(t2) == 3
-    assert [d.format_path(p) for p in t2.paths] == ["a.a", "a.b", "b.a"]
+    assert [format_path(d, p) for p in t2.paths] == ["a.a", "a.b", "b.a"]
 
 
 def test_enumerate_fibonacci_depth10():
@@ -201,7 +202,7 @@ def test_extension_counting_identity():
     for d in (fib_diagram(), tm_diagram(), build_diagram(PENROSE_MATRIX, symmetry_order=4)):
         for n in range(1, 8):
             table = enumerate_paths(d, n)
-            total = sum(len(d.targets[d.path_range(p)]) for p in table.paths)
+            total = sum(len(d.targets[path_range(d, p)]) for p in table.paths)
             assert total == predicted_path_count(d, n + 1)
 
 
@@ -238,11 +239,11 @@ def test_path_labels_penrose_and_parallel_edges():
     a_to_a = [ei for ei, e in enumerate(pen.edges) if (e.source, e.target) == (0, 0)]
     b_to_a = next(ei for ei, e in enumerate(pen.edges) if (e.source, e.target) == (1, 0))
     path = Path(pen.root_edge_index(1, 7), (b_to_a, a_to_a[1]))
-    assert pen.format_path(path) == "b[7].a.a(2)"
+    assert format_path(pen, path) == "b[7].a.a(2)"
     assert pen.heads[pen.root_edge_index(0, 19)] == "a[19]"
     assert [pen.segments[ei] for ei in a_to_a] == ["a(1)", "a(2)"]
-    assert fib_diagram().format_path(Path(1, (2,))) == "b.a"
-    assert fib_diagram().format_path(EMPTY_PATH) == "()"
+    assert format_path(fib_diagram(), Path(1, (2,))) == "b.a"
+    assert format_path(fib_diagram(), EMPTY_PATH) == "()"
 
 
 _G3_FILES = {
@@ -263,10 +264,41 @@ def test_split_labels_are_format_path_of_the_splitting_paths(name):
     labels = list(diagram.split_labels(7))
     assert len(labels) == 7
     for n, got in enumerate(labels, 1):
-        want = [diagram.format_path(p) for p in enumerate_paths(diagram, n).paths
-                if len(diagram.out_edges[diagram.path_range(p)]) >= 2]
+        want = [format_path(diagram, p) for p in enumerate_paths(diagram, n).paths
+                if len(diagram.out_edges[path_range(diagram, p)]) >= 2]
         assert got == want, (name, n)
     assert list(diagram.split_labels(0)) == []
+
+
+@pytest.mark.parametrize("name", [*preset_names(), *_G3_FILES])
+def test_label_is_format_path_of_the_chain(name):
+    # a path labelled from its generation's (parent, edge) arrays reads as
+    # format_path of the enumerated path
+    if name in _G3_FILES:
+        diagram = load_diagram_json(_G3_FILES[name])[0]
+    else:
+        diagram = load_preset(name).diagram
+    chain = path_chain(diagram, 5)
+    for n in range(1, 6):
+        paths = enumerate_paths(diagram, n).paths
+        assert [diagram.label(chain[:n], i) for i in range(len(paths))] == \
+            [format_path(diagram, p) for p in paths]
+
+
+MOVED_TO_THE_ORACLES = {"Path", "EMPTY_PATH", "PathTable", "enumerate_paths", "path_range",
+                        "format_path", "path_shift_down", "_level_paths"}
+
+
+def test_library_defines_no_path_objects():
+    # paths are index arrays in the library; the path objects and what reads
+    # them live in the test oracles
+    for info in pkgutil.iter_modules(bratlap.__path__):
+        module = importlib.import_module(f"bratlap.{info.name}")
+        names = set(vars(module))
+        names.update(attr for obj in vars(module).values()
+                      if isinstance(obj, type) and obj.__module__ == module.__name__
+                      for attr in vars(obj))
+        assert not names & MOVED_TO_THE_ORACLES, info.name
 
 
 def test_child_of_the_empty_path_is_a_root_edge():

@@ -12,13 +12,7 @@ import pytest
 
 from bratlap import cuntz, laplacian
 from bratlap.cli import main
-from bratlap.diagram import (
-    EMPTY_PATH,
-    Path,
-    build_diagram,
-    enumerate_paths,
-    predicted_path_count,
-)
+from bratlap.diagram import BratteliDiagram, build_diagram, predicted_path_count
 from bratlap.laplacian import (
     LaplacianError,
     dense_restriction,
@@ -37,10 +31,15 @@ from bratlap.scalar import (
     RationalBackend,
 )
 from oracles import (
+    EMPTY_PATH,
+    Path,
     blockwise_index,
     eigenvalue,
+    enumerate_paths,
     extensions,
+    format_path,
     full_spectrum,
+    level_paths,
     longest_common_prefix,
     object_walk,
     path_key,
@@ -119,7 +118,7 @@ def test_eigenvalue_fibonacci_handchecked():
     assert eigenvalue(ws, t2[2], 1).value == -(14 * PHI + 9)    # path b.a
     t3 = enumerate_paths(ws.diagram, 3).paths
     baa = t3[3]
-    assert ws.diagram.format_path(baa) == "b.a.a"
+    assert format_path(ws.diagram, baa) == "b.a.a"
     assert eigenvalue(ws, baa, 1).value == -(40 * PHI + 25)
     with pytest.raises(LaplacianError):
         eigenvalue(ws, t2[1], 1)  # a.b ends at b, single extension
@@ -423,8 +422,8 @@ def test_interned_matrix_equals_object_matrix(preset):
             op = dense_restriction(ws, n, s)
             assert op.exact
             full = np.array(op.matrix, dtype=object)
-            inv_g = {}
-            for (i, p), (j, q) in product(enumerate(op.table.paths), repeat=2):
+            inv_g, table = {}, enumerate_paths(ws.diagram, n)
+            for (i, p), (j, q) in product(enumerate(table.paths), repeat=2):
                 if i != j:
                     meet = longest_common_prefix(p, q)
                     if meet not in inv_g:
@@ -432,8 +431,7 @@ def test_interned_matrix_equals_object_matrix(preset):
                     assert full[i, j] == op.mu_values[op.vertex[j]] * inv_g[meet], \
                         (n, s, i, j)
             assert op.as_float().tobytes() == full.astype(float).tobytes(), (n, s)
-            ranges = {span(op.table, p.prefix(k)) for p in op.table.paths
-                      for k in range(n + 1)}
+            ranges = {span(table, p.prefix(k)) for p in table.paths for k in range(n + 1)}
             entries = laplacian._Numerators(op.values)
             mus = laplacian._Numerators(op.mu_values)
             rows = entries.prefix_sums(op.index)
@@ -507,7 +505,8 @@ def test_interned_float_matrix_equals_direct_formula(preset, backend, s):
     for n in range(2, 6):
         op = dense_restriction(ws, n, s)
         assert not op.exact and all(type(v) is float for v in op.values)
-        m, paths = op.as_float(), op.table.paths
+        table = enumerate_paths(ws.diagram, n)
+        m, paths = op.as_float(), table.paths
         mu_col = np.array([float(mu_at(p)) for p in paths])
         checked = 0
         for meet in {p.prefix(k) for p in paths for k in range(n)}:
@@ -515,7 +514,7 @@ def test_interned_float_matrix_equals_direct_formula(preset, backend, s):
             if len(ext) < 2:
                 continue
             gf = float(g_value(ws, *path_key(ws.diagram, meet), s))
-            spans = [span(op.table, meet.child(e)) for e in ext]
+            spans = [span(table, meet.child(e)) for e in ext]
             for rows, cols in product(spans, repeat=2):
                 if rows != cols:
                     block = m[rows.start:rows.stop, cols.start:cols.stop]
@@ -634,12 +633,13 @@ def test_verify_reports_broken_slot_symmetry(monkeypatch, system, cells):
 
 
 def test_verify_builds_no_path(monkeypatch):
-    """verify reads the walk's arrays only: the path table is built on first
-    read, which verify never makes."""
-    def no_paths(levels):
-        raise AssertionError("verify built Paths")
+    """verify reads the walk's arrays only: the table of path labels is built
+    on first read, which verify never makes, and no path is labelled."""
+    def no_labels(*args):
+        raise AssertionError("verify labelled paths")
 
-    monkeypatch.setattr(laplacian, "_level_paths", no_paths)
+    monkeypatch.setattr(laplacian.DenseOperator, "table", property(no_labels))
+    monkeypatch.setattr(BratteliDiagram, "label", no_labels)
     report = verify_spectrum(penrose_ws(), 5, 1)
     assert report.ok and report.dense_size == 1780
 
@@ -833,14 +833,15 @@ def test_dense_walk_yields_full_spectrum_leaves_and_cylinders(name, backend):
         assert len(op.records) == len(want) - 1, (s, n)
         for got, rec in zip(op.records, want[1:]):
             _same_value(got, rec)
-        assert op.table.paths == enumerate_paths(diagram, n).paths
+        table = enumerate_paths(diagram, n)
+        assert tuple(level_paths(op.levels)[-1]) == table.paths
         assert np.array_equal(op.index, blockwise_index(op)), (s, n)
         assert len(op.bounds) == len(op.records)
         for rec, ends in zip(want[1:], op.bounds):
             assert len(ends) - 2 == rec.multiplicity, (s, n, rec.path)
             base = rec.path or EMPTY_PATH
             assert [range(lo, hi) for lo, hi in zip(ends, ends[1:])] == \
-                [span(op.table, base.child(e)) for e in extensions(diagram, base)]
+                [span(table, base.child(e)) for e in extensions(diagram, base)]
         if n == 3:
             # with the dense spectrum replaced by the walked multiset, the
             # closed form verify expects deviates from it nowhere
@@ -877,7 +878,8 @@ def test_walk_states_match_the_path_by_path_walk(name, backend):
             for g, ends, w in zip(op.records, op.bounds, records[1:]):
                 _same_value(g, w)
                 assert len(ends) - 2 == w.multiplicity, (s, n, w.path)
-            assert op.table.paths == tuple(leaves)
+            assert tuple(level_paths(op.levels)[-1]) == tuple(leaves)
+            assert op.table == tuple(format_path(ws.diagram, p) for p in leaves)
             assert op.bounds == bounds
             assert np.diag(op.index).tolist() == ids
 
@@ -905,21 +907,9 @@ def test_verify_computes_each_splitting_weight_once(argv, calls, monkeypatch, ca
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_memo_is_read_by_integer_keys(name, monkeypatch):
     """The walk reads the stationary memo by (range vertex, generation)
-    keys and builds no Path to do so; after verify_spectrum and
+    keys, never by a path: after walk_states, verify_spectrum and
     affine_table every key in the memo's tables is a tuple of ints."""
     ws = load_preset(name).weight_system
-    child, children = Path.child, []
-
-    def counted(path, edge_index):
-        children.append(edge_index)
-        return child(path, edge_index)
-
-    monkeypatch.setattr(Path, "child", counted)
-    for s in (0, Fraction(1, 2), 1, 2):
-        for level in laplacian.walk_states(laplacian.StationaryCache(ws, s), 6):
-            assert len(level.values) == len(level.partials)
-    assert children == []
-
     caches, init = [], laplacian.StationaryCache.__init__
 
     def recorded(cache, *args):
@@ -927,9 +917,12 @@ def test_memo_is_read_by_integer_keys(name, monkeypatch):
         caches.append(cache)
 
     monkeypatch.setattr(laplacian.StationaryCache, "__init__", recorded)
+    for s in (0, Fraction(1, 2), 1, 2):
+        for level in laplacian.walk_states(laplacian.StationaryCache(ws, s), 6):
+            assert len(level.values) == len(level.partials)
     verify_spectrum(ws, 4, 1)
     cuntz.affine_table(ws, 1)
-    assert len(caches) == 2
+    assert len(caches) == 6
     for cache in caches:
         keys = [k for table in vars(cache).values() if isinstance(table, dict) for k in table]
         assert keys
