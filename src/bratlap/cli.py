@@ -181,7 +181,7 @@ def _build_parser(commands) -> argparse.ArgumentParser:
         # argparse runs a string default through the type when the flag is
         # absent, so a bad $BRATLAP_PRECISION exits like a bad flag
         "--precision": {"type": _precision_bits,
-                        "default": os.environ.get(DEFAULT_PRECISION_ENV, "212"),
+                        "default": os.environ.get(DEFAULT_PRECISION_ENV, str(DEFAULT_APPROX_BITS)),
                         "help": "bits used when exact arithmetic must fall back"},
         "--depth": {},  # per command, from _COMMANDS
         "--s": {"default": None, "help": "spectral parameter (rational; default: d)"},

@@ -311,42 +311,6 @@ def _grow(table: AffineMapTable, depth: int):
         yield codes, counts
 
 
-def _expand(table: AffineMapTable, depth: int):
-    """Generations 2 through `depth` of the recursion per path.  Per
-    generation this yields `_grow`'s codes and an int64 array of each
-    path's state index in them, the paths in (root, edges) order.
-
-    The paths under root edge (v, k) take the same edges for every slot k,
-    so the indices are found once per vertex and repeated under each of
-    its root edges.  Under v, an out-edge e leads to the paths under r(e)
-    one generation shorter, and a child's state is found by
-    `np.searchsorted` of its code, its tail's state * n_classes + class(e),
-    in the generation's sorted codes."""
-    diagram = table.diagram
-    # a generation-n record is a path ending at a vertex with two or more
-    # out-edges, so the total is known before any state is grown: the zero
-    # and root records, then those of generations 1 through `depth`
-    splits = [v for v in range(diagram.n_letters) if len(diagram.out_edges[v]) >= 2]
-    total = 1 + (table.root_seed is not None)
-    for _, row in zip(range(depth), path_counts(diagram)):
-        total += sum(row[v] for v in splits)
-        if total > DEFAULT_PATH_CAP:
-            raise CuntzError(f"recursion would produce more than the "
-                             f"{DEFAULT_PATH_CAP}-record cap")
-
-    classes = table.beta_classes()
-    n_cls = max(classes) + 1
-    levels = _grow(table, depth)
-    # generation 1: a seed's state is coded by its range vertex
-    zs = next(levels)[0]
-    index = [np.searchsorted(zs, [v] if v in splits else []) for v in range(diagram.n_letters)]
-    for codes, _ in levels:
-        index = [np.concatenate([np.searchsorted(codes, index[diagram.edges[ei].target] * n_cls
-                                                 + classes[ei]) for ei in out])
-                 for out in diagram.out_edges]
-        yield codes, np.concatenate([index[edge.vertex] for edge in diagram.root_edges])
-
-
 @dataclass(frozen=True)
 class CompanionData:
     """Multiplication by Lambda_s = x^k on the quotient ring Q[x]/(Q), where
@@ -487,11 +451,10 @@ def lattice_coords(embedding: CompanionData, value) -> tuple[Fraction, ...]:
 class StripReport:
     """The strip distances by recursion state.  The records are the zero
     eigenvalue, the root splitting when the root has two or more edges, and
-    per generation 1 through `depth` the paths that end at a splitting
-    vertex, in (root, edges) order.  Record i is labelled labels[i] and lies
+    per generation from 1 on the paths that end at a splitting vertex, in
+    (root, edges) order.  Record i is labelled labels[i] and lies
     at state_distances[state_of[i]] from the unstable line."""
 
-    depth: int
     pisot: bool
     stable_norm: float
     bound: float
@@ -503,12 +466,31 @@ class StripReport:
 
 
 def _lattice_levels(embedding: CompanionData, table: AffineMapTable, depth: int, den: int):
-    """Generations 2 through `depth` of the recursion in lattice coordinates,
+    """Generations 1 through `depth` of the recursion in lattice coordinates,
     coords(u_e x) = C coords(x) + coords(beta_e), as Python int numerators
-    over `den`, which C, an integer matrix, keeps.  Per generation this
-    yields one row per state of `_expand`, in its order, and `_expand`'s
-    state index per path.  The rows are an object array, so that C and the
-    betas act on a whole generation at once."""
+    over `den`, which C, an integer matrix, keeps: per generation, one row
+    per state of `_grow`, in its order, as an object array so that C and the
+    betas act on the whole generation at once, and an int64 array of each
+    splitting path's state index, the paths in (root, edges) order.
+
+    Generation 1's states are the seeds, coded by their range vertices.  The
+    paths under root edge (v, k) take the same edges for every slot k, so
+    the indices are found once per vertex and repeated under its root edges.
+    Under v, out-edge e leads to the paths under r(e) one generation
+    shorter, and a child's state is the `np.searchsorted` of its code, its
+    tail's state * n_classes + class(e), in the generation's sorted codes."""
+    diagram = table.diagram
+    # a generation-n record is a path ending at a vertex with two or more
+    # out-edges, so the total is known before any state is grown: the zero
+    # and root records, then those of generations 1 through `depth`
+    splits = np.flatnonzero([len(out) >= 2 for out in diagram.out_edges])
+    total = 1 + (table.root_seed is not None)
+    for _, row in zip(range(depth), path_counts(diagram)):
+        total += sum(row[v] for v in splits)
+        if total > DEFAULT_PATH_CAP:
+            raise CuntzError(f"recursion would produce more than the "
+                             f"{DEFAULT_PATH_CAP}-record cap")
+
     def numerators(values) -> np.ndarray:
         return np.array([[c.numerator * (den // c.denominator)
                           for c in lattice_coords(embedding, v)] for v in values], dtype=object)
@@ -518,9 +500,14 @@ def _lattice_levels(embedding: CompanionData, table: AffineMapTable, depth: int,
     c_t = np.array(embedding.matrix, dtype=object).T
     betas = numerators(table.betas[classes.index(cls)] for cls in range(n_cls))
     states = numerators(seed[0] for seed in table.seeds if seed is not None)
-    for codes, index in _expand(table, depth):
-        states = states[codes // n_cls] @ c_t + betas[codes % n_cls]
-        yield states, index
+    index = [np.flatnonzero(splits == v) for v in range(diagram.n_letters)]
+    for gen, (codes, _) in enumerate(_grow(table, depth), 1):
+        if gen > 1:
+            states = states[codes // n_cls] @ c_t + betas[codes % n_cls]
+            index = [np.concatenate([np.searchsorted(codes, index[diagram.edges[ei].target]
+                                                     * n_cls + classes[ei]) for ei in out])
+                     for out in diagram.out_edges]
+        yield states, np.concatenate([index[edge.vertex] for edge in diagram.root_edges])
 
 
 def strip_check(embedding: CompanionData, table: AffineMapTable,
@@ -532,12 +519,12 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
 
     The coordinates are integer numerators over one denominator: the lcm of
     those of the betas' and seeds' coordinates.  A distance depends only on
-    the recursion state, so each generation's states are measured in one
-    batch, and each seed on its own state: the zero's, the root's, and one
-    per splitting vertex, which its generation-1 paths share.  Per path only
-    its label, from `BratteliDiagram.split_labels`, and its state index are
-    kept.  A depth below 1 is refused before any work: the seeds are the
-    records of generation 1."""
+    the recursion state, so the kernel, the zero's state and the root's, is
+    measured in one batch, and each generation's states, the seeds' first,
+    in one batch each.  Per path only its label, from
+    `BratteliDiagram.split_labels`, and its state index are kept.  A depth
+    below 1 is refused before any work: the seeds are the records of
+    generation 1."""
     if depth < 1:
         raise CuntzError("depth must be >= 1")
     if not embedding.hyperbolic:
@@ -545,46 +532,31 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
     if embedding.stable_norm >= 1.0:
         raise CuntzError("stable block norm >= 1; strip bound unavailable")
 
-    # the seed states: the kernel's at generation 0, then per splitting vertex
     kernel = [table.ws.backend.zero, *(seed[0] for seed in [table.root_seed] if seed)]
-    seeds = {z: seed[0] for z, seed in enumerate(table.seeds) if seed is not None}
-    seed_state = {z: i for i, z in enumerate(seeds, len(kernel))}
-    seed_vecs = [lattice_coords(embedding, v) for v in [*kernel, *seeds.values()]]
+    seeds = [seed[0] for seed in table.seeds if seed is not None]
+    seed_vecs = [lattice_coords(embedding, v) for v in kernel + seeds]
     beta_vecs = [lattice_coords(embedding, b) for b in table.betas]
     den = math.lcm(*(c.denominator for vec in seed_vecs + beta_vecs for c in vec))
 
-    # the records are the kernel's, each on its own state, then the paths of
-    # generation 1 on the states of their range vertices, then the grown
-    # generations, whose state indices follow on
-    names = table.diagram.split_labels(depth)
-    labels = ["zero", "root"][:len(kernel)] + next(names, [])
-    state_of = [np.arange(len(kernel)),
-                np.array([seed_state[e.vertex] for e in table.diagram.root_edges
-                          if e.vertex in seed_state], dtype=np.int64)]
-    batches: list[np.ndarray] = []
-    offset = len(seed_vecs)
-    per_gen: dict[int, float] = {}
+    # the records are the kernel's, each on its own state, then per
+    # generation its paths, whose state indices follow on
+    labels = ["zero", "root"][:len(kernel)]
+    state_of = [np.arange(len(kernel))]
+    batches = [embedding.distance_to_unstable(np.array(seed_vecs[:len(kernel)], dtype=float))]
     levels = _lattice_levels(embedding, table, depth, den)
-    for gen, ((states, index), level_labels) in enumerate(zip(levels, names), 2):
-        # int true division rounds correctly, as float(Fraction) does below
-        dists = embedding.distance_to_unstable((states / den).astype(float))
+    for (states, index), level_labels in zip(levels, table.diagram.split_labels(depth)):
         labels += level_labels
-        state_of.append(index + offset)
-        batches.append(dists)
-        offset += dists.size
-        per_gen[gen] = float(dists.max(initial=0.0))
-    # measured after the growth: the record cap is checked before any distance
-    seed_dists = embedding.distance_to_unstable(np.array(seed_vecs, dtype=float))
-    if not all(np.isfinite(dists).all() for dists in [seed_dists, *batches]):
+        state_of.append(index + sum(dists.size for dists in batches))
+        # int true division rounds correctly, as float(Fraction) does above
+        batches.append(embedding.distance_to_unstable((states / den).astype(float)))
+    if not all(np.isfinite(dists).all() for dists in batches):
         raise CuntzError(f"a strip distance leaves the float range at s={table.s}")
-    for i, dist in enumerate(seed_dists.tolist()):
-        gen = int(i >= len(kernel))
-        per_gen[gen] = max(per_gen.get(gen, 0.0), dist)
+    per_gen = [(gen, float(dists.max(initial=0.0))) for gen, dists in enumerate(batches)]
 
     # the zero's coordinates are all 0
     norms = [math.sqrt(sum(float(c) ** 2 for c in vec)) for vec in beta_vecs + seed_vecs[1:]]
     m_const = embedding.p_inv_norm ** 2 * max(norms)
     bound = m_const / (1.0 - embedding.stable_norm)
-    return StripReport(max(per_gen), embedding.pisot, embedding.stable_norm, bound,
-                       max([0.0, *per_gen.values()]), sorted(per_gen.items()), labels,
-                       np.concatenate(state_of), np.concatenate([seed_dists, *batches]))
+    return StripReport(embedding.pisot, embedding.stable_norm, bound,
+                       max(dist for _, dist in per_gen), per_gen, labels,
+                       np.concatenate(state_of), np.concatenate(batches))

@@ -281,7 +281,9 @@ def load_diagram_json(text: str) -> tuple[BratteliDiagram, int]:
         if key not in payload:
             raise DiagramError(f"diagram file is missing the {key!r} field")
     try:
-        letters = tuple(str(l) for l in payload["letters"])
+        letters = payload["letters"]
+        if not isinstance(letters, list) or not all(isinstance(l, str) for l in letters):
+            raise TypeError(f"letters must be a JSON array of strings, got {letters!r}")
         matrix = payload["matrix"]
         if any(len(row) != len(letters) for row in matrix) or \
                 len(matrix) != len(letters):
@@ -291,7 +293,7 @@ def load_diagram_json(text: str) -> tuple[BratteliDiagram, int]:
         if dimension < 1:
             raise DiagramError("dimension must be >= 1")
         g = _integer(payload.get("symmetry_order", 1), "symmetry_order")
-        return build_diagram(matrix, symmetry_order=g, letters=letters), dimension
+        return build_diagram(matrix, symmetry_order=g, letters=tuple(letters)), dimension
     except TypeError as exc:
         raise DiagramError(f"diagram file has a field of the wrong type: {exc}") from exc
 

@@ -137,9 +137,7 @@ class WalkLevel:
       at the empty path;
     - `rank`: the number of records before it in pre-order through
       generation `depth`, the zero eigenvalue's included, which is its own
-      record's index in that order when it has one;
-    - `first_leaf`: the index of its first generation-`depth` descendant
-      among the generation-`depth` paths in (root, edges) order.
+      record's index in that order when it has one.
 
     Per range vertex, -1 the root's, `leaves` counts the generation-`depth`
     paths below a path of the generation that ends there.  `splits` lists
@@ -151,11 +149,10 @@ class WalkLevel:
     depend on its order of additions.  A plain class, not a dataclass,
     which would add about 1 ms to every import."""
 
-    def __init__(self, generation: int, state, vertex, parent, edge, rank, first_leaf,
-                 leaves, splits, multiplicity, sums, state_vertex: list,
-                 cache: StationaryCache):
+    def __init__(self, generation: int, state, vertex, parent, edge, rank, leaves, splits,
+                 multiplicity, sums, state_vertex: list, cache: StationaryCache):
         self.generation, self.state, self.vertex = generation, state, vertex
-        self.parent, self.edge, self.rank, self.first_leaf = parent, edge, rank, first_leaf
+        self.parent, self.edge, self.rank = parent, edge, rank
         self.leaves, self.splits, self.multiplicity = leaves, splits, multiplicity
         self.sums, self.state_vertex, self.cache = sums, state_vertex, cache
 
@@ -212,11 +209,10 @@ def walk_states(cache: StationaryCache, depth: int):
 
     Paths are index arrays.  A path's children are its range vertex's
     out-edges in order, so a level lists its paths by parent, then edge.  A
-    child's rank and first leaf are its parent's plus offsets that depend
-    only on the parent's range vertex and generation and the child's place
-    among the out-edges: the parent's own record, and the records and
-    generation-`depth` paths below the earlier siblings, counted per
-    (vertex, generation) from generation `depth` up."""
+    child's rank is its parent's plus an offset that depends only on the
+    parent's range vertex and generation and the child's place among the
+    out-edges: the parent's own record, and the records below the earlier
+    siblings, counted per (vertex, generation) from generation `depth` up."""
     if depth < 0:
         raise LaplacianError("depth must be >= 0")
     total = 0
@@ -255,13 +251,13 @@ def _levels(cache: StationaryCache, depth: int):
     own = np.repeat(split, count)
     state = np.zeros(1, np.int64)
     vertex = parent = edge = np.full(1, -1)
-    rank, first = np.ones(1, np.int64), np.zeros(1, np.int64)
+    rank = np.ones(1, np.int64)
     zero, state_vertex = cache.ws.backend.zero, [-1]
     sums = [zero] if isinstance(zero, ApproxReal) else _Numerators([zero])
     for k in range(depth + 1):
         mult = count[vertex] - 1
         splits = np.flatnonzero(mult)
-        yield (level := WalkLevel(k, state, vertex, parent, edge, rank, first, leaves[k],
+        yield (level := WalkLevel(k, state, vertex, parent, edge, rank, leaves[k],
                                   splits, mult[splits], sums, state_vertex, cache))
         if k == depth:
             return
@@ -270,7 +266,6 @@ def _levels(cache: StationaryCache, depth: int):
         slot = np.repeat(start[vertex] - (np.cumsum(n_children) - n_children), n_children) + \
             np.arange(len(parent))
         rank = rank[parent] + (own + before(records[k + 1][slot_target]))[slot]
-        first = first[parent] + before(leaves[k + 1][slot_target])[slot]
         edge, vertex = slot_edge[slot], slot_target[slot]
         # the child states, numbered in the order of their codes
         key = state[parent] * letters + vertex
@@ -422,10 +417,12 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     values: list = [partial if exact else float(partial) for partial in top.partials]
     below = [level.leaves.tolist() for level in levels]
     # per record, its base's key and the ranges of its child cylinders, as
-    # wide as the generation-n paths below each of them
+    # wide as the generation-n paths below each of them, from its path's
+    # first leaf: the leaves below the paths before it in its level
+    first = [np.cumsum(w) - w for w in (level.leaves[level.vertex] for level in levels[:-1])]
     meets = [(int(levels[k].vertex[i]), k) for _, k, i in where]
     bounds = [tuple(accumulate((below[k + 1][t] for t in diagram.targets[v]),
-                               initial=int(levels[k].first_leaf[i])))
+                               initial=int(first[k][i])))
               for (_, k, i), (v, _) in zip(where, meets)]
     vertex = top.vertex
     mu_values = tuple(cache.mu_at(v, n) for v in range(letters))

@@ -19,7 +19,7 @@ from itertools import accumulate, product
 import mpmath
 import numpy as np
 
-from bratlap.cuntz import CKReport, CuntzError, _expand
+from bratlap.cuntz import CKReport, CuntzError
 from bratlap.diagram import (DEFAULT_PATH_CAP, BratteliDiagram, DiagramError,
                              predicted_path_count)
 from bratlap.laplacian import LaplacianError, StationaryCache, g_value, walk_states
@@ -429,38 +429,36 @@ def apply(table, edge_index: int, value):
 
 
 def recursive_spectrum(table, depth: int) -> list[SpectralRecord]:
-    """Spectrum through the given generation grown by the affine maps alone
-    from the table's seeds: the zero and root records, one generation-1
-    record per root edge into a splitting vertex, and each record of
-    generation n+1 u_e applied to a generation-n record, in (root, edges)
-    order within a generation.  This is the record view of `cuntz._expand`
-    and the betas: records that reach the same recursion state share its
-    value and float value."""
+    """Spectrum through the given generation, at least the first, grown by
+    the affine maps alone from the table's seeds, path by path: the zero and
+    root records, then per generation, in `enumerate_paths` order, one
+    record per path that ends at a splitting vertex z.  U_e inserts e
+    directly below the root, so a path whose edges below its root edge are
+    e1 ... ek has the value u_e1(u_e2(... u_ek(seed of z))), each map
+    applied to the value of the path one generation shorter.  Paths that
+    take the same edges from the same root vertex, as a folded diagram's
+    root slots do, share their value and float value.  Nothing of the
+    recursion engine in `cuntz` is read, only the table."""
     diagram = table.diagram
-    classes = table.beta_classes()
-    first_edge = [classes.index(cls) for cls in range(max(classes) + 1)]
     out = [SpectralRecord("zero", None, 0, table.ws.backend.zero, 0.0, 1)]
     if table.root_seed is not None:
         out.append(SpectralRecord("root", None, 0, *table.root_seed, len(diagram.root_edges) - 1))
-    out += [SpectralRecord("path", Path(r), 1, *table.seeds[edge.vertex],
-                           len(diagram.out_edges[edge.vertex]) - 1)
-            for r, edge in enumerate(diagram.root_edges) if table.seeds[edge.vertex] is not None]
-    states = [seed[0] for seed in table.seeds if seed is not None]
-    # per vertex, the edge runs of the paths under its root edges, like
-    # the label tails of `BratteliDiagram.split_labels`
-    runs = [[()] if len(edges) >= 2 else [] for edges in diagram.out_edges]
-    for gen, (codes, index) in enumerate(_expand(table, depth), 2):
-        parent, cls = np.divmod(codes, len(first_edge))
-        states = [apply(table, first_edge[k], states[i])
-                  for i, k in zip(parent.tolist(), cls.tolist())]
-        floats = [float(value) for value in states]
-        runs = [[(ei,) + run for ei in edges for run in runs[diagram.edges[ei].target]]
-                for edges in diagram.out_edges]
-        paths = [Path(r, run) for r, edge in enumerate(diagram.root_edges)
-                 for run in runs[edge.vertex]]
-        out.extend(SpectralRecord("path", path, gen, states[i], floats[i],
-                                  len(diagram.out_edges[path_range(diagram, path)]) - 1)
-                   for path, i in zip(paths, index.tolist()))
+    values: dict[tuple, tuple] = {}     # (root vertex, edges) -> (value, float)
+    for gen in range(1, max(depth, 1) + 1):
+        for path in enumerate_paths(diagram, gen).paths:
+            z = path_range(diagram, path)
+            if table.seeds[z] is None:
+                continue
+            key = (diagram.root_edges[path.root].vertex, path.edges)
+            if key not in values:
+                if path.edges:
+                    e, *tail = path.edges
+                    value = apply(table, e, values[diagram.edges[e].target, tuple(tail)][0])
+                    values[key] = (value, float(value))
+                else:
+                    values[key] = table.seeds[z]
+            out.append(SpectralRecord("path", path, gen, *values[key],
+                                      len(diagram.out_edges[z]) - 1))
     return out
 
 

@@ -687,6 +687,10 @@ _MALFORMED = {
     "float-symmetry-order":
         '{"letters": ["a", "b"], "matrix": [[1, 1], [1, 0]], "symmetry_order": 2.5}',
     "bool-dimension": '{"letters": ["a", "b"], "matrix": [[1, 1], [1, 0]], "dimension": true}',
+    # letters that str() would read as a, b or 1, 2
+    "string-letters": '{"letters": "ab", "matrix": [[1, 1], [1, 0]]}',
+    "object-letters": '{"letters": {"a": 1, "b": 2}, "matrix": [[1, 1], [1, 0]]}',
+    "number-letters": '{"letters": [1, 2], "matrix": [[1, 1], [1, 0]]}',
 }
 
 
@@ -712,7 +716,10 @@ def test_plastic_matrix_verifies_on_approximate_backend(backend, matrix_files):
 @pytest.mark.parametrize("name", sorted(_MALFORMED))
 def test_malformed_matrix_files_are_refused(name, matrix_files):
     argv = ["ck-check", "--matrix-file", matrix_files[name], "--depth", "3"]
-    _assert_clean(*_checked_run(argv), argv, codes=(2,))
+    code, err = _checked_run(argv)
+    _assert_clean(code, err, argv, codes=(2,))
+    if name.endswith("-letters"):
+        assert "field of the wrong type: letters must be a JSON array of strings" in err
 
 
 def test_symmetry_order_beyond_the_path_cap_is_refused_at_once(tmp_path):

@@ -24,7 +24,7 @@ from bratlap.cuntz import (
 from bratlap.diagram import (build_diagram, load_diagram_file, load_diagram_json, path_counts,
                              predicted_path_count)
 from bratlap.laplacian import g_value
-from bratlap.measure import WeightSystem, _theta_certificate, mu, perron
+from bratlap.measure import WeightSystem, _theta_certificate, field_perron, mu, perron
 from bratlap.presets import PRESETS, load_preset, preset_names
 from bratlap.scalar import (ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend,
                             compare)
@@ -50,9 +50,10 @@ def reconstruct_from_coords(embedding, coords) -> float:
 
 def strip_coordinates(embedding, table, depth):
     """strip_check's report, and the lattice coordinates it grew for the
-    records of recursive_spectrum(table, depth), in their order: the seeds'
-    expanded from their values, the others read off the recursion states as
-    numerators over the lcm of the betas' and seeds' denominators."""
+    records of recursive_spectrum(table, depth), in their order: the
+    kernel's, the zero's and the root's, expanded from their values, and
+    from generation 1 on those read off the recursion states as numerators
+    over the lcm of the betas' and seeds' denominators."""
     levels = []
     grow = cuntz._lattice_levels
 
@@ -67,8 +68,9 @@ def strip_coordinates(embedding, table, depth):
     seeds = [lattice_coords(embedding, rec.value) for rec in recursive_spectrum(table, 1)]
     den = math.lcm(*(c.denominator for vec in seeds for c in vec),
                    *(c.denominator for b in table.betas for c in lattice_coords(embedding, b)))
-    coords = seeds + [tuple(Fraction(n, den) for n in nums)
-                      for level in levels for nums in level]
+    kernel = seeds[:1 + (table.root_seed is not None)]
+    coords = kernel + [tuple(Fraction(n, den) for n in nums)
+                       for level in levels for nums in level]
     return report, coords
 
 
@@ -90,6 +92,11 @@ def dyadic_ws():
 
 def penrose_ws(g=20, backend=None):
     return system(build_diagram(PEN_A, symmetry_order=g), backend or Q5, 2)
+
+
+def field_ws(name):
+    """A preset's weight system on the exact field of its theta, as strip builds it."""
+    return load_preset(name, backend=_theta_certificate(PRESETS[name].matrix).field).weight_system
 
 
 def test_shift_down_composable():
@@ -512,6 +519,38 @@ def test_strip_matches_per_path_oracle(ws_factory, s, depth):
     assert report.max_distance == max(per_gen.values())
 
 
+# lattices of degree 3 and 4, from matrix files: at d = 3, theta = 2 and x =
+# 2^(1/3) is outside the field; at d = 4, x = phi and the power basis 1, x,
+# x^2, x^3 spans Q(sqrt5) twice over, so the grown coordinates of a value
+# need not be its field expansion
+@pytest.mark.parametrize("matrix, dimension, g, s", [
+    (TM_A, 3, 1, -1), (TM_A, 3, 1, 2), (TM_A, 3, 2, -1), (TM_A, 3, 2, 2),
+    (PEN_A, 4, 1, -2), (PEN_A, 4, 1, 2)])
+def test_strip_on_lattices_of_degree_3_and_4(matrix, dimension, g, s):
+    # each record's grown coordinates reconstruct its value, exactly when the
+    # field holds x, and its distance is the per-vector oracle's on them
+    diagram, d = load_diagram_json(json.dumps({"letters": ["a", "b"], "matrix": matrix,
+                                               "dimension": dimension, "symmetry_order": g}))
+    pdata = field_perron(diagram, d)
+    table = affine_table(WeightSystem(diagram, pdata), s)
+    emb = companion_embedding(pdata, s)
+    assert emb.degree == dimension
+    records = recursive_spectrum(table, 5)
+    report, grown = strip_coordinates(emb, table, 5)
+    expanded = 0
+    for rec, coords, (_, dist) in zip(records, grown, strip_distances(report), strict=True):
+        if emb.basis_value is not None:
+            value = sum(c * emb.basis_value ** i for i, c in enumerate(coords))
+            assert compare(value, rec.value) == 0, rec.path
+        else:
+            err = abs(reconstruct_from_coords(emb, coords) - rec.value_float)
+            assert err <= 1e-12 * abs(rec.value_float), rec.path
+        assert dist == distance_to_unstable(emb, coords), rec.path
+        expanded += coords == lattice_coords(emb, rec.value)
+    # a rational value stays on the first axis, as C_s multiplies it by x^k
+    assert (expanded == len(records)) == (emb.basis_value is None)
+
+
 @pytest.mark.parametrize("ws_factory", [fib_ws, tm_ws], ids=["plane", "line"])
 def test_batched_distances_match_the_per_vector_oracle(ws_factory):
     # the batch measures each row as the row alone would be measured, bit for
@@ -618,7 +657,7 @@ STRIP_S = {"fibonacci": [-1, 0, 1, 2], "fibonacci-conjugate": [-1, 0, 1, 2],
 @pytest.mark.parametrize("name", preset_names())
 def test_strip_coordinates_reconstruct_their_values(name):
     # the recursion grows coordinates with C_s, which multiplies by Lambda_s
-    ws = load_preset(name, backend=_theta_certificate(PRESETS[name].matrix).field).weight_system
+    ws = field_ws(name)
     accepted = []
     for s in (-1, 0, 1, 2):
         table = affine_table(ws, s)
@@ -726,14 +765,17 @@ def test_betas_equal_the_hand_built_formula(name):
 @pytest.mark.parametrize("name", preset_names())
 def test_recursion_record_cap_is_the_total_it_grows(name, monkeypatch):
     # the cap is checked up front against the records the recursion will
-    # grow: a cap at that total accepts, one below refuses
-    table = affine_table(load_preset(name).weight_system, load_preset(name).dimension)
+    # grow, before any state: a cap at the per-path total accepts, one
+    # below refuses
+    ws, s = field_ws(name), load_preset(name).dimension
+    table, emb = affine_table(ws, s), companion_embedding(ws.perron, s)
     total = len(recursive_spectrum(table, 6))
     monkeypatch.setattr(cuntz, "DEFAULT_PATH_CAP", total)
-    assert len(recursive_spectrum(table, 6)) == total
+    assert len(strip_check(emb, table, 6).labels) == total
     monkeypatch.setattr(cuntz, "DEFAULT_PATH_CAP", total - 1)
+    monkeypatch.setattr(cuntz, "_grow", None)   # a call would raise TypeError
     with pytest.raises(CuntzError, match="record cap"):
-        recursive_spectrum(table, 6)
+        strip_check(emb, table, 6)
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "penrose", "ammann-a2"])
@@ -799,39 +841,51 @@ def _check_level(diagram, classes, codes, counts, rows):
 
 @pytest.mark.parametrize("name", preset_names())
 def test_counted_and_per_path_views_of_the_recursion_agree(name):
-    # the counted levels that magnitude_table projects and the per-path rows
-    # that strip reads come from one engine: per generation, a state's
-    # multiplicity is that of its rows, summed, and the total over all
-    # generations is the path count |Pi_8|
+    # the counted levels that magnitude_table projects and the per-path
+    # state indices that strip reads come from one engine: per generation,
+    # at every s where strip runs, a state's multiplicity is that of its
+    # rows, summed, and it has one lattice row; at s in {0, 1, d} the total
+    # over all generations is the path count |Pi_8|
     bundle = load_preset(name)
     diagram = bundle.weight_system.diagram
-    splits = [v for v in range(diagram.n_letters) if len(diagram.out_edges[v]) >= 2]
     for s in sorted({0, 1, bundle.dimension}):
         table = affine_table(bundle.weight_system, s)
-        classes = table.beta_classes()
         levels = list(cuntz._grow(table, 7))
-        grown = list(cuntz._expand(table, 7))
-        assert len(levels) == 7 and len(grown) == 6
+        assert len(levels) == 7
         # the kernel: the zero eigenvalue and the root splitting
         total = 1 + (len(diagram.root_edges) - 1 if table.root_seed else 0)
-        for n, ((codes, counts), row_counts) in enumerate(zip(levels, path_counts(diagram)), 1):
-            mults = [(path, len(diagram.out_edges[path_range(diagram, path)]) - 1)
-                     for path in enumerate_paths(diagram, n).paths]
-            splitting = [(path, mult) for path, mult in mults if mult >= 1]
-            if n > 1:
-                # _expand's indices belong to the splitting paths in enumeration order
-                grown_codes, index = grown[n - 2]
-                assert np.array_equal(grown_codes, codes), (s, n)
-                index = index.tolist()
-            else:
-                # a generation-1 state is coded by its range vertex
-                index = [codes.tolist().index(path_range(diagram, path)) for path, _ in splitting]
-            rows = [(path, mult, state)
-                    for (path, mult), state in zip(splitting, index, strict=True)]
+        total += sum(int(counts.sum()) for _, counts in levels)
+        assert total == predicted_path_count(diagram, 8), s
+
+    splits = [v for v in range(diagram.n_letters) if len(diagram.out_edges[v]) >= 2]
+    splitting = [[(path, len(diagram.out_edges[path_range(diagram, path)]) - 1)
+                  for path in enumerate_paths(diagram, n).paths
+                  if path_range(diagram, path) in splits] for n in range(1, 8)]
+    ws = field_ws(name)
+    for s in STRIP_S[name]:
+        table = affine_table(ws, s)
+        emb = companion_embedding(ws.perron, s)
+        classes = table.beta_classes()
+        vecs = [lattice_coords(emb, x) for x in (*table.betas, *(
+            seed[0] for seed in (table.root_seed, *table.seeds) if seed))]
+        den = math.lcm(*(c.denominator for vec in vecs for c in vec))
+        levels = list(cuntz._grow(table, 7))
+        grown = list(cuntz._lattice_levels(emb, table, 7, den))
+        assert len(grown) == 7, s
+        for n, ((codes, counts), (states, index), paths, row_counts) in enumerate(
+                zip(levels, grown, splitting, path_counts(diagram)), 1):
+            # the splitting paths in enumeration order, one lattice row per state
+            assert len(states) == codes.size, (s, n)
+            index = index.tolist()
+            if n == 1:
+                # a generation-1 state is coded by its range vertex, and is its seed
+                assert index == [codes.tolist().index(path_range(diagram, path))
+                                 for path, _ in paths], s
+                assert [tuple(Fraction(x, den) for x in row) for row in states] == \
+                    [lattice_coords(emb, table.seeds[z][0]) for z in codes.tolist()], s
+            rows = [(path, mult, state) for (path, mult), state in zip(paths, index, strict=True)]
             _check_level(diagram, classes, codes, counts, rows)
             assert len(rows) == sum(row_counts[v] for v in splits), (s, n)
-            total += int(counts.sum())
-        assert total == predicted_path_count(diagram, 8), s
 
 
 def test_relation_check_refuses_a_depth_past_the_cap(monkeypatch):
