@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import NamedTuple
 
 import mpmath
@@ -62,7 +62,8 @@ def _fmt_exact(backend, value) -> str:
 
 class _Emitter:
     """Holds a command's sections until `flush` writes them in one go.  A column
-    is a list of per-row values, or (cells, index): per-state values and each row's state."""
+    is a list of per-row values, or (cells, index): per-state values and each row's state.
+    A section's `blocks`, (heads, rows) pairs, write each block's rows once per head."""
 
     def __init__(self, command: str, fmt: str):
         self.command = command
@@ -71,9 +72,9 @@ class _Emitter:
         self.sections: list[dict] = []
 
     def section(self, name: str, columns: list[str], data: list,
-                comments: list[str] | None = None) -> None:
-        self.sections.append({"name": name, "columns": columns,
-                              "rows": data, "comments": comments or []})
+                comments: list[str] | None = None, blocks: list | None = None) -> None:
+        self.sections.append({"name": name, "columns": columns, "rows": (data, blocks),
+                              "comments": comments or []})
 
     def summary(self, data: dict) -> None:
         self.sections.append({"name": "summary", "data": data})
@@ -95,24 +96,33 @@ class _Emitter:
             out.write("".join([*(f"# {line}\n" for line in sec["comments"]),
                                f"# section={sec['name']}\n", ",".join(sec["columns"]) + "\n"])
                       if csv else "," * bool(i) + dump({**sec, "rows": []})[:-2])
-            _write_rows(out, sec["columns"], sec["rows"], csv, dump)
+            _write_rows(out, sec["columns"], *sec["rows"], csv, dump)
             out.write("" if csv else "]}")
         out.write("" if csv else "]}\n")
 
 
-def _write_rows(out, columns: list[str], data: list, csv: bool, dump) -> None:
-    """Write a section's rows, _BLOCK_ROWS to a join.  A row concatenates its
-    pieces [form, columns, index]: the neighbouring columns of one index make
-    one piece, each state's cells formatted once into its form.  A form
-    without columns is constant, and per-row free text is its own piece."""
+def _write_rows(out, columns: list[str], data: list, blocks, csv: bool, dump) -> None:
+    """Write a section's rows, a run of at most _BLOCK_ROWS rows to a write.
+    A row concatenates its pieces [form, columns, index]: the neighbouring
+    columns of one index make one piece, each state's cells formatted once
+    into its form.  A form without columns is constant, and per-row free
+    text, such as the tails of the "path" column, is its own piece; a piece
+    before the tails stands for the head.  A block of one head is rendered
+    with it; one of several is rendered once with a mark there and split at
+    the marks, and its rows under each head are head.join(pieces).  JSON
+    escapes character by character, so its head is dump(head)[1:-1]."""
+    blocks = blocks or [(("",), len(data[0][1] if isinstance(data[0], tuple) else data[0]))]
+    # a mark no row holds: rows hold printable ASCII, newlines and letters
+    used = {*map(chr, range(10, 127)), *"".join(chain.from_iterable(h for h, _ in blocks))}
+    mark = next(c for c in map(chr, count()) if c not in used)
     pieces = [["" if csv else "[", [], None]]
     for j, (column, values) in enumerate(zip(columns, data)):
         cells, index = values if isinstance(values, tuple) else (values, None)
         quote = '"' if csv and column in _TEXT_COLUMNS else ""
-        if quote and index is None:
-            # free text per row, such as a path label, is written as it is
-            pieces[-1][0] += "," * bool(j) + quote
-            pieces += [[None, cells, None], [quote, [], None]]
+        if column == "path" or quote and index is None:
+            pieces[-1][0] += f"{',' * bool(j)}\""
+            pieces += [[mark, [], None]] * (column == "path") + [
+                [None, cells if csv else [dump(c)[1:-1] for c in cells], None], ['"', [], None]]
             continue
         if pieces[-1][1] and (index is None or pieces[-1][2] is not index):
             pieces.append(["", [], None])
@@ -124,14 +134,27 @@ def _write_rows(out, columns: list[str], data: list, csv: bool, dump) -> None:
     pieces[-1][0] += "\n" if csv else "],"
     pieces = [(cells, None) if form is None else form if not cells else
               ([form % row for row in zip(*cells)], index) for form, cells, index in pieces]
-    rows = len(data[0][1] if isinstance(data[0], tuple) else data[0])
-    for start in range(0, rows, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        block = "".join(chain.from_iterable(zip(*(
-            repeat(piece) if isinstance(piece, str) else piece[0][start:stop]
-            if piece[1] is None else map(piece[0].__getitem__, piece[1][start:stop].tolist())
-            for piece in pieces))))
-        out.write(block if csv or stop < rows else block[:-1])
+
+    def render(start: int, stop: int, head: str):
+        for lo in range(start, stop, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, stop)
+            yield "".join(chain.from_iterable(zip(*(
+                repeat(head if piece is mark else piece) if isinstance(piece, str) else
+                piece[0][lo:hi] if piece[1] is None else
+                map(piece[0].__getitem__, piece[1][lo:hi].tolist()) for piece in pieces))))
+
+    run, stop = "", 0
+    for heads, size in blocks:
+        start, stop = stop, stop + size
+        heads = heads if csv else [dump(head)[1:-1] for head in heads]
+        runs = render(start, stop, heads[0])
+        if len(heads) > 1:
+            splits = [text.split(mark) for text in render(start, stop, mark)]
+            runs = (head.join(split) for head in heads for split in splits)
+        for text in runs:
+            out.write(run)
+            run = text
+    out.write(run if csv else run[:-1])
 
 
 def _columns(rows) -> list[list]:
@@ -270,36 +293,45 @@ def cmd_presets(args, parser, em, inputs) -> int:
 
 
 def cmd_spectrum(args, parser, em, inputs) -> int:
-    ws, backend = inputs.ws, inputs.ws.backend
+    ws, backend, diagram = inputs.ws, inputs.ws.backend, inputs.diagram
     # depth N reports every splitting above generation N: total
     # multiplicity equals the generation-N path count
     levels = laplacian.walk_states(laplacian.StationaryCache(ws, inputs.s), args.depth - 1)
-    # a generation's records are its splitting paths in (root, edges) order,
-    # which is the order of its labels; each row goes to its path's rank
-    labels = ws.diagram.split_labels(args.depth - 1)
-    # a record's label and generation are its level's, its other cells but the
-    # path its walk state's: each formatted once, the zero record's at index 0
-    kinds, cells = [("zero", 0)], [(1, _fmt_exact(backend, backend.zero), _fmt(0.0))]
-    placed, total = [([0], 0, [0], ["zero"])], 1
+    tails, g = diagram.split_tails(args.depth - 1), diagram.symmetry_order
+    # the records in pre-order: the zero and the root's, then under each root
+    # edge (v, k) those under (v, 0) with another head, so in blocks, the
+    # kernel's and per vertex those under (v, 0).  Cells but the path are
+    # formatted once per (vertex, value object) of a level, the zero's first
+    cells = [("zero", 0, 1, _fmt_exact(backend, backend.zero), _fmt(0.0))]
+    placed, shift, total, sizes = [([0], [0], ["zero"])], [0], 1, [1] + [0] * diagram.n_letters
     for level in levels:
-        k = level.generation
-        placed.append((level.rank[level.splits], len(kinds),
-                       level.state[level.splits] + len(cells),
-                       next(labels) if k else ["root"] * len(level.splits)))
-        kinds.append(("path" if k else "root", k))
-        cells += [(len(ws.diagram.targets[u]) - 1, v and _fmt_exact(backend, v[0]),
-                   v and _fmt(v[1])) for u, v in zip(level.state_vertex, level.values)]
+        k, splits, cell_of = level.generation, level.splits, {}
+        cell = len(cells) + np.array([
+            cell_of.setdefault((u, id(v)), (len(cell_of), u, v))[0] if v else -1
+            for u, v in zip(level.state_vertex, level.values)])
+        cells += [("path" if k else "root", k, len(diagram.targets[u]) - 1,
+                   _fmt_exact(backend, v[0]), _fmt(v[1])) for _, u, v in cell_of.values()]
+        if k == 1:
+            # (v, 0)'s records follow g times those of each earlier vertex
+            shift = (g - 1) * (level.rank[::g] - level.rank[0]) // g
+        start = 0
+        for v, names in enumerate(next(tails) if k else [["root"] * len(splits)]):
+            mine = splits[start:start + len(names)]
+            placed.append((level.rank[mine] - shift[v], cell[level.state[mine]], names))
+            sizes[bool(k) + v] += len(names)
+            start += g * len(names)
         total += int(level.multiplicity.sum())
-    # int32 holds any level or state index below the path cap, in half the bytes
-    kind, state = (np.empty(sum(len(p[0]) for p in placed), np.int32) for _ in range(2))
-    paths = np.empty(len(state), object)
-    for ranks, at, states, names in placed:
-        kind[ranks], state[ranks], paths[ranks] = at, states, np.array(names, object)
+    # int32 holds any cell index below the path cap, in half the bytes
+    state, paths = np.empty(sum(sizes), np.int32), np.empty(sum(sizes), object)
+    for rows, cell, names in placed:
+        state[rows], paths[rows] = cell, np.array(names, object)
+    columns = [(column, state) for column in _columns(cells)]
     em.section("records",
                ["label", "generation", "path", "multiplicity",
                 "value_exact", "value_float"],
-               [*((column, kind) for column in _columns(kinds)), paths.tolist(),
-                *((column, state) for column in _columns(cells))], comments=[backend.header()])
+               [*columns[:2], paths.tolist(), *columns[2:]], comments=[backend.header()],
+               blocks=[(diagram.heads[(b - 1) * g:b * g] if b else ("",), size)
+                       for b, size in enumerate(sizes) if size])
     em.summary({"total_multiplicity": total})
     return 0
 
@@ -421,9 +453,11 @@ def cmd_strip(args, parser, em, inputs) -> int:
     emb = cuntz.companion_embedding(ws.perron, s)
     report = cuntz.strip_check(emb, table, args.depth)
     # the paths of one recursion state share its distance
+    heads, tails, index = zip(*report.blocks)
+    distances = [_fmt(d) for d in report.state_distances.tolist()]
     em.section("distances", ["path", "distance"],
-               [report.labels, ([_fmt(d) for d in report.state_distances.tolist()],
-                                report.state_of)])
+               [list(chain.from_iterable(tails)), (distances, np.concatenate(index))],
+               blocks=list(zip(heads, map(len, tails))))
     em.section("per_generation", ["generation", "max_distance"],
                _columns([g, _fmt(v)] for g, v in report.per_generation))
     em.summary({"max_distance": _fmt(report.max_distance),

@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -452,30 +453,38 @@ class StripReport:
     """The strip distances by recursion state.  The records are the zero
     eigenvalue, the root splitting when the root has two or more edges, and
     per generation from 1 on the paths that end at a splitting vertex, in
-    (root, edges) order.  Record i is labelled labels[i] and lies
-    at state_distances[state_of[i]] from the unstable line."""
+    (root, edges) order, in `blocks` (heads, tails, index), the kernel's and
+    one per generation and vertex: under each head, record i is labelled
+    head + tails[i], at state_distances[index[i]] from the unstable line.
+    `labels` and `state_of` list the records one by one."""
 
     pisot: bool
     stable_norm: float
     bound: float
     max_distance: float
     per_generation: list[tuple[int, float]]
-    labels: list[str]
-    state_of: np.ndarray
+    blocks: list[tuple[tuple[str, ...], list[str], np.ndarray]]
     state_distances: np.ndarray
 
+    @cached_property
+    def labels(self) -> list[str]:
+        return [head + tail for heads, tails, _ in self.blocks for head in heads for tail in tails]
 
-def _lattice_levels(embedding: CompanionData, table: AffineMapTable, depth: int, den: int):
+    @cached_property
+    def state_of(self) -> np.ndarray:
+        return np.concatenate([index for heads, _, index in self.blocks for _ in heads])
+
+
+def _lattice_levels(embedding: CompanionData, table: AffineMapTable, depth: int,
+                    betas: np.ndarray, seeds: np.ndarray):
     """Generations 1 through `depth` of the recursion in lattice coordinates,
     coords(u_e x) = C coords(x) + coords(beta_e), as Python int numerators
-    over `den`, which C, an integer matrix, keeps: per generation, one row
-    per state of `_grow`, in its order, as an object array so that C and the
-    betas act on the whole generation at once, and an int64 array of each
-    splitting path's state index, the paths in (root, edges) order.
-
-    Generation 1's states are the seeds, coded by their range vertices.  The
-    paths under root edge (v, k) take the same edges for every slot k, so
-    the indices are found once per vertex and repeated under its root edges.
+    over one denominator, which C, an integer matrix, keeps, from `betas`'
+    rows, one per class, and `seeds`': per generation, one row per state of
+    `_grow`, in its order, as an object array so that C and the betas act on
+    the whole generation at once, and per vertex v an int64 array of the
+    state indices of the splitting paths under each root edge at v.
+    Generation 1's states are the seeds, coded by their range vertices.
     Under v, out-edge e leads to the paths under r(e) one generation
     shorter, and a child's state is the `np.searchsorted` of its code, its
     tail's state * n_classes + class(e), in the generation's sorted codes."""
@@ -491,15 +500,9 @@ def _lattice_levels(embedding: CompanionData, table: AffineMapTable, depth: int,
             raise CuntzError(f"recursion would produce more than the "
                              f"{DEFAULT_PATH_CAP}-record cap")
 
-    def numerators(values) -> np.ndarray:
-        return np.array([[c.numerator * (den // c.denominator)
-                          for c in lattice_coords(embedding, v)] for v in values], dtype=object)
-
-    classes = table.beta_classes()
-    n_cls = max(classes) + 1
+    classes, n_cls = table.beta_classes(), len(betas)
     c_t = np.array(embedding.matrix, dtype=object).T
-    betas = numerators(table.betas[classes.index(cls)] for cls in range(n_cls))
-    states = numerators(seed[0] for seed in table.seeds if seed is not None)
+    states = seeds
     index = [np.flatnonzero(splits == v) for v in range(diagram.n_letters)]
     for gen, (codes, _) in enumerate(_grow(table, depth), 1):
         if gen > 1:
@@ -507,7 +510,7 @@ def _lattice_levels(embedding: CompanionData, table: AffineMapTable, depth: int,
             index = [np.concatenate([np.searchsorted(codes, index[diagram.edges[ei].target]
                                                      * n_cls + classes[ei]) for ei in out])
                      for out in diagram.out_edges]
-        yield states, np.concatenate([index[edge.vertex] for edge in diagram.root_edges])
+        yield states, index
 
 
 def strip_check(embedding: CompanionData, table: AffineMapTable,
@@ -518,13 +521,13 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
     table's betas and nonzero seeds.
 
     The coordinates are integer numerators over one denominator: the lcm of
-    those of the betas' and seeds' coordinates.  A distance depends only on
-    the recursion state, so the kernel, the zero's state and the root's, is
-    measured in one batch, and each generation's states, the seeds' first,
-    in one batch each.  Per path only its label, from
-    `BratteliDiagram.split_labels`, and its state index are kept.  A depth
-    below 1 is refused before any work: the seeds are the records of
-    generation 1."""
+    those of the seeds' and betas' coordinates, each expanded once, a beta
+    once per class.  A distance depends only on the recursion state, so the
+    kernel, the zero's state and the root's, is measured in one batch, and
+    each generation's states, the seeds' first, in one batch each.  Per
+    generation and vertex, its tails (`BratteliDiagram.split_tails`) and
+    state indices are kept once.  A depth below 1 is refused before any
+    work: the seeds are the records of generation 1."""
     if depth < 1:
         raise CuntzError("depth must be >= 1")
     if not embedding.hyperbolic:
@@ -532,21 +535,27 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
     if embedding.stable_norm >= 1.0:
         raise CuntzError("stable block norm >= 1; strip bound unavailable")
 
+    diagram, g = table.diagram, table.diagram.symmetry_order
     kernel = [table.ws.backend.zero, *(seed[0] for seed in [table.root_seed] if seed)]
-    seeds = [seed[0] for seed in table.seeds if seed is not None]
-    seed_vecs = [lattice_coords(embedding, v) for v in kernel + seeds]
-    beta_vecs = [lattice_coords(embedding, b) for b in table.betas]
+    seed_vecs = [lattice_coords(embedding, v) for v in kernel + [z[0] for z in table.seeds if z]]
+    # one beta per class, in class order
+    beta_vecs = [lattice_coords(embedding, b)
+                 for b in dict(zip(table.beta_classes(), table.betas)).values()]
     den = math.lcm(*(c.denominator for vec in seed_vecs + beta_vecs for c in vec))
 
+    def numerators(vecs) -> np.ndarray:
+        return np.array([[c.numerator * (den // c.denominator) for c in v] for v in vecs], object)
+
     # the records are the kernel's, each on its own state, then per
-    # generation its paths, whose state indices follow on
-    labels = ["zero", "root"][:len(kernel)]
-    state_of = [np.arange(len(kernel))]
+    # generation and vertex its paths, whose state indices follow on
+    blocks = [(("",), ["zero", "root"][:len(kernel)], np.arange(len(kernel)))]
     batches = [embedding.distance_to_unstable(np.array(seed_vecs[:len(kernel)], dtype=float))]
-    levels = _lattice_levels(embedding, table, depth, den)
-    for (states, index), level_labels in zip(levels, table.diagram.split_labels(depth)):
-        labels += level_labels
-        state_of.append(index + sum(dists.size for dists in batches))
+    levels = _lattice_levels(embedding, table, depth, numerators(beta_vecs),
+                             numerators(seed_vecs[len(kernel):]))
+    for (states, index), tails in zip(levels, diagram.split_tails(depth)):
+        offset = sum(dists.size for dists in batches)
+        blocks += [(diagram.heads[v * g:(v + 1) * g], tails[v], index[v] + offset)
+                   for v in range(diagram.n_letters) if tails[v]]
         # int true division rounds correctly, as float(Fraction) does above
         batches.append(embedding.distance_to_unstable((states / den).astype(float)))
     if not all(np.isfinite(dists).all() for dists in batches):
@@ -558,5 +567,5 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
     m_const = embedding.p_inv_norm ** 2 * max(norms)
     bound = m_const / (1.0 - embedding.stable_norm)
     return StripReport(embedding.pisot, embedding.stable_norm, bound,
-                       max(dist for _, dist in per_gen), per_gen, labels,
-                       np.concatenate(state_of), np.concatenate(batches))
+                       max(dist for _, dist in per_gen), per_gen, blocks,
+                       np.concatenate(batches))

@@ -174,14 +174,11 @@ class BratteliDiagram:
             i = parent[i]
         return ".".join((self.heads[chain[0][1][i]], *reversed(parts)))
 
-    def split_labels(self, depth: int):
-        """Yield, for generations 1 through `depth`, the `label`s of the
-        paths that end at a splitting vertex, one with two or more
-        out-edges, in (root, edges) order.  The paths under root edge (v, k)
-        take the same edges for every slot k, so their tails, the labels
-        after the head, are built once per vertex: over v's out-edges e in
+    def split_tails(self, depth: int):
+        """Yield, for generations 1 through `depth`, per vertex v the tails of
+        the paths under a root edge r at v that end at a vertex with two or
+        more out-edges, labelled heads[r] + tail: over v's out-edges e in
         order, e's segment before each tail of r(e) one generation shorter."""
-        heads = self.heads
         steps = [[("." + self.segments[ei], self.edges[ei].target) for ei in out]
                  for out in self.out_edges]
         tails = [[""] if len(out) >= 2 else [] for out in self.out_edges]
@@ -189,8 +186,7 @@ class BratteliDiagram:
             if gen > 1:
                 tails = [[dot + tail for dot, w in vertex_steps for tail in tails[w]]
                          for vertex_steps in steps]
-            yield [heads[r] + tail
-                   for r, edge in enumerate(self.root_edges) for tail in tails[edge.vertex]]
+            yield tails
 
 
 def build_diagram(matrix, symmetry_order: int = 1,

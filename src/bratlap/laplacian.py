@@ -744,12 +744,13 @@ class _Numerators:
         return out
 
     def pairs(self) -> list[tuple]:
-        """(scalar in lowest terms, float) per entry.  A rational's float is
-        its numerator over den, int by int, which rounds as float(Fraction)."""
-        if self.disc:
-            return [(x, float(x)) for x in (_quad(p, q, self.den, self.disc)
-                                            for p, q in zip(self.a.tolist(), self.b.tolist()))]
-        return [(Fraction(p, self.den), p / self.den) for p in self.a.tolist()]
+        """(scalar in lowest terms, float) per entry, made once per distinct
+        numerator and shared.  A rational's float is its numerator over den,
+        int by int, which rounds as float(Fraction)."""
+        keys = list(zip(self.a.tolist(), self.b.tolist())) if self.disc else self.a.tolist()
+        made = {key: (x := _quad(*key, self.den, self.disc), float(x)) if self.disc else
+                (Fraction(key, self.den), key / self.den) for key in set(keys)}
+        return list(map(made.__getitem__, keys))
 
     def prefix_sums(self, ids: np.ndarray) -> list[np.ndarray]:
         """Prefix sums of den * x[ids] along each row of the 2-D ids, with a

@@ -27,8 +27,9 @@ import bratlap
 from bratlap import cli, cuntz, laplacian, measure
 from bratlap.asymptotics import magnitude_table
 from bratlap.cli import _fmt, _fmt_exact, main
-from bratlap.diagram import build_diagram
+from bratlap.diagram import build_diagram, load_diagram_file
 from bratlap.presets import PRESETS, load_preset, preset_names
+from bratlap.scalar import parse_backend
 from oracles import (distance_to_unstable, enumerate_paths, format_path, full_spectrum,
                      recursive_spectrum)
 
@@ -286,15 +287,25 @@ def _rendering(command: str, config: dict, sections: list[dict],
     return "\n".join(csv) + "\n", dump(payload) + "\n"
 
 
-def _strip_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
+def _source(preset: str | None, matrix_file: str | None):
+    """(diagram, dimension, config source) of a preset or a matrix file."""
+    if matrix_file:
+        diagram, dimension = load_diagram_file(matrix_file)
+        return diagram, dimension, {"matrix_file": matrix_file}
+    spec = PRESETS[preset]
+    diagram = build_diagram(spec.matrix, symmetry_order=spec.symmetry_order,
+                            letters=spec.letters)
+    return diagram, spec.dimension, {"preset": preset}
+
+
+def _strip_rendering(preset: str | None, depth: int, s: str,
+                     matrix_file: str | None = None) -> tuple[str, str]:
     """strip's CSV and JSON stdout rendered path by path: each record of
     recursive_spectrum labelled by format_path, at the per-vector distance
     of its value's field expansion; only the bound, pisot and stable norm
     are read off strip_check's report."""
-    spec = PRESETS[preset]
-    diagram = build_diagram(spec.matrix, symmetry_order=spec.symmetry_order,
-                            letters=spec.letters)
-    pdata = measure.field_perron(diagram, spec.dimension)
+    diagram, dimension, source = _source(preset, matrix_file)
+    pdata = measure.field_perron(diagram, dimension)
     table = cuntz.affine_table(measure.WeightSystem(diagram, pdata), Fraction(s))
     emb = cuntz.companion_embedding(pdata, Fraction(s))
     rows, per_gen = [], {}
@@ -305,7 +316,7 @@ def _strip_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
         per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
     report = cuntz.strip_check(emb, table, depth)
     config = {"backend": pdata.backend.kind, "depth": str(depth),
-              "dimension": spec.dimension, "preset": preset, "s": s}
+              "dimension": dimension, **source, "s": s}
     gen_rows = [[gen, _fmt(dist)] for gen, dist in sorted(per_gen.items())]
     summary = {"bound": _fmt(report.bound), "max_distance": _fmt(max(per_gen.values())),
                "pisot": report.pisot, "stable_norm": _fmt(report.stable_norm)}
@@ -315,19 +326,26 @@ def _strip_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
          "rows": gen_rows, "comments": []}], summary)
 
 
-def _spectrum_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
+def _spectrum_rendering(preset: str | None, depth: int, s: str, matrix_file: str | None = None,
+                        backend: str = "rational") -> tuple[str, str]:
     """spectrum's CSV and JSON stdout rendered record by record: each record
-    of full_spectrum labelled by format_path of its own path."""
-    bundle = load_preset(preset)
-    ws, diagram = bundle.weight_system, bundle.diagram
+    of full_spectrum labelled by format_path of its own path.  A matrix
+    file is read on `backend`, a preset on its own."""
+    diagram, dimension, source = _source(preset, matrix_file)
+    if matrix_file:
+        field = parse_backend(backend)
+        ws = measure.WeightSystem(diagram, measure.perron(diagram, field, dimension))
+    else:
+        bundle = load_preset(preset)
+        ws, field = bundle.weight_system, bundle.backend
     rows = []
     records = full_spectrum(ws, depth - 1, Fraction(s))
     for rec in records:
         label = rec.label if rec.path is None else format_path(diagram, rec.path)
         rows.append([rec.label, rec.generation, label, rec.multiplicity,
                      _fmt_exact(ws.backend, rec.value), _fmt(rec.value_float)])
-    config = {"backend": bundle.backend.kind, "depth": str(depth),
-              "dimension": bundle.dimension, "preset": preset, "s": s}
+    config = {"backend": field.kind, "depth": str(depth),
+              "dimension": dimension, **source, "s": s}
     columns = ["label", "generation", "path", "multiplicity", "value_exact", "value_float"]
     return _rendering("spectrum", config, [
         {"name": "records", "columns": columns, "rows": rows,
@@ -342,7 +360,7 @@ def _spectrum_rendering(preset: str, depth: int, s: str) -> tuple[str, str]:
                                               ("fibonacci", 9, "0"),
                                               ("thue-morse", 7, "5/2")])
 def test_spectrum_stdout_matches_a_per_record_rendering(preset, depth, s, capsys):
-    # spectrum reads its labels from split_labels, one generation at a time;
+    # spectrum renders the rows under each vertex once, from split_tails;
     # in walk order they must be format_path of each record's own path
     csv, json_text = _spectrum_rendering(preset, depth, s)
     argv = ["spectrum", "--preset", preset, "--depth", str(depth), "--s", s]
@@ -378,6 +396,61 @@ def test_spectrum_rendering_across_block_boundaries(preset, depth, s, monkeypatc
 def test_strip_rendering_across_block_boundaries(preset, depth, s, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
     test_strip_stdout_matches_a_per_path_rendering(preset, depth, s, capsys)
+
+
+@pytest.mark.parametrize("block_rows", [cli._BLOCK_ROWS, 7])
+def test_heads_are_filled_in_on_awkward_letters(block_rows, tmp_path, monkeypatch, capsys):
+    # a letter of two characters and a non-ASCII one, g = 3: each root
+    # edge's head is filled in before the tails of its vertex, and JSON
+    # escapes it as it would escape the whole label
+    path = tmp_path / "awkward.json"
+    path.write_text(json.dumps({"letters": ["x1", "é"], "matrix": [[1, 1], [1, 0]],
+                                "symmetry_order": 3}), encoding="utf-8")
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    source = ["--matrix-file", str(path)]
+    for depth, s in ((3, "1"), (4, "0"), (7, "2")):
+        for command, (csv, json_text) in (
+                ("strip", _strip_rendering(None, depth, s, str(path))),
+                ("spectrum", _spectrum_rendering(None, depth, s, str(path), "quadratic:5"))):
+            argv = [command, *source, "--depth", str(depth), "--s", s]
+            if command == "spectrum":
+                argv += ["--backend", "quadratic:5"]
+            assert run_cli(argv, capsys) == (0, csv), (command, depth)
+            assert run_cli([*argv, "--format", "json"], capsys) == (0, json_text), (command, depth)
+            assert '"\\u00e9[2]' in json_text and "é" not in json_text
+            assert '"é[2]' in csv
+
+
+@pytest.mark.parametrize("argv", [["strip", "--preset", "penrose", "--depth", "6", "--s", "0"],
+                                  ["spectrum", "--preset", "penrose", "--depth", "6"],
+                                  ["spectrum", "--preset", "ammann-a2", "--depth", "6"]])
+def test_path_rows_reach_the_emitter_once_per_vertex(argv, monkeypatch, capsys):
+    # the rows under root edge (v, k) are those under (v, 0) with another
+    # head: the emitter gets each block's rows once, with its vertex's g
+    # heads, and no path is labelled on its own nor the strip's per-path
+    # view built
+    seen = []
+    write = cli._write_rows
+
+    def spy(out, columns, data, blocks, csv, dump):
+        if "path" in columns:
+            seen.append((len(data[columns.index("path")]), blocks))
+        return write(out, columns, data, blocks, csv, dump)
+
+    monkeypatch.setattr(cli, "_write_rows", spy)
+    monkeypatch.setattr(type(load_preset("penrose").diagram), "label", None)
+    for name in ("labels", "state_of"):
+        monkeypatch.setattr(cuntz.StripReport, name,
+                            property(lambda self: pytest.fail("per-path view built")))
+    code, out = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    [(distinct, blocks)] = seen
+    g = PRESETS[argv[2]].symmetry_order
+    (kernel_heads, kernel), *blocks = blocks
+    assert kernel_heads == ("",) and {len(heads) for heads, _ in blocks} == {g}
+    assert distinct == kernel + sum(size for _, size in blocks)
+    rows = json.loads(out)["sections"][0]["rows"]
+    assert len(rows) == kernel + g * sum(size for _, size in blocks)
 
 
 def test_strip_command_penrose_uses_exact_coordinates(capsys):

@@ -59,7 +59,8 @@ def strip_coordinates(embedding, table, depth):
 
     def spy(*args):
         for states, index in grow(*args):
-            levels.append([tuple(states[i]) for i in index.tolist()])
+            levels.append([tuple(states[i]) for edge in table.diagram.root_edges
+                           for i in index[edge.vertex].tolist()])
             yield states, index
 
     with pytest.MonkeyPatch.context() as mp:
@@ -633,7 +634,7 @@ def test_strip_refuses_depth_below_one(monkeypatch, depth):
     def no_labels(self, depth):
         raise AssertionError("labels built")
 
-    monkeypatch.setattr(type(ws.diagram), "split_labels", no_labels)
+    monkeypatch.setattr(type(ws.diagram), "split_tails", no_labels)
     with pytest.raises(CuntzError, match="depth must be >= 1"):
         strip_check(emb, table, depth)
 
@@ -676,6 +677,39 @@ def test_strip_coordinates_reconstruct_their_values(name):
                 err = abs(reconstruct_from_coords(emb, coords) - rec.value_float)
                 assert err <= 1e-12 * abs(rec.value_float), (s, rec.path)
     assert accepted == STRIP_S[name]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_strip_report_lists_its_records_one_by_one(name):
+    # the report keeps tails and state indices per (generation, vertex), once
+    # for the vertex's root edges; its labels and state_of, built on first
+    # read, must read as the per-path oracle: format_path of each record,
+    # at the distance of its value's field expansion
+    ws = field_ws(name)
+    for s in STRIP_S[name]:
+        table, emb = affine_table(ws, s), companion_embedding(ws.perron, s)
+        report = strip_check(emb, table, 5)
+        want = [(rec.label if rec.path is None else format_path(ws.diagram, rec.path),
+                 distance_to_unstable(emb, lattice_coords(emb, rec.value)))
+                for rec in recursive_spectrum(table, 5)]
+        assert strip_distances(report) == want, s
+        assert len(report.state_of) == len(report.labels) == len(want), s
+        g = ws.diagram.symmetry_order
+        assert [len(heads) for heads, _, _ in report.blocks] == \
+            [1] + [g] * (len(report.blocks) - 1), s
+
+
+def test_strip_expands_each_beta_and_seed_once(monkeypatch):
+    # penrose at s = 0: the zero, the root seed, two seeds and four beta
+    # classes (two parallel edges share one) are expanded once each
+    ws = field_ws("penrose")
+    table, emb = affine_table(ws, 0), companion_embedding(ws.perron, 0)
+    calls = []
+    expand = cuntz.lattice_coords
+    monkeypatch.setattr(cuntz, "lattice_coords", lambda e, v: calls.append(v) or expand(e, v))
+    strip_check(emb, table, 3)
+    assert len(calls) == 8
+    assert len(set(map(str, calls))) == 8
 
 
 @pytest.mark.parametrize("s, k", [("3", "0"), ("4", "-1"), ("1/2", "5/2")])
@@ -870,13 +904,19 @@ def test_counted_and_per_path_views_of_the_recursion_agree(name):
             seed[0] for seed in (table.root_seed, *table.seeds) if seed))]
         den = math.lcm(*(c.denominator for vec in vecs for c in vec))
         levels = list(cuntz._grow(table, 7))
-        grown = list(cuntz._lattice_levels(emb, table, 7, den))
+        grown = list(cuntz._lattice_levels(
+            emb, table, 7,
+            *(np.array([[c.numerator * (den // c.denominator) for c in lattice_coords(emb, x)]
+                        for x in values], dtype=object)
+              for values in ([table.betas[classes.index(c)] for c in range(max(classes) + 1)],
+                             [seed[0] for seed in table.seeds if seed]))))
         assert len(grown) == 7, s
         for n, ((codes, counts), (states, index), paths, row_counts) in enumerate(
                 zip(levels, grown, splitting, path_counts(diagram)), 1):
             # the splitting paths in enumeration order, one lattice row per state
             assert len(states) == codes.size, (s, n)
-            index = index.tolist()
+            # per vertex, repeated under each of its root edges
+            index = [i for edge in diagram.root_edges for i in index[edge.vertex].tolist()]
             if n == 1:
                 # a generation-1 state is coded by its range vertex, and is its seed
                 assert index == [codes.tolist().index(path_range(diagram, path))

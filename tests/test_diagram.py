@@ -256,18 +256,20 @@ _G3_FILES = {
 @pytest.mark.parametrize("name", [*preset_names(), *_G3_FILES])
 def test_split_labels_are_format_path_of_the_splitting_paths(name):
     # per generation, the labels of the paths whose range vertex has two or
-    # more out-edges, in enumeration order
+    # more out-edges, in enumeration order: each root edge's head before
+    # the split tails of its vertex
     if name in _G3_FILES:
         diagram = load_diagram_json(_G3_FILES[name])[0]
     else:
         diagram = load_preset(name).diagram
-    labels = list(diagram.split_labels(7))
+    labels = [[head + tail for head, edge in zip(diagram.heads, diagram.root_edges)
+               for tail in tails[edge.vertex]] for tails in diagram.split_tails(7)]
     assert len(labels) == 7
     for n, got in enumerate(labels, 1):
         want = [format_path(diagram, p) for p in enumerate_paths(diagram, n).paths
                 if len(diagram.out_edges[path_range(diagram, p)]) >= 2]
         assert got == want, (name, n)
-    assert list(diagram.split_labels(0)) == []
+    assert list(diagram.split_tails(0)) == []
 
 
 @pytest.mark.parametrize("name", [*preset_names(), *_G3_FILES])

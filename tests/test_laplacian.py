@@ -852,22 +852,53 @@ def test_dense_walk_yields_full_spectrum_leaves_and_cylinders(name, backend):
             assert report.counting_ok and report.max_abs_deviation == 0.0, (s, n)
 
 
+def _value_objects(name: str, backend: str | None, depth: int) -> list[tuple[int, int, int]]:
+    """Per walk level 0 to depth at s = 1: its states with a value, their
+    value objects and their distinct values, None on ApproxReal."""
+    ws = load_preset(name, backend=backend).weight_system
+    out = []
+    for level in laplacian.walk_states(laplacian.StationaryCache(ws, 1), depth):
+        values = [v for v in level.values if v]
+        exact = not isinstance(values[0][0], ApproxReal)
+        out.append((len(values), len({id(v) for v in values}),
+                    len({v[0] for v in values}) if exact else None))
+    return out
+
+
+def test_exact_values_are_made_once_per_distinct_numerator():
+    # thue-morse's 4,095 walk states through level 11, the ones spectrum
+    # --depth 12 prints, hold one value per level: one object each
+    levels = _value_objects("thue-morse", None, 11)
+    assert sum(states for states, _, _ in levels) == 4095
+    assert [(objects, distinct) for _, objects, distinct in levels] == [(1, 1)] * 12
+    # fibonacci's values are all distinct, so every state has its own object,
+    # and so has every ApproxReal value, which is never compared
+    for states, objects, distinct in _value_objects("fibonacci", None, 11):
+        assert states == objects == distinct
+    for states, objects, distinct in _value_objects("thue-morse", "approx:200", 11):
+        assert states == objects and distinct is None
+
+
 @pytest.mark.parametrize("backend", ["field", "approx:200"])
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_walk_states_match_the_path_by_path_walk(name, backend):
     """The state engine against the recursive walk it replaced: full_spectrum
-    record for record, with one value object per walk state on both sides,
-    and dense_restriction's records, leaves, bounds and diagonal ids."""
+    record for record, the records of one walk state sharing one value
+    object, and the states of equal exact value too, but never two states
+    of ApproxReal value; and dense_restriction's records, leaves, bounds
+    and diagonal ids."""
     ws = load_preset(name, backend=None if backend == "field" else backend).weight_system
     for s in (0, Fraction(1, 2), 1, 2):
         for depth in range(7):
             got, want = full_spectrum(ws, depth, s), walked_spectrum(ws, depth, s)
             assert len(got) == len(want), (s, depth)
-            shared = {}
+            shared, states = {}, {}
             for g, w in zip(got, want):
                 _same_record(g, w)
-                assert shared.setdefault(id(g.value), id(w.value)) == id(w.value)
-            assert len(set(shared.values())) == len(shared), (s, depth)
+                assert shared.setdefault(id(w.value), id(g.value)) == id(g.value)
+                states.setdefault(id(g.value), {id(w.value)}).add(id(w.value))
+                if isinstance(g.value, ApproxReal):
+                    assert len(states[id(g.value)]) == 1, (s, depth)
         for n in range(1, 7):
             if predicted_path_count(ws.diagram, n) > laplacian.DEFAULT_DENSE_CAP:
                 break
