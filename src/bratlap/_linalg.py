@@ -22,6 +22,12 @@ def mat_pow(a, k: int):
     return out
 
 
+def det(a: list[list[int]]) -> int:
+    """The determinant of a small integer matrix, by Laplace expansion."""
+    return sum((-1) ** j * c * det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j, c in enumerate(a[0])) if a else 1
+
+
 def kernel_vector(rows, backend):
     """One nonzero kernel vector of a singular square matrix over an exact field."""
     n = len(rows)

@@ -22,7 +22,7 @@ from . import _linalg
 from .diagram import DEFAULT_PATH_CAP, BratteliDiagram, path_counts, predicted_path_count
 from .laplacian import StationaryCache, walk_states
 from .measure import PerronData, WeightSystem, _power
-from .scalar import ApproxReal, QuadraticNumber, compare, exact_power
+from .scalar import ApproxReal, FieldArray, compare, exact_power
 
 
 class CuntzError(ValueError):
@@ -319,10 +319,11 @@ class CompanionData:
     even d and d' = d for odd d.  So x = theta^(1/d'), Lambda_s =
     theta^((d+2-s)/d) = x^k with k = d'(d+2-s)/d, and the matrix is C_x^k for
     the companion matrix C_x of Q.
-    Basis: powers of x; `basis_value` is x exactly when theta is quadratic
-    and its field holds x, else None."""
+    Basis: powers of x; `generator` is C_x, and `basis_value` is x exactly
+    when theta is quadratic and its field holds x, else None."""
 
     degree: int                      # lattice dimension
+    generator: tuple[tuple[int, ...], ...]
     matrix: tuple[tuple[int, ...], ...]
     basis_value: object | None       # exact scalar for x, when the field holds it
     basis_float: float
@@ -380,7 +381,8 @@ def companion_embedding(perron: PerronData, s) -> CompanionData:
     subst = [0] * ((len(poly) - 1) * d_prime + 1)
     for j, c in enumerate(poly):
         subst[j * d_prime] = c
-    cmat = _linalg.mat_pow(_companion(subst), k)
+    generator = _companion(subst)
+    cmat = _linalg.mat_pow(generator, k)
     degree = len(cmat)
 
     eigs, p = np.linalg.eig(np.array(cmat, float))
@@ -405,7 +407,8 @@ def companion_embedding(perron: PerronData, s) -> CompanionData:
     q, _ = np.linalg.qr(np.column_stack(cols))
     unstable = q[:, : np.linalg.matrix_rank(np.column_stack(cols))]
 
-    return CompanionData(degree, tuple(tuple(r) for r in cmat), basis_value, basis_float,
+    return CompanionData(degree, tuple(map(tuple, generator)), tuple(map(tuple, cmat)),
+                         basis_value, basis_float,
                          pisot, hyperbolic, stable_norm, tuple(eigs.tolist()), unstable,
                          p_inv_norm, _verify_action(cmat, k, basis_value, basis_float))
 
@@ -429,23 +432,37 @@ def _verify_action(cmat, k: int, basis_value, basis_float: float) -> str:
     return "exact" if exact else "numeric"
 
 
+def lattice_array(embedding: CompanionData, values) -> FieldArray:
+    """Exact scalars of theta's field in the lattice's power basis, over their
+    least common denominator, by one rational change of basis.  Its column j
+    is the c with P c = e_j, for P the field coordinates of 1, x, ...,
+    x^(n-1): with P = p / den, P^-1 = den adj(p) / det(p).  Without an
+    exact x, n is 1, so only the rationals have lattice coordinates."""
+    try:
+        field = FieldArray.of(values)
+    except TypeError:
+        raise CuntzError("value is not exactly representable; "
+                         "accumulate coordinates through the recursion") from None
+    m = field.num.shape[1]
+    n = 1 if embedding.basis_value is None else m
+    if field.num[:, n:].any():
+        raise CuntzError("no exact basis generator available for these coordinates")
+    powers = FieldArray.of([embedding.basis_value ** i if i else 1 for i in range(n)])
+    p = powers.num[:, :n].T.tolist()
+    adj = [[(-1) ** (i + j) * _linalg.det([r[:i] + r[i + 1:]
+                                           for k, r in enumerate(p) if k != j])
+            for j in range(n)] for i in range(n)]
+    change = [[powers.den * c for c in row] + [0] * (m - n) for row in adj]
+    num = field.num @ np.array(change + [[0] * m] * (embedding.degree - n), object).T
+    den = field.den * _linalg.det(p)
+    g = math.gcd(den, *num.ravel().tolist())
+    return FieldArray(num // g, den // g, embedding.generator)
+
+
 def lattice_coords(embedding: CompanionData, value) -> tuple[Fraction, ...]:
-    """Expand an exact scalar in the power basis of the quotient ring."""
-    m = embedding.degree
-    if isinstance(value, (int, Fraction)):
-        return (Fraction(value),) + (Fraction(0),) * (m - 1)
-    if isinstance(value, QuadraticNumber):
-        if value.b == 0:
-            return (value.a,) + (Fraction(0),) * (m - 1)
-        # an exact x = theta^(1/d') is irrational, as theta is
-        t = embedding.basis_value
-        if t is None:
-            raise CuntzError("no exact basis generator available for these coordinates")
-        c1 = value.b / t.b
-        c0 = value.a - c1 * t.a
-        return (c0, c1) + (Fraction(0),) * (m - 2)
-    raise CuntzError(
-        "value is not exactly representable; accumulate coordinates through the recursion")
+    """One exact scalar in the lattice's power basis: a row of `lattice_array`."""
+    row = lattice_array(embedding, [value])
+    return tuple(Fraction(n, row.den) for n in row.num[0].tolist())
 
 
 @dataclass
@@ -476,14 +493,13 @@ class StripReport:
 
 
 def _lattice_levels(embedding: CompanionData, table: AffineMapTable, depth: int,
-                    betas: np.ndarray, seeds: np.ndarray):
+                    betas: FieldArray, seeds: FieldArray):
     """Generations 1 through `depth` of the recursion in lattice coordinates,
-    coords(u_e x) = C coords(x) + coords(beta_e), as Python int numerators
-    over one denominator, which C, an integer matrix, keeps, from `betas`'
-    rows, one per class, and `seeds`': per generation, one row per state of
-    `_grow`, in its order, as an object array so that C and the betas act on
-    the whole generation at once, and per vertex v an int64 array of the
-    state indices of the splitting paths under each root edge at v.
+    coords(u_e x) = C coords(x) + coords(beta_e), grown from the `betas`, one
+    row per class, and the `seeds`, which share one denominator: per
+    generation, one `FieldArray` row per state of `_grow`, in its order, and
+    per vertex v an int64 array of the state indices of the splitting paths
+    under each root edge at v.
     Generation 1's states are the seeds, coded by their range vertices.
     Under v, out-edge e leads to the paths under r(e) one generation
     shorter, and a child's state is the `np.searchsorted` of its code, its
@@ -500,13 +516,13 @@ def _lattice_levels(embedding: CompanionData, table: AffineMapTable, depth: int,
             raise CuntzError(f"recursion would produce more than the "
                              f"{DEFAULT_PATH_CAP}-record cap")
 
-    classes, n_cls = table.beta_classes(), len(betas)
-    c_t = np.array(embedding.matrix, dtype=object).T
+    classes, n_cls = table.beta_classes(), len(betas.num)
     states = seeds
     index = [np.flatnonzero(splits == v) for v in range(diagram.n_letters)]
     for gen, (codes, _) in enumerate(_grow(table, depth), 1):
         if gen > 1:
-            states = states[codes // n_cls] @ c_t + betas[codes % n_cls]
+            states = states.take(codes // n_cls).mul(embedding.matrix) + \
+                betas.take(codes % n_cls)
             index = [np.concatenate([np.searchsorted(codes, index[diagram.edges[ei].target]
                                                      * n_cls + classes[ei]) for ei in out])
                      for out in diagram.out_edges]
@@ -520,11 +536,10 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
     m/(1 - |C_s|) with m = |P^-1|^2 max(|beta|, |lambda_seed|) over the
     table's betas and nonzero seeds.
 
-    The coordinates are integer numerators over one denominator: the lcm of
-    those of the seeds' and betas' coordinates, each expanded once, a beta
-    once per class.  A distance depends only on the recursion state, so the
-    kernel, the zero's state and the root's, is measured in one batch, and
-    each generation's states, the seeds' first, in one batch each.  Per
+    The coordinates are one `lattice_array` of the seeds and one beta per
+    class.  A distance depends only on the recursion state, so the kernel,
+    the zero's state and the root's, is measured in one batch, and each
+    generation's states, the seeds' first, in one batch each.  Per
     generation and vertex, its tails (`BratteliDiagram.split_tails`) and
     state indices are kept once.  A depth below 1 is refused before any
     work: the seeds are the records of generation 1."""
@@ -537,33 +552,31 @@ def strip_check(embedding: CompanionData, table: AffineMapTable,
 
     diagram, g = table.diagram, table.diagram.symmetry_order
     kernel = [table.ws.backend.zero, *(seed[0] for seed in [table.root_seed] if seed)]
-    seed_vecs = [lattice_coords(embedding, v) for v in kernel + [z[0] for z in table.seeds if z]]
+    seeds = kernel + [z[0] for z in table.seeds if z]
     # one beta per class, in class order
-    beta_vecs = [lattice_coords(embedding, b)
-                 for b in dict(zip(table.beta_classes(), table.betas)).values()]
-    den = math.lcm(*(c.denominator for vec in seed_vecs + beta_vecs for c in vec))
-
-    def numerators(vecs) -> np.ndarray:
-        return np.array([[c.numerator * (den // c.denominator) for c in v] for v in vecs], object)
+    coords = lattice_array(embedding, seeds + list(
+        dict(zip(table.beta_classes(), table.betas)).values()))
 
     # the records are the kernel's, each on its own state, then per
     # generation and vertex its paths, whose state indices follow on
     blocks = [(("",), ["zero", "root"][:len(kernel)], np.arange(len(kernel)))]
-    batches = [embedding.distance_to_unstable(np.array(seed_vecs[:len(kernel)], dtype=float))]
-    levels = _lattice_levels(embedding, table, depth, numerators(beta_vecs),
-                             numerators(seed_vecs[len(kernel):]))
+    # int true division rounds each exact rational correctly, whatever its denominator
+    batches = [embedding.distance_to_unstable((coords.num[:len(kernel)] / coords.den)
+                                              .astype(float))]
+    levels = _lattice_levels(embedding, table, depth, coords.take(slice(len(seeds), None)),
+                             coords.take(slice(len(kernel), len(seeds))))
     for (states, index), tails in zip(levels, diagram.split_tails(depth)):
         offset = sum(dists.size for dists in batches)
         blocks += [(diagram.heads[v * g:(v + 1) * g], tails[v], index[v] + offset)
                    for v in range(diagram.n_letters) if tails[v]]
-        # int true division rounds correctly, as float(Fraction) does above
-        batches.append(embedding.distance_to_unstable((states / den).astype(float)))
+        batches.append(embedding.distance_to_unstable((states.num / states.den).astype(float)))
     if not all(np.isfinite(dists).all() for dists in batches):
         raise CuntzError(f"a strip distance leaves the float range at s={table.s}")
     per_gen = [(gen, float(dists.max(initial=0.0))) for gen, dists in enumerate(batches)]
 
-    # the zero's coordinates are all 0
-    norms = [math.sqrt(sum(float(c) ** 2 for c in vec)) for vec in beta_vecs + seed_vecs[1:]]
+    # the betas', then the seeds' but the zero's, which are all 0
+    rows = coords.num[[*range(len(seeds), len(coords.num)), *range(1, len(seeds))]]
+    norms = [math.sqrt(sum((n / coords.den) ** 2 for n in row)) for row in rows.tolist()]
     m_const = embedding.p_inv_norm ** 2 * max(norms)
     bound = m_const / (1.0 - embedding.stable_norm)
     return StripReport(embedding.pisot, embedding.stable_norm, bound,

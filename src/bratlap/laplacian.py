@@ -9,7 +9,6 @@ nothing and the splitting weight G never has to be evaluated there.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,10 +20,9 @@ import numpy as np
 from . import _linalg
 from .diagram import DEFAULT_PATH_CAP, path_counts, predicted_path_count
 from .measure import WeightSystem, diam_power, mu
-from .scalar import ApproxReal, QuadraticNumber, _quad
+from .scalar import ROW_BLOCK, ApproxReal, FieldArray
 
 DEFAULT_DENSE_CAP = 4096
-ROW_BLOCK = 256      # rows DenseOperator.symmetrized reads and scales at a time
 FLOAT_TOLERANCE = 1e-8  # the largest eigenvalue deviation a float operator passes
 
 
@@ -144,9 +142,9 @@ class WalkLevel:
     the paths with two or more extensions, those with a record, and
     `multiplicity` their extensions less one.  Per walk state,
     `state_vertex` holds its range vertex and `partials` its partial sum,
-    read from `sums`: integer numerators over one denominator while every
-    term so far is exact, else the scalars, as an ApproxReal sum's bits
-    depend on its order of additions.  A plain class, not a dataclass,
+    read from `sums`: a `FieldArray` while every term so far is exact,
+    else the scalars, as an ApproxReal sum's bits depend on its order of
+    additions.  A plain class, not a dataclass,
     which would add about 1 ms to every import."""
 
     def __init__(self, generation: int, state, vertex, parent, edge, rank, leaves, splits,
@@ -158,7 +156,7 @@ class WalkLevel:
 
     @cached_property
     def partials(self) -> list:
-        return [x for x, _ in self.sums.pairs()] if isinstance(self.sums, _Numerators) \
+        return [x for x, _ in self.sums.pairs()] if isinstance(self.sums, FieldArray) \
             else self.sums
 
     @cached_property
@@ -173,7 +171,7 @@ class WalkLevel:
                   for v in dict.fromkeys(self.state_vertex) if len(targets[v]) >= 2}
         vertex = np.array(self.state_vertex)
         keep = np.flatnonzero(np.array([len(t) >= 2 for t in targets])[vertex])
-        if isinstance(self.sums, _Numerators) and \
+        if isinstance(self.sums, FieldArray) and \
                 not any(isinstance(x, ApproxReal) for x in finals.values()):
             pairs = self.sums.plus(finals, (len(targets),), (vertex[keep],), keep).pairs()
         else:
@@ -204,8 +202,8 @@ def walk_states(cache: StationaryCache, depth: int):
     once per state from the same operands in the same order as the direct
     per-path formula, so the scalars equal a path-by-path walk's, bit for
     bit on the approximate backend.  While the terms are exact the partials
-    are integer numerators over one denominator per generation, each step
-    term rescaled once per (vertex, child) key (`WalkLevel.sums`).
+    are a `FieldArray` with one denominator per generation, each step term
+    rescaled once per (vertex, child) key (`WalkLevel.sums`).
 
     Paths are index arrays.  A path's children are its range vertex's
     out-edges in order, so a level lists its paths by parent, then edge.  A
@@ -253,7 +251,7 @@ def _levels(cache: StationaryCache, depth: int):
     vertex = parent = edge = np.full(1, -1)
     rank = np.ones(1, np.int64)
     zero, state_vertex = cache.ws.backend.zero, [-1]
-    sums = [zero] if isinstance(zero, ApproxReal) else _Numerators([zero])
+    sums = [zero] if isinstance(zero, ApproxReal) else FieldArray.of([zero])
     for k in range(depth + 1):
         mult = count[vertex] - 1
         splits = np.flatnonzero(mult)
@@ -278,8 +276,8 @@ def _levels(cache: StationaryCache, depth: int):
         # vertex has a single extension, whose increment vanishes
         steps = {(v, t): cache.step_at(v, k, t) if split[v] else None
                  for v in dict.fromkeys(state_vertex) for t in targets[v]}
-        # the one fork: integer numerators while every term is exact
-        if isinstance(sums, _Numerators) and \
+        # the one fork: a FieldArray while every term is exact
+        if isinstance(sums, FieldArray) and \
                 not any(isinstance(x, ApproxReal) for x in steps.values()):
             sums = sums.plus(steps, (letters + 1, letters),
                              (np.array(state_vertex)[parent_state], child_vertex), parent_state)
@@ -632,12 +630,12 @@ def _verify_exact_relations(op: DenseOperator) -> bool:
       mu . v = 0, which is checked for every vector.
 
     It all runs in integers.  The entries, the measures, and every vector's
-    coefficients and lambda are numerators over one common denominator each
-    (`_Numerators`: den, mus.den and c.den).  The relation times
+    coefficients and lambda are `FieldArray`s, coordinates over one common
+    denominator each (den, mus.den and c.den).  The relation times
     den * c.den^2 reads c.den * (den M)(c.den v) = den * (c.den lambda)(c.den
     v), so one denominator for all vectors is exact.  Each row of den * M is
     summed once, as prefix sums with a leading 0 column
-    (`_Numerators.prefix_sums`), so a sum over the range lo:hi of row i is
+    (`FieldArray.prefix_sums`), so a sum over the range lo:hi of row i is
     P[i, hi] - P[i, lo]: M 1 = 0 is a zero last column, and every (vector,
     row of its base's span) pair is one pair of lookups, all checked in one
     vectorized pass.  The range sums are Python ints before they meet the
@@ -661,113 +659,37 @@ def _verify_exact_relations(op: DenseOperator) -> bool:
         for k in range(1, len(ends) - 1):
             spans.append([ends[0], ends[-1], *ends[0:2], *ends[k:k + 2]])
             at.append((first[meet] + 2 * (k - 1), lam_at[id(value)]))
-    entries = _Numerators(op.values)
+    entries = FieldArray.of(op.values)
     rows = entries.prefix_sums(op.index)
-    if any(p[:, -1].any() for p in rows):
+    if rows[:, -1].any():
         return False
     if not spans:
         return True
-    mus = _Numerators(op.mu_values)
-    c = _Numerators([*lams.values(),
-                     *(x for pairs in bases.values() for pair in pairs for x in pair)])
+    c = FieldArray.of([*lams.values(),
+                       *(x for pairs in bases.values() for pair in pairs for x in pair)])
     base_lo, base_hi, pos_lo, pos_hi, neg_lo, neg_hi = np.array(spans).T
     pos, lam = np.array(at).T
-    coeff_pos, coeff_neg, lam = ((c.a[j], c.b[j]) for j in (pos, pos + 1, lam))
+    coeff_pos, coeff_neg, lam = (c.take(j) for j in (pos, pos + 1, lam))
 
-    def times_v(prefix: list[np.ndarray], row, k: np.ndarray) -> tuple:
-        """c.den * den * (M v)_row for the vectors k, as (a, b), from the
-        prefix sums of den * M"""
-        (pa, pb), (na, nb) = (
-            _times((coeff[0][k], coeff[1][k]), _range_sums(prefix, row, lo[k], hi[k]), c.disc)
-            for coeff, lo, hi in ((coeff_pos, pos_lo, pos_hi), (coeff_neg, neg_lo, neg_hi)))
-        return pa + na, pb + nb
+    def times_v(sums: FieldArray, prefix: np.ndarray, row, k: np.ndarray) -> FieldArray:
+        """(M v)_row for the vectors k, from the prefix sums of `sums`."""
+        pos_part, neg_part = (coeff.take(k).times(sums.range_sums(prefix, row, lo[k], hi[k]))
+                              for coeff, lo, hi in ((coeff_pos, pos_lo, pos_hi),
+                                                    (coeff_neg, neg_lo, neg_hi)))
+        return pos_part + neg_part
 
     every = np.arange(len(spans))
-    if any(np.any(x) for x in times_v(mus.prefix_sums(op.vertex[None, :]), 0, every)):
+    mus = FieldArray.of(op.mu_values)
+    if times_v(mus, mus.prefix_sums(op.vertex[None, :]), 0, every).num.any():
         return False
     # each vector k once per row i of its base's span
     width = base_hi - base_lo
     k = np.repeat(every, width)
     i = np.arange(len(k)) + np.repeat(base_lo - np.cumsum(width) + width, width)
-    in_pos, in_neg = ((lo[k] <= i) & (i < hi[k])
+    in_pos, in_neg = (((lo[k] <= i) & (i < hi[k]))[:, None]
                       for lo, hi in ((pos_lo, pos_hi), (neg_lo, neg_hi)))
-    # c.den * v_i, then c.den^2 * lambda v_i
-    v = tuple(np.where(in_pos, p[k], np.where(in_neg, q[k], 0))
-              for p, q in zip(coeff_pos, coeff_neg))
-    want = _times((lam[0][k], lam[1][k]), v, c.disc)
-    return not any(np.any(c.den * x - entries.den * w)
-                   for x, w in zip(times_v(rows, i, k), want))
-
-
-def _times(x: tuple, y: tuple, disc: int) -> tuple:
-    """(x_a + x_b sqrt(disc)) (y_a + y_b sqrt(disc)) as (a, b)."""
-    return x[0] * y[0] + disc * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _range_sums(prefix: list[np.ndarray], row, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """Sums over the columns lo:hi of the given rows from `prefix_sums`, as
-    (a, b) in Python ints, with b = 0 on Q."""
-    sums = [(p[row, hi] - p[row, lo]).astype(object) for p in prefix]
-    return sums[0], sums[1] if len(sums) == 2 else 0
-
-
-def _parts(x) -> tuple[int, int, int]:
-    """An exact scalar as ints (p, q, r), x = (p + q sqrt(disc)) / r."""
-    return (x.p, x.q, x.r) if isinstance(x, QuadraticNumber) else (x.numerator, 0, x.denominator)
-
-
-class _Numerators:
-    """Exact scalars as integer numerators over one common denominator:
-    x[k] = (a[k] + b[k] sqrt(disc)) / den, with b = 0 and disc = 0 on Q,
-    read off a QuadraticNumber's (p, q, r) and a rational's numerator."""
-
-    def __init__(self, scalars):
-        parts = [_parts(x) for x in scalars]
-        self.disc = next((x.disc for x in scalars if isinstance(x, QuadraticNumber)), 0)
-        self.den = math.lcm(*(r for _, _, r in parts))
-        self.a, self.b = (np.array([x[j] * (self.den // x[2]) for x in parts], dtype=object)
-                          for j in range(2))
-
-    def plus(self, terms: dict, shape: tuple, at: tuple, take: np.ndarray) -> "_Numerators":
-        """x[take] plus, entry by entry, table[at]: the table of the given
-        shape holds each exact terms[key] at its key and 0 elsewhere (None
-        adds nothing), each term rescaled once to the new denominator."""
-        parts = {key: _parts(x) for key, x in terms.items() if x is not None}
-        out = object.__new__(_Numerators)
-        out.disc, out.b = self.disc, self.b[take]
-        out.den = math.lcm(self.den, *(r for _, _, r in parts.values()))
-        for j, name in enumerate(("a", "b")[:1 + bool(self.disc)]):
-            table = np.zeros(shape, object)
-            for key, part in parts.items():
-                table[key] = part[j] * (out.den // part[2])
-            setattr(out, name, getattr(self, name)[take] * (out.den // self.den) + table[at])
-        return out
-
-    def pairs(self) -> list[tuple]:
-        """(scalar in lowest terms, float) per entry, made once per distinct
-        numerator and shared.  A rational's float is its numerator over den,
-        int by int, which rounds as float(Fraction)."""
-        keys = list(zip(self.a.tolist(), self.b.tolist())) if self.disc else self.a.tolist()
-        made = {key: (x := _quad(*key, self.den, self.disc), float(x)) if self.disc else
-                (Fraction(key, self.den), key / self.den) for key in set(keys)}
-        return list(map(made.__getitem__, keys))
-
-    def prefix_sums(self, ids: np.ndarray) -> list[np.ndarray]:
-        """Prefix sums of den * x[ids] along each row of the 2-D ids, with a
-        leading 0 column: a's, then on Q(sqrt disc) b's.  A sum of at most
-        width numerators is bounded by max |numerator| * width, so the sums
-        are int64 when that is below 2^63 and Python ints otherwise.  Rows
-        are gathered ROW_BLOCK at a time."""
-        height, width = ids.shape
-        parts = (self.a, self.b) if self.disc else (self.a,)
-        top = max(abs(x) for part in parts for x in part)
-        dtype = np.int64 if top * width < 2 ** 63 else object
-        out = []
-        for part in parts:
-            part = part.astype(dtype)
-            prefix = np.zeros((height, width + 1), dtype)
-            for lo in range(0, height, ROW_BLOCK):
-                np.cumsum(part[ids[lo:lo + ROW_BLOCK]], axis=1,
-                          out=prefix[lo:lo + ROW_BLOCK, 1:])
-            out.append(prefix)
-        return out
+    v = FieldArray(np.where(in_pos, coeff_pos.num[k], np.where(in_neg, coeff_neg.num[k], 0)),
+                   c.den, c.gen)
+    # (M v)_i over den * c.den, and lambda v_i over c.den^2
+    return not np.any(c.den * times_v(entries, rows, i, k).num !=
+                      entries.den * lam.take(k).times(v).num)

@@ -5,12 +5,12 @@ The golden-mean families all live in Q(sqrt(5)), so the quadratic backend lets
 every reference constant be checked with zero rounding error.  Its scalars
 hold ints, (p + q*sqrt(D)) / r in lowest terms, so exact arithmetic is int
 arithmetic; float(x) divides those ints, so it keeps the bits float gives on
-the Fraction coordinates.  Generic matrices whose dominant eigenvalue has
-algebraic degree above two run on the approximate backend instead.  A backend
-only names and builds its field; the arithmetic decisions live on the
-scalars: `exact_power` is the one rule for which powers stay in a field,
-`scalar_sign` and `compare` the one comparison, and float(x) the one
-conversion.
+the Fraction coordinates.  `FieldArray` is their vectorised form.  Generic
+matrices whose dominant eigenvalue has algebraic degree above two run on the
+approximate backend instead.  A backend only names and builds its field; the
+arithmetic decisions live on the scalars: `exact_power` is the one rule for
+which powers stay in a field, `scalar_sign` and `compare` the one
+comparison, and float(x) the one conversion.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 from mpmath.libmp import (
     from_float,
     from_int,
@@ -40,6 +41,7 @@ from mpmath.libmp import to_float as mpf_to_float
 LT, EQ, GT = -1, 0, 1
 
 MIN_PRECISION = 53
+ROW_BLOCK = 256      # rows a prefix sum, or a dense slab, gathers at a time
 
 
 def _as_fraction(x) -> Fraction:
@@ -416,6 +418,108 @@ def _operand(x, precision: int) -> tuple | None:
                        mpf_mul(_operand(x.b, precision), root, precision, _ROUND),
                        precision, _ROUND)
     return None
+
+
+def _coordinates(x) -> tuple[tuple[int, ...], int, tuple]:
+    """An exact scalar as (numerators, denominator, companion matrix of its
+    field's generator w): x = sum_j numerators[j] w^j / denominator."""
+    if isinstance(x, QuadraticNumber):
+        return (x.p, x.q), x.r, ((0, x.disc), (1, 0))
+    x = _as_fraction(x)
+    return (x.numerator,), x.denominator, ((1,),)
+
+
+def _apply(matrix, rows: np.ndarray) -> np.ndarray:
+    """rows @ matrix.T for an integer matrix without a zero row, with no
+    product by 0 or 1."""
+    terms = [[rows[:, j] if c == 1 else c * rows[:, j] for j, c in enumerate(row) if c]
+             for row in matrix]
+    return np.stack([sum(t[1:], t[0]) for t in terms], axis=1)
+
+
+class FieldArray:
+    """Exact values of one field, or of one ring Q[x]/(p), as integer
+    coordinates: row k of the (N, m) object array `num` of Python ints, over
+    the int `den`, is value k in the power basis (1, w, ..., w^(m-1)) of the
+    generator w, whose integer companion matrix `gen` maps the coordinates
+    of y to those of w y.  On Q, m = 1 and w = 1; on Q(sqrt D), m = 2,
+    w = sqrt D and gen = [[0, D], [1, 0]]."""
+
+    __slots__ = ("num", "den", "gen")
+
+    def __init__(self, num: np.ndarray, den: int, gen: tuple):
+        self.num, self.den, self.gen = num, den, gen
+
+    @classmethod
+    def of(cls, scalars) -> "FieldArray":
+        """Exact scalars of one field, over the lcm of their denominators."""
+        parts = [_coordinates(x) for x in scalars]
+        gen = next((g for *_, g in parts if len(g) > 1), ((1,),))
+        den = math.lcm(*(r for _, r, _ in parts))
+        cols = [[nums[j] * (den // r) if j < len(nums) else 0 for nums, r, _ in parts]
+                for j in range(len(gen))]
+        return cls(np.array(cols, object).T, den, gen)
+
+    def take(self, rows) -> "FieldArray":
+        return FieldArray(self.num[rows], self.den, self.gen)
+
+    def _over(self, den: int) -> np.ndarray:
+        """The numerators over den, a multiple of self.den."""
+        return self.num if den == self.den else self.num * (den // self.den)
+
+    def __add__(self, other: "FieldArray") -> "FieldArray":
+        den = math.lcm(self.den, other.den)
+        return FieldArray(self._over(den) + other._over(den), den, self.gen)
+
+    def mul(self, matrix) -> "FieldArray":
+        """Every row times the value whose multiplication matrix is `matrix`."""
+        return FieldArray(self.num @ np.array(matrix, object).T, self.den, self.gen)
+
+    def times(self, other: "FieldArray") -> "FieldArray":
+        """Row-wise products, sum_i x[k, i] gen^i y[k], over den * other.den."""
+        power, out = other.num, self.num[:, :1] * other.num
+        for i in range(1, len(self.gen)):
+            power = _apply(self.gen, power)
+            out = out + self.num[:, i:i + 1] * power
+        return FieldArray(out, self.den * other.den, self.gen)
+
+    def plus(self, terms: dict, shape: tuple, at: tuple, take) -> "FieldArray":
+        """Rows `take` plus, row by row, table[at]: the table of the given
+        shape holds each exact terms[key] at its key and 0 elsewhere (None
+        adds nothing), each term rescaled once to the new denominator."""
+        parts = {key: _coordinates(x) for key, x in terms.items() if x is not None}
+        den = math.lcm(self.den, *(r for _, r, _ in parts.values()))
+        table = np.zeros((*shape, len(self.gen)), object)
+        for key, (nums, r, _) in parts.items():
+            table[key][:len(nums)] = [n * (den // r) for n in nums]
+        return FieldArray(self.take(take)._over(den) + table[at], den, self.gen)
+
+    def pairs(self) -> list[tuple]:
+        """(scalar in lowest terms, float) per row, made int by int once per
+        distinct row and shared: on Q a Fraction and its numerator over den,
+        which rounds as float(Fraction) does."""
+        rational = len(self.gen) == 1
+        keys = self.num[:, 0].tolist() if rational else list(zip(*self.num.T.tolist()))
+        made = {key: (Fraction(key, self.den), key / self.den) if rational else
+                (x := _quad(*key, self.den, self.gen[0][1]), float(x)) for key in set(keys)}
+        return list(map(made.__getitem__, keys))
+
+    def prefix_sums(self, ids: np.ndarray) -> np.ndarray:
+        """Prefix sums of num[ids] along the rows of the 2-D ids, after a 0
+        column, shaped (rows, width + 1, m): int64 while max |numerator| *
+        width, which bounds them, is below 2^63, else Python ints.  Rows are
+        gathered ROW_BLOCK at a time."""
+        height, width = ids.shape
+        top = max(map(abs, self.num.ravel().tolist()), default=0)
+        num = self.num.astype(np.int64 if top * width < 2 ** 63 else object)
+        prefix = np.zeros((height, width + 1, len(self.gen)), num.dtype)
+        for lo in range(0, height, ROW_BLOCK):
+            np.cumsum(num[ids[lo:lo + ROW_BLOCK]], axis=1, out=prefix[lo:lo + ROW_BLOCK, 1:])
+        return prefix
+
+    def range_sums(self, prefix: np.ndarray, row, lo, hi) -> "FieldArray":
+        """Sums over the columns lo:hi of the given rows, from `prefix_sums`."""
+        return FieldArray((prefix[row, hi] - prefix[row, lo]).astype(object), self.den, self.gen)
 
 
 def exact_power(x, e: Fraction):

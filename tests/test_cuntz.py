@@ -26,8 +26,8 @@ from bratlap.diagram import (build_diagram, load_diagram_file, load_diagram_json
 from bratlap.laplacian import g_value
 from bratlap.measure import WeightSystem, _theta_certificate, field_perron, mu, perron
 from bratlap.presets import PRESETS, load_preset, preset_names
-from bratlap.scalar import (ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend,
-                            compare)
+from bratlap.scalar import (ApproxBackend, ApproxReal, FieldArray, QuadraticBackend,
+                            RationalBackend, compare)
 from oracles import (EMPTY_PATH, Path, apply, ck_relations_by_path, distance_to_unstable,
                      enumerate_paths, format_path, full_spectrum, path_chain, path_key,
                      path_range, path_shift_down, path_shift_up, recursive_spectrum,
@@ -54,13 +54,14 @@ def strip_coordinates(embedding, table, depth):
     kernel's, the zero's and the root's, expanded from their values, and
     from generation 1 on those read off the recursion states as numerators
     over the lcm of the betas' and seeds' denominators."""
-    levels = []
+    levels, dens = [], set()
     grow = cuntz._lattice_levels
 
     def spy(*args):
         for states, index in grow(*args):
-            levels.append([tuple(states[i]) for edge in table.diagram.root_edges
+            levels.append([tuple(states.num[i]) for edge in table.diagram.root_edges
                            for i in index[edge.vertex].tolist()])
+            dens.add(states.den)
             yield states, index
 
     with pytest.MonkeyPatch.context() as mp:
@@ -69,6 +70,7 @@ def strip_coordinates(embedding, table, depth):
     seeds = [lattice_coords(embedding, rec.value) for rec in recursive_spectrum(table, 1)]
     den = math.lcm(*(c.denominator for vec in seeds for c in vec),
                    *(c.denominator for b in table.betas for c in lattice_coords(embedding, b)))
+    assert dens == {den}
     kernel = seeds[:1 + (table.root_seed is not None)]
     coords = kernel + [tuple(Fraction(n, den) for n in nums)
                        for level in levels for nums in level]
@@ -442,6 +444,14 @@ def test_lattice_coords_examples():
     emb_fib = companion_embedding(perron(build_diagram(FIB_A), Q5), 1)
     lam0 = -(2 * PHI + 1)
     assert lattice_coords(emb_fib, lam0) == (Fraction(-1), Fraction(-2))
+    with pytest.raises(CuntzError, match="not exactly representable"):
+        lattice_coords(emb_fib, ApproxReal.make(lam0, 100))
+    # at d = 3 the field does not hold x = theta^(1/3): only rationals map
+    emb_cubic = companion_embedding(perron(build_diagram(FIB_A), Q5, 3), 2)
+    assert emb_cubic.basis_value is None and emb_cubic.degree == 6
+    assert lattice_coords(emb_cubic, Q5.make(Fraction(3, 4))) == (Fraction(3, 4),) + (0,) * 5
+    with pytest.raises(CuntzError, match="no exact basis generator"):
+        lattice_coords(emb_cubic, lam0)
 
 
 def fib_conj_ws():
@@ -655,6 +665,42 @@ STRIP_S = {"fibonacci": [-1, 0, 1, 2], "fibonacci-conjugate": [-1, 0, 1, 2],
            "penrose": [0, 2], "ammann-a2": [0, 2]}
 
 
+def _lattice_cases():
+    """(weight system, s) where strip runs: the presets on their theta's
+    field, and the matrix files of degree 3 and 4 lattices."""
+    for name in preset_names():
+        yield from ((field_ws(name), s) for s in STRIP_S[name])
+    for matrix, dimension, s in ((TM_A, 3, -1), (TM_A, 3, 2), (PEN_A, 4, -2), (PEN_A, 4, 2),
+                                 (FIB_A, 2, 0), (PEN_A, 2, 2)):
+        diagram, d = load_diagram_json(json.dumps({"letters": ["a", "b"], "matrix": matrix,
+                                                   "dimension": dimension}))
+        yield WeightSystem(diagram, field_perron(diagram, d)), s
+
+
+def test_change_of_basis_rebuilds_every_seed_and_beta():
+    # one lattice_array of all seeds and betas: wherever the field holds x,
+    # each row c rebuilds its value as sum c_i x^i exactly; without x, each
+    # value is rational and sits on the first axis
+    checked = 0
+    for ws, s in _lattice_cases():
+        table, emb = affine_table(ws, s), companion_embedding(ws.perron, s)
+        values = [ws.backend.zero, *table.betas,
+                  *(seed[0] for seed in (table.root_seed, *table.seeds) if seed)]
+        coords = cuntz.lattice_array(emb, values)
+        assert coords.num.shape == (len(values), emb.degree)
+        assert coords.gen == emb.generator
+        for value, row in zip(values, coords.num.tolist()):
+            c = [Fraction(n, coords.den) for n in row]
+            if emb.basis_value is None:
+                assert compare(ws.backend.make(c[0]), value) == 0 and not any(c[1:])
+            else:
+                assert compare(sum(ci * emb.basis_value ** i for i, ci in enumerate(c)),
+                               value) == 0
+            checked += emb.basis_value is not None
+            assert tuple(c) == lattice_coords(emb, value)
+    assert checked > 100
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_strip_coordinates_reconstruct_their_values(name):
     # the recursion grows coordinates with C_s, which multiplies by Lambda_s
@@ -701,15 +747,17 @@ def test_strip_report_lists_its_records_one_by_one(name):
 
 def test_strip_expands_each_beta_and_seed_once(monkeypatch):
     # penrose at s = 0: the zero, the root seed, two seeds and four beta
-    # classes (two parallel edges share one) are expanded once each
+    # classes (two parallel edges share one) are expanded once each, in one
+    # lattice_array
     ws = field_ws("penrose")
     table, emb = affine_table(ws, 0), companion_embedding(ws.perron, 0)
     calls = []
-    expand = cuntz.lattice_coords
-    monkeypatch.setattr(cuntz, "lattice_coords", lambda e, v: calls.append(v) or expand(e, v))
+    expand = cuntz.lattice_array
+    monkeypatch.setattr(cuntz, "lattice_array", lambda e, v: calls.append(v) or expand(e, v))
     strip_check(emb, table, 3)
-    assert len(calls) == 8
-    assert len(set(map(str, calls))) == 8
+    [values] = calls
+    assert len(values) == 8
+    assert len(set(map(str, values))) == 8
 
 
 @pytest.mark.parametrize("s, k", [("3", "0"), ("4", "-1"), ("1/2", "5/2")])
@@ -906,22 +954,23 @@ def test_counted_and_per_path_views_of_the_recursion_agree(name):
         levels = list(cuntz._grow(table, 7))
         grown = list(cuntz._lattice_levels(
             emb, table, 7,
-            *(np.array([[c.numerator * (den // c.denominator) for c in lattice_coords(emb, x)]
-                        for x in values], dtype=object)
+            *(FieldArray(np.array([[c.numerator * (den // c.denominator)
+                                    for c in lattice_coords(emb, x)] for x in values], object),
+                         den, emb.generator)
               for values in ([table.betas[classes.index(c)] for c in range(max(classes) + 1)],
                              [seed[0] for seed in table.seeds if seed]))))
         assert len(grown) == 7, s
         for n, ((codes, counts), (states, index), paths, row_counts) in enumerate(
                 zip(levels, grown, splitting, path_counts(diagram)), 1):
             # the splitting paths in enumeration order, one lattice row per state
-            assert len(states) == codes.size, (s, n)
+            assert len(states.num) == codes.size, (s, n)
             # per vertex, repeated under each of its root edges
             index = [i for edge in diagram.root_edges for i in index[edge.vertex].tolist()]
             if n == 1:
                 # a generation-1 state is coded by its range vertex, and is its seed
                 assert index == [codes.tolist().index(path_range(diagram, path))
                                  for path, _ in paths], s
-                assert [tuple(Fraction(x, den) for x in row) for row in states] == \
+                assert [tuple(Fraction(x, den) for x in row) for row in states.num] == \
                     [lattice_coords(emb, table.seeds[z][0]) for z in codes.tolist()], s
             rows = [(path, mult, state) for (path, mult), state in zip(paths, index, strict=True)]
             _check_level(diagram, classes, codes, counts, rows)

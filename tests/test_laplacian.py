@@ -26,6 +26,7 @@ from bratlap.presets import PRESETS, load_preset
 from bratlap.scalar import (
     ApproxBackend,
     ApproxReal,
+    FieldArray,
     QuadraticBackend,
     QuadraticNumber,
     RationalBackend,
@@ -432,17 +433,17 @@ def test_interned_matrix_equals_object_matrix(preset):
                         (n, s, i, j)
             assert op.as_float().tobytes() == full.astype(float).tobytes(), (n, s)
             ranges = {span(table, p.prefix(k)) for p in table.paths for k in range(n + 1)}
-            entries = laplacian._Numerators(op.values)
-            mus = laplacian._Numerators(op.mu_values)
+            entries = FieldArray.of(op.values)
+            mus = FieldArray.of(op.mu_values)
             rows = entries.prefix_sums(op.index)
             measures = mus.prefix_sums(op.vertex[None, :])
             every = np.arange(len(full))
             for r in ranges:
                 plain = sum((op.mu_values[v] for v in op.vertex[r.start:r.stop]), zero)
-                assert _listed(laplacian._range_sums(measures, [0], r.start, r.stop)) == \
+                assert _listed(mus.range_sums(measures, [0], r.start, r.stop)) == \
                     [_parts(plain * mus.den)]
                 plain = [_parts(sum(row[r.start:r.stop], zero) * entries.den) for row in full]
-                assert _listed(laplacian._range_sums(rows, every, r.start, r.stop)) == \
+                assert _listed(entries.range_sums(rows, every, r.start, r.stop)) == \
                     plain, (n, s, r)
 
 
@@ -455,9 +456,8 @@ def test_index_fill_equals_blockwise_fill_at_penrose_depth6():
 
 
 def _listed(sums):
-    """(a, b) range sums as a list of per-row pairs."""
-    a, b = sums
-    return list(zip(a.tolist(), np.broadcast_to(b, a.shape).tolist()))
+    """Range sums as a list of per-row (a, b) pairs, b = 0 on Q."""
+    return [(*row, 0)[:2] for row in map(tuple, sums.num.tolist())]
 
 
 def _parts(x):
@@ -468,7 +468,7 @@ def _parts(x):
 @pytest.mark.parametrize("top, dtype", [(2 ** 59, np.int64), (2 ** 60, object)],
                          ids=["int64", "object"])
 def test_prefix_sums_are_plain_sums(backend, top, dtype):
-    """Every range sum of every row of `_Numerators.prefix_sums` is the plain
+    """Every range sum of every row of `FieldArray.prefix_sums` is the plain
     exact sum.  A row of eight numerators above 2^60 sums past 2^63, so they
     take Python ints; below 2^59 every partial sum fits int64."""
     rng = np.random.default_rng(11)
@@ -476,15 +476,15 @@ def test_prefix_sums_are_plain_sums(backend, top, dtype):
     values = [backend.make((top + k, -top - k)) if backend is Q5 else Fraction(top + k)
               for k in steps]
     ids = rng.integers(0, len(values), (4, 8))
-    nums = laplacian._Numerators(values)
+    nums = FieldArray.of(values)
     assert nums.den == 1
     prefix = nums.prefix_sums(ids)
-    assert len(prefix) == (2 if backend is Q5 else 1)
-    assert all(p.dtype == dtype for p in prefix)
+    assert prefix.shape == (4, 9, 2 if backend is Q5 else 1)
+    assert prefix.dtype == dtype
     for lo, hi in product(range(9), repeat=2):
         if lo <= hi:
             plain = [_parts(sum((values[x] for x in row[lo:hi]), backend.zero)) for row in ids]
-            assert _listed(laplacian._range_sums(prefix, np.arange(4), lo, hi)) == plain
+            assert _listed(nums.range_sums(prefix, np.arange(4), lo, hi)) == plain
 
 
 FLOAT_CASES = [("penrose", "approx:200", Fraction(1, 2)), ("penrose", "approx:200", 2),
@@ -994,7 +994,7 @@ def test_walk_numerators_match_the_object_walk(name, backend, depth):
         for level, (partials, values) in zip(levels, walked):
             assert _same_scalars(level.partials, partials), (s, level.generation)
             assert _same_scalars(level.values, values), (s, level.generation)
-        kinds = [isinstance(level.sums, laplacian._Numerators) for level in levels]
+        kinds = [isinstance(level.sums, FieldArray) for level in levels]
         assert kinds[0] and kinds == sorted(kinds, reverse=True), s
         if not kinds[-1]:
             fell_back.add(s)

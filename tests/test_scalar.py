@@ -9,6 +9,7 @@ import pickle
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from bratlap.scalar import (
     ApproxBackend,
     ApproxReal,
     EQ,
+    FieldArray,
     GT,
     LT,
     MIN_PRECISION,
@@ -433,3 +435,63 @@ def test_integer_quadratic_is_a_closed_value_type():
     # the tracer counts the arithmetic by wrapping the class's own operators
     assert all(name in QuadraticNumber.__dict__ for name in DUNDERS)
     assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
+
+
+def _field_values(parts, disc):
+    """Scalars of Q (disc None) or Q(sqrt disc) from pairs of Fractions."""
+    return [a if disc is None else QuadraticNumber(a, b, disc) for a, b in parts]
+
+
+FIELDS = st.sampled_from([None, 2, 5, 13])
+frac_pairs = st.lists(st.tuples(big_fracs, big_fracs), min_size=1, max_size=8)
+
+
+@given(frac_pairs, FIELDS)
+@settings(max_examples=200, deadline=None)
+def test_field_array_reads_and_writes_scalars_exactly(pairs, disc):
+    """Scalars read into a FieldArray and read back by pairs() are the same
+    scalars, of the same type and in lowest terms, with the bits of their
+    own float, on Q, Q(sqrt2), Q(sqrt5) and Q(sqrt13); equal rows share one
+    pair, and the coordinates are over the lcm of the denominators."""
+    values = _field_values(pairs, disc)
+    values.append(values[0])
+    arr = FieldArray.of(values)
+    assert arr.num.shape == (len(values), 1 if disc is None else 2)
+    assert arr.den == math.lcm(*(x.denominator if disc is None else x.r for x in values))
+    got = arr.pairs()
+    for x, (y, y_float) in zip(values, got):
+        assert type(y) is type(x) and y == x and hash(y) == hash(x)
+        assert y_float.hex() == float(x).hex()
+    assert got[-1] is got[0]
+
+
+@given(frac_pairs, frac_pairs, FIELDS)
+@settings(max_examples=200, deadline=None)
+def test_field_array_row_product_is_the_scalar_product(xs, ys, disc):
+    """times() through the companion matrix against the Fraction and
+    QuadraticNumber products, row by row, and the sum against +."""
+    n = min(len(xs), len(ys))
+    x, y = _field_values(xs[:n], disc), _field_values(ys[:n], disc)
+    fx, fy = FieldArray.of(x), FieldArray.of(y)
+    assert [p for p, _ in fx.times(fy).pairs()] == [a * b for a, b in zip(x, y)]
+    assert [p for p, _ in (fx + fy).pairs()] == [a + b for a, b in zip(x, y)]
+    # a Fraction in a quadratic array takes the field's coordinates
+    if disc is not None:
+        mixed = FieldArray.of([Fraction(3, 4), *x])
+        assert mixed.gen == ((0, disc), (1, 0))
+        assert [p for p, _ in mixed.pairs()] == [QuadraticNumber(Fraction(3, 4), 0, disc), *x]
+
+
+def test_field_array_multiplies_by_a_matrix_and_adds_terms_by_key():
+    """mul() applies one value's integer multiplication matrix to every row,
+    and plus() adds keyed terms, rescaled to the new denominator, with None
+    adding nothing."""
+    x = [Q5.make((Fraction(1, 3), 2)), Q5.make((-1, Fraction(1, 2)))]
+    arr = FieldArray.of(x)
+    # multiplication by sqrt5 is the companion matrix itself
+    assert [p for p, _ in arr.mul(arr.gen).pairs()] == [v * SQRT5 for v in x]
+    terms = {(0,): PHI, (1,): None, (2,): Q5.make(Fraction(1, 7))}
+    at = (np.array([2, 1, 0]),)
+    got = arr.plus(terms, (3,), at, np.array([1, 0, 1]))
+    assert got.den == math.lcm(arr.den, 2, 7)
+    assert [p for p, _ in got.pairs()] == [x[1] + Fraction(1, 7), x[0], x[1] + PHI]
