@@ -16,11 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cuntz import AffineMapTable, _grow
-from .diagram import SubstitutionRule, path_counts
+from .diagram import BratlapError, SubstitutionRule, path_counts
+
+# `cuntz` is imported where a table is grown, so that `factor_complexity`
+# loads neither it nor `laplacian`
+if TYPE_CHECKING:
+    from .cuntz import AffineMapTable
 
 
 # thresholds in the default Weyl sample
@@ -33,8 +38,9 @@ HEAT_ENVELOPE_DEPTH = 12
 MAX_PREFIX_LENGTH = 2_000_000
 
 
-class AsymptoticsError(ValueError):
+class AsymptoticsError(BratlapError):
     pass
+
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,7 @@ def magnitude_table(table: AffineMapTable, depth: int) -> GenerationSpectrum:
     exceeds 2**63 - 1 raises AsymptoticsError, and so does a magnitude that
     leaves the float range; a generation of more than DEFAULT_PATH_CAP
     states raises CuntzError."""
+    from .cuntz import _grow
     _check_weight_range(table.diagram, depth)
     # row 0: the zero eigenvalue, and the root splitting when the root has
     # two or more edges

@@ -13,8 +13,11 @@ resolves the diagram, weight system, --s and --depth once, runs the command
 against a buffered emitter, and writes the emitter's sections in one place.
 `strip` takes no --backend: its lattice coordinates live in the exact field
 of the Perron eigenvalue, which the diagram fixes, and its header names it.
+Each command imports the layers it runs (`laplacian`, `cuntz`,
+`asymptotics`) itself, so a call, one per process, loads no other.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error: `main` maps
+every `BratlapError` to the last.
 """
 
 from __future__ import annotations
@@ -28,11 +31,9 @@ from fractions import Fraction
 from itertools import chain, count, repeat
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
-from . import asymptotics, cuntz, laplacian
-from .diagram import (BratteliDiagram, DiagramError, SubstitutionRule, build_diagram,
+from .diagram import (BratlapError, BratteliDiagram, SubstitutionRule, build_diagram,
                       load_diagram_file)
 from .measure import (DEFAULT_APPROX_BITS, MeasureError, WeightSystem, field_perron, perron,
                       zeta_partial)
@@ -56,6 +57,7 @@ def _fmt(x: float) -> str:
 
 def _fmt_exact(backend, value) -> str:
     if isinstance(value, ApproxReal):
+        import mpmath
         return mpmath.nstr(value.value, 25)
     return backend.format_exact(value)
 
@@ -187,14 +189,16 @@ def _precision_bits(text: str) -> int:
     return bits
 
 
-def _build_parser(commands) -> argparse.ArgumentParser:
-    """The parser of every command, with the arguments of only those in
-    `commands`: argparse reads no other command's."""
+def _build_parser(commands, alone: bool = False) -> argparse.ArgumentParser:
+    """The parser with the arguments of only those in `commands`: argparse
+    reads no other command's.  It has every command's subparser, or with
+    `alone` only theirs; its usage line names every command either way."""
     parser = argparse.ArgumentParser(
         prog="bratlap",
         description="Spectra of Laplace-Beltrami operators on stationary "
                     "Bratteli diagram path spaces")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if alone else None)
     # in the order of the usage lines
     inputs = {
         "--preset": {"choices": preset_names()},
@@ -209,7 +213,8 @@ def _build_parser(commands) -> argparse.ArgumentParser:
         "--depth": {},  # per command, from _COMMANDS
         "--s": {"default": None, "help": "spectral parameter (rational; default: d)"},
     }
-    for name, (_, help_text, reads, depth, extra) in _COMMANDS.items():
+    for name in commands if alone else _COMMANDS:
+        _, help_text, reads, depth, extra = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if name not in commands:
             continue
@@ -293,6 +298,7 @@ def cmd_presets(args, parser, em, inputs) -> int:
 
 
 def cmd_spectrum(args, parser, em, inputs) -> int:
+    from . import laplacian
     ws, backend, diagram = inputs.ws, inputs.ws.backend, inputs.diagram
     # depth N reports every splitting above generation N: total
     # multiplicity equals the generation-N path count
@@ -337,6 +343,7 @@ def cmd_spectrum(args, parser, em, inputs) -> int:
 
 
 def cmd_dense(args, parser, em, inputs) -> int:
+    from . import laplacian
     op = laplacian.dense_restriction(inputs.ws, args.depth, inputs.s)
     try:
         eigs = laplacian.dense_spectrum(op)
@@ -354,6 +361,7 @@ def cmd_dense(args, parser, em, inputs) -> int:
 
 
 def cmd_verify(args, parser, em, inputs) -> int:
+    from . import laplacian
     report = laplacian.verify_spectrum(inputs.ws, args.depth, inputs.s,
                                        notes=inputs.meta.get("notes", []))
     em.section("report", ["line"], [report.lines()])
@@ -380,6 +388,7 @@ def cmd_zeta(args, parser, em, inputs) -> int:
 
 
 def cmd_weyl(args, parser, em, inputs) -> int:
+    from . import asymptotics, cuntz
     ws, s, dim = inputs.ws, inputs.s, inputs.ws.dimension
     grid = None
     if args.grid:
@@ -415,6 +424,7 @@ def cmd_weyl(args, parser, em, inputs) -> int:
 
 
 def cmd_heat(args, parser, em, inputs) -> int:
+    from . import asymptotics, cuntz
     # Seeley scaling concerns s = d: heat has no --s, so inputs.s is d
     ws, dim = inputs.ws, inputs.ws.dimension
     if not (math.isfinite(args.tmin) and math.isfinite(args.tmax)):
@@ -442,6 +452,7 @@ def cmd_heat(args, parser, em, inputs) -> int:
 
 
 def cmd_strip(args, parser, em, inputs) -> int:
+    from . import cuntz
     ws, s = inputs.ws, inputs.s
     table = cuntz.affine_table(ws, s)
     constants = (table.lam, *table.betas,
@@ -467,6 +478,7 @@ def cmd_strip(args, parser, em, inputs) -> int:
 
 
 def cmd_ck_check(args, parser, em, inputs) -> int:
+    from . import cuntz
     report = cuntz.ck_relations_check(inputs.diagram, args.depth)
     em.section("report", ["line"], [report.lines()])
     em.summary({"ok": report.ok, "paths_checked": report.paths_checked})
@@ -474,6 +486,7 @@ def cmd_ck_check(args, parser, em, inputs) -> int:
 
 
 def cmd_complexity(args, parser, em, inputs) -> int:
+    from . import asymptotics
     if args.nmax < 1:
         parser.error("--nmax must be >= 1")
     if inputs.rule is None:
@@ -519,8 +532,11 @@ def main(argv=None) -> int:
     for i in reversed(range(1, len(argv))):
         if argv[i - 1] == "--s" and not argv[i].startswith("--"):
             argv[i - 1:i + 1] = ["--s=" + argv[i]]
-    # the command is the first word that names one, as only -h may precede it
-    parser = _build_parser([next((word for word in argv if word in _COMMANDS), None)])
+    # the command is the first word that names one, as only -h may precede
+    # it.  A call that starts with it needs no other command's subparser:
+    # only the top-level help and choice errors list them
+    command = next((word for word in argv if word in _COMMANDS), None)
+    parser = _build_parser([command], alone=argv[:1] == [command])
     args = parser.parse_args(argv)
     run, _, reads, depth, _ = _COMMANDS[args.command]
     em = _Emitter(args.command, args.format)
@@ -534,8 +550,7 @@ def main(argv=None) -> int:
                              spec.metadata if spec else {}, spec and spec.rule)
             em.config = _config_dict(args, backend, dim)
         code = run(args, parser, em, inputs)
-    except (DiagramError, MeasureError, laplacian.LaplacianError,
-            cuntz.CuntzError, asymptotics.AsymptoticsError) as exc:
+    except BratlapError as exc:
         parser.error(str(exc))
     except OverflowError as exc:
         # exact values beyond the float range, e.g. eigenvalues at a large

@@ -19,13 +19,14 @@ from functools import cached_property
 import numpy as np
 
 from . import _linalg
-from .diagram import DEFAULT_PATH_CAP, BratteliDiagram, path_counts, predicted_path_count
+from .diagram import (DEFAULT_PATH_CAP, BratlapError, BratteliDiagram, path_counts,
+                      predicted_path_count)
 from .laplacian import StationaryCache, walk_states
 from .measure import PerronData, WeightSystem, _power
 from .scalar import ApproxReal, FieldArray, compare, exact_power
 
 
-class CuntzError(ValueError):
+class CuntzError(BratlapError):
     pass
 
 

@@ -24,7 +24,12 @@ DEFAULT_PATH_CAP = 10_000_000
 LABEL_CHARS = '.[]()",'
 
 
-class DiagramError(ValueError):
+class BratlapError(ValueError):
+    """A refusal of the library's: each layer's error subclasses it, so the
+    CLI maps every one to a usage error without importing the layer."""
+
+
+class DiagramError(BratlapError):
     pass
 
 

@@ -18,7 +18,7 @@ from itertools import accumulate, product
 import numpy as np
 
 from . import _linalg
-from .diagram import DEFAULT_PATH_CAP, path_counts, predicted_path_count
+from .diagram import DEFAULT_PATH_CAP, BratlapError, path_counts, predicted_path_count
 from .measure import WeightSystem, diam_power, mu
 from .scalar import ROW_BLOCK, ApproxReal, FieldArray
 
@@ -26,7 +26,7 @@ DEFAULT_DENSE_CAP = 4096
 FLOAT_TOLERANCE = 1e-8  # the largest eigenvalue deviation a float operator passes
 
 
-class LaplacianError(ValueError):
+class LaplacianError(BratlapError):
     pass
 
 

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from . import _linalg
-from .diagram import BratteliDiagram, path_counts
+from .diagram import BratlapError, BratteliDiagram, path_counts
 from .scalar import (
     ApproxBackend,
     ApproxReal,
@@ -34,7 +33,7 @@ from .scalar import (
 DEFAULT_APPROX_BITS = 212
 
 
-class MeasureError(ValueError):
+class MeasureError(BratlapError):
     pass
 
 
@@ -184,6 +183,7 @@ def _approx_eigen(rows, backend: ApproxBackend):
     `mpmath.libmp` kernels with round-to-nearest: the calls `mpmath.mpf`
     arithmetic makes under `mpmath.workprec`, so the bits are the same, with
     each matrix entry converted once."""
+    import mpmath
     from mpmath.libmp import (fzero, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div,
                               mpf_gt, mpf_le, mpf_mul, mpf_sub, round_nearest as rnd)
     r = len(rows)
@@ -324,6 +324,7 @@ def _power(backend: Backend, base, e: Fraction, bits: int):
         base = ApproxReal.make(base, bits)
     if e.denominator == 1:
         return base ** e.numerator
+    import mpmath
     with mpmath.workprec(base.precision):
         ev = mpmath.mpf(e.numerator) / e.denominator
         return ApproxReal(mpmath.power(base.value, ev), base.precision)

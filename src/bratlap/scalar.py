@@ -19,24 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
-from mpmath.libmp import (
-    from_float,
-    from_int,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_neg,
-    mpf_pos,
-    mpf_pow_int,
-    mpf_sign,
-    mpf_sqrt,
-    mpf_sub,
-    round_nearest,
-)
-from mpmath.libmp import to_float as mpf_to_float
 
 LT, EQ, GT = -1, 0, 1
 
@@ -273,6 +256,7 @@ class ApproxReal:
     def __init__(self, value: mpmath.mpf, precision: int):
         if precision < MIN_PRECISION:
             raise ValueError(f"precision must be >= {MIN_PRECISION} bits")
+        _bind_libmp()
         _setattr(self, "_mpf", value._mpf_)
         _setattr(self, "precision", precision)
 
@@ -289,6 +273,7 @@ class ApproxReal:
             raise ValueError(f"precision must be >= {MIN_PRECISION} bits")
         if isinstance(x, ApproxReal):
             return _approx(mpf_pos(x._mpf, precision, _ROUND), precision)
+        _bind_libmp()
         raw = _operand(x, precision)
         if raw is not None:
             return _approx(raw, precision)
@@ -363,9 +348,27 @@ class ApproxReal:
         return f"ApproxReal({mpmath.nstr(self.value, 20)}, prec={self.precision})"
 
 
-_ROUND = round_nearest      # the rounding mpmath.workprec leaves in force
+_ROUND = None       # libmp's round-to-nearest, once _bind_libmp has run
 _setattr = object.__setattr__
 _new = object.__new__
+
+
+def _bind_libmp() -> None:
+    """Import mpmath and bind, as module globals, the libmp kernels that
+    ApproxReal's arithmetic reads, with _ROUND the rounding mpmath.workprec
+    leaves in force.  It runs when the first ApproxBackend, or ApproxReal
+    from a value that is not one, is made: exact work never imports mpmath,
+    and an operation on an ApproxReal, which exists only after this ran,
+    makes no check."""
+    global mpmath, from_float, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_neg, \
+        mpf_pos, mpf_pow_int, mpf_sign, mpf_sqrt, mpf_sub, mpf_to_float, _ROUND
+    if _ROUND is not None:
+        return
+    import mpmath
+    from mpmath.libmp import (from_float, from_int, fzero, mpf_add, mpf_div, mpf_mul,
+                              mpf_neg, mpf_pos, mpf_pow_int, mpf_sign, mpf_sqrt, mpf_sub)
+    from mpmath.libmp import round_nearest as _ROUND
+    from mpmath.libmp import to_float as mpf_to_float
 
 
 def _approx(raw: tuple, precision: int) -> ApproxReal:
@@ -626,6 +629,7 @@ class ApproxBackend(_Field):
     def __post_init__(self):
         if self.precision < MIN_PRECISION:
             raise ValueError(f"precision must be >= {MIN_PRECISION} bits")
+        _bind_libmp()
 
     @property
     def kind(self) -> str:

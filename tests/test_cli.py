@@ -706,6 +706,24 @@ def test_one_command_parser_keeps_the_help(command, monkeypatch):
     assert _outputs([command, "-h"] if command else ["-h"]) == (0, full.format_help(), "")
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["-h", "verify"], ["frobnicate"], ["verify", "-h"], ["verify", "--bogus"],
+    ["verify", "spectrum"], ["verify", "--depth", "3"],
+    ["verify", "--preset", "fibonacci", "--depth", "3"]], ids=lambda argv: " ".join(argv) or "-")
+def test_parser_of_a_leading_command_prints_as_the_full_one(argv, monkeypatch):
+    # a call that starts with its command builds that subparser alone; what
+    # any call prints, the top-level usage line of its errors too, reads as
+    # with every command's subparser and arguments built
+    monkeypatch.setenv("COLUMNS", "100")
+    build, alone = cli._build_parser, []
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda commands, **kw: alone.append(kw["alone"]) or build(commands, **kw))
+    lean = _outputs(argv)
+    assert alone == [argv[:1] == ["verify"]]
+    monkeypatch.setattr(cli, "_build_parser", lambda commands, **kw: build(cli._COMMANDS))
+    assert lean == _outputs(argv)
+
+
 @pytest.mark.parametrize("command", ["zeta", "heat"])
 @pytest.mark.parametrize("depth", [2000, HUGE_DEPTH])
 def test_float_range_depth_refusal_names_depth(command, depth):
