@@ -231,11 +231,13 @@ def _build_parser(commands, alone: bool = False) -> argparse.ArgumentParser:
 
 
 def _resolve_system(args, parser, reads):
-    """(preset spec or None, diagram, dimension, backend, weight system or
-    None).  A command that reads --backend gets its weight system on that
+    """(preset spec or None, diagram, dimension, backend kind, weight system
+    or None).  A command that reads --backend gets its weight system on that
     backend, and `strip` on the exact field of theta, where its lattice
-    lives; the others get none and print the default backend in their
-    header."""
+    lives; the others get none and print the default backend's kind in
+    their header.  That kind is the preset's spec string, which names it as
+    the parsed backend would: the backend itself is not built, as an
+    approximate one imports mpmath."""
     if bool(args.preset) == bool(getattr(args, "matrix_file", None)):
         parser.error("exactly one of --preset and --matrix-file is required")
     spec = PRESETS.get(args.preset)
@@ -246,20 +248,18 @@ def _resolve_system(args, parser, reads):
             dimension = spec.dimension
         else:
             diagram, dimension = load_diagram_file(args.matrix_file)
+        default = spec.recommended_backend if spec else "rational"
         if args.command == "strip":
             pdata = field_perron(diagram, dimension)
-            backend = pdata.backend
+        elif "--backend" not in reads:
+            return spec, diagram, dimension, default, None
         else:
-            backend = parse_backend(getattr(args, "backend", None) or
-                                    (spec.recommended_backend if spec else "rational"))
-            if "--backend" not in reads:
-                return spec, diagram, dimension, backend, None
-            pdata = perron(diagram, backend, dimension=dimension)
+            pdata = perron(diagram, parse_backend(args.backend or default), dimension=dimension)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     ws = WeightSystem(diagram, pdata,
                       approx_bits=getattr(args, "precision", DEFAULT_APPROX_BITS))
-    return spec, diagram, dimension, backend, ws
+    return spec, diagram, dimension, pdata.backend.kind, ws
 
 
 def _resolve_s(args, dimension, parser) -> Fraction:
@@ -277,8 +277,8 @@ def _check_depth(args, parser, minimum: int) -> None:
         parser.error(f"--depth must be >= {minimum}")
 
 
-def _config_dict(args, backend, dimension) -> dict:
-    cfg = {"backend": backend.kind, "dimension": dimension}
+def _config_dict(args, backend_kind: str, dimension) -> dict:
+    cfg = {"backend": backend_kind, "dimension": dimension}
     for key in ("preset", "matrix_file", "depth", "s"):
         val = getattr(args, key, None)
         if val is not None:
@@ -543,12 +543,12 @@ def main(argv=None) -> int:
     try:
         inputs = None
         if reads:
-            spec, diagram, dim, backend, ws = _resolve_system(args, parser, reads)
+            spec, diagram, dim, backend_kind, ws = _resolve_system(args, parser, reads)
             if depth:
                 _check_depth(args, parser, depth[1])
             inputs = _Inputs(diagram, ws, _resolve_s(args, dim, parser),
                              spec.metadata if spec else {}, spec and spec.rule)
-            em.config = _config_dict(args, backend, dim)
+            em.config = _config_dict(args, backend_kind, dim)
         code = run(args, parser, em, inputs)
     except BratlapError as exc:
         parser.error(str(exc))

@@ -15,15 +15,20 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _linalg
 from .diagram import (DEFAULT_PATH_CAP, BratlapError, BratteliDiagram, path_counts,
                       predicted_path_count)
-from .laplacian import StationaryCache, walk_states
 from .measure import PerronData, WeightSystem, _power
 from .scalar import ApproxReal, FieldArray, compare, exact_power
+
+# `laplacian` is imported where an affine table is built, so that `ck-check`
+# loads only this layer
+if TYPE_CHECKING:
+    from .laplacian import StationaryCache
 
 
 class CuntzError(BratlapError):
@@ -187,6 +192,7 @@ def affine_table(ws: WeightSystem, s) -> AffineMapTable:
     table is refused.  The seeds are the values of walk levels 0 and 1 of
     the same memo: every vertex has root edges, so a generation-1 walk
     state's index is its range vertex."""
+    from .laplacian import StationaryCache, walk_states
     s = Fraction(s)
     diagram = ws.diagram
     d = ws.dimension

@@ -336,28 +336,6 @@ class DenseOperator:
     def mu_float(self) -> np.ndarray:
         return np.array(self.mu_values, dtype=float)[self.vertex]
 
-    def symmetrized(self) -> np.ndarray:
-        """The slot-0 rows of S = D^(1/2) M D^(-1/2), which is symmetric with
-        the spectrum of M: for each vertex, in order, the rows of its root
-        edge (v, 0), as one (|Pi_n| / g) x |Pi_n| slab.  With g = 1 that is
-        all of S.  The rows are read through values[index] ROW_BLOCK at a
-        time and scaled by the same products as m * np.outer(root, 1 / root),
-        so no whole float matrix is held."""
-        values = np.array([float(v) for v in self.values])
-        root = np.sqrt(self.mu_float())
-        inv_root = 1.0 / root
-        slab = np.empty((sum(self.slot_widths), len(root)))
-        row = start = 0
-        for width in self.slot_widths:
-            for lo in range(start, start + width, ROW_BLOCK):
-                hi = min(lo + ROW_BLOCK, start + width)
-                rows = slab[row:row + hi - lo]
-                rows[...] = values[self.index[lo:hi]]
-                rows *= np.outer(root[lo:hi], inv_root)
-                row += hi - lo
-            start += self.symmetry_order * width
-        return slab
-
 
 def dense_restriction(ws: WeightSystem, n: int, s,
                       cap: int = DEFAULT_DENSE_CAP) -> DenseOperator:
@@ -462,7 +440,8 @@ class SlotSymmetryError(LaplacianError):
 
 def dense_spectrum(op: DenseOperator) -> np.ndarray:
     """Sorted eigenvalues of S = D^(1/2) M D^(-1/2), one eigvalsh per block of
-    its root-slot decomposition, solved from the slot-0 rows of S alone.
+    its root-slot decomposition, gathered from two slot copies per vertex
+    pair, not from the whole of S.
 
     Permuting the g root slots of a vertex maps the path space onto itself
     and keeps every measure and every meet, so S commutes with it.  With
@@ -472,39 +451,79 @@ def dense_spectrum(op: DenseOperator) -> np.ndarray:
       dimension sum_v N_v = |Pi_n| / g, and
     - per vertex v the difference block S[R[v][0], R[v][0]] - S[R[v][0], R[v][1]],
       whose eigenvalues are repeated g - 1 times.
-    Both read only the rows R[v][0], so only those are built:
-    op.symmetrized() returns them as a (|Pi_n| / g) x |Pi_n| slab, and each
-    part of B is its copy 0, then += copies 1..g-1.  With g = 1 the slab is
-    S itself and there is no difference block.
 
     The slot invariance is checked on the integer op.index, not on floats:
-    every slot copy must carry the same value ids as the copy it stands for.
-    Equal ids give equal entries of M, and S[i, j] is M[i, j] times
-    root[i] * inv_root[j], with mu per range vertex, which slot copies share.
-    So equal ids make S slot-invariant bit for bit, in the rows the slab
-    leaves out too, and the assembly, which interns entries by meet key and
-    range vertex, builds operators that pass.  LaplacianError is raised when
-    an entry of the slab is not a finite float (once the ids agree, the slab
-    holds every distinct entry of S), then SlotSymmetryError when a copy's
-    ids differ.
+    copy (k, l) of a vertex pair (v, w), rows R[v][k] against columns
+    R[w][l], must carry the value ids of copy (0, 0) when k = l or v != w,
+    and those of copy (0, 1) otherwise.  Equal ids give equal entries of M,
+    and S[i, j] is M[i, j] times root[i] * inv_root[j], with mu per range
+    vertex, which slot copies share; so equal ids give equal floats, bit
+    for bit.  Each sum over k therefore adds one gathered copy g times:
+    copy (0, 0), then copy (0, 0) again when v != w and copy (0, 1) when
+    v = w, g - 1 times, so only those two copies are gathered, through
+    values[index] times np.outer(root, inv_root), ROW_BLOCK rows at a time,
+    and no float matrix larger than B is held.  With g = 1 each gather is
+    written straight into B, which is S, and there is no difference block.
+    The assembly, which interns entries by meet key and range vertex,
+    builds operators that pass.  LaplacianError is raised when an entry of
+    a block is not a finite float, which it is not when a gathered entry
+    it sums is not (once the ids agree, the gathers hold every distinct
+    entry of S), then SlotSymmetryError when a copy's ids differ.
     """
-    slab = op.symmetrized()
-    if not np.isfinite(slab).all():
-        raise LaplacianError("dense matrix entries leave the float range; "
-                             "try a larger s or a smaller depth")
-    g = op.symmetry_order
-    if g == 1:
-        return np.linalg.eigvalsh(slab)
-    widths = op.slot_widths
+    values = np.array([float(v) for v in op.values])
+    root = np.sqrt(op.mu_float())
+    inv_root = 1.0 / root
+
+    def gather(rows: slice, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """S[rows, cols], written into `out` when given."""
+        part = np.multiply.outer(root[rows], inv_root[cols], out=out)
+        part *= values[op.index[rows, cols]]
+        return part
+
+    g, widths = op.symmetry_order, op.slot_widths
     starts = np.cumsum((0,) + tuple(g * w for w in widths))
     offsets = np.cumsum((0,) + widths)
-    vertex_pairs = list(product(range(len(widths)), repeat=2))
+    block = np.empty((offsets[-1], offsets[-1]))
+    diffs = [np.empty((w, w)) for w in widths] if g > 1 else []
+    for v, w in product(range(len(widths)), repeat=2):
+        cols = slice(starts[w], starts[w] + widths[w])
+        for lo in range(0, widths[v], ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, widths[v])
+            rows = slice(starts[v] + lo, starts[v] + hi)
+            target = block[offsets[v] + lo:offsets[v] + hi, offsets[w]:offsets[w + 1]]
+            gather(rows, cols, out=target)
+            if g == 1:
+                continue
+            if v == w:
+                other = gather(rows, slice(cols.stop, cols.stop + widths[w]))
+                np.subtract(target, other, out=diffs[v][lo:hi])
+            else:
+                other = target.copy()
+            for _ in range(g - 1):
+                target += other
 
-    for v, w in vertex_pairs:
+    # a sum or difference with a term that is not finite is not finite, and
+    # min and max, which allocate no mask, propagate NaN
+    if not all(np.isfinite((part.min(), part.max())).all() for part in (block, *diffs)):
+        raise LaplacianError("dense matrix entries leave the float range; "
+                             "try a larger s or a smaller depth")
+    if g > 1:
+        _check_slot_copies(op.index, g, widths)
+    parts = [np.linalg.eigvalsh(block)]
+    parts += [np.repeat(np.linalg.eigvalsh(diff), g - 1) for diff in diffs]
+    return np.sort(np.concatenate(parts))
+
+
+def _check_slot_copies(index: np.ndarray, g: int, widths: tuple[int, ...]) -> None:
+    """Raise SlotSymmetryError for the first slot copy, over vertex pairs
+    (v, w), then slot pairs (k, l), whose value ids differ from those of the
+    copy it stands for."""
+    starts = np.cumsum((0,) + tuple(g * w for w in widths))
+    for v, w in product(range(len(widths)), repeat=2):
         # rows of vertex v, columns of vertex w, as a (g, N_v, g, N_w) view;
         # copy (k, l) stands for copy (0, 0) when k = l or v != w, and for
         # copy (0, 1) otherwise
-        copies = op.index[starts[v]:starts[v + 1], starts[w]:starts[w + 1]] \
+        copies = index[starts[v]:starts[v + 1], starts[w]:starts[w + 1]] \
             .reshape(g, widths[v], g, widths[w])
         differs = (copies != copies[None, 0, :, None, int(v == w), :]).any(axis=(1, 3))
         differs[np.diag_indices(g)] = \
@@ -513,24 +532,6 @@ def dense_spectrum(op: DenseOperator) -> np.ndarray:
             k, l = np.argwhere(differs)[0].tolist()
             raise SlotSymmetryError(f"rows of root edge ({v}, {k}) against columns of root "
                                     f"edge ({w}, {l}) differ from their slot copy")
-
-    def slot0(v: int, w: int) -> np.ndarray:
-        """Slot-0 rows of vertex v, columns of vertex w, as an (N_v, g, N_w) view."""
-        return slab[offsets[v]:offsets[v + 1], starts[w]:starts[w + 1]] \
-            .reshape(widths[v], g, widths[w])
-
-    block = np.empty((offsets[-1], offsets[-1]))
-    for v, w in vertex_pairs:
-        copies = slot0(v, w)
-        target = block[offsets[v]:offsets[v + 1], offsets[w]:offsets[w + 1]]
-        target[...] = copies[:, 0, :]
-        for l in range(1, g):
-            target += copies[:, l, :]
-    parts = [np.linalg.eigvalsh(block)]
-    for v in range(len(widths)):
-        own = slot0(v, v)
-        parts.append(np.repeat(np.linalg.eigvalsh(own[:, 0, :] - own[:, 1, :]), g - 1))
-    return np.sort(np.concatenate(parts))
 
 
 @dataclass

@@ -24,7 +24,7 @@ import numpy as np
 LT, EQ, GT = -1, 0, 1
 
 MIN_PRECISION = 53
-ROW_BLOCK = 256      # rows a prefix sum, or a dense slab, gathers at a time
+ROW_BLOCK = 256      # rows a prefix sum, or a dense block, gathers at a time
 
 
 def _as_fraction(x) -> Fraction:

@@ -356,13 +356,13 @@ def test_calibration_failure_in_the_last_beta_class(name, s, monkeypatch):
 def test_scaling_identities_catch_a_generation_four_term(name, monkeypatch):
     # the generation-2 relations read no generation-4 term; the identity at
     # n = 3 -> 4 does, so a wrong final term there is still caught
-    final_at = cuntz.StationaryCache.final_at
+    final_at = laplacian.StationaryCache.final_at
 
     def perturbed(cache, a, n):
         value = final_at(cache, a, n)
         return value + 1 if n == 4 else value
 
-    monkeypatch.setattr(cuntz.StationaryCache, "final_at", perturbed)
+    monkeypatch.setattr(laplacian.StationaryCache, "final_at", perturbed)
     for s in (0, 2):
         with pytest.raises(CuntzError, match="scaling identity failed: final at .*, "
                                              "generation 4, is "):

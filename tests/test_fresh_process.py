@@ -103,6 +103,8 @@ def _loaded(argv) -> set[str]:
     (["verify", "--preset", "fibonacci", "--depth", "5", "--s", "1"], {"bratlap.laplacian"}),
     (["complexity", "--preset", "thue-morse"], {"bratlap.asymptotics"}),
     (["spectrum", "--preset", "penrose", "--depth", "3"], {"bratlap.laplacian", "mpmath"}),
-], ids=["import", "exact-presets", "verify", "complexity", "approx-spectrum"])
+    # ck-check reads neither the walk nor the preset's approx:200 backend
+    (["ck-check", "--preset", "penrose", "--depth", "4"], {"bratlap.cuntz"}),
+], ids=["import", "exact-presets", "verify", "complexity", "approx-spectrum", "ck-check"])
 def test_a_call_imports_only_the_layers_it_reads(argv, expected):
     assert _loaded(argv) == expected

@@ -226,8 +226,7 @@ def test_dense_fibonacci_pi1():
 def test_dense_thue_morse_pi1():
     ws = tm_ws()
     op = dense_restriction(ws, 1, 1)
-    eigs = np.sort(np.linalg.eigvalsh(op.symmetrized()))
-    assert np.allclose(eigs, [-4.0, 0.0], atol=1e-12)
+    assert np.allclose(dense_spectrum(op), [-4.0, 0.0], atol=1e-12)
 
 
 def test_dense_kernel_and_mu_symmetry():
@@ -498,7 +497,8 @@ def test_interned_float_matrix_equals_direct_formula(preset, backend, s):
     """values[index] on the float path: each off-diagonal entry is
     float(mu_j) / float(G(meet)) by the direct formula, each diagonal entry the
     float of the prefix-increment sum formed as `eigenvalue` forms it, and
-    symmetrized() the bytes of the slot-0 rows of m * np.outer(root, 1 / root)."""
+    the spectrum gathered from them has the bytes of the one read off
+    m * np.outer(root, 1 / root)."""
     ws = load_preset(preset, backend=backend).weight_system
     inv_g = functools.cache(lambda path: 1 / g_value(ws, *path_key(ws.diagram, path), s))
     mu_at = functools.cache(lambda path: mu(ws, *path_key(ws.diagram, path)))
@@ -529,14 +529,7 @@ def test_interned_float_matrix_equals_direct_formula(preset, backend, s):
                 if len(extensions(ws.diagram, pref)) >= 2:
                     acc = acc + (mu_at(p.prefix(k + 1)) - mu_at(pref)) * inv_g(pref)
             assert m[i, i] == float(acc), (n, i)
-        assert op.symmetrized().tobytes() == \
-            whole_symmetrized(op)[_slot0_rows(op)].tobytes(), n
-
-
-def _slot0_rows(op) -> np.ndarray:
-    """Row numbers of root edge (v, 0) for each vertex v, in order."""
-    starts = np.cumsum((0,) + tuple(op.symmetry_order * w for w in op.slot_widths))
-    return np.concatenate([np.arange(lo, lo + w) for lo, w in zip(starts, op.slot_widths)])
+        assert dense_spectrum(op).tobytes() == whole_matrix_dense_spectrum(op).tobytes(), n
 
 
 def test_verify_thue_morse_depth3():
@@ -632,6 +625,35 @@ def test_verify_reports_broken_slot_symmetry(monkeypatch, system, cells):
     assert any("mismatch: slot symmetry" in line for line in report.lines())
 
 
+# cells as (v, k, a, w, l, b) made infinite: the two gathered copies of a
+# vertex's own pair, (0, 0) and (0, 1), a gathered cross-vertex copy, two
+# copies that are not gathered, and with g = 1 the one copy there is
+_INFINITE_CELLS = {
+    "own-copy-00": ("penrose", (0, 0, 0, 0, 0, 1), LaplacianError),
+    "own-copy-01": ("penrose", (1, 0, 0, 1, 1, 0), LaplacianError),
+    "cross-copy-00": ("penrose", (0, 0, 1, 1, 0, 0), LaplacianError),
+    "own-copy-23": ("penrose", (0, 2, 0, 0, 3, 0), laplacian.SlotSymmetryError),
+    "cross-copy-12": ("penrose", (1, 1, 0, 0, 2, 0), laplacian.SlotSymmetryError),
+    "one-slot": ("thue-morse", (1, 0, 0, 0, 0, 1), LaplacianError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INFINITE_CELLS))
+def test_a_non_finite_gathered_entry_comes_before_broken_slots(case):
+    """An infinite entry in one slot copy also breaks the slot symmetry.  In
+    a copy dense_spectrum gathers, it raises LaplacianError, before the
+    slot-copy check runs; in a copy it does not gather, only the check sees
+    it (penrose, g = 20).  With g = 1 (thue-morse) every copy is gathered."""
+    system, cell, error = _INFINITE_CELLS[case]
+    op = dense_restriction(penrose_ws() if system == "penrose" else tm_ws(), 3, 2)
+    _edit_entries(op, {_slot_cell(op, *cell): lambda x: float("inf")})
+    with pytest.raises(error) as exc:
+        dense_spectrum(op)
+    assert type(exc.value) is error
+    if error is LaplacianError:
+        assert "dense matrix entries leave the float range" in str(exc.value)
+
+
 def test_verify_builds_no_path(monkeypatch):
     """verify reads the walk's arrays only: the table of path labels is built
     on first read, which verify never makes, and no path is labelled."""
@@ -653,30 +675,52 @@ def test_verify_ammann_depth7_half_passes():
     assert report.dense_size == 2440
 
 
-def test_slot0_slab_spectrum_equals_whole_matrix_at_ammann_depth7():
-    """At the deepest ammann-a2 generation the cap accepts, the slab's row
-    blocks run past the first within a vertex, and the spectrum solved from
-    the slab equals the whole-matrix one bit for bit."""
+def test_gathered_spectrum_equals_whole_matrix_at_ammann_depth7():
+    """At the deepest ammann-a2 generation the cap accepts, the gathers'
+    row blocks run past the first within a vertex, and the spectrum
+    gathered from two slot copies per vertex pair equals the whole-matrix
+    one bit for bit."""
     op = dense_restriction(load_preset("ammann-a2").weight_system, 7, Fraction(1, 2))
     assert max(op.slot_widths) > laplacian.ROW_BLOCK
-    assert op.symmetrized().tobytes() == whole_symmetrized(op)[_slot0_rows(op)].tobytes()
-    assert np.array_equal(dense_spectrum(op), whole_matrix_dense_spectrum(op))
+    assert dense_spectrum(op).tobytes() == whole_matrix_dense_spectrum(op).tobytes()
 
 
-def test_dense_spectrum_holds_no_whole_float_matrix():
-    """dense_spectrum on ammann-a2 at n = 7 (g = 4, |Pi_n| = 2440) allocates
-    less than half of one |Pi_n|^2 float matrix at its peak: it builds the
-    |Pi_n| / g slot-0 rows, not the whole matrix."""
-    op = dense_restriction(load_preset("ammann-a2").weight_system, 7, 1)
-    size = len(op.table)
-    assert size == 2440
+def _dense_spectrum_peak(op) -> int:
+    """The bytes dense_spectrum(op) allocates at its peak, by tracemalloc."""
     tracemalloc.start()
     try:
         dense_spectrum(op)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * size * size / 2, peak
+    return peak
+
+
+def test_dense_spectrum_holds_no_whole_float_matrix():
+    """dense_spectrum on ammann-a2 at n = 7 (g = 4, |Pi_n| = 2440) allocates
+    less than three symmetric blocks of floats, 8 (|Pi_n| / g)^2 bytes each,
+    at its peak (about 2.5: the block, the difference blocks and the
+    slot-copy check's comparison), where the slot-0 rows of the float
+    matrix alone took four."""
+    op = dense_restriction(load_preset("ammann-a2").weight_system, 7, 1)
+    size, g = op.vertex.size, op.symmetry_order
+    assert (size, g) == (2440, 4)
+    peak = _dense_spectrum_peak(op)
+    assert peak < 3 * 8 * (size // g) ** 2, peak
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_dense_spectrum_with_one_slot_holds_one_float_matrix(n):
+    """With g = 1 each gather is written straight into the block, which is
+    the whole operator: on thue-morse dense_spectrum holds no more than one
+    |Pi_n|^2 float matrix plus ROW_BLOCK of its rows, at n = 8, the deepest
+    benchmark verify, and at n = 10, where ROW_BLOCK rows are a quarter of
+    the matrix."""
+    op = dense_restriction(load_preset("thue-morse").weight_system, n, 0)
+    size = op.vertex.size
+    assert (size, op.symmetry_order) == (2 ** n, 1)
+    peak = _dense_spectrum_peak(op)
+    assert peak <= 8 * size * (size + laplacian.ROW_BLOCK), peak
 
 
 def test_verify_deep_generations():

@@ -10,7 +10,7 @@ from bratlap.diagram import build_diagram
 from bratlap.laplacian import g_value, verify_spectrum
 from bratlap.measure import WeightSystem, perron
 from bratlap.presets import PRESETS, load_preset, preset_names
-from bratlap.scalar import QuadraticBackend
+from bratlap.scalar import QuadraticBackend, parse_backend
 from oracles import EMPTY_PATH, full_spectrum, path_key, spectrum_multiset
 
 Q5 = QuadraticBackend(5)
@@ -23,6 +23,13 @@ def test_preset_names():
         "penrose", "ammann-a2"}
     with pytest.raises(KeyError):
         load_preset("kronecker")
+
+
+def test_recommended_backend_names_its_kind():
+    # the CLI header of a command that reads no --backend prints the
+    # recommended spec string in place of the parsed backend's kind
+    for spec in PRESETS.values():
+        assert parse_backend(spec.recommended_backend).kind == spec.recommended_backend
 
 
 def test_all_presets_load_and_validate():
