@@ -289,34 +289,68 @@ def _grow(table: AffineMapTable, depth: int):
     diagram = table.diagram
     classes = table.beta_classes()
     n_cls = max(classes) + 1
-    # the steps up from a first vertex: (vertex, source, beta class) -> edges
-    steps = Counter((e.target, e.source, cls) for e, cls in zip(diagram.edges, classes))
+    # per beta class, the steps up from a first vertex: (vertex, source) -> edges
+    steps = [Counter() for _ in range(n_cls)]
+    for e, cls in zip(diagram.edges, classes):
+        steps[cls][e.target, e.source] += 1
     # generation 1: one state per splitting vertex z, coded z, which the paths
     # of its g root edges reach, each with out-degree(z) - 1 eigenvectors
     out_degree = np.array([len(out) for out in diagram.out_edges], dtype=np.int64)
-    dst = code = np.flatnonzero(out_degree >= 2)
-    mult = diagram.symmetry_order * (out_degree[code] - 1)
-    for gen in range(1, max(depth, 1) + 1):
-        if gen > 1:
-            # one candidate state per step and parent state reached from its
-            # vertex: their total is capped before the generation's arrays
-            rows = [np.flatnonzero(c) for c in counts]
-            total = sum(rows[v1].size for v1, _, _ in steps)
-            if total > DEFAULT_PATH_CAP:
-                raise CuntzError(f"generation {gen} of the recursion would grow {total} "
-                                 f"states, more than the {DEFAULT_PATH_CAP}-state cap; "
-                                 f"the largest usable depth is {gen - 1}")
-            dst, code, mult = [], [], []
-            for (v1, u, cls), k in steps.items():
-                idx = rows[v1]
-                dst.append(np.full(idx.size, u))
-                code.append(idx * n_cls + cls)
-                mult.append(counts[v1, idx] * k)
-            dst, code, mult = map(np.concatenate, (dst, code, mult))
-        codes, inv = np.unique(code, return_inverse=True)
-        counts = np.zeros((diagram.n_letters, codes.size), dtype=np.int64)
-        np.add.at(counts, (dst, inv), mult)
+    codes = np.flatnonzero(out_degree >= 2)
+    counts = np.zeros((diagram.n_letters, codes.size), dtype=np.int64)
+    counts[codes, np.arange(codes.size)] = diagram.symmetry_order * (out_degree[codes] - 1)
+    yield codes, counts
+    for gen in range(2, max(depth, 1) + 1):
+        # one candidate state per step and parent state reached from its
+        # vertex: their total is capped before the generation's arrays
+        reach = np.count_nonzero(counts, axis=1)
+        total = int(sum(reach[v1] for cls_steps in steps for v1, _ in cls_steps))
+        if total > DEFAULT_PATH_CAP:
+            raise CuntzError(f"generation {gen} of the recursion would grow {total} "
+                             f"states, more than the {DEFAULT_PATH_CAP}-state cap; "
+                             f"the largest usable depth is {gen - 1}")
+        codes, counts = _next_states(counts, steps)
         yield codes, counts
+
+
+def _next_states(counts: np.ndarray, steps: list[Counter]):
+    """The codes and counts of the generation after `counts`, with no sort.
+    A code is parent * n_cls + class, so in increasing order the new states
+    are the parents in order, each with its classes in order.  A first pass
+    over the classes counts the classes that reach each parent, those with
+    a step from a vertex whose count there is not zero; a second places
+    state (parent, class) at the parent's first new index plus the classes
+    before it that reach the parent, and adds there each of the class's
+    steps' multiplicities, zero at a parent its vertex does not reach.
+    Beside its output it holds per-parent arrays and one class's parents
+    at a time."""
+    n_cls, size = len(steps), counts.shape[1]
+    sources = [list(dict.fromkeys(v1 for v1, _ in cls_steps)) for cls_steps in steps]
+
+    def reached(vertices: list[int]) -> np.ndarray:
+        mask = counts[vertices[0]] != 0
+        for v in vertices[1:]:
+            mask |= counts[v] != 0
+        return mask
+
+    at = np.zeros(size, np.int64)
+    for vertices in sources:
+        at += reached(vertices)
+    # per parent, the index of its next new state
+    n_states = int(at.sum())
+    at = np.cumsum(at) - at
+    codes = np.empty(n_states, np.int64)
+    grown = np.zeros((counts.shape[0], n_states), np.int64)
+    for cls, (cls_steps, vertices) in enumerate(zip(steps, sources)):
+        mask = reached(vertices)
+        parents = np.flatnonzero(mask)
+        place = at[parents]
+        codes[place] = parents * n_cls + cls
+        at += mask
+        del mask
+        for (v1, u), k in cls_steps.items():
+            grown[u][place] += counts[v1][parents] * k
+    return codes, grown
 
 
 @dataclass(frozen=True)

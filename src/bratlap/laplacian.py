@@ -293,11 +293,21 @@ class DenseOperator:
     """Matrix of Delta_s restricted to the generation-n cylinder functions, rows
     and columns in (root, edges) order: root-edge order, vertex by vertex,
     and within a vertex slot by slot, the paths under root edge (v, k)
-    filling one contiguous range of width slot_widths[v].  The i-th path has
-    measure mu_values[vertex[i]].  The matrix is values[index]: `values` the
-    distinct entries, exact scalars when `exact` and floats otherwise, and
-    `index` an array of the narrowest unsigned integer type that holds a
-    bound on the ids known before assembly.
+    filling one contiguous range of width slot_widths[v] from bases[v g + k].
+    The i-th path has measure mu_values[vertex[i]].  The matrix is
+    values[index]: `values` the distinct entries, exact scalars when `exact`
+    and floats otherwise, and `index` their ids, held in compact form at the
+    narrowest unsigned integer type that holds a bound on the ids known
+    before assembly:
+    - squares[v], the slot_widths[v]^2 ids among the paths under root edge
+      (v, 0), with the leaves' walk states on its diagonal;
+    - root_ids, per letter, the id of mu[letter]/G(root), held by every cell
+      whose row and column lie under two different root edges, which meet at
+      the root, for its column's range vertex.
+    The paths under root edge (v, k) repeat those under (v, 0), so their own
+    square is squares[v] too: `dense_spectrum` checks that on the records and
+    leaves before it reads the squares.  The `index` property expands the
+    whole |Pi_n|^2 array, which `dense` prints.
 
     The closed-form records above generation n are those of the paths with
     two or more extensions, in pre-order, the zero eigenvalue implied.  The
@@ -312,13 +322,15 @@ class DenseOperator:
 
     def __init__(self, generation: int, s: Fraction, mu_values: tuple, vertex: np.ndarray,
                  symmetry_order: int, slot_widths: tuple[int, ...], exact: bool,
-                 values: tuple, index: np.ndarray, records: list[tuple],
-                 bounds: list[tuple[int, ...]], meets: list[tuple[int, int]],
-                 cache: StationaryCache, levels: list[WalkLevel]):
+                 values: tuple, squares: list[np.ndarray], root_ids: np.ndarray,
+                 records: list[tuple], bounds: list[tuple[int, ...]],
+                 meets: list[tuple[int, int]], cache: StationaryCache, levels: list[WalkLevel]):
         self.generation, self.s, self.mu_values, self.vertex = generation, s, mu_values, vertex
         self.symmetry_order, self.slot_widths, self.exact = symmetry_order, slot_widths, exact
-        self.values, self.index, self.records = values, index, records
-        self.bounds, self.meets, self.cache, self.levels = bounds, meets, cache, levels
+        self.values, self.squares, self.root_ids = values, squares, root_ids
+        self.records, self.bounds, self.meets = records, bounds, meets
+        self.cache, self.levels = cache, levels
+        self.bases = _root_edge_bases(slot_widths, symmetry_order)
 
     @cached_property
     def table(self) -> tuple[str, ...]:
@@ -327,14 +339,24 @@ class DenseOperator:
         return tuple(label(chain, i) for i in range(self.vertex.size))
 
     @property
-    def matrix(self) -> np.ndarray:
-        return np.array(self.values, dtype=object)[self.index]
-
-    def as_float(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])[self.index]
+    def index(self) -> np.ndarray:
+        """The whole |Pi_n| x |Pi_n| array of value ids: root_ids of the
+        column's range vertex, and squares[v] under each root edge (v, k)."""
+        index = np.empty((self.vertex.size,) * 2, self.root_ids.dtype)
+        index[...] = self.root_ids[self.vertex]
+        for edge, base in enumerate(self.bases.tolist()):
+            square = self.squares[edge // self.symmetry_order]
+            index[base:base + len(square), base:base + len(square)] = square
+        return index
 
     def mu_float(self) -> np.ndarray:
         return np.array(self.mu_values, dtype=float)[self.vertex]
+
+
+def _root_edge_bases(widths: tuple[int, ...], g: int) -> np.ndarray:
+    """Per root edge (v, k), at v * g + k, the first of the rows under it."""
+    width = np.repeat(np.array(widths, np.int64), g)
+    return np.cumsum(width) - width
 
 
 def dense_restriction(ws: WeightSystem, n: int, s,
@@ -351,15 +373,17 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     cylinders are ranges of leaves, from its path's first leaf on, as wide
     as the subtree sizes of its extensions.
 
-    The index is filled with one write per record, in pre-order: the whole
-    square of its span lo:hi gets the ids of mu[column]/G(its key), then the
-    diagonal is written last.  An off-diagonal cell (i, j) lies in the span
-    of every splitting path above both leaves, and the last of them in
-    pre-order is the deepest, their meet (the two leaves part at a path with
-    two or more extensions).  Each later record overwrites only its own span,
-    so every off-diagonal cell ends up holding its meet's id.  The index is
-    allocated once, at the type of an id bound known before the walk; an
-    ApproxReal among exact values raises."""
+    The ids are filled in compact form (`DenseOperator`), with one write per
+    record under a slot-0 root edge, in pre-order: the whole square of its
+    span lo:hi gets the ids of mu[column]/G(its key), then the diagonal is
+    written last.  An off-diagonal cell (i, j) lies in the span of every
+    splitting path above both leaves, and the last of them in pre-order is
+    the deepest, their meet (the two leaves part at a path with two or more
+    extensions).  Each later record overwrites only its own span, so every
+    off-diagonal cell ends up holding its meet's id.  The root's record
+    gives root_ids; the records under other slots only intern their keys.
+    The ids are allocated once, at the type of an id bound known before the
+    walk; an ApproxReal among exact values raises."""
     s = Fraction(s)
     if n < 1:
         raise LaplacianError("generation must be >= 1")
@@ -378,7 +402,7 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     letters = diagram.n_letters
     support = [[int(a > 0) for a in row] for row in diagram.matrix]
     bound = sum(map(sum, _linalg.mat_pow(support, n - 1))) + (1 + (n - 1) * letters) * letters
-    index = np.zeros((size, size), dtype=np.min_scalar_type(bound - 1))
+    dtype = np.min_scalar_type(bound - 1)
 
     levels = list(walk_states(cache, n))
     # the bases above generation n, the paths with two or more extensions,
@@ -403,14 +427,20 @@ def dense_restriction(ws: WeightSystem, n: int, s,
     vertex = top.vertex
     mu_values = tuple(cache.mu_at(v, n) for v in range(letters))
 
+    g, widths = diagram.symmetry_order, tuple(below[1][:letters])
+    bases = _root_edge_bases(widths, g)
+    squares = [np.zeros((w, w), dtype) for w in widths]
+    root_ids = np.zeros(letters, dtype)
+    # the root edge, v * g + k, under which each record's span lies
+    under = np.searchsorted(bases, [ends[0] for ends in bounds], side="right") - 1
     meet_ids: dict[tuple[int, int], np.ndarray] = {}
-    for meet, ends in zip(meets, bounds):
+    for meet, ends, edge in zip(meets, bounds, under.tolist()):
         lo, hi = ends[0], ends[-1]
         # the meet key fixes which letters its subtree reaches at generation n,
         # so its value ids mu[j]/G(meet) are interned per key and letter
         ids = meet_ids.get(meet)
         if ids is None:
-            ids = meet_ids[meet] = np.zeros(letters, index.dtype)
+            ids = meet_ids[meet] = np.zeros(letters, dtype)
             if not exact:
                 gf = float(cache.g_at(*meet))
                 # mu <= 1, so mu / G is finite for any G in the normal float
@@ -422,15 +452,19 @@ def dense_restriction(ws: WeightSystem, n: int, s,
                 ids[v] = len(values)
                 values.append(mu_values[v] * cache.inv_g_at(*meet) if exact
                               else float(mu_values[v]) / gf)
-        # deeper records come later and overwrite their own spans
-        index[lo:hi, lo:hi] = ids[vertex[lo:hi]]
-    np.fill_diagonal(index, top.state)
+        if meet[0] < 0:
+            root_ids = ids
+        elif edge % g == 0:
+            # deeper records come later and overwrite their own spans
+            base = int(bases[edge])
+            squares[edge // g][lo - base:hi - base, lo - base:hi - base] = ids[vertex[lo:hi]]
+    for v, square in enumerate(squares):
+        np.fill_diagonal(square, top.state[bases[v * g]:bases[v * g] + widths[v]])
 
     if exact and any(isinstance(v, ApproxReal) for v in values):
         raise LaplacianError("an exact dense entry fell back to an approximate scalar")
-    return DenseOperator(n, s, mu_values, vertex, diagram.symmetry_order,
-                         tuple(below[1][:letters]), exact, tuple(values), index, records,
-                         bounds, meets, cache, levels)
+    return DenseOperator(n, s, mu_values, vertex, g, widths, exact, tuple(values), squares,
+                         root_ids, records, bounds, meets, cache, levels)
 
 
 class SlotSymmetryError(LaplacianError):
@@ -452,86 +486,115 @@ def dense_spectrum(op: DenseOperator) -> np.ndarray:
     - per vertex v the difference block S[R[v][0], R[v][0]] - S[R[v][0], R[v][1]],
       whose eigenvalues are repeated g - 1 times.
 
-    The slot invariance is checked on the integer op.index, not on floats:
+    The slot invariance is checked first, before any gather, on what the
+    ids are filled from, not on floats (`_check_slot_records`): the records
+    under each root edge (v, k) must repeat those under (v, 0) as (meet key,
+    lo - base, hi - base), and the leaves' range vertices and walk states
+    must repeat too.  Those fix the square of (v, k), and every other cell
+    meets at the root and reads root_ids of its column's range vertex.  So
     copy (k, l) of a vertex pair (v, w), rows R[v][k] against columns
-    R[w][l], must carry the value ids of copy (0, 0) when k = l or v != w,
-    and those of copy (0, 1) otherwise.  Equal ids give equal entries of M,
-    and S[i, j] is M[i, j] times root[i] * inv_root[j], with mu per range
-    vertex, which slot copies share; so equal ids give equal floats, bit
-    for bit.  Each sum over k therefore adds one gathered copy g times:
-    copy (0, 0), then copy (0, 0) again when v != w and copy (0, 1) when
-    v = w, g - 1 times, so only those two copies are gathered, through
-    values[index] times np.outer(root, inv_root), ROW_BLOCK rows at a time,
-    and no float matrix larger than B is held.  With g = 1 each gather is
-    written straight into B, which is S, and there is no difference block.
-    The assembly, which interns entries by meet key and range vertex,
-    builds operators that pass.  LaplacianError is raised when an entry of
-    a block is not a finite float, which it is not when a gathered entry
-    it sums is not (once the ids agree, the gathers hold every distinct
-    entry of S), then SlotSymmetryError when a copy's ids differ.
+    R[w][l], carries the ids of copy (0, 0) when k = l or v != w, and those
+    of copy (0, 1) otherwise.  Equal ids give equal entries of M, and S[i, j]
+    is M[i, j] times root[i] * inv_root[j], with mu per range vertex, which
+    slot copies share; so equal ids give equal floats, bit for bit.
+
+    Each sum over k therefore adds copy (0, 0), then copy (0, 0) again when
+    v != w and copy (0, 1) when v = w, g - 1 times.  Only those two copies
+    are gathered, ROW_BLOCK rows at a time, as np.outer(root, inv_root)
+    times values[squares[v]] or, where they meet at the root, times
+    values[root_ids][vertex[cols]].  B is solved and freed before each
+    difference block is gathered, so no float matrix larger than B is held.
+    With g = 1 each gather is written straight into B, which is S.
+    LaplacianError is raised, before a block is solved, when one of its
+    entries is not a finite float, which it is not when a gathered entry it
+    sums is not.
     """
+    g, widths, bases = op.symmetry_order, op.slot_widths, op.bases
+    if g > 1:
+        _check_slot_records(op)
     values = np.array([float(v) for v in op.values])
+    # per column, the entry of every row under another root edge
+    root_row = values[op.root_ids[op.vertex]]
     root = np.sqrt(op.mu_float())
     inv_root = 1.0 / root
 
-    def gather(rows: slice, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """S[rows, cols], written into `out` when given."""
+    def gather(v: int, lo: int, hi: int, w: int, slot: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """S[rows lo:hi under root edge (v, 0), the columns under root edge
+        (w, slot)], written into `out` when given."""
+        rows = slice(bases[v * g] + lo, bases[v * g] + hi)
+        cols = slice(bases[w * g + slot], bases[w * g + slot] + widths[w])
         part = np.multiply.outer(root[rows], inv_root[cols], out=out)
-        part *= values[op.index[rows, cols]]
+        part *= values[op.squares[v][lo:hi]] if (w, slot) == (v, 0) else root_row[cols]
         return part
 
-    g, widths = op.symmetry_order, op.slot_widths
-    starts = np.cumsum((0,) + tuple(g * w for w in widths))
-    offsets = np.cumsum((0,) + widths)
-    block = np.empty((offsets[-1], offsets[-1]))
-    diffs = [np.empty((w, w)) for w in widths] if g > 1 else []
-    for v, w in product(range(len(widths)), repeat=2):
-        cols = slice(starts[w], starts[w] + widths[w])
-        for lo in range(0, widths[v], ROW_BLOCK):
-            hi = min(lo + ROW_BLOCK, widths[v])
-            rows = slice(starts[v] + lo, starts[v] + hi)
-            target = block[offsets[v] + lo:offsets[v] + hi, offsets[w]:offsets[w + 1]]
-            gather(rows, cols, out=target)
-            if g == 1:
-                continue
-            if v == w:
-                other = gather(rows, slice(cols.stop, cols.stop + widths[w]))
-                np.subtract(target, other, out=diffs[v][lo:hi])
-            else:
-                other = target.copy()
-            for _ in range(g - 1):
-                target += other
+    def row_blocks(v: int):
+        return ((lo, min(lo + ROW_BLOCK, widths[v])) for lo in range(0, widths[v], ROW_BLOCK))
 
-    # a sum or difference with a term that is not finite is not finite, and
-    # min and max, which allocate no mask, propagate NaN
-    if not all(np.isfinite((part.min(), part.max())).all() for part in (block, *diffs)):
-        raise LaplacianError("dense matrix entries leave the float range; "
-                             "try a larger s or a smaller depth")
-    if g > 1:
-        _check_slot_copies(op.index, g, widths)
-    parts = [np.linalg.eigvalsh(block)]
-    parts += [np.repeat(np.linalg.eigvalsh(diff), g - 1) for diff in diffs]
+    def symmetric_block() -> np.ndarray:
+        offsets = np.cumsum((0,) + widths)
+        block = np.empty((offsets[-1], offsets[-1]))
+        for v, w in product(range(len(widths)), repeat=2):
+            for lo, hi in row_blocks(v):
+                target = block[offsets[v] + lo:offsets[v] + hi, offsets[w]:offsets[w + 1]]
+                gather(v, lo, hi, w, 0, out=target)
+                if g > 1:
+                    other = gather(v, lo, hi, v, 1) if v == w else target.copy()
+                    for _ in range(g - 1):
+                        target += other
+        return block
+
+    def difference_block(v: int) -> np.ndarray:
+        diff = np.empty((widths[v], widths[v]))
+        for lo, hi in row_blocks(v):
+            gather(v, lo, hi, v, 0, out=diff[lo:hi])
+            diff[lo:hi] -= gather(v, lo, hi, v, 1)
+        return diff
+
+    parts = [_solved(symmetric_block())]
+    parts += [np.repeat(_solved(difference_block(v)), g - 1)
+              for v in range(len(widths) if g > 1 else 0)]
     return np.sort(np.concatenate(parts))
 
 
-def _check_slot_copies(index: np.ndarray, g: int, widths: tuple[int, ...]) -> None:
-    """Raise SlotSymmetryError for the first slot copy, over vertex pairs
-    (v, w), then slot pairs (k, l), whose value ids differ from those of the
-    copy it stands for."""
-    starts = np.cumsum((0,) + tuple(g * w for w in widths))
-    for v, w in product(range(len(widths)), repeat=2):
-        # rows of vertex v, columns of vertex w, as a (g, N_v, g, N_w) view;
-        # copy (k, l) stands for copy (0, 0) when k = l or v != w, and for
-        # copy (0, 1) otherwise
-        copies = index[starts[v]:starts[v + 1], starts[w]:starts[w + 1]] \
-            .reshape(g, widths[v], g, widths[w])
-        differs = (copies != copies[None, 0, :, None, int(v == w), :]).any(axis=(1, 3))
-        differs[np.diag_indices(g)] = \
-            (np.diagonal(copies, axis1=0, axis2=2) != copies[0, :, 0, :, None]).any(axis=(0, 1))
-        if differs.any():
-            k, l = np.argwhere(differs)[0].tolist()
-            raise SlotSymmetryError(f"rows of root edge ({v}, {k}) against columns of root "
-                                    f"edge ({w}, {l}) differ from their slot copy")
+def _solved(block: np.ndarray) -> np.ndarray:
+    """eigvalsh of a block whose entries are all finite floats."""
+    # a sum or difference with a term that is not finite is not finite, and
+    # min and max, which allocate no mask, propagate NaN
+    if not np.isfinite((block.min(), block.max())).all():
+        raise LaplacianError("dense matrix entries leave the float range; "
+                             "try a larger s or a smaller depth")
+    return np.linalg.eigvalsh(block)
+
+
+def _check_slot_records(op: DenseOperator) -> None:
+    """Raise SlotSymmetryError for the first root edge (v, k), k >= 1, in
+    order, whose records, as (meet key, lo - base, hi - base), or whose
+    leaves' range vertices and walk states differ from those under (v, 0)."""
+    g, widths, bases = op.symmetry_order, op.slot_widths, op.bases
+    # per record but the root's: its meet key and its span from the base of
+    # the root edge it lies under, grouped by that root edge
+    spans = np.array([(ends[0], ends[-1]) for ends in op.bounds], np.int64).reshape(-1, 2)
+    meets = np.array(op.meets, np.int64).reshape(-1, 2)
+    inner = meets[:, 0] >= 0
+    edge = np.searchsorted(bases, spans[inner, 0], side="right") - 1
+    order = np.argsort(edge, kind="stable")
+    table = np.column_stack((meets[inner], spans[inner] - bases[edge, None]))[order]
+    first = np.searchsorted(edge[order], np.arange(bases.size + 1))
+    state = op.levels[-1].state
+    for e, base in enumerate(bases.tolist()):
+        v, k = divmod(e, g)
+        ref = v * g
+        if k == 0:
+            continue
+        if not np.array_equal(table[first[e]:first[e + 1]], table[first[ref]:first[ref + 1]]):
+            raise SlotSymmetryError(f"records under root edge ({v}, {k}) differ from "
+                                    f"those under ({v}, 0)")
+        leaves, ref_leaves = (slice(b, b + widths[v]) for b in (base, int(bases[ref])))
+        if not (np.array_equal(op.vertex[leaves], op.vertex[ref_leaves])
+                and np.array_equal(state[leaves], state[ref_leaves])):
+            raise SlotSymmetryError(f"leaves under root edge ({v}, {k}) differ from "
+                                    f"those under ({v}, 0)")
 
 
 @dataclass
@@ -622,7 +685,7 @@ def _verify_exact_relations(op: DenseOperator) -> bool:
     on that of gamma e', and 0 elsewhere.  Each cylinder is one range of the
     table, read off op.bounds, so (M v)_i is coeff_pos times row i summed over
     the pos range plus coeff_neg times it summed over the neg range.
-    - Every row i of gamma's span is checked against op.index as assembled:
+    - Every row i of gamma's span is checked against the ids as assembled:
       (M v)_i must be lambda coeff_pos on pos, lambda coeff_neg on neg, 0 on
       the rest of the span.
     - A row outside gamma's span meets all of the span's columns at one
@@ -634,13 +697,14 @@ def _verify_exact_relations(op: DenseOperator) -> bool:
     coefficients and lambda are `FieldArray`s, coordinates over one common
     denominator each (den, mus.den and c.den).  The relation times
     den * c.den^2 reads c.den * (den M)(c.den v) = den * (c.den lambda)(c.den
-    v), so one denominator for all vectors is exact.  Each row of den * M is
-    summed once, as prefix sums with a leading 0 column
-    (`FieldArray.prefix_sums`), so a sum over the range lo:hi of row i is
-    P[i, hi] - P[i, lo]: M 1 = 0 is a zero last column, and every (vector,
+    v), so one denominator for all vectors is exact.  A sum over the range
+    lo:hi of row i is read off the prefix sums of the squares and of the
+    root row (`_row_sums`), so no |Pi_n|^2 array is formed: M 1 = 0 is a
+    zero sum of every row over all columns, and every (vector,
     row of its base's span) pair is one pair of lookups, all checked in one
     vectorized pass.  The range sums are Python ints before they meet the
-    coefficients, so no product overflows."""
+    coefficients, so no product overflows.  The rows under a root edge (v, k)
+    read squares[v], which `dense_spectrum`'s slot check proves theirs."""
     # the coefficients depend only on a record's meet key and its lambda
     # only on its walk state, whose records share one value object, so each
     # is parsed once: the scalars are every walk state's value, then every
@@ -661,8 +725,8 @@ def _verify_exact_relations(op: DenseOperator) -> bool:
             spans.append([ends[0], ends[-1], *ends[0:2], *ends[k:k + 2]])
             at.append((first[meet] + 2 * (k - 1), lam_at[id(value)]))
     entries = FieldArray.of(op.values)
-    rows = entries.prefix_sums(op.index)
-    if rows[:, -1].any():
+    row_sums = _row_sums(op, entries)
+    if row_sums(np.arange(op.vertex.size), 0, op.vertex.size).num.any():
         return False
     if not spans:
         return True
@@ -672,16 +736,17 @@ def _verify_exact_relations(op: DenseOperator) -> bool:
     pos, lam = np.array(at).T
     coeff_pos, coeff_neg, lam = (c.take(j) for j in (pos, pos + 1, lam))
 
-    def times_v(sums: FieldArray, prefix: np.ndarray, row, k: np.ndarray) -> FieldArray:
-        """(M v)_row for the vectors k, from the prefix sums of `sums`."""
-        pos_part, neg_part = (coeff.take(k).times(sums.range_sums(prefix, row, lo[k], hi[k]))
+    def times_v(range_sums, row, k: np.ndarray) -> FieldArray:
+        """(M v)_row for the vectors k, from range_sums(row, lo, hi)."""
+        pos_part, neg_part = (coeff.take(k).times(range_sums(row, lo[k], hi[k]))
                               for coeff, lo, hi in ((coeff_pos, pos_lo, pos_hi),
                                                     (coeff_neg, neg_lo, neg_hi)))
         return pos_part + neg_part
 
     every = np.arange(len(spans))
     mus = FieldArray.of(op.mu_values)
-    if times_v(mus, mus.prefix_sums(op.vertex[None, :]), 0, every).num.any():
+    measures = mus.prefix_sums(op.vertex[None, :])
+    if times_v(lambda row, lo, hi: mus.range_sums(measures, row, lo, hi), 0, every).num.any():
         return False
     # each vector k once per row i of its base's span
     width = base_hi - base_lo
@@ -692,5 +757,36 @@ def _verify_exact_relations(op: DenseOperator) -> bool:
     v = FieldArray(np.where(in_pos, coeff_pos.num[k], np.where(in_neg, coeff_neg.num[k], 0)),
                    c.den, c.gen)
     # (M v)_i over den * c.den, and lambda v_i over c.den^2
-    return not np.any(c.den * times_v(entries, rows, i, k).num !=
+    return not np.any(c.den * times_v(row_sums, i, k).num !=
                       entries.den * lam.take(k).times(v).num)
+
+
+def _row_sums(op: DenseOperator, entries: FieldArray):
+    """sums(rows, lo, hi): per row i, the sum of row i of den * M over the
+    columns lo:hi, as Python ints, from one running sum R of the root row
+    (values[root_ids] at each column's range vertex) followed by every row
+    of every square.  Row i, under a root edge with base b and width w,
+    reads the root row outside b:b + w and its square row, from R's place
+    s_i, inside.  With c' = clip(c, b, b + w), its prefix sum at column c is
+        prefix_i(c) = R[c] - R[c'] + R[b] + R[s_i + c' - b] - R[s_i].
+    R is int64 only while max |numerator| times its length fits, and each
+    difference taken here sums entries of R's range, so it fits too."""
+    g, size = op.symmetry_order, op.vertex.size
+    running = entries.prefix_sums(np.concatenate(
+        [op.root_ids[op.vertex], *(square.ravel() for square in op.squares)])[None, :])[0]
+    # per row: its root edge's first and end columns, and s_i - b
+    edge = np.repeat(np.arange(op.bases.size), np.repeat(op.slot_widths, g))
+    first, width = op.bases[edge], np.array(op.slot_widths)[edge // g]
+    end = first + width
+    square_at = size + np.cumsum([0] + [square.size for square in op.squares])[edge // g]
+    at = square_at + (np.arange(size) - first) * width - first
+
+    def sums(rows: np.ndarray, lo, hi) -> FieldArray:
+        b, e, s_b = first[rows], end[rows], at[rows]
+        lo_in, hi_in = np.minimum(np.maximum(lo, b), e), np.minimum(np.maximum(hi, b), e)
+        # the parts of lo:hi outside the root edge, then the part inside
+        total = (running[hi] - running[hi_in]) + (running[lo_in] - running[lo]) + \
+            (running[s_b + hi_in] - running[s_b + lo_in])
+        return FieldArray(total.astype(object), entries.den, entries.gen)
+
+    return sums

@@ -194,11 +194,23 @@ def distance_to_unstable(embedding, coords) -> float:
     return float(np.linalg.norm(c - proj))
 
 
+def object_matrix(op) -> np.ndarray:
+    """The whole |Pi_n|^2 matrix M of a DenseOperator, values[index] as an
+    object array of its scalars."""
+    return np.array(op.values, dtype=object)[op.index]
+
+
+def float_matrix(op) -> np.ndarray:
+    """The whole |Pi_n|^2 matrix M of a DenseOperator, each entry the float
+    of its value."""
+    return np.array([float(v) for v in op.values])[op.index]
+
+
 def whole_symmetrized(op) -> np.ndarray:
     """The whole |Pi_n|^2 matrix D^(1/2) M D^(-1/2) of a DenseOperator, each
     entry the float of M times root[i] * inv_root[j]."""
     root = np.sqrt(op.mu_float())
-    return op.as_float() * np.outer(root, 1.0 / root)
+    return float_matrix(op) * np.outer(root, 1.0 / root)
 
 
 def whole_matrix_dense_spectrum(op) -> np.ndarray:
@@ -263,23 +275,6 @@ def blockwise_index(op) -> np.ndarray:
                 index[ends[i]:ends[i + 1], ends[j]:ends[j + 1]] = \
                     row[None, ends[j] - lo:ends[j + 1] - lo]
     return index
-
-
-def slot_symmetry_message(op) -> str | None:
-    """The message `dense_spectrum` raises for the first slot copy, over
-    vertex pairs (v, w), then slot pairs (k, l), whose value ids differ from
-    the copy it stands for, by one comparison per copy; None when all agree."""
-    g, widths = op.symmetry_order, op.slot_widths
-    starts = np.cumsum((0,) + tuple(g * w for w in widths))
-    for v, w in product(range(len(widths)), repeat=2):
-        copies = op.index[starts[v]:starts[v + 1], starts[w]:starts[w + 1]] \
-            .reshape(g, widths[v], g, widths[w])
-        for k, l in product(range(g), repeat=2):
-            ref = copies[0, :, int(v == w and k != l), :]
-            if not np.array_equal(copies[k, :, l, :], ref):
-                return (f"rows of root edge ({v}, {k}) against columns of root "
-                        f"edge ({w}, {l}) differ from their slot copy")
-    return None
 
 
 def mpf_power_iteration(rows, backend):
@@ -460,6 +455,36 @@ def recursive_spectrum(table, depth: int) -> list[SpectralRecord]:
             out.append(SpectralRecord("path", path, gen, *values[key],
                                       len(diagram.out_edges[z]) - 1))
     return out
+
+
+def sorted_growth(table, depth: int):
+    """The generations of `cuntz._grow` as the sort made them: every
+    candidate (root vertex, parent * n_classes + class, multiplicity) of a
+    step and a parent state reached from its vertex, concatenated, the
+    codes deduplicated by np.unique and the multiplicities added at their
+    inverse indices."""
+    diagram = table.diagram
+    classes = table.beta_classes()
+    n_cls = max(classes) + 1
+    steps = {}
+    for e, cls in zip(diagram.edges, classes):
+        steps[e.target, e.source, cls] = steps.get((e.target, e.source, cls), 0) + 1
+    out_degree = np.array([len(out) for out in diagram.out_edges], dtype=np.int64)
+    dst = code = np.flatnonzero(out_degree >= 2)
+    mult = diagram.symmetry_order * (out_degree[code] - 1)
+    for gen in range(1, max(depth, 1) + 1):
+        if gen > 1:
+            dst, code, mult = [], [], []
+            for (v1, u, cls), k in steps.items():
+                idx = np.flatnonzero(counts[v1])
+                dst.append(np.full(idx.size, u))
+                code.append(idx * n_cls + cls)
+                mult.append(counts[v1, idx] * k)
+            dst, code, mult = map(np.concatenate, (dst, code, mult))
+        codes, inv = np.unique(code, return_inverse=True)
+        counts = np.zeros((diagram.n_letters, codes.size), dtype=np.int64)
+        np.add.at(counts, (dst, inv), mult)
+        yield codes, counts
 
 
 def strip_distances(report) -> list[tuple[str, float]]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from bratlap.scalar import (ApproxBackend, ApproxReal, FieldArray, QuadraticBack
 from oracles import (EMPTY_PATH, Path, apply, ck_relations_by_path, distance_to_unstable,
                      enumerate_paths, format_path, full_spectrum, path_chain, path_key,
                      path_range, path_shift_down, path_shift_up, recursive_spectrum,
-                     strip_distances, walked_spectrum)
+                     sorted_growth, strip_distances, walked_spectrum)
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -975,6 +976,53 @@ def test_counted_and_per_path_views_of_the_recursion_agree(name):
             rows = [(path, mult, state) for (path, mult), state in zip(paths, index, strict=True)]
             _check_level(diagram, classes, codes, counts, rows)
             assert len(rows) == sum(row_counts[v] for v in splits), (s, n)
+
+
+# a primitive 4 x 4 matrix with parallel edges whose every edge class is
+# its own at s = 1: 12 beta classes, more than the letters
+MANY_CLASSES = ((1, 2, 0, 1), (1, 0, 1, 0), (0, 1, 1, 1), (2, 0, 1, 0))
+
+
+@pytest.mark.parametrize("name", [*preset_names(), "many-classes"])
+def test_grow_equals_the_sorted_growth(name):
+    """The sort-free generations against the candidates concatenated and
+    deduplicated by np.unique: the same codes, in order, and the same
+    counts, at every s a preset's workloads read, and on a matrix file
+    with more beta classes than letters."""
+    if name == "many-classes":
+        diagram = build_diagram(MANY_CLASSES, symmetry_order=2)
+        systems = [(WeightSystem(diagram, perron(diagram, ApproxBackend(100))), 9, (1,))]
+    else:
+        ws = load_preset(name, backend="approx:100").weight_system
+        systems = [(ws, 12 if ws.diagram.n_letters > 1 else 16, (0, Fraction(1, 2), 1, 2))]
+    for ws, depth, s_values in systems:
+        for s in s_values:
+            table = affine_table(ws, s)
+            if name == "many-classes":
+                assert max(table.beta_classes()) + 1 > ws.diagram.n_letters
+            got, want = list(cuntz._grow(table, depth)), list(sorted_growth(table, depth))
+            assert len(got) == len(want) == depth
+            for gen, ((codes, counts), (codes_w, counts_w)) in enumerate(zip(got, want), 1):
+                assert codes.dtype == codes_w.dtype and np.array_equal(codes, codes_w), (s, gen)
+                assert counts.dtype == counts_w.dtype and np.array_equal(counts, counts_w), \
+                    (s, gen)
+
+
+def test_grow_holds_no_sorted_candidates():
+    """At penrose depth 16, the deepest `weyl` of the benchmark, generation
+    16 has 65,536 candidate codes, whose concatenation and np.unique sort
+    made a 6.1 MB tracemalloc peak; without them `_grow` peaks at 3.5 MB
+    or less, its output and the previous generation's included."""
+    table = affine_table(load_preset("penrose").weight_system, 2)
+    tracemalloc.start()
+    try:
+        for codes, _ in cuntz._grow(table, 16):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes.size == 65536
+    assert peak <= 3.5e6, peak
 
 
 def test_relation_check_refuses_a_depth_past_the_cap(monkeypatch):

@@ -38,13 +38,14 @@ from oracles import (
     eigenvalue,
     enumerate_paths,
     extensions,
+    float_matrix,
     format_path,
     full_spectrum,
     level_paths,
     longest_common_prefix,
+    object_matrix,
     object_walk,
     path_key,
-    slot_symmetry_message,
     span,
     spectrum_multiset,
     walked_dense,
@@ -216,8 +217,8 @@ def test_dense_fibonacci_pi1():
     op = dense_restriction(ws, 1, 1)
     assert op.exact
     phi = PHI
-    assert op.matrix.tolist() == [[-phi, phi], [phi * phi, -(phi * phi)]]
-    m = op.as_float()
+    assert object_matrix(op).tolist() == [[-phi, phi], [phi * phi, -(phi * phi)]]
+    m = float_matrix(op)
     assert np.allclose(m @ np.ones(2), 0.0, atol=1e-12)
     v = np.array([1.0, -float(phi)])
     assert np.allclose(m @ v, -float(phi) ** 3 * v, atol=1e-10)
@@ -232,7 +233,7 @@ def test_dense_thue_morse_pi1():
 def test_dense_kernel_and_mu_symmetry():
     for ws, s in ((fib_ws(), 1), (tm_ws(), 1), (penrose_ws(), 2)):
         op = dense_restriction(ws, 3, s)
-        m = op.as_float()
+        m = float_matrix(op)
         assert np.max(np.abs(m @ np.ones(len(op.table)))) < 1e-9
         d = np.diag(op.mu_float())
         dm = d @ m
@@ -244,10 +245,11 @@ def test_dense_mu_symmetry_exact():
     op = dense_restriction(ws, 4, 1)
     assert op.exact
     n = len(op.table)
+    m = object_matrix(op)
     for i in range(n):
         for j in range(n):
             mu_i, mu_j = op.mu_values[op.vertex[i]], op.mu_values[op.vertex[j]]
-            assert mu_i * op.matrix[i][j] == mu_j * op.matrix[j][i]
+            assert mu_i * m[i][j] == mu_j * m[j][i]
 
 
 def test_dense_nonpositive_spectrum_at_s_equals_d():
@@ -295,31 +297,28 @@ def _scale_first_generation_one_record(op):
     return op
 
 
-def _slot_images(op, i, j):
-    """The cells the root-slot permutations map (i, j) to, itself included:
-    one cell when g = 1.  dense_spectrum refuses ids that are not invariant
-    under them, so an edit made on all of them is seen by the exact check
-    alone."""
-    g, widths = op.symmetry_order, op.slot_widths
-    starts = np.cumsum((0,) + tuple(g * w for w in widths))
-
-    def split(x):
-        v = int(np.searchsorted(starts, x, side="right")) - 1
-        return (v, *divmod(x - starts[v], widths[v]))
-
-    (v, k, a), (w, l, b) = split(i), split(j)
-    return [(starts[v] + kk * widths[v] + a, starts[w] + ll * widths[w] + b)
-            for kk, ll in product(range(g), repeat=2) if v != w or (kk == ll) == (k == l)]
+def _root_edge(op, i: int) -> int:
+    """The root edge, v * g + k, under which row or column i lies."""
+    return int(np.searchsorted(op.bases, i, side="right")) - 1
 
 
-def _edit_entries(op, edits, images=lambda op, i, j: [(i, j)]):
+def _edit_entries(op, edits):
     """Give each listed entry of the interned matrix a value of its own, the
-    old one edited: appended to op.values, with the index cells of the
-    entry's images (the entry alone by default) repointed to it."""
+    old one edited, appended to op.values.  A cell whose row and column lie
+    under one root edge (v, k) is cell (i - base, j - base) of squares[v],
+    which stands for that cell under every slot k, the cells the root-slot
+    permutations map it to; any other cell meets at the root, and its id is
+    root_ids of its column's range vertex, shared by every such cell of
+    that vertex."""
     for (i, j), edit in edits.items():
-        op.values += (edit(op.values[op.index[i, j]]),)
-        for cell in images(op, i, j):
-            op.index[cell] = len(op.values) - 1
+        edge = _root_edge(op, i)
+        if edge == _root_edge(op, j):
+            ids, cell = op.squares[edge // op.symmetry_order], (i - op.bases[edge],
+                                                                j - op.bases[edge])
+        else:
+            ids, cell = op.root_ids, op.vertex[j]
+        op.values += (edit(op.values[ids[cell]]),)
+        ids[cell] = len(op.values) - 1
     return op
 
 
@@ -332,26 +331,40 @@ def _scale_first_measure(op):
 
 def _row_sum_neutral_pair(row):
     """+EPS on an off-diagonal entry of one row and -EPS on its diagonal; `row`
-    picks the row from the table size."""
+    picks the row from the table size, and the column is a neighbour under
+    the same root edge, so the edit is made under every root slot."""
     def mutate(op):
         i = row(len(op.table))
-        j = i + 1 if i + 1 < len(op.table) else i - 1
-        return _edit_entries(op, {(i, j): lambda x: x + EPS, (i, i): lambda x: x - EPS},
-                             _slot_images)
+        j = i + 1 if i + 1 < len(op.table) and _root_edge(op, i + 1) == _root_edge(op, i) \
+            else i - 1
+        assert _root_edge(op, j) == _root_edge(op, i)
+        return _edit_entries(op, {(i, j): lambda x: x + EPS, (i, i): lambda x: x - EPS})
     return mutate
+
+
+def _add_measure_row(op):
+    """M + EPS 1 mu^T: every value id, the diagonal's walk states included,
+    plus EPS times mu of its column's range vertex.  Every closed-form
+    M v = lambda v still holds, as mu . v = 0, so only M 1 = 0 is broken."""
+    column = np.full(len(op.values), -1)
+    column[op.index] = op.vertex[None, :]
+    assert column.min() >= 0
+    op.values = tuple(x + EPS * op.mu_values[v] for x, v in zip(op.values, column.tolist()))
+    return op
 
 
 # edits of the operator verify reads: its records, entries and measures
 _MUTATIONS = {
     "record value": _scale_first_generation_one_record,
     # breaks M 1 = 0
-    "off-diagonal entry": lambda op: _edit_entries(
-        op, {(0, 1): lambda x: x * (1 + EPS)}, _slot_images),
+    "off-diagonal entry": lambda op: _edit_entries(op, {(0, 1): lambda x: x * (1 + EPS)}),
     # keep every row sum at zero, so only the eigen-relations can catch them
     "row-sum-neutral pair": _row_sum_neutral_pair(lambda size: 0),
     "row-sum-neutral pair, middle row": _row_sum_neutral_pair(lambda size: size // 2),
     "row-sum-neutral pair, last row": _row_sum_neutral_pair(lambda size: size - 1),
     "measure": _scale_first_measure,
+    # keeps every eigen-relation, so only M 1 = 0 can catch it
+    "measure-weighted rank one": _add_measure_row,
 }
 
 # (preset, backend, depth, s): thue-morse runs on Q, and penrose's g = 20 root
@@ -412,16 +425,17 @@ EXACT_PRESETS = ("fibonacci", "fibonacci-conjugate", "thue-morse", "dyadic-odome
 @pytest.mark.parametrize("preset", EXACT_PRESETS)
 def test_interned_matrix_equals_object_matrix(preset):
     """values[index] against the plain object matrix: each off-diagonal entry
-    is mu[j]/G(meet) by the direct formula, as_float() is the same float cast
-    bit for bit, and every prefix-sum row sum over a cylinder range, and
-    every measure range sum, is the plain exact sum."""
+    is mu[j]/G(meet) by the direct formula, the float matrix is the same
+    float cast bit for bit, and every row sum over a cylinder range that
+    the exact check reads off the compact ids (`_row_sums`), and every
+    measure range sum, is the plain exact sum."""
     ws = load_preset(preset).weight_system
     zero = ws.backend.zero
     for n in range(2, 6):
         for s in (0, 1, 2):
             op = dense_restriction(ws, n, s)
             assert op.exact
-            full = np.array(op.matrix, dtype=object)
+            full = object_matrix(op)
             inv_g, table = {}, enumerate_paths(ws.diagram, n)
             for (i, p), (j, q) in product(enumerate(table.paths), repeat=2):
                 if i != j:
@@ -430,11 +444,11 @@ def test_interned_matrix_equals_object_matrix(preset):
                         inv_g[meet] = 1 / g_value(ws, *path_key(ws.diagram, meet), s)
                     assert full[i, j] == op.mu_values[op.vertex[j]] * inv_g[meet], \
                         (n, s, i, j)
-            assert op.as_float().tobytes() == full.astype(float).tobytes(), (n, s)
+            assert float_matrix(op).tobytes() == full.astype(float).tobytes(), (n, s)
             ranges = {span(table, p.prefix(k)) for p in table.paths for k in range(n + 1)}
             entries = FieldArray.of(op.values)
             mus = FieldArray.of(op.mu_values)
-            rows = entries.prefix_sums(op.index)
+            row_sums = laplacian._row_sums(op, entries)
             measures = mus.prefix_sums(op.vertex[None, :])
             every = np.arange(len(full))
             for r in ranges:
@@ -442,8 +456,7 @@ def test_interned_matrix_equals_object_matrix(preset):
                 assert _listed(mus.range_sums(measures, [0], r.start, r.stop)) == \
                     [_parts(plain * mus.den)]
                 plain = [_parts(sum(row[r.start:r.stop], zero) * entries.den) for row in full]
-                assert _listed(entries.range_sums(rows, every, r.start, r.stop)) == \
-                    plain, (n, s, r)
+                assert _listed(row_sums(every, r.start, r.stop)) == plain, (n, s, r)
 
 
 def test_index_fill_equals_blockwise_fill_at_penrose_depth6():
@@ -506,7 +519,7 @@ def test_interned_float_matrix_equals_direct_formula(preset, backend, s):
         op = dense_restriction(ws, n, s)
         assert not op.exact and all(type(v) is float for v in op.values)
         table = enumerate_paths(ws.diagram, n)
-        m, paths = op.as_float(), table.paths
+        m, paths = float_matrix(op), table.paths
         mu_col = np.array([float(mu_at(p)) for p in paths])
         checked = 0
         for meet in {p.prefix(k) for p in paths for k in range(n)}:
@@ -574,48 +587,135 @@ def test_slot_split_spectrum_equals_full_eigvalsh(system, s):
             assert np.max(np.abs(split - full)) <= 1e-12 * np.max(np.abs(full)), n
 
 
+@pytest.mark.parametrize("system", [*sorted(PRESETS), "tri-g3"])
+def test_expanded_index_equals_blockwise_fill(system):
+    """The compact ids, expanded, against the block-by-block fill of every
+    record's off-diagonal child blocks, the records under every root slot
+    included, on all six presets and TRI_A (g = 3, parallel edges)."""
+    ws = tri_ws() if system == "tri-g3" else load_preset(system).weight_system
+    for n, s in product(range(1, 6), (Fraction(1, 2), 1, 2)):
+        op = dense_restriction(ws, n, s)
+        assert np.array_equal(op.index, blockwise_index(op)), (n, s)
+
+
+@pytest.mark.parametrize("name, backend, depth", [("penrose", "quadratic:5", 3),
+                                                  ("ammann-a2", "quadratic:5", 4),
+                                                  ("fibonacci", "quadratic:5", 5)])
+def test_row_sums_equal_prefix_sums_of_the_expanded_index(name, backend, depth):
+    """The exact check's row sums, read off the squares and the root row,
+    equal the prefix sums of every row of the expanded ids at every column,
+    and their differences over every range of a row's own root edge and
+    across it, on folded diagrams (g = 20, 4) and with g = 1."""
+    ws = load_preset(name, backend=backend).weight_system
+    # (2 - s)/d is an integer at s = 0 and 2 for d = 1 and 2: exact entries
+    for s in (0, 2):
+        op = dense_restriction(ws, depth, s)
+        assert op.exact
+        entries = FieldArray.of(op.values)
+        want = entries.prefix_sums(op.index)
+        size = op.vertex.size
+        row_sums = laplacian._row_sums(op, entries)
+        rows, cols = (x.ravel() for x in np.indices((size, size + 1)))
+        got = row_sums(rows, 0, cols).num
+        assert np.array_equal(got.reshape(want.shape), want), s
+        # every range of the first and last root edges' rows, and ranges
+        # that start inside a root edge and end past it
+        width = op.slot_widths
+        for rows in (np.arange(width[0]), np.arange(size - width[-1], size)):
+            for lo, hi in product(range(0, size + 1, 7), repeat=2):
+                if lo <= hi:
+                    got = row_sums(rows, lo, hi).num
+                    assert np.array_equal(got, (want[rows, hi] - want[rows, lo]).astype(object)), \
+                        (s, lo, hi)
+
+
+def _verify_peak(ws, n: int, s) -> int:
+    """The bytes verify_spectrum(ws, n, s) allocates at its peak, by
+    tracemalloc, after a first call has filled the stationary memo's
+    imports and caches."""
+    verify_spectrum(ws, n, s)
+    tracemalloc.start()
+    try:
+        assert verify_spectrum(ws, n, s).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("name, n, bound", [("ammann-a2", 7, 8e6), ("penrose", 5, 1e6),
+                                            ("thue-morse", 8, 1.42e6)])
+def test_verify_holds_no_whole_id_matrix(name, n, bound):
+    """verify_spectrum holds its ids in compact form and solves one block at
+    a time: on ammann-a2 at n = 7 (|Pi_n| = 2440, g = 4, approx:200) it
+    peaks below 8 MB, where the |Pi_n|^2 index alone took 5.95 MB; on
+    penrose at n = 5 (g = 20) below 1 MB; and on thue-morse at n = 8 (g = 1,
+    the exact check on Q) no higher than the 1.42 MB of the whole index."""
+    assert _verify_peak(load_preset(name).weight_system, n, 1) < bound
+
+
 def _slot_cell(op, v, k, a, w, l, b):
     """The cell of row a of root edge (v, k) and column b of root edge (w, l)."""
-    g, widths = op.symmetry_order, op.slot_widths
-    starts = np.cumsum((0,) + tuple(g * x for x in widths))
-    return starts[v] + k * widths[v] + a, starts[w] + l * widths[w] + b
+    g = op.symmetry_order
+    return op.bases[v * g + k] + a, op.bases[w * g + l] + b
 
 
-# injected cells as (v, k, a, w, l, b): a copy of the (0, 0) block at v = w,
-# a copy of the (0, 1) block at v = w, a cross-vertex copy, the reference
-# copy itself, and two copies at once, where (1, 3) comes first
+def _break_slot(op, kind: str, v: int, k: int):
+    """Perturb one input of the slot check under root edge (v, k): its first
+    record's span ("span", hi one less) or meet key ("meet", a generation
+    deeper), or its first leaf's walk state ("state") or range vertex
+    ("vertex", the other of two letters)."""
+    base = op.bases[v * op.symmetry_order + k]
+    if kind in ("span", "meet"):
+        r = next(r for r, (ends, meet) in enumerate(zip(op.bounds, op.meets))
+                 if meet[0] >= 0 and base <= ends[0] < base + op.slot_widths[v])
+        if kind == "span":
+            op.bounds[r] = op.bounds[r][:-1] + (op.bounds[r][-1] - 1,)
+        else:
+            op.meets[r] = (op.meets[r][0], op.meets[r][1] + 1)
+    elif kind == "state":
+        op.levels[-1].state[base] += 1
+    else:
+        op.vertex[base] = 1 - op.vertex[base]
+    return op
+
+
+# broken inputs as (kind, v, k), and the root edge the check names: a
+# record under (0, 1), the root edge of a broken (0, 0) copy's rows before
+# the check read records, then a record's meet key there, a leaf under
+# (0, 2), a leaf under the reference slot (1, 0), which makes (1, 1) the
+# first to differ, and two root edges at once, where (0, 1) comes first
 _BROKEN_SLOTS = {
-    "same-slot": [(0, 1, 0, 0, 1, 0)],
-    "other-slot": [(0, 1, 0, 0, 2, 1)],
-    "other-vertex": [(0, 2, 1, 1, 0, 0)],
-    "reference": [(1, 0, 0, 1, 0, 0)],
-    "two-copies": [(0, 2, 0, 0, 1, 0), (0, 1, 1, 0, 3, 0)],
+    "same-slot": ([("span", 0, 1)], "records", 0, 1),
+    "other-slot": ([("meet", 0, 1)], "records", 0, 1),
+    "other-vertex": ([("state", 0, 2)], "leaves", 0, 2),
+    "reference": ([("vertex", 1, 0)], "leaves", 1, 1),
+    "two-copies": ([("span", 0, 2), ("state", 0, 1)], "leaves", 0, 1),
 }
 
 
 @pytest.mark.parametrize("cells", sorted(_BROKEN_SLOTS))
 @pytest.mark.parametrize("system", ["penrose", "ammann-a2"])
 def test_verify_reports_broken_slot_symmetry(monkeypatch, system, cells):
-    """Entries of slot copies perturbed by a relative 1e-15 are caught by
-    the exact invariance check, not absorbed into the float tolerance, and
-    dense_spectrum names the first broken copy as the copy-by-copy check
-    does (g = 20 on penrose, 4 on ammann-a2)."""
+    """A record's span or meet key, or a leaf's walk state or range vertex,
+    under one root slot that no longer repeats slot 0's is caught by the
+    slot check before any gather, not absorbed into the float tolerance,
+    and dense_spectrum names the first such root edge, with what differs
+    there (g = 20 on penrose, 4 on ammann-a2)."""
     ws = penrose_ws() if system == "penrose" else \
         load_preset(system, backend="approx:100").weight_system
+    breaks, what, v, k = _BROKEN_SLOTS[cells]
 
     def perturbed(*args, **kwargs):
         op = dense_restriction(*args, **kwargs)
-        return _edit_entries(op, {_slot_cell(op, *cell): lambda x: x * (1 + 1e-15)
-                                  for cell in _BROKEN_SLOTS[cells]})
+        for kind, v, k in breaks:
+            _break_slot(op, kind, v, k)
+        return op
 
-    op = perturbed(ws, 3, 2)
-    want = slot_symmetry_message(op)
-    assert want is not None
     with pytest.raises(laplacian.SlotSymmetryError) as exc:
-        dense_spectrum(op)
-    assert str(exc.value) == want
-    if cells == "two-copies":
-        assert "(0, 1) against columns of root edge (0, 3)" in want
+        dense_spectrum(perturbed(ws, 3, 2))
+    want = str(exc.value)
+    assert want == f"{what} under root edge ({v}, {k}) differ from those under ({v}, 0)"
 
     monkeypatch.setattr(laplacian, "dense_restriction", perturbed)
     report = verify_spectrum(ws, 3, 2)
@@ -625,33 +725,42 @@ def test_verify_reports_broken_slot_symmetry(monkeypatch, system, cells):
     assert any("mismatch: slot symmetry" in line for line in report.lines())
 
 
-# cells as (v, k, a, w, l, b) made infinite: the two gathered copies of a
-# vertex's own pair, (0, 0) and (0, 1), a gathered cross-vertex copy, two
-# copies that are not gathered, and with g = 1 the one copy there is
+# cells as (v, k, a, w, l, b) made infinite: a cell of the square of (0, 0),
+# a cell of the (0, 1) copy and of a cross-vertex copy, which meet at the
+# root, and with g = 1 a cross-vertex cell; and, as (kind, v, k), slot
+# inputs broken under the root edge of the rows of two copies that are not
+# gathered, (0, 2) against (0, 3) and (1, 1) against (0, 2)
 _INFINITE_CELLS = {
     "own-copy-00": ("penrose", (0, 0, 0, 0, 0, 1), LaplacianError),
     "own-copy-01": ("penrose", (1, 0, 0, 1, 1, 0), LaplacianError),
     "cross-copy-00": ("penrose", (0, 0, 1, 1, 0, 0), LaplacianError),
-    "own-copy-23": ("penrose", (0, 2, 0, 0, 3, 0), laplacian.SlotSymmetryError),
-    "cross-copy-12": ("penrose", (1, 1, 0, 0, 2, 0), laplacian.SlotSymmetryError),
+    "own-copy-23": ("penrose", ("span", 0, 2), laplacian.SlotSymmetryError),
+    "cross-copy-12": ("penrose", ("vertex", 1, 1), laplacian.SlotSymmetryError),
     "one-slot": ("thue-morse", (1, 0, 0, 0, 0, 1), LaplacianError),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_INFINITE_CELLS))
 def test_a_non_finite_gathered_entry_comes_before_broken_slots(case):
-    """An infinite entry in one slot copy also breaks the slot symmetry.  In
-    a copy dense_spectrum gathers, it raises LaplacianError, before the
-    slot-copy check runs; in a copy it does not gather, only the check sees
-    it (penrose, g = 20).  With g = 1 (thue-morse) every copy is gathered."""
+    """Every value id is gathered: one in the square of (v, 0) or in
+    root_ids, made infinite, raises LaplacianError from the block that sums
+    it.  A slot copy that is not gathered is held only as the records and
+    leaves under its root edge, and only the slot check, which runs first,
+    sees them broken (penrose, g = 20).  With g = 1 (thue-morse) every copy
+    is gathered."""
     system, cell, error = _INFINITE_CELLS[case]
     op = dense_restriction(penrose_ws() if system == "penrose" else tm_ws(), 3, 2)
-    _edit_entries(op, {_slot_cell(op, *cell): lambda x: float("inf")})
+    if error is LaplacianError:
+        _edit_entries(op, {_slot_cell(op, *cell): lambda x: float("inf")})
+    else:
+        _break_slot(op, *cell)
     with pytest.raises(error) as exc:
         dense_spectrum(op)
     assert type(exc.value) is error
     if error is LaplacianError:
         assert "dense matrix entries leave the float range" in str(exc.value)
+    else:
+        assert f"root edge ({cell[1]}, {cell[2]})" in str(exc.value)
 
 
 def test_verify_builds_no_path(monkeypatch):
@@ -698,15 +807,15 @@ def _dense_spectrum_peak(op) -> int:
 
 def test_dense_spectrum_holds_no_whole_float_matrix():
     """dense_spectrum on ammann-a2 at n = 7 (g = 4, |Pi_n| = 2440) allocates
-    less than three symmetric blocks of floats, 8 (|Pi_n| / g)^2 bytes each,
-    at its peak (about 2.5: the block, the difference blocks and the
-    slot-copy check's comparison), where the slot-0 rows of the float
-    matrix alone took four."""
+    less than two symmetric blocks of floats, 8 (|Pi_n| / g)^2 bytes each,
+    at its peak (about 1.5: the block and what eigvalsh allocates, as each
+    difference block is gathered only after the block is solved and
+    freed), where the slot-0 rows of the float matrix alone took four."""
     op = dense_restriction(load_preset("ammann-a2").weight_system, 7, 1)
     size, g = op.vertex.size, op.symmetry_order
     assert (size, g) == (2440, 4)
     peak = _dense_spectrum_peak(op)
-    assert peak < 3 * 8 * (size // g) ** 2, peak
+    assert peak < 2 * 8 * (size // g) ** 2, peak
 
 
 @pytest.mark.parametrize("n", [8, 10])
@@ -801,13 +910,16 @@ def test_dense_diagonal_interns_one_value_per_walk_state(name, n, n_states):
     one byte per entry."""
     op = dense_restriction(load_preset(name, backend="approx:200").weight_system, n, 1)
     assert len(set(np.diag(op.index).tolist())) == n_states
-    assert len(set(np.diag(op.as_float()).tolist())) == n_states
+    assert len(set(np.diag(float_matrix(op)).tolist())) == n_states
     assert op.index.dtype == np.uint8 and int(op.index.max()) == len(op.values) - 1
 
 
 def test_dense_index_peak_is_one_byte_per_entry():
-    """The index is allocated once, at the type its id bound needs, so
-    assembly never holds a wider provisional copy beside it."""
+    """The ids are allocated once, at the type their bound needs, so
+    assembly never holds a wider provisional copy beside them, and in
+    compact form: on ammann-a2 at n = 7 the squares take one byte per
+    entry, and assembly peaks below a quarter of the |Pi_n|^2 bytes of the
+    whole index they stand for."""
     ws = load_preset("ammann-a2", backend="approx:200").weight_system
     size = 2440
     tracemalloc.start()
@@ -817,7 +929,8 @@ def test_dense_index_peak_is_one_byte_per_entry():
     finally:
         tracemalloc.stop()
     assert len(op.table) == size and op.index.dtype == np.uint8
-    assert peak <= 1.25 * size * size, peak
+    assert sum(square.nbytes for square in op.squares) == sum(w * w for w in op.slot_widths)
+    assert peak <= 0.25 * size * size, peak
 
 
 def test_verify_refuses_oversize_dense_before_spectrum(monkeypatch):

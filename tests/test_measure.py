@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bratlap import _linalg
+from bratlap.cli import main
 from bratlap.diagram import DiagramError, build_diagram, is_primitive
 from bratlap.measure import (
     EXACT_POWER_LOG2_LIMIT,
@@ -20,6 +22,7 @@ from bratlap.measure import (
     _approx_eigen,
     _exact_eigenvector,
     _field_root,
+    _nonsingular_mod_prime,
     _power,
     _theta_certificate,
     WeightSystem,
@@ -199,6 +202,31 @@ def test_quadratic_theta_beside_the_eigenvalue_zero():
     p = perron(build_diagram(m), QuadraticBackend(3))
     assert p.theta == QuadraticBackend(3).make((1, 1))
     assert p.min_poly == (-2, -2, 1)
+
+
+# theta = 4 + sqrt6, with 6 an eigenvalue too: the first candidate,
+# x - round(theta) = x - 6, has det(A - 6 I) = 0, so the mod-p filter
+# passes it on to an elimination
+PF_SIX = ((3, 4, 0, 1), (1, 5, 0, 0), (0, 1, 3, 4), (0, 0, 1, 5))
+
+
+def test_theta_is_not_the_rational_eigenvalue_next_to_it(tmp_path, capsys):
+    """The kernel of A - 6 I is not one-signed, so the Perron-Frobenius sign
+    test alone refuses 6 and the certificate goes on to x^2 - 8x + 10 in
+    Q(sqrt6); verify on that field passes its exact check."""
+    cert = _theta_certificate(PF_SIX)
+    assert cert.poly == (10, -8, 1)
+    assert cert.field == QuadraticBackend(6)
+    assert cert.theta == QuadraticBackend(6).make((4, 1))
+    a = np.array(PF_SIX, dtype=object)
+    assert not _nonsingular_mod_prime(a - 6 * np.identity(4, dtype=object))
+    with pytest.raises(MeasureError, match="not strictly one-signed"):
+        _exact_eigenvector(PF_SIX, Fraction(6), RAT)
+    spec = tmp_path / "pf.json"
+    spec.write_text(json.dumps({"letters": list("abcd"), "matrix": [list(r) for r in PF_SIX]}))
+    assert main(["verify", "--matrix-file", str(spec), "--depth", "2", "--s", "1",
+                 "--backend", "quadratic:6"]) == 0
+    assert "  exact eigen-relations: ok" in capsys.readouterr().out.splitlines()[-2]
 
 
 def test_cubic_theta_has_no_field():
