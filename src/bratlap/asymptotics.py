@@ -1,5 +1,4 @@
-"""Weyl counting, heat-trace scaling, bounded-norm checks, and 1D factor
-complexity.
+"""Weyl counting, heat-trace scaling and 1D factor complexity.
 
 Heavy sums never enumerate paths one by one.  The per-generation eigenvalue
 arrays are the float projection of the distinct recursion states that
@@ -7,7 +6,8 @@ arrays are the float projection of the distinct recursion states that
 yields with their summed multiplicities, so memory grows with the number of
 states, not of paths, and every value is bit-identical to a per-path
 expansion's.  The heat trace is contracted through per-vertex
-transfer vectors in log space, which makes any truncation depth affordable.
+transfer vectors in log space, one array over the whole t grid per
+generation, which makes any truncation depth affordable.
 The two-sided asymptotic constants are fitted and reported, not asserted a
 priori.
 """
@@ -84,9 +84,6 @@ class GenerationSpectrum:
 
     def generation_min(self) -> dict[int, float]:
         return {n: float(m.min()) for n, m in enumerate(self.magnitudes) if n and m.size}
-
-    def generation_max(self) -> dict[int, float]:
-        return {n: float(m.max()) for n, m in enumerate(self.magnitudes) if n and m.size}
 
 
 def _check_weight_range(diagram, depth: int) -> None:
@@ -221,38 +218,16 @@ def weyl_margins(spec: GenerationSpectrum, bounds: dict) -> list[WeylMarginRow]:
             for t, n in zip(distinct.tolist(), spec.count(distinct).tolist())]
 
 
+def _exps(x: np.ndarray) -> np.ndarray:
+    """exp of each entry by libm's math.exp, which np.exp may miss by an ulp."""
+    return np.fromiter(map(math.exp, x.tolist()), float, x.size)
+
+
 @dataclass
 class HeatResult:
     samples: list[tuple[float, float, float]]   # (t, trace, certified tail)
     fit: FitResult
     depth: int
-
-
-def _log_transfer_contribution(table: AffineMapTable, seed_vals: dict[int, float],
-                               out_deg: list[int], t: float, m: int,
-                               log_w: np.ndarray) -> tuple[float, np.ndarray]:
-    """One recursion layer in log space; returns (generation m+1 contribution,
-    updated per-vertex log partition vector)."""
-    diagram = table.diagram
-    r = diagram.n_letters
-    lam = table.lam_float
-    scale = lam ** (m - 1)
-    new = np.full(r, -np.inf)
-    contrib = 0.0
-    # where t * Lambda^m leaves the float range the exponents turn into
-    # inf - inf = nan; the terms they stand for are exp(t * eigenvalue) = 0,
-    # and the expo test below skips them
-    with np.errstate(over="ignore", invalid="ignore"):
-        for ei, e in enumerate(diagram.edges):
-            cand = t * scale * table.betas_float[ei] + log_w[e.source]
-            new[e.target] = np.logaddexp(new[e.target], cand)
-        for z, lam_z in seed_vals.items():
-            if out_deg[z] < 2 or new[z] == -np.inf:
-                continue
-            expo = t * (lam ** m) * lam_z + new[z]
-            if expo > -745.0:
-                contrib += diagram.symmetry_order * (out_deg[z] - 1) * math.exp(expo)
-    return contrib, new
 
 
 def heat_trace(table: AffineMapTable, t_grid, depth: int | None = None) -> HeatResult:
@@ -304,73 +279,40 @@ def heat_trace(table: AffineMapTable, t_grid, depth: int | None = None) -> HeatR
             f"certified tail exceeds {HEAT_TAIL_TARGET:g} at t={t_min:g}; "
             f"smallest feasible t at this depth is {feasible:g}")
 
-    out_deg = [len(diagram.out_edges[v]) for v in range(diagram.n_letters)]
-    seed_vals = {z: seed[1] for z, seed in enumerate(table.seeds) if seed is not None}
     # generations 0 and 1, the kernel, the root splitting and the seeds, are
     # the envelope table's first rows; every eigenvalue is <= 0
-    head = [(m.tolist(), w.tolist()) for m, w in zip(env.magnitudes[:2], env.weights[:2])]
-
-    samples = []
-    for t in t_grid:
-        total = 0.0
-        for mags, wts in head:
-            for m, w in zip(mags, wts):
-                total += w * math.exp(-t * m)
-        log_w = np.zeros(diagram.n_letters)   # slots enter through symmetry_order
+    ts = np.array(t_grid)
+    total = np.zeros(ts.size)
+    for mags, wts in zip(env.magnitudes[:2], env.weights[:2]):
+        for m, w in zip(mags.tolist(), wts.tolist()):
+            total += w * _exps(-ts * m)
+    # after generation m, row v of log_w holds per t the log of the sum of
+    # exp(t x) over the offsets x = sum_j Lambda^(j-1) beta(e_j) of the runs
+    # of m edges that end at v.  A splitting vertex z then holds
+    # g (out-degree - 1) eigenvalues Lambda^m lam_z + x per run
+    seeds = [(z, seed[1], diagram.symmetry_order * (len(diagram.out_edges[z]) - 1))
+             for z, seed in enumerate(table.seeds)
+             if seed is not None and len(diagram.out_edges[z]) >= 2]
+    log_w = np.zeros((diagram.n_letters, ts.size))
+    # where t * Lambda^m leaves the float range the exponents turn into
+    # inf - inf = nan; the terms they stand for are exp(t * eigenvalue) = 0,
+    # and the expo test below skips them
+    with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, depth):
-            contrib, log_w = _log_transfer_contribution(
-                table, seed_vals, out_deg, t, m, log_w)
+            step = ts * lam ** (m - 1)
+            new = np.full_like(log_w, -np.inf)
+            for beta, e in zip(table.betas_float, diagram.edges):
+                np.logaddexp(new[e.target], step * beta + log_w[e.source], out=new[e.target])
+            contrib = np.zeros(ts.size)
+            for z, lam_z, coef in seeds:
+                expo = ts * lam ** m * lam_z + new[z]
+                live = (new[z] != -np.inf) & (expo > -745.0)
+                contrib[live] += coef * _exps(expo[live])
             total += contrib
-        samples.append((t, total, tail_bound(t, depth)))
-
+            log_w = new
+    samples = [(t, tr, tail_bound(t, depth)) for t, tr in zip(t_grid, total.tolist())]
     fit = ols_loglog([t for t, tr, _ in samples], [tr for _, tr, _ in samples])
     return HeatResult(samples, fit, depth)
-
-
-@dataclass
-class NormBoundReport:
-    s: float
-    lam: float
-    c_constant: float
-    bound: float
-    sup_by_generation: list[tuple[int, float]]
-    sup_total: float
-    increment_ratios: list[float]
-
-    @property
-    def within_bound(self) -> bool:
-        return self.sup_total <= self.bound + 1e-12
-
-
-def norm_bound_check(table: AffineMapTable, depth: int = 15) -> NormBoundReport:
-    """Bounded regime s > d+2: the running sup of |eigenvalue| must stay below
-    c/(1-Lambda), with c the largest |beta| or nonzero seed magnitude of the
-    table, and its increments must shrink geometrically like Lambda."""
-    ws = table.ws
-    s = float(table.s)
-    if s <= ws.dimension + 2:
-        raise AsymptoticsError("bounded-norm check requires s > d + 2")
-    lam = table.lam_float
-    if lam >= 1.0:
-        raise AsymptoticsError("Lambda_s must be < 1 in the bounded regime")
-
-    spec = magnitude_table(table, depth)
-    maxes = spec.generation_max()
-    # rows 0 and 1 hold the root and the seeds, and the zero adds nothing
-    c = max(float(np.concatenate(spec.magnitudes[:2]).max()),
-            max(abs(b) for b in table.betas_float))
-    bound = c / (1.0 - lam)
-
-    sup_by_gen = []
-    running = 0.0
-    for n in sorted(maxes):
-        running = max(running, maxes[n])
-        sup_by_gen.append((n, running))
-    increments = [sup_by_gen[i + 1][1] - sup_by_gen[i][1]
-                  for i in range(len(sup_by_gen) - 1)]
-    ratios = [increments[i + 1] / increments[i]
-              for i in range(len(increments) - 1) if increments[i] > 1e-15]
-    return NormBoundReport(s, lam, c, bound, sup_by_gen, running, ratios)
 
 
 def _factor_counts(word: np.ndarray, n_max: int) -> list[int]:

@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, count, repeat
+from itertools import chain, count
 from typing import NamedTuple
 
 import numpy as np
@@ -41,9 +41,9 @@ from .presets import PRESETS, preset_names
 from .scalar import MIN_PRECISION, ApproxReal, parse_backend
 
 DEFAULT_PRECISION_ENV = "BRATLAP_PRECISION"
-# the most points heat samples the trace at and weyl the count at: a heat
-# sample sums its own generations, and either grid asks for memory in
-# proportion to its size
+# the most points heat samples the trace at and weyl the count at: heat sums
+# each generation over the whole grid at once, and either grid asks for
+# memory in proportion to its size
 MAX_GRID_POINTS = 10_000
 # columns of free text, which CSV quotes and JSON writes as they are
 _TEXT_COLUMNS = frozenset(("path", "value_exact", "line", "description"))
@@ -111,8 +111,10 @@ def _write_rows(out, columns: list[str], data: list, blocks, csv: bool, dump) ->
     text, such as the tails of the "path" column, is its own piece; a piece
     before the tails stands for the head.  A block of one head is rendered
     with it; one of several is rendered once with a mark there and split at
-    the marks, and its rows under each head are head.join(pieces).  JSON
-    escapes character by character, so its head is dump(head)[1:-1]."""
+    the marks, and its rows under each head are head.join(pieces).  A run
+    is one list of its rows' pieces, filled one piece at a time by slice
+    assignment, and one join.  JSON escapes character by character, so its
+    head is dump(head)[1:-1]."""
     blocks = blocks or [(("",), len(data[0][1] if isinstance(data[0], tuple) else data[0]))]
     # a mark no row holds: rows hold printable ASCII, newlines and letters
     used = {*map(chr, range(10, 127)), *"".join(chain.from_iterable(h for h, _ in blocks))}
@@ -135,15 +137,21 @@ def _write_rows(out, columns: list[str], data: list, blocks, csv: bool, dump) ->
     # a row ends in a newline, or in "]," for JSON, whose last row drops the comma
     pieces[-1][0] += "\n" if csv else "],"
     pieces = [(cells, None) if form is None else form if not cells else
-              ([form % row for row in zip(*cells)], index) for form, cells, index in pieces]
+              (np.array([form % row for row in zip(*cells)], object), index)
+              for form, cells, index in pieces]
 
     def render(start: int, stop: int, head: str):
         for lo in range(start, stop, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, stop)
-            yield "".join(chain.from_iterable(zip(*(
-                repeat(head if piece is mark else piece) if isinstance(piece, str) else
-                piece[0][lo:hi] if piece[1] is None else
-                map(piece[0].__getitem__, piece[1][lo:hi].tolist()) for piece in pieces))))
+            # piece j of row i is parts[i * k + j]
+            k = len(pieces)
+            parts = [""] * (k * (hi - lo))
+            for j, piece in enumerate(pieces):
+                parts[j::k] = ([head if piece is mark else piece] * (hi - lo)
+                             if isinstance(piece, str) else
+                             piece[0][lo:hi] if piece[1] is None else
+                             piece[0][piece[1][lo:hi]].tolist())
+            yield "".join(parts)
 
     run, stop = "", 0
     for heads, size in blocks:

@@ -500,12 +500,6 @@ def lattice_array(embedding: CompanionData, values) -> FieldArray:
     return FieldArray(num // g, den // g, embedding.generator)
 
 
-def lattice_coords(embedding: CompanionData, value) -> tuple[Fraction, ...]:
-    """One exact scalar in the lattice's power basis: a row of `lattice_array`."""
-    row = lattice_array(embedding, [value])
-    return tuple(Fraction(n, row.den) for n in row.num[0].tolist())
-
-
 @dataclass
 class StripReport:
     """The strip distances by recursion state.  The records are the zero

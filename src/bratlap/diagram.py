@@ -140,9 +140,6 @@ class BratteliDiagram:
     def n_letters(self) -> int:
         return len(self.letters)
 
-    def root_edge_index(self, vertex: int, slot: int = 0) -> int:
-        return vertex * self.symmetry_order + slot
-
     @cached_property
     def targets(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, the range vertices of its out-edges in order, and at

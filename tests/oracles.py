@@ -5,8 +5,11 @@ on per-generation index arrays, no longer builds; the per-record views of
 the spectrum and of the affine recursion that tests compare against; and the
 loop-by-loop forms of the dense index fill, the slot-copy check and the
 Perron power iteration, the Fraction-pair quadratic scalar and the walk's
-object loop, the suffix automaton that counts factors, and the path-by-path
-Cuntz-Krieger check."""
+object loop, the suffix automaton that counts factors, the path-by-path
+Cuntz-Krieger check, the heat trace one t at a time and the emitter's rows
+one row at a time; and the library helpers that only tests read: the
+root-edge index, one value's lattice coordinates and the bounded-norm
+check."""
 
 from __future__ import annotations
 
@@ -19,7 +22,11 @@ from itertools import accumulate, product
 import mpmath
 import numpy as np
 
-from bratlap.cuntz import CKReport, CuntzError
+from bratlap.asymptotics import (HEAT_ENVELOPE_DEPTH, HEAT_TAIL_TARGET, AsymptoticsError,
+                                 GenerationSpectrum, HeatResult, lower_envelope,
+                                 magnitude_table, ols_loglog)
+from bratlap.cli import _TEXT_COLUMNS
+from bratlap.cuntz import CKReport, CompanionData, CuntzError, lattice_array
 from bratlap.diagram import (DEFAULT_PATH_CAP, BratteliDiagram, DiagramError,
                              predicted_path_count)
 from bratlap.laplacian import LaplacianError, StationaryCache, g_value, walk_states
@@ -65,6 +72,10 @@ class PathTable:
 
     def __len__(self) -> int:
         return len(self.paths)
+
+
+def root_edge_index(diagram: BratteliDiagram, vertex: int, slot: int = 0) -> int:
+    return vertex * diagram.symmetry_order + slot
 
 
 def path_range(diagram: BratteliDiagram, path: Path) -> int:
@@ -192,6 +203,12 @@ def distance_to_unstable(embedding, coords) -> float:
     c = np.array([float(x) for x in coords])
     proj = embedding.unstable_basis @ (embedding.unstable_basis.T @ c)
     return float(np.linalg.norm(c - proj))
+
+
+def lattice_coords(embedding: CompanionData, value) -> tuple[Fraction, ...]:
+    """One exact scalar in the lattice's power basis: a row of `lattice_array`."""
+    row = lattice_array(embedding, [value])
+    return tuple(Fraction(n, row.den) for n in row.num[0].tolist())
 
 
 def object_matrix(op) -> np.ndarray:
@@ -814,7 +831,7 @@ def path_shift_down(diagram: BratteliDiagram, edge_index: int,
     if e.target != first.source:
         return None
     slot = diagram.root_edges[path.root].slot
-    return Path(diagram.root_edge_index(e.source, slot), (edge_index,) + path.edges)
+    return Path(root_edge_index(diagram, e.source, slot), (edge_index,) + path.edges)
 
 
 def path_shift_up(diagram: BratteliDiagram, edge_index: int,
@@ -827,7 +844,7 @@ def path_shift_up(diagram: BratteliDiagram, edge_index: int,
         return None
     nxt = diagram.edges[path.edges[1]]
     slot = diagram.root_edges[path.root].slot
-    return Path(diagram.root_edge_index(nxt.source, slot), path.edges[1:])
+    return Path(root_edge_index(diagram, nxt.source, slot), path.edges[1:])
 
 
 def ck_relations_by_path(diagram: BratteliDiagram, depth: int, adjacency=None) -> CKReport:
@@ -865,3 +882,154 @@ def ck_relations_by_path(diagram: BratteliDiagram, depth: int, adjacency=None) -
             if len(failures) > 20:
                 return CKReport(False, depth, checked, failures)
     return CKReport(not failures, depth, checked, failures)
+
+
+def generation_max(spec: GenerationSpectrum) -> dict[int, float]:
+    return {n: float(m.max()) for n, m in enumerate(spec.magnitudes) if n and m.size}
+
+
+@dataclass
+class NormBoundReport:
+    s: float
+    lam: float
+    c_constant: float
+    bound: float
+    sup_by_generation: list[tuple[int, float]]
+    sup_total: float
+    increment_ratios: list[float]
+
+    @property
+    def within_bound(self) -> bool:
+        return self.sup_total <= self.bound + 1e-12
+
+
+def norm_bound_check(table, depth: int = 15) -> NormBoundReport:
+    """Bounded regime s > d+2: the running sup of |eigenvalue| must stay below
+    c/(1-Lambda), with c the largest |beta| or nonzero seed magnitude of the
+    table, and its increments must shrink geometrically like Lambda."""
+    ws = table.ws
+    s = float(table.s)
+    if s <= ws.dimension + 2:
+        raise AsymptoticsError("bounded-norm check requires s > d + 2")
+    lam = table.lam_float
+    if lam >= 1.0:
+        raise AsymptoticsError("Lambda_s must be < 1 in the bounded regime")
+
+    spec = magnitude_table(table, depth)
+    maxes = generation_max(spec)
+    # rows 0 and 1 hold the root and the seeds, and the zero adds nothing
+    c = max(float(np.concatenate(spec.magnitudes[:2]).max()),
+            max(abs(b) for b in table.betas_float))
+    bound = c / (1.0 - lam)
+
+    sup_by_gen = []
+    running = 0.0
+    for n in sorted(maxes):
+        running = max(running, maxes[n])
+        sup_by_gen.append((n, running))
+    increments = [sup_by_gen[i + 1][1] - sup_by_gen[i][1]
+                  for i in range(len(sup_by_gen) - 1)]
+    ratios = [increments[i + 1] / increments[i]
+              for i in range(len(increments) - 1) if increments[i] > 1e-15]
+    return NormBoundReport(s, lam, c, bound, sup_by_gen, running, ratios)
+
+
+def _log_transfer_contribution(table, seed_vals: dict[int, float], out_deg: list[int],
+                               t: float, m: int, log_w: np.ndarray) -> tuple[float, np.ndarray]:
+    """One recursion layer in log space at one t; returns (generation m+1
+    contribution, updated per-vertex log partition vector)."""
+    diagram = table.diagram
+    lam = table.lam_float
+    scale = lam ** (m - 1)
+    new = np.full(diagram.n_letters, -np.inf)
+    contrib = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ei, e in enumerate(diagram.edges):
+            cand = t * scale * table.betas_float[ei] + log_w[e.source]
+            new[e.target] = np.logaddexp(new[e.target], cand)
+        for z, lam_z in seed_vals.items():
+            if out_deg[z] < 2 or new[z] == -np.inf:
+                continue
+            expo = t * (lam ** m) * lam_z + new[z]
+            if expo > -745.0:
+                contrib += diagram.symmetry_order * (out_deg[z] - 1) * math.exp(expo)
+    return contrib, new
+
+
+def heat_trace_by_t(table, t_grid, depth: int | None = None) -> HeatResult:
+    """`asymptotics.heat_trace` one t at a time: per t, the head terms, then
+    the log-space transfer recursion over the generations in scalars."""
+    t_grid = sorted(float(t) for t in t_grid)
+    if not t_grid or t_grid[0] <= 0:
+        raise AsymptoticsError("t grid must be positive")
+    diagram = table.diagram
+    lam = table.lam_float
+    theta = table.ws.perron.theta_float
+    if lam <= 1.0:
+        raise AsymptoticsError("heat trace needs Lambda > 1 (s < d+2)")
+
+    env = magnitude_table(table, HEAT_ENVELOPE_DEPTH)
+    c_min = lower_envelope(env, lam) / 2.0
+    c_cnt = 2.0 * max(int(w.sum()) / theta ** n for n, w in enumerate(env.weights) if n)
+
+    def tail_bound(t: float, d: int) -> float:
+        total = 0.0
+        for n in range(d + 1, d + 600):
+            expo = math.log(c_cnt) + n * math.log(theta) - t * c_min * lam ** n
+            if expo < -745.0:
+                if n > d + 1:
+                    break
+                continue
+            term = math.exp(expo)
+            total += term
+            if term < 1e-3 * total and n > d + 3:
+                break
+        return total
+
+    t_min = t_grid[0]
+    if depth is None:
+        depth = HEAT_ENVELOPE_DEPTH
+        while tail_bound(t_min, depth) > HEAT_TAIL_TARGET and depth < 400:
+            depth += 2
+    if tail_bound(t_min, depth) > HEAT_TAIL_TARGET:
+        raise AsymptoticsError(f"certified tail exceeds {HEAT_TAIL_TARGET:g} at t={t_min:g}")
+
+    out_deg = [len(diagram.out_edges[v]) for v in range(diagram.n_letters)]
+    seed_vals = {z: seed[1] for z, seed in enumerate(table.seeds) if seed is not None}
+    head = [(m.tolist(), w.tolist()) for m, w in zip(env.magnitudes[:2], env.weights[:2])]
+    samples = []
+    for t in t_grid:
+        total = 0.0
+        for mags, wts in head:
+            for m, w in zip(mags, wts):
+                total += w * math.exp(-t * m)
+        log_w = np.zeros(diagram.n_letters)
+        for m in range(1, depth):
+            contrib, log_w = _log_transfer_contribution(table, seed_vals, out_deg, t, m, log_w)
+            total += contrib
+        samples.append((t, total, tail_bound(t, depth)))
+    fit = ols_loglog([t for t, _, _ in samples], [tr for _, tr, _ in samples])
+    return HeatResult(samples, fit, depth)
+
+
+def rows_by_row(columns: list[str], data: list, blocks, csv: bool, dump) -> str:
+    """The text `cli._write_rows` writes for a section, one row at a time: a
+    column is a list of per-row values or (cells, index), and each block's
+    rows are written once per head, the head before the "path" column's
+    value.  A CSV row quotes the text columns; a JSON row is its list
+    dumped, the rows joined by commas."""
+    columns_ = [values if isinstance(values, tuple) else (values, None) for values in data]
+    cells, index = columns_[0]
+    blocks = blocks or [(("",), len(cells if index is None else index))]
+    rows, stop = [], 0
+    for heads, size in blocks:
+        start, stop = stop, stop + size
+        for head in heads:
+            for i in range(start, stop):
+                row = [cells[i] if index is None else cells[index[i]]
+                       for cells, index in columns_]
+                row = [head + v if column == "path" else v for column, v in zip(columns, row)]
+                rows.append(",".join(f'"{v}"' if column in _TEXT_COLUMNS else str(v)
+                                     for column, v in zip(columns, row)) + "\n"
+                            if csv else dump(row))
+    return "".join(rows) if csv else ",".join(rows)

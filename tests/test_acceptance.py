@@ -17,7 +17,6 @@ from bratlap.asymptotics import (
     factor_complexity,
     heat_trace,
     magnitude_table,
-    norm_bound_check,
     weyl_count,
     weyl_margins,
 )
@@ -32,7 +31,7 @@ from bratlap.laplacian import verify_spectrum
 from bratlap.measure import zeta_partial
 from bratlap.presets import load_preset, preset_names
 from bratlap.scalar import QuadraticBackend
-from oracles import full_spectrum, recursive_spectrum
+from oracles import full_spectrum, norm_bound_check, recursive_spectrum
 
 Q5 = QuadraticBackend(5)
 PHI_F = (1 + 5 ** 0.5) / 2

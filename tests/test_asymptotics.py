@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from bratlap.asymptotics import (
     factor_complexity,
     heat_trace,
     magnitude_table,
-    norm_bound_check,
     ols_loglog,
     weyl_count,
     weyl_margins,
@@ -23,7 +23,8 @@ from bratlap.diagram import SubstitutionRule, build_diagram, predicted_path_coun
 from bratlap.measure import WeightSystem, perron
 from bratlap.presets import load_preset, preset_names
 from bratlap.scalar import QuadraticBackend, RationalBackend
-from oracles import _SuffixAutomaton, full_spectrum, path_range, spectrum_multiset
+from oracles import (_SuffixAutomaton, full_spectrum, generation_max, heat_trace_by_t,
+                     norm_bound_check, path_range, spectrum_multiset)
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -257,6 +258,32 @@ def test_heat_trace_infeasible_tail():
         heat_trace(table, [1e-9], depth=10)
 
 
+def _heat_table(preset):
+    ws = load_preset(preset).weight_system
+    return affine_table(ws, ws.dimension)   # heat runs at s = d
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_heat_trace_matches_the_per_t_loop(preset):
+    # the whole grid in one array per generation forms every float the
+    # per-t loop forms: the same samples, bit for bit, and the same depth
+    table = _heat_table(preset)
+    # the largest depth the CLI takes, where t Lambda^m overflows at t = 1e2
+    largest = math.ceil(sys.float_info.max_exp / math.log2(table.lam_float)) - 3
+    default, wide = np.geomspace(1e-8, 1e-3, 21), np.geomspace(1e-4, 1e2, 33)
+    for grid, depth in ((default, None), ([1e-3], None), (wide, None), (wide, largest),
+                        (default, 30)):
+        new, old = heat_trace(table, grid, depth), heat_trace_by_t(table, grid, depth)
+        assert (new.samples, new.depth) == (old.samples, old.depth), (len(grid), depth)
+
+
+def test_heat_trace_matches_the_per_t_loop_on_the_grid_cap():
+    table = _heat_table("fibonacci")
+    grid = np.geomspace(1e-8, 1e-3, 10_000)
+    new, old = heat_trace(table, grid), heat_trace_by_t(table, grid)
+    assert (new.samples, new.depth) == (old.samples, old.depth)
+
+
 def test_norm_bound_fibonacci_s4_degenerate():
     # at s = 4, d = 1 the splitting weight is letter-independent and the
     # eigenvalue sum telescopes: the whole nonzero spectrum is -phi^3, the
@@ -413,7 +440,7 @@ def test_generation_max_growth_ratio():
     for setup in (fib_setup, tm_setup, penrose_setup):
         table = setup()
         spec = magnitude_table(table, 12)
-        maxes = spec.generation_max()
+        maxes = generation_max(spec)
         for n in range(7, 12):
             ratio = maxes[n + 1] / maxes[n]
             assert ratio == pytest.approx(table.lam_float, rel=0.02), (setup, n)

@@ -31,7 +31,7 @@ from bratlap.diagram import build_diagram, load_diagram_file
 from bratlap.presets import PRESETS, load_preset, preset_names
 from bratlap.scalar import parse_backend
 from oracles import (distance_to_unstable, enumerate_paths, format_path, full_spectrum,
-                     recursive_spectrum)
+                     lattice_coords, recursive_spectrum, rows_by_row)
 
 
 def run_cli(argv, capsys):
@@ -311,7 +311,7 @@ def _strip_rendering(preset: str | None, depth: int, s: str,
     rows, per_gen = [], {}
     for rec in recursive_spectrum(table, depth):
         label = rec.label if rec.path is None else format_path(diagram, rec.path)
-        dist = distance_to_unstable(emb, cuntz.lattice_coords(emb, rec.value))
+        dist = distance_to_unstable(emb, lattice_coords(emb, rec.value))
         rows.append([label, _fmt(dist)])
         per_gen[rec.generation] = max(per_gen.get(rec.generation, 0.0), dist)
     report = cuntz.strip_check(emb, table, depth)
@@ -419,6 +419,31 @@ def test_heads_are_filled_in_on_awkward_letters(block_rows, tmp_path, monkeypatc
             assert run_cli([*argv, "--format", "json"], capsys) == (0, json_text), (command, depth)
             assert '"\\u00e9[2]' in json_text and "é" not in json_text
             assert '"é[2]' in csv
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 8192])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_rows_matches_a_row_by_row_rendering(fmt, block_rows, monkeypatch, capsys):
+    # the sections of strip (per-state cells under g = 1 and g = 20 heads),
+    # spectrum (the path column and per-state cells), complexity (per-row
+    # columns only) and an empty one
+    sections = []
+    monkeypatch.setattr(cli, "_write_rows", lambda *args: sections.append(args))
+    for argv in (["strip", "--preset", "fibonacci", "--depth", "9", "--s", "1"],
+                 ["strip", "--preset", "penrose", "--depth", "4", "--s", "0"],
+                 ["spectrum", "--preset", "penrose", "--depth", "4"],
+                 ["complexity", "--preset", "thue-morse", "--nmax", "40"]):
+        assert main([*argv, "--format", fmt]) == 0
+    capsys.readouterr()
+    out, columns, data, _, csv, dump = sections[-1]
+    sections.append((out, columns, [[] for _ in columns], None, csv, dump))
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    assert {len(blocks[-1][0]) for _, _, _, blocks, _, _ in sections if blocks} == {1, 20}
+    for _, columns, data, blocks, csv, dump in sections:
+        text = io.StringIO()
+        cli._write_rows(text, columns, data, blocks, csv, dump)
+        assert text.getvalue() == rows_by_row(columns, data, blocks, csv, dump), columns
 
 
 @pytest.mark.parametrize("argv", [["strip", "--preset", "penrose", "--depth", "6", "--s", "0"],

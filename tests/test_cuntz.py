@@ -12,14 +12,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bratlap import asymptotics, cuntz, laplacian
+from bratlap import _linalg, asymptotics, cuntz, laplacian
 from bratlap.cli import main
 from bratlap.cuntz import (
     CuntzError,
     affine_table,
     ck_relations_check,
     companion_embedding,
-    lattice_coords,
     strip_check,
 )
 from bratlap.diagram import (build_diagram, load_diagram_file, load_diagram_json, path_counts,
@@ -30,9 +29,9 @@ from bratlap.presets import PRESETS, load_preset, preset_names
 from bratlap.scalar import (ApproxBackend, ApproxReal, FieldArray, QuadraticBackend,
                             RationalBackend, compare)
 from oracles import (EMPTY_PATH, Path, apply, ck_relations_by_path, distance_to_unstable,
-                     enumerate_paths, format_path, full_spectrum, path_chain, path_key,
-                     path_range, path_shift_down, path_shift_up, recursive_spectrum,
-                     sorted_growth, strip_distances, walked_spectrum)
+                     enumerate_paths, format_path, full_spectrum, lattice_coords, path_chain,
+                     path_key, path_range, path_shift_down, path_shift_up, recursive_spectrum,
+                     root_edge_index, sorted_growth, strip_distances, walked_spectrum)
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -116,11 +115,11 @@ def test_shift_down_composable():
 
 def test_shift_down_preserves_slot():
     d = build_diagram(PEN_A, symmetry_order=20)
-    start_b = Path(d.root_edge_index(1, slot=7), (d.out_edges[1][0],))  # b.a
+    start_b = Path(root_edge_index(d, 1, slot=7), (d.out_edges[1][0],))  # b.a
     e3 = next(i for i, e in enumerate(d.edges) if (e.source, e.target) == (0, 1))
     down = path_shift_down(d, e3, start_b)
     assert down is not None
-    assert d.root_edges[down.root] == d.root_edges[d.root_edge_index(0, slot=7)]
+    assert d.root_edges[down.root] == d.root_edges[root_edge_index(d, 0, slot=7)]
 
 
 def test_shift_up_partial_inverse():
@@ -619,6 +618,26 @@ def test_companion_embedding_field_mismatch_falls_back_to_numeric():
     assert emb3.action_verified == "numeric"
 
 
+@pytest.mark.parametrize("pdata, s, k, verdict, refusal", [
+    # x = theta in Q(sqrt5) and the lattice is a plane: checked in the field
+    (perron(build_diagram(FIB_A), Q5), 1, 2, "exact", "disagrees with field multiplication"),
+    # d = 4: x = theta^(1/2) = phi, but the lattice has degree 4, so the
+    # check runs in floats
+    (perron(build_diagram(PEN_A), Q5, dimension=4), 2, 2, "numeric",
+     "fails the numeric multiplication check")], ids=["exact", "numeric"])
+def test_verify_action_refuses_a_wrong_companion_matrix(pdata, s, k, verdict, refusal):
+    emb = companion_embedding(pdata, s)
+    assert emb.matrix == tuple(map(tuple, _linalg.mat_pow(emb.generator, k)))
+    assert cuntz._verify_action(emb.matrix, k, emb.basis_value, emb.basis_float) == verdict
+    # every matrix one entry away from C_x^k is refused by the branch's own check
+    for r, c in np.ndindex(emb.degree, emb.degree):
+        for step in (-1, 1):
+            wrong = [list(row) for row in emb.matrix]
+            wrong[r][c] += step
+            with pytest.raises(CuntzError, match=refusal):
+                cuntz._verify_action(wrong, k, emb.basis_value, emb.basis_float)
+
+
 def test_companion_embedding_needs_exact_perron_data():
     with pytest.raises(CuntzError, match="exact Perron data"):
         companion_embedding(perron(build_diagram(FIB_A), ApproxBackend(64)), 1)
@@ -817,8 +836,8 @@ def _hand_built_betas(ws, s, lam) -> list:
     one = ws.backend.one
     betas = []
     for edge_index, e in enumerate(diagram.edges):
-        eps = Path(diagram.root_edge_index(e.target))
-        eps_prime = Path(diagram.root_edge_index(e.source))
+        eps = Path(root_edge_index(diagram, e.target))
+        eps_prime = Path(root_edge_index(diagram, e.source))
         beta = ws.backend.zero
         if root_split:
             term1 = -(lam * ((mu(ws, *path_key(diagram, eps)) - one) * inv_g_root))

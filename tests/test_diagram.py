@@ -23,7 +23,7 @@ from bratlap.diagram import (
 )
 from bratlap.presets import load_preset, preset_names
 from oracles import (EMPTY_PATH, Path, enumerate_paths, format_path, longest_common_prefix,
-                     path_chain, path_range, span)
+                     path_chain, path_range, root_edge_index, span)
 
 FIB = SubstitutionRule.from_strings({"a": "ab", "b": "a"})
 TM = SubstitutionRule.from_strings({"0": "01", "1": "10"})
@@ -238,9 +238,9 @@ def test_path_labels_penrose_and_parallel_edges():
     pen = build_diagram(PENROSE_MATRIX, symmetry_order=20)
     a_to_a = [ei for ei, e in enumerate(pen.edges) if (e.source, e.target) == (0, 0)]
     b_to_a = next(ei for ei, e in enumerate(pen.edges) if (e.source, e.target) == (1, 0))
-    path = Path(pen.root_edge_index(1, 7), (b_to_a, a_to_a[1]))
+    path = Path(root_edge_index(pen, 1, 7), (b_to_a, a_to_a[1]))
     assert format_path(pen, path) == "b[7].a.a(2)"
-    assert pen.heads[pen.root_edge_index(0, 19)] == "a[19]"
+    assert pen.heads[root_edge_index(pen, 0, 19)] == "a[19]"
     assert [pen.segments[ei] for ei in a_to_a] == ["a(1)", "a(2)"]
     assert format_path(fib_diagram(), Path(1, (2,))) == "b.a"
     assert format_path(fib_diagram(), EMPTY_PATH) == "()"

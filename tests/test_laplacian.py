@@ -46,6 +46,7 @@ from oracles import (
     object_matrix,
     object_walk,
     path_key,
+    root_edge_index,
     span,
     spectrum_multiset,
     walked_dense,
@@ -160,7 +161,7 @@ def test_eigenbasis_fibonacci():
 def test_eigenbasis_dimension_penrose_vertex_a():
     ws = penrose_ws(backend=Q5)
     specs = eigenbasis(laplacian.StationaryCache(ws, 2),
-                       *path_key(ws.diagram, Path(ws.diagram.root_edge_index(0, 5))))
+                       *path_key(ws.diagram, Path(root_edge_index(ws.diagram, 0, 5))))
     assert len(specs) == 2
 
 

@@ -35,7 +35,7 @@ from bratlap.measure import (
 from bratlap.presets import PRESETS
 from bratlap.scalar import ApproxBackend, ApproxReal, QuadraticBackend, RationalBackend
 from oracles import (EMPTY_PATH, Path, enumerate_paths, longest_common_prefix,
-                     mpf_power_iteration, path_key, path_range)
+                     mpf_power_iteration, path_key, path_range, root_edge_index)
 
 Q5 = QuadraticBackend(5)
 RAT = RationalBackend()
@@ -361,7 +361,7 @@ def test_mu_fibonacci_powers_of_alpha():
 
 def test_mu_penrose_generation_one():
     ws = penrose_ws()
-    p = Path(ws.diagram.root_edge_index(0, slot=7))
+    p = Path(root_edge_index(ws.diagram, 0, slot=7))
     assert mu(ws, *path_key(ws.diagram, p)) == ALPHA / 20
     assert mu(ws, *path_key(ws.diagram, EMPTY_PATH)) == Q5.one
 
@@ -394,7 +394,7 @@ def test_weight_equals_mu_in_dimension_one():
 
 def test_weight_penrose_square_root():
     ws = penrose_ws()
-    p = Path(ws.diagram.root_edge_index(0))
+    p = Path(root_edge_index(ws.diagram, 0))
     w = weight(ws, p)
     assert isinstance(w, ApproxReal)
     with mpmath.workprec(212):
