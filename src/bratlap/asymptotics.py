@@ -250,10 +250,16 @@ def heat_trace(table: AffineMapTable, t_grid, depth: int | None = None) -> HeatR
     c_min = lower_envelope(env, lam) / 2.0
     c_cnt = 2.0 * max(int(w.sum()) / theta ** n for n, w in enumerate(env.weights) if n)
 
+    # per n, log(c_cnt) + n log(theta) and Lambda^n, formed once per call
+    log_cnt, log_theta, terms = math.log(c_cnt), math.log(theta), {}
+
     def tail_bound(t: float, d: int) -> float:
-        total = 0.0
+        total, scale = 0.0, t * c_min
         for n in range(d + 1, d + 600):
-            expo = math.log(c_cnt) + n * math.log(theta) - t * c_min * lam ** n
+            if n not in terms:
+                terms[n] = (log_cnt + n * log_theta, lam ** n)
+            head, power = terms[n]
+            expo = head - scale * power
             if expo < -745.0:
                 if n > d + 1:
                     break

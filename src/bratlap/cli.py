@@ -103,6 +103,20 @@ class _Emitter:
         out.write("" if csv else "]}\n")
 
 
+def _escaped(cells) -> list | None:
+    """json.dumps(c)[1:-1] for every cell when each is a str, else None, from
+    the encoder's C escaper.  Path tails and formatted values hold nothing it
+    escapes, and then one call on their concatenation, which it lengthens
+    by its two quotes only, shows that the cells are their own escapes."""
+    try:
+        text = "".join(cells)
+    except TypeError:
+        return None
+    escape = json.encoder.encode_basestring_ascii
+    return list(cells) if len(escape(text)) == len(text) + 2 else \
+        [escape(c)[1:-1] for c in cells]
+
+
 def _write_rows(out, columns: list[str], data: list, blocks, csv: bool, dump) -> None:
     """Write a section's rows, a run of at most _BLOCK_ROWS rows to a write.
     A row concatenates its pieces [form, columns, index]: the neighbouring
@@ -126,13 +140,16 @@ def _write_rows(out, columns: list[str], data: list, blocks, csv: bool, dump) ->
         if column == "path" or quote and index is None:
             pieces[-1][0] += f"{',' * bool(j)}\""
             pieces += [[mark, [], None]] * (column == "path") + [
-                [None, cells if csv else [dump(c)[1:-1] for c in cells], None], ['"', [], None]]
+                [None, cells if csv else _escaped(cells) or [dump(c)[1:-1] for c in cells],
+                 None], ['"', [], None]]
             continue
         if pieces[-1][1] and (index is None or pieces[-1][2] is not index):
             pieces.append(["", [], None])
         piece = pieces[-1]
+        escaped = None if csv else _escaped(cells)
+        quote = '"' if escaped is not None else quote
         piece[0] += f"{',' * bool(j)}{quote}%s{quote}"
-        piece[1].append(cells if csv else map(dump, cells))
+        piece[1].append(cells if csv else map(dump, cells) if escaped is None else escaped)
         piece[2] = index
     # a row ends in a newline, or in "]," for JSON, whose last row drops the comma
     pieces[-1][0] += "\n" if csv else "],"

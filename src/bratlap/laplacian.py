@@ -13,14 +13,14 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 
 import numpy as np
 
 from . import _linalg
 from .diagram import DEFAULT_PATH_CAP, BratlapError, path_counts, predicted_path_count
 from .measure import WeightSystem, diam_power, mu
-from .scalar import ROW_BLOCK, ApproxReal, FieldArray
+from .scalar import ApproxReal, FieldArray
 
 DEFAULT_DENSE_CAP = 4096
 FLOAT_TOLERANCE = 1e-8  # the largest eigenvalue deviation a float operator passes
@@ -468,133 +468,23 @@ def dense_restriction(ws: WeightSystem, n: int, s,
 
 
 class SlotSymmetryError(LaplacianError):
-    """The dense operator's value ids are not invariant under the root-slot
-    permutations, so its block split would not be exact."""
+    """The dense operator's value ids are not invariant under the permutations
+    of identical sibling subtrees, so its block split would not be exact."""
 
 
 def dense_spectrum(op: DenseOperator) -> np.ndarray:
-    """Sorted eigenvalues of S = D^(1/2) M D^(-1/2), one eigvalsh per block of
-    its root-slot decomposition, gathered from two slot copies per vertex
-    pair, not from the whole of S.
-
-    Permuting the g root slots of a vertex maps the path space onto itself
-    and keeps every measure and every meet, so S commutes with it.  With
-    R[v][k] the range of root edge (v, k), the orthogonal change of basis to
-    slot sums and slot differences splits S exactly into
-    - the slot-symmetric block B[(v,.), (w,.)] = sum_k S[R[v][0], R[w][k]], of
-      dimension sum_v N_v = |Pi_n| / g, and
-    - per vertex v the difference block S[R[v][0], R[v][0]] - S[R[v][0], R[v][1]],
-      whose eigenvalues are repeated g - 1 times.
-
-    The slot invariance is checked first, before any gather, on what the
-    ids are filled from, not on floats (`_check_slot_records`): the records
-    under each root edge (v, k) must repeat those under (v, 0) as (meet key,
-    lo - base, hi - base), and the leaves' range vertices and walk states
-    must repeat too.  Those fix the square of (v, k), and every other cell
-    meets at the root and reads root_ids of its column's range vertex.  So
-    copy (k, l) of a vertex pair (v, w), rows R[v][k] against columns
-    R[w][l], carries the ids of copy (0, 0) when k = l or v != w, and those
-    of copy (0, 1) otherwise.  Equal ids give equal entries of M, and S[i, j]
-    is M[i, j] times root[i] * inv_root[j], with mu per range vertex, which
-    slot copies share; so equal ids give equal floats, bit for bit.
-
-    Each sum over k therefore adds copy (0, 0), then copy (0, 0) again when
-    v != w and copy (0, 1) when v = w, g - 1 times.  Only those two copies
-    are gathered, ROW_BLOCK rows at a time, as np.outer(root, inv_root)
-    times values[squares[v]] or, where they meet at the root, times
-    values[root_ids][vertex[cols]].  B is solved and freed before each
-    difference block is gathered, so no float matrix larger than B is held.
-    With g = 1 each gather is written straight into B, which is S.
-    LaplacianError is raised, before a block is solved, when one of its
-    entries is not a finite float, which it is not when a gathered entry it
-    sums is not.
-    """
-    g, widths, bases = op.symmetry_order, op.slot_widths, op.bases
-    if g > 1:
-        _check_slot_records(op)
-    values = np.array([float(v) for v in op.values])
-    # per column, the entry of every row under another root edge
-    root_row = values[op.root_ids[op.vertex]]
-    root = np.sqrt(op.mu_float())
-    inv_root = 1.0 / root
-
-    def gather(v: int, lo: int, hi: int, w: int, slot: int,
-               out: np.ndarray | None = None) -> np.ndarray:
-        """S[rows lo:hi under root edge (v, 0), the columns under root edge
-        (w, slot)], written into `out` when given."""
-        rows = slice(bases[v * g] + lo, bases[v * g] + hi)
-        cols = slice(bases[w * g + slot], bases[w * g + slot] + widths[w])
-        part = np.multiply.outer(root[rows], inv_root[cols], out=out)
-        part *= values[op.squares[v][lo:hi]] if (w, slot) == (v, 0) else root_row[cols]
-        return part
-
-    def row_blocks(v: int):
-        return ((lo, min(lo + ROW_BLOCK, widths[v])) for lo in range(0, widths[v], ROW_BLOCK))
-
-    def symmetric_block() -> np.ndarray:
-        offsets = np.cumsum((0,) + widths)
-        block = np.empty((offsets[-1], offsets[-1]))
-        for v, w in product(range(len(widths)), repeat=2):
-            for lo, hi in row_blocks(v):
-                target = block[offsets[v] + lo:offsets[v] + hi, offsets[w]:offsets[w + 1]]
-                gather(v, lo, hi, w, 0, out=target)
-                if g > 1:
-                    other = gather(v, lo, hi, v, 1) if v == w else target.copy()
-                    for _ in range(g - 1):
-                        target += other
-        return block
-
-    def difference_block(v: int) -> np.ndarray:
-        diff = np.empty((widths[v], widths[v]))
-        for lo, hi in row_blocks(v):
-            gather(v, lo, hi, v, 0, out=diff[lo:hi])
-            diff[lo:hi] -= gather(v, lo, hi, v, 1)
-        return diff
-
-    parts = [_solved(symmetric_block())]
-    parts += [np.repeat(_solved(difference_block(v)), g - 1)
-              for v in range(len(widths) if g > 1 else 0)]
-    return np.sort(np.concatenate(parts))
-
-
-def _solved(block: np.ndarray) -> np.ndarray:
-    """eigvalsh of a block whose entries are all finite floats."""
-    # a sum or difference with a term that is not finite is not finite, and
-    # min and max, which allocate no mask, propagate NaN
-    if not np.isfinite((block.min(), block.max())).all():
-        raise LaplacianError("dense matrix entries leave the float range; "
-                             "try a larger s or a smaller depth")
-    return np.linalg.eigvalsh(block)
-
-
-def _check_slot_records(op: DenseOperator) -> None:
-    """Raise SlotSymmetryError for the first root edge (v, k), k >= 1, in
-    order, whose records, as (meet key, lo - base, hi - base), or whose
-    leaves' range vertices and walk states differ from those under (v, 0)."""
-    g, widths, bases = op.symmetry_order, op.slot_widths, op.bases
-    # per record but the root's: its meet key and its span from the base of
-    # the root edge it lies under, grouped by that root edge
-    spans = np.array([(ends[0], ends[-1]) for ends in op.bounds], np.int64).reshape(-1, 2)
-    meets = np.array(op.meets, np.int64).reshape(-1, 2)
-    inner = meets[:, 0] >= 0
-    edge = np.searchsorted(bases, spans[inner, 0], side="right") - 1
-    order = np.argsort(edge, kind="stable")
-    table = np.column_stack((meets[inner], spans[inner] - bases[edge, None]))[order]
-    first = np.searchsorted(edge[order], np.arange(bases.size + 1))
-    state = op.levels[-1].state
-    for e, base in enumerate(bases.tolist()):
-        v, k = divmod(e, g)
-        ref = v * g
-        if k == 0:
-            continue
-        if not np.array_equal(table[first[e]:first[e + 1]], table[first[ref]:first[ref + 1]]):
-            raise SlotSymmetryError(f"records under root edge ({v}, {k}) differ from "
-                                    f"those under ({v}, 0)")
-        leaves, ref_leaves = (slice(b, b + widths[v]) for b in (base, int(bases[ref])))
-        if not (np.array_equal(op.vertex[leaves], op.vertex[ref_leaves])
-                and np.array_equal(state[leaves], state[ref_leaves])):
-            raise SlotSymmetryError(f"leaves under root edge ({v}, {k}) differ from "
-                                    f"those under ({v}, 0)")
+    """Sorted eigenvalues of S = D^(1/2) M D^(-1/2), split exactly at every
+    group of c >= 2 identical sibling subtrees, a letter's g root edges and
+    the A[a][t] parallel edges a -> t below a path: a top block over the
+    walk states of the leaves, and per group below a path that comes first
+    with its walk state the block of copy 0 less copy 1 over the walk states
+    in copy 0, repeated c - 1 times per path of that walk state.  The copies
+    are checked first (SlotSymmetryError names the first that differs), one
+    row per walk state is gathered from the compact ids and summed in column
+    order, and blocks below paths of one key are solved as one stack; see
+    `_blocks`, which compiles only when a dense spectrum is asked for."""
+    from ._blocks import split_spectrum
+    return split_spectrum(op)
 
 
 @dataclass

@@ -3,7 +3,7 @@ independent oracles: paths as objects (`Path`, `PathTable`,
 `enumerate_paths`, `format_path` and the shifts), which the library, working
 on per-generation index arrays, no longer builds; the per-record views of
 the spectrum and of the affine recursion that tests compare against; and the
-loop-by-loop forms of the dense index fill, the slot-copy check and the
+loop-by-loop forms of the dense index fill, the sibling-copy split and the
 Perron power iteration, the Fraction-pair quadratic scalar and the walk's
 object loop, the suffix automaton that counts factors, the path-by-path
 Cuntz-Krieger check, the heat trace one t at a time and the emitter's rows
@@ -17,7 +17,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, groupby, product
 
 import mpmath
 import numpy as np
@@ -230,41 +230,87 @@ def whole_symmetrized(op) -> np.ndarray:
     return float_matrix(op) * np.outer(root, 1.0 / root)
 
 
+def copy_groups(diagram: BratteliDiagram, table: PathTable) -> list[tuple]:
+    """The groups of identical sibling subtrees below the paths that come
+    first in their generation with their run of range vertices, found on
+    `Path`s: per group, (its path's generation, the paths of that
+    generation with its run, the copies' leaf ranges of `table`)."""
+    runs = {EMPTY_PATH: ()}
+    groups = []
+    for k in range(table.generation):
+        paths = sorted({p.prefix(k) for p in table.paths}, key=lambda p: (p.root, p.edges))
+        same: dict[tuple, list] = {}
+        for p in paths:
+            if k:
+                runs[p] = runs[p.prefix(k - 1)] + (path_range(diagram, p),)
+            same.setdefault(runs[p], []).append(p)
+        for p, *others in same.values():
+            ext = extensions(diagram, p)
+            lo = 0
+            for _, run in groupby(diagram.root_edges[e].vertex if k == 0 else
+                                  diagram.edges[e].target for e in ext):
+                hi = lo + len(list(run))
+                if hi - lo >= 2:
+                    groups.append((k, 1 + len(others),
+                                   [span(table, p.child(e)) for e in ext[lo:hi]]))
+                lo = hi
+    return groups
+
+
 def whole_matrix_dense_spectrum(op) -> np.ndarray:
-    """The slot-split spectrum read off the whole symmetrized matrix, with the
-    slot invariance compared on its floats: the dense spectrum as it was
-    before only the slot-0 rows were built."""
-    sym_op = whole_symmetrized(op)
-    assert np.isfinite(sym_op).all()
-    g = op.symmetry_order
-    widths = op.slot_widths
-    starts = np.cumsum((0,) + tuple(g * w for w in widths))
-    offsets = np.cumsum((0,) + widths)
-    vertex_pairs = list(product(range(len(widths)), repeat=2))
+    """The sibling-copy split read off the whole symmetrized matrix S, one
+    block and one eigvalsh at a time: `dense_spectrum` with its sums in its
+    order, and the copy invariance compared on S's floats.
 
-    def slab(v: int, w: int) -> np.ndarray:
-        return sym_op[starts[v]:starts[v + 1], starts[w]:starts[w + 1]] \
-            .reshape(g, widths[v], g, widths[w])
+    Every copy C_q of every group of `copy_groups` is swapped with C_0, and
+    S's rows and columns under C_q, so permuted, must equal those under
+    C_0.  Orbits are the leaves of one walk state, each read from its first
+    leaf r_O; an entry sums S[r_O, j] over the leaves j of orbit P in the
+    block's cylinder by np.bincount, r_O's own cell left out, scales it by
+    sqrt(m_O / m_P) and adds S[r_O, r_O] on the diagonal.  A top-block sum
+    is the sum over root slot 0 plus g - 1 times that over slot 1; the block
+    of a group at a path sums over C_0 less over C_1, with m_O counted in
+    C_0, and is repeated c - 1 times per path with the group's run.  Block
+    dimension times repeat sums to |Pi_n|."""
+    sym = whole_symmetrized(op)
+    assert np.isfinite(sym).all()
+    diagram, size, g = op.cache.ws.diagram, op.vertex.size, op.symmetry_order
+    state = op.levels[-1].state
+    count = np.bincount(state)
+    first = np.array([np.flatnonzero(state == s)[0] for s in range(count.size)])
+    table = enumerate_paths(diagram, op.generation)
+    groups = copy_groups(diagram, table)
 
-    for v, w in vertex_pairs:
-        copies = slab(v, w)
-        for k, l in product(range(g), repeat=2):
-            assert np.array_equal(copies[k, :, l, :],
-                                  copies[0, :, int(v == w and k != l), :])
-    block = np.empty((offsets[-1], offsets[-1]))
-    for v, w in vertex_pairs:
-        copies = slab(v, w)
-        target = block[offsets[v]:offsets[v + 1], offsets[w]:offsets[w + 1]]
-        target[...] = copies[0, :, 0, :]
-        for l in range(1, g):
-            target += copies[0, :, l, :]
-    parts = [np.linalg.eigvalsh(block)]
-    if g > 1:
-        for v in range(len(widths)):
-            own = slab(v, v)
-            parts.append(np.repeat(np.linalg.eigvalsh(own[0, :, 0, :] - own[0, :, 1, :]),
-                                   g - 1))
-    return np.sort(np.concatenate(parts))
+    def orbit_sums(rows, cols: range, lo: int, d: int) -> np.ndarray:
+        cols = np.arange(cols.start, cols.stop)
+        return np.array([np.bincount(state[cols] - lo, np.where(cols == r, 0.0, sym[r, cols]), d)
+                         for r in rows])
+
+    def solved(sums: np.ndarray, rows, m: np.ndarray) -> np.ndarray:
+        block = np.sqrt(m[:, None] / m[None, :]) * sums
+        block[np.diag_indices(len(rows))] += sym[rows, rows]
+        return np.linalg.eigvalsh(block)
+
+    # per slot k, the sums over the root edges (v, k) of every letter v
+    slot = [sum(orbit_sums(first, span(table, Path(v * g + k)), 0, count.size)
+                for v in range(diagram.n_letters)) for k in range(min(g, 2))]
+    top = slot[0] + (g - 1) * slot[-1] if g > 1 else slot[0]
+    parts, repeats = [solved(top, first, count)], [np.ones(count.size, int)]
+    for _, same, copies in groups:
+        for copy in copies[1:]:
+            perm = np.arange(size)
+            perm[copies[0].start:copies[0].stop], perm[copy.start:copy.stop] = copy, copies[0]
+            assert np.array_equal(sym[copy][:, perm], sym[copies[0]])
+            assert np.array_equal(sym[perm][:, copy], sym[:, copies[0]])
+        lo = state[copies[0].start]
+        m = np.bincount(state[copies[0].start:copies[0].stop] - lo)
+        assert m.all()
+        rows = first[lo:lo + m.size]
+        parts.append(solved(orbit_sums(rows, copies[0], lo, m.size) -
+                            orbit_sums(rows, copies[1], lo, m.size), rows, m))
+        repeats.append(np.full(m.size, (len(copies) - 1) * same))
+    assert sum(map(np.sum, repeats)) == size
+    return np.sort(np.repeat(np.concatenate(parts), np.concatenate(repeats)))
 
 
 def blockwise_index(op) -> np.ndarray:
