@@ -224,7 +224,7 @@ def _copy_error(op: DenseOperator, what: str, r: int, p: int, q: int) -> None:
     ranks = np.sort(np.concatenate([level.rank[level.splits] for level in levels[:-1]]))
     splits = levels[k].splits
     child = np.flatnonzero(levels[k + 1].parent == splits[levels[k].rank[splits] == ranks[r]][0])
-    chain = [(level.parent.tolist(), level.edge.tolist()) for level in levels[1:k + 2]]
+    steps = [(level.parent.tolist(), level.edge.tolist()) for level in levels[1:k + 2]]
     label = op.cache.ws.diagram.label
-    raise SlotSymmetryError(f"{what} under path {label(chain, child[p + q])} differ from "
-                            f"those under {label(chain, child[p])}")
+    raise SlotSymmetryError(f"{what} under path {label(steps, child[p + q])} differ from "
+                            f"those under {label(steps, child[p])}")
